@@ -17,7 +17,6 @@
 //   netscatter_sim --spec specs/office-256.spec --rounds 10
 //   netscatter_sim --dump-spec office-256   (canonical serialization)
 //   netscatter_sim --all --rounds 10
-#include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -45,20 +44,12 @@ struct sim_options {
 void list_scenarios() {
     ns::util::text_table table(
         "Registered scenarios (" + ns::spec::spec_dir() + ")",
-        {"name", "devices", "rounds x replicas", "source", "description"});
-    const auto& registry = ns::scenario::registry();
-    const auto& sources = ns::scenario::registry_sources();
-    for (std::size_t i = 0; i < registry.size(); ++i) {
-        const auto& spec = registry[i];
-        const std::string& source = sources[i];
-        const std::string source_name =
-            source == "<builtin>"
-                ? source
-                : std::filesystem::path(source).filename().string();
+        {"name", "devices", "rounds x replicas", "description"});
+    for (const auto& spec : ns::scenario::registry()) {
         table.add_row({spec.name, std::to_string(spec.geometry.num_devices),
                        std::to_string(spec.sim.rounds) + " x " +
                            std::to_string(spec.replicas),
-                       source_name, spec.description});
+                       spec.description});
     }
     table.print(std::cout);
 }

@@ -34,6 +34,33 @@ inline const char* fidelity_name(ns::sim::phy_fidelity fidelity) {
     return "auto";
 }
 
+/// Adds the scalars of the outcome counters in `block`, in table order
+/// (fault-only rows only when the spec injects faults).
+inline void add_counter_scalars(bench::bench_report& report,
+                                const ns::sim::sim_result& sim,
+                                ns::sim::json_block block, bool faults_on) {
+    for (const ns::sim::outcome_counter& counter : ns::sim::outcome_counters) {
+        if (counter.scalar.block != block || (counter.fault_only && !faults_on)) {
+            continue;
+        }
+        report.set_scalar(counter.scalar.name, static_cast<double>(sim.*counter.total));
+    }
+}
+
+/// Appends one round's outcome-counter fields of `block` to a point, in
+/// table order (fault-only rows only when the spec injects faults).
+inline void add_counter_fields(
+    std::vector<std::pair<std::string, bench::json_value>>& point,
+    const ns::sim::round_outcome& round, ns::sim::json_block block,
+    bool faults_on) {
+    for (const ns::sim::outcome_counter& counter : ns::sim::outcome_counters) {
+        if (counter.point.block != block || (counter.fault_only && !faults_on)) {
+            continue;
+        }
+        point.emplace_back(counter.point.name, static_cast<double>(round.*counter.round));
+    }
+}
+
 /// Writes the per-scenario report JSON (scalars + per-round "points" +
 /// groups/metrics sections). `extra_scalars` lets a sweep prepend its
 /// cell coordinates; an empty list reproduces the historic single-run
@@ -72,16 +99,12 @@ inline void write_scenario_json(
     report.set_scalar("idle_rate", result.sim.idle_rate());
     report.set_scalar("offered_load", result.stats.offered_load());
     report.set_scalar("join_requests", static_cast<double>(result.stats.join_requests));
-    report.set_scalar("joins", static_cast<double>(result.sim.total_joins));
-    report.set_scalar("leaves", static_cast<double>(result.sim.total_leaves));
-    report.set_scalar("rejected_joins",
-                      static_cast<double>(result.sim.total_rejected_joins));
-    report.set_scalar("reassociations",
-                      static_cast<double>(result.sim.total_reassociations));
-    report.set_scalar("realloc_events",
-                      static_cast<double>(result.sim.total_realloc_events));
-    report.set_scalar("full_reassignments",
-                      static_cast<double>(result.sim.total_full_reassignments));
+    // Fault/recovery keys appear only when the spec injects faults: a
+    // fault-free run's JSON stays byte-for-byte what it was before the
+    // fault layer existed.
+    const bool faults_on = result.spec.faults.enabled();
+    using ns::sim::json_block;
+    add_counter_scalars(report, result.sim, json_block::membership, faults_on);
     report.set_scalar("mean_reassoc_latency_rounds",
                       result.stats.mean_join_latency_rounds());
     report.set_scalar("reassoc_latency_p50_rounds",
@@ -96,13 +119,9 @@ inline void write_scenario_json(
                       static_cast<double>(result.stats.interference_events));
     report.set_scalar("network_id",
                       static_cast<double>(result.spec.sim.network_id));
-    report.set_scalar("cross_tx", static_cast<double>(result.sim.total_cross_tx));
-    report.set_scalar("cross_collisions",
-                      static_cast<double>(result.sim.total_cross_collisions));
-    report.set_scalar("cross_collided_delivered",
-                      static_cast<double>(result.sim.total_cross_collided_delivered));
+    add_counter_scalars(report, result.sim, json_block::cochannel, faults_on);
     report.set_scalar("num_groups", static_cast<double>(result.num_groups));
-    report.set_scalar("regroups", static_cast<double>(result.sim.total_regroups));
+    add_counter_scalars(report, result.sim, json_block::grouping, faults_on);
     report.set_scalar("control_overhead_s", result.control_overhead_s);
     report.set_scalar("network_latency_s", result.network_latency_s());
     report.set_scalar("fidelity", fidelity_name(result.spec.sim.fidelity));
@@ -110,48 +129,15 @@ inline void write_scenario_json(
                       static_cast<double>(result.sim.fast_path_rounds));
     report.set_scalar("wall_clock_s", result.wall_clock_s);
     // Host-time split of the round loop (transmit-side synthesis vs
-    // receiver decode), summed over all replica rounds — registry-backed
-    // (sums of the round.*_s phase histograms).
-    report.set_scalar("synth_wall_s", result.sim.synth_wall_s);
-    report.set_scalar("decode_wall_s", result.sim.decode_wall_s);
-    // Fault/recovery scalars appear only when the spec injects faults:
-    // a fault-free run's JSON stays byte-for-byte what it was before the
-    // fault layer existed.
-    const bool faults_on = result.spec.faults.enabled();
+    // receiver decode), summed over all replica rounds.
+    const ns::sim::round_wall_split wall = ns::sim::wall_split(result.sim.metrics);
+    report.set_scalar("synth_wall_s", wall.synth_s);
+    report.set_scalar("decode_wall_s", wall.decode_s);
+    add_counter_scalars(report, result.sim, json_block::faults, faults_on);
     if (faults_on) {
-        report.set_scalar("fault_query_losses",
-                          static_cast<double>(result.sim.total_query_losses));
-        report.set_scalar("fault_ack_losses",
-                          static_cast<double>(result.sim.total_ack_losses));
-        report.set_scalar("fault_ack_timeouts",
-                          static_cast<double>(result.sim.total_ack_timeouts));
-        report.set_scalar("fault_reboots",
-                          static_cast<double>(result.sim.total_reboots));
-        report.set_scalar("fault_down_events",
-                          static_cast<double>(result.sim.total_down_events));
-        report.set_scalar("fault_lease_evictions",
-                          static_cast<double>(result.sim.total_lease_evictions));
-        report.set_scalar("fault_desyncs",
-                          static_cast<double>(result.sim.total_desyncs));
-        report.set_scalar("fault_resyncs",
-                          static_cast<double>(result.sim.total_resyncs));
-        report.set_scalar("fault_recoveries",
-                          static_cast<double>(result.sim.total_recoveries));
-        report.set_scalar("fault_orphan_tx",
-                          static_cast<double>(result.sim.total_orphan_tx));
-        report.set_scalar(
-            "fault_orphan_collisions",
-            static_cast<double>(result.sim.total_orphan_collisions));
-        report.set_scalar("fault_blackout_rounds",
-                          static_cast<double>(result.sim.total_blackout_rounds));
         report.set_scalar("fault_devices_down_at_end",
                           static_cast<double>(result.sim.devices_down_at_end));
-        report.set_scalar(
-            "fault_recovery_ratio",
-            result.sim.total_down_events == 0
-                ? 1.0
-                : static_cast<double>(result.sim.total_recoveries) /
-                      static_cast<double>(result.sim.total_down_events));
+        report.set_scalar("fault_recovery_ratio", result.sim.recovery_ratio());
     }
 
     const double payload_bits =
@@ -184,42 +170,16 @@ inline void write_scenario_json(
         // timelines together.
         std::vector<std::pair<std::string, bench::json_value>> point = {
             {"replica", static_cast<double>(i / rounds_per_replica)},
-            {"round", static_cast<double>(i % rounds_per_replica)},
-            {"active", static_cast<double>(round.active)},
-            {"scheduled_group", static_cast<double>(round.scheduled_group)},
-            {"scheduled", static_cast<double>(round.scheduled)},
-            {"transmitting", static_cast<double>(round.transmitting)},
-            {"delivered", static_cast<double>(round.delivered)},
-            {"skipped", static_cast<double>(round.skipped)},
-            {"idle", static_cast<double>(round.idle)},
-            {"joins", static_cast<double>(round.joins)},
-            {"leaves", static_cast<double>(round.leaves)},
-            {"realloc_events", static_cast<double>(round.realloc_events)},
-            {"regroups", static_cast<double>(round.regroups)},
-            {"cross_tx", static_cast<double>(round.cross_tx)},
-            {"cross_collisions", static_cast<double>(round.cross_collisions)},
-            {"query_time_s", query_time_s},
-            {"reassoc_latency_rounds", reassoc_latency},
-            {"throughput_bps", throughput},
-            {"loss_rate", loss}};
-        if (faults_on) {
-            point.push_back(
-                {"query_losses", static_cast<double>(round.query_losses)});
-            point.push_back(
-                {"ack_losses", static_cast<double>(round.ack_losses)});
-            point.push_back({"reboots", static_cast<double>(round.reboots)});
-            point.push_back(
-                {"down_events", static_cast<double>(round.down_events)});
-            point.push_back({"lease_evictions",
-                             static_cast<double>(round.lease_evictions)});
-            point.push_back({"desyncs", static_cast<double>(round.desyncs)});
-            point.push_back({"resyncs", static_cast<double>(round.resyncs)});
-            point.push_back(
-                {"recoveries", static_cast<double>(round.recoveries)});
-            point.push_back(
-                {"orphan_tx", static_cast<double>(round.orphan_tx)});
-            point.push_back({"blackout", round.blackout ? 1.0 : 0.0});
-        }
+            {"round", static_cast<double>(i % rounds_per_replica)}};
+        add_counter_fields(point, round, json_block::round_head, faults_on);
+        point.emplace_back("scheduled_group", static_cast<double>(round.scheduled_group));
+        point.emplace_back("scheduled", static_cast<double>(round.scheduled));
+        add_counter_fields(point, round, json_block::round_body, faults_on);
+        point.emplace_back("query_time_s", query_time_s);
+        point.emplace_back("reassoc_latency_rounds", reassoc_latency);
+        point.emplace_back("throughput_bps", throughput);
+        point.emplace_back("loss_rate", loss);
+        add_counter_fields(point, round, json_block::round_faults, faults_on);
         report.add_point(std::move(point));
     }
     // Per-group breakdown (§3.3.3), keyed by scheduling slot and merged
@@ -357,13 +317,8 @@ inline void write_metrics_json(const ns::scenario::scenario_result& result,
         }
         report.add_point(
             {{"name", "fault.recovery_rounds.p95"}, {"value", recovery_p95}});
-        report.add_point(
-            {{"name", "fault.recovery_ratio"},
-             {"value",
-              result.sim.total_down_events == 0
-                  ? 1.0
-                  : static_cast<double>(result.sim.total_recoveries) /
-                        static_cast<double>(result.sim.total_down_events)}});
+        report.add_point({{"name", "fault.recovery_ratio"},
+                          {"value", result.sim.recovery_ratio()}});
     }
     for (const auto& gauge : metrics.gauges) {
         if (strip && ns::obs::is_host_metric_name(gauge.name)) continue;

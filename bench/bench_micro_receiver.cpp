@@ -100,9 +100,10 @@ fidelity_point run_fidelity(std::size_t devices, std::size_t rounds,
     fidelity_point point;
     point.devices = devices;
     const double n_rounds = static_cast<double>(result.rounds.size());
-    point.synth_ms_per_round = result.synth_wall_s * 1e3 / n_rounds;
-    point.decode_ms_per_round = result.decode_wall_s * 1e3 / n_rounds;
-    const double loop_s = result.synth_wall_s + result.decode_wall_s;
+    const ns::sim::round_wall_split wall = ns::sim::wall_split(result.metrics);
+    point.synth_ms_per_round = wall.synth_s * 1e3 / n_rounds;
+    point.decode_ms_per_round = wall.decode_s * 1e3 / n_rounds;
+    const double loop_s = wall.synth_s + wall.decode_s;
     point.rounds_per_s = loop_s > 0.0 ? n_rounds / loop_s : 0.0;
     point.delivery_rate = result.delivery_rate();
     return point;

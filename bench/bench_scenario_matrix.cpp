@@ -45,7 +45,8 @@ namespace {
 /// Rounds decoded per second of round-loop host time (synthesis +
 /// decode, association and deployment construction excluded).
 double rounds_per_second(const ns::scenario::scenario_result& result) {
-    const double loop_s = result.sim.synth_wall_s + result.sim.decode_wall_s;
+    const ns::sim::round_wall_split wall = ns::sim::wall_split(result.sim.metrics);
+    const double loop_s = wall.synth_s + wall.decode_s;
     if (loop_s <= 0.0) return 0.0;
     return static_cast<double>(result.sim.rounds.size()) / loop_s;
 }
@@ -83,14 +84,15 @@ int main() {
         const auto result = ns::scenario::run_scenario(spec);
         const double n_rounds =
             std::max<double>(1.0, static_cast<double>(result.sim.rounds.size()));
+        const ns::sim::round_wall_split wall = ns::sim::wall_split(result.sim.metrics);
         table.add_row({spec.name, std::to_string(spec.geometry.num_devices),
                        result.num_groups == 0 ? "-" : std::to_string(result.num_groups),
                        ns::util::format_double(100.0 * result.sim.delivery_rate(), 1) + " %",
                        ns::util::format_double(100.0 * result.sim.skip_rate(), 1) + " %",
                        ns::util::format_double(100.0 * result.sim.idle_rate(), 1) + " %",
                        std::to_string(result.sim.total_joins),
-                       ns::util::format_double(result.sim.synth_wall_s * 1e3 / n_rounds, 2),
-                       ns::util::format_double(result.sim.decode_wall_s * 1e3 / n_rounds, 2),
+                       ns::util::format_double(wall.synth_s * 1e3 / n_rounds, 2),
+                       ns::util::format_double(wall.decode_s * 1e3 / n_rounds, 2),
                        ns::util::format_double(result.wall_clock_s, 2)});
         report.add_point(
             {{"scenario", spec.name},
@@ -113,8 +115,8 @@ int main() {
               static_cast<double>(result.sim.total_cross_collisions)},
              {"fast_path_rounds", static_cast<double>(result.sim.fast_path_rounds)},
              {"steady_allocs_per_round", steady_allocs_per_round(result)},
-             {"synth_ms_per_round", result.sim.synth_wall_s * 1e3 / n_rounds},
-             {"decode_ms_per_round", result.sim.decode_wall_s * 1e3 / n_rounds},
+             {"synth_ms_per_round", wall.synth_s * 1e3 / n_rounds},
+             {"decode_ms_per_round", wall.decode_s * 1e3 / n_rounds},
              {"wall_clock_s", result.wall_clock_s}});
     }
 

@@ -11,400 +11,7 @@ namespace ns::scenario {
 
 namespace {
 
-/// Simulator knobs shared by the registered scenarios: the deployed PHY
-/// with the sweep-grade zero padding (the ±0.5-bin peak search still
-/// holds there and rounds run ~4x faster than at the receiver default).
-ns::sim::sim_config base_sim(std::size_t rounds, std::uint64_t seed) {
-    ns::sim::sim_config config;
-    config.zero_padding = 4;
-    config.rounds = rounds;
-    config.seed = seed;
-    return config;
-}
-
-std::vector<scenario_spec> build_registry() {
-    std::vector<scenario_spec> scenarios;
-
-    {
-        // The paper's headline deployment: 256 saturated office sensors.
-        scenario_spec spec;
-        spec.name = "office-256";
-        spec.description = "256 saturated sensors on the paper's office floor (Fig. 1)";
-        spec.geometry.preset = geometry_preset::office;
-        spec.geometry.num_devices = 256;
-        spec.sim = base_sim(20, 1);
-        scenarios.push_back(spec);
-    }
-    {
-        // A 1k-device universe rotating through the 256 concurrent slots:
-        // the association queue and slot reallocation run continuously.
-        scenario_spec spec;
-        spec.name = "warehouse-1k";
-        spec.description =
-            "1000 tags in a racked hall; 250 active, membership rotates via churn";
-        spec.geometry.preset = geometry_preset::warehouse_aisle;
-        spec.geometry.num_devices = 1000;
-        spec.traffic.kind = traffic_kind::periodic;
-        spec.traffic.duty_cycle = 0.5;
-        spec.traffic.period_rounds = 4;
-        spec.churn.join_rate_per_round = 4.0;
-        spec.churn.leave_rate_per_round = 4.0;
-        spec.churn.initial_active = 250;
-        spec.churn.max_joins_per_round = 4;
-        spec.sim = base_sim(15, 2);
-        scenarios.push_back(spec);
-    }
-    {
-        // The same 1k-device hall served the §3.3.3 way: the whole
-        // population is partitioned into >= 4 signal-strength groups and
-        // one group is addressed per query, round-robin. Joins contend
-        // on the reserved association shifts (slotted Aloha), movers
-        // drift the partition, and a periodic regroup re-tightens it —
-        // the regroup's config-2 query cost lands on the overhead
-        // timeline.
-        scenario_spec spec;
-        spec.name = "warehouse-1k-grouped";
-        spec.description =
-            "1000 tags in a racked hall as >= 4 scheduled groups; Aloha churn, "
-            "periodic regroup";
-        spec.geometry.preset = geometry_preset::warehouse_aisle;
-        spec.geometry.num_devices = 1000;
-        spec.traffic.kind = traffic_kind::periodic;
-        spec.traffic.duty_cycle = 0.5;
-        spec.traffic.period_rounds = 4;
-        spec.churn.join_rate_per_round = 0.5;
-        spec.churn.leave_rate_per_round = 0.5;
-        spec.churn.association = association_mode::slotted_aloha;
-        spec.mobility.mobile_fraction = 0.1;
-        spec.sim = base_sim(16, 12);
-        spec.sim.grouping.enabled = true;
-        spec.sim.grouping.group_capacity = 250;
-        spec.sim.grouping.policy = ns::sim::regroup_policy::periodic;
-        spec.sim.grouping.regroup_period_rounds = 8;
-        scenarios.push_back(spec);
-    }
-    {
-        // A 10k-device open-field universe: ~40 scheduled groups, lazy
-        // modulators keeping the per-replica footprint sane, and a
-        // load-triggered full reassignment when churn drifts the
-        // partition. The scale item the ROADMAP flagged.
-        scenario_spec spec;
-        spec.name = "field-10k";
-        spec.description =
-            "10000 duty-cycled tags across a wide field, ~40 scheduled groups";
-        spec.geometry.preset = geometry_preset::open_field;
-        spec.geometry.num_devices = 10000;
-        spec.geometry.floor_width_m = 90.0;
-        spec.geometry.floor_depth_m = 90.0;
-        spec.traffic.kind = traffic_kind::periodic;
-        spec.traffic.duty_cycle = 0.5;
-        spec.traffic.period_rounds = 2;
-        spec.churn.join_rate_per_round = 0.3;
-        spec.churn.leave_rate_per_round = 0.3;
-        spec.churn.association = association_mode::slotted_aloha;
-        spec.sim = base_sim(6, 13);
-        spec.sim.grouping.enabled = true;
-        spec.sim.grouping.policy = ns::sim::regroup_policy::load_triggered;
-        spec.sim.grouping.load_trigger_misfits = 4;
-        spec.replicas = 1;
-        scenarios.push_back(spec);
-    }
-    {
-        // The symbol-domain fast path's scale showcase: one hundred
-        // thousand tags across a 300 m x 300 m field at SF 12 (1024-slot
-        // groups keep the partition inside the 8-bit group-id space).
-        // Synthesizing 100k time-domain packets per schedule is not
-        // feasible in CI; the analytic Dirichlet-kernel path runs a full
-        // replica in seconds. Kept free of interference so every round
-        // is fast-path eligible.
-        scenario_spec spec;
-        spec.name = "field-100k";
-        spec.description =
-            "100000 duty-cycled tags at SF12/SKIP4, ~100 scheduled groups "
-            "(symbol-domain fast path only)";
-        spec.geometry.preset = geometry_preset::open_field;
-        spec.geometry.num_devices = 100000;
-        spec.geometry.floor_width_m = 300.0;
-        spec.geometry.floor_depth_m = 300.0;
-        spec.geometry.ap_tx_dbm = 30.0;  // 1 W ERP carrier for the 300 m cell
-        spec.traffic.kind = traffic_kind::periodic;
-        spec.traffic.duty_cycle = 0.5;
-        spec.traffic.period_rounds = 2;
-        spec.sim = base_sim(4, 21);
-        spec.sim.phy = ns::phy::css_params{.bandwidth_hz = 500e3,
-                                           .spreading_factor = 12};
-        // At SF12 a bin is only 122 Hz / 2 us, so round-trip flight time
-        // across the 300 m cell plus crystal offset displaces far
-        // devices by more than the SKIP=2 guard; SKIP=4 buys the +-3-bin
-        // tolerance the wide cell needs (Table 1's trade, extended).
-        spec.sim.skip = 4;
-        spec.sim.fidelity = ns::sim::phy_fidelity::symbol;
-        spec.sim.grouping.enabled = true;
-        spec.sim.grouping.group_capacity = 1024;
-        spec.replicas = 1;
-        scenarios.push_back(spec);
-    }
-    {
-        // Heavy simultaneous joining with the association protocol the
-        // paper suggests (§3.3.2): slotted Aloha on the reserved shifts
-        // with binary exponential backoff. Collisions and backoff — not
-        // a FIFO queue — shape the re-association latency distribution.
-        scenario_spec spec;
-        spec.name = "churn-aloha";
-        spec.description =
-            "192-device office joining via slotted-Aloha association under churn";
-        spec.geometry.preset = geometry_preset::office;
-        spec.geometry.num_devices = 192;
-        spec.churn.join_rate_per_round = 3.0;
-        spec.churn.leave_rate_per_round = 1.0;
-        spec.churn.initial_active = 96;
-        spec.churn.association = association_mode::slotted_aloha;
-        spec.churn.aloha_initial_window = 2;
-        spec.churn.aloha_max_window = 32;
-        spec.sim = base_sim(30, 14);
-        scenarios.push_back(spec);
-    }
-    {
-        // Long links near the sensitivity edge: power adaptation pushes
-        // max gain and the weakest reporters skip rounds.
-        scenario_spec spec;
-        spec.name = "field-lowpower";
-        spec.description =
-            "128 duty-cycled tags across an open field, links near the sensitivity edge";
-        spec.geometry.preset = geometry_preset::open_field;
-        spec.geometry.num_devices = 128;
-        spec.geometry.ap_tx_dbm = 27.0;
-        spec.traffic.kind = traffic_kind::periodic;
-        spec.traffic.duty_cycle = 0.25;
-        spec.traffic.period_rounds = 8;
-        spec.sim = base_sim(20, 3);
-        scenarios.push_back(spec);
-    }
-    {
-        // Heavy join/leave with a deliberately narrow association pipe:
-        // the joiner queue backs up, re-association latency is the story.
-        scenario_spec spec;
-        spec.name = "churn-heavy";
-        spec.description =
-            "192-device office under heavy Poisson join/leave; association queue saturates";
-        spec.geometry.preset = geometry_preset::office;
-        spec.geometry.num_devices = 192;
-        spec.churn.join_rate_per_round = 6.0;
-        spec.churn.leave_rate_per_round = 3.0;
-        spec.churn.initial_active = 128;
-        spec.churn.max_joins_per_round = 3;
-        spec.sim = base_sim(30, 4);
-        scenarios.push_back(spec);
-    }
-    {
-        // Half the floor walks: budgets re-derive every round and the
-        // fine-grained power adaptation tracks the moving channel.
-        scenario_spec spec;
-        spec.name = "commute-mobility";
-        spec.description =
-            "128-device office, half mobile at walking pace (waypoint drift)";
-        spec.geometry.preset = geometry_preset::office;
-        spec.geometry.num_devices = 128;
-        spec.mobility.mobile_fraction = 0.5;
-        spec.mobility.speed_mps = 1.4;
-        spec.mobility.round_period_s = 0.05;
-        spec.sim = base_sim(20, 5);
-        scenarios.push_back(spec);
-    }
-    {
-        // Frequency-selective multipath on the fast path: every device
-        // gets a persistent tapped delay line whose scattered taps
-        // decorrelate round to round; the post-dechirp effect is a
-        // spectral envelope on the Dirichlet window, so every round
-        // still runs symbol-domain.
-        scenario_spec spec;
-        spec.name = "office-multipath";
-        spec.description =
-            "192-device office through frequency-selective indoor multipath "
-            "(per-device tap delay lines, fast path)";
-        spec.geometry.preset = geometry_preset::office;
-        spec.geometry.num_devices = 192;
-        spec.sim = base_sim(20, 15);
-        spec.sim.model_multipath = true;
-        scenarios.push_back(spec);
-    }
-    {
-        // Two NetScatter networks in one band: a second AP (distinct
-        // network_id) runs its own grouped schedule and its packets
-        // superpose into the victim receiver as structured interference
-        // at misalignment-displaced bins. Standard packets are
-        // symbol-domain representable, so these rounds keep the fast
-        // path; the cross-network counters record the raids.
-        scenario_spec spec;
-        spec.name = "cochannel-2ap";
-        spec.description =
-            "128-device office sharing the band with a second 128-device "
-            "NetScatter AP (network_id 1)";
-        spec.geometry.preset = geometry_preset::office;
-        spec.geometry.num_devices = 128;
-        spec.cochannel.enabled = true;
-        spec.cochannel.network_id = 1;
-        spec.cochannel.num_devices = 128;
-        spec.cochannel.duty_cycle = 0.75;
-        spec.sim = base_sim(20, 16);
-        scenarios.push_back(spec);
-    }
-    {
-        // The grouped 1k-device hall through the multipath channel: the
-        // full §3.3.3 machinery (Aloha churn, mobility, periodic
-        // regroup) with per-device tap lines — and every round still on
-        // the symbol-domain fast path.
-        scenario_spec spec;
-        spec.name = "warehouse-1k-multipath";
-        spec.description =
-            "warehouse-1k-grouped through frequency-selective multipath "
-            "(tap delay lines on the fast path)";
-        spec.geometry.preset = geometry_preset::warehouse_aisle;
-        spec.geometry.num_devices = 1000;
-        spec.traffic.kind = traffic_kind::periodic;
-        spec.traffic.duty_cycle = 0.5;
-        spec.traffic.period_rounds = 4;
-        spec.churn.join_rate_per_round = 0.5;
-        spec.churn.leave_rate_per_round = 0.5;
-        spec.churn.association = association_mode::slotted_aloha;
-        spec.mobility.mobile_fraction = 0.1;
-        spec.sim = base_sim(16, 17);
-        spec.sim.model_multipath = true;
-        spec.sim.multipath.delay_spread_s = 250e-9;  // racked hall: long echoes
-        spec.sim.grouping.enabled = true;
-        spec.sim.grouping.group_capacity = 250;
-        spec.sim.grouping.policy = ns::sim::regroup_policy::periodic;
-        spec.sim.grouping.regroup_period_rounds = 8;
-        scenarios.push_back(spec);
-    }
-    {
-        // Foreign classic-CSS frames share the band: same chirp slope,
-        // misaligned in time, sweeping across the registered shifts.
-        scenario_spec spec;
-        spec.name = "interference-lora";
-        spec.description =
-            "128-device office with misaligned LoRa frames raiding the band";
-        spec.geometry.preset = geometry_preset::office;
-        spec.geometry.num_devices = 128;
-        spec.interference.kind = interference_kind::lora_frame;
-        spec.interference.snr_db = 15.0;
-        spec.interference.burst_probability = 0.4;
-        spec.sim = base_sim(20, 6);
-        scenarios.push_back(spec);
-    }
-    {
-        // A strong periodic in-band tone parks on a handful of bins.
-        scenario_spec spec;
-        spec.name = "interference-tone";
-        spec.description = "96-device office with a strong periodic in-band tone";
-        spec.geometry.preset = geometry_preset::office;
-        spec.geometry.num_devices = 96;
-        spec.interference.kind = interference_kind::periodic_tone;
-        spec.interference.snr_db = 20.0;
-        spec.interference.period_rounds = 3;
-        spec.interference.tone_hz = 80e3;
-        spec.sim = base_sim(20, 7);
-        scenarios.push_back(spec);
-    }
-    {
-        // Light independent arrivals: most rounds most devices are idle,
-        // so the shared preamble/query overhead dominates the economics.
-        scenario_spec spec;
-        spec.name = "sparse-poisson";
-        spec.description = "64 devices with Poisson arrivals at 0.3 packets/round";
-        spec.geometry.preset = geometry_preset::office;
-        spec.geometry.num_devices = 64;
-        spec.traffic.kind = traffic_kind::poisson;
-        spec.traffic.arrivals_per_round = 0.3;
-        spec.sim = base_sim(30, 8);
-        scenarios.push_back(spec);
-    }
-    {
-        // Event-driven bursts at full population: quiet floor, then
-        // everyone who saw the event floods the round concurrently.
-        scenario_spec spec;
-        spec.name = "dense-burst";
-        spec.description =
-            "256 devices, event-driven bursts (6-packet backlog, 5% trigger/round)";
-        spec.geometry.preset = geometry_preset::office;
-        spec.geometry.num_devices = 256;
-        spec.traffic.kind = traffic_kind::bursty;
-        spec.traffic.burst_probability = 0.05;
-        spec.traffic.burst_length = 6;
-        spec.sim = base_sim(20, 9);
-        scenarios.push_back(spec);
-    }
-
-    {
-        // The robustness headline: the grouped 1k hall with a lossy
-        // control plane. Queries drop (worse at low RSSI), ACKs drop,
-        // devices brown out and lose their shift + group state, and the
-        // recovery machinery — AP ACK retries, membership leases
-        // reclaiming silent shifts, device-side missed-query counters
-        // forcing re-association through Aloha — has to keep the
-        // schedule converging.
-        scenario_spec spec;
-        spec.name = "lossy-control-1k";
-        spec.description =
-            "1000-tag grouped hall with lossy queries/ACKs and device "
-            "reboots; leases + re-association recover the schedule";
-        spec.geometry.preset = geometry_preset::warehouse_aisle;
-        spec.geometry.num_devices = 1000;
-        spec.churn.join_rate_per_round = 0.5;
-        spec.churn.leave_rate_per_round = 0.5;
-        spec.churn.initial_active = 250;
-        spec.churn.association = association_mode::slotted_aloha;
-        spec.faults.query_loss = 0.25;
-        spec.faults.query_loss_rssi_slope = 0.005;
-        spec.faults.ack_loss = 0.25;
-        spec.faults.reboot_rate_per_round = 1.0;
-        spec.faults.lease_rounds = 4;
-        spec.faults.missed_query_limit = 3;
-        spec.faults.ack_retry_limit = 4;
-        spec.sim = base_sim(20, 31);
-        spec.sim.grouping.enabled = true;
-        spec.sim.grouping.group_capacity = 250;
-        spec.sim.grouping.policy = ns::sim::regroup_policy::periodic;
-        spec.sim.grouping.regroup_period_rounds = 8;
-        scenarios.push_back(spec);
-    }
-    {
-        // Whole-AP blackouts: the carrier vanishes for multi-round
-        // stretches, every device misses the query, and the floor has to
-        // come back without a thundering herd — missed-query counters
-        // trip re-association while leases sweep out the casualties.
-        scenario_spec spec;
-        spec.name = "blackout-recovery";
-        spec.description =
-            "256-device office through multi-round AP blackouts; "
-            "missed-query counters and leases restore membership";
-        spec.geometry.preset = geometry_preset::office;
-        spec.geometry.num_devices = 256;
-        spec.churn.join_rate_per_round = 0.25;
-        spec.churn.leave_rate_per_round = 0.25;
-        spec.churn.initial_active = 192;
-        spec.churn.association = association_mode::slotted_aloha;
-        spec.faults.query_loss = 0.05;
-        spec.faults.blackout_probability = 0.15;
-        spec.faults.blackout_rounds = 3;
-        spec.faults.reboot_rate_per_round = 0.2;
-        spec.faults.lease_rounds = 6;
-        spec.faults.missed_query_limit = 4;
-        spec.sim = base_sim(24, 32);
-        scenarios.push_back(spec);
-    }
-
-    return scenarios;
-}
-
-/// The registry plus where each entry came from.
-struct loaded_registry {
-    std::vector<scenario_spec> specs;
-    std::vector<std::string> sources;
-};
-
-loaded_registry load_registry() {
-    loaded_registry reg;
+std::vector<scenario_spec> load_registry() {
     const std::string dir = ns::spec::spec_dir();
     std::error_code ec;
     std::vector<std::filesystem::path> files;
@@ -417,12 +24,11 @@ loaded_registry load_registry() {
         std::sort(files.begin(), files.end());
     }
     if (files.empty()) {
-        // No committed spec files reachable (installed binary, stripped
-        // checkout): serve the compiled-in table.
-        reg.specs = build_registry();
-        reg.sources.assign(reg.specs.size(), "<builtin>");
-        return reg;
+        throw ns::spec::spec_error("no scenario spec files (*.spec) in '" + dir +
+                                   "'; set NS_SPEC_DIR to the repository's "
+                                   "specs/ directory");
     }
+    std::vector<scenario_spec> specs;
     for (const auto& file : files) {
         scenario_spec spec = ns::spec::load_spec_file(file.string());
         // File name == scenario name keeps --list, find_scenario and the
@@ -433,26 +39,16 @@ loaded_registry load_registry() {
                 "' does not match the file name '" + file.stem().string() +
                 "'");
         }
-        reg.specs.push_back(std::move(spec));
-        reg.sources.push_back(file.string());
+        specs.push_back(std::move(spec));
     }
-    return reg;
-}
-
-const loaded_registry& loaded() {
-    static const loaded_registry reg = load_registry();
-    return reg;
+    return specs;
 }
 
 }  // namespace
 
-const std::vector<scenario_spec>& registry() { return loaded().specs; }
-
-const std::vector<std::string>& registry_sources() { return loaded().sources; }
-
-const std::vector<scenario_spec>& builtin_registry() {
-    static const std::vector<scenario_spec> scenarios = build_registry();
-    return scenarios;
+const std::vector<scenario_spec>& registry() {
+    static const std::vector<scenario_spec> specs = load_registry();
+    return specs;
 }
 
 std::optional<scenario_spec> find_scenario(const std::string& name) {

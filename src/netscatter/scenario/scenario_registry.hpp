@@ -1,16 +1,12 @@
 // Named, reproducible workloads.
 //
 // The registry is the catalogue `netscatter_sim --list` prints and the
-// benches/CI smoke run from. Since the spec subsystem landed it is a
-// thin loader over the committed `specs/*.spec` files (ns::spec codec):
-// registry() parses every file in ns::spec::spec_dir() at first use, in
-// file-name order. The historical C++ table survives one release as
-// builtin_registry() — a test oracle the spec files must round-trip
-// bit-identically against — and as the fallback when the spec directory
-// is absent (e.g. an installed binary away from the source tree). To
-// add a scenario, commit a spec file (or build a spec by hand and hand
-// it straight to run_scenario; registration is a convenience, not a
-// requirement).
+// benches/CI smoke run from: a thin loader over the committed
+// `specs/*.spec` files (ns::spec codec). registry() parses every file in
+// ns::spec::spec_dir() at first use, in file-name order; the files are
+// the only source of registered scenarios. To add one, commit a spec
+// file (or build a spec by hand and hand it straight to run_scenario;
+// registration is a convenience, not a requirement).
 #pragma once
 
 #include <optional>
@@ -22,20 +18,10 @@
 namespace ns::scenario {
 
 /// All registered scenarios, in presentation order. Loaded from
-/// `spec_dir()/*.spec` (sorted by file name); falls back to
-/// builtin_registry() when the directory is missing or empty, and
-/// throws ns::spec::spec_error when a file exists but does not parse.
+/// `spec_dir()/*.spec` (sorted by file name); throws
+/// ns::spec::spec_error when the directory holds no spec file or a file
+/// does not parse.
 const std::vector<scenario_spec>& registry();
-
-/// Where each registry() entry came from, index-aligned: the spec file
-/// path, or "<builtin>" on fallback.
-const std::vector<std::string>& registry_sources();
-
-/// The legacy compiled-in scenario table. Kept for one release as the
-/// oracle tests/test_spec.cpp holds the committed spec files to
-/// (serialize(builtin) must equal the file byte-for-byte) and as the
-/// no-spec-dir fallback; new scenarios go into specs/*.spec only.
-const std::vector<scenario_spec>& builtin_registry();
 
 /// Looks a scenario up by name.
 std::optional<scenario_spec> find_scenario(const std::string& name);

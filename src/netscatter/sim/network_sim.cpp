@@ -56,40 +56,11 @@ void sim_config::validate() const {
 
 void sim_result::merge(const sim_result& other) {
     rounds.insert(rounds.end(), other.rounds.begin(), other.rounds.end());
-    total_transmitting += other.total_transmitting;
-    total_delivered += other.total_delivered;
-    total_detected += other.total_detected;
-    total_bit_errors += other.total_bit_errors;
-    total_bits += other.total_bits;
-    total_skipped += other.total_skipped;
-    total_idle += other.total_idle;
-    total_active_rounds += other.total_active_rounds;
-    total_joins += other.total_joins;
-    total_leaves += other.total_leaves;
-    total_rejected_joins += other.total_rejected_joins;
-    total_reassociations += other.total_reassociations;
-    total_realloc_events += other.total_realloc_events;
-    total_full_reassignments += other.total_full_reassignments;
-    total_regroups += other.total_regroups;
-    total_cross_tx += other.total_cross_tx;
-    total_cross_collisions += other.total_cross_collisions;
-    total_cross_collided_delivered += other.total_cross_collided_delivered;
-    total_query_losses += other.total_query_losses;
-    total_ack_losses += other.total_ack_losses;
-    total_ack_timeouts += other.total_ack_timeouts;
-    total_reboots += other.total_reboots;
-    total_down_events += other.total_down_events;
-    total_lease_evictions += other.total_lease_evictions;
-    total_desyncs += other.total_desyncs;
-    total_resyncs += other.total_resyncs;
-    total_recoveries += other.total_recoveries;
-    total_orphan_tx += other.total_orphan_tx;
-    total_orphan_collisions += other.total_orphan_collisions;
-    total_blackout_rounds += other.total_blackout_rounds;
+    for (const outcome_counter& counter : outcome_counters) {
+        this->*counter.total += other.*counter.total;
+    }
     devices_down_at_end += other.devices_down_at_end;
     fast_path_rounds += other.fast_path_rounds;
-    synth_wall_s += other.synth_wall_s;
-    decode_wall_s += other.decode_wall_s;
     metrics.merge(other.metrics);
     trace.insert(trace.end(), other.trace.begin(), other.trace.end());
     trace_dropped += other.trace_dropped;
@@ -145,6 +116,18 @@ double sim_result::skip_rate() const {
 double sim_result::idle_rate() const {
     if (total_active_rounds == 0) return 0.0;
     return static_cast<double>(total_idle) / static_cast<double>(total_active_rounds);
+}
+
+double sim_result::recovery_ratio() const {
+    if (total_down_events == 0) return 1.0;
+    return static_cast<double>(total_recoveries) /
+           static_cast<double>(total_down_events);
+}
+
+round_wall_split wall_split(const ns::obs::metrics_snapshot& metrics) {
+    return {.synth_s = metrics.histogram_sum("round.synth_s") +
+                       metrics.histogram_sum("round.superpose_s"),
+            .decode_s = metrics.histogram_sum("round.decode_s")};
 }
 
 namespace {
@@ -288,45 +271,32 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
     // from reading the clock.
     if (config_.obs.metrics && ns::obs::compiled_in()) {
         probes_.round_total = metrics_.get_histogram("round.total_s");
-        probes_.plan = metrics_.get_histogram("round.plan_s");
-        probes_.grouping = metrics_.get_histogram("round.grouping_s");
-        probes_.synth = metrics_.get_histogram("round.synth_s");
-        probes_.superpose = metrics_.get_histogram("round.superpose_s");
-        probes_.decode = metrics_.get_histogram("round.decode_s");
+        for (std::size_t p = 0; p < phase_names.size(); ++p) {
+            probes_.phases[p].hist = metrics_.get_histogram(
+                std::string("round.") + phase_names[p] + "_s");
+        }
         probes_.round_allocs = metrics_.get_histogram("round.allocs");
         probes_.rounds = metrics_.get_counter("sim.rounds");
         probes_.fast_rounds = metrics_.get_counter("sim.fast_path_rounds");
         probes_.sample_rounds = metrics_.get_counter("sim.sample_path_rounds");
-        probes_.tx_packets = metrics_.get_counter("sim.tx_packets");
-        probes_.detected = metrics_.get_counter("sim.detected");
-        probes_.delivered = metrics_.get_counter("sim.delivered");
-        probes_.cross_tx = metrics_.get_counter("sim.cross_tx");
-        probes_.cross_collisions = metrics_.get_counter("sim.cross_collisions");
         probes_.alloc_warmup_count = metrics_.get_counter("alloc.warmup_count");
         probes_.alloc_steady_count = metrics_.get_counter("alloc.steady_count");
         probes_.alloc_steady_bytes = metrics_.get_counter("alloc.steady_bytes");
         probes_.alloc_steady_rounds = metrics_.get_counter("alloc.steady_rounds");
         probes_.active_devices = metrics_.get_gauge("sim.active_devices");
         probes_.num_groups = metrics_.get_gauge("sim.num_groups");
-        if (config_.faults.enabled()) {
-            // fault.* instruments exist only when a fault process is
-            // active, so fault-free runs publish the exact metric set
-            // they always have (snapshot bit-identity).
-            probes_.fault_query_losses = metrics_.get_counter("fault.query_losses");
-            probes_.fault_ack_losses = metrics_.get_counter("fault.ack_losses");
-            probes_.fault_ack_timeouts = metrics_.get_counter("fault.ack_timeouts");
-            probes_.fault_reboots = metrics_.get_counter("fault.reboots");
-            probes_.fault_down_events = metrics_.get_counter("fault.down_events");
-            probes_.fault_lease_evictions =
-                metrics_.get_counter("fault.lease_evictions");
-            probes_.fault_desyncs = metrics_.get_counter("fault.desyncs");
-            probes_.fault_resyncs = metrics_.get_counter("fault.resyncs");
-            probes_.fault_recoveries = metrics_.get_counter("fault.recoveries");
-            probes_.fault_orphan_tx = metrics_.get_counter("fault.orphan_tx");
-            probes_.fault_orphan_collisions =
-                metrics_.get_counter("fault.orphan_collisions");
-            probes_.fault_blackout_rounds =
-                metrics_.get_counter("fault.blackout_rounds");
+        // fault.* instruments exist only when a fault process is active,
+        // so fault-free runs publish the exact metric set they always
+        // have (snapshot bit-identity).
+        const bool faults_on = config_.faults.enabled();
+        for (std::size_t i = 0; i < outcome_counters.size(); ++i) {
+            const outcome_counter& counter = outcome_counters[i];
+            if (counter.metric == nullptr || (counter.fault_only && !faults_on)) {
+                continue;
+            }
+            probes_.outcomes[i] = metrics_.get_counter(counter.metric);
+        }
+        if (faults_on) {
             probes_.fault_recovery_rounds =
                 metrics_.get_histogram("fault.recovery_rounds");
             probes_.fault_resync_rounds =
@@ -345,17 +315,11 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
             const bool opened = perf_group_.open();
             metrics_.get_gauge("perf.available")->set(opened ? 1.0 : 0.0);
             if (opened) {
-                using ns::obs::perf_phase_counters;
-                probes_.perf_plan =
-                    perf_phase_counters::from_registry(metrics_, "plan");
-                probes_.perf_grouping =
-                    perf_phase_counters::from_registry(metrics_, "grouping");
-                probes_.perf_synth =
-                    perf_phase_counters::from_registry(metrics_, "synth");
-                probes_.perf_superpose =
-                    perf_phase_counters::from_registry(metrics_, "superpose");
-                probes_.perf_decode =
-                    perf_phase_counters::from_registry(metrics_, "decode");
+                for (std::size_t p = 0; p < phase_names.size(); ++p) {
+                    probes_.phases[p].perf =
+                        ns::obs::perf_phase_counters::from_registry(
+                            metrics_, phase_names[p]);
+                }
                 chan_ws_.obs = ns::obs::obs_sink::wire(&metrics_, &perf_group_);
             }
         }
@@ -469,14 +433,7 @@ void network_simulator::regroup(round_outcome& outcome, std::size_t round) {
         const bool heard = !fault_injector_->query_lost(
             slot.placement.id, slot.placement.query_rssi_dbm);
         if (heard) {
-            if (slot.desynced) {
-                ++outcome.resyncs;
-                if (probes_.fault_resync_rounds != nullptr) {
-                    probes_.fault_resync_rounds->record(
-                        static_cast<double>(round - slot.desync_round));
-                }
-                slot.desynced = false;
-            }
+            if (slot.desynced) resync(slot, round, outcome);
         } else if (!slot.desynced && new_shift != old_shift) {
             slot.desynced = true;
             slot.stale_shift = old_shift;
@@ -603,6 +560,53 @@ void network_simulator::go_down(std::size_t slot_index, std::size_t round,
     slot.missed_queries = 0;
     ++outcome.down_events;
     if (hooks_) hooks_->on_member_lost(round, slot.placement.id, reason);
+}
+
+void network_simulator::resync(device_slot& slot, std::size_t round,
+                               round_outcome& outcome) {
+    ++outcome.resyncs;
+    if (probes_.fault_resync_rounds != nullptr) {
+        probes_.fault_resync_rounds->record(
+            static_cast<double>(round - slot.desync_round));
+    }
+    slot.desynced = false;
+}
+
+bool network_simulator::hears_query(round_state& state, std::size_t slot_index) {
+    device_slot& slot = slots_[slot_index];
+    if (slot.down) {
+        // Zombie: the AP still schedules this device but the
+        // rebooted/evicted radio answers nothing. Its silence accrues
+        // toward the lease (paused during a blackout, when the AP itself
+        // transmitted no query).
+        if (!state.blackout) ++slot.silent_rounds;
+        return false;
+    }
+    if (!state.blackout) {
+        // The stateless per-(round, device) draw — keyed on the unfaded
+        // downlink RSSI so regroup() saw the same answer.
+        if (!fault_injector_->query_lost(slot.placement.id,
+                                         slot.placement.query_rssi_dbm)) {
+            slot.missed_queries = 0;
+            // Provisional: the AP hears nothing unless the device
+            // responds on its assigned shift (a desynced device's
+            // stale-shift response does not count).
+            ++slot.silent_rounds;
+            return true;
+        }
+        ++state.outcome.query_losses;
+        ++slot.silent_rounds;
+    }
+    // A lost query, or none on the air during a blackout (the AP cannot
+    // hold that silence against the device), counts toward the device's
+    // own re-association trip.
+    ++slot.missed_queries;
+    if (config_.faults.missed_query_limit > 0 &&
+        slot.missed_queries >= config_.faults.missed_query_limit) {
+        go_down(slot_index, state.round, member_loss_reason::missed_queries,
+                state.outcome);
+    }
+    return false;
 }
 
 void network_simulator::apply_ack_faults(std::vector<std::uint32_t>& joins,
@@ -787,594 +791,40 @@ void network_simulator::apply_round_plan(const round_plan& plan, round_outcome& 
     }
 }
 
+class network_simulator::phase_scope {
+public:
+    phase_scope(network_simulator& sim, round_phase phase, std::size_t round)
+        : span_(phase_names[index(phase)], &sim.trace_,
+                sim.probes_.phases[index(phase)].hist,
+                static_cast<std::int64_t>(round)),
+          perf_(&sim.perf_group_, &sim.probes_.phases[index(phase)].perf) {}
+
+private:
+    static std::size_t index(round_phase phase) {
+        return static_cast<std::size_t>(phase);
+    }
+    ns::obs::trace_span span_;  // opened first, closed last
+    ns::obs::perf_scope perf_;
+};
+
 sim_result network_simulator::run() {
     sim_result result;
     result.rounds.reserve(config_.rounds);
-    const double noise_floor =
-        deployment_->noise_floor_dbm(config_.phy.bandwidth_hz);
-    const std::size_t sps = config_.phy.samples_per_symbol();
-    const std::size_t frame_bits = config_.frame.payload_plus_crc_bits();
-    const std::size_t packet_samples =
-        (config_.frame.preamble_symbols + frame_bits) * sps;
     sent_row_of_shift_.assign(config_.phy.num_bins(), -1);
 
     for (std::size_t round = 0; round < config_.rounds; ++round) {
-        const auto round_arg = static_cast<std::int64_t>(round);
         const ns::obs::alloc_counters allocs_before = ns::obs::thread_allocations();
         // Outermost probe: constructed first, destroyed last, so its span
         // covers every phase below (and the round's bookkeeping).
         ns::obs::trace_span round_span("round", &trace_, probes_.round_total,
-                                       round_arg);
-
-        round_outcome outcome;
-        bool round_blackout = false;
-        if (fault_injector_) {
-            // Advance the fault schedule. Every draw below derives from
-            // the replica's fault seed stream, so the schedule is a pure
-            // function of (spec, replica) at any thread count.
-            fault_injector_->begin_round(round);
-            round_blackout = fault_injector_->blackout();
-            outcome.blackout = round_blackout;
-        }
-        round_plan plan;
-        {
-            ns::obs::trace_span span("plan", &trace_, probes_.plan, round_arg);
-            ns::obs::perf_scope perf(&perf_group_, &probes_.perf_plan);
-            if (hooks_) plan = hooks_->plan_round(round);
-            apply_round_plan(plan, outcome, round, round_blackout);
-            if (fault_injector_ && config_.faults.reboot_rate_per_round > 0.0) {
-                // Brownouts strike uniformly among the live members; a
-                // victim loses its shift + group state and must rejoin
-                // through the Aloha path while the AP's entry lingers.
-                std::size_t reboots = fault_injector_->reboots();
-                if (reboots > 0) {
-                    fault_scratch_.clear();
-                    for (const std::size_t i : active_slots_) {
-                        if (!slots_[i].down) fault_scratch_.push_back(i);
-                    }
-                    for (; reboots > 0 && !fault_scratch_.empty(); --reboots) {
-                        const std::size_t pick =
-                            fault_injector_->pick(fault_scratch_.size());
-                        const std::size_t victim = fault_scratch_[pick];
-                        fault_scratch_[pick] = fault_scratch_.back();
-                        fault_scratch_.pop_back();
-                        go_down(victim, round, member_loss_reason::reboot, outcome);
-                        ++outcome.reboots;
-                    }
-                }
-            }
-        }
-
-        // Pick this round's synthesis domain (§3.2 fast path). Multipath
-        // rides the fast path as a spectral envelope on the kernel and
-        // co-channel packets are symbol-domain representable by
-        // construction, so the only sample-level effect that disqualifies
-        // a round is injected interference (foreign non-CSS waveforms,
-        // arbitrary sample delays).
-        bool fast_path = false;
-        switch (config_.fidelity) {
-            case phy_fidelity::sample:
-                break;
-            case phy_fidelity::symbol:
-                ns::util::require(plan.interference.empty(),
-                                  "phy_fidelity::symbol cannot represent "
-                                  "sample-level interference; use automatic or "
-                                  "sample fidelity");
-                fast_path = true;
-                break;
-            case phy_fidelity::automatic:
-                fast_path = plan.interference.empty();
-                break;
-        }
-
-        std::size_t scheduled_group = 0;
-        {
-            ns::obs::trace_span span("grouping", &trace_, probes_.grouping,
-                                     round_arg);
-            ns::obs::perf_scope perf(&perf_group_, &probes_.perf_grouping);
-            // §3.3.3 adaptive control: recompute the partition when the
-            // policy says the current one has drifted from the population.
-            if (grouped()) {
-                const auto& grouping = config_.grouping;
-                const bool periodic_due =
-                    grouping.policy == regroup_policy::periodic && round > 0 &&
-                    round % grouping.regroup_period_rounds == 0;
-                const bool load_due =
-                    grouping.policy == regroup_policy::load_triggered &&
-                    misfits_since_regroup_ >= grouping.load_trigger_misfits;
-                // A blacked-out AP broadcasts no ordering query: a due
-                // regroup waits for the next round it is back on the air
-                // (load_triggered re-fires on the persisted misfit count;
-                // a periodic edge that falls inside a blackout is skipped).
-                if ((periodic_due || load_due) && !round_blackout) {
-                    regroup(outcome, round);
-                }
-            }
-
-            // One group transmits per query, round-robin (§3.3.3); the
-            // receiver only watches the scheduled group's shifts. (Full-width
-            // modulo — the 8-bit group_for_round is safe only because group
-            // creation is capped at max_groups, but don't rely on it here.)
-            if (grouped() && !group_spans_.empty()) {
-                scheduled_group = round % group_spans_.size();
-                outcome.scheduled_group = static_cast<int>(scheduled_group);
-                register_active_shifts(scheduled_group);
-                if (scheduled_group < group_acc_.size()) {
-                    ++group_acc_[scheduled_group].scheduled_rounds;
-                }
-            } else if (membership_dirty_) {
-                register_active_shifts();
-            }
-        }
-        outcome.active = active_count_;
-
-        // Reset the round workspaces (buffers keep their capacity — the
-        // steady-state loop performs zero per-device heap allocations on
-        // the fast path). One optional probe walks the synth -> superpose
-        // -> decode phases (emplace ends the previous span, then opens
-        // the next) so the device loop needn't move into a nested block.
-        std::optional<ns::obs::trace_span> phase_span;
-        // A second optional walks the same transitions for hardware
-        // counters (perf.synth.* / perf.superpose.* / perf.decode.*);
-        // inert — no syscalls — unless obs.perf opened the group.
-        std::optional<ns::obs::perf_scope> phase_perf;
-        phase_span.emplace("synth", &trace_, probes_.synth, round_arg);
-        phase_perf.emplace(&perf_group_, &probes_.perf_synth);
-        chan_ws_.packet_pool.release_all();
-        contributions_.clear();
-        packet_contribs_.clear();
-        frame_bits_store_.clear();
-        for (std::uint32_t shift : tx_row_shift_) sent_row_of_shift_[shift] = -1;
-        tx_row_shift_.clear();
-
-        for (const std::size_t slot_idx : active_slots_) {
-            device_slot& slot = slots_[slot_idx];
-            // Only the scheduled group hears this round's query.
-            if (grouped() && slot.group != scheduled_group) continue;
-            // Fading (and multipath) advance lazily: an unobserved
-            // device (inactive, or outside the scheduled group) is not
-            // touched at all; when it reaches this point again it
-            // catches up to the simulation clock through the exact
-            // k-step AR(1) transition — one draw instead of one per
-            // skipped round, so neither the 100k-device universe nor
-            // the unscheduled groups sit on the round loop's critical
-            // path, while the observed time series stays distributed
-            // exactly as the step-by-step process.
-            const std::uint64_t clock = static_cast<std::uint64_t>(round);
-            if (clock > slot.fading_rounds) {
-                slot.fading.skip(clock - slot.fading_rounds);
-                if (slot.taps) slot.taps->skip(clock - slot.fading_rounds);
-            }
-            const double fade_db = slot.fading.next_db();
-            if (slot.taps) slot.taps->next();
-            slot.fading_rounds = clock + 1;
-            if (grouped()) ++outcome.scheduled;
-            const double query_rssi = slot.placement.query_rssi_dbm + fade_db;
-
-            if (fault_injector_) {
-                if (slot.down) {
-                    // Zombie: the AP still schedules this device but the
-                    // rebooted/evicted radio answers nothing. Its silence
-                    // accrues toward the lease (paused during a blackout,
-                    // when the AP itself transmitted no query).
-                    if (!round_blackout) ++slot.silent_rounds;
-                    continue;
-                }
-                if (round_blackout) {
-                    // No query on the air at all: every scheduled device
-                    // counts a missed query toward re-association, but
-                    // the AP cannot hold their silence against them.
-                    ++slot.missed_queries;
-                    if (config_.faults.missed_query_limit > 0 &&
-                        slot.missed_queries >= config_.faults.missed_query_limit) {
-                        go_down(slot_idx, round,
-                                member_loss_reason::missed_queries, outcome);
-                    }
-                    continue;
-                }
-                // The stateless per-(round, device) draw — keyed on the
-                // unfaded downlink RSSI so regroup() saw the same answer.
-                if (fault_injector_->query_lost(slot.placement.id,
-                                                slot.placement.query_rssi_dbm)) {
-                    ++outcome.query_losses;
-                    ++slot.missed_queries;
-                    ++slot.silent_rounds;
-                    if (config_.faults.missed_query_limit > 0 &&
-                        slot.missed_queries >= config_.faults.missed_query_limit) {
-                        go_down(slot_idx, round,
-                                member_loss_reason::missed_queries, outcome);
-                    }
-                    continue;
-                }
-                slot.missed_queries = 0;
-                // Provisional: the AP hears nothing unless the device
-                // responds on its assigned shift below (a desynced
-                // device's stale-shift response does not count).
-                ++slot.silent_rounds;
-            }
-
-            if (hooks_ && !hooks_->offers_traffic(round, slot.placement.id)) {
-                ++outcome.idle;
-                continue;
-            }
-
-            ns::device::transmit_intent intent;
-            if (config_.power_adaptation) {
-                intent = slot.device.handle_query(query_rssi, std::nullopt);
-                if (intent.action == ns::device::device_action::association_request) {
-                    // The device fell persistently out of tolerance and
-                    // re-initiated association (§3.2.3 / §3.3.4). Under a
-                    // scenario the AP re-places it with the incremental
-                    // allocator — the same slot when its neighbourhood is
-                    // still the best fit, a different one when the network
-                    // drifted; the static simulator keeps the historic
-                    // same-slot reassignment so seed results are stable.
-                    std::optional<std::uint32_t> moved;
-                    if (hooks_) {
-                        // Under grouping the device stays in its group:
-                        // only that group's slots are its neighbourhood.
-                        moved = allocator_.assign_incremental(
-                            slot.placement.uplink_rx_dbm + slot.device.current_gain_db(),
-                            occupied_powers(slot.placement.id,
-                                            grouped() ? std::optional<std::size_t>(
-                                                            scheduled_group)
-                                                      : std::nullopt));
-                    }
-                    const std::uint32_t shift =
-                        moved ? *moved : slot.device.cyclic_shift();
-                    associate_slot(slot_index_.at(slot.placement.id), shift, query_rssi);
-                    ++outcome.reassociations;
-                    ++outcome.realloc_events;
-                    membership_dirty_ = true;
-                    ++outcome.skipped;
-                    if (fault_injector_) {
-                        // The request reaches the AP in the reserved
-                        // association slots: not silence. It also hands
-                        // the device a fresh shift, ending any desync.
-                        slot.silent_rounds = 0;
-                        if (slot.desynced) {
-                            ++outcome.resyncs;
-                            if (probes_.fault_resync_rounds != nullptr) {
-                                probes_.fault_resync_rounds->record(
-                                    static_cast<double>(round - slot.desync_round));
-                            }
-                            slot.desynced = false;
-                        }
-                    }
-                    continue;
-                }
-                if (intent.action == ns::device::device_action::skip) {
-                    ++outcome.skipped;
-                    continue;
-                }
-                if (intent.action != ns::device::device_action::transmit_data) continue;
-            } else {
-                // Ablation: always transmit at maximum gain.
-                intent.action = ns::device::device_action::transmit_data;
-                intent.cyclic_shift = slot.device.cyclic_shift();
-                intent.gain_db = 0.0;
-                intent.hardware_delay_s = config_.model_timing_jitter
-                                              ? config_.delay_model.sample_s(rng_)
-                                              : 0.0;
-                intent.frequency_offset_hz =
-                    config_.model_cfo ? slot.device.static_frequency_offset_hz() : 0.0;
-            }
-
-            // A desynced device answers on the shift it last learned —
-            // the schedule moved on without it (§3.3.3 desync).
-            const std::uint32_t tx_shift =
-                (fault_injector_ && slot.desynced) ? slot.stale_shift
-                                                   : intent.cyclic_shift;
-
-            // Build this device's frame bits into the flat per-round
-            // store (one fixed-width 0/1 row per transmitter).
-            rng_.fill_bits(config_.frame.payload_bits, payload_scratch_);
-            ns::phy::build_frame_bits_into(config_.frame, payload_scratch_,
-                                           frame_scratch_);
-            if (fault_injector_ && sent_row_of_shift_[tx_shift] >= 0) {
-                // A stale-schedule transmitter landed on a shift another
-                // device already answered on this round: the earlier row
-                // is buried under the collision and will score as orphan.
-                ++outcome.orphan_collisions;
-            }
-            sent_row_of_shift_[tx_shift] =
-                static_cast<std::int32_t>(tx_row_shift_.size());
-            tx_row_shift_.push_back(tx_shift);
-            for (const bool bit : frame_scratch_) {
-                frame_bits_store_.push_back(bit ? 1 : 0);
-            }
-
-            const double uplink_dbm =
-                slot.placement.uplink_rx_dbm + intent.gain_db + 2.0 * fade_db;
-            // The AP's preamble synchronization absorbs the fleet-common
-            // latency; only the deviation from the mean hardware delay
-            // (plus this device's round-trip flight time) is residual
-            // (§3.2.1 / Fig. 14b).
-            const double sync_point_s =
-                config_.model_timing_jitter ? config_.delay_model.mean_us * 1e-6 : 0.0;
-            const double timing_offset_s =
-                intent.hardware_delay_s - sync_point_s + 2.0 * slot.tof_s;
-            const double frequency_offset_hz =
-                intent.frequency_offset_hz + slot.doppler_hz;
-
-            if (fast_path) {
-                // Symbol domain: no modulator, no waveform — the frame
-                // bits span is attached after the loop (the flat store
-                // may still grow while transmitters are collected).
-                ns::channel::packet_contribution packet;
-                packet.cyclic_shift = tx_shift;
-                packet.snr_db = uplink_dbm - noise_floor;
-                packet.timing_offset_s = timing_offset_s;
-                packet.frequency_offset_hz = frequency_offset_hz;
-                if (slot.taps) packet.taps = slot.taps->current();
-                packet_contribs_.push_back(packet);
-            } else {
-                if (!slot.modulator) {
-                    // At the transmit shift, which is the stale one while
-                    // desynced (associate_slot / resync reset the cache,
-                    // so it can never linger across a shift change).
-                    slot.modulator.emplace(config_.phy, tx_shift);
-                }
-                ns::dsp::cvec& packet_buffer = chan_ws_.packet_pool.acquire();
-                slot.modulator->modulate_packet_into(frame_scratch_, packet_buffer);
-                ns::channel::tx_contribution tx;
-                tx.waveform = std::span<const ns::dsp::cplx>(packet_buffer);
-                tx.snr_db = uplink_dbm - noise_floor;
-                tx.timing_offset_s = timing_offset_s;
-                tx.frequency_offset_hz = frequency_offset_hz;
-                if (slot.taps) tx.taps = slot.taps->current();
-                contributions_.push_back(tx);
-            }
-            ++outcome.transmitting;
-            if (fault_injector_ && !slot.desynced) {
-                // The AP decoded activity on this device's assigned
-                // shift: its lease is refreshed. A stale-shift response
-                // does NOT refresh it — from the AP's view the assigned
-                // slot stayed empty, which is exactly how a desynced
-                // device eventually gets lease-evicted and recovered.
-                slot.silent_rounds = 0;
-            }
-        }
-
-        // Membership lease: evict the scheduled members whose silence
-        // just crossed the lease, reclaiming their shifts through the
-        // allocator. Skipped during a blackout (the AP asked nothing).
-        if (fault_injector_ && !round_blackout) {
-            apply_lease(grouped() && !group_spans_.empty()
-                            ? std::optional<std::size_t>(scheduled_group)
-                            : std::nullopt,
-                        round, outcome);
-        }
-
-        // Re-associations may have moved shifts; refresh before decoding.
-        if (membership_dirty_) {
-            register_active_shifts(grouped() && !group_spans_.empty()
-                                       ? std::optional<std::size_t>(scheduled_group)
-                                       : std::nullopt);
-        }
-        phase_span.emplace("superpose", &trace_, probes_.superpose, round_arg);
-        phase_perf.emplace(&perf_group_, &probes_.perf_superpose);
-
-        // Cross-network accounting: a foreign packet's dechirped peak
-        // lands at its shift plus the displacement of the inter-AP
-        // misalignment; when that falls inside the guard region of a slot
-        // one of OUR transmitters used this round, the two packets
-        // collide at the receiver.
-        outcome.cross_tx = plan.cochannel.size();
-        row_collided_.assign(plan.cochannel.empty() ? 0 : tx_row_shift_.size(), 0);
-        if (!plan.cochannel.empty()) {
-            const double n_bins = static_cast<double>(config_.phy.num_bins());
-            const double guard = static_cast<double>(config_.skip) / 2.0;
-            for (const auto& foreign : plan.cochannel) {
-                double pos = static_cast<double>(foreign.cyclic_shift) +
-                             config_.phy.bins_from_time_offset(foreign.timing_offset_s) +
-                             config_.phy.bins_from_frequency_offset(
-                                 foreign.frequency_offset_hz);
-                pos -= std::floor(pos / n_bins) * n_bins;
-                const auto lo = static_cast<std::ptrdiff_t>(std::ceil(pos - guard));
-                const auto hi = static_cast<std::ptrdiff_t>(std::floor(pos + guard));
-                for (std::ptrdiff_t b = lo; b <= hi; ++b) {
-                    const auto n_signed = static_cast<std::ptrdiff_t>(config_.phy.num_bins());
-                    const std::size_t bin =
-                        static_cast<std::size_t>(((b % n_signed) + n_signed) % n_signed);
-                    const std::int32_t row = sent_row_of_shift_[bin];
-                    if (row >= 0) row_collided_[static_cast<std::size_t>(row)] = 1;
-                }
-            }
-            for (const std::uint8_t hit : row_collided_) {
-                outcome.cross_collisions += hit;
-            }
-        }
-
-        // Superpose and decode.
-        ns::channel::channel_config chan;
-        chan.noise_power = 1.0;
-        if (fast_path) {
-            // Attach the frame-bit spans now that the flat store is
-            // final, then synthesize post-dechirp spectra directly. The
-            // co-channel network's packets join the accumulators as
-            // ordinary kernels at their displaced positions.
-            for (std::size_t row = 0; row < tx_row_shift_.size(); ++row) {
-                packet_contribs_[row].frame_bits = std::span<const std::uint8_t>(
-                    frame_bits_store_.data() + row * frame_bits, frame_bits);
-            }
-            for (const auto& foreign : plan.cochannel) {
-                packet_contribs_.push_back(foreign);
-            }
-            ns::channel::symbol_domain_params sd;
-            sd.zero_padding = config_.zero_padding;
-            sd.preamble_upchirps = ns::phy::distributed_modulator::preamble_upchirps;
-            sd.preamble_symbols = config_.frame.preamble_symbols;
-            sd.payload_symbols = frame_bits;
-            sd.kernel_radius_bins = config_.symbol_kernel_radius_bins;
-            ns::channel::combine_symbol_domain(packet_contribs_, config_.phy, chan,
-                                               sd, rng_, chan_ws_);
-            phase_span.emplace("decode", &trace_, probes_.decode, round_arg);
-            phase_perf.emplace(&perf_group_, &probes_.perf_decode);
-            receiver_.decode_spectra_into(chan_ws_.symbol_spectra, decoded_,
-                                          decode_ws_);
-            ++result.fast_path_rounds;
-        } else {
-            // Co-channel packets are synthesized as real waveforms here:
-            // a cached modulator per foreign shift, the same symbolic
-            // description the fast path consumes — the two fidelities
-            // superpose the identical foreign transmission.
-            for (const auto& foreign : plan.cochannel) {
-                const auto mod_it =
-                    foreign_modulators_
-                        .try_emplace(foreign.cyclic_shift, config_.phy,
-                                     foreign.cyclic_shift)
-                        .first;
-                frame_scratch_.resize(foreign.frame_bits.size());
-                for (std::size_t i = 0; i < foreign.frame_bits.size(); ++i) {
-                    frame_scratch_[i] = foreign.frame_bits[i] != 0;
-                }
-                ns::dsp::cvec& packet_buffer = chan_ws_.packet_pool.acquire();
-                mod_it->second.modulate_packet_into(frame_scratch_, packet_buffer);
-                ns::channel::tx_contribution tx;
-                tx.waveform = std::span<const ns::dsp::cplx>(packet_buffer);
-                tx.snr_db = foreign.snr_db;
-                tx.timing_offset_s = foreign.timing_offset_s;
-                tx.frequency_offset_hz = foreign.frequency_offset_hz;
-                tx.random_phase = foreign.random_phase;
-                tx.taps = foreign.taps;
-                contributions_.push_back(tx);
-            }
-            // In-band interferers (scenario-injected) share the channel.
-            for (const auto& interferer : plan.interference) {
-                contributions_.push_back(interferer);
-            }
-            const ns::dsp::cvec& received = ns::channel::combine(
-                std::span<const ns::channel::tx_contribution>(contributions_),
-                packet_samples, config_.phy, chan, rng_, chan_ws_);
-            phase_span.emplace("decode", &trace_, probes_.decode, round_arg);
-            phase_perf.emplace(&perf_group_, &probes_.perf_decode);
-            receiver_.decode_into(received, 0, decoded_, decode_ws_);
-        }
-
-        row_scored_.assign(fault_injector_ ? tx_row_shift_.size() : 0, 0);
-        for (const auto& report : decoded_.reports) {
-            const std::int32_t row = sent_row_of_shift_[report.cyclic_shift];
-            if (row < 0) continue;  // device did not transmit
-            if (!row_scored_.empty()) {
-                row_scored_[static_cast<std::size_t>(row)] = 1;
-            }
-            const std::span<const std::uint8_t> sent(
-                frame_bits_store_.data() +
-                    static_cast<std::size_t>(row) * frame_bits,
-                frame_bits);
-            if (report.detected) {
-                ++outcome.detected;
-                outcome.bits_sent += sent.size();
-                outcome.bit_errors += ns::util::hamming_distance(report.bits, sent);
-                if (report.crc_ok && ns::util::bits_equal(report.bits, sent)) {
-                    ++outcome.delivered;
-                    if (static_cast<std::size_t>(row) < row_collided_.size() &&
-                        row_collided_[static_cast<std::size_t>(row)] != 0) {
-                        ++outcome.cross_collided_delivered;
-                    }
-                }
-            } else {
-                // Missed preamble: every bit of the packet is lost.
-                outcome.bits_sent += sent.size();
-                outcome.bit_errors += ns::util::count_ones(sent);
-            }
-        }
-        // Orphaned transmissions: rows no decode report consumed. A
-        // desynced device's stale shift is outside the registered
-        // schedule (or buried under a same-shift collision), so the AP
-        // never even looks there — every bit it sent is lost.
-        for (std::size_t row = 0; row < row_scored_.size(); ++row) {
-            if (row_scored_[row] != 0) continue;
-            ++outcome.orphan_tx;
-            const std::span<const std::uint8_t> sent(
-                frame_bits_store_.data() + row * frame_bits, frame_bits);
-            outcome.bits_sent += sent.size();
-            outcome.bit_errors += ns::util::count_ones(sent);
-        }
-        phase_perf.reset();
-        phase_span.reset();  // close the decode span (scoring included)
-
-        if (grouped() && scheduled_group < group_acc_.size()) {
-            group_metrics& acc = group_acc_[scheduled_group];
-            acc.transmitting += outcome.transmitting;
-            acc.delivered += outcome.delivered;
-            acc.bits_sent += outcome.bits_sent;
-            acc.bit_errors += outcome.bit_errors;
-        }
-
-        result.rounds.push_back(outcome);
-        result.total_transmitting += outcome.transmitting;
-        result.total_delivered += outcome.delivered;
-        result.total_detected += outcome.detected;
-        result.total_bit_errors += outcome.bit_errors;
-        result.total_bits += outcome.bits_sent;
-        result.total_skipped += outcome.skipped;
-        result.total_idle += outcome.idle;
-        result.total_active_rounds += outcome.active;
-        result.total_joins += outcome.joins;
-        result.total_leaves += outcome.leaves;
-        result.total_rejected_joins += outcome.rejected_joins;
-        result.total_reassociations += outcome.reassociations;
-        result.total_realloc_events += outcome.realloc_events;
-        result.total_full_reassignments += outcome.full_reassignments;
-        result.total_regroups += outcome.regroups;
-        result.total_cross_tx += outcome.cross_tx;
-        result.total_cross_collisions += outcome.cross_collisions;
-        result.total_cross_collided_delivered += outcome.cross_collided_delivered;
-        result.total_query_losses += outcome.query_losses;
-        result.total_ack_losses += outcome.ack_losses;
-        result.total_ack_timeouts += outcome.ack_timeouts;
-        result.total_reboots += outcome.reboots;
-        result.total_down_events += outcome.down_events;
-        result.total_lease_evictions += outcome.lease_evictions;
-        result.total_desyncs += outcome.desyncs;
-        result.total_resyncs += outcome.resyncs;
-        result.total_recoveries += outcome.recoveries;
-        result.total_orphan_tx += outcome.orphan_tx;
-        result.total_orphan_collisions += outcome.orphan_collisions;
-        if (outcome.blackout) ++result.total_blackout_rounds;
-
-        if (probes_.rounds != nullptr) {
-            probes_.rounds->add(1);
-            (fast_path ? probes_.fast_rounds : probes_.sample_rounds)->add(1);
-            probes_.tx_packets->add(outcome.transmitting);
-            probes_.detected->add(outcome.detected);
-            probes_.delivered->add(outcome.delivered);
-            probes_.cross_tx->add(outcome.cross_tx);
-            probes_.cross_collisions->add(outcome.cross_collisions);
-            probes_.active_devices->set(static_cast<double>(active_count_));
-            probes_.num_groups->set(static_cast<double>(group_spans_.size()));
-            if (probes_.fault_query_losses != nullptr) {
-                probes_.fault_query_losses->add(outcome.query_losses);
-                probes_.fault_ack_losses->add(outcome.ack_losses);
-                probes_.fault_ack_timeouts->add(outcome.ack_timeouts);
-                probes_.fault_reboots->add(outcome.reboots);
-                probes_.fault_down_events->add(outcome.down_events);
-                probes_.fault_lease_evictions->add(outcome.lease_evictions);
-                probes_.fault_desyncs->add(outcome.desyncs);
-                probes_.fault_resyncs->add(outcome.resyncs);
-                probes_.fault_recoveries->add(outcome.recoveries);
-                probes_.fault_orphan_tx->add(outcome.orphan_tx);
-                probes_.fault_orphan_collisions->add(outcome.orphan_collisions);
-                if (outcome.blackout) probes_.fault_blackout_rounds->add(1);
-            }
-            // Per-round allocation delta (thread-local, so the numbers
-            // are this replica's own regardless of pool concurrency).
-            // Rounds inside the warmup window grow workspace capacity by
-            // design; the steady-state counters start after it and are
-            // what the zero-alloc test and the CI metrics gate assert on.
-            const ns::obs::alloc_counters allocs_now = ns::obs::thread_allocations();
-            const std::uint64_t alloc_delta = allocs_now.count - allocs_before.count;
-            probes_.round_allocs->record(static_cast<double>(alloc_delta));
-            if (round < config_.obs.alloc_warmup_rounds) {
-                probes_.alloc_warmup_count->add(alloc_delta);
-            } else {
-                probes_.alloc_steady_count->add(alloc_delta);
-                probes_.alloc_steady_bytes->add(allocs_now.bytes - allocs_before.bytes);
-                probes_.alloc_steady_rounds->add(1);
-            }
-        }
+                                       static_cast<std::int64_t>(round));
+        round_state state = begin_round(round);
+        plan_phase(state);
+        grouping_phase(state);
+        synth_phase(state);
+        superpose_phase(state);
+        decode_phase(state);
+        account_round(state, allocs_before, result);
     }
 
     if (fault_injector_) {
@@ -1395,20 +845,504 @@ sim_result network_simulator::run() {
         result.num_groups = group_spans_.size();
     }
 
-    if (config_.obs.metrics) {
-        result.metrics = metrics_.snapshot();
-        // Registry-backed fill of the historic wall-clock split: the old
-        // synth window spanned device synthesis through superposition,
-        // the old decode window spanned decode through report scoring.
-        result.synth_wall_s = result.metrics.histogram_sum("round.synth_s") +
-                              result.metrics.histogram_sum("round.superpose_s");
-        result.decode_wall_s = result.metrics.histogram_sum("round.decode_s");
-    }
+    if (config_.obs.metrics) result.metrics = metrics_.snapshot();
     if (trace_.armed()) {
         result.trace_dropped = trace_.dropped();
         result.trace = trace_.take();
     }
     return result;
+}
+
+network_simulator::round_state network_simulator::begin_round(std::size_t round) {
+    round_state state;
+    state.round = round;
+    if (fault_injector_) {
+        // Advance the fault schedule. Every draw below derives from the
+        // replica's fault seed stream, so the schedule is a pure
+        // function of (spec, replica) at any thread count.
+        fault_injector_->begin_round(round);
+        state.blackout = fault_injector_->blackout();
+        state.outcome.blackout = state.blackout ? 1 : 0;
+    }
+    return state;
+}
+
+void network_simulator::plan_phase(round_state& state) {
+    const phase_scope scope(*this, round_phase::plan, state.round);
+    const std::size_t round = state.round;
+    round_outcome& outcome = state.outcome;
+    if (hooks_) state.plan = hooks_->plan_round(round);
+    apply_round_plan(state.plan, outcome, round, state.blackout);
+    if (fault_injector_ && config_.faults.reboot_rate_per_round > 0.0) {
+        // Brownouts strike uniformly among the live members; a
+        // victim loses its shift + group state and must rejoin
+        // through the Aloha path while the AP's entry lingers.
+        std::size_t reboots = fault_injector_->reboots();
+        if (reboots > 0) {
+            fault_scratch_.clear();
+            for (const std::size_t i : active_slots_) {
+                if (!slots_[i].down) fault_scratch_.push_back(i);
+            }
+            for (; reboots > 0 && !fault_scratch_.empty(); --reboots) {
+                const std::size_t pick =
+                    fault_injector_->pick(fault_scratch_.size());
+                const std::size_t victim = fault_scratch_[pick];
+                fault_scratch_[pick] = fault_scratch_.back();
+                fault_scratch_.pop_back();
+                go_down(victim, round, member_loss_reason::reboot, outcome);
+                ++outcome.reboots;
+            }
+        }
+    }
+
+    // Pick this round's synthesis domain (§3.2 fast path). Multipath
+    // rides the fast path as a spectral envelope on the kernel and
+    // co-channel packets are symbol-domain representable by
+    // construction, so the only sample-level effect that disqualifies
+    // a round is injected interference (foreign non-CSS waveforms,
+    // arbitrary sample delays).
+    switch (config_.fidelity) {
+        case phy_fidelity::sample:
+            break;
+        case phy_fidelity::symbol:
+            ns::util::require(state.plan.interference.empty(),
+                              "phy_fidelity::symbol cannot represent "
+                              "sample-level interference; use automatic or "
+                              "sample fidelity");
+            state.fast_path = true;
+            break;
+        case phy_fidelity::automatic:
+            state.fast_path = state.plan.interference.empty();
+            break;
+    }
+}
+
+void network_simulator::grouping_phase(round_state& state) {
+    const phase_scope scope(*this, round_phase::grouping, state.round);
+    const std::size_t round = state.round;
+    round_outcome& outcome = state.outcome;
+    const bool round_blackout = state.blackout;
+    // §3.3.3 adaptive control: recompute the partition when the
+    // policy says the current one has drifted from the population.
+    if (grouped()) {
+        const auto& grouping = config_.grouping;
+        const bool periodic_due =
+            grouping.policy == regroup_policy::periodic && round > 0 &&
+            round % grouping.regroup_period_rounds == 0;
+        const bool load_due =
+            grouping.policy == regroup_policy::load_triggered &&
+            misfits_since_regroup_ >= grouping.load_trigger_misfits;
+        // A blacked-out AP broadcasts no ordering query: a due
+        // regroup waits for the next round it is back on the air
+        // (load_triggered re-fires on the persisted misfit count;
+        // a periodic edge that falls inside a blackout is skipped).
+        if ((periodic_due || load_due) && !round_blackout) {
+            regroup(outcome, round);
+        }
+    }
+
+    // One group transmits per query, round-robin (§3.3.3); the
+    // receiver only watches the scheduled group's shifts. (Full-width
+    // modulo — the 8-bit group_for_round is safe only because group
+    // creation is capped at max_groups, but don't rely on it here.)
+    if (grouped() && !group_spans_.empty()) {
+        const std::size_t scheduled_group = round % group_spans_.size();
+        state.scheduled = scheduled_group;
+        outcome.scheduled_group = static_cast<int>(scheduled_group);
+        register_active_shifts(scheduled_group);
+        if (scheduled_group < group_acc_.size()) {
+            ++group_acc_[scheduled_group].scheduled_rounds;
+        }
+    } else if (membership_dirty_) {
+        register_active_shifts();
+    }
+    outcome.active = active_count_;
+}
+
+void network_simulator::synth_phase(round_state& state) {
+    const phase_scope scope(*this, round_phase::synth, state.round);
+    const std::size_t round = state.round;
+    round_outcome& outcome = state.outcome;
+    const bool round_blackout = state.blackout;
+    const bool fast_path = state.fast_path;
+    const std::optional<std::size_t> scheduled = state.scheduled;
+    const double noise_floor =
+        deployment_->noise_floor_dbm(config_.phy.bandwidth_hz);
+    // Reset the round workspaces (buffers keep their capacity — the
+    // steady-state loop performs zero per-device heap allocations on the
+    // fast path).
+    chan_ws_.packet_pool.release_all();
+    contributions_.clear();
+    packet_contribs_.clear();
+    frame_bits_store_.clear();
+    for (std::uint32_t shift : tx_row_shift_) sent_row_of_shift_[shift] = -1;
+    tx_row_shift_.clear();
+
+    for (const std::size_t slot_idx : active_slots_) {
+        device_slot& slot = slots_[slot_idx];
+        // Only the scheduled group hears this round's query.
+        if (grouped() && slot.group != scheduled) continue;
+        // Fading (and multipath) advance lazily: an unobserved
+        // device (inactive, or outside the scheduled group) is not
+        // touched at all; when it reaches this point again it
+        // catches up to the simulation clock through the exact
+        // k-step AR(1) transition — one draw instead of one per
+        // skipped round, so neither the 100k-device universe nor
+        // the unscheduled groups sit on the round loop's critical
+        // path, while the observed time series stays distributed
+        // exactly as the step-by-step process.
+        const std::uint64_t clock = static_cast<std::uint64_t>(round);
+        if (clock > slot.fading_rounds) {
+            slot.fading.skip(clock - slot.fading_rounds);
+            if (slot.taps) slot.taps->skip(clock - slot.fading_rounds);
+        }
+        const double fade_db = slot.fading.next_db();
+        if (slot.taps) slot.taps->next();
+        slot.fading_rounds = clock + 1;
+        if (grouped()) ++outcome.scheduled;
+        const double query_rssi = slot.placement.query_rssi_dbm + fade_db;
+
+        if (fault_injector_ && !hears_query(state, slot_idx)) continue;
+
+        if (hooks_ && !hooks_->offers_traffic(round, slot.placement.id)) {
+            ++outcome.idle;
+            continue;
+        }
+
+        ns::device::transmit_intent intent;
+        if (config_.power_adaptation) {
+            intent = slot.device.handle_query(query_rssi, std::nullopt);
+            if (intent.action == ns::device::device_action::association_request) {
+                // The device fell persistently out of tolerance and
+                // re-initiated association (§3.2.3 / §3.3.4). Under a
+                // scenario the AP re-places it with the incremental
+                // allocator — the same slot when its neighbourhood is
+                // still the best fit, a different one when the network
+                // drifted; the static simulator keeps the historic
+                // same-slot reassignment so seed results are stable.
+                std::optional<std::uint32_t> moved;
+                if (hooks_) {
+                    // Under grouping the device stays in its group:
+                    // only that group's slots are its neighbourhood.
+                    moved = allocator_.assign_incremental(
+                        slot.placement.uplink_rx_dbm + slot.device.current_gain_db(),
+                        occupied_powers(slot.placement.id, scheduled));
+                }
+                const std::uint32_t shift =
+                    moved ? *moved : slot.device.cyclic_shift();
+                associate_slot(slot_index_.at(slot.placement.id), shift, query_rssi);
+                ++outcome.reassociations;
+                ++outcome.realloc_events;
+                membership_dirty_ = true;
+                ++outcome.skipped;
+                if (fault_injector_) {
+                    // The request reaches the AP in the reserved
+                    // association slots: not silence. It also hands
+                    // the device a fresh shift, ending any desync.
+                    slot.silent_rounds = 0;
+                    if (slot.desynced) resync(slot, round, outcome);
+                }
+                continue;
+            }
+            if (intent.action == ns::device::device_action::skip) {
+                ++outcome.skipped;
+                continue;
+            }
+            if (intent.action != ns::device::device_action::transmit_data) continue;
+        } else {
+            // Ablation: always transmit at maximum gain.
+            intent.action = ns::device::device_action::transmit_data;
+            intent.cyclic_shift = slot.device.cyclic_shift();
+            intent.gain_db = 0.0;
+            intent.hardware_delay_s = config_.model_timing_jitter
+                                          ? config_.delay_model.sample_s(rng_)
+                                          : 0.0;
+            intent.frequency_offset_hz =
+                config_.model_cfo ? slot.device.static_frequency_offset_hz() : 0.0;
+        }
+
+        // A desynced device answers on the shift it last learned —
+        // the schedule moved on without it (§3.3.3 desync).
+        const std::uint32_t tx_shift =
+            (fault_injector_ && slot.desynced) ? slot.stale_shift
+                                               : intent.cyclic_shift;
+
+        // Build this device's frame bits into the flat per-round
+        // store (one fixed-width 0/1 row per transmitter).
+        rng_.fill_bits(config_.frame.payload_bits, payload_scratch_);
+        ns::phy::build_frame_bits_into(config_.frame, payload_scratch_,
+                                       frame_scratch_);
+        if (fault_injector_ && sent_row_of_shift_[tx_shift] >= 0) {
+            // A stale-schedule transmitter landed on a shift another
+            // device already answered on this round: the earlier row
+            // is buried under the collision and will score as orphan.
+            ++outcome.orphan_collisions;
+        }
+        sent_row_of_shift_[tx_shift] =
+            static_cast<std::int32_t>(tx_row_shift_.size());
+        tx_row_shift_.push_back(tx_shift);
+        for (const bool bit : frame_scratch_) {
+            frame_bits_store_.push_back(bit ? 1 : 0);
+        }
+
+        const double uplink_dbm =
+            slot.placement.uplink_rx_dbm + intent.gain_db + 2.0 * fade_db;
+        // The AP's preamble synchronization absorbs the fleet-common
+        // latency; only the deviation from the mean hardware delay
+        // (plus this device's round-trip flight time) is residual
+        // (§3.2.1 / Fig. 14b).
+        const double sync_point_s =
+            config_.model_timing_jitter ? config_.delay_model.mean_us * 1e-6 : 0.0;
+        const double timing_offset_s =
+            intent.hardware_delay_s - sync_point_s + 2.0 * slot.tof_s;
+        const double frequency_offset_hz =
+            intent.frequency_offset_hz + slot.doppler_hz;
+
+        if (fast_path) {
+            // Symbol domain: no modulator, no waveform — the frame
+            // bits span is attached after the loop (the flat store
+            // may still grow while transmitters are collected).
+            ns::channel::packet_contribution packet;
+            packet.cyclic_shift = tx_shift;
+            packet.snr_db = uplink_dbm - noise_floor;
+            packet.timing_offset_s = timing_offset_s;
+            packet.frequency_offset_hz = frequency_offset_hz;
+            if (slot.taps) packet.taps = slot.taps->current();
+            packet_contribs_.push_back(packet);
+        } else {
+            if (!slot.modulator) {
+                // At the transmit shift, which is the stale one while
+                // desynced (associate_slot / resync reset the cache,
+                // so it can never linger across a shift change).
+                slot.modulator.emplace(config_.phy, tx_shift);
+            }
+            ns::dsp::cvec& packet_buffer = chan_ws_.packet_pool.acquire();
+            slot.modulator->modulate_packet_into(frame_scratch_, packet_buffer);
+            ns::channel::tx_contribution tx;
+            tx.waveform = std::span<const ns::dsp::cplx>(packet_buffer);
+            tx.snr_db = uplink_dbm - noise_floor;
+            tx.timing_offset_s = timing_offset_s;
+            tx.frequency_offset_hz = frequency_offset_hz;
+            if (slot.taps) tx.taps = slot.taps->current();
+            contributions_.push_back(tx);
+        }
+        ++outcome.transmitting;
+        if (fault_injector_ && !slot.desynced) {
+            // The AP decoded activity on this device's assigned
+            // shift: its lease is refreshed. A stale-shift response
+            // does NOT refresh it — from the AP's view the assigned
+            // slot stayed empty, which is exactly how a desynced
+            // device eventually gets lease-evicted and recovered.
+            slot.silent_rounds = 0;
+        }
+    }
+
+    // Membership lease: evict the scheduled members whose silence
+    // just crossed the lease, reclaiming their shifts through the
+    // allocator. Skipped during a blackout (the AP asked nothing).
+    if (fault_injector_ && !round_blackout) {
+        apply_lease(scheduled, round, outcome);
+    }
+
+    // Re-associations may have moved shifts; refresh before decoding.
+    if (membership_dirty_) {
+        register_active_shifts(scheduled);
+    }
+}
+
+void network_simulator::superpose_phase(round_state& state) {
+    const phase_scope scope(*this, round_phase::superpose, state.round);
+    const round_plan& plan = state.plan;
+    round_outcome& outcome = state.outcome;
+    const std::size_t frame_bits = config_.frame.payload_plus_crc_bits();
+    const std::size_t packet_samples =
+        (config_.frame.preamble_symbols + frame_bits) *
+        config_.phy.samples_per_symbol();
+
+    // Cross-network accounting: a foreign packet's dechirped peak
+    // lands at its shift plus the displacement of the inter-AP
+    // misalignment; when that falls inside the guard region of a slot
+    // one of OUR transmitters used this round, the two packets
+    // collide at the receiver.
+    outcome.cross_tx = plan.cochannel.size();
+    row_collided_.assign(plan.cochannel.empty() ? 0 : tx_row_shift_.size(), 0);
+    if (!plan.cochannel.empty()) {
+        const double n_bins = static_cast<double>(config_.phy.num_bins());
+        const double guard = static_cast<double>(config_.skip) / 2.0;
+        for (const auto& foreign : plan.cochannel) {
+            double pos = static_cast<double>(foreign.cyclic_shift) +
+                         config_.phy.bins_from_time_offset(foreign.timing_offset_s) +
+                         config_.phy.bins_from_frequency_offset(
+                             foreign.frequency_offset_hz);
+            pos -= std::floor(pos / n_bins) * n_bins;
+            const auto lo = static_cast<std::ptrdiff_t>(std::ceil(pos - guard));
+            const auto hi = static_cast<std::ptrdiff_t>(std::floor(pos + guard));
+            for (std::ptrdiff_t b = lo; b <= hi; ++b) {
+                const auto n_signed = static_cast<std::ptrdiff_t>(config_.phy.num_bins());
+                const std::size_t bin =
+                    static_cast<std::size_t>(((b % n_signed) + n_signed) % n_signed);
+                const std::int32_t row = sent_row_of_shift_[bin];
+                if (row >= 0) row_collided_[static_cast<std::size_t>(row)] = 1;
+            }
+        }
+        for (const std::uint8_t hit : row_collided_) {
+            outcome.cross_collisions += hit;
+        }
+    }
+
+    ns::channel::channel_config chan;
+    chan.noise_power = 1.0;
+    if (state.fast_path) {
+        // Attach the frame-bit spans now that the flat store is
+        // final, then synthesize post-dechirp spectra directly. The
+        // co-channel network's packets join the accumulators as
+        // ordinary kernels at their displaced positions.
+        for (std::size_t row = 0; row < tx_row_shift_.size(); ++row) {
+            packet_contribs_[row].frame_bits = std::span<const std::uint8_t>(
+                frame_bits_store_.data() + row * frame_bits, frame_bits);
+        }
+        for (const auto& foreign : plan.cochannel) {
+            packet_contribs_.push_back(foreign);
+        }
+        ns::channel::symbol_domain_params sd;
+        sd.zero_padding = config_.zero_padding;
+        sd.preamble_upchirps = ns::phy::distributed_modulator::preamble_upchirps;
+        sd.preamble_symbols = config_.frame.preamble_symbols;
+        sd.payload_symbols = frame_bits;
+        sd.kernel_radius_bins = config_.symbol_kernel_radius_bins;
+        ns::channel::combine_symbol_domain(packet_contribs_, config_.phy, chan,
+                                           sd, rng_, chan_ws_);
+    } else {
+        // Co-channel packets are synthesized as real waveforms here:
+        // a cached modulator per foreign shift, the same symbolic
+        // description the fast path consumes — the two fidelities
+        // superpose the identical foreign transmission.
+        for (const auto& foreign : plan.cochannel) {
+            const auto mod_it =
+                foreign_modulators_
+                    .try_emplace(foreign.cyclic_shift, config_.phy,
+                                 foreign.cyclic_shift)
+                    .first;
+            frame_scratch_.resize(foreign.frame_bits.size());
+            for (std::size_t i = 0; i < foreign.frame_bits.size(); ++i) {
+                frame_scratch_[i] = foreign.frame_bits[i] != 0;
+            }
+            ns::dsp::cvec& packet_buffer = chan_ws_.packet_pool.acquire();
+            mod_it->second.modulate_packet_into(frame_scratch_, packet_buffer);
+            ns::channel::tx_contribution tx;
+            tx.waveform = std::span<const ns::dsp::cplx>(packet_buffer);
+            tx.snr_db = foreign.snr_db;
+            tx.timing_offset_s = foreign.timing_offset_s;
+            tx.frequency_offset_hz = foreign.frequency_offset_hz;
+            tx.random_phase = foreign.random_phase;
+            tx.taps = foreign.taps;
+            contributions_.push_back(tx);
+        }
+        // In-band interferers (scenario-injected) share the channel.
+        for (const auto& interferer : plan.interference) {
+            contributions_.push_back(interferer);
+        }
+        state.received = &ns::channel::combine(
+            std::span<const ns::channel::tx_contribution>(contributions_),
+            packet_samples, config_.phy, chan, rng_, chan_ws_);
+    }
+}
+
+void network_simulator::decode_phase(round_state& state) {
+    const phase_scope scope(*this, round_phase::decode, state.round);
+    round_outcome& outcome = state.outcome;
+    const std::size_t frame_bits = config_.frame.payload_plus_crc_bits();
+    if (state.fast_path) {
+        receiver_.decode_spectra_into(chan_ws_.symbol_spectra, decoded_, decode_ws_);
+    } else {
+        receiver_.decode_into(*state.received, 0, decoded_, decode_ws_);
+    }
+
+    row_scored_.assign(fault_injector_ ? tx_row_shift_.size() : 0, 0);
+    for (const auto& report : decoded_.reports) {
+        const std::int32_t row = sent_row_of_shift_[report.cyclic_shift];
+        if (row < 0) continue;  // device did not transmit
+        if (!row_scored_.empty()) {
+            row_scored_[static_cast<std::size_t>(row)] = 1;
+        }
+        const std::span<const std::uint8_t> sent(
+            frame_bits_store_.data() +
+                static_cast<std::size_t>(row) * frame_bits,
+            frame_bits);
+        if (report.detected) {
+            ++outcome.detected;
+            outcome.bits_sent += sent.size();
+            outcome.bit_errors += ns::util::hamming_distance(report.bits, sent);
+            if (report.crc_ok && ns::util::bits_equal(report.bits, sent)) {
+                ++outcome.delivered;
+                if (static_cast<std::size_t>(row) < row_collided_.size() &&
+                    row_collided_[static_cast<std::size_t>(row)] != 0) {
+                    ++outcome.cross_collided_delivered;
+                }
+            }
+        } else {
+            // Missed preamble: every bit of the packet is lost.
+            outcome.bits_sent += sent.size();
+            outcome.bit_errors += ns::util::count_ones(sent);
+        }
+    }
+    // Orphaned transmissions: rows no decode report consumed. A
+    // desynced device's stale shift is outside the registered
+    // schedule (or buried under a same-shift collision), so the AP
+    // never even looks there — every bit it sent is lost.
+    for (std::size_t row = 0; row < row_scored_.size(); ++row) {
+        if (row_scored_[row] != 0) continue;
+        ++outcome.orphan_tx;
+        const std::span<const std::uint8_t> sent(
+            frame_bits_store_.data() + row * frame_bits, frame_bits);
+        outcome.bits_sent += sent.size();
+        outcome.bit_errors += ns::util::count_ones(sent);
+    }
+}
+
+void network_simulator::account_round(const round_state& state,
+                                      const ns::obs::alloc_counters& allocs_before,
+                                      sim_result& result) {
+    const round_outcome& outcome = state.outcome;
+    if (state.scheduled && *state.scheduled < group_acc_.size()) {
+        group_metrics& acc = group_acc_[*state.scheduled];
+        acc.transmitting += outcome.transmitting;
+        acc.delivered += outcome.delivered;
+        acc.bits_sent += outcome.bits_sent;
+        acc.bit_errors += outcome.bit_errors;
+    }
+
+    result.rounds.push_back(outcome);
+    for (const outcome_counter& counter : outcome_counters) {
+        result.*counter.total += outcome.*counter.round;
+    }
+    if (state.fast_path) ++result.fast_path_rounds;
+
+    if (probes_.rounds == nullptr) return;
+    probes_.rounds->add(1);
+    (state.fast_path ? probes_.fast_rounds : probes_.sample_rounds)->add(1);
+    for (std::size_t i = 0; i < outcome_counters.size(); ++i) {
+        if (probes_.outcomes[i] != nullptr) {
+            probes_.outcomes[i]->add(outcome.*outcome_counters[i].round);
+        }
+    }
+    probes_.active_devices->set(static_cast<double>(active_count_));
+    probes_.num_groups->set(static_cast<double>(group_spans_.size()));
+    // Per-round allocation delta (thread-local, so the numbers
+    // are this replica's own regardless of pool concurrency).
+    // Rounds inside the warmup window grow workspace capacity by
+    // design; the steady-state counters start after it and are
+    // what the zero-alloc test and the CI metrics gate assert on.
+    const ns::obs::alloc_counters allocs_now = ns::obs::thread_allocations();
+    const std::uint64_t alloc_delta = allocs_now.count - allocs_before.count;
+    probes_.round_allocs->record(static_cast<double>(alloc_delta));
+    if (state.round < config_.obs.alloc_warmup_rounds) {
+        probes_.alloc_warmup_count->add(alloc_delta);
+    } else {
+        probes_.alloc_steady_count->add(alloc_delta);
+        probes_.alloc_steady_bytes->add(allocs_now.bytes - allocs_before.bytes);
+        probes_.alloc_steady_rounds->add(1);
+    }
 }
 
 }  // namespace ns::sim

@@ -9,6 +9,7 @@
 // the Figs. 17-19 series.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -163,7 +164,9 @@ struct sim_config {
     void validate() const;
 };
 
-/// Outcome counters of one round.
+/// Outcome counters of one round. Every field but scheduled_group and
+/// scheduled is an outcome counter with a row in `outcome_counters`
+/// below, which is where its total, registry metric and JSON keys live.
 struct round_outcome {
     std::size_t active = 0;        ///< devices associated this round
     std::size_t transmitting = 0;  ///< devices that sent this round
@@ -208,7 +211,8 @@ struct round_outcome {
     std::size_t orphan_tx = 0;        ///< transmissions no decode report
                                       ///< consumed (stale/unregistered shift)
     std::size_t orphan_collisions = 0;///< same-shift transmitter pairs
-    bool blackout = false;            ///< this round fell in an AP blackout
+    std::size_t blackout = 0;         ///< 1 when this round fell in an AP
+                                      ///< blackout (sums to blackout rounds)
 };
 
 /// Per-group accumulators of a grouped run (§3.3.3), keyed by group id
@@ -274,14 +278,6 @@ struct sim_result {
     /// Rounds served by the symbol-domain fast path (== rounds.size()
     /// under phy_fidelity::symbol, 0 under ::sample).
     std::size_t fast_path_rounds = 0;
-    /// Host wall-clock split of the round loop: transmit-side work
-    /// (device MAC decisions + packet/spectrum synthesis + channel
-    /// superposition) vs receiver decode. Registry-backed (the sums of
-    /// the round.synth_s/round.superpose_s and round.decode_s
-    /// histograms), kept as plain scalars for API compatibility.
-    /// Excluded from determinism comparisons; merge() sums.
-    double synth_wall_s = 0.0;
-    double decode_wall_s = 0.0;
 
     /// Full metrics snapshot of this replica's registry (counters,
     /// gauges, per-phase histograms — see README "Observability" for the
@@ -308,7 +304,8 @@ struct sim_result {
     /// grouping is off).
     std::size_t num_groups = 0;
 
-    /// Appends another result's rounds and adds its totals. Used by the
+    /// Appends another result's rounds and adds its totals (every
+    /// `outcome_counters` total, run-level fields and metrics). Used by the
     /// parallel Monte-Carlo runner (engine/mc_runner) to combine
     /// independent round-blocks; merging in task order keeps the combined
     /// statistics identical regardless of execution order.
@@ -326,7 +323,139 @@ struct sim_result {
     double skip_rate() const;
     /// Fraction of active device-rounds with no data to send.
     double idle_rate() const;
+    /// Fraction of association losses that re-associated before the run
+    /// ended (1 when no device went down).
+    double recovery_ratio() const;
 };
+
+/// Where an outcome counter's key sits in the scenario JSON
+/// (apps/scenario_report.hpp). The report interleaves counter keys with
+/// derived fields and its key order is part of the output contract, so
+/// it emits each block at one fixed place, rows in table order.
+enum class json_block : std::uint8_t {
+    none,          ///< no key
+    membership,    ///< scalars after "join_requests"
+    cochannel,     ///< scalars after "network_id"
+    grouping,      ///< scalars after "num_groups"
+    faults,        ///< scalars after "decode_wall_s"
+    round_head,    ///< per-round fields after "round"
+    round_body,    ///< per-round fields after "scheduled"
+    round_faults,  ///< per-round fields after "loss_rate"
+};
+
+/// One scenario-JSON key and its block (no key when `name` is null).
+struct json_key {
+    const char* name = nullptr;
+    json_block block = json_block::none;
+};
+
+/// One outcome counter: its per-round field, its run total and where it
+/// is published. `outcome_counters` is the one list of them — the
+/// per-round accumulate, merge(), the registry publish, the scenario
+/// JSON and the determinism fingerprints all iterate it, so adding a
+/// counter is one row plus its two field declarations.
+struct outcome_counter {
+    std::size_t round_outcome::*round;
+    std::size_t sim_result::*total;
+    json_key scalar;     ///< scenario-JSON scalar carrying the total
+    json_key point;      ///< scenario-JSON per-round field
+    const char* metric;  ///< registry counter fed per round, or nullptr
+    /// Keys and metric exist only when the spec injects faults, so a
+    /// fault-free run publishes exactly what it did before faults existed.
+    bool fault_only;
+};
+
+inline constexpr auto outcome_counters = std::to_array<outcome_counter>({
+    // round field, run total,
+    //   {scalar key, block}, {per-round key, block}, registry metric, fault_only
+    {&round_outcome::active, &sim_result::total_active_rounds,
+     {}, {"active", json_block::round_head}, nullptr, false},
+    {&round_outcome::transmitting, &sim_result::total_transmitting,
+     {}, {"transmitting", json_block::round_body}, "sim.tx_packets", false},
+    {&round_outcome::delivered, &sim_result::total_delivered,
+     {}, {"delivered", json_block::round_body}, "sim.delivered", false},
+    {&round_outcome::detected, &sim_result::total_detected,
+     {}, {}, "sim.detected", false},
+    {&round_outcome::bit_errors, &sim_result::total_bit_errors,
+     {}, {}, nullptr, false},
+    {&round_outcome::bits_sent, &sim_result::total_bits,
+     {}, {}, nullptr, false},
+    {&round_outcome::skipped, &sim_result::total_skipped,
+     {}, {"skipped", json_block::round_body}, nullptr, false},
+    {&round_outcome::idle, &sim_result::total_idle,
+     {}, {"idle", json_block::round_body}, nullptr, false},
+    {&round_outcome::joins, &sim_result::total_joins,
+     {"joins", json_block::membership}, {"joins", json_block::round_body},
+     nullptr, false},
+    {&round_outcome::leaves, &sim_result::total_leaves,
+     {"leaves", json_block::membership}, {"leaves", json_block::round_body},
+     nullptr, false},
+    {&round_outcome::rejected_joins, &sim_result::total_rejected_joins,
+     {"rejected_joins", json_block::membership}, {}, nullptr, false},
+    {&round_outcome::reassociations, &sim_result::total_reassociations,
+     {"reassociations", json_block::membership}, {}, nullptr, false},
+    {&round_outcome::realloc_events, &sim_result::total_realloc_events,
+     {"realloc_events", json_block::membership},
+     {"realloc_events", json_block::round_body}, nullptr, false},
+    {&round_outcome::full_reassignments, &sim_result::total_full_reassignments,
+     {"full_reassignments", json_block::membership}, {}, nullptr, false},
+    {&round_outcome::regroups, &sim_result::total_regroups,
+     {"regroups", json_block::grouping}, {"regroups", json_block::round_body},
+     nullptr, false},
+    {&round_outcome::cross_tx, &sim_result::total_cross_tx,
+     {"cross_tx", json_block::cochannel}, {"cross_tx", json_block::round_body},
+     "sim.cross_tx", false},
+    {&round_outcome::cross_collisions, &sim_result::total_cross_collisions,
+     {"cross_collisions", json_block::cochannel},
+     {"cross_collisions", json_block::round_body}, "sim.cross_collisions", false},
+    {&round_outcome::cross_collided_delivered,
+     &sim_result::total_cross_collided_delivered,
+     {"cross_collided_delivered", json_block::cochannel}, {}, nullptr, false},
+    {&round_outcome::query_losses, &sim_result::total_query_losses,
+     {"fault_query_losses", json_block::faults},
+     {"query_losses", json_block::round_faults}, "fault.query_losses", true},
+    {&round_outcome::ack_losses, &sim_result::total_ack_losses,
+     {"fault_ack_losses", json_block::faults},
+     {"ack_losses", json_block::round_faults}, "fault.ack_losses", true},
+    {&round_outcome::ack_timeouts, &sim_result::total_ack_timeouts,
+     {"fault_ack_timeouts", json_block::faults}, {}, "fault.ack_timeouts", true},
+    {&round_outcome::reboots, &sim_result::total_reboots,
+     {"fault_reboots", json_block::faults},
+     {"reboots", json_block::round_faults}, "fault.reboots", true},
+    {&round_outcome::down_events, &sim_result::total_down_events,
+     {"fault_down_events", json_block::faults},
+     {"down_events", json_block::round_faults}, "fault.down_events", true},
+    {&round_outcome::lease_evictions, &sim_result::total_lease_evictions,
+     {"fault_lease_evictions", json_block::faults},
+     {"lease_evictions", json_block::round_faults}, "fault.lease_evictions", true},
+    {&round_outcome::desyncs, &sim_result::total_desyncs,
+     {"fault_desyncs", json_block::faults},
+     {"desyncs", json_block::round_faults}, "fault.desyncs", true},
+    {&round_outcome::resyncs, &sim_result::total_resyncs,
+     {"fault_resyncs", json_block::faults},
+     {"resyncs", json_block::round_faults}, "fault.resyncs", true},
+    {&round_outcome::recoveries, &sim_result::total_recoveries,
+     {"fault_recoveries", json_block::faults},
+     {"recoveries", json_block::round_faults}, "fault.recoveries", true},
+    {&round_outcome::orphan_tx, &sim_result::total_orphan_tx,
+     {"fault_orphan_tx", json_block::faults},
+     {"orphan_tx", json_block::round_faults}, "fault.orphan_tx", true},
+    {&round_outcome::orphan_collisions, &sim_result::total_orphan_collisions,
+     {"fault_orphan_collisions", json_block::faults}, {},
+     "fault.orphan_collisions", true},
+    {&round_outcome::blackout, &sim_result::total_blackout_rounds,
+     {"fault_blackout_rounds", json_block::faults},
+     {"blackout", json_block::round_faults}, "fault.blackout_rounds", true},
+});
+
+/// Host wall-clock split of the round loop read from a metrics snapshot,
+/// summed over every recorded round: transmit side (the synth and
+/// superpose phases) vs receiver decode. Zero with metrics off.
+struct round_wall_split {
+    double synth_s = 0.0;
+    double decode_s = 0.0;
+};
+round_wall_split wall_split(const ns::obs::metrics_snapshot& metrics);
 
 /// The simulator.
 ///
@@ -373,6 +502,50 @@ public:
     std::optional<std::size_t> group_of(std::uint32_t device_id) const;
 
 private:
+    /// The round loop's phases, in execution order; each owns a trace
+    /// span, a round.<phase>_s histogram and perf.<phase>.* counters.
+    enum class round_phase : std::uint8_t { plan, grouping, synth, superpose, decode };
+    static constexpr std::array<const char*, 5> phase_names = {
+        "plan", "grouping", "synth", "superpose", "decode"};
+
+    /// State one round hands from phase to phase.
+    struct round_state {
+        std::size_t round = 0;
+        round_outcome outcome;
+        round_plan plan;
+        bool blackout = false;   ///< the AP is dark this round (faults)
+        bool fast_path = false;  ///< symbol-domain synthesis (§3.2)
+        /// Group this round's query addresses (grouped runs with at least
+        /// one group; unset otherwise).
+        std::optional<std::size_t> scheduled;
+        /// Summed baseband of a sample-path round, for decode.
+        const ns::dsp::cvec* received = nullptr;
+    };
+
+    /// RAII scope of one phase: opens its trace span (feeding the phase
+    /// histogram) and its perf counter scope together, closes both on
+    /// exit.
+    class phase_scope;
+
+    /// Starts a round: advances the fault schedule.
+    round_state begin_round(std::size_t round);
+    /// Hooks' round plan, membership changes, injected reboots and the
+    /// round's synthesis domain.
+    void plan_phase(round_state& state);
+    /// Adaptive regroup and the scheduled group's registered shifts.
+    void grouping_phase(round_state& state);
+    /// Device MAC decisions and per-transmitter frame bits / packets,
+    /// then the membership lease.
+    void synth_phase(round_state& state);
+    /// Cross-network collision marks and channel superposition.
+    void superpose_phase(round_state& state);
+    /// Receiver decode and scoring of every report against the sent bits.
+    void decode_phase(round_state& state);
+    /// Per-group and run totals, registry publish and allocation deltas.
+    void account_round(const round_state& state,
+                       const ns::obs::alloc_counters& allocs_before,
+                       sim_result& result);
+
     struct device_slot {
         placed_device placement;
         ns::device::backscatter_device device;
@@ -473,6 +646,12 @@ private:
     /// path. Notifies the hooks so the scenario's churn re-queues it.
     void go_down(std::size_t slot_index, std::size_t round,
                  member_loss_reason reason, round_outcome& outcome);
+    /// Ends a desync episode: the stale device re-learned its shift.
+    void resync(device_slot& slot, std::size_t round, round_outcome& outcome);
+    /// Whether a scheduled device hears this round's query and may
+    /// respond; otherwise it stays silent (down, AP blackout or lost
+    /// query) and its missed-query and lease bookkeeping advance.
+    bool hears_query(round_state& state, std::size_t slot_index);
     /// Diverts ACK-delayed joiners out of `joins` into pending_acks_ and
     /// reinserts the ones whose handshake completes this round.
     void apply_ack_faults(std::vector<std::uint32_t>& joins,
@@ -525,51 +704,30 @@ private:
     // which also keeps the probes from reading the clock).
     struct obs_probes {
         ns::obs::histogram* round_total = nullptr;  ///< round.total_s
-        ns::obs::histogram* plan = nullptr;         ///< round.plan_s
-        ns::obs::histogram* grouping = nullptr;     ///< round.grouping_s
-        ns::obs::histogram* synth = nullptr;        ///< round.synth_s
-        ns::obs::histogram* superpose = nullptr;    ///< round.superpose_s
-        ns::obs::histogram* decode = nullptr;       ///< round.decode_s
         ns::obs::histogram* round_allocs = nullptr; ///< round.allocs
+        /// Per phase: the round.<phase>_s histogram and the perf.<phase>.*
+        /// counters (unwired unless obs.perf is set AND the group
+        /// opened, so the default round loop makes zero perf syscalls).
+        struct phase_probe {
+            ns::obs::histogram* hist = nullptr;
+            ns::obs::perf_phase_counters perf{};
+        };
+        std::array<phase_probe, phase_names.size()> phases{};
+        /// Index-aligned with outcome_counters: the row's registry
+        /// counter, null when it has none or is gated off.
+        std::array<ns::obs::counter*, outcome_counters.size()> outcomes{};
         ns::obs::counter* rounds = nullptr;
         ns::obs::counter* fast_rounds = nullptr;
         ns::obs::counter* sample_rounds = nullptr;
-        ns::obs::counter* tx_packets = nullptr;
-        ns::obs::counter* detected = nullptr;
-        ns::obs::counter* delivered = nullptr;
-        ns::obs::counter* cross_tx = nullptr;
-        ns::obs::counter* cross_collisions = nullptr;
         ns::obs::counter* alloc_warmup_count = nullptr;
         ns::obs::counter* alloc_steady_count = nullptr;
         ns::obs::counter* alloc_steady_bytes = nullptr;
         ns::obs::counter* alloc_steady_rounds = nullptr;
         ns::obs::gauge* active_devices = nullptr;
         ns::obs::gauge* num_groups = nullptr;
-        // fault.* instruments, fetched only when config.faults.enabled()
-        // so fault-free runs publish an unchanged metrics set.
-        ns::obs::counter* fault_query_losses = nullptr;
-        ns::obs::counter* fault_ack_losses = nullptr;
-        ns::obs::counter* fault_ack_timeouts = nullptr;
-        ns::obs::counter* fault_reboots = nullptr;
-        ns::obs::counter* fault_down_events = nullptr;
-        ns::obs::counter* fault_lease_evictions = nullptr;
-        ns::obs::counter* fault_desyncs = nullptr;
-        ns::obs::counter* fault_resyncs = nullptr;
-        ns::obs::counter* fault_recoveries = nullptr;
-        ns::obs::counter* fault_orphan_tx = nullptr;
-        ns::obs::counter* fault_orphan_collisions = nullptr;
-        ns::obs::counter* fault_blackout_rounds = nullptr;
+        // Fetched only when config.faults.enabled().
         ns::obs::histogram* fault_recovery_rounds = nullptr;
         ns::obs::histogram* fault_resync_rounds = nullptr;
-        // Hardware-counter attribution destinations, one per round-loop
-        // phase (perf.<phase>.cycles / .instructions / ...). Unwired
-        // (null) unless obs.perf is set AND the group opened, so the
-        // default round loop performs zero perf syscalls.
-        ns::obs::perf_phase_counters perf_plan{};
-        ns::obs::perf_phase_counters perf_grouping{};
-        ns::obs::perf_phase_counters perf_synth{};
-        ns::obs::perf_phase_counters perf_superpose{};
-        ns::obs::perf_phase_counters perf_decode{};
     };
     ns::obs::metrics_registry metrics_;
     ns::obs::trace_buffer trace_;

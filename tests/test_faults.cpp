@@ -17,6 +17,7 @@
 #include "netscatter/sim/deployment.hpp"
 #include "netscatter/sim/network_sim.hpp"
 #include "netscatter/util/error.hpp"
+#include "tests/outcome_digest.hpp"
 
 namespace {
 
@@ -204,25 +205,7 @@ using namespace ns::scenario;
 std::string fault_fingerprint(const scenario_result& result) {
     std::ostringstream out;
     out.precision(17);
-    const auto& s = result.sim;
-    out << s.total_transmitting << ' ' << s.total_delivered << ' '
-        << s.total_bit_errors << ' ' << s.total_joins << ' ' << s.total_leaves
-        << ' ' << s.total_reassociations << ' ' << s.total_query_losses << ' '
-        << s.total_ack_losses << ' ' << s.total_ack_timeouts << ' '
-        << s.total_reboots << ' ' << s.total_down_events << ' '
-        << s.total_lease_evictions << ' ' << s.total_desyncs << ' '
-        << s.total_resyncs << ' ' << s.total_recoveries << ' '
-        << s.total_orphan_tx << ' ' << s.total_orphan_collisions << ' '
-        << s.total_blackout_rounds << ' ' << s.devices_down_at_end << '\n';
-    for (const auto& round : s.rounds) {
-        out << round.active << ',' << round.transmitting << ','
-            << round.delivered << ',' << round.query_losses << ','
-            << round.ack_losses << ',' << round.reboots << ','
-            << round.down_events << ',' << round.lease_evictions << ','
-            << round.desyncs << ',' << round.resyncs << ','
-            << round.recoveries << ',' << round.orphan_tx << ','
-            << round.blackout << ';';
-    }
+    ns::test::write_outcome_digest(out, result.sim);
     out << '\n' << result.stats.join_requests << ' ' << result.stats.joins;
     return out.str();
 }

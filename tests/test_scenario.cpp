@@ -18,6 +18,7 @@
 #include "netscatter/scenario/traffic.hpp"
 #include "netscatter/sim/deployment.hpp"
 #include "netscatter/sim/network_sim.hpp"
+#include "tests/outcome_digest.hpp"
 
 namespace {
 
@@ -65,19 +66,7 @@ TEST(registry, geometry_presets_resolve_distinctly) {
 std::string fingerprint(const scenario_result& result) {
     std::ostringstream out;
     out.precision(17);
-    const auto& s = result.sim;
-    out << s.total_transmitting << ' ' << s.total_delivered << ' '
-        << s.total_detected << ' ' << s.total_bit_errors << ' ' << s.total_bits
-        << ' ' << s.total_skipped << ' ' << s.total_idle << ' '
-        << s.total_active_rounds << ' ' << s.total_joins << ' ' << s.total_leaves
-        << ' ' << s.total_rejected_joins << ' ' << s.total_reassociations << ' '
-        << s.total_realloc_events << ' ' << s.total_full_reassignments << '\n';
-    for (const auto& round : s.rounds) {
-        out << round.active << ',' << round.transmitting << ',' << round.skipped
-            << ',' << round.idle << ',' << round.detected << ',' << round.delivered
-            << ',' << round.bit_errors << ',' << round.joins << ',' << round.leaves
-            << ',' << round.realloc_events << ';';
-    }
+    ns::test::write_outcome_digest(out, result.sim);
     out << '\n' << result.stats.join_requests << ' ' << result.stats.joins << ' '
         << result.stats.total_join_wait_rounds << ' ' << result.stats.offered
         << ' ' << result.stats.gated;
@@ -113,6 +102,28 @@ TEST(scenario_runner, every_registered_scenario_is_bit_identical_serial_vs_8_thr
         const auto serial = run_scenario(spec, {.num_threads = 1, .parallel = false});
         const auto threaded = run_scenario(spec, {.num_threads = 8, .parallel = true});
         EXPECT_EQ(fingerprint(serial), fingerprint(threaded)) << registered.name;
+
+        // Conservation invariants of every round and of the merged run.
+        const ns::sim::sim_result& sim = serial.sim;
+        const std::size_t frame_bits = spec.sim.frame.payload_plus_crc_bits();
+        for (const ns::sim::round_outcome& round : sim.rounds) {
+            EXPECT_LE(round.delivered, round.detected) << registered.name;
+            EXPECT_LE(round.detected, round.transmitting) << registered.name;
+            EXPECT_EQ(round.bits_sent, round.transmitting * frame_bits)
+                << registered.name;
+        }
+        for (std::size_t i = 0; i < ns::sim::outcome_counters.size(); ++i) {
+            const ns::sim::outcome_counter& counter = ns::sim::outcome_counters[i];
+            std::size_t sum = 0;
+            for (const ns::sim::round_outcome& round : sim.rounds) {
+                sum += round.*counter.round;
+            }
+            EXPECT_EQ(sim.*counter.total, sum)
+                << registered.name << ", outcome_counters[" << i << "]";
+        }
+        EXPECT_EQ(sim.total_down_events,
+                  sim.total_recoveries + sim.devices_down_at_end)
+            << registered.name;
     }
 }
 

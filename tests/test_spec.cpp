@@ -2,13 +2,14 @@
 //
 // Parser diagnostics (unknown key, duplicate key, type mismatch,
 // out-of-domain — each a distinct error naming the offending line),
-// the serialize→parse→serialize fixed point over every builtin
-// scenario, the committed specs/*.spec files as a byte-exact oracle of
-// the C++ registry table, the registry-over-files loader, the --vary
-// override primitive, and the Cartesian sweep engine's expansion order
-// and thread-count invariance.
+// the serialize→parse→serialize fixed point over every registered
+// scenario, each committed specs/*.spec file as a parse→serialize byte
+// fixed point, the registry-over-files loader, the --vary override
+// primitive, and the Cartesian sweep engine's expansion order and
+// thread-count invariance.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -19,6 +20,7 @@
 #include "netscatter/scenario/scenario_runner.hpp"
 #include "netscatter/spec/spec_codec.hpp"
 #include "netscatter/spec/sweep.hpp"
+#include "tests/outcome_digest.hpp"
 
 namespace {
 
@@ -93,8 +95,8 @@ TEST(spec_parser, cross_field_validation_carries_the_source) {
 
 // --------------------------------------------------------- fixed point --
 
-TEST(spec_codec, serialize_parse_serialize_is_a_fixed_point_for_every_builtin) {
-    for (const auto& spec : builtin_registry()) {
+TEST(spec_codec, serialize_parse_serialize_is_a_fixed_point_for_every_registered_scenario) {
+    for (const auto& spec : registry()) {
         const std::string once = serialize_spec(spec);
         const scenario_spec parsed =
             parse_spec_text_as_scenario(once, spec.name);
@@ -138,7 +140,7 @@ TEST(spec_codec, strings_with_escapes_and_initial_active_all_round_trip) {
     EXPECT_EQ(serialize_spec(parsed), text);
 }
 
-// -------------------------------------------------- files as the oracle --
+// ------------------------------------------------- the committed files --
 
 std::string read_file(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
@@ -148,69 +150,40 @@ std::string read_file(const std::string& path) {
     return out.str();
 }
 
-TEST(spec_files, every_committed_spec_equals_its_builtin_serialization) {
+std::string spec_path(const scenario_spec& spec) {
+    return spec_dir() + "/" + spec.name + ".spec";
+}
+
+TEST(spec_files, every_committed_spec_is_a_parse_serialize_fixed_point) {
     // The drift gate: regenerating any committed file must be a no-op.
-    for (const auto& spec : builtin_registry()) {
-        const std::string path = spec_dir() + "/" + spec.name + ".spec";
-        EXPECT_EQ(read_file(path), serialize_spec(spec)) << path;
+    for (const auto& spec : registry()) {
+        const std::string path = spec_path(spec);
+        const std::string text = read_file(path);
+        EXPECT_EQ(text, serialize_spec(parse_spec_text_as_scenario(text, path)))
+            << path;
     }
 }
 
-TEST(spec_files, registry_serves_the_files_and_matches_the_builtin_table) {
-    const auto& loaded = registry();
-    const auto& sources = registry_sources();
-    ASSERT_EQ(loaded.size(), sources.size());
-    ASSERT_EQ(loaded.size(), builtin_registry().size());
-
-    std::set<std::string> loaded_names;
-    for (std::size_t i = 0; i < loaded.size(); ++i) {
-        loaded_names.insert(loaded[i].name);
-        EXPECT_NE(sources[i], "<builtin>") << loaded[i].name;
-        // Each loaded spec equals the builtin of the same name,
-        // field-for-field (via the injective serialization).
-        const auto builtin = [&]() -> const scenario_spec* {
-            for (const auto& b : builtin_registry()) {
-                if (b.name == loaded[i].name) return &b;
-            }
-            return nullptr;
-        }();
-        ASSERT_NE(builtin, nullptr) << loaded[i].name;
-        EXPECT_EQ(serialize_spec(loaded[i]), serialize_spec(*builtin))
-            << loaded[i].name;
+TEST(spec_files, registry_serves_every_spec_file_once_by_name) {
+    std::set<std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator(spec_dir())) {
+        if (entry.path().extension() == ".spec") {
+            files.insert(entry.path().stem().string());
+        }
     }
-    EXPECT_EQ(loaded_names.size(), loaded.size());
+    std::set<std::string> names;
+    for (const auto& spec : registry()) {
+        EXPECT_TRUE(names.insert(spec.name).second) << spec.name;
+    }
+    EXPECT_EQ(names, files);
 }
 
 /// Determinism digest for cheap end-to-end comparisons.
 std::string digest(const scenario_result& result) {
     std::ostringstream out;
     out.precision(17);
-    const auto& s = result.sim;
-    out << s.total_transmitting << ' ' << s.total_delivered << ' '
-        << s.total_bit_errors << ' ' << s.total_bits << ' ' << s.total_joins
-        << ' ' << s.total_leaves << ' ' << s.total_skipped << ' '
-        << s.total_idle;
-    for (const auto& round : s.rounds) {
-        out << ';' << round.active << ',' << round.delivered << ','
-            << round.bit_errors;
-    }
+    ns::test::write_outcome_digest(out, result.sim);
     return out.str();
-}
-
-TEST(spec_files, a_file_loaded_scenario_runs_identically_to_the_builtin) {
-    const auto loaded = find_scenario("office-256");
-    ASSERT_TRUE(loaded.has_value());
-    scenario_spec from_file = *loaded;
-    scenario_spec from_cpp;
-    for (const auto& b : builtin_registry()) {
-        if (b.name == "office-256") from_cpp = b;
-    }
-    for (scenario_spec* spec : {&from_file, &from_cpp}) {
-        spec->sim.rounds = 3;
-        spec->replicas = 2;
-        spec->geometry.num_devices = 48;
-    }
-    EXPECT_EQ(digest(run_scenario(from_file)), digest(run_scenario(from_cpp)));
 }
 
 // ------------------------------------------------------------ overrides --
@@ -292,10 +265,9 @@ TEST(sweep, expansion_is_row_major_with_the_last_axis_fastest) {
 }
 
 TEST(sweep, product_results_are_bit_identical_serial_vs_8_threads) {
-    scenario_spec base;
-    for (const auto& b : builtin_registry()) {
-        if (b.name == "office-256") base = b;
-    }
+    const auto registered = find_scenario("office-256");
+    ASSERT_TRUE(registered.has_value());
+    scenario_spec base = *registered;
     base.sim.rounds = 2;
     base.replicas = 2;
     base.geometry.num_devices = 32;

@@ -16,6 +16,7 @@
 #include "netscatter/scenario/scenario_spec.hpp"
 #include "netscatter/spec/spec_codec.hpp"
 #include "netscatter/util/rng.hpp"
+#include "tests/outcome_digest.hpp"
 
 namespace {
 
@@ -123,24 +124,7 @@ scenario_spec random_spec(std::uint64_t seed) {
 std::string digest(const scenario_result& result) {
     std::ostringstream out;
     out.precision(17);
-    const auto& s = result.sim;
-    out << s.total_transmitting << ' ' << s.total_delivered << ' '
-        << s.total_bit_errors << ' ' << s.total_bits << ' ' << s.total_skipped
-        << ' ' << s.total_idle << ' ' << s.total_joins << ' ' << s.total_leaves
-        << ' ' << s.total_reassociations << ' ' << s.total_query_losses << ' '
-        << s.total_ack_losses << ' ' << s.total_ack_timeouts << ' '
-        << s.total_reboots << ' ' << s.total_down_events << ' '
-        << s.total_lease_evictions << ' ' << s.total_desyncs << ' '
-        << s.total_resyncs << ' ' << s.total_recoveries << ' '
-        << s.total_orphan_tx << ' ' << s.total_orphan_collisions << ' '
-        << s.total_blackout_rounds << ' ' << s.devices_down_at_end << '\n';
-    for (const auto& round : s.rounds) {
-        out << round.active << ',' << round.transmitting << ','
-            << round.delivered << ',' << round.bit_errors << ','
-            << round.joins << ',' << round.leaves << ','
-            << round.query_losses << ',' << round.down_events << ','
-            << round.recoveries << ',' << round.blackout << ';';
-    }
+    ns::test::write_outcome_digest(out, result.sim);
     out << '\n' << result.stats.join_requests << ' ' << result.stats.offered
         << ' ' << result.stats.gated;
     return out.str();
