@@ -3,7 +3,7 @@
 // Takes a base workload (--spec FILE or --scenario NAME), varies any
 // spec keys over value lists or integer ranges, and runs the full
 // product through the deterministic sweep engine (ns::spec::run_sweep):
-// every (cell, replica) task fans out over one mc_runner pool and
+// every (cell, replica) task fans out over one run_indexed pool and
 // merges in fixed order, so the whole product is bit-identical at any
 // --threads. Outputs: one scenario JSON per cell (the exact shape
 // netscatter_sim writes, plus the cell coordinates), an aggregate JSON

@@ -3,57 +3,40 @@
 //   (b) fine-grained self-aware power adjustment,
 // each toggled independently on the same 128-device office deployment.
 //
-// The four toggle combinations are independent simulations, dispatched
-// as one batch on the engine's Monte-Carlo runner.
+// The four toggle combinations are a 2x2 sweep over the office-256
+// scenario, run as one batch on the deterministic sweep engine.
 #include <iostream>
 
-#include "netscatter/engine/mc_runner.hpp"
-#include "netscatter/sim/deployment.hpp"
-#include "netscatter/sim/network_sim.hpp"
 #include "netscatter/util/table.hpp"
 #include "bench_report.hpp"
+#include "paper_sweep.hpp"
 
 int main() {
     const bench::stopwatch clock;
-    const std::size_t devices = 128, rounds = 3;
 
     ns::util::text_table table(
         "Ablation: near-far defenses (128 devices)",
         {"power-aware allocation", "power adaptation", "delivery rate", "BER"});
 
-    struct setting {
-        bool aware;
-        bool adapt;
-    };
-    std::vector<setting> settings;
-    std::vector<ns::engine::mc_job> jobs;
-    for (const bool aware : {true, false}) {
-        for (const bool adapt : {true, false}) {
-            settings.push_back({aware, adapt});
-            ns::engine::mc_job job;
-            job.dep_params = ns::sim::deployment_params{};
-            job.num_devices = devices;
-            job.deployment_seed = 23;
-            job.config.power_aware_allocation = aware;
-            job.config.power_adaptation = adapt;
-            job.config.rounds = rounds;
-            job.config.seed = 7;
-            job.config.zero_padding = 4;
-            jobs.push_back(job);
-        }
-    }
-    const ns::engine::mc_runner runner;
-    const auto results = runner.run_batch(jobs).results;
+    // Row-major product, last axis fastest: (on,on) (on,off) (off,on) (off,off).
+    const auto cells = ns::spec::expand_sweep(
+        bench::office_spec({{"geometry.num_devices", "128"},
+                            {"sim.rounds", "3"},
+                            {"sim.seed", "23"}}),
+        {{"sim.power_aware_allocation", {"true", "false"}},
+         {"sim.power_adaptation", {"true", "false"}}});
+    const auto results = ns::spec::run_sweep(cells);
 
     bench::bench_report report("ablation_allocation");
-    for (std::size_t i = 0; i < settings.size(); ++i) {
-        const auto& result = results[i];
-        table.add_row({settings[i].aware ? "on" : "off",
-                       settings[i].adapt ? "on" : "off",
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const bool aware = cells[i].spec.sim.power_aware_allocation;
+        const bool adapt = cells[i].spec.sim.power_adaptation;
+        const auto& result = results[i].sim;
+        table.add_row({aware ? "on" : "off", adapt ? "on" : "off",
                        ns::util::format_double(result.delivery_rate(), 3),
                        ns::util::format_double(result.ber(), 4)});
-        report.add_point({{"power_aware_allocation", settings[i].aware ? 1.0 : 0.0},
-                          {"power_adaptation", settings[i].adapt ? 1.0 : 0.0},
+        report.add_point({{"power_aware_allocation", aware ? 1.0 : 0.0},
+                          {"power_adaptation", adapt ? 1.0 : 0.0},
                           {"delivery_rate", result.delivery_rate()},
                           {"ber", result.ber()}});
     }

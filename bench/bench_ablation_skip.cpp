@@ -8,15 +8,14 @@
 // aggregate GOODPUT = capacity x delivery x 976 bps, which SKIP=2
 // maximizes under realistic jitter.
 //
-// The five settings are independent simulations, so they run as one
-// batch on the engine's Monte-Carlo runner and fill all cores.
+// The five settings are not a Cartesian product, so each is its own
+// single-cell expansion of the office-256 scenario; the concatenated
+// cells run as one batch on the deterministic sweep engine.
 #include <iostream>
 
-#include "netscatter/engine/mc_runner.hpp"
-#include "netscatter/sim/deployment.hpp"
-#include "netscatter/sim/network_sim.hpp"
 #include "netscatter/util/table.hpp"
 #include "bench_report.hpp"
+#include "paper_sweep.hpp"
 
 int main() {
     const bench::stopwatch clock;
@@ -24,43 +23,40 @@ int main() {
         "Ablation: SKIP at full capacity (jitter up to 3.5 us, 2 rounds)",
         {"SKIP", "jitter", "devices", "delivery rate", "BER", "goodput [kbps]"});
 
+    // Full capacity is 512 / SKIP devices.
     struct setting {
-        std::uint32_t skip;
-        bool jitter;
+        std::string skip, jitter, devices;
     };
-    const std::vector<setting> settings = {
-        {1, true}, {2, true}, {4, true}, {1, false}, {2, false}};
-
-    std::vector<ns::engine::mc_job> jobs;
-    for (const setting s : settings) {
-        ns::engine::mc_job job;
-        job.dep_params = ns::sim::deployment_params{};
-        job.num_devices = 512 / s.skip;
-        job.deployment_seed = 21;
-        job.config.skip = s.skip;
-        job.config.model_timing_jitter = s.jitter;
-        job.config.rounds = 2;
-        job.config.seed = 5;
-        job.config.zero_padding = 4;
-        jobs.push_back(job);
+    const std::vector<setting> settings = {{"1", "true", "512"},
+                                           {"2", "true", "256"},
+                                           {"4", "true", "128"},
+                                           {"1", "false", "512"},
+                                           {"2", "false", "256"}};
+    const auto base = bench::office_spec({{"sim.rounds", "2"}, {"sim.seed", "21"}});
+    std::vector<ns::spec::sweep_cell> cells;
+    for (const setting& s : settings) {
+        auto single = ns::spec::expand_sweep(base, {{"sim.skip", {s.skip}},
+                                                    {"sim.model_timing_jitter", {s.jitter}},
+                                                    {"geometry.num_devices", {s.devices}}});
+        cells.push_back(std::move(single.front()));
     }
-    const ns::engine::mc_runner runner;
-    const auto results = runner.run_batch(jobs).results;
+    const auto results = ns::spec::run_sweep(cells);
 
     bench::bench_report report("ablation_skip");
-    for (std::size_t i = 0; i < settings.size(); ++i) {
-        const setting s = settings[i];
-        const std::size_t devices = jobs[i].num_devices;
-        const auto& result = results[i];
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const auto& spec = cells[i].spec;
+        const std::size_t devices = spec.geometry.num_devices;
+        const bool jitter = spec.sim.model_timing_jitter;
+        const auto& result = results[i].sim;
         const double goodput_kbps =
             result.delivery_rate() * static_cast<double>(devices) * 976.5625 / 1e3;
-        table.add_row({std::to_string(s.skip), s.jitter ? "on" : "off",
+        table.add_row({std::to_string(spec.sim.skip), jitter ? "on" : "off",
                        std::to_string(devices),
                        ns::util::format_double(result.delivery_rate(), 3),
                        ns::util::format_double(result.ber(), 4),
                        ns::util::format_double(goodput_kbps, 1)});
-        report.add_point({{"skip", static_cast<double>(s.skip)},
-                          {"jitter", s.jitter ? 1.0 : 0.0},
+        report.add_point({{"skip", static_cast<double>(spec.sim.skip)},
+                          {"jitter", jitter ? 1.0 : 0.0},
                           {"num_devices", static_cast<double>(devices)},
                           {"delivery_rate", result.delivery_rate()},
                           {"ber", result.ber()},

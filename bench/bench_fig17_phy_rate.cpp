@@ -1,7 +1,8 @@
 // Fig. 17 — network PHY bit-rate vs number of concurrent backscatter
 // devices, for four schemes: LoRa backscatter without and with (ideal)
 // rate adaptation, NetScatter (ideal), and NetScatter as measured by the
-// sample-level simulation over the office deployment.
+// round simulator on the office-256 scenario (under `auto` fidelity
+// these rounds take the symbol-domain fast path).
 //
 // Paper shape: NetScatter scales linearly to ~250 kbps at 256 devices
 // (976 bps per device); LoRa backscatter stays flat (~8.7 kbps without
@@ -15,17 +16,16 @@
 #include "netscatter/sim/timeline.hpp"
 #include "netscatter/util/table.hpp"
 #include "bench_report.hpp"
-#include "netsim_sweep.hpp"
+#include "paper_sweep.hpp"
 
 namespace {
 
-bool same_sweep(const std::vector<bench::sweep_point>& a,
-                const std::vector<bench::sweep_point>& b) {
+bool same_sweep(const std::vector<ns::scenario::scenario_result>& a,
+                const std::vector<ns::scenario::scenario_result>& b) {
     if (a.size() != b.size()) return false;
     for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].num_devices != b[i].num_devices ||
-            a[i].mean_delivered != b[i].mean_delivered ||
-            a[i].delivery_rate != b[i].delivery_rate) {
+        if (a[i].sim.mean_delivered_per_round() != b[i].sim.mean_delivered_per_round() ||
+            a[i].sim.delivery_rate() != b[i].sim.delivery_rate()) {
             return false;
         }
     }
@@ -35,19 +35,18 @@ bool same_sweep(const std::vector<bench::sweep_point>& a,
 }  // namespace
 
 int main() {
-    const auto frame = ns::phy::phy_format();  // 5-byte payload (§4.4)
+    const auto cells = ns::spec::expand_sweep(
+        bench::office_spec({{"sim.rounds", "3"}, {"sim.seed", "17"}}),
+        {bench::paper_device_axis});
+    const auto frame = cells.front().spec.sim.frame;  // 5-byte payload (§4.4)
     const auto phy = ns::phy::deployed_params();
 
-    ns::sim::sim_config base;
-    base.frame = frame;
-
     // Parallel sweep through the engine, then the serial reference (same
-    // task decomposition on one thread). The two must be bit-identical;
-    // the ratio of their wall clocks is the engine's speedup. Set
+    // tasks on one thread). The two must be bit-identical; the ratio of
+    // their wall clocks is the engine's speedup. Set
     // NS_BENCH_SKIP_SERIAL=1 to skip the (slow) reference on big runs.
     const bench::stopwatch parallel_clock;
-    const auto sweep =
-        bench::run_sweep(/*rounds=*/3, /*seed=*/17, base, bench::parallel_options());
+    const auto sweep = ns::spec::run_sweep(cells);
     const double parallel_s = parallel_clock.seconds();
 
     double serial_s = 0.0;
@@ -55,8 +54,7 @@ int main() {
     const bool skip_serial = std::getenv("NS_BENCH_SKIP_SERIAL") != nullptr;
     if (!skip_serial) {
         const bench::stopwatch serial_clock;
-        const auto serial_sweep =
-            bench::run_sweep(/*rounds=*/3, /*seed=*/17, base, bench::serial_options());
+        const auto serial_sweep = ns::spec::run_sweep(cells, {.parallel = false});
         serial_s = serial_clock.seconds();
         identical = same_sweep(sweep, serial_sweep);
     }
@@ -67,35 +65,38 @@ int main() {
          "NetScatter (simulated)", "delivered/round"});
 
     bench::bench_report report("fig17_phy_rate");
-    for (const auto& point : sweep) {
-        const auto lora = ns::baseline::fixed_rate_network(frame, point.num_devices);
-        const auto adapted =
-            ns::baseline::rate_adapted_network(frame, point.uplink_rssi_dbm);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const std::size_t devices = cells[i].spec.geometry.num_devices;
+        const double mean_delivered = sweep[i].sim.mean_delivered_per_round();
+        const auto lora = ns::baseline::fixed_rate_network(frame, devices);
+        const auto adapted = ns::baseline::rate_adapted_network(
+            frame, bench::uplink_rssi_dbm(cells[i].spec));
         const auto ideal = ns::sim::netscatter_ideal_metrics(
-            frame, phy, ns::sim::query_config::config1, point.num_devices);
+            frame, phy, ns::sim::query_config::config1, devices);
         const auto measured = ns::sim::netscatter_metrics(
             frame, phy, ns::sim::query_config::config1,
-            static_cast<std::size_t>(point.mean_delivered + 0.5), point.num_devices);
+            static_cast<std::size_t>(mean_delivered + 0.5), devices);
 
-        table.add_row({std::to_string(point.num_devices),
+        table.add_row({std::to_string(devices),
                        ns::util::format_double(lora.phy_rate_bps / 1e3, 1),
                        ns::util::format_double(adapted.phy_rate_bps / 1e3, 1),
                        ns::util::format_double(ideal.phy_rate_bps / 1e3, 1),
                        ns::util::format_double(measured.phy_rate_bps / 1e3, 1),
-                       ns::util::format_double(point.mean_delivered, 1)});
-        report.add_point({{"num_devices", static_cast<double>(point.num_devices)},
-                          {"mean_delivered", point.mean_delivered},
-                          {"delivery_rate", point.delivery_rate},
+                       ns::util::format_double(mean_delivered, 1)});
+        report.add_point({{"num_devices", static_cast<double>(devices)},
+                          {"mean_delivered", mean_delivered},
+                          {"delivery_rate", sweep[i].sim.delivery_rate()},
                           {"phy_rate_kbps", measured.phy_rate_bps / 1e3}});
     }
     table.print(std::cout);
 
-    const auto& last = sweep.back();
     const auto lora = ns::baseline::fixed_rate_network(frame, 256);
-    const auto adapted = ns::baseline::rate_adapted_network(frame, last.uplink_rssi_dbm);
+    const auto adapted = ns::baseline::rate_adapted_network(
+        frame, bench::uplink_rssi_dbm(cells.back().spec));
     const auto measured = ns::sim::netscatter_metrics(
         frame, phy, ns::sim::query_config::config1,
-        static_cast<std::size_t>(last.mean_delivered + 0.5), 256);
+        static_cast<std::size_t>(sweep.back().sim.mean_delivered_per_round() + 0.5),
+        256);
     std::cout << "\nat 256 devices: gain over fixed LoRa-BS = "
               << ns::util::format_double(measured.phy_rate_bps / lora.phy_rate_bps, 1)
               << "x (paper: 26.2x), over rate-adapted = "

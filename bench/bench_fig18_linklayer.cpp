@@ -12,16 +12,19 @@
 #include "netscatter/sim/timeline.hpp"
 #include "netscatter/util/table.hpp"
 #include "bench_report.hpp"
-#include "netsim_sweep.hpp"
+#include "paper_sweep.hpp"
 
 int main() {
-    const auto frame = ns::phy::linklayer_format();  // 40-bit payload+CRC (§4.4)
+    const auto cells = ns::spec::expand_sweep(
+        bench::office_spec({{"sim.rounds", "3"},
+                            {"sim.seed", "18"},
+                            {"sim.frame.payload_bits", "32"}}),
+        {bench::paper_device_axis});
+    const auto frame = cells.front().spec.sim.frame;  // 40-bit payload+CRC (§4.4)
     const auto phy = ns::phy::deployed_params();
 
-    ns::sim::sim_config base;
-    base.frame = frame;
     const bench::stopwatch clock;
-    const auto sweep = bench::run_sweep(/*rounds=*/3, /*seed=*/18, base);
+    const auto sweep = ns::spec::run_sweep(cells);
     const double wall_s = clock.seconds();
 
     ns::util::text_table table(
@@ -31,31 +34,34 @@ int main() {
 
     bench::bench_report report("fig18_linklayer");
     report.set_scalar("wall_clock_s", wall_s);
-    for (const auto& point : sweep) {
-        const auto delivered = static_cast<std::size_t>(point.mean_delivered + 0.5);
-        const auto lora = ns::baseline::fixed_rate_network(frame, point.num_devices);
-        const auto adapted =
-            ns::baseline::rate_adapted_network(frame, point.uplink_rssi_dbm);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const std::size_t devices = cells[i].spec.geometry.num_devices;
+        const double mean_delivered = sweep[i].sim.mean_delivered_per_round();
+        const auto delivered = static_cast<std::size_t>(mean_delivered + 0.5);
+        const auto lora = ns::baseline::fixed_rate_network(frame, devices);
+        const auto adapted = ns::baseline::rate_adapted_network(
+            frame, bench::uplink_rssi_dbm(cells[i].spec));
         const auto cfg1 = ns::sim::netscatter_metrics(
-            frame, phy, ns::sim::query_config::config1, delivered, point.num_devices);
+            frame, phy, ns::sim::query_config::config1, delivered, devices);
         const auto cfg2 = ns::sim::netscatter_metrics(
-            frame, phy, ns::sim::query_config::config2, delivered, point.num_devices);
-        table.add_row({std::to_string(point.num_devices),
+            frame, phy, ns::sim::query_config::config2, delivered, devices);
+        table.add_row({std::to_string(devices),
                        ns::util::format_double(lora.linklayer_rate_bps / 1e3, 2),
                        ns::util::format_double(adapted.linklayer_rate_bps / 1e3, 2),
                        ns::util::format_double(cfg1.linklayer_rate_bps / 1e3, 1),
                        ns::util::format_double(cfg2.linklayer_rate_bps / 1e3, 1)});
-        report.add_point({{"num_devices", static_cast<double>(point.num_devices)},
-                          {"mean_delivered", point.mean_delivered},
-                          {"delivery_rate", point.delivery_rate},
+        report.add_point({{"num_devices", static_cast<double>(devices)},
+                          {"mean_delivered", mean_delivered},
+                          {"delivery_rate", sweep[i].sim.delivery_rate()},
                           {"linklayer_rate_kbps", cfg1.linklayer_rate_bps / 1e3}});
     }
     table.print(std::cout);
 
-    const auto& last = sweep.back();
-    const auto delivered = static_cast<std::size_t>(last.mean_delivered + 0.5);
+    const auto delivered =
+        static_cast<std::size_t>(sweep.back().sim.mean_delivered_per_round() + 0.5);
     const auto lora = ns::baseline::fixed_rate_network(frame, 256);
-    const auto adapted = ns::baseline::rate_adapted_network(frame, last.uplink_rssi_dbm);
+    const auto adapted = ns::baseline::rate_adapted_network(
+        frame, bench::uplink_rssi_dbm(cells.back().spec));
     const auto cfg1 = ns::sim::netscatter_metrics(frame, phy,
                                                   ns::sim::query_config::config1,
                                                   delivered, 256);

@@ -8,11 +8,10 @@
 #include <iostream>
 
 #include "netscatter/baseline/lora_link.hpp"
-#include "netscatter/sim/deployment.hpp"
 #include "netscatter/sim/timeline.hpp"
 #include "netscatter/util/table.hpp"
 #include "bench_report.hpp"
-#include "netsim_sweep.hpp"
+#include "paper_sweep.hpp"
 
 int main() {
     const bench::stopwatch clock;
@@ -28,13 +27,12 @@ int main() {
     const auto cfg1 = ns::sim::netscatter_round(frame, phy, ns::sim::query_config::config1);
     const auto cfg2 = ns::sim::netscatter_round(frame, phy, ns::sim::query_config::config2);
 
-    std::vector<double> rssi_256;
-    for (std::size_t n : bench::paper_device_counts()) {
-        const ns::sim::deployment dep(ns::sim::deployment_params{}, n, 19);
-        std::vector<double> rssi;
-        for (const auto& device : dep.devices()) rssi.push_back(device.uplink_rx_dbm);
-        if (n == 256) rssi_256 = rssi;
-
+    // Latency needs no simulation: only each cell's deployment RSSIs.
+    const auto cells = ns::spec::expand_sweep(bench::office_spec({{"sim.seed", "19"}}),
+                                              {bench::paper_device_axis});
+    for (const auto& cell : cells) {
+        const std::size_t n = cell.spec.geometry.num_devices;
+        const std::vector<double> rssi = bench::uplink_rssi_dbm(cell.spec);
         const auto lora = ns::baseline::fixed_rate_network(frame, n);
         const auto adapted = ns::baseline::rate_adapted_network(frame, rssi);
         report.add_point({{"num_devices", static_cast<double>(n)},
@@ -51,7 +49,8 @@ int main() {
     table.print(std::cout);
 
     const auto lora = ns::baseline::fixed_rate_network(frame, 256);
-    const auto adapted = ns::baseline::rate_adapted_network(frame, rssi_256);
+    const auto adapted =
+        ns::baseline::rate_adapted_network(frame, bench::uplink_rssi_dbm(cells.back().spec));
     std::cout << "\nat 256 devices: cfg1 latency reduction "
               << ns::util::format_double(lora.latency_s / cfg1.total_time_s, 1)
               << "x over fixed (paper 67.0x), "

@@ -8,9 +8,12 @@
 // phy_fidelity::sample and ::symbol at equal thread count, recording
 // both round throughputs and their ratio — the measured (not asserted)
 // speedup of the symbol-domain fast path.
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <new>
+#include <optional>
 
 #include "bench_report.hpp"
 #include "netscatter/obs/metrics.hpp"
@@ -62,14 +65,28 @@ double steady_allocs_per_round(const ns::scenario::scenario_result& result) {
            static_cast<double>(steady_rounds);
 }
 
+/// Rounds per replica from NS_BENCH_SCENARIO_ROUNDS (default 6); empty
+/// when the variable is set to anything but a positive integer.
+std::optional<std::size_t> scenario_rounds() {
+    const char* text = std::getenv("NS_BENCH_SCENARIO_ROUNDS");
+    if (text == nullptr) return 6;
+    const char* const end = text + std::strlen(text);
+    std::size_t rounds = 0;
+    const auto [ptr, ec] = std::from_chars(text, end, rounds);
+    if (ec != std::errc{} || ptr != end || rounds == 0) return std::nullopt;
+    return rounds;
+}
+
 }  // namespace
 
 int main() {
-    const std::size_t rounds =
-        std::getenv("NS_BENCH_SCENARIO_ROUNDS")
-            ? static_cast<std::size_t>(
-                  std::atoll(std::getenv("NS_BENCH_SCENARIO_ROUNDS")))
-            : 6;
+    const std::optional<std::size_t> parsed_rounds = scenario_rounds();
+    if (!parsed_rounds) {
+        std::cerr << "NS_BENCH_SCENARIO_ROUNDS must be a positive integer, got '"
+                  << std::getenv("NS_BENCH_SCENARIO_ROUNDS") << "'\n";
+        return 2;
+    }
+    const std::size_t rounds = *parsed_rounds;
 
     bench::bench_report report("scenario_matrix");
     bench::stopwatch clock;

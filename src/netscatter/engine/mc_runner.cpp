@@ -1,7 +1,5 @@
 #include "netscatter/engine/mc_runner.hpp"
 
-#include <algorithm>
-
 #include "netscatter/util/rng.hpp"
 
 namespace ns::engine {
@@ -17,114 +15,6 @@ std::uint64_t split_seed(std::uint64_t base, std::uint64_t stream, std::uint64_t
     out = ns::util::splitmix64_next(state);
     state ^= out ^ (block * 0x94d049bb133111ebULL);
     return ns::util::splitmix64_next(state);
-}
-
-namespace {
-
-struct block_span {
-    std::size_t index = 0;   ///< block number within the job
-    std::size_t rounds = 0;  ///< rounds in this block
-};
-
-std::vector<block_span> split_rounds(std::size_t total, std::size_t per_task) {
-    // per_task == 0: the whole job is one block (cross-round state kept).
-    const std::size_t block = per_task == 0 ? std::max<std::size_t>(1, total) : per_task;
-    std::vector<block_span> spans;
-    spans.reserve((total + block - 1) / block);
-    for (std::size_t done = 0, b = 0; done < total; done += block, ++b) {
-        spans.push_back({b, std::min(block, total - done)});
-    }
-    return spans;
-}
-
-}  // namespace
-
-mc_runner::mc_runner(mc_options options) : options_(options) {}
-
-std::size_t mc_runner::pool_threads(std::size_t num_tasks) const {
-    // Never spawn more workers than there are tasks to run.
-    const std::size_t configured = options_.num_threads == 0
-                                       ? thread_pool::default_thread_count()
-                                       : options_.num_threads;
-    return std::min(configured, num_tasks);
-}
-
-ns::sim::sim_result mc_runner::run(const ns::sim::deployment& dep,
-                                   const ns::sim::sim_config& config) const {
-    const std::vector<block_span> blocks =
-        split_rounds(config.rounds, options_.rounds_per_task);
-    std::vector<ns::sim::sim_result> partials(blocks.size());
-
-    const auto run_block = [&](std::size_t i) {
-        ns::sim::sim_config block_config = config;
-        block_config.rounds = blocks[i].rounds;
-        block_config.seed = split_seed(config.seed, 0, blocks[i].index);
-        ns::sim::network_simulator sim(dep, block_config);
-        partials[i] = sim.run();
-    };
-
-    if (options_.parallel && blocks.size() > 1) {
-        thread_pool pool(pool_threads(blocks.size()));
-        pool.parallel_for(0, blocks.size(), run_block);
-    } else {
-        for (std::size_t i = 0; i < blocks.size(); ++i) run_block(i);
-    }
-
-    ns::sim::sim_result merged;
-    for (const auto& partial : partials) merged.merge(partial);
-    return merged;
-}
-
-batch_result mc_runner::run_batch(const std::vector<mc_job>& jobs) const {
-    // Deployments are built once per job, up front: they are cheap
-    // relative to the rounds, deterministic in their seed, and read-only
-    // while the blocks fan out. They are returned with the results so
-    // callers never regenerate them.
-    std::vector<ns::sim::deployment> deployments;
-    deployments.reserve(jobs.size());
-    for (const auto& job : jobs) {
-        deployments.emplace_back(job.dep_params, job.num_devices, job.deployment_seed);
-    }
-
-    struct task {
-        std::size_t job = 0;
-        ns::sim::sim_config config{};
-    };
-    std::vector<task> tasks;
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-        for (const block_span& span :
-             split_rounds(jobs[j].config.rounds, options_.rounds_per_task)) {
-            task t{j, jobs[j].config};
-            t.config.rounds = span.rounds;
-            // Stream = job position, so jobs sharing a base seed still get
-            // disjoint streams; a one-job batch matches run() (stream 0).
-            t.config.seed = split_seed(jobs[j].config.seed, j, span.index);
-            tasks.push_back(t);
-        }
-    }
-
-    std::vector<ns::sim::sim_result> partials(tasks.size());
-    const auto run_task = [&](std::size_t i) {
-        ns::sim::network_simulator sim(deployments[tasks[i].job], tasks[i].config);
-        partials[i] = sim.run();
-    };
-
-    if (options_.parallel && tasks.size() > 1) {
-        thread_pool pool(pool_threads(tasks.size()));
-        pool.parallel_for(0, tasks.size(), run_task);
-    } else {
-        for (std::size_t i = 0; i < tasks.size(); ++i) run_task(i);
-    }
-
-    // Merge in task order: bit-identical no matter which worker finished
-    // first.
-    batch_result batch;
-    batch.results.resize(jobs.size());
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-        batch.results[tasks[i].job].merge(partials[i]);
-    }
-    batch.deployments = std::move(deployments);
-    return batch;
 }
 
 }  // namespace ns::engine

@@ -1,26 +1,22 @@
-// Deterministic parallel Monte-Carlo runner for network-scale sweeps.
+// Deterministic parallel Monte-Carlo fan-out.
 //
-// The Figs. 17-19 evaluations sweep the device count and average several
-// concurrent rounds per point. Rounds-with-shared-state cannot be split
-// mid-stream, so the runner decomposes a sweep into independent
-// (device-count, round-block) tasks: each task builds its own deployment
-// and simulator and runs a block of rounds with an RNG stream derived by
-// seed-splitting (split_seed). Because every task is a pure function of
-// its seed and results are merged in task order — never completion
-// order — the parallel run is bit-identical to the serial run of the
-// same task list, on any thread count. That determinism is the contract
-// tests/test_engine.cpp enforces.
+// Every Monte-Carlo run in the repo — a scenario's replicas, a sweep's
+// (cell, replica) pairs — is a list of independent tasks, each a pure
+// function of its index that derives its RNG streams by seed-splitting
+// (split_seed). run_indexed executes such a list serially or across a
+// thread pool and returns the results in index order — never completion
+// order — so the parallel run is bit-identical to the serial run on any
+// thread count. That determinism is the contract tests/test_scenario.cpp
+// and tests/test_spec.cpp enforce.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "netscatter/engine/thread_pool.hpp"
-#include "netscatter/sim/deployment.hpp"
-#include "netscatter/sim/network_sim.hpp"
 
 namespace ns::engine {
 
@@ -31,14 +27,6 @@ std::uint64_t split_seed(std::uint64_t base, std::uint64_t stream, std::uint64_t
 
 /// Execution policy for a Monte-Carlo run.
 struct mc_options {
-    /// Rounds simulated per task. 0 (default) keeps all of a job's
-    /// rounds in ONE task, preserving cross-round simulator state —
-    /// Gauss-Markov fading correlation and the consecutive-skip
-    /// re-association path (§3.2.3/§3.3.4) both span rounds — so a job
-    /// behaves exactly like the serial simulator. Values >= 1 split the
-    /// job into independent single-association replica blocks: more
-    /// parallelism within a job, but each block re-associates afresh.
-    std::size_t rounds_per_task = 0;
     /// Worker threads; 0 means hardware_concurrency().
     std::size_t num_threads = 0;
     /// When false every task runs on the calling thread, in task order —
@@ -46,74 +34,31 @@ struct mc_options {
     bool parallel = true;
 };
 
-/// One sweep job: an independently deployed population and a simulator
-/// configuration. `config.rounds` is the total over all of the job's
-/// round-blocks; `config.seed` is the base seed the blocks split.
-struct mc_job {
-    ns::sim::deployment_params dep_params{};
-    std::size_t num_devices = 0;
-    std::uint64_t deployment_seed = 0;
-    ns::sim::sim_config config{};
-};
-
-/// Outcome of a batch: one merged result per job, in job order, plus
-/// the deployments the runner built (callers often need the population's
-/// link budget too — returning them avoids regenerating each one).
-struct batch_result {
-    std::vector<ns::sim::sim_result> results;
-    std::vector<ns::sim::deployment> deployments;
-};
-
-/// Splits jobs into (job, round-block) tasks and runs them across a
-/// thread pool (or serially), merging per-job results deterministically.
-class mc_runner {
-public:
-    explicit mc_runner(mc_options options = {});
-
-    const mc_options& options() const { return options_; }
-
-    /// Runs a single job's rounds as independent blocks. The deployment
-    /// is built once by the caller; only the round-blocks fan out.
-    ns::sim::sim_result run(const ns::sim::deployment& dep,
-                            const ns::sim::sim_config& config) const;
-
-    /// Runs every job, each split into round-blocks, all interleaved on
-    /// one pool so a sweep saturates the machine even when individual
-    /// points have few blocks.
-    batch_result run_batch(const std::vector<mc_job>& jobs) const;
-
-    /// Generic deterministic fan-out: runs `count` independent tasks —
-    /// each a pure function of its index — serially or across a pool per
-    /// the runner's options, and returns the results in index order.
-    /// Same contract as run_batch: the parallel run is bit-identical to
-    /// the serial run on any thread count. The scenario runner executes
-    /// its Monte-Carlo replicas through this. The result type must be
-    /// default-constructible (slots are pre-allocated) and must not be
-    /// bool: std::vector<bool> packs bits, so concurrent writes to
-    /// distinct indices would race — wrap a bool in a struct instead.
-    template <typename Task>
-    auto run_indexed(std::size_t count, Task&& task) const
-        -> std::vector<std::invoke_result_t<Task&, std::size_t>> {
-        using result_t = std::invoke_result_t<Task&, std::size_t>;
-        static_assert(!std::is_same_v<result_t, bool>,
-                      "run_indexed: bool results race in vector<bool>; "
-                      "wrap the flag in a struct");
-        std::vector<result_t> results(count);
-        const auto run_one = [&](std::size_t i) { results[i] = task(i); };
-        if (options_.parallel && count > 1) {
-            thread_pool pool(pool_threads(count));
-            pool.parallel_for(0, count, run_one);
-        } else {
-            for (std::size_t i = 0; i < count; ++i) run_one(i);
-        }
-        return results;
+/// Runs `count` independent tasks — each a pure function of its index —
+/// serially or across a pool per `options`, and returns the results in
+/// index order. The pool never has more workers than tasks. The result
+/// type must be default-constructible (slots are pre-allocated) and
+/// must not be bool: std::vector<bool> packs bits, so concurrent writes
+/// to distinct indices would race — wrap a bool in a struct instead.
+template <typename Task>
+auto run_indexed(std::size_t count, const mc_options& options, Task&& task)
+    -> std::vector<std::invoke_result_t<Task&, std::size_t>> {
+    using result_t = std::invoke_result_t<Task&, std::size_t>;
+    static_assert(!std::is_same_v<result_t, bool>,
+                  "run_indexed: bool results race in vector<bool>; "
+                  "wrap the flag in a struct");
+    std::vector<result_t> results(count);
+    const auto run_one = [&](std::size_t i) { results[i] = task(i); };
+    if (options.parallel && count > 1) {
+        const std::size_t configured = options.num_threads == 0
+                                           ? thread_pool::default_thread_count()
+                                           : options.num_threads;
+        thread_pool pool(std::min(configured, count));
+        pool.parallel_for(0, count, run_one);
+    } else {
+        for (std::size_t i = 0; i < count; ++i) run_one(i);
     }
-
-private:
-    /// Configured worker count clamped to the number of tasks.
-    std::size_t pool_threads(std::size_t num_tasks) const;
-
-    mc_options options_;
-};
+    return results;
+}
 
 }  // namespace ns::engine

@@ -1,14 +1,14 @@
 // Fixed-size thread pool for the parallel execution engine.
 //
 // The network-scale sweeps (Figs. 17-19) decompose into hundreds of
-// independent (device-count, round-block) simulations, and a production
+// independent (sweep cell, replica) simulations, and a production
 // AP would decode rounds from many antennas/channels concurrently. This
 // pool is deliberately simple — one shared FIFO queue, no work stealing —
 // because engine tasks are coarse (milliseconds to seconds each), so
 // queue contention is negligible and simplicity wins: exceptions
 // propagate through std::future, shutdown is deterministic, and task
-// order is whatever the caller submits (the Monte-Carlo runner relies on
-// merging by task index, never on completion order).
+// order is whatever the caller submits (run_indexed relies on merging
+// by task index, never on completion order).
 #pragma once
 
 #include <atomic>

@@ -2,7 +2,7 @@
 // latency histograms in a per-context metrics registry.
 //
 // Design constraints, in order:
-//   1. The mc_runner's serial-vs-parallel bit-identity contract must
+//   1. run_indexed's serial-vs-parallel bit-identity contract must
 //      survive instrumentation. Every registry is therefore confined to
 //      one execution context (one simulator replica, which runs entirely
 //      on one thread) — increments are plain integer adds, no atomics,

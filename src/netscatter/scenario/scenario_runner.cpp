@@ -62,18 +62,15 @@ replica_result run_scenario_replica(const scenario_spec& spec, std::size_t r) {
     return out;
 }
 
-scenario_result run_scenario(const scenario_spec& spec, run_options options) {
+scenario_result run_scenario(const scenario_spec& spec,
+                             ns::engine::mc_options options) {
     ns::util::require(spec.replicas >= 1, "scenario: replicas must be >= 1");
     spec.sim.validate();
     spec.faults.validate();
     const auto start = std::chrono::steady_clock::now();
 
-    const ns::engine::mc_runner runner(
-        {.rounds_per_task = 0,  // replicas never split mid-stream
-         .num_threads = options.num_threads,
-         .parallel = options.parallel});
-    std::vector<replica_result> replicas = runner.run_indexed(
-        spec.replicas,
+    std::vector<replica_result> replicas = ns::engine::run_indexed(
+        spec.replicas, options,
         [&](std::size_t r) { return run_scenario_replica(spec, r); });
     const double wall_clock_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -5,7 +5,7 @@
 // the deployment, a scenario_driver on a split seed, and a simulator,
 // and runs the full round sequence — cross-round state (fading memory,
 // churn queues, waypoint positions, power-adaptation baselines) stays
-// inside its replica. Replicas fan out through the engine's mc_runner
+// inside its replica. Replicas fan out through ns::engine::run_indexed
 // and merge in replica order, so a run is bit-identical on any thread
 // count — the contract tests/test_scenario.cpp enforces.
 #pragma once
@@ -20,12 +20,6 @@
 #include "netscatter/sim/network_sim.hpp"
 
 namespace ns::scenario {
-
-/// Execution policy for one scenario run.
-struct run_options {
-    std::size_t num_threads = 0;  ///< 0 = hardware_concurrency()
-    bool parallel = true;         ///< false = serial reference order
-};
 
 /// Outcome of one scenario run.
 struct scenario_result {
@@ -64,9 +58,8 @@ struct scenario_result {
 /// query_time_s series both follow this rule.
 bool carries_config2_query(const ns::sim::round_outcome& round);
 
-/// Outcome of one Monte-Carlo replica — the unit of parallel
-/// decomposition run_scenario and the sweep engine both fan out over
-/// mc_runner.
+/// Outcome of one Monte-Carlo replica — the task run_scenario and the
+/// sweep engine both fan out through ns::engine::run_indexed.
 struct replica_result {
     ns::sim::sim_result sim;
     driver_stats stats;
@@ -88,6 +81,7 @@ scenario_result merge_scenario_replicas(const scenario_spec& spec,
 /// Runs `spec` and returns the merged result. Deterministic in
 /// (spec, options.parallel ? any thread count : serial) — i.e. the same
 /// spec gives bit-identical results for every execution policy.
-scenario_result run_scenario(const scenario_spec& spec, run_options options = {});
+scenario_result run_scenario(const scenario_spec& spec,
+                             ns::engine::mc_options options = {});
 
 }  // namespace ns::scenario

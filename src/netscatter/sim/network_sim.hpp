@@ -305,10 +305,10 @@ struct sim_result {
     std::size_t num_groups = 0;
 
     /// Appends another result's rounds and adds its totals (every
-    /// `outcome_counters` total, run-level fields and metrics). Used by the
-    /// parallel Monte-Carlo runner (engine/mc_runner) to combine
-    /// independent round-blocks; merging in task order keeps the combined
-    /// statistics identical regardless of execution order.
+    /// `outcome_counters` total, run-level fields and metrics). Used to
+    /// combine independent Monte-Carlo replicas (scenario runner, sweep
+    /// engine); merging in replica order keeps the combined statistics
+    /// identical regardless of execution order.
     void merge(const sim_result& other);
 
     /// Fraction of transmitted packets that passed CRC.

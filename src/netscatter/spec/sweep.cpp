@@ -138,28 +138,24 @@ std::vector<sweep_cell> expand_sweep(const scenario::scenario_spec& base,
 }
 
 std::vector<scenario::scenario_result> run_sweep(
-    const std::vector<sweep_cell>& cells, scenario::run_options options) {
+    const std::vector<sweep_cell>& cells, ns::engine::mc_options options) {
     // Flatten every (cell, replica) pair into one task list so the
     // whole product saturates a single deterministic pool: replicas of
     // different cells interleave, results still merge per cell in
-    // replica order.
+    // replica order. Tasks name a cell by its position in `cells`.
     struct task_ref {
         std::size_t cell;
         std::size_t replica;
     };
     std::vector<task_ref> tasks;
-    for (const sweep_cell& cell : cells) {
-        for (std::size_t r = 0; r < cell.spec.replicas; ++r) {
-            tasks.push_back({cell.index, r});
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        for (std::size_t r = 0; r < cells[c].spec.replicas; ++r) {
+            tasks.push_back({c, r});
         }
     }
 
-    const ns::engine::mc_runner runner(
-        {.rounds_per_task = 0,
-         .num_threads = options.num_threads,
-         .parallel = options.parallel});
     std::vector<scenario::replica_result> outcomes =
-        runner.run_indexed(tasks.size(), [&](std::size_t i) {
+        ns::engine::run_indexed(tasks.size(), options, [&](std::size_t i) {
             const task_ref& task = tasks[i];
             return scenario::run_scenario_replica(cells[task.cell].spec,
                                                   task.replica);

@@ -4,8 +4,8 @@
 // `--vary key=lo..hi[..step]`). expand_sweep builds the row-major
 // product of cells — each a full scenario_spec with the axis values
 // applied through the strict codec — and run_sweep executes every
-// (cell, replica) pair on ONE mc_runner pool, merging per cell in
-// replica order. Because each replica is a pure function of
+// (cell, replica) pair on ONE ns::engine::run_indexed pool, merging per
+// cell in replica order. Because each replica is a pure function of
 // (cell spec, replica index) and the merge order is fixed, a sweep's
 // results are bit-identical at any --threads, the same contract the
 // single-scenario runner holds.
@@ -52,11 +52,14 @@ std::vector<sweep_cell> expand_sweep(const scenario::scenario_spec& base,
                                      const std::vector<sweep_axis>& axes);
 
 /// Runs every cell, fanning all (cell, replica) tasks over one
-/// mc_runner pool; returns results index-aligned with `cells`.
-/// Bit-identical for any execution policy. Each result's wall_clock_s
-/// is the summed replica wall time of that cell (the pool interleaves
-/// cells, so per-cell elapsed time is not meaningful).
+/// run_indexed pool; returns results position-aligned with `cells`.
+/// Any cell list works — one expand_sweep product, a filtered one or a
+/// concatenation of several; a cell's `index` is never consulted.
+/// Apart from timing fields, each result equals run_scenario(cell.spec)
+/// bit for bit, for any execution policy. Each result's wall_clock_s is the summed replica
+/// wall time of that cell (the pool interleaves cells, so per-cell
+/// elapsed time is not meaningful).
 std::vector<scenario::scenario_result> run_sweep(
-    const std::vector<sweep_cell>& cells, scenario::run_options options = {});
+    const std::vector<sweep_cell>& cells, ns::engine::mc_options options = {});
 
 }  // namespace ns::spec

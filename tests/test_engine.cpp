@@ -1,5 +1,5 @@
-// Unit tests for ns::engine — thread pool, deterministic Monte-Carlo
-// runner, FFT plan cache.
+// Unit tests for ns::engine — thread pool, seed splitting, FFT plan
+// cache.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -105,115 +105,6 @@ TEST(split_seed, deterministic_and_distinct) {
         }
     }
     EXPECT_EQ(seen.size(), 3u * 4u * 8u);  // no collisions across the grid
-}
-
-// ------------------------------------------------------------ mc_runner --
-
-ns::sim::sim_config small_sim_config() {
-    ns::sim::sim_config config;
-    config.phy = ns::phy::css_params{.bandwidth_hz = 500e3, .spreading_factor = 7};
-    config.rounds = 4;
-    config.seed = 99;
-    config.zero_padding = 4;
-    return config;
-}
-
-void expect_same_result(const ns::sim::sim_result& a, const ns::sim::sim_result& b) {
-    EXPECT_EQ(a.total_transmitting, b.total_transmitting);
-    EXPECT_EQ(a.total_delivered, b.total_delivered);
-    EXPECT_EQ(a.total_detected, b.total_detected);
-    EXPECT_EQ(a.total_bit_errors, b.total_bit_errors);
-    EXPECT_EQ(a.total_bits, b.total_bits);
-    ASSERT_EQ(a.rounds.size(), b.rounds.size());
-    for (std::size_t r = 0; r < a.rounds.size(); ++r) {
-        EXPECT_EQ(a.rounds[r].transmitting, b.rounds[r].transmitting) << r;
-        EXPECT_EQ(a.rounds[r].skipped, b.rounds[r].skipped) << r;
-        EXPECT_EQ(a.rounds[r].detected, b.rounds[r].detected) << r;
-        EXPECT_EQ(a.rounds[r].delivered, b.rounds[r].delivered) << r;
-        EXPECT_EQ(a.rounds[r].bit_errors, b.rounds[r].bit_errors) << r;
-        EXPECT_EQ(a.rounds[r].bits_sent, b.rounds[r].bits_sent) << r;
-    }
-}
-
-TEST(mc_runner, parallel_bit_identical_to_serial) {
-    const ns::sim::deployment dep(ns::sim::deployment_params{}, 6, 11);
-    const ns::sim::sim_config config = small_sim_config();
-
-    mc_options serial{.rounds_per_task = 1, .num_threads = 0, .parallel = false};
-    mc_options parallel{.rounds_per_task = 1, .num_threads = 4, .parallel = true};
-    const ns::sim::sim_result a = mc_runner(serial).run(dep, config);
-    const ns::sim::sim_result b = mc_runner(parallel).run(dep, config);
-
-    ASSERT_EQ(a.rounds.size(), config.rounds);
-    expect_same_result(a, b);
-}
-
-TEST(mc_runner, matches_manual_block_decomposition) {
-    // The runner's result must equal running each block's simulator by
-    // hand with the split seeds and merging in order.
-    const ns::sim::deployment dep(ns::sim::deployment_params{}, 4, 12);
-    ns::sim::sim_config config = small_sim_config();
-    config.rounds = 3;
-
-    mc_options options{.rounds_per_task = 2, .num_threads = 2, .parallel = true};
-    const ns::sim::sim_result runner_result = mc_runner(options).run(dep, config);
-
-    ns::sim::sim_result manual;
-    const std::size_t blocks[] = {2, 1};  // 3 rounds in blocks of 2
-    for (std::size_t b = 0; b < 2; ++b) {
-        ns::sim::sim_config block_config = config;
-        block_config.rounds = blocks[b];
-        block_config.seed = split_seed(config.seed, 0, b);
-        ns::sim::network_simulator sim(dep, block_config);
-        manual.merge(sim.run());
-    }
-    expect_same_result(runner_result, manual);
-}
-
-TEST(mc_runner, run_batch_matches_per_job_runs) {
-    std::vector<mc_job> jobs;
-    for (std::size_t n : {3, 5}) {
-        mc_job job;
-        job.num_devices = n;
-        job.deployment_seed = 7;
-        job.config = small_sim_config();
-        job.config.rounds = 2;
-        jobs.push_back(job);
-    }
-
-    mc_options parallel{.rounds_per_task = 1, .num_threads = 3, .parallel = true};
-    mc_options serial = parallel;
-    serial.parallel = false;
-    const auto par = mc_runner(parallel).run_batch(jobs);
-    const auto ser = mc_runner(serial).run_batch(jobs);
-    ASSERT_EQ(par.results.size(), 2u);
-    ASSERT_EQ(ser.results.size(), 2u);
-    ASSERT_EQ(par.deployments.size(), 2u);
-    EXPECT_EQ(par.deployments[1].devices().size(), 5u);
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-        expect_same_result(par.results[j], ser.results[j]);
-    }
-
-    // A single-job batch agrees with run() on the same deployment.
-    const ns::sim::deployment dep(jobs[0].dep_params, jobs[0].num_devices,
-                                  jobs[0].deployment_seed);
-    const auto direct = mc_runner(parallel).run(dep, jobs[0].config);
-    expect_same_result(par.results[0], direct);
-}
-
-TEST(mc_runner, default_keeps_whole_job_in_one_block) {
-    // rounds_per_task = 0 (the default) must not split the job: the
-    // result equals one network_simulator carrying state across all
-    // rounds, seeded with the job's single block seed.
-    const ns::sim::deployment dep(ns::sim::deployment_params{}, 5, 13);
-    const ns::sim::sim_config config = small_sim_config();
-
-    const ns::sim::sim_result runner_result = mc_runner().run(dep, config);
-
-    ns::sim::sim_config whole = config;
-    whole.seed = split_seed(config.seed, 0, 0);
-    ns::sim::network_simulator sim(dep, whole);
-    expect_same_result(runner_result, sim.run());
 }
 
 // ------------------------------------------------------------- fft_plan --

@@ -183,7 +183,7 @@ TEST(snapshot_merge, serial_and_parallel_replica_merges_are_bit_identical) {
     if (!compiled_in()) GTEST_SKIP() << "built with NS_OBS=OFF";
     // The determinism contract end to end: N replica registries built as
     // pure functions of the replica index, executed through the
-    // mc_runner serially and on 8 threads, merged in task order. The
+    // run_indexed serially and on 8 threads, merged in task order. The
     // merged snapshots must match bit for bit — including histogram
     // `sum`, a double accumulated in merge order.
     constexpr std::size_t replicas = 24;
@@ -200,10 +200,9 @@ TEST(snapshot_merge, serial_and_parallel_replica_merges_are_bit_identical) {
     };
 
     const auto run_merged = [&](bool parallel, std::size_t threads) {
-        const ns::engine::mc_runner runner(
-            {.rounds_per_task = 0, .num_threads = threads, .parallel = parallel});
-        std::vector<metrics_snapshot> parts =
-            runner.run_indexed(replicas, replica_snapshot);
+        std::vector<metrics_snapshot> parts = ns::engine::run_indexed(
+            replicas, {.num_threads = threads, .parallel = parallel},
+            replica_snapshot);
         metrics_snapshot merged;
         for (const metrics_snapshot& part : parts) merged.merge(part);
         return merged;

@@ -5,8 +5,8 @@
 // the serialize→parse→serialize fixed point over every registered
 // scenario, each committed specs/*.spec file as a parse→serialize byte
 // fixed point, the registry-over-files loader, the --vary override
-// primitive, and the Cartesian sweep engine's expansion order and
-// thread-count invariance.
+// primitive, and the Cartesian sweep engine's expansion order,
+// thread-count invariance and position-indexed execution.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -287,6 +287,31 @@ TEST(sweep, product_results_are_bit_identical_serial_vs_8_threads) {
     // the fan-out changes scheduling, never results.
     for (std::size_t i = 0; i < cells.size(); ++i) {
         EXPECT_EQ(digest(serial[i]), digest(run_scenario(cells[i].spec)))
+            << "cell " << i;
+    }
+}
+
+TEST(sweep, runs_a_concatenated_cell_list_by_position) {
+    // A cell list need not come from one expand_sweep call. Here it is a
+    // concatenation of single-cell expansions, so every cell's `index`
+    // is 0; run_sweep must still run each cell's own spec.
+    const auto registered = find_scenario("office-256");
+    ASSERT_TRUE(registered.has_value());
+    scenario_spec base = *registered;
+    base.sim.rounds = 2;
+    base.replicas = 1;
+    std::vector<sweep_cell> cells;
+    for (const char* devices : {"16", "24", "32"}) {
+        auto single = expand_sweep(base, {{"geometry.num_devices", {devices}}});
+        ASSERT_EQ(single.size(), 1u);
+        EXPECT_EQ(single[0].index, 0u);
+        cells.push_back(std::move(single[0]));
+    }
+
+    const auto results = run_sweep(cells, {.num_threads = 2, .parallel = true});
+    ASSERT_EQ(results.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        EXPECT_EQ(digest(results[i]), digest(run_scenario(cells[i].spec)))
             << "cell " << i;
     }
 }

@@ -504,8 +504,8 @@ batch_round make_batch_round(std::size_t devices, std::uint64_t seed) {
     return round;
 }
 
-std::vector<cvec> run_batch_round(const batch_round& round,
-                                  ns::engine::block_runner* pool) {
+std::vector<cvec> batch_round_spectra(const batch_round& round,
+                                      ns::engine::block_runner* pool) {
     ns::channel::channel_workspace ws;
     ws.block_pool = pool;
     ns::channel::channel_config chan;
@@ -549,9 +549,9 @@ TEST(kernel_batch, simd_backend_is_bit_identical_to_scalar_reference) {
     std::vector<cvec> scalar_spectra;
     {
         scoped_scalar_accumulation pin;
-        scalar_spectra = run_batch_round(round, nullptr);
+        scalar_spectra = batch_round_spectra(round, nullptr);
     }
-    const std::vector<cvec> dispatched = run_batch_round(round, nullptr);
+    const std::vector<cvec> dispatched = batch_round_spectra(round, nullptr);
     expect_spectra_bit_identical(scalar_spectra, dispatched,
                                  ns::channel::kernel_accumulate_backend());
 }
@@ -561,10 +561,10 @@ TEST(kernel_batch, intra_round_threads_are_bit_identical) {
     // packet order, so the spectra must be element-wise bit-identical no
     // matter how symbol blocks land on threads — serial included.
     const batch_round round = make_batch_round(48, 32);
-    const std::vector<cvec> serial = run_batch_round(round, nullptr);
+    const std::vector<cvec> serial = batch_round_spectra(round, nullptr);
     for (const std::size_t threads : {1ul, 2ul, 8ul}) {
         ns::engine::block_runner pool(threads);
-        const std::vector<cvec> pooled = run_batch_round(round, &pool);
+        const std::vector<cvec> pooled = batch_round_spectra(round, &pool);
         expect_spectra_bit_identical(
             serial, pooled,
             threads == 1 ? "1 thread" : (threads == 2 ? "2 threads"
