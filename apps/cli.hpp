@@ -150,7 +150,6 @@ struct common_options {
 
     // Execution policy.
     std::size_t threads = 0;
-    bool parallel = true;
 
     // Outputs.
     bool strip_wallclock = false;
@@ -202,15 +201,13 @@ struct common_options {
             });
     }
 
-    /// --threads/--serial.
+    /// --threads.
     void mount_execution_flags(arg_parser& parser) {
-        parser.add_option("--threads", "N", "worker threads (0 = all cores)",
+        parser.add_option("--threads", "N",
+                          "worker threads (0 = all cores, 1 = serial reference)",
                           [this](const std::string& v) {
                               return parse_number(v, threads);
                           });
-        parser.add_flag("--serial",
-                        "serial reference execution (identical results)",
-                        [this] { parallel = false; });
     }
 
     /// --json/--metrics/--trace/--perf/--strip-wallclock.

@@ -96,8 +96,7 @@ int run(const sim_options& options) {
         spec.sim.obs.perf = options.common.perf;
 
         const auto result = ns::scenario::run_scenario(
-            spec, {.num_threads = options.common.threads,
-                   .parallel = options.common.parallel});
+            spec, {.num_threads = options.common.threads});
 
         table.add_row(
             {spec.name, std::to_string(spec.geometry.num_devices),

@@ -160,8 +160,7 @@ int run(const sweep_options& options) {
 
     std::filesystem::create_directories(options.out_dir);
     const std::vector<ns::scenario::scenario_result> results =
-        ns::spec::run_sweep(cells, {.num_threads = options.common.threads,
-                                    .parallel = options.common.parallel});
+        ns::spec::run_sweep(cells, {.num_threads = options.common.threads});
 
     // Per-cell scenario JSON, cell coordinates leading.
     for (std::size_t i = 0; i < cells.size(); ++i) {

@@ -14,8 +14,6 @@
 #include <vector>
 
 #include "bench/bench_report.hpp"
-#include "netscatter/engine/fft_plan.hpp"
-#include "netscatter/engine/thread_pool.hpp"
 #include "netscatter/obs/metrics.hpp"
 #include "netscatter/obs/perf_counters.hpp"
 #include "netscatter/obs/roofline.hpp"
@@ -398,19 +396,10 @@ inline void write_metrics_json(const ns::scenario::scenario_result& result,
                   static_cast<double>(
                       metrics.counter_value(prefix + ".branch_misses"))}});
         }
-        // Host-execution stats (process-wide, thread-count dependent by
-        // nature — never part of determinism comparisons).
-        const auto fft = ns::engine::fft_plan_cache::stats();
-        const auto pool = ns::engine::thread_pool::stats();
+        // Host process usage (getrusage; host-dependent by nature —
+        // never part of determinism comparisons).
         const ns::obs::process_usage usage = ns::obs::current_process_usage();
         const std::vector<std::pair<const char*, std::uint64_t>> process = {
-            {"fft_cache.hits", fft.hits},
-            {"fft_cache.misses", fft.misses},
-            {"fft_cache.memo_hits", fft.memo_hits},
-            {"fft_cache.scratch_requests", fft.scratch_requests},
-            {"thread_pool.tasks_submitted", pool.tasks_submitted},
-            {"thread_pool.tasks_executed", pool.tasks_executed},
-            {"thread_pool.queue_peak", pool.queue_peak},
             {"peak_rss_bytes", usage.peak_rss_bytes},
             {"minor_page_faults", usage.minor_page_faults},
             {"major_page_faults", usage.major_page_faults},

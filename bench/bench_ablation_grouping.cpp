@@ -63,10 +63,10 @@ int main() {
         // fair delivery comparison: one full schedule per group count.
         // A short probe reads the partition size; single-group points
         // reuse it directly (same spec, same rounds).
-        auto result = ns::scenario::run_scenario(spec, {.parallel = false});
+        auto result = ns::scenario::run_scenario(spec, {.num_threads = 1});
         if (result.num_groups > 1) {
             spec.sim.rounds = base.sim.rounds * result.num_groups;
-            result = ns::scenario::run_scenario(spec, {.parallel = false});
+            result = ns::scenario::run_scenario(spec, {.num_threads = 1});
         }
 
         const double latency_ms = result.network_latency_s() * 1e3;

@@ -12,7 +12,7 @@
 #include <iostream>
 
 #include "netscatter/baseline/lora_link.hpp"
-#include "netscatter/engine/thread_pool.hpp"
+#include "netscatter/engine/block_runner.hpp"
 #include "netscatter/sim/timeline.hpp"
 #include "netscatter/util/table.hpp"
 #include "bench_report.hpp"
@@ -54,7 +54,7 @@ int main() {
     const bool skip_serial = std::getenv("NS_BENCH_SKIP_SERIAL") != nullptr;
     if (!skip_serial) {
         const bench::stopwatch serial_clock;
-        const auto serial_sweep = ns::spec::run_sweep(cells, {.parallel = false});
+        const auto serial_sweep = ns::spec::run_sweep(cells, {.num_threads = 1});
         serial_s = serial_clock.seconds();
         identical = same_sweep(sweep, serial_sweep);
     }
@@ -103,7 +103,7 @@ int main() {
               << ns::util::format_double(measured.phy_rate_bps / adapted.phy_rate_bps, 1)
               << "x (paper: 6.8x)\n";
 
-    std::cout << "\nengine: " << ns::engine::thread_pool::default_thread_count()
+    std::cout << "\nengine: " << ns::engine::block_runner::hardware_threads()
               << " hardware threads, parallel sweep "
               << ns::util::format_double(parallel_s, 2) << " s";
     if (!skip_serial) {
@@ -116,7 +116,7 @@ int main() {
 
     report.set_scalar("wall_clock_s", parallel_s);
     report.set_scalar("hardware_threads",
-                      static_cast<double>(ns::engine::thread_pool::default_thread_count()));
+                      static_cast<double>(ns::engine::block_runner::hardware_threads()));
     if (!skip_serial) {
         report.set_scalar("serial_wall_clock_s", serial_s);
         report.set_scalar("speedup", serial_s / parallel_s);

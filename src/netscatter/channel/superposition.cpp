@@ -6,7 +6,7 @@
 
 #include "netscatter/channel/awgn.hpp"
 #include "netscatter/dsp/vector_ops.hpp"
-#include "netscatter/engine/thread_pool.hpp"
+#include "netscatter/engine/block_runner.hpp"
 #include "netscatter/phy/chirp.hpp"
 #include "netscatter/util/error.hpp"
 #include "netscatter/util/units.hpp"

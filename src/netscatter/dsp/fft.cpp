@@ -1,7 +1,5 @@
 #include "netscatter/dsp/fft.hpp"
 
-#include <atomic>
-
 #include "netscatter/engine/fft_plan.hpp"
 #include "netscatter/util/error.hpp"
 
@@ -20,34 +18,16 @@ std::size_t next_power_of_two(std::size_t n) {
 
 namespace {
 
-std::atomic<bool> plan_caching_enabled{true};
-
-// All transforms run through an ns::engine::fft_plan, which precomputes
-// the bit-reversal permutation and per-stage twiddle tables. With the
-// cache enabled (default) the plan is shared and reused across calls and
-// threads; with it disabled a throwaway plan is built per call — the
-// twiddles are still computed once per stage rather than per butterfly,
-// and the butterfly code is the same, so both paths are bit-identical.
+// All transforms run through the shared ns::engine::fft_plan for their
+// size, which precomputes the bit-reversal permutation and per-stage
+// twiddle tables once per process.
 void transform(cvec& data, bool inverse) {
     ns::util::require(is_power_of_two(data.size()), "fft: size must be a power of two");
-    if (plan_caching_enabled.load(std::memory_order_relaxed)) {
-        const auto plan = ns::engine::get_fft_plan(data.size());
-        inverse ? plan->inverse(data) : plan->forward(data);
-    } else {
-        const ns::engine::fft_plan plan(data.size());
-        inverse ? plan.inverse(data) : plan.forward(data);
-    }
+    const auto plan = ns::engine::get_fft_plan(data.size());
+    inverse ? plan->inverse(data) : plan->forward(data);
 }
 
 }  // namespace
-
-void set_fft_plan_caching(bool enabled) {
-    plan_caching_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool fft_plan_caching_enabled() {
-    return plan_caching_enabled.load(std::memory_order_relaxed);
-}
 
 void fft_inplace(cvec& data) {
     transform(data, false);

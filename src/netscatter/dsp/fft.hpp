@@ -23,17 +23,6 @@ bool is_power_of_two(std::size_t n);
 /// Smallest power of two >= n. Requires n >= 1.
 std::size_t next_power_of_two(std::size_t n);
 
-/// Enables or disables the process-wide FFT plan cache
-/// (ns::engine::fft_plan_cache). On by default: repeated transforms of
-/// the same size reuse precomputed twiddle/bit-reversal tables. With
-/// caching off every call builds its tables afresh (still hoisted per
-/// stage, never per butterfly). Both paths execute the identical butterfly
-/// code, so results are bit-identical either way.
-void set_fft_plan_caching(bool enabled);
-
-/// Whether the plan cache is currently enabled.
-bool fft_plan_caching_enabled();
-
 /// In-place forward FFT (decimation-in-time, no normalization).
 /// Requires data.size() to be a power of two.
 void fft_inplace(cvec& data);

@@ -1,48 +1,13 @@
 #include "netscatter/engine/fft_plan.hpp"
 
-#include <atomic>
 #include <cmath>
+#include <mutex>
 #include <numbers>
+#include <unordered_map>
 
-#include "netscatter/obs/metrics.hpp"
 #include "netscatter/util/error.hpp"
 
 namespace ns::engine {
-
-namespace {
-// Storage exists in every build; under NS_OBS=OFF count() compiles to
-// nothing, so the hot path never touches them.
-std::atomic<std::uint64_t> g_cache_hits{0};
-std::atomic<std::uint64_t> g_cache_misses{0};
-std::atomic<std::uint64_t> g_memo_hits{0};
-std::atomic<std::uint64_t> g_scratch_requests{0};
-
-inline void count([[maybe_unused]] std::atomic<std::uint64_t>& counter) {
-#if NS_OBS_ENABLED
-    counter.fetch_add(1, std::memory_order_relaxed);
-#endif
-}
-}  // namespace
-
-fft_plan_cache::cache_stats fft_plan_cache::stats() {
-#if NS_OBS_ENABLED
-    return {g_cache_hits.load(std::memory_order_relaxed),
-            g_cache_misses.load(std::memory_order_relaxed),
-            g_memo_hits.load(std::memory_order_relaxed),
-            g_scratch_requests.load(std::memory_order_relaxed)};
-#else
-    return {};
-#endif
-}
-
-void fft_plan_cache::reset_stats() {
-#if NS_OBS_ENABLED
-    g_cache_hits.store(0, std::memory_order_relaxed);
-    g_cache_misses.store(0, std::memory_order_relaxed);
-    g_memo_hits.store(0, std::memory_order_relaxed);
-    g_scratch_requests.store(0, std::memory_order_relaxed);
-#endif
-}
 
 fft_plan::fft_plan(std::size_t n) : n_(n) {
     ns::util::require(ns::dsp::is_power_of_two(n), "fft_plan: size must be a power of two");
@@ -104,56 +69,24 @@ void fft_plan::inverse(ns::dsp::cvec& data) const {
     transform(data, true);
 }
 
-fft_plan_cache& fft_plan_cache::instance() {
-    static fft_plan_cache cache;
-    return cache;
-}
-
-std::shared_ptr<const fft_plan> fft_plan_cache::get(std::size_t n) {
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = plans_.find(n);
-        if (it != plans_.end()) {
-            count(g_cache_hits);
-            return it->second;
-        }
-    }
-    count(g_cache_misses);
-    // Build outside the lock: plan construction is O(n log n) and another
-    // thread may want a different (already cached) size meanwhile. A
-    // racing build of the same size wastes one construction; both racers
-    // end up returning whichever plan landed in the map first.
-    auto plan = std::make_shared<const fft_plan>(n);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, inserted] = plans_.emplace(n, std::move(plan));
-    return it->second;
-}
-
-std::size_t fft_plan_cache::cached_sizes() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return plans_.size();
-}
-
-void fft_plan_cache::clear() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    plans_.clear();
-}
-
-ns::dsp::cvec& fft_plan_cache::thread_scratch(std::size_t n) {
-    thread_local ns::dsp::cvec scratch;
-    count(g_scratch_requests);
-    scratch.resize(n);
-    return scratch;
-}
-
 std::shared_ptr<const fft_plan> get_fft_plan(std::size_t n) {
     thread_local std::shared_ptr<const fft_plan> memo;
-    if (!memo || memo->size() != n) {
-        memo = fft_plan_cache::instance().get(n);
-    } else {
-        count(g_memo_hits);
-    }
+    if (memo && memo->size() == n) return memo;
+    static std::mutex mutex;
+    static std::unordered_map<std::size_t, std::shared_ptr<const fft_plan>> plans;
+    // Built under the lock: a plan is built once per size per process, so
+    // serialising the few builds costs nothing and no build is wasted.
+    const std::lock_guard<std::mutex> lock(mutex);
+    auto& plan = plans[n];
+    if (!plan) plan = std::make_shared<const fft_plan>(n);
+    memo = plan;
     return memo;
+}
+
+ns::dsp::cvec& fft_scratch(std::size_t n) {
+    thread_local ns::dsp::cvec scratch;
+    scratch.resize(n);
+    return scratch;
 }
 
 }  // namespace ns::engine

@@ -1,4 +1,4 @@
-// Reusable radix-2 FFT plans and a thread-safe process-wide plan cache.
+// Reusable radix-2 FFT plans, shared process-wide.
 //
 // The NetScatter receiver runs one FFT per symbol for *every* symbol of
 // every round of every sweep point — at SF 9 with 8x zero padding that is
@@ -6,21 +6,18 @@
 // same handful of sizes (2^SF, padded sizes, STFT windows, the 2*2^SF
 // aggregate band). A plan precomputes what depends only on the size — the
 // bit-reversal permutation and the per-stage twiddle factors — so the
-// transform itself touches no trig at all. The cache shares immutable
+// transform itself touches no trig at all. get_fft_plan shares immutable
 // plans across threads (the Monte-Carlo runner decodes many rounds
-// concurrently) and hands out per-thread scratch buffers so hot paths can
-// transform without allocating.
+// concurrently), and fft_scratch hands out per-thread buffers so hot
+// paths can transform without allocating.
 //
 // Layer note: this header depends only on ns::dsp types; ns::dsp::fft
-// routes through the cache by default (see dsp/fft.cpp), so every
-// existing call site benefits without change.
+// routes every transform through get_fft_plan (see dsp/fft.cpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "netscatter/dsp/fft.hpp"
@@ -55,48 +52,15 @@ private:
     ns::dsp::cvec twiddles_;
 };
 
-/// Thread-safe cache of shared fft_plan instances keyed by size.
-class fft_plan_cache {
-public:
-    /// Process-wide cache usage counters (relaxed atomics, summed across
-    /// all threads — these describe host execution, not the simulation,
-    /// so they live in the metrics report's "process" section and are
-    /// never part of determinism comparisons). All zero under NS_OBS=OFF.
-    struct cache_stats {
-        std::uint64_t hits = 0;      ///< get() served from the map
-        std::uint64_t misses = 0;    ///< get() that built a plan
-        std::uint64_t memo_hits = 0; ///< lock-free per-thread memo hits
-        std::uint64_t scratch_requests = 0;  ///< thread_scratch() calls
-    };
-    static cache_stats stats();
-    static void reset_stats();
-
-    /// The process-wide cache used by ns::dsp::fft_inplace.
-    static fft_plan_cache& instance();
-
-    /// Returns the shared plan for size n, building it on first use.
-    std::shared_ptr<const fft_plan> get(std::size_t n);
-
-    /// Number of distinct sizes currently cached.
-    std::size_t cached_sizes() const;
-
-    /// Drops all cached plans (plans already handed out stay valid).
-    void clear();
-
-    /// A per-thread scratch buffer resized to n complex samples. Valid
-    /// until the next thread_scratch call on the same thread; lets hot
-    /// paths (e.g. zero-padded per-symbol spectra) transform without a
-    /// heap allocation per call.
-    static ns::dsp::cvec& thread_scratch(std::size_t n);
-
-private:
-    mutable std::mutex mutex_;
-    std::unordered_map<std::size_t, std::shared_ptr<const fft_plan>> plans_;
-};
-
-/// Convenience: fetch a shared plan from the process-wide cache, with a
-/// per-thread memo of the most recent size so repeated same-size lookups
-/// (the receiver hot path) take no lock.
+/// The shared plan for size n, built on first use and kept for the life
+/// of the process. A per-thread memo of the most recent size lets
+/// repeated same-size lookups (the receiver hot path) take no lock.
 std::shared_ptr<const fft_plan> get_fft_plan(std::size_t n);
+
+/// A per-thread scratch buffer resized to n complex samples. Valid until
+/// the next fft_scratch call on the same thread; lets hot paths (e.g.
+/// zero-padded per-symbol spectra) transform without a heap allocation
+/// per call.
+ns::dsp::cvec& fft_scratch(std::size_t n);
 
 }  // namespace ns::engine

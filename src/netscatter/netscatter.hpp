@@ -66,9 +66,9 @@
 #include "netscatter/sim/round_hooks.hpp"
 #include "netscatter/sim/timeline.hpp"
 
+#include "netscatter/engine/block_runner.hpp"
 #include "netscatter/engine/fft_plan.hpp"
 #include "netscatter/engine/mc_runner.hpp"
-#include "netscatter/engine/thread_pool.hpp"
 
 #include "netscatter/scenario/churn.hpp"
 #include "netscatter/scenario/interference.hpp"

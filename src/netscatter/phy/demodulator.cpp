@@ -5,7 +5,6 @@
 
 #include "netscatter/dsp/fft.hpp"
 #include "netscatter/dsp/vector_ops.hpp"
-#include "netscatter/engine/fft_plan.hpp"
 #include "netscatter/util/error.hpp"
 
 namespace ns::phy {
@@ -15,6 +14,7 @@ demodulator::demodulator(css_params params, std::size_t zero_padding_factor)
     ns::util::require(ns::dsp::is_power_of_two(padding_),
                       "demodulator: zero padding factor must be a power of two");
     downchirp_ = dechirp_reference(params_);
+    plan_ = ns::engine::get_fft_plan(padded_size());
 }
 
 std::vector<double> demodulator::symbol_power_spectrum(const cvec& symbol) const {
@@ -24,13 +24,13 @@ std::vector<double> demodulator::symbol_power_spectrum(const cvec& symbol) const
     // complex allocation per symbol.
     ns::util::require(symbol.size() == params_.samples_per_symbol(),
                       "demodulator: symbol length mismatch");
-    ns::dsp::cvec& scratch = ns::engine::fft_plan_cache::thread_scratch(padded_size());
+    ns::dsp::cvec& scratch = ns::engine::fft_scratch(padded_size());
     for (std::size_t i = 0; i < symbol.size(); ++i) {
         scratch[i] = symbol[i] * downchirp_[i];
     }
     std::fill(scratch.begin() + static_cast<std::ptrdiff_t>(symbol.size()),
               scratch.end(), ns::dsp::cplx{0.0, 0.0});
-    ns::dsp::fft_inplace(scratch);
+    plan_->forward(scratch);
     return ns::dsp::power_spectrum(scratch);
 }
 
@@ -49,7 +49,7 @@ void demodulator::symbol_spectrum_into(std::span<const cplx> symbol, cvec& out) 
     }
     std::fill(out.begin() + static_cast<std::ptrdiff_t>(symbol.size()), out.end(),
               ns::dsp::cplx{0.0, 0.0});
-    ns::dsp::fft_inplace(out);
+    plan_->forward(out);
 }
 
 std::uint32_t demodulator::demodulate_lora_symbol(const cvec& symbol) const {

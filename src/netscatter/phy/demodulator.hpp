@@ -8,11 +8,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "netscatter/dsp/peak.hpp"
+#include "netscatter/engine/fft_plan.hpp"
 #include "netscatter/phy/chirp.hpp"
 #include "netscatter/phy/css_params.hpp"
 
@@ -20,7 +22,8 @@ namespace ns::phy {
 
 /// Shared demodulation front end: dechirps a symbol and exposes the
 /// (optionally zero-padded) power spectrum. Constructed once; the
-/// downchirp reference is cached.
+/// downchirp reference and the padded FFT plan are fetched up front, so
+/// no plan is built inside a round.
 class demodulator {
 public:
     /// `zero_padding_factor` multiplies the FFT size (1 = no padding);
@@ -97,6 +100,7 @@ private:
     css_params params_;
     std::size_t padding_;
     cvec downchirp_;
+    std::shared_ptr<const ns::engine::fft_plan> plan_;
 };
 
 }  // namespace ns::phy

@@ -78,9 +78,8 @@ scenario_result merge_scenario_replicas(const scenario_spec& spec,
                                         std::vector<replica_result> replicas,
                                         double wall_clock_s);
 
-/// Runs `spec` and returns the merged result. Deterministic in
-/// (spec, options.parallel ? any thread count : serial) — i.e. the same
-/// spec gives bit-identical results for every execution policy.
+/// Runs `spec` and returns the merged result. Deterministic in spec
+/// alone: every options.num_threads gives bit-identical results.
 scenario_result run_scenario(const scenario_spec& spec,
                              ns::engine::mc_options options = {});
 

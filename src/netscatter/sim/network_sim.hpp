@@ -19,7 +19,7 @@
 #include "netscatter/channel/impairments.hpp"
 #include "netscatter/channel/superposition.hpp"
 #include "netscatter/device/backscatter_device.hpp"
-#include "netscatter/engine/thread_pool.hpp"
+#include "netscatter/engine/block_runner.hpp"
 #include "netscatter/faults/fault_injector.hpp"
 #include "netscatter/faults/fault_spec.hpp"
 #include "netscatter/mac/allocator.hpp"

@@ -1,16 +1,18 @@
-// Unit tests for ns::engine — thread pool, seed splitting, FFT plan
-// cache.
+// Unit tests for ns::engine — block_runner and run_indexed, seed
+// splitting, shared FFT plans.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "netscatter/dsp/fft.hpp"
+#include "netscatter/engine/block_runner.hpp"
 #include "netscatter/engine/fft_plan.hpp"
 #include "netscatter/engine/mc_runner.hpp"
-#include "netscatter/engine/thread_pool.hpp"
 #include "netscatter/util/error.hpp"
 #include "netscatter/util/rng.hpp"
 
@@ -18,78 +20,69 @@ namespace {
 
 using namespace ns::engine;
 
-// ---------------------------------------------------------- thread_pool --
+// --------------------------------------------------------- block_runner --
 
-TEST(thread_pool, submit_returns_results) {
-    thread_pool pool(4);
-    EXPECT_EQ(pool.size(), 4u);
-    auto a = pool.submit([] { return 19; });
-    auto b = pool.submit([] { return std::string("netscatter"); });
-    EXPECT_EQ(a.get(), 19);
-    EXPECT_EQ(b.get(), "netscatter");
-}
-
-TEST(thread_pool, zero_means_hardware_concurrency) {
-    thread_pool pool(0);
-    EXPECT_EQ(pool.size(), thread_pool::default_thread_count());
-    EXPECT_GE(pool.size(), 1u);
-}
-
-TEST(thread_pool, parallel_for_visits_every_index_once) {
-    thread_pool pool(4);
-    constexpr std::size_t n = 1000;
-    std::vector<std::atomic<int>> visits(n);
-    pool.parallel_for(0, n, [&](std::size_t i) { ++visits[i]; }, /*grain=*/7);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(visits[i].load(), 1) << i;
-}
-
-TEST(thread_pool, parallel_for_empty_range_is_noop) {
-    thread_pool pool(2);
-    bool ran = false;
-    pool.parallel_for(5, 5, [&](std::size_t) { ran = true; });
-    EXPECT_FALSE(ran);
-}
-
-TEST(thread_pool, submit_propagates_exceptions) {
-    thread_pool pool(2);
-    auto future = pool.submit([]() -> int {
-        throw std::runtime_error("task failed");
-    });
-    EXPECT_THROW(future.get(), std::runtime_error);
-    // The pool survives a throwing task.
-    EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
-}
-
-TEST(thread_pool, parallel_for_propagates_exceptions) {
-    thread_pool pool(4);
-    std::atomic<int> completed{0};
-    EXPECT_THROW(
-        pool.parallel_for(0, 64,
-                          [&](std::size_t i) {
-                              if (i == 13) throw std::runtime_error("iteration 13");
-                              ++completed;
-                          }),
-        std::runtime_error);
-    // Every other iteration still ran (no early abandonment).
-    EXPECT_EQ(completed.load(), 63);
-}
-
-TEST(thread_pool, queued_tasks_finish_before_shutdown) {
-    std::atomic<int> sum{0};
-    {
-        thread_pool pool(2);
-        for (int i = 0; i < 100; ++i) {
-            pool.submit([&sum] { ++sum; });
+TEST(block_runner, every_block_runs_exactly_once) {
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+        block_runner runner(threads);
+        EXPECT_EQ(runner.size(), threads);
+        constexpr std::size_t n = 1000;
+        std::vector<std::atomic<int>> visits(n);
+        runner.run(
+            n,
+            [](void* ctx, std::size_t block) {
+                ++(*static_cast<std::vector<std::atomic<int>>*>(ctx))[block];
+            },
+            &visits);
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(visits[i].load(), 1) << threads << " threads, block " << i;
         }
-        pool.shutdown();
-        EXPECT_EQ(sum.load(), 100);
     }
 }
 
-TEST(thread_pool, submit_after_shutdown_throws) {
-    thread_pool pool(1);
-    pool.shutdown();
-    EXPECT_THROW(pool.submit([] { return 1; }), ns::util::invalid_state);
+TEST(block_runner, lowest_index_error_wins_after_every_block_runs) {
+    for (const std::size_t threads : {1u, 8u}) {
+        block_runner runner(threads);
+        std::atomic<int> completed{0};
+        try {
+            runner.run(
+                64,
+                [](void* ctx, std::size_t block) {
+                    if (block == 13) {
+                        // Give block 40 every chance to fail first.
+                        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                        throw std::runtime_error("block 13");
+                    }
+                    if (block == 40) throw std::runtime_error("block 40");
+                    ++*static_cast<std::atomic<int>*>(ctx);
+                },
+                &completed);
+            ADD_FAILURE() << "run() did not rethrow";
+        } catch (const std::runtime_error& error) {
+            EXPECT_STREQ(error.what(), "block 13") << threads << " threads";
+        }
+        // No early abandonment: every other block still ran.
+        EXPECT_EQ(completed.load(), 62) << threads << " threads";
+    }
+}
+
+TEST(run_indexed, zero_threads_keeps_index_order) {
+    EXPECT_GE(block_runner::hardware_threads(), 1u);
+    const std::vector<std::size_t> squares = run_indexed(
+        100, {.num_threads = 0}, [](std::size_t i) { return i * i; });
+    ASSERT_EQ(squares.size(), 100u);
+    for (std::size_t i = 0; i < squares.size(); ++i) EXPECT_EQ(squares[i], i * i);
+}
+
+TEST(run_indexed, one_thread_runs_inline_in_index_order) {
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    const auto on_caller = run_indexed(10, {.num_threads = 1}, [&](std::size_t i) {
+        order.push_back(i);
+        return std::this_thread::get_id() == caller ? 1 : 0;
+    });
+    EXPECT_EQ(on_caller, std::vector<int>(10, 1));
+    for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
 // ----------------------------------------------------------- split_seed --
@@ -121,25 +114,6 @@ TEST(fft_plan, rejects_non_power_of_two) {
     EXPECT_THROW(fft_plan(0), ns::util::invalid_argument);
 }
 
-TEST(fft_plan, forward_matches_uncached_fft_api) {
-    // The plan path and the plan-free path must agree bit-for-bit: they
-    // execute the same butterfly code over the same tables.
-    for (const std::size_t n : {1u, 2u, 8u, 64u, 512u, 4096u}) {
-        const ns::dsp::cvec input = random_vector(n, 1000 + n);
-
-        ns::dsp::set_fft_plan_caching(false);
-        const ns::dsp::cvec uncached = ns::dsp::fft(input);
-        ns::dsp::set_fft_plan_caching(true);
-        const ns::dsp::cvec cached = ns::dsp::fft(input);
-
-        ASSERT_EQ(uncached.size(), cached.size());
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(uncached[i].real(), cached[i].real()) << n << ":" << i;
-            EXPECT_EQ(uncached[i].imag(), cached[i].imag()) << n << ":" << i;
-        }
-    }
-}
-
 TEST(fft_plan, inverse_roundtrip) {
     const std::size_t n = 256;
     const ns::dsp::cvec input = random_vector(n, 5);
@@ -160,17 +134,18 @@ TEST(fft_plan, plan_rejects_mismatched_size) {
 }
 
 TEST(fft_plan, cache_shares_one_plan_per_size) {
-    auto& cache = fft_plan_cache::instance();
-    const auto a = cache.get(1024);
-    const auto b = cache.get(1024);
+    const auto a = get_fft_plan(1024);
+    const auto other = get_fft_plan(2048);  // evicts the per-thread memo
+    const auto b = get_fft_plan(1024);
     EXPECT_EQ(a.get(), b.get());
-    EXPECT_GE(cache.cached_sizes(), 1u);
+    EXPECT_NE(a.get(), other.get());
+    EXPECT_EQ(a->size(), 1024u);
 }
 
-TEST(fft_plan, thread_scratch_resizes) {
-    auto& small = fft_plan_cache::thread_scratch(16);
+TEST(fft_plan, fft_scratch_resizes) {
+    auto& small = fft_scratch(16);
     EXPECT_EQ(small.size(), 16u);
-    auto& big = fft_plan_cache::thread_scratch(64);
+    auto& big = fft_scratch(64);
     EXPECT_EQ(big.size(), 64u);
 }
 
@@ -181,15 +156,14 @@ TEST(fft_plan, concurrent_transforms_are_correct) {
     const ns::dsp::cvec input = random_vector(n, 77);
     const ns::dsp::cvec expected = ns::dsp::fft(input);
 
-    thread_pool pool(8);
-    std::atomic<int> mismatches{0};
-    pool.parallel_for(0, 64, [&](std::size_t) {
-        const ns::dsp::cvec out = ns::dsp::fft(input);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (out[i] != expected[i]) ++mismatches;
-        }
-    });
-    EXPECT_EQ(mismatches.load(), 0);
+    const std::vector<std::size_t> mismatches =
+        run_indexed(64, {.num_threads = 8}, [&](std::size_t) {
+            const ns::dsp::cvec out = ns::dsp::fft(input);
+            std::size_t wrong = 0;
+            for (std::size_t i = 0; i < n; ++i) wrong += out[i] != expected[i];
+            return wrong;
+        });
+    EXPECT_EQ(mismatches, std::vector<std::size_t>(64, 0));
 }
 
 }  // namespace

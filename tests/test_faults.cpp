@@ -235,10 +235,8 @@ TEST(faults_scenario, registry_ships_both_fault_scenarios) {
 TEST(faults_scenario, fault_schedules_bit_identical_serial_vs_8_threads) {
     for (const char* name : {"lossy-control-1k", "blackout-recovery"}) {
         const scenario_spec spec = shrink_faulty(*find_scenario(name), 5);
-        const auto serial =
-            run_scenario(spec, {.num_threads = 1, .parallel = false});
-        const auto threaded =
-            run_scenario(spec, {.num_threads = 8, .parallel = true});
+        const auto serial = run_scenario(spec, {.num_threads = 1});
+        const auto threaded = run_scenario(spec, {.num_threads = 8});
         EXPECT_EQ(fault_fingerprint(serial), fault_fingerprint(threaded)) << name;
         // Faults touched the shrunk run at all (the fingerprint equality
         // is vacuous otherwise).
@@ -254,10 +252,8 @@ TEST(faults_scenario, fault_schedules_bit_identical_vs_intra_round_threads) {
         const scenario_spec spec = shrink_faulty(*find_scenario(name), 4);
         scenario_spec intra = spec;
         intra.sim.intra_round_threads = 8;
-        const auto reference =
-            run_scenario(spec, {.num_threads = 1, .parallel = false});
-        const auto fanned =
-            run_scenario(intra, {.num_threads = 1, .parallel = false});
+        const auto reference = run_scenario(spec, {.num_threads = 1});
+        const auto fanned = run_scenario(intra, {.num_threads = 1});
         EXPECT_EQ(fault_fingerprint(reference), fault_fingerprint(fanned))
             << name;
     }

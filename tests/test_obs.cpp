@@ -199,17 +199,16 @@ TEST(snapshot_merge, serial_and_parallel_replica_merges_are_bit_identical) {
         return reg.snapshot();
     };
 
-    const auto run_merged = [&](bool parallel, std::size_t threads) {
+    const auto run_merged = [&](std::size_t threads) {
         std::vector<metrics_snapshot> parts = ns::engine::run_indexed(
-            replicas, {.num_threads = threads, .parallel = parallel},
-            replica_snapshot);
+            replicas, {.num_threads = threads}, replica_snapshot);
         metrics_snapshot merged;
         for (const metrics_snapshot& part : parts) merged.merge(part);
         return merged;
     };
 
-    const metrics_snapshot serial = run_merged(false, 1);
-    const metrics_snapshot parallel = run_merged(true, 8);
+    const metrics_snapshot serial = run_merged(1);
+    const metrics_snapshot parallel = run_merged(8);
     EXPECT_TRUE(snapshots_identical(serial, parallel));
     EXPECT_EQ(serial.counter_value("rounds"),
               replicas * (replicas + 1) / 2);

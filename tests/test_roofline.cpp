@@ -133,10 +133,8 @@ TEST(roofline_model, model_inputs_are_identical_across_thread_counts) {
     spec.replicas = 2;
     spec.sim.obs.metrics = true;
 
-    const auto serial = ns::scenario::run_scenario(
-        spec, {.num_threads = 1, .parallel = false});
-    const auto threaded = ns::scenario::run_scenario(
-        spec, {.num_threads = 4, .parallel = true});
+    const auto serial = ns::scenario::run_scenario(spec, {.num_threads = 1});
+    const auto threaded = ns::scenario::run_scenario(spec, {.num_threads = 4});
 
     const kernel_loop_model a =
         ns::obs::kernel_loop_model_from(serial.sim.metrics);

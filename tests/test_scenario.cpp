@@ -99,8 +99,8 @@ scenario_spec shrink(scenario_spec spec, std::size_t rounds,
 TEST(scenario_runner, every_registered_scenario_is_bit_identical_serial_vs_8_threads) {
     for (const auto& registered : registry()) {
         const scenario_spec spec = shrink(registered, 3, 96);
-        const auto serial = run_scenario(spec, {.num_threads = 1, .parallel = false});
-        const auto threaded = run_scenario(spec, {.num_threads = 8, .parallel = true});
+        const auto serial = run_scenario(spec, {.num_threads = 1});
+        const auto threaded = run_scenario(spec, {.num_threads = 8});
         EXPECT_EQ(fingerprint(serial), fingerprint(threaded)) << registered.name;
 
         // Conservation invariants of every round and of the merged run.
@@ -134,12 +134,24 @@ TEST(scenario_runner, churn_and_mobility_identical_across_1_2_8_threads) {
         scenario_spec spec = *registered;
         spec.sim.rounds = 4;
         spec.replicas = 3;  // more tasks than some thread counts
-        const auto t1 = run_scenario(spec, {.num_threads = 1, .parallel = true});
-        const auto t2 = run_scenario(spec, {.num_threads = 2, .parallel = true});
-        const auto t8 = run_scenario(spec, {.num_threads = 8, .parallel = true});
+        const auto t1 = run_scenario(spec, {.num_threads = 1});
+        const auto t2 = run_scenario(spec, {.num_threads = 2});
+        const auto t8 = run_scenario(spec, {.num_threads = 8});
         EXPECT_EQ(fingerprint(t1), fingerprint(t2)) << name;
         EXPECT_EQ(fingerprint(t2), fingerprint(t8)) << name;
     }
+}
+
+TEST(scenario_runner, nested_round_threads_identical_across_replica_threads) {
+    // The caller claims replicas alongside the outer runner's workers
+    // while every replica owns an inner runner for its symbol sweep.
+    scenario_spec spec = shrink(*find_scenario("office-256"), 3, 256);
+    spec.replicas = 4;
+    spec.sim.intra_round_threads = 4;
+    const auto t1 = run_scenario(spec, {.num_threads = 1});
+    const auto t4 = run_scenario(spec, {.num_threads = 4});
+    EXPECT_EQ(fingerprint(t1), fingerprint(t4));
+    EXPECT_GT(t1.sim.total_delivered, 0u);
 }
 
 TEST(scenario_runner, churn_heavy_drives_reassociation_end_to_end) {

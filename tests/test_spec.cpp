@@ -276,8 +276,8 @@ TEST(sweep, product_results_are_bit_identical_serial_vs_8_threads) {
                parse_sweep_axis("sim.seed=1,2")});
     ASSERT_EQ(cells.size(), 4u);
 
-    const auto serial = run_sweep(cells, {.num_threads = 1, .parallel = false});
-    const auto threaded = run_sweep(cells, {.num_threads = 8, .parallel = true});
+    const auto serial = run_sweep(cells, {.num_threads = 1});
+    const auto threaded = run_sweep(cells, {.num_threads = 8});
     ASSERT_EQ(serial.size(), threaded.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(digest(serial[i]), digest(threaded[i])) << "cell " << i;
@@ -308,7 +308,7 @@ TEST(sweep, runs_a_concatenated_cell_list_by_position) {
         cells.push_back(std::move(single[0]));
     }
 
-    const auto results = run_sweep(cells, {.num_threads = 2, .parallel = true});
+    const auto results = run_sweep(cells, {.num_threads = 2});
     ASSERT_EQ(results.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
         EXPECT_EQ(digest(results[i]), digest(run_scenario(cells[i].spec)))

@@ -136,10 +136,8 @@ TEST(spec_fuzzer, random_valid_specs_validate_and_run_deterministically) {
         ASSERT_NO_THROW(spec.sim.validate()) << "seed " << seed;
         ASSERT_NO_THROW(spec.faults.validate()) << "seed " << seed;
 
-        const auto serial =
-            run_scenario(spec, {.num_threads = 1, .parallel = false});
-        const auto threaded =
-            run_scenario(spec, {.num_threads = 8, .parallel = true});
+        const auto serial = run_scenario(spec, {.num_threads = 1});
+        const auto threaded = run_scenario(spec, {.num_threads = 8});
         EXPECT_EQ(digest(serial), digest(threaded)) << "seed " << seed;
 
         // Conservation invariant on every fuzzed run: each down episode

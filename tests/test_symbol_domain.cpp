@@ -14,7 +14,7 @@
 #include "netscatter/channel/impairments.hpp"
 #include "netscatter/channel/kernel_batch.hpp"
 #include "netscatter/channel/superposition.hpp"
-#include "netscatter/engine/thread_pool.hpp"
+#include "netscatter/engine/block_runner.hpp"
 #include "netscatter/dsp/fft.hpp"
 #include "netscatter/dsp/peak.hpp"
 #include "netscatter/dsp/vector_ops.hpp"
@@ -469,6 +469,22 @@ TEST(fast_path_allocations, metrics_report_zero_steady_state_allocations) {
     EXPECT_EQ(result.metrics.counter_value("alloc.steady_count"), 0u)
         << "steady-state rounds allocated "
         << result.metrics.counter_value("alloc.steady_bytes") << " bytes";
+}
+
+TEST(fast_path_allocations, first_demodulated_spectrum_allocates_nothing) {
+    // The demodulator fetches its padded FFT plan when constructed, so
+    // the first symbol it transforms (inside a receiver's round 0) never
+    // pays a plan build. 2^10 x 32 = 32768 bins: no other test in this
+    // binary transforms that size, so the plan cannot already exist.
+    const ns::phy::css_params phy{.bandwidth_hz = 500e3, .spreading_factor = 10};
+    const ns::phy::demodulator demod(phy, 32);
+    const cvec symbol(phy.samples_per_symbol(), cplx{1.0, 0.0});
+    cvec spectrum(demod.padded_size());
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    demod.symbol_spectrum_into(symbol, spectrum);
+    const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u);
+    EXPECT_EQ(spectrum.size(), std::size_t{32768});
 }
 
 // --------------------------- kernel batch: backend & thread identity --
