@@ -20,7 +20,7 @@
 
 int main() {
     const ns::phy::css_params phy = ns::phy::deployed_params();
-    const ns::device::switch_network network;
+    const ns::device::switch_network& network = ns::device::hardware_switch_network();
     ns::util::rng rng(16);
 
     ns::util::text_table table(

@@ -21,7 +21,7 @@ int main() {
     std::cout << "paper shape: 0 dB at Z0=0 falling monotonically to ~-26..-30 dB "
                  "at Z0=1000 ohm\n\n";
 
-    const ns::device::switch_network network;
+    const ns::device::switch_network& network = ns::device::hardware_switch_network();
     ns::util::text_table levels(
         "Fig 7b: switch-network power levels (hardware: 0/-4/-10 dB, SS4.3)",
         {"level", "gain [dB]", "Z0 [ohm]"});

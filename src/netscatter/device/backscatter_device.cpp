@@ -11,8 +11,7 @@ backscatter_device::backscatter_device(std::uint32_t id, device_params params,
     : id_(id),
       params_(params),
       rng_(seed),
-      detector_(params.detector, rng_.fork()),
-      network_() {
+      detector_(params.detector, rng_.fork()) {
     static_cfo_hz_ = params_.crystal.sample_static_offset_hz(rng_);
 }
 
@@ -21,13 +20,13 @@ void backscatter_device::force_associate(std::uint32_t shift,
                                          std::size_t gain_level) {
     ns::util::require(shift < params_.phy.num_bins(),
                       "force_associate: shift out of range");
-    ns::util::require(gain_level < network_.num_levels(),
+    ns::util::require(gain_level < hardware_switch_network().num_levels(),
                       "force_associate: gain level out of range");
     state_ = device_state::associated;
     assigned_shift_ = shift;
     gain_level_ = gain_level;
     baseline_rssi_dbm_ = baseline_query_rssi_dbm;
-    baseline_gain_db_ = network_.gain_db(gain_level);
+    baseline_gain_db_ = current_gain_db();
     consecutive_skips_ = 0;
 }
 
@@ -54,10 +53,10 @@ transmit_intent backscatter_device::handle_query(
             // implies a near device: middle gain (leaving headroom both
             // ways), high-SNR region.
             const bool weak = measured_rssi < params_.low_rssi_threshold_dbm;
-            gain_level_ = weak ? network_.max_level() : network_.middle_level();
+            gain_level_ = association_gain_level(measured_rssi);
             pending_region_ = weak ? snr_region::low : snr_region::high;
             baseline_rssi_dbm_ = measured_rssi;
-            baseline_gain_db_ = network_.gain_db(gain_level_);
+            baseline_gain_db_ = current_gain_db();
 
             intent.action = device_action::association_request;
             intent.association_region = pending_region_;
@@ -78,7 +77,7 @@ transmit_intent backscatter_device::handle_query(
             consecutive_skips_ = 0;
             intent.action = device_action::association_ack;
             intent.cyclic_shift = assigned_shift_;
-            intent.gain_db = network_.gain_db(gain_level_);
+            intent.gain_db = current_gain_db();
             stamp_impairments(intent);
             return intent;
         }
@@ -95,6 +94,7 @@ transmit_intent backscatter_device::handle_query(
 }
 
 transmit_intent backscatter_device::respond_associated(double measured_rssi_dbm) {
+    const switch_network& network = hardware_switch_network();
     transmit_intent intent;
 
     // Fine-grained self-aware power adjustment (§3.2.3): if the downlink
@@ -103,8 +103,8 @@ transmit_intent backscatter_device::respond_associated(double measured_rssi_dbm)
     // by 2d (and raises it when the query weakens).
     const double downlink_delta_db = measured_rssi_dbm - baseline_rssi_dbm_;
     const double desired_gain_db = baseline_gain_db_ - 2.0 * downlink_delta_db;
-    const std::size_t level = network_.nearest_level(desired_gain_db);
-    const double achieved_gain_db = network_.gain_db(level);
+    const std::size_t level = network.nearest_level(desired_gain_db);
+    const double achieved_gain_db = network.gain_db(level);
 
     // Residual uplink deviation from the association-time operating point
     // after the best available compensation.
@@ -118,10 +118,10 @@ transmit_intent backscatter_device::respond_associated(double measured_rssi_dbm)
             state_ = device_state::unassociated;
             consecutive_skips_ = 0;
             const bool weak = measured_rssi_dbm < params_.low_rssi_threshold_dbm;
-            gain_level_ = weak ? network_.max_level() : network_.middle_level();
+            gain_level_ = association_gain_level(measured_rssi_dbm);
             pending_region_ = weak ? snr_region::low : snr_region::high;
             baseline_rssi_dbm_ = measured_rssi_dbm;
-            baseline_gain_db_ = network_.gain_db(gain_level_);
+            baseline_gain_db_ = current_gain_db();
             intent.action = device_action::association_request;
             intent.association_region = pending_region_;
             intent.gain_db = baseline_gain_db_;

@@ -110,7 +110,15 @@ public:
     std::uint32_t cyclic_shift() const { return assigned_shift_; }
 
     /// Currently selected power gain in dB.
-    double current_gain_db() const { return network_.gain_db(gain_level_); }
+    double current_gain_db() const { return hardware_switch_network().gain_db(gain_level_); }
+
+    /// Gain level an association at `query_rssi_dbm` starts from
+    /// (§3.2.3): max when the query is weak, middle otherwise.
+    std::size_t association_gain_level(double query_rssi_dbm) const {
+        const switch_network& network = hardware_switch_network();
+        return query_rssi_dbm < params_.low_rssi_threshold_dbm ? network.max_level()
+                                                               : network.middle_level();
+    }
 
     /// Static crystal frequency offset of this device, Hz.
     double static_frequency_offset_hz() const { return static_cfo_hz_; }
@@ -131,7 +139,6 @@ private:
     device_params params_;
     ns::util::rng rng_;
     envelope_detector detector_;
-    switch_network network_;
 
     device_state state_ = device_state::unassociated;
     std::uint32_t assigned_shift_ = 0;

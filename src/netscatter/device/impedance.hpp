@@ -39,18 +39,12 @@ double backscatter_power_gain_db(double z0_ohm, double z1_ohm,
 double z0_for_gain_db(double target_gain_db,
                       double reference_ohm = antenna_impedance_ohm);
 
-/// The three power gain levels of the NetScatter hardware, in dB.
-inline const std::vector<double>& hardware_gain_levels_db() {
-    static const std::vector<double> levels = {0.0, -4.0, -10.0};
-    return levels;
-}
-
 /// A configured switch network: a set of discrete gain levels, each
 /// backed by the impedance that realizes it.
 class switch_network {
 public:
     /// Builds a network for the given gain levels (dB, each <= 0).
-    explicit switch_network(std::vector<double> gain_levels_db = hardware_gain_levels_db());
+    explicit switch_network(std::vector<double> gain_levels_db);
 
     /// Number of selectable power levels.
     std::size_t num_levels() const { return gains_db_.size(); }
@@ -75,5 +69,9 @@ private:
     std::vector<double> gains_db_;   // sorted descending (0 dB first)
     std::vector<double> z0_ohms_;
 };
+
+/// The NetScatter hardware's network — 0, -4 and -10 dB (Fig. 16) —
+/// built once and shared by every device.
+const switch_network& hardware_switch_network();
 
 }  // namespace ns::device

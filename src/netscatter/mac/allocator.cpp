@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <numeric>
 
 #include "netscatter/util/error.hpp"
 
@@ -46,6 +47,8 @@ shift_allocator::shift_allocator(allocation_params params) : params_(params) {
         }
         data_slot_shifts_.push_back(slot * params_.skip);
     }
+    sorted_shifts_ = data_slot_shifts_;
+    std::sort(sorted_shifts_.begin(), sorted_shifts_.end());
 }
 
 std::uint32_t shift_allocator::association_shift(ns::device::snr_region region) const {
@@ -63,14 +66,19 @@ std::uint32_t shift_allocator::circular_distance(std::uint32_t a, std::uint32_t 
     return std::min(diff, num_bins - diff);
 }
 
-allocation_result shift_allocator::allocate(std::vector<device_power> devices) const {
+std::vector<std::uint32_t> shift_allocator::allocate(
+    const std::vector<device_power>& devices) const {
     ns::util::require(devices.size() <= data_slot_shifts_.size(),
                       "shift_allocator: more devices than data slots");
     // Strongest devices closest to bin 0 (spectrum edges), weakest at
     // mid-band; ties broken by device id for determinism.
-    std::sort(devices.begin(), devices.end(), [](const device_power& a, const device_power& b) {
-        if (a.rx_power_dbm != b.rx_power_dbm) return a.rx_power_dbm > b.rx_power_dbm;
-        return a.device_id < b.device_id;
+    std::vector<std::size_t> rank(devices.size());
+    std::iota(rank.begin(), rank.end(), std::size_t{0});
+    std::sort(rank.begin(), rank.end(), [&](std::size_t a, std::size_t b) {
+        if (devices[a].rx_power_dbm != devices[b].rx_power_dbm) {
+            return devices[a].rx_power_dbm > devices[b].rx_power_dbm;
+        }
+        return devices[a].device_id < devices[b].device_id;
     });
     // When the population is below capacity, select an evenly-strided
     // subset of the slot circle so devices spread out — the effective
@@ -83,11 +91,8 @@ allocation_result shift_allocator::allocate(std::vector<device_power> devices) c
     const std::size_t stride =
         devices.empty() ? 1 : std::max<std::size_t>(1, num_slots / devices.size());
 
-    std::vector<std::uint32_t> by_shift = data_slot_shifts_;
-    std::sort(by_shift.begin(), by_shift.end());
-    std::vector<std::uint32_t> selected;
-    selected.reserve(devices.size());
-    for (std::size_t i = 0; i < devices.size(); ++i) selected.push_back(by_shift[i * stride]);
+    std::vector<std::uint32_t> selected(devices.size());
+    for (std::size_t i = 0; i < selected.size(); ++i) selected[i] = sorted_shifts_[i * stride];
     std::sort(selected.begin(), selected.end(), [&](std::uint32_t a, std::uint32_t b) {
         const std::uint32_t da = circular_distance(a, 0);
         const std::uint32_t db = circular_distance(b, 0);
@@ -95,11 +100,9 @@ allocation_result shift_allocator::allocate(std::vector<device_power> devices) c
         return a < b;
     });
 
-    allocation_result result;
-    for (std::size_t i = 0; i < devices.size(); ++i) {
-        result.shifts[devices[i].device_id] = selected[i];
-    }
-    return result;
+    std::vector<std::uint32_t> shifts(devices.size());
+    for (std::size_t i = 0; i < rank.size(); ++i) shifts[rank[i]] = selected[i];
+    return shifts;
 }
 
 std::optional<std::uint32_t> shift_allocator::assign_incremental(

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "netscatter/device/backscatter_device.hpp"
@@ -39,12 +38,6 @@ struct device_power {
     double rx_power_dbm = 0.0;  ///< backscatter signal strength at the AP
 };
 
-/// Result of a batch allocation.
-struct allocation_result {
-    /// device_id -> assigned cyclic shift (slot * SKIP).
-    std::unordered_map<std::uint32_t, std::uint32_t> shifts;
-};
-
 /// Power-aware cyclic-shift allocator.
 class shift_allocator {
 public:
@@ -61,9 +54,10 @@ public:
     /// bin 0 (i.e. strongest-first placement order).
     const std::vector<std::uint32_t>& placement_order() const { return data_slot_shifts_; }
 
-    /// Batch (re)allocation: sorts by descending power and assigns slots
-    /// in placement order. Throws when there are more devices than slots.
-    allocation_result allocate(std::vector<device_power> devices) const;
+    /// Batch (re)allocation: ranks by descending power (ties by id) and
+    /// assigns slots in placement order. Returns each device's cyclic
+    /// shift in input order; throws when devices outnumber slots.
+    std::vector<std::uint32_t> allocate(const std::vector<device_power>& devices) const;
 
     /// Incremental assignment for one joining device given the powers of
     /// devices already placed: picks the free slot whose neighbours are
@@ -83,6 +77,7 @@ public:
 private:
     allocation_params params_;
     std::vector<std::uint32_t> data_slot_shifts_;  // placement order
+    std::vector<std::uint32_t> sorted_shifts_;     // the same, ascending
     std::uint32_t assoc_shift_high_ = 0;
     std::uint32_t assoc_shift_low_ = 0;
 };

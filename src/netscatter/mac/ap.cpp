@@ -19,31 +19,23 @@ association_response access_point::handle_association_request(
         occupied.emplace_back(record.cyclic_shift, record.rx_power_dbm);
     }
 
-    std::optional<std::uint32_t> shift =
+    const std::optional<std::uint32_t> shift =
         allocator_.assign_incremental(request.rx_power_dbm, occupied);
 
-    device_record record;
-    record.device_id = request.device_id;
-    record.network_id = next_network_id_++;
-    record.rx_power_dbm = request.rx_power_dbm;
-    record.acked = false;
+    // A re-request replaces the device's record. Without a compatible
+    // free slot the device is admitted on a placeholder shift and the
+    // whole map is rebuilt power-aware (§3.3.3); the next query carries
+    // the full-reassignment field.
+    device_record& record = table_[request.device_id];
+    record = {.device_id = request.device_id,
+              .network_id = next_network_id_++,
+              .cyclic_shift = shift.value_or(0),
+              .rx_power_dbm = request.rx_power_dbm};
+    if (!shift) run_full_reassignment();
 
-    if (shift.has_value()) {
-        record.cyclic_shift = *shift;
-        table_[request.device_id] = record;
-    } else {
-        // No compatible free slot: admit the device, then rebuild the
-        // whole map power-aware (§3.3.3). The next query carries the
-        // full-reassignment field.
-        record.cyclic_shift = 0;  // placeholder until reassignment below
-        table_[request.device_id] = record;
-        run_full_reassignment();
-    }
-
-    association_response response;
-    response.network_id = table_[request.device_id].network_id;
-    response.shift_slot = static_cast<std::uint8_t>(
-        table_[request.device_id].cyclic_shift / params_.skip);
+    const association_response response{
+        .network_id = record.network_id,
+        .shift_slot = static_cast<std::uint8_t>(record.cyclic_shift / params_.skip)};
     pending_response_ = response;
     pending_device_ = request.device_id;
     return response;
@@ -98,7 +90,8 @@ std::size_t access_point::regroup(std::size_t group_capacity) {
     records.reserve(table_.size());
     for (auto& [id, record] : table_) records.push_back(&record);
     std::sort(records.begin(), records.end(), [](const auto* a, const auto* b) {
-        return a->rx_power_dbm > b->rx_power_dbm;
+        if (a->rx_power_dbm != b->rx_power_dbm) return a->rx_power_dbm > b->rx_power_dbm;
+        return a->device_id < b->device_id;
     });
     for (std::size_t i = 0; i < records.size(); ++i) {
         records[i]->group_id = static_cast<std::uint8_t>(i / group_capacity);
@@ -112,10 +105,9 @@ void access_point::run_full_reassignment() {
     for (const auto& [id, record] : table_) {
         devices.push_back({id, record.rx_power_dbm});
     }
-    const allocation_result result = allocator_.allocate(std::move(devices));
-    for (auto& [id, record] : table_) {
-        record.cyclic_shift = result.shifts.at(id);
-    }
+    const std::vector<std::uint32_t> shifts = allocator_.allocate(devices);
+    std::size_t k = 0;
+    for (auto& [id, record] : table_) record.cyclic_shift = shifts[k++];
     reassignment_pending_ = true;
     ++full_reassignments_;
 }

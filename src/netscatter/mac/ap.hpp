@@ -8,9 +8,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
-#include <unordered_map>
-#include <vector>
 
 #include "netscatter/mac/allocator.hpp"
 #include "netscatter/mac/query_message.hpp"
@@ -69,8 +68,8 @@ public:
     /// AP repeats it until the ACK arrives, §3.3.4).
     std::optional<association_response> pending_response() const { return pending_response_; }
 
-    /// The device table.
-    const std::unordered_map<std::uint32_t, device_record>& devices() const {
+    /// The device table; id order makes every walk over it deterministic.
+    const std::map<std::uint32_t, device_record>& devices() const {
         return table_;
     }
 
@@ -78,8 +77,9 @@ public:
     std::optional<std::uint32_t> shift_of(std::uint32_t device_id) const;
 
     /// Splits the population into groups of at most `group_capacity`
-    /// devices with similar signal strengths (§3.3.3), reassigning
-    /// group_id on every record. Returns the number of groups.
+    /// devices with similar signal strengths (§3.3.3, equal powers in id
+    /// order), reassigning group_id on every record. Returns the number
+    /// of groups.
     std::size_t regroup(std::size_t group_capacity);
 
     /// Number of full reassignments performed so far.
@@ -92,7 +92,7 @@ private:
 
     allocation_params params_;
     shift_allocator allocator_;
-    std::unordered_map<std::uint32_t, device_record> table_;
+    std::map<std::uint32_t, device_record> table_;
     std::optional<association_response> pending_response_;
     std::optional<std::uint32_t> pending_device_;
     bool reassignment_pending_ = false;

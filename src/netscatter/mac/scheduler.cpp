@@ -30,13 +30,12 @@ std::vector<device_group> group_scheduler::partition(
                 params_.max_dynamic_range_db;
         if (need_new_group) {
             device_group group;
-            group.group_id = static_cast<std::uint8_t>(groups.size());
             group.max_power_dbm = device.rx_power_dbm;
             group.min_power_dbm = device.rx_power_dbm;
             groups.push_back(std::move(group));
         }
         device_group& group = groups.back();
-        group.device_ids.push_back(device.device_id);
+        group.members.push_back(device);
         group.min_power_dbm = device.rx_power_dbm;  // sorted descending
     }
     return groups;

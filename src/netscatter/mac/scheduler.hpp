@@ -17,15 +17,14 @@
 
 namespace ns::mac {
 
-/// One scheduled group.
+/// One scheduled group; its id is its index in the partition.
 struct device_group {
-    std::uint8_t group_id = 0;
-    std::vector<std::uint32_t> device_ids;  ///< strongest first
-    double max_power_dbm = 0.0;             ///< strongest member
-    double min_power_dbm = 0.0;             ///< weakest member
+    std::vector<device_power> members;  ///< strongest first
+    double max_power_dbm = 0.0;         ///< strongest member
+    double min_power_dbm = 0.0;         ///< weakest member
 
     double dynamic_range_db() const { return max_power_dbm - min_power_dbm; }
-    std::size_t size() const { return device_ids.size(); }
+    std::size_t size() const { return members.size(); }
 };
 
 /// Partitioning policy.

@@ -16,7 +16,8 @@ churn_process::churn_process(churn_spec spec, std::size_t universe,
       active_(universe, false),
       pending_(universe, false),
       low_region_(std::move(low_region)),
-      contention_(spec.aloha_initial_window, spec.aloha_max_window) {
+      contention_(spec.aloha_initial_window, spec.aloha_max_window),
+      request_round_(universe, 0) {
     ns::util::require(universe > 0, "churn: universe must be non-empty");
     ns::util::require(spec_.join_rate_per_round >= 0.0 &&
                           spec_.leave_rate_per_round >= 0.0,
@@ -81,6 +82,10 @@ void churn_process::force_rejoin(std::uint32_t id, std::size_t round) {
         --active_count_;
     }
     if (pending_[id]) return;  // already waiting for a slot
+    request_join(id, round);
+}
+
+void churn_process::request_join(std::uint32_t id, std::size_t round) {
     pending_[id] = true;
     ++total_requests_;
     if (spec_.association == association_mode::slotted_aloha) {
@@ -116,24 +121,10 @@ churn_events churn_process::step(std::size_t round) {
     for (std::size_t i = 0; i < universe_; ++i) {
         eligible[i] = !active_[i] && !pending_[i];
     }
-    const bool aloha = spec_.association == association_mode::slotted_aloha;
-    for (std::uint32_t id : pick(requests, eligible)) {
-        pending_[id] = true;
-        ++total_requests_;
-        if (aloha) {
-            const bool low = !low_region_.empty() && low_region_[id];
-            request_round_[id] = round;
-            contention_.add(id,
-                            low ? ns::device::snr_region::low
-                                : ns::device::snr_region::high,
-                            rng_.fork());
-        } else {
-            queue_.emplace_back(id, round);
-        }
-    }
+    for (std::uint32_t id : pick(requests, eligible)) request_join(id, round);
 
     double wait_sum = 0.0;
-    if (aloha) {
+    if (spec_.association == association_mode::slotted_aloha) {
         // Contend on the reserved association shifts; a grant only
         // sticks while the network has room (a full network defers the
         // winners — they keep contending).
@@ -146,8 +137,7 @@ churn_events churn_process::step(std::size_t round) {
         total_association_tx_ += contended.requests;
         total_collisions_ += contended.collisions;
         for (std::uint32_t id : contended.granted) {
-            admit(id, request_round_.at(id), round, events, wait_sum);
-            request_round_.erase(id);
+            admit(id, request_round_[id], round, events, wait_sum);
         }
     } else {
         // Serve the association queue: bounded per round and by capacity.

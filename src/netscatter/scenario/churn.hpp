@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "netscatter/mac/aloha.hpp"
@@ -79,6 +78,8 @@ private:
     /// Picks `count` distinct ids satisfying `eligible`, uniformly.
     std::vector<std::uint32_t> pick(std::size_t count,
                                     const std::vector<bool>& eligible);
+    /// Enters `id` into the admission path (Aloha pool or FIFO queue).
+    void request_join(std::uint32_t id, std::size_t round);
     void admit(std::uint32_t id, std::size_t request_round, std::size_t round,
                churn_events& events, double& wait_sum);
 
@@ -91,7 +92,7 @@ private:
     std::vector<bool> low_region_;
     std::deque<std::pair<std::uint32_t, std::size_t>> queue_;  ///< (id, request round)
     ns::mac::aloha_contention contention_;
-    std::unordered_map<std::uint32_t, std::size_t> request_round_;
+    std::vector<std::size_t> request_round_;  ///< per id: round of its Aloha request
     std::vector<std::uint32_t> initial_active_;
     std::vector<double> join_waits_;
     std::size_t active_count_ = 0;

@@ -110,12 +110,11 @@ cochannel_source::cochannel_source(cochannel_spec spec, ns::phy::css_params phy,
     // each device's own crystal offset.
     std::vector<ns::mac::device_power> powers;
     powers.reserve(spec_.num_devices);
-    std::vector<double> snrs(spec_.num_devices);
     std::vector<double> cfos(spec_.num_devices);
     for (std::size_t i = 0; i < spec_.num_devices; ++i) {
-        snrs[i] = rng_.uniform(spec_.min_snr_db, spec_.max_snr_db);
+        const double snr_db = rng_.uniform(spec_.min_snr_db, spec_.max_snr_db);
         cfos[i] = crystal.sample_static_offset_hz(rng_) + network_cfo_hz;
-        powers.push_back({static_cast<std::uint32_t>(i), snrs[i]});
+        powers.push_back({static_cast<std::uint32_t>(i), snr_db});
     }
 
     // The foreign AP's own §3.3.3 machinery: signal-strength partition,
@@ -135,17 +134,13 @@ cochannel_source::cochannel_source(cochannel_spec spec, ns::phy::css_params phy,
 
     devices_.reserve(spec_.num_devices);
     for (std::size_t g = 0; g < partition.size(); ++g) {
-        std::vector<ns::mac::device_power> members;
-        members.reserve(partition[g].size());
-        for (std::uint32_t id : partition[g].device_ids) {
-            members.push_back({id, snrs[id]});
-        }
-        const auto shifts = allocator.allocate(members).shifts;
-        for (std::uint32_t id : partition[g].device_ids) {
-            devices_.push_back({.shift = shifts.at(id),
+        const std::vector<ns::mac::device_power>& members = partition[g].members;
+        const std::vector<std::uint32_t> shifts = allocator.allocate(members);
+        for (std::size_t k = 0; k < members.size(); ++k) {
+            devices_.push_back({.shift = shifts[k],
                                 .group = g,
-                                .snr_db = snrs[id],
-                                .cfo_hz = cfos[id]});
+                                .snr_db = members[k].rx_power_dbm,
+                                .cfo_hz = cfos[members[k].device_id]});
         }
     }
     bits_store_.reserve(spec_.num_devices * frame_.payload_plus_crc_bits());

@@ -17,14 +17,12 @@ association_result simulate_association(const deployment& dep,
     ns::mac::aloha_contention pool(params.aloha_initial_window,
                                    params.aloha_max_window);
     std::vector<ns::device::snr_region> region_of;
-    std::unordered_map<std::uint32_t, std::size_t> index_of;
     region_of.reserve(devices.size());
     for (std::size_t i = 0; i < devices.size(); ++i) {
         const bool weak = devices[i].query_rssi_dbm < params.low_rssi_threshold_dbm;
         const auto region =
             weak ? ns::device::snr_region::low : ns::device::snr_region::high;
         region_of.push_back(region);
-        index_of[devices[i].id] = i;
         pool.add(devices[i].id, region, rng.fork());
     }
 
@@ -57,12 +55,12 @@ association_result simulate_association(const deployment& dep,
         result.requests_sent += contention.requests;
         result.collisions += contention.collisions;
         if (!contention.granted.empty()) {
+            // Ids are dense, so a device's id is its index.
             const std::uint32_t id = contention.granted.front();
-            const std::size_t index = index_of.at(id);
             ap.handle_association_request({.device_id = id,
-                                           .region = region_of[index],
-                                           .rx_power_dbm = devices[index].uplink_rx_dbm});
-            pending_grant = index;
+                                           .region = region_of[id],
+                                           .rx_power_dbm = devices[id].uplink_rx_dbm});
+            pending_grant = id;
         }
     }
 

@@ -41,9 +41,6 @@ deployment::deployment(deployment_params params, std::size_t num_devices,
     }
 }
 
-deployment::deployment(deployment_params params, std::vector<placed_device> devices)
-    : params_(params), devices_(std::move(devices)) {}
-
 double deployment::noise_floor_dbm(double bandwidth_hz) const {
     return ns::util::noise_floor_dbm(bandwidth_hz, params_.noise_figure_db);
 }

@@ -44,6 +44,8 @@ struct deployment_params {
 
 /// One placed device and its static link budget.
 struct placed_device {
+    /// Dense: the i-th placed device has id i (0..n-1), so the simulator
+    /// and the scenario layer index every per-device column by it.
     std::uint32_t id = 0;
     double x_m = 0.0;
     double y_m = 0.0;
@@ -59,10 +61,6 @@ class deployment {
 public:
     /// Generates `num_devices` placements with the given seed.
     deployment(deployment_params params, std::size_t num_devices, std::uint64_t seed);
-
-    /// Wraps an explicit set of already-placed devices (used by the group
-    /// scheduler to simulate one group of a larger population).
-    deployment(deployment_params params, std::vector<placed_device> devices);
 
     const std::vector<placed_device>& devices() const { return devices_; }
     const deployment_params& params() const { return params_; }

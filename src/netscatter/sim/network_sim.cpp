@@ -184,30 +184,9 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
         if (const auto initial = hooks_->initial_active()) {
             std::fill(initially_active.begin(), initially_active.end(), false);
             for (std::uint32_t id : *initial) {
-                for (std::size_t i = 0; i < placed.size(); ++i) {
-                    if (placed[i].id == id) initially_active[i] = true;
-                }
+                if (id < placed.size()) initially_active[id] = true;
             }
         }
-    }
-
-    // --- Association phase (devices join one at a time, §3.3.2) ---------
-    // Determine each device's association-time gain by the same rule the
-    // device applies, then run the power-aware batch allocation the AP
-    // would have converged to over the initially-active population.
-    ns::device::switch_network network;
-    std::vector<ns::mac::device_power> powers;
-    powers.reserve(placed.size());
-    association_snr_db_.reserve(placed.size());
-
-    std::vector<std::size_t> gain_levels(placed.size());
-    for (std::size_t i = 0; i < placed.size(); ++i) {
-        const bool weak = placed[i].query_rssi_dbm < dev_params.low_rssi_threshold_dbm;
-        gain_levels[i] = weak ? network.max_level() : network.middle_level();
-        const double gain_db = network.gain_db(gain_levels[i]);
-        const double uplink_dbm = placed[i].uplink_rx_dbm + gain_db;
-        if (initially_active[i]) powers.push_back({placed[i].id, uplink_dbm});
-        association_snr_db_.push_back(uplink_dbm - noise_floor);
     }
 
     // --- Instantiate devices -------------------------------------------
@@ -232,8 +211,6 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
             slot.taps.emplace(config_.multipath, config_.phy.bandwidth_hz,
                               config_.multipath_rho, rng_.fork());
         }
-        if (active) ++active_count_;
-        slot_index_[placed[i].id] = slots_.size();
         slots_.push_back(std::move(slot));
     }
     // Reserved to the universe size so churn never reallocates the list
@@ -243,25 +220,42 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
         if (slots_[i].active) active_slots_.push_back(i);
     }
 
+    // --- Association phase (devices join one at a time, §3.3.2) ---------
+    // Determine each device's association-time gain by the same rule the
+    // device applies, then run the power-aware batch allocation the AP
+    // would have converged to over the initially-active population.
+    const ns::device::switch_network& network = ns::device::hardware_switch_network();
+    std::vector<ns::mac::device_power> powers;
+    powers.reserve(active_slots_.size());
+    association_snr_db_.reserve(slots_.size());
+    for (const device_slot& slot : slots_) {
+        const double uplink_dbm =
+            slot.placement.uplink_rx_dbm +
+            network.gain_db(slot.device.association_gain_level(slot.placement.query_rssi_dbm));
+        if (slot.active) powers.push_back({slot.placement.id, uplink_dbm});
+        association_snr_db_.push_back(uplink_dbm - noise_floor);
+    }
+
+    new_shift_.resize(slots_.size());
     if (grouped()) {
         // §3.3.3: partition the initially-active population into
         // signal-strength groups with per-group shift allocations.
         partition_into_groups(powers);
-    } else if (config_.power_aware_allocation) {
-        allocation_ = allocator_.allocate(powers).shifts;
     } else {
-        // Ablation: power-agnostic assignment — same spreading stride, but
-        // slots are handed out in device-id order, so strong and weak
-        // devices land next to each other.
-        std::vector<ns::mac::device_power> by_id = powers;
-        for (auto& p : by_id) p.rx_power_dbm = 0.0;  // identical keys: id order
-        allocation_ = allocator_.allocate(by_id).shifts;
+        if (!config_.power_aware_allocation) {
+            // Ablation: power-agnostic assignment — same spreading stride,
+            // but slots are handed out in device-id order, so strong and
+            // weak devices land next to each other.
+            for (auto& p : powers) p.rx_power_dbm = 0.0;  // identical keys: id order
+        }
+        const std::vector<std::uint32_t> shifts = allocator_.allocate(powers);
+        for (std::size_t k = 0; k < powers.size(); ++k) {
+            new_shift_[powers[k].device_id] = shifts[k];
+        }
     }
 
-    for (std::size_t i = 0; i < placed.size(); ++i) {
-        if (!initially_active[i]) continue;
-        slots_[i].device.force_associate(allocation_.at(placed[i].id),
-                                         placed[i].query_rssi_dbm, gain_levels[i]);
+    for (const std::size_t i : active_slots_) {
+        associate_slot(i, new_shift_[i], placed[i].query_rssi_dbm);
     }
     register_active_shifts();
 
@@ -335,7 +329,7 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
 
 void network_simulator::register_active_shifts(std::optional<std::size_t> group) {
     shift_scratch_.clear();
-    shift_scratch_.reserve(active_count_);
+    shift_scratch_.reserve(active_slots_.size());
     for (const std::size_t i : active_slots_) {
         const device_slot& slot = slots_[i];
         if (group && slot.group != *group) continue;
@@ -357,10 +351,18 @@ void network_simulator::mark_inactive(std::size_t slot_index) {
     if (it != active_slots_.end() && *it == slot_index) active_slots_.erase(it);
 }
 
+std::vector<std::uint32_t> network_simulator::active_shifts() const {
+    std::vector<std::uint32_t> shifts;
+    shifts.reserve(active_slots_.size());
+    for (const std::size_t i : active_slots_) {
+        shifts.push_back(slots_[i].device.cyclic_shift());
+    }
+    return shifts;
+}
+
 std::optional<std::size_t> network_simulator::group_of(std::uint32_t device_id) const {
-    const auto it = slot_index_.find(device_id);
-    if (it == slot_index_.end()) return std::nullopt;
-    const std::size_t g = slots_[it->second].group;
+    if (device_id >= slots_.size()) return std::nullopt;
+    const std::size_t g = slots_[device_id].group;
     if (g == device_slot::no_group) return std::nullopt;
     return g;
 }
@@ -374,10 +376,6 @@ ns::mac::group_scheduler network_simulator::make_scheduler() const {
 
 void network_simulator::partition_into_groups(
     const std::vector<ns::mac::device_power>& powers) {
-    std::unordered_map<std::uint32_t, double> power_of;
-    power_of.reserve(powers.size());
-    for (const auto& p : powers) power_of[p.device_id] = p.rx_power_dbm;
-
     const std::vector<ns::mac::device_group> partition =
         make_scheduler().partition(powers);
     ns::util::require(partition.size() <= max_groups,
@@ -385,7 +383,6 @@ void network_simulator::partition_into_groups(
                       "group-id field can address; raise group_capacity or "
                       "max_dynamic_range_db");
 
-    allocation_.clear();
     for (auto& slot : slots_) slot.group = device_slot::no_group;
     group_spans_.clear();
     group_spans_.reserve(partition.size());
@@ -396,26 +393,18 @@ void network_simulator::partition_into_groups(
                                 .max_power_dbm = group.max_power_dbm});
         // Shifts are allocated per group: one group transmits per query,
         // so devices of different groups may share a shift.
-        std::vector<ns::mac::device_power> members;
-        members.reserve(group.size());
-        for (std::uint32_t id : group.device_ids) {
-            slots_[slot_index_.at(id)].group = g;
-            members.push_back({id, power_of.at(id)});
+        const std::vector<std::uint32_t> shifts = allocator_.allocate(group.members);
+        for (std::size_t k = 0; k < group.size(); ++k) {
+            const std::uint32_t id = group.members[k].device_id;
+            slots_[id].group = g;
+            new_shift_[id] = shifts[k];
         }
-        const auto shifts = allocator_.allocate(members).shifts;
-        for (std::uint32_t id : group.device_ids) allocation_[id] = shifts.at(id);
     }
     if (group_acc_.size() < group_spans_.size()) group_acc_.resize(group_spans_.size());
 }
 
 void network_simulator::regroup(round_outcome& outcome, std::size_t round) {
-    std::vector<ns::mac::device_power> powers;
-    powers.reserve(active_count_);
-    for (const std::size_t i : active_slots_) {
-        const device_slot& slot = slots_[i];
-        powers.push_back({slot.placement.id,
-                          slot.placement.uplink_rx_dbm + slot.device.current_gain_db()});
-    }
+    const std::vector<ns::mac::device_power> powers = active_powers();
     partition_into_groups(powers);
     // Every active device takes its freshly-allocated shift — if it hears
     // the ordering query. A device that misses it keeps transmitting on
@@ -427,7 +416,7 @@ void network_simulator::regroup(round_outcome& outcome, std::size_t round) {
         device_slot& slot = slots_[i];
         const std::uint32_t old_shift =
             slot.desynced ? slot.stale_shift : slot.device.cyclic_shift();
-        const std::uint32_t new_shift = allocation_.at(slot.placement.id);
+        const std::uint32_t new_shift = new_shift_[i];
         associate_slot(i, new_shift, slot.placement.query_rssi_dbm);
         if (!fault_injector_ || slot.down) continue;
         const bool heard = !fault_injector_->query_lost(
@@ -447,10 +436,23 @@ void network_simulator::regroup(round_outcome& outcome, std::size_t round) {
     membership_dirty_ = true;
 }
 
+std::vector<ns::mac::device_power> network_simulator::active_powers(
+    std::optional<std::size_t> group) const {
+    std::vector<ns::mac::device_power> powers;
+    powers.reserve(active_slots_.size() + 1);  // room for a joiner
+    for (const std::size_t i : active_slots_) {
+        const device_slot& slot = slots_[i];
+        if (group && slot.group != *group) continue;
+        powers.push_back({slot.placement.id,
+                          slot.placement.uplink_rx_dbm + slot.device.current_gain_db()});
+    }
+    return powers;
+}
+
 std::vector<std::pair<std::uint32_t, double>> network_simulator::occupied_powers(
     std::optional<std::uint32_t> excluded_id, std::optional<std::size_t> group) const {
     std::vector<std::pair<std::uint32_t, double>> occupied;
-    occupied.reserve(active_count_);
+    occupied.reserve(active_slots_.size());
     for (const std::size_t i : active_slots_) {
         const device_slot& slot = slots_[i];
         if (excluded_id && slot.placement.id == *excluded_id) continue;
@@ -464,13 +466,32 @@ std::vector<std::pair<std::uint32_t, double>> network_simulator::occupied_powers
 void network_simulator::associate_slot(std::size_t slot_index, std::uint32_t shift,
                                        double baseline_rssi_dbm) {
     device_slot& slot = slots_[slot_index];
-    const ns::device::switch_network network;
-    const bool weak = baseline_rssi_dbm < slot.device.params().low_rssi_threshold_dbm;
-    const std::size_t gain_level =
-        weak ? network.max_level() : network.middle_level();
     slot.modulator.reset();  // rebuilt lazily at the new shift on first use
-    slot.device.force_associate(shift, baseline_rssi_dbm, gain_level);
-    allocation_[slot.placement.id] = shift;
+    slot.device.force_associate(shift, baseline_rssi_dbm,
+                                slot.device.association_gain_level(baseline_rssi_dbm));
+}
+
+void network_simulator::place_joiner(std::size_t slot_index, double join_power,
+                                     std::optional<std::size_t> group,
+                                     round_outcome& outcome) {
+    const auto incremental =
+        allocator_.assign_incremental(join_power, occupied_powers(std::nullopt, group));
+    if (incremental) {
+        associate_slot(slot_index, *incremental, slots_[slot_index].placement.query_rssi_dbm);
+        ++outcome.realloc_events;
+        return;
+    }
+    // The incremental allocator cannot fit the newcomer next to
+    // power-compatible neighbours: full reassignment (§3.3.3).
+    std::vector<ns::mac::device_power> powers = active_powers(group);
+    powers.push_back({slots_[slot_index].placement.id, join_power});
+    const std::vector<std::uint32_t> shifts = allocator_.allocate(powers);
+    for (std::size_t k = 0; k < powers.size(); ++k) {
+        const std::uint32_t id = powers[k].device_id;
+        associate_slot(id, shifts[k], slots_[id].placement.query_rssi_dbm);
+    }
+    outcome.realloc_events += powers.size();
+    ++outcome.full_reassignments;
 }
 
 bool network_simulator::admit_grouped(std::size_t slot_index, double join_power,
@@ -500,30 +521,9 @@ bool network_simulator::admit_grouped(std::size_t slot_index, double join_power,
         ++misfits_since_regroup_;
     }
 
-    const auto incremental = allocator_.assign_incremental(
-        join_power, occupied_powers(std::nullopt, target));
-    if (incremental) {
-        associate_slot(slot_index, *incremental, slot.placement.query_rssi_dbm);
-        ++outcome.realloc_events;
-    } else {
-        // Group-local full reassignment (§3.3.3): reallocate only the
-        // target group's shifts around the newcomer.
-        std::vector<ns::mac::device_power> members;
-        for (const std::size_t i : active_slots_) {
-            const device_slot& s = slots_[i];
-            if (s.group != target) continue;
-            members.push_back({s.placement.id,
-                               s.placement.uplink_rx_dbm + s.device.current_gain_db()});
-        }
-        members.push_back({slot.placement.id, join_power});
-        const auto shifts = allocator_.allocate(members).shifts;
-        for (const auto& member : members) {
-            associate_slot(slot_index_.at(member.device_id), shifts.at(member.device_id),
-                           slots_[slot_index_.at(member.device_id)].placement.query_rssi_dbm);
-        }
-        outcome.realloc_events += members.size();
-        ++outcome.full_reassignments;
-    }
+    // Group-local allocation: a full reassignment reallocates only the
+    // target group's shifts around the newcomer.
+    place_joiner(slot_index, join_power, target, outcome);
 
     ns::mac::group_span& span = group_spans_[target];
     span.min_power_dbm =
@@ -539,14 +539,12 @@ void network_simulator::deactivate_slot(std::size_t slot_index) {
     device_slot& slot = slots_[slot_index];
     slot.active = false;
     mark_inactive(slot_index);
-    allocation_.erase(slot.placement.id);
     if (slot.group != device_slot::no_group) {
         // The span stays stretched until the next regroup re-tightens
         // it — the AP only learns the true spread when it repartitions.
         --group_spans_[slot.group].members;
         slot.group = device_slot::no_group;
     }
-    --active_count_;
     membership_dirty_ = true;
 }
 
@@ -626,10 +624,8 @@ void network_simulator::apply_ack_faults(std::vector<std::uint32_t>& joins,
             // Every replay lost: the AP abandons the handshake and the
             // joiner must contend again through the Aloha path.
             ++outcome.ack_timeouts;
-            const auto it = slot_index_.find(id);
-            if (it != slot_index_.end()) {
-                go_down(it->second, round, member_loss_reason::ack_timeout,
-                        outcome);
+            if (id < slots_.size()) {
+                go_down(id, round, member_loss_reason::ack_timeout, outcome);
             }
         } else if (losses > 0) {
             pending_acks_.push_back({id, round + losses});
@@ -678,9 +674,8 @@ void network_simulator::apply_round_plan(const round_plan& plan, round_outcome& 
                                          std::size_t round, bool blackout) {
     // Mobility first: joins below must see this round's link budget.
     for (const link_update& update : plan.link_updates) {
-        const auto it = slot_index_.find(update.device_id);
-        if (it == slot_index_.end()) continue;
-        device_slot& slot = slots_[it->second];
+        if (update.device_id >= slots_.size()) continue;
+        device_slot& slot = slots_[update.device_id];
         slot.placement.query_rssi_dbm = update.query_rssi_dbm;
         slot.placement.uplink_rx_dbm = update.uplink_rx_dbm;
         slot.tof_s = update.tof_s;
@@ -688,9 +683,8 @@ void network_simulator::apply_round_plan(const round_plan& plan, round_outcome& 
     }
 
     for (std::uint32_t id : plan.leaves) {
-        const auto it = slot_index_.find(id);
-        if (it == slot_index_.end() || !slots_[it->second].active) continue;
-        deactivate_slot(it->second);
+        if (id >= slots_.size() || !slots_[id].active) continue;
+        deactivate_slot(id);
         ++outcome.leaves;
     }
 
@@ -718,61 +712,32 @@ void network_simulator::apply_round_plan(const round_plan& plan, round_outcome& 
     }
 
     for (std::uint32_t id : *joins) {
-        const auto it = slot_index_.find(id);
-        if (it == slot_index_.end()) continue;
-        if (slots_[it->second].active) {
-            if (!slots_[it->second].down) continue;
+        if (id >= slots_.size()) continue;
+        device_slot& slot = slots_[id];
+        if (slot.active) {
+            if (!slot.down) continue;
             // §3.3.4 re-association of a device the AP still lists as a
             // member: drop the stale entry (reclaiming its old shift)
             // and re-admit it like any joiner.
-            deactivate_slot(it->second);
+            deactivate_slot(id);
         }
-        if (!grouped() && active_count_ >= allocator_.num_data_slots()) {
+        if (!grouped() && active_slots_.size() >= allocator_.num_data_slots()) {
             ++outcome.rejected_joins;
             continue;
         }
-        device_slot& slot = slots_[it->second];
-        const ns::device::switch_network network;
-        const bool weak = slot.placement.query_rssi_dbm <
-                          slot.device.params().low_rssi_threshold_dbm;
         const double join_power =
             slot.placement.uplink_rx_dbm +
-            network.gain_db(weak ? network.max_level() : network.middle_level());
+            ns::device::hardware_switch_network().gain_db(
+                slot.device.association_gain_level(slot.placement.query_rssi_dbm));
 
         if (grouped()) {
             // §3.3.3: best-fit group admission with per-group allocation.
-            if (!admit_grouped(it->second, join_power, outcome)) continue;
+            if (!admit_grouped(id, join_power, outcome)) continue;
         } else {
-            const auto incremental =
-                allocator_.assign_incremental(join_power, occupied_powers());
-            if (incremental) {
-                associate_slot(it->second, *incremental, slot.placement.query_rssi_dbm);
-                ++outcome.realloc_events;
-            } else {
-                // The incremental allocator cannot fit the newcomer next to
-                // power-compatible neighbours: full reassignment (§3.3.3).
-                std::vector<ns::mac::device_power> powers;
-                powers.reserve(active_count_ + 1);
-                for (const std::size_t i : active_slots_) {
-                    const device_slot& s = slots_[i];
-                    powers.push_back(
-                        {s.placement.id,
-                         s.placement.uplink_rx_dbm + s.device.current_gain_db()});
-                }
-                powers.push_back({id, join_power});
-                const auto shifts = allocator_.allocate(powers).shifts;
-                for (const std::size_t i : active_slots_) {
-                    associate_slot(i, shifts.at(slots_[i].placement.id),
-                                   slots_[i].placement.query_rssi_dbm);
-                }
-                associate_slot(it->second, shifts.at(id), slot.placement.query_rssi_dbm);
-                outcome.realloc_events += powers.size();
-                ++outcome.full_reassignments;
-            }
+            place_joiner(id, join_power, std::nullopt, outcome);
         }
         slot.active = true;
-        mark_active(it->second);
-        ++active_count_;
+        mark_active(id);
         ++outcome.joins;
         membership_dirty_ = true;
         if (slot.down) {
@@ -956,7 +921,7 @@ void network_simulator::grouping_phase(round_state& state) {
     } else if (membership_dirty_) {
         register_active_shifts();
     }
-    outcome.active = active_count_;
+    outcome.active = active_slots_.size();
 }
 
 void network_simulator::synth_phase(round_state& state) {
@@ -1030,7 +995,7 @@ void network_simulator::synth_phase(round_state& state) {
                 }
                 const std::uint32_t shift =
                     moved ? *moved : slot.device.cyclic_shift();
-                associate_slot(slot_index_.at(slot.placement.id), shift, query_rssi);
+                associate_slot(slot_idx, shift, query_rssi);
                 ++outcome.reassociations;
                 ++outcome.realloc_events;
                 membership_dirty_ = true;
@@ -1326,7 +1291,7 @@ void network_simulator::account_round(const round_state& state,
             probes_.outcomes[i]->add(outcome.*outcome_counters[i].round);
         }
     }
-    probes_.active_devices->set(static_cast<double>(active_count_));
+    probes_.active_devices->set(static_cast<double>(active_slots_.size()));
     probes_.num_groups->set(static_cast<double>(group_spans_.size()));
     // Per-round allocation delta (thread-local, so the numbers
     // are this replica's own regardless of pool concurrency).

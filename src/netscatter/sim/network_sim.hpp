@@ -475,16 +475,14 @@ public:
     /// Runs the configured number of rounds.
     sim_result run();
 
-    /// Cyclic shift of each currently-associated device.
-    const std::unordered_map<std::uint32_t, std::uint32_t>& allocation() const {
-        return allocation_;
-    }
+    /// Cyclic shift of each currently-associated device, in id order.
+    std::vector<std::uint32_t> active_shifts() const;
 
     /// The uplink SNR (dB, at the association-time gain) per device.
     const std::vector<double>& association_snrs_db() const { return association_snr_db_; }
 
     /// Devices currently associated.
-    std::size_t active_count() const { return active_count_; }
+    std::size_t active_count() const { return active_slots_.size(); }
 
     /// Whether §3.3.3 group scheduling is on.
     bool grouped() const { return config_.grouping.enabled; }
@@ -605,6 +603,11 @@ private:
     /// misfit would exceed the max_groups addressing limit.
     bool admit_grouped(std::size_t slot_index, double join_power,
                        round_outcome& outcome);
+    /// Places the joiner in `slot_index` among the active devices (of
+    /// `group` when set): on the incremental allocator's best free slot,
+    /// else by a full reassignment of those devices around it (§3.3.3).
+    void place_joiner(std::size_t slot_index, double join_power,
+                      std::optional<std::size_t> group, round_outcome& outcome);
     /// Recomputes the whole partition from the current active powers and
     /// reallocates every group's shifts (§3.3.3 adaptive control). With
     /// faults on, devices that miss `round`'s query keep their old shift
@@ -615,6 +618,10 @@ private:
     /// device's fresh downlink baseline.
     void associate_slot(std::size_t slot_index, std::uint32_t shift,
                         double baseline_rssi_dbm);
+    /// Current uplink power of each active device (of `group` when set),
+    /// in slot order.
+    std::vector<ns::mac::device_power> active_powers(
+        std::optional<std::size_t> group = std::nullopt) const;
     /// Occupied (shift, power) pairs of active devices, excluding
     /// `excluded_id` and, when `group` is set, devices outside that
     /// group; deterministic slot order.
@@ -625,8 +632,8 @@ private:
     /// (restricted to `group` when set — the scheduled group's round).
     void register_active_shifts(std::optional<std::size_t> group = std::nullopt);
     /// Partitions `powers` into signal-strength groups and fills the
-    /// slots' cached group indices, group_spans_ and allocation_ with
-    /// per-group allocations.
+    /// slots' cached group indices, group_spans_ and, per member,
+    /// new_shift_ with its group's allocation.
     void partition_into_groups(const std::vector<ns::mac::device_power>& powers);
     /// Scheduler configured from config_.grouping (capacity clamped to
     /// the allocator's slot count).
@@ -664,17 +671,18 @@ private:
     sim_config config_;
     round_hooks* hooks_ = nullptr;
     ns::util::rng rng_;
+    /// One slot per placed device, indexed by device id (ids are dense).
     std::vector<device_slot> slots_;
-    std::unordered_map<std::uint32_t, std::size_t> slot_index_;  ///< id -> slot
     /// Sorted indices of the active slots — every per-round walk runs
     /// over this list instead of the full universe, so a 100k-device
     /// deployment with a few hundred associated devices never streams
     /// 100k slot structs through the cache each round.
     std::vector<std::size_t> active_slots_;
-    std::unordered_map<std::uint32_t, std::uint32_t> allocation_;
+    /// Id-indexed column of freshly allocated shifts, written by a batch
+    /// allocation or partition and read back as the devices associate.
+    std::vector<std::uint32_t> new_shift_;
     std::vector<double> association_snr_db_;
     ns::mac::shift_allocator allocator_;
-    std::size_t active_count_ = 0;
     bool membership_dirty_ = false;
     /// Fault schedule generator (config.faults.enabled() only; nullopt
     /// keeps every fault path compiled out of the hot loop's behaviour).

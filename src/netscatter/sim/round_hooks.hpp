@@ -65,7 +65,8 @@ enum class member_loss_reason {
 
 /// Hook interface the simulator consults every round. All methods have
 /// neutral defaults, so a default-constructed hooks object reproduces
-/// the static, saturated simulator exactly.
+/// the static, saturated simulator exactly. Ids outside the deployment
+/// are ignored.
 class round_hooks {
 public:
     virtual ~round_hooks() = default;

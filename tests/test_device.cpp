@@ -62,11 +62,11 @@ TEST(impedance, z0_for_gain_inverts_gain) {
 }
 
 TEST(impedance, hardware_levels_are_paper_values) {
-    const auto& levels = hardware_gain_levels_db();
-    ASSERT_EQ(levels.size(), 3u);
-    EXPECT_DOUBLE_EQ(levels[0], 0.0);
-    EXPECT_DOUBLE_EQ(levels[1], -4.0);
-    EXPECT_DOUBLE_EQ(levels[2], -10.0);
+    const switch_network& network = hardware_switch_network();
+    ASSERT_EQ(network.num_levels(), 3u);
+    EXPECT_DOUBLE_EQ(network.gain_db(0), 0.0);
+    EXPECT_DOUBLE_EQ(network.gain_db(1), -4.0);
+    EXPECT_DOUBLE_EQ(network.gain_db(2), -10.0);
 }
 
 TEST(switch_network, levels_sorted_strongest_first) {
@@ -79,7 +79,7 @@ TEST(switch_network, levels_sorted_strongest_first) {
 }
 
 TEST(switch_network, impedances_realize_gains) {
-    const switch_network network;
+    const switch_network& network = hardware_switch_network();
     for (std::size_t level = 0; level < network.num_levels(); ++level) {
         EXPECT_NEAR(backscatter_power_gain_db(network.z0_ohm(level), inf),
                     network.gain_db(level), 1e-9);
@@ -87,7 +87,7 @@ TEST(switch_network, impedances_realize_gains) {
 }
 
 TEST(switch_network, nearest_level) {
-    const switch_network network;  // {0, -4, -10}
+    const switch_network& network = hardware_switch_network();  // {0, -4, -10}
     EXPECT_EQ(network.nearest_level(0.5), 0u);
     EXPECT_EQ(network.nearest_level(-3.0), 1u);
     EXPECT_EQ(network.nearest_level(-8.0), 2u);

@@ -316,13 +316,10 @@ TEST(aggregation_edges, invalid_band_and_length_throw) {
 
 // ------------------------------------------------- deployment extras --
 
-TEST(deployment_extras, explicit_device_constructor) {
-    ns::sim::placed_device device;
-    device.id = 7;
-    device.uplink_rx_dbm = -100.0;
-    const ns::sim::deployment dep(ns::sim::deployment_params{}, {device});
-    ASSERT_EQ(dep.devices().size(), 1u);
-    EXPECT_EQ(dep.devices()[0].id, 7u);
+TEST(deployment_extras, ids_are_dense) {
+    // The simulator indexes its per-device columns by id.
+    const ns::sim::deployment dep(ns::sim::deployment_params{}, 9, 3);
+    for (std::size_t i = 0; i < 9; ++i) EXPECT_EQ(dep.devices().at(i).id, i);
 }
 
 TEST(deployment_extras, sensitivity_noise_figure_dependence) {

@@ -186,7 +186,7 @@ TEST(group_scheduler, groups_partition_population_exactly) {
     std::set<std::uint32_t> seen;
     for (const auto& group : groups) {
         total += group.size();
-        for (std::uint32_t id : group.device_ids) seen.insert(id);
+        for (const auto& member : group.members) seen.insert(member.device_id);
     }
     EXPECT_EQ(total, 333u);
     EXPECT_EQ(seen.size(), 333u);

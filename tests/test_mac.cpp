@@ -162,12 +162,12 @@ TEST(allocator, strong_devices_near_bin_zero) {
     for (std::uint32_t i = 0; i < 256; ++i) {
         devices.push_back({i, -100.0 + static_cast<double>(i) * 0.1});
     }
-    const auto result = alloc.allocate(devices);
-    ASSERT_EQ(result.shifts.size(), 256u);
+    const std::vector<std::uint32_t> shifts = alloc.allocate(devices);
+    ASSERT_EQ(shifts.size(), 256u);
     // Strongest device (id 255) must sit closer to bin 0 than the weakest
     // (id 0), which must sit near mid-band.
-    EXPECT_LE(alloc.circular_distance(result.shifts.at(255), 0), 4u);
-    EXPECT_GE(alloc.circular_distance(result.shifts.at(0), 0), 250u);
+    EXPECT_LE(alloc.circular_distance(shifts[255], 0), 4u);
+    EXPECT_GE(alloc.circular_distance(shifts[0], 0), 250u);
 }
 
 TEST(allocator, all_assigned_shifts_distinct) {
@@ -177,10 +177,11 @@ TEST(allocator, all_assigned_shifts_distinct) {
     for (std::uint32_t i = 0; i < 256; ++i) {
         devices.push_back({i, gen.uniform(-120.0, -80.0)});
     }
-    const auto result = alloc.allocate(devices);
-    std::set<std::uint32_t> shifts;
-    for (const auto& [id, shift] : result.shifts) shifts.insert(shift);
-    EXPECT_EQ(shifts.size(), 256u);
+    const std::vector<std::uint32_t> shifts = alloc.allocate(devices);
+    EXPECT_EQ(std::set<std::uint32_t>(shifts.begin(), shifts.end()).size(), 256u);
+    // Shifts come back in input order: reversed input, reversed result.
+    const auto reversed = alloc.allocate({devices.rbegin(), devices.rend()});
+    EXPECT_TRUE(std::equal(shifts.begin(), shifts.end(), reversed.rbegin()));
 }
 
 TEST(allocator, sparse_population_spreads_out) {
@@ -189,9 +190,7 @@ TEST(allocator, sparse_population_spreads_out) {
     const shift_allocator alloc(default_alloc(2, 0));
     std::vector<device_power> devices;
     for (std::uint32_t i = 0; i < 64; ++i) devices.push_back({i, -100.0});
-    const auto result = alloc.allocate(devices);
-    std::vector<std::uint32_t> shifts;
-    for (const auto& [id, shift] : result.shifts) shifts.push_back(shift);
+    std::vector<std::uint32_t> shifts = alloc.allocate(devices);
     std::sort(shifts.begin(), shifts.end());
     for (std::size_t i = 1; i < shifts.size(); ++i) {
         EXPECT_GE(shifts[i] - shifts[i - 1], 6u);  // >= 3 slots apart
@@ -375,6 +374,18 @@ TEST(ap, regroup_by_signal_strength) {
     // The four strongest (smallest d) share group 0.
     for (std::uint32_t d = 0; d < 4; ++d) EXPECT_EQ(ap.devices().at(d).group_id, 0);
     for (std::uint32_t d = 4; d < 8; ++d) EXPECT_EQ(ap.devices().at(d).group_id, 1);
+}
+
+TEST(ap, regroup_breaks_power_ties_by_id) {
+    access_point ap(default_alloc(2, 0));
+    for (std::uint32_t d = 0; d < 4; ++d) {
+        ap.handle_association_request({.device_id = d,
+                                       .region = snr_region::high,
+                                       .rx_power_dbm = -90.0});
+        ap.handle_association_ack(d);
+    }
+    EXPECT_EQ(ap.regroup(2), 2u);
+    for (std::uint32_t d = 0; d < 4; ++d) EXPECT_EQ(ap.devices().at(d).group_id, d / 2);
 }
 
 TEST(ap, regroup_validates_capacity) {

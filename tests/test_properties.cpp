@@ -180,11 +180,13 @@ TEST_P(allocator_random_powers, neighbours_within_tolerable_difference) {
     for (std::uint32_t i = 0; i < n; ++i) {
         devices.push_back({i, gen.uniform(-115.0, -80.0)});  // 35 dB spread
     }
-    const auto result = alloc.allocate(devices);
+    const std::vector<std::uint32_t> shifts = alloc.allocate(devices);
 
     // Order assigned shifts and check adjacent (circular) pairs.
     std::vector<std::pair<std::uint32_t, double>> placed;
-    for (const auto& d : devices) placed.emplace_back(result.shifts.at(d.device_id), d.rx_power_dbm);
+    for (std::size_t i = 0; i < devices.size(); ++i) {
+        placed.emplace_back(shifts[i], devices[i].rx_power_dbm);
+    }
     std::sort(placed.begin(), placed.end());
     for (std::size_t i = 0; i < placed.size(); ++i) {
         const auto& [shift_a, power_a] = placed[i];

@@ -694,7 +694,7 @@ TEST(round_hooks, gating_churn_and_counters_flow_through_simulator) {
     EXPECT_EQ(result.rounds[2].active, 8u);
     EXPECT_GE(result.total_realloc_events, 1u);
     EXPECT_EQ(sim.active_count(), 8u);
-    EXPECT_EQ(sim.allocation().size(), 8u);
+    EXPECT_EQ(sim.active_shifts().size(), 8u);
 }
 
 TEST(round_hooks, default_hooks_match_hookless_simulator) {
@@ -711,6 +711,35 @@ TEST(round_hooks, default_hooks_match_hookless_simulator) {
     EXPECT_EQ(a.total_delivered, b.total_delivered);
     EXPECT_EQ(a.total_transmitting, b.total_transmitting);
     EXPECT_EQ(a.total_bit_errors, b.total_bit_errors);
+}
+
+/// Names ids outside a 4-device deployment in every hook.
+struct stray_id_hooks final : ns::sim::round_hooks {
+    std::optional<std::vector<std::uint32_t>> initial_active() override {
+        return std::vector<std::uint32_t>{0, 1, 2, 3, 4, 1000};
+    }
+    ns::sim::round_plan plan_round(std::size_t) override {
+        ns::sim::round_plan plan;
+        plan.joins = plan.leaves = {4, 1000};
+        plan.link_updates = {{.device_id = 4, .query_rssi_dbm = -20.0}};
+        return plan;
+    }
+};
+
+TEST(round_hooks, ids_outside_the_deployment_are_ignored) {
+    const ns::sim::deployment dep(ns::sim::deployment_params{}, 4, 13);
+    ns::sim::sim_config config;
+    config.rounds = 3;
+    config.zero_padding = 4;
+    ns::sim::round_hooks neutral;
+    stray_id_hooks stray;
+    ns::sim::network_simulator reference(dep, config, &neutral);
+    ns::sim::network_simulator probed(dep, config, &stray);
+    std::ostringstream expected, actual;
+    ns::test::write_outcome_digest(expected, reference.run());
+    ns::test::write_outcome_digest(actual, probed.run());
+    EXPECT_EQ(actual.str(), expected.str());
+    EXPECT_FALSE(probed.group_of(4).has_value());
 }
 
 }  // namespace
