@@ -2,9 +2,12 @@
 // unit conversions.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "netscatter/util/bits.hpp"
 #include "netscatter/util/crc.hpp"
@@ -131,6 +134,85 @@ TEST(rng, gaussian_mean_stddev_parameters) {
     for (int i = 0; i < 100000; ++i) stats.add(gen.gaussian(3.0, 2.0));
     EXPECT_NEAR(stats.mean(), 3.0, 0.05);
     EXPECT_NEAR(stats.stddev(), 2.0, 0.05);
+}
+
+// --- stream pins: the exact output every seeded result depends on ------
+
+/// FNV-1a over the 64-bit patterns of a sequence of draws.
+struct fnv_digest {
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    void add(std::uint64_t word) {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= (word >> (8 * byte)) & 0xff;
+            hash *= 0x100000001b3ULL;
+        }
+    }
+    void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+};
+
+/// Whether two generators are in the same state: equal next outputs
+/// (compared on copies, so neither argument advances).
+bool same_state(rng a, rng b) {
+    for (int i = 0; i < 2; ++i) {
+        if (a() != b()) return false;
+    }
+    return true;
+}
+
+TEST(rng, raw_and_uniform_streams_are_pinned) {
+    fnv_digest raw;
+    fnv_digest unit;
+    for (const std::uint64_t seed : {1ULL, 0x5eedULL}) {
+        rng gen(seed);
+        for (int i = 0; i < 1 << 20; ++i) raw.add(gen());
+        for (int i = 0; i < 1 << 20; ++i) unit.add(gen.uniform());
+    }
+    EXPECT_EQ(raw.hash, 0x0c1bd5464b3ca48eULL);
+    EXPECT_EQ(unit.hash, 0xff882fc165d2a1f9ULL);
+}
+
+TEST(rng, gaussian_stream_and_rejection_paths_are_pinned) {
+    // A draw that leaves the ziggurat fast path consumes more than one
+    // raw word; the first word's layer (low 7 bits) says which branch
+    // took it: layer 0 is the tail beyond r, any other layer a wedge.
+    // Counting both pins the out-of-line rejection path along with the
+    // values.
+    fnv_digest values;
+    std::uint64_t wedge = 0;
+    std::uint64_t tail = 0;
+    for (const std::uint64_t seed : {3ULL, 0xfeedULL}) {
+        rng gen(seed);
+        for (int i = 0; i < 1 << 20; ++i) {
+            rng probe = gen;
+            values.add(gen.gaussian());
+            const std::uint64_t first = probe();
+            if (same_state(probe, gen)) continue;
+            ++((first & 127) == 0 ? tail : wedge);
+        }
+    }
+    EXPECT_EQ(values.hash, 0xabd68e2f10ae200bULL);
+    EXPECT_EQ(wedge, 56423u);
+    EXPECT_EQ(tail, 1198u);
+}
+
+TEST(rng, gaussian_with_parameters_is_mean_plus_scaled_standard_draw) {
+    // Bitwise, signed zeros included: with mean -0.0 and stddev 0.0 a
+    // negative standard draw yields -0.0 and a positive one +0.0.
+    const std::pair<double, double> params[] = {
+        {0.0, 1.0}, {3.0, 2.0}, {-1.5, 0.25}, {-0.0, 0.0}, {0.0, -0.0}};
+    int negative_zeros = 0;
+    for (const auto& [mean, stddev] : params) {
+        rng a(77), b(77);
+        for (int i = 0; i < 4096; ++i) {
+            const double expected = mean + stddev * a.gaussian();
+            const double actual = b.gaussian(mean, stddev);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(expected),
+                      std::bit_cast<std::uint64_t>(actual))
+                << "mean " << mean << " stddev " << stddev << " draw " << i;
+            if (actual == 0.0 && std::signbit(actual)) ++negative_zeros;
+        }
+    }
+    EXPECT_GT(negative_zeros, 0);
 }
 
 TEST(rng, exponential_mean) {
