@@ -10,14 +10,16 @@
 // translation unit is built with -ffp-contract=off for other targets),
 // and the vector backends below use explicit mul/add/addsub intrinsics
 // only. The product (wr·sr − wi·si, wi·sr + wr·si) is evaluated in the
-// same operation order everywhere.
+// same operation order everywhere; where a leg has no addsub it adds a
+// sign-flipped product instead, since x + (−y) is bit-equal to x − y
+// and negating a multiplicand negates the rounded product exactly.
 
 #ifndef NS_SIMD_ENABLED
 #define NS_SIMD_ENABLED 1
 #endif
 
 #if NS_SIMD_ENABLED && defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define NS_SIMD_AVX2 1
+#define NS_SIMD_AVX2 1  // the AVX2 and AVX-512 legs
 #include <immintrin.h>
 #elif NS_SIMD_ENABLED && defined(__aarch64__)
 #define NS_SIMD_NEON 1
@@ -206,6 +208,82 @@ __attribute__((target("avx2"))) void interpolate_bands_avx2(
     }
 }
 
+/// The AVX2 leg widened to four q-lanes per vector, with the residue
+/// count fixed at compile time so every accumulator stays in a
+/// register. AVX-512 has no addsub, so the sign moves into the swapped
+/// window instead: one multiply per tap by (−1, +1, …) turns (wi, wr)
+/// into (−wi, wr), and a plain add of (−wi·ci, wr·ci) gives the scalar
+/// reference's (wr·cr − wi·ci, wi·cr + wr·ci) bit for bit. The shuffle
+/// swaps re and im inside each 128-bit pair (_mm512_permute_pd would do
+/// the same but trips -Wmaybe-uninitialized under GCC 12). Returns the
+/// number of q processed (count rounded down to a multiple of four).
+template <std::size_t Residues>
+__attribute__((target("avx512f"))) std::size_t interpolate_quads_avx512(
+    cplx* dst, const cplx* grid, std::size_t radius, const cplx* coeffs,
+    std::size_t count) {
+    constexpr std::size_t pad = Residues + 1;
+    const std::size_t taps = 2 * radius + 1;
+    const double* g = reinterpret_cast<const double*>(grid);
+    const __m512d negpos =
+        _mm512_set_pd(1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0);
+    const std::size_t quads = count & ~std::size_t{3};
+    for (std::size_t q = 0; q < quads; q += 4) {
+        __m512d acc[Residues];
+        for (std::size_t r = 0; r < Residues; ++r) acc[r] = _mm512_setzero_pd();
+        const double* w = g + 2 * q;
+        for (std::size_t t = 0; t < taps; ++t) {
+            const __m512d wv = _mm512_loadu_pd(w + 2 * t);
+            const __m512d ws =
+                _mm512_mul_pd(_mm512_shuffle_pd(wv, wv, 0x55), negpos);
+            for (std::size_t r = 0; r < Residues; ++r) {
+                const cplx c = coeffs[r * taps + t];
+                const __m512d t1 = _mm512_mul_pd(wv, _mm512_set1_pd(c.real()));
+                const __m512d t2 = _mm512_mul_pd(ws, _mm512_set1_pd(c.imag()));
+                acc[r] = _mm512_add_pd(acc[r], _mm512_add_pd(t1, t2));
+            }
+        }
+        for (std::size_t j = 0; j < 4; ++j) {
+            dst[pad * (q + j)] = grid[radius + q + j];
+        }
+        for (std::size_t r = 0; r < Residues; ++r) {
+            double lane[8];
+            _mm512_storeu_pd(lane, acc[r]);
+            for (std::size_t j = 0; j < 4; ++j) {
+                dst[pad * (q + j) + r + 1] = cplx{lane[2 * j], lane[2 * j + 1]};
+            }
+        }
+    }
+    return quads;
+}
+
+__attribute__((target("avx512f"))) void interpolate_bands_avx512(
+    cplx* dst, std::size_t pad, const cplx* grid, std::size_t radius,
+    const cplx* coeffs, std::size_t count) {
+    // combine_symbol_domain only pads by powers of two; any other
+    // factor runs the scalar reference.
+    std::size_t q = 0;
+    switch (pad) {
+        case 2:
+            q = interpolate_quads_avx512<1>(dst, grid, radius, coeffs, count);
+            break;
+        case 4:
+            q = interpolate_quads_avx512<3>(dst, grid, radius, coeffs, count);
+            break;
+        case 8:
+            q = interpolate_quads_avx512<7>(dst, grid, radius, coeffs, count);
+            break;
+        case 16:
+            q = interpolate_quads_avx512<15>(dst, grid, radius, coeffs, count);
+            break;
+        default:
+            break;
+    }
+    if (q < count) {
+        interpolate_bands_scalar(dst + pad * q, pad, grid + q, radius, coeffs,
+                                 count - q);
+    }
+}
+
 #elif defined(NS_SIMD_NEON)
 
 void accumulate_run_neon(cplx* dst, const cplx* window, std::size_t count,
@@ -267,28 +345,52 @@ using accumulate_fn = void (*)(cplx*, const cplx*, std::size_t, cplx);
 using interpolate_fn = void (*)(cplx*, std::size_t, const cplx*, std::size_t,
                                 const cplx*, std::size_t);
 
-bool g_force_scalar = false;
+simd_level g_cap = simd_level::avx512;
 
-accumulate_fn dispatch() {
-    if (g_force_scalar) return accumulate_run_scalar;
+simd_level detect_host_level() {
 #if defined(NS_SIMD_AVX2)
-    static const bool has_avx2 = __builtin_cpu_supports("avx2");
-    if (has_avx2) return accumulate_run_avx2;
+    if (__builtin_cpu_supports("avx512f")) return simd_level::avx512;
+    if (__builtin_cpu_supports("avx2")) return simd_level::avx2;
 #elif defined(NS_SIMD_NEON)
-    return accumulate_run_neon;
+    return simd_level::avx2;  // NEON is baseline on aarch64
 #endif
-    return accumulate_run_scalar;
+    return simd_level::scalar;
 }
 
-interpolate_fn dispatch_interpolate() {
-    if (g_force_scalar) return interpolate_bands_scalar;
+simd_level active_level() {
+    return std::min(host_simd_level(), g_cap);
+}
+
+template <typename Fn>
+struct leg {
+    Fn run;
+    const char* name;
+};
+
+leg<accumulate_fn> accumulate_leg() {
+    if (active_level() >= simd_level::avx2) {
 #if defined(NS_SIMD_AVX2)
-    static const bool has_avx2 = __builtin_cpu_supports("avx2");
-    if (has_avx2) return interpolate_bands_avx2;
+        return {accumulate_run_avx2, "avx2"};
 #elif defined(NS_SIMD_NEON)
-    return interpolate_bands_neon;
+        return {accumulate_run_neon, "neon"};
 #endif
-    return interpolate_bands_scalar;
+    }
+    return {accumulate_run_scalar, "scalar"};
+}
+
+leg<interpolate_fn> interpolate_leg() {
+    const simd_level level = active_level();
+#if defined(NS_SIMD_AVX2)
+    if (level >= simd_level::avx512) return {interpolate_bands_avx512, "avx512"};
+#endif
+    if (level >= simd_level::avx2) {
+#if defined(NS_SIMD_AVX2)
+        return {interpolate_bands_avx2, "avx2"};
+#elif defined(NS_SIMD_NEON)
+        return {interpolate_bands_neon, "neon"};
+#endif
+    }
+    return {interpolate_bands_scalar, "scalar"};
 }
 
 }  // namespace
@@ -296,26 +398,29 @@ interpolate_fn dispatch_interpolate() {
 void interpolate_bands(cplx* dst, std::size_t pad, const cplx* grid,
                        std::size_t radius, const cplx* coeffs,
                        std::size_t count) {
-    dispatch_interpolate()(dst, pad, grid, radius, coeffs, count);
+    interpolate_leg().run(dst, pad, grid, radius, coeffs, count);
 }
 
-void force_scalar_accumulation(bool force_scalar) {
-    g_force_scalar = force_scalar;
+simd_level host_simd_level() {
+    static const simd_level host = detect_host_level();
+    return host;
+}
+
+void cap_simd_level(simd_level cap) {
+    g_cap = cap;
 }
 
 const char* kernel_accumulate_backend() {
-    if (g_force_scalar) return "scalar";
-#if defined(NS_SIMD_AVX2)
-    if (__builtin_cpu_supports("avx2")) return "avx2";
-#elif defined(NS_SIMD_NEON)
-    return "neon";
-#endif
-    return "scalar";
+    return accumulate_leg().name;
+}
+
+const char* interpolate_bands_backend() {
+    return interpolate_leg().name;
 }
 
 void accumulate_symbol(const kernel_batch& batch, std::size_t symbol,
                        cvec& spectrum) {
-    const accumulate_fn accumulate = dispatch();
+    const accumulate_fn accumulate = accumulate_leg().run;
     const std::size_t m_total = spectrum.size();
     const cplx* values = batch.window_values.data();
     for (std::uint32_t p = batch.symbol_begin[symbol];

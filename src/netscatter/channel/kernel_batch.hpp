@@ -9,7 +9,8 @@
 //    bucket them by symbol with a stable counting sort;
 //  * accumulation — sweep one symbol's placements with a vectorized
 //    inner loop (AVX2/NEON, runtime-dispatched, scalar reference kept
-//    for bit-comparison and as the -DNS_SIMD=OFF fallback).
+//    for bit-comparison and as the -DNS_SIMD=OFF fallback); the noise
+//    interpolation adds an AVX-512 leg ahead of AVX2.
 //
 // Bucketing by symbol makes each spectrum an independent unit of work,
 // which is what lets one round fan out across threads while staying
@@ -97,8 +98,8 @@ void accumulate_run_scalar(cplx* dst, const cplx* window, std::size_t count,
 /// Σ_t coeffs[(r-1)*taps + t] · grid[q + t] with taps = 2*radius + 1.
 /// Each grid element is loaded once and feeds every residue's FIR, and
 /// the spectrum is written front to back instead of in pad strided
-/// sweeps. Dispatched through the same backends and bound by the same
-/// bit-identity contract as the kernel accumulation.
+/// sweeps. Dispatched like the kernel accumulation, with an AVX-512 leg
+/// ahead of AVX2, and bound by the same bit-identity contract.
 void interpolate_bands(cplx* dst, std::size_t pad, const cplx* grid,
                        std::size_t radius, const cplx* coeffs,
                        std::size_t count);
@@ -108,12 +109,25 @@ void interpolate_bands_scalar(cplx* dst, std::size_t pad, const cplx* grid,
                               std::size_t radius, const cplx* coeffs,
                               std::size_t count);
 
-/// Test hook: pins the accumulation inner loop to the scalar reference
-/// (force_scalar = true) or restores runtime dispatch (false).
-void force_scalar_accumulation(bool force_scalar);
+/// Runtime dispatch levels, lowest first. On aarch64 the NEON legs
+/// stand at the avx2 level.
+enum class simd_level { scalar, avx2, avx512 };
+
+/// Highest level this build and host support: scalar under
+/// -DNS_SIMD=OFF, else what the CPU reports.
+simd_level host_simd_level();
+
+/// Test hook: caps dispatch at `cap` so every leg below the host's
+/// best can be compared against the scalar reference. The default cap,
+/// simd_level::avx512, leaves dispatch at the host level.
+void cap_simd_level(simd_level cap);
 
 /// Name of the inner loop the next accumulate_symbol call will run:
 /// "avx2", "neon", or "scalar".
 const char* kernel_accumulate_backend();
+
+/// Name of the leg the next interpolate_bands call will run: "avx512",
+/// "avx2", "neon", or "scalar".
+const char* interpolate_bands_backend();
 
 }  // namespace ns::channel

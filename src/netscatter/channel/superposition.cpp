@@ -154,16 +154,21 @@ void sweep_block(void* context, std::size_t block) {
     const std::size_t begin = block * c.total_spectra / c.num_blocks;
     const std::size_t end = (block + 1) * c.total_spectra / c.num_blocks;
     cvec& grid = c.ws->noise_grids[block];
+    std::uint64_t noise_ns = 0;
     std::uint64_t sweep_ns = 0;
     for (std::size_t k = begin; k < end; ++k) {
         cvec& spectrum = c.ws->symbol_spectra[k];
+        const std::uint64_t t0 = c.time_sweep ? ns::obs::now_ns() : 0;
         ns::util::rng srng(symbol_noise_seed(c.round_seed, k));
         synthesize_noise(c, spectrum, grid, srng);
-        const std::uint64_t t0 = c.time_sweep ? ns::obs::now_ns() : 0;
+        const std::uint64_t t1 = c.time_sweep ? ns::obs::now_ns() : 0;
         accumulate_symbol(c.ws->batch, k, spectrum);
-        if (c.time_sweep) sweep_ns += ns::obs::now_ns() - t0;
+        if (c.time_sweep) {
+            noise_ns += t1 - t0;
+            sweep_ns += ns::obs::now_ns() - t1;
+        }
     }
-    c.ws->block_kernel_ns[block] = sweep_ns;
+    c.ws->block_times[block] = {sweep_ns, noise_ns};
 }
 
 }  // namespace
@@ -228,10 +233,9 @@ void combine_symbol_domain(std::span<const packet_contribution> packets,
                 const double magnitude =
                     std::sin(std::numbers::pi * x / static_cast<double>(pad)) /
                     std::sin(std::numbers::pi * theta);
-                workspace.noise_taps[(r - 1) * taps + t] =
-                    std::polar(magnitude / static_cast<double>(n),
-                               std::numbers::pi * (static_cast<double>(n) - 1.0) *
-                                   theta);
+                workspace.noise_taps[(r - 1) * taps + t] = ns::phy::signed_polar(
+                    magnitude / static_cast<double>(n),
+                    std::numbers::pi * (static_cast<double>(n) - 1.0) * theta);
             }
         }
     }
@@ -340,7 +344,7 @@ void combine_symbol_domain(std::span<const packet_contribution> packets,
             grid.resize(n + 2 * interp_radius);
         }
     }
-    workspace.block_kernel_ns.assign(num_blocks, 0);
+    workspace.block_times.assign(num_blocks, {});
 
     sweep_context ctx;
     ctx.ws = &workspace;
@@ -359,9 +363,10 @@ void combine_symbol_domain(std::span<const packet_contribution> packets,
         // The hardware-counter probe wraps the whole stage from the
         // calling thread (perf counters are thread-pinned, so with a
         // pool attached it attributes the caller's share of the sweep);
-        // the wall-clock probe below sums each block's sweep time
-        // instead, so phy.kernel_sum_s stays the roofline denominator —
-        // busy time of the accumulation loops, noise excluded — at any
+        // the wall-clock probes below sum each block's sweep and noise
+        // times instead, so phy.kernel_sum_s stays the roofline
+        // denominator — busy time of the accumulation loops, noise
+        // excluded — and phy.noise_s the busy time of the noise, at any
         // thread count.
         ns::obs::perf_scope batch_perf(workspace.obs.perf,
                                        &workspace.obs.perf_kernel_sum);
@@ -378,10 +383,12 @@ void combine_symbol_domain(std::span<const packet_contribution> packets,
         ns::obs::metrics_registry& metrics = *workspace.obs.metrics;
         ns::obs::histogram* sweep_hist =
             metrics.get_histogram("phy.kernel_sum_s");
-        // Per-block sweep times merge deterministically: recorded by the
-        // calling thread, in block order, after the join.
+        ns::obs::histogram* noise_hist = metrics.get_histogram("phy.noise_s");
+        // Per-block sweep and noise times merge deterministically:
+        // recorded by the calling thread, in block order, after the join.
         for (std::size_t block = 0; block < num_blocks; ++block) {
-            sweep_hist->record_ns(workspace.block_kernel_ns[block]);
+            sweep_hist->record_ns(workspace.block_times[block].kernel_ns);
+            noise_hist->record_ns(workspace.block_times[block].noise_ns);
         }
         metrics.get_counter("phy.fast_packets")->add(packets.size());
         metrics.get_counter("phy.kernels_summed")->add(kernels_summed);

@@ -147,9 +147,14 @@ struct channel_workspace {
     /// Per-block on-grid noise draws + wrap margins (one grid per
     /// symbol block so blocks never share mutable scratch).
     std::vector<cvec> noise_grids;
-    /// Per-block accumulation-sweep nanoseconds, recorded into
-    /// phy.kernel_sum_s in block order after the join.
-    std::vector<std::uint64_t> block_kernel_ns;
+    /// Per-block accumulation-sweep and noise-synthesis nanoseconds,
+    /// recorded into phy.kernel_sum_s and phy.noise_s in block order
+    /// after the join.
+    struct block_time {
+        std::uint64_t kernel_ns = 0;
+        std::uint64_t noise_ns = 0;
+    };
+    std::vector<block_time> block_times;
     /// Sample-path per-device packet buffers (span-stable handout; see
     /// cvec_pool). Release at the start of each round.
     ns::dsp::cvec_pool packet_pool;

@@ -95,7 +95,7 @@ std::size_t make_dechirped_tone_kernel(cvec& kernel, double position_bins,
                 std::sin(std::numbers::pi * x / static_cast<double>(padding)) /
                 denominator;
         }
-        kernel[w] = std::polar(magnitude, std::numbers::pi * (n - 1.0) * theta);
+        kernel[w] = signed_polar(magnitude, std::numbers::pi * (n - 1.0) * theta);
     }
 
     const std::ptrdiff_t m_signed = static_cast<std::ptrdiff_t>(m_total);

@@ -46,6 +46,15 @@ cvec make_upchirp_time_rotated(const css_params& params, std::size_t shift);
 /// baseline downchirp. Requires symbol.size() == params.samples_per_symbol().
 cvec dechirp(const css_params& params, const cvec& symbol);
 
+/// std::polar for a signed magnitude such as the Dirichlet kernel's
+/// sin(πNθ)/sin(πθ). std::polar leaves a negative rho undefined (and
+/// aborts under _GLIBCXX_ASSERTIONS); negating the |m| phasor is exact,
+/// so the bits equal m·cos θ, m·sin θ.
+inline cplx signed_polar(double magnitude, double phase) {
+    return magnitude < 0.0 ? -std::polar(-magnitude, phase)
+                           : std::polar(magnitude, phase);
+}
+
 /// The dechirp-to-tone identity, evaluated analytically (§3.2): a cyclic
 /// shift s plus a residual tone displacement δ dechirps to the complex
 /// tone e^{j2π (s+δ)/N · n}, whose zero-padded N-point FFT is a Dirichlet

@@ -14,26 +14,17 @@ std::uint64_t splitmix64_next(std::uint64_t& state) {
     return z ^ (z >> 31);
 }
 
+namespace detail {
+
 namespace {
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-    return (x << k) | (x >> (64 - k));
-}
-
-// --- Ziggurat tables for the standard normal (Marsaglia & Tsang) -----
-// 128 equal-area layers over f(x) = exp(-x^2/2). Layer i >= 1 is the
-// rectangle [0, x[i]] x [y[i], y[i+1]]; layer 0 is the base rectangle
-// [0, r] x [0, f(r)] plus the tail x > r, handled through the pseudo
-// width x[0] = v/f(r). The recurrence is the published one; r and v are
-// the canonical 128-layer constants.
-constexpr int zig_layers = 128;
+// --- Ziggurat tables (declared in rng.hpp) ---------------------------
+// Layer i >= 1 is the rectangle [0, x[i]] x [y[i], y[i+1]]; layer 0 is
+// the base rectangle [0, r] x [0, f(r)] plus the tail x > r, handled
+// through the pseudo width x[0] = v/f(r). The recurrence is the
+// published one; r and v are the canonical 128-layer constants.
 constexpr double zig_r = 3.442619855899;       // rightmost layer edge
 constexpr double zig_v = 9.91256303526217e-3;  // per-layer area
-
-struct zig_tables {
-    double x[zig_layers + 1];  // layer widths; x[zig_layers] = 0
-    double y[zig_layers + 1];  // y[i] = f(x[i]); y[zig_layers] = 1
-};
 
 zig_tables make_zig_tables() {
     zig_tables t;
@@ -51,9 +42,11 @@ zig_tables make_zig_tables() {
     return t;
 }
 
-const zig_tables g_zig = make_zig_tables();
-
 }  // namespace
+
+const zig_tables zig = make_zig_tables();
+
+}  // namespace detail
 
 rng::rng(std::uint64_t seed) {
     // Expand the seed; xoshiro requires a not-all-zero state, which
@@ -63,23 +56,6 @@ rng::rng(std::uint64_t seed) {
     if (state_[0] == 0 && state_[1] == 0 && state_[2] == 0 && state_[3] == 0) {
         state_[0] = 1;
     }
-}
-
-rng::result_type rng::operator()() {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
-
-double rng::uniform() {
-    // 53 high-quality bits -> double in [0,1).
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double rng::uniform(double lo, double hi) {
@@ -97,36 +73,30 @@ std::int64_t rng::uniform_int(std::int64_t lo, std::int64_t hi) {
     return lo + static_cast<std::int64_t>(value % range);
 }
 
-double rng::gaussian() {
-    // Ziggurat: one raw draw supplies the layer (low 7 bits), the sign
-    // (bit 7) and a 53-bit magnitude uniform (bits 11..63) — disjoint
-    // bit fields, so index and magnitude are independent.
+double rng::gaussian_rejection(std::uint64_t bits) {
+    using detail::zig;
+    using detail::zig_r;
     for (;;) {
-        const std::uint64_t bits = (*this)();
-        const int i = static_cast<int>(bits & 127);
-        const double sign = (bits & 128) ? -1.0 : 1.0;
-        const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
-        const double x = u * g_zig.x[i];
+        const std::uint64_t i = bits & 127;
+        const double x =
+            static_cast<double>(bits >> 11) * 0x1.0p-53 * zig.x[i];
         // Strictly inside the next-narrower layer: under the curve for
         // every y of this layer (and inside the base rectangle for i=0).
-        if (x < g_zig.x[i + 1]) return sign * x;
+        if (x < zig.x[i + 1]) return with_sign(x, bits);
         if (i == 0) {
             // Tail beyond r (Marsaglia's exponential wrap); u1 in (0,1]
             // so the logs stay finite.
             for (;;) {
                 const double xt = -std::log(1.0 - uniform()) / zig_r;
                 const double yt = -std::log(1.0 - uniform());
-                if (yt + yt >= xt * xt) return sign * (zig_r + xt);
+                if (yt + yt >= xt * xt) return with_sign(zig_r + xt, bits);
             }
         }
         // Wedge between x[i+1] and x[i]: exact accept/reject against f.
-        const double y = g_zig.y[i] + uniform() * (g_zig.y[i + 1] - g_zig.y[i]);
-        if (y < std::exp(-0.5 * x * x)) return sign * x;
+        const double y = zig.y[i] + uniform() * (zig.y[i + 1] - zig.y[i]);
+        if (y < std::exp(-0.5 * x * x)) return with_sign(x, bits);
+        bits = (*this)();
     }
-}
-
-double rng::gaussian(double mean, double stddev) {
-    return mean + stddev * gaussian();
 }
 
 double rng::exponential(double mean) {

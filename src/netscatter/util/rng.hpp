@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -16,6 +17,20 @@ namespace ns::util {
 /// splitmix64 step; used to expand a single 64-bit seed into a full
 /// xoshiro256** state. Returns the next value and advances `state`.
 std::uint64_t splitmix64_next(std::uint64_t& state);
+
+namespace detail {
+
+/// Ziggurat tables for the standard normal (Marsaglia & Tsang): 128
+/// equal-area layers over f(x) = exp(-x^2/2). Built once in rng.cpp;
+/// declared here so the fast path of rng::gaussian can inline.
+constexpr int zig_layers = 128;
+struct zig_tables {
+    double x[zig_layers + 1];  // layer widths; x[zig_layers] = 0
+    double y[zig_layers + 1];  // y[i] = f(x[i]); y[zig_layers] = 1
+};
+extern const zig_tables zig;
+
+}  // namespace detail
 
 /// Deterministic, portable random number generator (xoshiro256**).
 ///
@@ -36,10 +51,22 @@ public:
     static constexpr result_type max() { return ~result_type{0}; }
 
     /// Next raw 64-bit value.
-    result_type operator()();
+    result_type operator()() {
+        const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = std::rotl(state_[3], 45);
+        return result;
+    }
 
-    /// Uniform double in [0, 1).
-    double uniform();
+    /// Uniform double in [0, 1): 53 high-quality bits.
+    double uniform() {
+        return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+    }
 
     /// Uniform double in [lo, hi).
     double uniform(double lo, double hi);
@@ -48,12 +75,25 @@ public:
     std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
     /// Standard normal sample (ziggurat, 128 layers). One raw 64-bit
-    /// draw and one multiply on the ~98% fast path; transcendentals only
-    /// in the wedge/tail rejection branches.
-    double gaussian();
+    /// draw supplies the layer (low 7 bits), the sign (bit 7) and a
+    /// 53-bit magnitude uniform (bits 11..63) — disjoint bit fields, so
+    /// index and magnitude are independent. The ~97% fast path (strictly
+    /// inside the next-narrower layer) is one multiply and inlines; the
+    /// wedge/tail rejection runs out of line and continues from the
+    /// same draw.
+    double gaussian() {
+        const std::uint64_t bits = (*this)();
+        const std::uint64_t i = bits & 127;
+        const double x =
+            static_cast<double>(bits >> 11) * 0x1.0p-53 * detail::zig.x[i];
+        if (x < detail::zig.x[i + 1]) [[likely]] return with_sign(x, bits);
+        return gaussian_rejection(bits);
+    }
 
     /// Normal sample with the given mean and standard deviation.
-    double gaussian(double mean, double stddev);
+    double gaussian(double mean, double stddev) {
+        return mean + stddev * gaussian();
+    }
 
     /// Exponential sample with the given mean. Requires mean > 0.
     double exponential(double mean);
@@ -79,6 +119,19 @@ public:
     rng fork();
 
 private:
+    /// Applies the draw's sign bit (bit 7) to a magnitude x >= 0 by
+    /// XOR-ing it into x's sign bit: exactly -x or x, as a multiply by
+    /// -1.0 or 1.0 would give (signed zero included), without a
+    /// data-dependent select.
+    static double with_sign(double x, std::uint64_t bits) {
+        return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^
+                                     ((bits & 128) << 56));
+    }
+
+    /// The wedge/tail rejection of gaussian(), entered with the first
+    /// draw `bits` that missed the fast path.
+    double gaussian_rejection(std::uint64_t bits);
+
     std::array<std::uint64_t, 4> state_{};
 };
 

@@ -9,7 +9,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <iostream>
 #include <new>
+#include <string>
 
 #include "netscatter/channel/impairments.hpp"
 #include "netscatter/channel/kernel_batch.hpp"
@@ -545,31 +547,110 @@ void expect_spectra_bit_identical(const std::vector<cvec>& expected,
     }
 }
 
-/// Pins the inner loop to the scalar reference for the enclosing scope.
-struct scoped_scalar_accumulation {
-    scoped_scalar_accumulation() {
-        ns::channel::force_scalar_accumulation(true);
+/// Caps the dispatched legs at `level` for the enclosing scope.
+struct scoped_simd_cap {
+    explicit scoped_simd_cap(ns::channel::simd_level level) {
+        ns::channel::cap_simd_level(level);
     }
-    ~scoped_scalar_accumulation() {
-        ns::channel::force_scalar_accumulation(false);
+    ~scoped_simd_cap() {
+        ns::channel::cap_simd_level(ns::channel::simd_level::avx512);
     }
 };
 
+/// Every dispatch level this build and host can run, scalar first.
+std::vector<ns::channel::simd_level> supported_simd_levels() {
+    using ns::channel::simd_level;
+    std::vector<simd_level> levels;
+    for (const simd_level level :
+         {simd_level::scalar, simd_level::avx2, simd_level::avx512}) {
+        if (level <= ns::channel::host_simd_level()) levels.push_back(level);
+    }
+    return levels;
+}
+
 TEST(kernel_batch, simd_backend_is_bit_identical_to_scalar_reference) {
-    // The vector backends use explicit mul/add with no FMA contraction,
-    // so the dispatched sweep must reproduce the scalar reference
-    // bit-for-bit, not merely within rounding. On hosts without a vector
-    // backend both runs take the scalar loop and the test is a tautology
-    // (which is fine: the CI matrix pins at least one leg to each).
+    // The vector legs use explicit mul/add with no FMA contraction, so
+    // every level's sweep must reproduce the scalar reference
+    // bit-for-bit, not merely within rounding. Each level the host
+    // supports runs in turn, so an AVX-512 host still tests its AVX2
+    // legs; where only the scalar loop exists the loop is a tautology
+    // (the CI matrix pins at least one leg to each).
     const batch_round round = make_batch_round(48, 31);
     std::vector<cvec> scalar_spectra;
     {
-        scoped_scalar_accumulation pin;
+        scoped_simd_cap cap(ns::channel::simd_level::scalar);
         scalar_spectra = batch_round_spectra(round, nullptr);
     }
-    const std::vector<cvec> dispatched = batch_round_spectra(round, nullptr);
-    expect_spectra_bit_identical(scalar_spectra, dispatched,
-                                 ns::channel::kernel_accumulate_backend());
+    for (const ns::channel::simd_level level : supported_simd_levels()) {
+        scoped_simd_cap cap(level);
+        const std::string label =
+            std::string(ns::channel::kernel_accumulate_backend()) + "/" +
+            ns::channel::interpolate_bands_backend();
+        expect_spectra_bit_identical(scalar_spectra,
+                                     batch_round_spectra(round, nullptr),
+                                     label.c_str());
+    }
+}
+
+TEST(kernel_batch, interpolation_legs_match_scalar_reference_directly) {
+    // Each leg against interpolate_bands_scalar over the paddings the
+    // fast path uses (1, 3, 7 and 15 residues), narrow to wide FIRs,
+    // and counts that leave 1, 2 and 3 q-lanes for the scalar tail of
+    // the two- and four-lane loops.
+    ns::util::rng rng(505);
+    for (const ns::channel::simd_level level : supported_simd_levels()) {
+        scoped_simd_cap cap(level);
+        const char* leg = ns::channel::interpolate_bands_backend();
+        for (const std::size_t pad : {2u, 4u, 8u, 16u}) {
+            for (const std::size_t radius : {1u, 4u, 8u}) {
+                const std::size_t taps = 2 * radius + 1;
+                cvec coeffs((pad - 1) * taps);
+                for (auto& c : coeffs) {
+                    c = cplx{rng.gaussian(), rng.gaussian()};
+                }
+                for (const std::size_t count :
+                     {1u, 2u, 3u, 4u, 61u, 62u, 63u, 64u}) {
+                    cvec grid(count + 2 * radius);
+                    for (auto& g : grid) {
+                        g = cplx{rng.gaussian(), rng.gaussian()};
+                    }
+                    cvec expected(pad * count);
+                    cvec actual(pad * count);
+                    ns::channel::interpolate_bands_scalar(
+                        expected.data(), pad, grid.data(), radius,
+                        coeffs.data(), count);
+                    ns::channel::interpolate_bands(actual.data(), pad,
+                                                   grid.data(), radius,
+                                                   coeffs.data(), count);
+                    for (std::size_t i = 0; i < expected.size(); ++i) {
+                        ASSERT_EQ(expected[i], actual[i])
+                            << leg << ": pad " << pad << " radius " << radius
+                            << " count " << count << " bin " << i;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(kernel_batch, each_level_dispatches_its_own_interpolation_leg) {
+    // Names the legs this host runs (the CI log shows them) and checks
+    // the cap really switches legs: every supported level runs a
+    // different interpolation loop, and scalar means scalar.
+    std::vector<std::string> legs;
+    for (const ns::channel::simd_level level : supported_simd_levels()) {
+        scoped_simd_cap cap(level);
+        legs.emplace_back(ns::channel::interpolate_bands_backend());
+        std::cout << "level " << static_cast<int>(level) << ": accumulate "
+                  << ns::channel::kernel_accumulate_backend()
+                  << ", interpolate " << legs.back() << "\n";
+    }
+    EXPECT_EQ(legs.front(), "scalar");
+    for (std::size_t i = 1; i < legs.size(); ++i) {
+        EXPECT_NE(legs[i], legs[i - 1]);
+    }
+    scoped_simd_cap cap(ns::channel::simd_level::scalar);
+    EXPECT_STREQ(ns::channel::kernel_accumulate_backend(), "scalar");
 }
 
 TEST(kernel_batch, intra_round_threads_are_bit_identical) {
