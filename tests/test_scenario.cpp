@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -653,6 +655,55 @@ TEST(cochannel, registered_scenario_keeps_fast_path_and_counts_raids) {
     // The two populations are both 128 strong at 50-75% duty: raids must
     // actually intersect the victim's transmissions.
     EXPECT_GT(result.sim.delivery_rate(), 0.3);
+}
+
+// ---------------------------------------------------- sample-path pins --
+
+/// FNV-1a over the bytes of a run's outcome digest.
+std::uint64_t outcome_hash(const ns::sim::sim_result& sim) {
+    std::ostringstream out;
+    ns::test::write_outcome_digest(out, sim);
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const char c : out.str()) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/// Replica 0 of `name` with its spec rounds replaced and, when set, its
+/// fidelity.
+ns::sim::sim_result pinned_run(const char* name, std::size_t rounds,
+                               std::optional<ns::sim::phy_fidelity> fidelity) {
+    scenario_spec spec = *find_scenario(name);
+    spec.sim.rounds = rounds;
+    if (fidelity) spec.sim.fidelity = *fidelity;
+    return run_scenario_replica(spec, 0).sim;
+}
+
+// Golden digests of runs whose rounds are rendered as time-domain
+// waveforms, so any change to how the sample path turns a transmission
+// into samples must keep every outcome of these runs.
+
+TEST(sample_path, cochannel_packets_are_pinned) {
+    const auto sim = pinned_run("cochannel-2ap", 8, ns::sim::phy_fidelity::sample);
+    EXPECT_EQ(sim.fast_path_rounds, 0u);
+    EXPECT_EQ(sim.total_cross_tx, 774u);
+    EXPECT_EQ(outcome_hash(sim), 0x0fcb13f359b897e2ULL);
+}
+
+TEST(sample_path, stale_shift_transmitters_are_pinned) {
+    const auto sim = pinned_run("lossy-control-1k", 20, ns::sim::phy_fidelity::sample);
+    EXPECT_EQ(sim.fast_path_rounds, 0u);
+    EXPECT_EQ(sim.total_desyncs, 108u);
+    EXPECT_EQ(outcome_hash(sim), 0x3af4f05166d4162fULL);
+}
+
+TEST(sample_path, rounds_mixed_with_the_fast_path_are_pinned) {
+    const auto sim = pinned_run("interference-lora", 20, std::nullopt);
+    EXPECT_GT(sim.fast_path_rounds, 0u);
+    EXPECT_LT(sim.fast_path_rounds, sim.rounds.size());
+    EXPECT_EQ(outcome_hash(sim), 0x1c2fb3dc8b84cd7aULL);
 }
 
 // -------------------------------------------- hooks/simulator coupling --
