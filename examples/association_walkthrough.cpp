@@ -34,8 +34,8 @@ int main() {
     dev_params.detector.rssi_step_db = 0.0;
 
     // Device 1 is near the AP (strong query), device 2 far (weak query).
-    ns::device::backscatter_device device1(1, dev_params, 11);
-    ns::device::backscatter_device device2(2, dev_params, 22);
+    ns::device::backscatter_device device1(dev_params, 11);
+    ns::device::backscatter_device device2(dev_params, 22);
     const double rssi1 = -25.0, rssi2 = -45.0;
 
     std::cout << "== NetScatter association walkthrough (Fig. 10) ==\n";

@@ -13,18 +13,17 @@ writes:
     bench_roofline sweep), and every other point series as a generic
     table;
   * a tidy long-format CSV (--csv): one row per (file, section, point,
-    field) — trivially joinable across PRs;
-  * an append-only history file (--history): one row per top-level
-    numeric scalar, labelled with --label (CI passes the commit SHA),
-    giving every future SIMD PR a one-command before/after trajectory.
+    field) — trivially joinable across PRs.
+
+The per-commit trajectory lives in benchmark/history.csv, which
+benchmark/run.py appends to.
 
 No dependencies beyond the standard library; exits non-zero only on
 unreadable input.
 
 Usage:
   perf_report.py [files...] [--output PERF_REPORT.md]
-                 [--csv PERF_REPORT.csv] [--history bench_history.csv]
-                 [--label REF]
+                 [--csv PERF_REPORT.csv] [--label REF]
 
 With no files, globs METRICS_*.json and BENCH_*.json in the working
 directory.
@@ -172,28 +171,6 @@ def write_csv(reports, path):
                             [source, bench, section, index, field, value])
 
 
-def append_history(reports, path, label):
-    """One row per top-level numeric scalar, appended — the trajectory
-    file CI accumulates across commits."""
-    rows = []
-    for source, data in reports:
-        scalars, _ = split_report(data)
-        bench = scalars.get("bench", source)
-        for key, value in scalars.items():
-            if isinstance(value, (int, float)):
-                rows.append([label, bench, key, value])
-    try:
-        with open(path) as handle:
-            needs_header = not handle.readline().startswith("label,")
-    except OSError:
-        needs_header = True
-    with open(path, "a", newline="") as handle:
-        writer = csv.writer(handle)
-        if needs_header:
-            writer.writerow(["label", "bench", "scalar", "value"])
-        writer.writerows(rows)
-
-
 def main():
     parser = argparse.ArgumentParser(
         description="merge METRICS_*/BENCH_*.json into a perf report")
@@ -204,10 +181,8 @@ def main():
                         help="markdown report path")
     parser.add_argument("--csv", default=None,
                         help="tidy long-format CSV path")
-    parser.add_argument("--history", default=None,
-                        help="append-only scalar trajectory CSV")
     parser.add_argument("--label", default="",
-                        help="row label for --history (e.g. the commit SHA)")
+                        help="report header label (e.g. the commit SHA)")
     args = parser.parse_args()
 
     paths = args.files or (glob.glob("METRICS_*.json") +
@@ -225,9 +200,6 @@ def main():
     if args.csv:
         write_csv(reports, args.csv)
         print(f"wrote {args.csv}")
-    if args.history:
-        append_history(reports, args.history, args.label)
-        print(f"appended {args.history}")
     return 0
 
 

@@ -6,10 +6,8 @@
 
 namespace ns::device {
 
-backscatter_device::backscatter_device(std::uint32_t id, device_params params,
-                                       std::uint64_t seed)
-    : id_(id),
-      params_(params),
+backscatter_device::backscatter_device(device_params params, std::uint64_t seed)
+    : params_(params),
       rng_(seed),
       detector_(params.detector, rng_.fork()) {
     static_cfo_hz_ = params_.crystal.sample_static_offset_hz(rng_);

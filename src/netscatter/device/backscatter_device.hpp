@@ -92,9 +92,10 @@ enum class device_state { unassociated, awaiting_ack, associated };
 /// One backscatter device.
 class backscatter_device {
 public:
-    /// `id` identifies the device to the caller; `seed` makes the device's
-    /// stochastic behaviour (delays, CFO, RSSI noise) reproducible.
-    backscatter_device(std::uint32_t id, device_params params, std::uint64_t seed);
+    /// `seed` makes the device's stochastic behaviour (delays, CFO, RSSI
+    /// noise) reproducible. The caller identifies the device by where it
+    /// keeps it (the simulator: its slot index).
+    backscatter_device(device_params params, std::uint64_t seed);
 
     /// Processes one AP query. `query_rx_power_dbm` is the true received
     /// downlink power at the device (the detector adds measurement noise);
@@ -123,7 +124,6 @@ public:
     /// Static crystal frequency offset of this device, Hz.
     double static_frequency_offset_hz() const { return static_cfo_hz_; }
 
-    std::uint32_t id() const { return id_; }
     const device_params& params() const { return params_; }
 
     /// Forces the associated state with the given shift — used by tests
@@ -135,7 +135,6 @@ public:
 private:
     transmit_intent respond_associated(double measured_rssi_dbm);
 
-    std::uint32_t id_;
     device_params params_;
     ns::util::rng rng_;
     envelope_detector detector_;

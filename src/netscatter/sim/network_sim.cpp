@@ -199,8 +199,7 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
         const bool active = initially_active[i];
         device_slot slot{
             .placement = placed[i],
-            .device = ns::device::backscatter_device(placed[i].id, dev_params, rng_()),
-            .modulator = std::nullopt,  // built lazily on first transmission
+            .device = ns::device::backscatter_device(dev_params, rng_()),
             .fading = ns::channel::gauss_markov_fading(config_.fading_sigma_db,
                                                        config_.fading_rho, rng_.fork()),
             .tof_s = std::hypot(placed[i].x_m - ap_x, placed[i].y_m - ap_y) /
@@ -466,7 +465,6 @@ std::vector<std::pair<std::uint32_t, double>> network_simulator::occupied_powers
 void network_simulator::associate_slot(std::size_t slot_index, std::uint32_t shift,
                                        double baseline_rssi_dbm) {
     device_slot& slot = slots_[slot_index];
-    slot.modulator.reset();  // rebuilt lazily at the new shift on first use
     slot.device.force_associate(shift, baseline_rssi_dbm,
                                 slot.device.association_gain_level(baseline_rssi_dbm));
 }
@@ -929,15 +927,12 @@ void network_simulator::synth_phase(round_state& state) {
     const std::size_t round = state.round;
     round_outcome& outcome = state.outcome;
     const bool round_blackout = state.blackout;
-    const bool fast_path = state.fast_path;
     const std::optional<std::size_t> scheduled = state.scheduled;
     const double noise_floor =
         deployment_->noise_floor_dbm(config_.phy.bandwidth_hz);
     // Reset the round workspaces (buffers keep their capacity — the
     // steady-state loop performs zero per-device heap allocations on the
     // fast path).
-    chan_ws_.packet_pool.release_all();
-    contributions_.clear();
     packet_contribs_.clear();
     frame_bits_store_.clear();
     for (std::uint32_t shift : tx_row_shift_) sent_row_of_shift_[shift] = -1;
@@ -1063,34 +1058,13 @@ void network_simulator::synth_phase(round_state& state) {
         const double frequency_offset_hz =
             intent.frequency_offset_hz + slot.doppler_hz;
 
-        if (fast_path) {
-            // Symbol domain: no modulator, no waveform — the frame
-            // bits span is attached after the loop (the flat store
-            // may still grow while transmitters are collected).
-            ns::channel::packet_contribution packet;
-            packet.cyclic_shift = tx_shift;
-            packet.snr_db = uplink_dbm - noise_floor;
-            packet.timing_offset_s = timing_offset_s;
-            packet.frequency_offset_hz = frequency_offset_hz;
-            if (slot.taps) packet.taps = slot.taps->current();
-            packet_contribs_.push_back(packet);
-        } else {
-            if (!slot.modulator) {
-                // At the transmit shift, which is the stale one while
-                // desynced (associate_slot / resync reset the cache,
-                // so it can never linger across a shift change).
-                slot.modulator.emplace(config_.phy, tx_shift);
-            }
-            ns::dsp::cvec& packet_buffer = chan_ws_.packet_pool.acquire();
-            slot.modulator->modulate_packet_into(frame_scratch_, packet_buffer);
-            ns::channel::tx_contribution tx;
-            tx.waveform = std::span<const ns::dsp::cplx>(packet_buffer);
-            tx.snr_db = uplink_dbm - noise_floor;
-            tx.timing_offset_s = timing_offset_s;
-            tx.frequency_offset_hz = frequency_offset_hz;
-            if (slot.taps) tx.taps = slot.taps->current();
-            contributions_.push_back(tx);
-        }
+        packet_contribs_.push_back(
+            {.cyclic_shift = tx_shift,
+             .frame_bits = {},  // attached once the flat store is final
+             .snr_db = uplink_dbm - noise_floor,
+             .timing_offset_s = timing_offset_s,
+             .frequency_offset_hz = frequency_offset_hz,
+             .taps = slot.taps ? slot.taps->current() : std::span<const ns::dsp::cplx>()});
         ++outcome.transmitting;
         if (fault_injector_ && !slot.desynced) {
             // The AP decoded activity on this device's assigned
@@ -1120,9 +1094,6 @@ void network_simulator::superpose_phase(round_state& state) {
     const round_plan& plan = state.plan;
     round_outcome& outcome = state.outcome;
     const std::size_t frame_bits = config_.frame.payload_plus_crc_bits();
-    const std::size_t packet_samples =
-        (config_.frame.preamble_symbols + frame_bits) *
-        config_.phy.samples_per_symbol();
 
     // Cross-network accounting: a foreign packet's dechirped peak
     // lands at its shift plus the displacement of the inter-AP
@@ -1155,20 +1126,20 @@ void network_simulator::superpose_phase(round_state& state) {
         }
     }
 
+    // One row per packet on the air, on both paths: our rows in transmit
+    // order, then the co-channel rows (then interferers on the sample
+    // path). The order fixes the phase and noise draws.
+    for (std::size_t row = 0; row < tx_row_shift_.size(); ++row) {
+        packet_contribs_[row].frame_bits = std::span<const std::uint8_t>(
+            frame_bits_store_.data() + row * frame_bits, frame_bits);
+    }
+    for (const auto& foreign : plan.cochannel) {
+        packet_contribs_.push_back(foreign);
+    }
+
     ns::channel::channel_config chan;
     chan.noise_power = 1.0;
     if (state.fast_path) {
-        // Attach the frame-bit spans now that the flat store is
-        // final, then synthesize post-dechirp spectra directly. The
-        // co-channel network's packets join the accumulators as
-        // ordinary kernels at their displaced positions.
-        for (std::size_t row = 0; row < tx_row_shift_.size(); ++row) {
-            packet_contribs_[row].frame_bits = std::span<const std::uint8_t>(
-                frame_bits_store_.data() + row * frame_bits, frame_bits);
-        }
-        for (const auto& foreign : plan.cochannel) {
-            packet_contribs_.push_back(foreign);
-        }
         ns::channel::symbol_domain_params sd;
         sd.zero_padding = config_.zero_padding;
         sd.preamble_upchirps = ns::phy::distributed_modulator::preamble_upchirps;
@@ -1177,40 +1148,38 @@ void network_simulator::superpose_phase(round_state& state) {
         sd.kernel_radius_bins = config_.symbol_kernel_radius_bins;
         ns::channel::combine_symbol_domain(packet_contribs_, config_.phy, chan,
                                            sd, rng_, chan_ws_);
-    } else {
-        // Co-channel packets are synthesized as real waveforms here:
-        // a cached modulator per foreign shift, the same symbolic
-        // description the fast path consumes — the two fidelities
-        // superpose the identical foreign transmission.
-        for (const auto& foreign : plan.cochannel) {
-            const auto mod_it =
-                foreign_modulators_
-                    .try_emplace(foreign.cyclic_shift, config_.phy,
-                                 foreign.cyclic_shift)
-                    .first;
-            frame_scratch_.resize(foreign.frame_bits.size());
-            for (std::size_t i = 0; i < foreign.frame_bits.size(); ++i) {
-                frame_scratch_[i] = foreign.frame_bits[i] != 0;
-            }
-            ns::dsp::cvec& packet_buffer = chan_ws_.packet_pool.acquire();
-            mod_it->second.modulate_packet_into(frame_scratch_, packet_buffer);
-            ns::channel::tx_contribution tx;
-            tx.waveform = std::span<const ns::dsp::cplx>(packet_buffer);
-            tx.snr_db = foreign.snr_db;
-            tx.timing_offset_s = foreign.timing_offset_s;
-            tx.frequency_offset_hz = foreign.frequency_offset_hz;
-            tx.random_phase = foreign.random_phase;
-            tx.taps = foreign.taps;
-            contributions_.push_back(tx);
-        }
-        // In-band interferers (scenario-injected) share the channel.
-        for (const auto& interferer : plan.interference) {
-            contributions_.push_back(interferer);
-        }
-        state.received = &ns::channel::combine(
-            std::span<const ns::channel::tx_contribution>(contributions_),
-            packet_samples, config_.phy, chan, rng_, chan_ws_);
+        return;
     }
+
+    // Sample path: render every row. A packet is its shift's upchirp
+    // ON-OFF keyed by its frame bits (§3.1), so one modulator per shift
+    // serves every row on it, a desynced device's stale shift included.
+    if (modulators_.empty()) modulators_.resize(config_.phy.num_bins());
+    chan_ws_.packet_pool.release_all();
+    contributions_.clear();
+    for (const ns::channel::packet_contribution& row : packet_contribs_) {
+        std::optional<ns::phy::distributed_modulator>& modulator =
+            modulators_[row.cyclic_shift];
+        if (!modulator) modulator.emplace(config_.phy, row.cyclic_shift);
+        frame_scratch_.assign(row.frame_bits.begin(), row.frame_bits.end());
+        ns::dsp::cvec& packet_buffer = chan_ws_.packet_pool.acquire();
+        modulator->modulate_packet_into(frame_scratch_, packet_buffer);
+        contributions_.push_back({.waveform = std::span<const ns::dsp::cplx>(packet_buffer),
+                                  .snr_db = row.snr_db,
+                                  .timing_offset_s = row.timing_offset_s,
+                                  .frequency_offset_hz = row.frequency_offset_hz,
+                                  .random_phase = row.random_phase,
+                                  .taps = row.taps});
+    }
+    // In-band interferers (scenario-injected) share the channel.
+    for (const auto& interferer : plan.interference) {
+        contributions_.push_back(interferer);
+    }
+    const std::size_t packet_samples =
+        (config_.frame.preamble_symbols + frame_bits) *
+        config_.phy.samples_per_symbol();
+    ns::channel::combine(std::span<const ns::channel::tx_contribution>(contributions_),
+                         packet_samples, config_.phy, chan, rng_, chan_ws_);
 }
 
 void network_simulator::decode_phase(round_state& state) {
@@ -1220,7 +1189,7 @@ void network_simulator::decode_phase(round_state& state) {
     if (state.fast_path) {
         receiver_.decode_spectra_into(chan_ws_.symbol_spectra, decoded_, decode_ws_);
     } else {
-        receiver_.decode_into(*state.received, 0, decoded_, decode_ws_);
+        receiver_.decode_into(chan_ws_.received, 0, decoded_, decode_ws_);
     }
 
     row_scored_.assign(fault_injector_ ? tx_row_shift_.size() : 0, 0);

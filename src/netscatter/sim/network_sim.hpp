@@ -1,10 +1,12 @@
-// End-to-end sample-level network simulator.
+// End-to-end network simulator.
 //
 // Drives the full pipeline the paper's deployment exercises: the AP
 // queries, every associated device responds concurrently through the
 // superposition channel (with per-packet hardware delay jitter, CFO,
 // power adaptation and fading), and the NetScatter receiver decodes all
-// devices from the summed baseband with one FFT per symbol. Decode
+// devices with one FFT per symbol. Rounds synthesize post-dechirp spectra
+// directly by default (phy_fidelity, §3.2); the sample path renders
+// time-domain waveforms. Decode
 // success feeds the analytic timeline models (timeline.hpp) to produce
 // the Figs. 17-19 series.
 #pragma once
@@ -12,7 +14,6 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "netscatter/channel/fading.hpp"
@@ -516,8 +517,6 @@ private:
         /// Group this round's query addresses (grouped runs with at least
         /// one group; unset otherwise).
         std::optional<std::size_t> scheduled;
-        /// Summed baseband of a sample-path round, for decode.
-        const ns::dsp::cvec* received = nullptr;
     };
 
     /// RAII scope of one phase: opens its trace span (feeding the phase
@@ -547,11 +546,6 @@ private:
     struct device_slot {
         placed_device placement;
         ns::device::backscatter_device device;
-        /// Built lazily on first transmission (and rebuilt after a shift
-        /// change): inactive and unscheduled devices never pay the
-        /// per-shift chirp table, which is what lets a 10k-device
-        /// universe fit per-replica memory.
-        std::optional<ns::phy::distributed_modulator> modulator;
         ns::channel::gauss_markov_fading fading;
         /// Per-device multipath state (model_multipath only); advanced
         /// every round like fading so a device's channel time series is
@@ -758,8 +752,13 @@ private:
     ns::channel::channel_workspace chan_ws_;
     ns::rx::decode_workspace decode_ws_;
     ns::rx::decode_result decoded_;
-    std::vector<ns::channel::tx_contribution> contributions_;
+    /// This round's packets on the air, on both paths: our transmitters
+    /// in transmit order, then the co-channel network's packets.
     std::vector<ns::channel::packet_contribution> packet_contribs_;
+    /// Sample path: the rendered rows plus the interferers, and one
+    /// modulator per cyclic shift (indexed by shift, built on first use).
+    std::vector<ns::channel::tx_contribution> contributions_;
+    std::vector<std::optional<ns::phy::distributed_modulator>> modulators_;
     std::vector<bool> payload_scratch_;
     std::vector<bool> frame_scratch_;
     /// Flat 0/1 bytes of every transmitter's frame bits this round, one
@@ -775,10 +774,6 @@ private:
     /// complement is the orphaned transmissions — stale or collided
     /// shifts the schedule no longer decodes.
     std::vector<std::uint8_t> row_scored_;
-    /// Modulators for co-channel packets on the sample path, keyed by
-    /// foreign cyclic shift (the fast path never materializes them).
-    std::unordered_map<std::uint32_t, ns::phy::distributed_modulator>
-        foreign_modulators_;
 };
 
 }  // namespace ns::sim

@@ -142,14 +142,14 @@ device_params quiet_params() {
 }
 
 TEST(backscatter_device, silent_below_detector_sensitivity) {
-    backscatter_device device(1, quiet_params(), 1);
+    backscatter_device device(quiet_params(), 1);
     const auto intent = device.handle_query(-60.0, std::nullopt);
     EXPECT_EQ(intent.action, device_action::none);
     EXPECT_EQ(device.state(), device_state::unassociated);
 }
 
 TEST(backscatter_device, association_request_strong_query_middle_gain) {
-    backscatter_device device(1, quiet_params(), 2);
+    backscatter_device device(quiet_params(), 2);
     const auto intent = device.handle_query(-25.0, std::nullopt);
     EXPECT_EQ(intent.action, device_action::association_request);
     EXPECT_EQ(intent.association_region, snr_region::high);
@@ -158,7 +158,7 @@ TEST(backscatter_device, association_request_strong_query_middle_gain) {
 }
 
 TEST(backscatter_device, association_request_weak_query_max_gain) {
-    backscatter_device device(1, quiet_params(), 3);
+    backscatter_device device(quiet_params(), 3);
     const auto intent = device.handle_query(-45.0, std::nullopt);
     EXPECT_EQ(intent.action, device_action::association_request);
     EXPECT_EQ(intent.association_region, snr_region::low);
@@ -166,7 +166,7 @@ TEST(backscatter_device, association_request_weak_query_max_gain) {
 }
 
 TEST(backscatter_device, ack_follows_assignment) {
-    backscatter_device device(1, quiet_params(), 4);
+    backscatter_device device(quiet_params(), 4);
     device.handle_query(-30.0, std::nullopt);
     // No assignment yet: the device waits.
     auto intent = device.handle_query(-30.0, std::nullopt);
@@ -180,7 +180,7 @@ TEST(backscatter_device, ack_follows_assignment) {
 }
 
 TEST(backscatter_device, transmits_data_when_associated) {
-    backscatter_device device(1, quiet_params(), 5);
+    backscatter_device device(quiet_params(), 5);
     device.force_associate(100, -30.0, 1);  // middle gain baseline
     const auto intent = device.handle_query(-30.0, std::nullopt);
     EXPECT_EQ(intent.action, device_action::transmit_data);
@@ -190,7 +190,7 @@ TEST(backscatter_device, transmits_data_when_associated) {
 
 TEST(backscatter_device, stronger_query_lowers_gain) {
     // Downlink up 3 dB => uplink up ~6 dB => desired gain -4-6 = -10 dB.
-    backscatter_device device(1, quiet_params(), 6);
+    backscatter_device device(quiet_params(), 6);
     device.force_associate(100, -30.0, 1);
     const auto intent = device.handle_query(-27.0, std::nullopt);
     EXPECT_EQ(intent.action, device_action::transmit_data);
@@ -198,7 +198,7 @@ TEST(backscatter_device, stronger_query_lowers_gain) {
 }
 
 TEST(backscatter_device, weaker_query_raises_gain) {
-    backscatter_device device(1, quiet_params(), 7);
+    backscatter_device device(quiet_params(), 7);
     device.force_associate(100, -30.0, 1);
     const auto intent = device.handle_query(-32.0, std::nullopt);  // down 2 dB
     EXPECT_EQ(intent.action, device_action::transmit_data);
@@ -209,7 +209,7 @@ TEST(backscatter_device, out_of_tolerance_skips_then_reassociates) {
     // Downlink up 10 dB => uplink up 20 dB; even the -10 dB floor leaves
     // +14 dB of residual — the device must skip, and after max_skips
     // consecutive skips re-initiate association (§3.2.3).
-    backscatter_device device(1, quiet_params(), 8);
+    backscatter_device device(quiet_params(), 8);
     device.force_associate(100, -30.0, 1);
     auto intent = device.handle_query(-20.0, std::nullopt);
     EXPECT_EQ(intent.action, device_action::skip);
@@ -219,7 +219,7 @@ TEST(backscatter_device, out_of_tolerance_skips_then_reassociates) {
 }
 
 TEST(backscatter_device, recovers_after_single_skip) {
-    backscatter_device device(1, quiet_params(), 9);
+    backscatter_device device(quiet_params(), 9);
     device.force_associate(100, -30.0, 1);
     auto intent = device.handle_query(-20.0, std::nullopt);  // skip 1
     EXPECT_EQ(intent.action, device_action::skip);
@@ -233,7 +233,7 @@ TEST(backscatter_device, per_packet_impairments_sampled) {
     params.crystal.tolerance_ppm = 50.0;
     params.crystal.operating_frequency_hz = 3e6;
     params.crystal.drift_sigma_hz = 10.0;
-    backscatter_device device(1, params, 10);
+    backscatter_device device(params, 10);
     device.force_associate(10, -30.0, 1);
     const auto a = device.handle_query(-30.0, std::nullopt);
     const auto b = device.handle_query(-30.0, std::nullopt);
@@ -245,7 +245,7 @@ TEST(backscatter_device, per_packet_impairments_sampled) {
 }
 
 TEST(backscatter_device, force_associate_validates) {
-    backscatter_device device(1, quiet_params(), 11);
+    backscatter_device device(quiet_params(), 11);
     EXPECT_THROW(device.force_associate(512, -30.0, 0), ns::util::invalid_argument);
     EXPECT_THROW(device.force_associate(10, -30.0, 9), ns::util::invalid_argument);
 }

@@ -348,8 +348,8 @@ TEST(rng_golden, seed42_stream_is_pinned) {
 TEST(rng_golden, device_behaviour_is_seed_stable) {
     // Two identically-seeded devices make identical decisions forever.
     ns::device::device_params params;
-    ns::device::backscatter_device a(1, params, 77);
-    ns::device::backscatter_device b(1, params, 77);
+    ns::device::backscatter_device a(params, 77);
+    ns::device::backscatter_device b(params, 77);
     a.force_associate(10, -30.0, 1);
     b.force_associate(10, -30.0, 1);
     for (int i = 0; i < 20; ++i) {
@@ -365,7 +365,7 @@ TEST(rng_golden, device_behaviour_is_seed_stable) {
 
 TEST(device_edges, query_below_sensitivity_preserves_state) {
     ns::device::device_params params;
-    ns::device::backscatter_device device(1, params, 31);
+    ns::device::backscatter_device device(params, 31);
     device.force_associate(50, -30.0, 1);
     const auto intent = device.handle_query(-60.0, std::nullopt);  // below -49 dBm
     EXPECT_EQ(intent.action, ns::device::device_action::none);
@@ -377,7 +377,7 @@ TEST(device_edges, assignment_ignored_while_associated) {
     ns::device::device_params params;
     params.detector.rssi_noise_sigma_db = 0.0;
     params.detector.rssi_step_db = 0.0;
-    ns::device::backscatter_device device(1, params, 32);
+    ns::device::backscatter_device device(params, 32);
     device.force_associate(50, -30.0, 1);
     // A stray assignment addressed at this device while it is already
     // associated must not disturb its shift (the AP only piggybacks

@@ -32,7 +32,7 @@ TEST(integration, association_handshake_end_to_end) {
     ns::device::device_params dev_params;
     dev_params.detector.rssi_noise_sigma_db = 0.0;
     dev_params.detector.rssi_step_db = 0.0;
-    ns::device::backscatter_device device2(2, dev_params, 7);
+    ns::device::backscatter_device device2(dev_params, 7);
 
     // Round 1: device 2 hears a query and requests association.
     auto intent = device2.handle_query(-30.0, std::nullopt);
