@@ -6,9 +6,8 @@
 // power adaptation and fading), and the NetScatter receiver decodes all
 // devices with one FFT per symbol. Rounds synthesize post-dechirp spectra
 // directly by default (phy_fidelity, §3.2); the sample path renders
-// time-domain waveforms. Decode
-// success feeds the analytic timeline models (timeline.hpp) to produce
-// the Figs. 17-19 series.
+// time-domain waveforms. Decode success feeds the analytic timeline
+// models (timeline.hpp) to produce the Figs. 17-19 series.
 #pragma once
 
 #include <array>
