@@ -241,8 +241,9 @@ struct common_options {
             [this] { perf = true; });
         parser.add_flag(
             "--strip-wallclock",
-            "omit every timing field from the JSON (shared is_timing_name "
-            "predicate) so reports from different thread counts diff clean",
+            "omit every host-measured value (wall clock, phase timers, "
+            "perf counters) from the JSON; simulated time stays, so "
+            "reports from different thread counts diff clean",
             [this] { strip_wallclock = true; });
     }
 

@@ -101,12 +101,11 @@ void print_schema() {
 }
 
 /// The headline metrics every aggregate row carries, harvested from a
-/// merged cell result. Timing-named entries are dropped from the CSV
-/// under --strip-wallclock (the aggregate JSON strips via bench_report's
-/// shared predicate).
+/// merged cell result. `strip` (--strip-wallclock) leaves out the
+/// host-measured wall clock, from the aggregate JSON and CSV alike.
 std::vector<std::pair<std::string, double>> cell_metrics(
-    const ns::scenario::scenario_result& result) {
-    return {
+    const ns::scenario::scenario_result& result, bool strip) {
+    std::vector<std::pair<std::string, double>> metrics = {
         {"delivery_rate", result.sim.delivery_rate()},
         {"loss_rate", result.loss_rate()},
         {"ber", result.sim.ber()},
@@ -117,8 +116,9 @@ std::vector<std::pair<std::string, double>> cell_metrics(
         {"joins", static_cast<double>(result.sim.total_joins)},
         {"leaves", static_cast<double>(result.sim.total_leaves)},
         {"round_time_s", result.round_time_s},
-        {"wall_clock_s", result.wall_clock_s},
     };
+    if (!strip) metrics.emplace_back("wall_clock_s", result.wall_clock_s);
+    return metrics;
 }
 
 int run(const sweep_options& options) {
@@ -163,6 +163,7 @@ int run(const sweep_options& options) {
         ns::spec::run_sweep(cells, {.num_threads = options.common.threads});
 
     // Per-cell scenario JSON, cell coordinates leading.
+    const bool strip = options.common.strip_wallclock;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const auto& cell = cells[i];
         std::vector<std::pair<std::string, bench::json_value>> extras = {
@@ -174,14 +175,13 @@ int run(const sweep_options& options) {
         std::snprintf(index_text, sizeof(index_text), "%03zu", cell.index);
         const std::string path = options.out_dir + "/SWEEP_" + name + "_cell" +
                                  index_text + ".json";
-        ns::apps::write_scenario_json(results[i], path,
-                                      options.common.strip_wallclock, extras);
+        ns::apps::write_scenario_json(results[i], path, strip, extras);
         if (options.common.perf) ns::apps::print_perf_table(results[i]);
         if (!options.common.metrics_path.empty()) {
             ns::apps::write_metrics_json(
                 results[i],
                 with_cell_suffix(options.common.metrics_path, cell.index),
-                options.common.strip_wallclock);
+                strip);
         }
         if (!options.common.trace_path.empty()) {
             const std::string trace_path =
@@ -195,10 +195,9 @@ int run(const sweep_options& options) {
     }
 
     // Aggregate JSON: one bench_report point per cell, same scalars the
-    // CSV carries, strip handled by the shared predicate.
+    // CSV carries.
     {
         bench::bench_report report("sweep_" + name);
-        report.set_strip_timing(options.common.strip_wallclock);
         report.set_scalar("base", base.name);
         report.set_scalar("cells", static_cast<double>(cells.size()));
         for (std::size_t a = 0; a < axes.size(); ++a) {
@@ -210,7 +209,7 @@ int run(const sweep_options& options) {
             for (const auto& [key, value] : cells[i].assignment) {
                 point.emplace_back(key, axis_value(value));
             }
-            for (const auto& [key, value] : cell_metrics(results[i])) {
+            for (const auto& [key, value] : cell_metrics(results[i], strip)) {
                 point.emplace_back(key, value);
             }
             report.add_point(std::move(point));
@@ -235,11 +234,7 @@ int run(const sweep_options& options) {
         }
         out << "cell";
         for (const auto& axis : axes) out << "," << csv_escape(axis.key);
-        const auto metric_names = cell_metrics(results.front());
-        for (const auto& [key, value] : metric_names) {
-            if (options.common.strip_wallclock && ns::obs::is_timing_name(key)) {
-                continue;
-            }
+        for (const auto& [key, value] : cell_metrics(results.front(), strip)) {
             out << "," << key;
         }
         out << "\n";
@@ -248,11 +243,7 @@ int run(const sweep_options& options) {
             for (const auto& [key, value] : cells[i].assignment) {
                 out << "," << csv_escape(value);
             }
-            for (const auto& [key, value] : cell_metrics(results[i])) {
-                if (options.common.strip_wallclock &&
-                    ns::obs::is_timing_name(key)) {
-                    continue;
-                }
+            for (const auto& [key, value] : cell_metrics(results[i], strip)) {
                 out << "," << format_number(value);
             }
             out << "\n";

@@ -3,8 +3,10 @@
 // netscatter_sim and netscatter_sweep emit the exact same bench_report
 // JSON shapes (scenario report, metrics registry, perf table) through
 // these helpers, so a sweep cell's file diffs clean against a single
-// run of the same spec and every determinism gate (--strip-wallclock,
-// is_host_metric_name fencing) applies identically to both binaries.
+// run of the same spec and every determinism gate applies identically
+// to both binaries. Host-measured values are left out where they are
+// added: registry samples by their ns::obs::origin, report scalars by
+// the `strip` checks below.
 #pragma once
 
 #include <cstdint>
@@ -69,12 +71,6 @@ inline void write_scenario_json(
     const std::vector<std::pair<std::string, bench::json_value>>&
         extra_scalars = {}) {
     bench::bench_report report("scenario_" + result.spec.name);
-    // One shared predicate (ns::obs::is_timing_name) decides what
-    // "timing" means: the report writer drops every timing-named scalar
-    // and point field at write() time, so synth_wall_s, decode_wall_s
-    // and the per-round query_time_s all strip together — a new timer
-    // anywhere in the stack can never regress a determinism diff.
-    report.set_strip_timing(strip_wallclock);
     report.set_scalar("scenario", result.spec.name);
     report.set_scalar("description", result.spec.description);
     for (const auto& [key, value] : extra_scalars) {
@@ -125,12 +121,15 @@ inline void write_scenario_json(
     report.set_scalar("fidelity", fidelity_name(result.spec.sim.fidelity));
     report.set_scalar("fast_path_rounds",
                       static_cast<double>(result.sim.fast_path_rounds));
-    report.set_scalar("wall_clock_s", result.wall_clock_s);
-    // Host-time split of the round loop (transmit-side synthesis vs
-    // receiver decode), summed over all replica rounds.
-    const ns::sim::round_wall_split wall = ns::sim::wall_split(result.sim.metrics);
-    report.set_scalar("synth_wall_s", wall.synth_s);
-    report.set_scalar("decode_wall_s", wall.decode_s);
+    if (!strip_wallclock) {
+        report.set_scalar("wall_clock_s", result.wall_clock_s);
+        // Host-time split of the round loop (transmit-side synthesis vs
+        // receiver decode), summed over all replica rounds.
+        const ns::sim::round_wall_split wall =
+            ns::sim::wall_split(result.sim.metrics);
+        report.set_scalar("synth_wall_s", wall.synth_s);
+        report.set_scalar("decode_wall_s", wall.decode_s);
+    }
     add_counter_scalars(report, result.sim, json_block::faults, faults_on);
     if (faults_on) {
         report.set_scalar("fault_devices_down_at_end",
@@ -200,21 +199,21 @@ inline void write_scenario_json(
              {"max_power_dbm", group.max_power_dbm},
              {"dynamic_range_db", group.max_power_dbm - group.min_power_dbm}});
     }
-    // Deterministic slice of the metrics registry: counters and gauges
-    // are pure functions of (spec, seed), so they diff clean across
-    // thread counts. Host-execution metrics (the timing histograms, the
-    // perf.* hardware counters, process-wide stats) stay out of the
-    // scenario report unconditionally — the shared is_host_metric_name
-    // predicate is what keeps this JSON bit-identical with and without
-    // --perf (use --metrics for the full registry).
+    // Deterministic slice of the metrics registry: its counters and
+    // gauges are pure functions of (spec, seed), so they diff clean
+    // across thread counts. Host instruments (the perf.* hardware
+    // counters) stay out of the scenario report unconditionally, which
+    // keeps this JSON bit-identical with and without --perf (use
+    // --metrics for the full registry).
+    using ns::obs::origin;
     for (const auto& counter : result.sim.metrics.counters) {
-        if (ns::obs::is_host_metric_name(counter.name)) continue;
+        if (counter.origin == origin::host) continue;
         report.add_section_point("metrics",
                                  {{"name", counter.name},
                                   {"value", static_cast<double>(counter.value)}});
     }
     for (const auto& gauge : result.sim.metrics.gauges) {
-        if (ns::obs::is_host_metric_name(gauge.name)) continue;
+        if (gauge.origin == origin::host) continue;
         report.add_section_point(
             "metrics_gauges",
             {{"name", gauge.name}, {"last", gauge.last}, {"max", gauge.max}});
@@ -282,22 +281,24 @@ inline void print_perf_table(const ns::scenario::scenario_result& result) {
 /// top-level "points" array as {name, value} rows — the exact shape
 /// scripts/check_bench_regression.py gates on (--key name --metric
 /// value). Gauges, histograms (with log2-bucket percentiles) and the
-/// process-wide engine stats follow as sections. With `strip`, the
-/// shared predicate drops the timing histograms and the host-execution
-/// process section so two metrics files from different thread counts
+/// process-wide engine stats follow as sections. With `strip`, every
+/// host-origin instrument, the wall clock and the host-execution
+/// sections stay out, so two metrics files from different thread counts
 /// diff clean.
 inline void write_metrics_json(const ns::scenario::scenario_result& result,
                                const std::string& path, bool strip) {
     bench::bench_report report("metrics_" + result.spec.name);
-    report.set_strip_timing(strip);
     report.set_scalar("scenario", result.spec.name);
     report.set_scalar("replicas", static_cast<double>(result.replicas));
     report.set_scalar("seed", static_cast<double>(result.spec.sim.seed));
-    report.set_scalar("wall_clock_s", result.wall_clock_s);
+    if (!strip) report.set_scalar("wall_clock_s", result.wall_clock_s);
 
     const ns::obs::metrics_snapshot& metrics = result.sim.metrics;
+    const auto stripped = [strip](const auto& sample) {
+        return strip && sample.origin == ns::obs::origin::host;
+    };
     for (const auto& counter : metrics.counters) {
-        if (strip && ns::obs::is_host_metric_name(counter.name)) continue;
+        if (stripped(counter)) continue;
         report.add_point({{"name", counter.name},
                           {"value", static_cast<double>(counter.value)}});
     }
@@ -319,13 +320,13 @@ inline void write_metrics_json(const ns::scenario::scenario_result& result,
                           {"value", result.sim.recovery_ratio()}});
     }
     for (const auto& gauge : metrics.gauges) {
-        if (strip && ns::obs::is_host_metric_name(gauge.name)) continue;
+        if (stripped(gauge)) continue;
         report.add_section_point(
             "gauges",
             {{"name", gauge.name}, {"last", gauge.last}, {"max", gauge.max}});
     }
     for (const auto& hist : metrics.histograms) {
-        if (strip && ns::obs::is_host_metric_name(hist.name)) continue;
+        if (stripped(hist)) continue;
         // Unsuffixed field names: units follow the histogram (seconds
         // for the *_s phase probes, plain counts for round.allocs).
         report.add_section_point(

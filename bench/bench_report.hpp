@@ -23,8 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "netscatter/obs/metrics.hpp"
-
 namespace bench {
 
 /// Wall-clock stopwatch started at construction.
@@ -109,15 +107,6 @@ public:
                                    std::move(fields)});
     }
 
-    /// Strip-timing mode: when set, write() drops every scalar and point
-    /// field whose name the shared ns::obs::is_timing_name predicate
-    /// classifies as timing (the *_s / *wall* families). The ONE
-    /// predicate serves every emitter, so a new timer added anywhere in
-    /// the stack is stripped here automatically — determinism diffs of
-    /// two --strip-wallclock reports can never regress on timing noise.
-    void set_strip_timing(bool strip) { strip_timing_ = strip; }
-    bool strip_timing() const { return strip_timing_; }
-
     /// Writes the report to `path` (default: BENCH_<name>.json in the
     /// working directory) and reports the path on stdout.
     void write(const std::string& path = "") const {
@@ -125,13 +114,12 @@ public:
         out.precision(12);
         out << "{\n  \"bench\": \"" << json_escape(name_) << "\"";
         for (const auto& [key, value] : scalars_) {
-            if (strip_timing_ && ns::obs::is_timing_name(key)) continue;
             out << ",\n  \"" << json_escape(key) << "\": ";
             emit(out, value);
         }
-        emit_array(out, "points", points_, strip_timing_);
+        emit_array(out, "points", points_);
         for (const auto& [section, points] : sections_) {
-            emit_array(out, section, points, strip_timing_);
+            emit_array(out, section, points);
         }
         out << "\n}\n";
 
@@ -161,20 +149,15 @@ private:
     }
 
     static void emit_array(std::ostringstream& out, const std::string& name,
-                           const point_list& points, bool strip_timing) {
+                           const point_list& points) {
         out << ",\n  \"" << json_escape(name) << "\": [";
         for (std::size_t i = 0; i < points.size(); ++i) {
             out << (i == 0 ? "\n" : ",\n") << "    {";
             const auto& fields = points[i];
-            bool first = true;
             for (std::size_t f = 0; f < fields.size(); ++f) {
-                if (strip_timing && ns::obs::is_timing_name(fields[f].first)) {
-                    continue;
-                }
-                out << (first ? "" : ", ") << "\"" << json_escape(fields[f].first)
+                out << (f == 0 ? "" : ", ") << "\"" << json_escape(fields[f].first)
                     << "\": ";
                 emit(out, fields[f].second);
-                first = false;
             }
             out << "}";
         }
@@ -185,7 +168,6 @@ private:
     std::vector<std::pair<std::string, json_value>> scalars_;
     point_list points_;
     std::vector<std::pair<std::string, point_list>> sections_;
-    bool strip_timing_ = false;
 };
 
 }  // namespace bench

@@ -67,7 +67,6 @@ struct kernel_batch {
     void seal();
 
     std::size_t num_symbols() const { return symbol_begin.empty() ? 0 : symbol_begin.size() - 1; }
-    std::size_t num_placements() const { return stage_symbol.size(); }
 
     /// Window elements that accumulate_symbol will touch for symbol k —
     /// the deterministic input of the roofline traffic model.

@@ -318,7 +318,8 @@ void combine_symbol_domain(std::span<const packet_contribution> packets,
     }
     batch.seal();
     if (timed) {
-        workspace.obs.metrics->get_histogram("phy.kernel_plan_s")
+        workspace.obs.metrics
+            ->get_histogram("phy.kernel_plan_s", ns::obs::origin::host)
             ->record_ns(ns::obs::now_ns() - plan_t0);
     }
 
@@ -382,8 +383,9 @@ void combine_symbol_domain(std::span<const packet_contribution> packets,
     if (workspace.obs.metrics != nullptr) {
         ns::obs::metrics_registry& metrics = *workspace.obs.metrics;
         ns::obs::histogram* sweep_hist =
-            metrics.get_histogram("phy.kernel_sum_s");
-        ns::obs::histogram* noise_hist = metrics.get_histogram("phy.noise_s");
+            metrics.get_histogram("phy.kernel_sum_s", ns::obs::origin::host);
+        ns::obs::histogram* noise_hist =
+            metrics.get_histogram("phy.noise_s", ns::obs::origin::host);
         // Per-block sweep and noise times merge deterministically:
         // recorded by the calling thread, in block order, after the join.
         for (std::size_t block = 0; block < num_blocks; ++block) {

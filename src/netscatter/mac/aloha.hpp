@@ -66,10 +66,10 @@ struct contention_round {
 /// `max_grants` piggybacked responses (Fig. 11 carries one), so an
 /// ungranted lone requester simply retries — no backoff penalty.
 ///
-/// The standalone association-phase simulator (sim/association_sim) and
-/// the scenario churn process (scenario/churn) both run their contention
-/// through this pool, so re-association latency under churn is shaped by
-/// exactly the collision/backoff dynamics of the association phase.
+/// The scenario churn process (scenario/churn) runs its slotted_aloha
+/// admission through this pool, so re-association latency under churn
+/// is shaped by exactly the collision/backoff dynamics of the
+/// association phase.
 class aloha_contention {
 public:
     aloha_contention(std::uint32_t initial_window, std::uint32_t max_window);

@@ -60,7 +60,6 @@
 #include "netscatter/baseline/choir.hpp"
 #include "netscatter/baseline/lora_link.hpp"
 
-#include "netscatter/sim/association_sim.hpp"
 #include "netscatter/sim/deployment.hpp"
 #include "netscatter/sim/network_sim.hpp"
 #include "netscatter/sim/round_hooks.hpp"

@@ -2,6 +2,8 @@
 
 #include <chrono>
 
+#include "netscatter/util/error.hpp"
+
 namespace ns::obs {
 
 std::uint64_t now_ns() {
@@ -32,9 +34,9 @@ double histogram_sample::percentile(double p) const {
 namespace {
 
 /// Sorted-by-name union merge shared by the three sample kinds.
-/// `combine(mine, theirs)` folds a matching entry; unmatched entries
-/// copy over. Inputs sorted -> output sorted, so repeated merges stay
-/// canonical.
+/// `combine(mine, theirs)` folds a matching entry, which must share its
+/// origin; unmatched entries copy over. Inputs sorted -> output sorted,
+/// so repeated merges stay canonical.
 template <typename Sample, typename Combine>
 void merge_sorted(std::vector<Sample>& mine, const std::vector<Sample>& theirs,
                   Combine&& combine) {
@@ -49,6 +51,8 @@ void merge_sorted(std::vector<Sample>& mine, const std::vector<Sample>& theirs,
         } else if (i >= mine.size() || theirs[j].name < mine[i].name) {
             merged.push_back(theirs[j++]);
         } else {
+            ns::util::require(mine[i].origin == theirs[j].origin,
+                              "metrics merge: one name with two origins");
             Sample s = std::move(mine[i++]);
             combine(s, theirs[j++]);
             merged.push_back(std::move(s));
@@ -113,11 +117,13 @@ const histogram_sample* metrics_snapshot::find_histogram(
     return it == histograms.end() ? nullptr : &*it;
 }
 
-void metrics_snapshot::record_value(std::string_view name, double value) {
+void metrics_snapshot::record_value(std::string_view name, double value,
+                                    origin o) {
     if (!compiled_in()) return;
     metrics_snapshot one;
     histogram_sample sample;
     sample.name = std::string(name);
+    sample.origin = o;
     sample.count = 1;
     sample.sum = value;
     sample.min = value;
@@ -129,45 +135,52 @@ void metrics_snapshot::record_value(std::string_view name, double value) {
 
 #if NS_OBS_ENABLED
 
-counter* metrics_registry::get_counter(std::string_view name) {
-    for (auto& entry : counters_) {
-        if (entry.name == name) return entry.value.get();
+namespace {
+
+/// Find-or-create shared by the three get_* calls.
+template <typename T, typename Entries>
+T* find_or_add(Entries& entries, std::string_view name, origin o) {
+    for (auto& entry : entries) {
+        if (entry.name == name) {
+            ns::util::require(entry.origin == o,
+                              "metrics registry: one name with two origins");
+            return entry.value.get();
+        }
     }
-    counters_.push_back({std::string(name), std::make_unique<counter>()});
-    return counters_.back().value.get();
+    entries.push_back({std::string(name), o, std::make_unique<T>()});
+    return entries.back().value.get();
 }
 
-gauge* metrics_registry::get_gauge(std::string_view name) {
-    for (auto& entry : gauges_) {
-        if (entry.name == name) return entry.value.get();
-    }
-    gauges_.push_back({std::string(name), std::make_unique<gauge>()});
-    return gauges_.back().value.get();
+}  // namespace
+
+counter* metrics_registry::get_counter(std::string_view name, origin o) {
+    return find_or_add<counter>(counters_, name, o);
 }
 
-histogram* metrics_registry::get_histogram(std::string_view name) {
-    for (auto& entry : histograms_) {
-        if (entry.name == name) return entry.value.get();
-    }
-    histograms_.push_back({std::string(name), std::make_unique<histogram>()});
-    return histograms_.back().value.get();
+gauge* metrics_registry::get_gauge(std::string_view name, origin o) {
+    return find_or_add<gauge>(gauges_, name, o);
+}
+
+histogram* metrics_registry::get_histogram(std::string_view name, origin o) {
+    return find_or_add<histogram>(histograms_, name, o);
 }
 
 metrics_snapshot metrics_registry::snapshot() const {
     metrics_snapshot snap;
     snap.counters.reserve(counters_.size());
     for (const auto& entry : counters_) {
-        snap.counters.push_back({entry.name, entry.value->value()});
+        snap.counters.push_back({entry.name, entry.origin, entry.value->value()});
     }
     snap.gauges.reserve(gauges_.size());
     for (const auto& entry : gauges_) {
-        snap.gauges.push_back(
-            {entry.name, entry.value->last(), entry.value->max()});
+        snap.gauges.push_back({entry.name, entry.origin, entry.value->last(),
+                               entry.value->max()});
     }
     snap.histograms.reserve(histograms_.size());
     for (const auto& entry : histograms_) {
         histogram_sample sample;
         sample.name = entry.name;
+        sample.origin = entry.origin;
         sample.count = entry.value->count();
         sample.sum = entry.value->sum();
         sample.min = entry.value->min();
@@ -190,9 +203,11 @@ gauge g_dummy_gauge;
 histogram g_dummy_histogram;
 }  // namespace
 
-counter* metrics_registry::get_counter(std::string_view) { return &g_dummy_counter; }
-gauge* metrics_registry::get_gauge(std::string_view) { return &g_dummy_gauge; }
-histogram* metrics_registry::get_histogram(std::string_view) {
+counter* metrics_registry::get_counter(std::string_view, origin) {
+    return &g_dummy_counter;
+}
+gauge* metrics_registry::get_gauge(std::string_view, origin) { return &g_dummy_gauge; }
+histogram* metrics_registry::get_histogram(std::string_view, origin) {
     return &g_dummy_histogram;
 }
 metrics_snapshot metrics_registry::snapshot() const { return {}; }

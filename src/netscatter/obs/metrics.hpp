@@ -23,6 +23,11 @@
 // The registry hands out stable pointers: instrument sites fetch their
 // counter/histogram handle once (construction time) and the hot path
 // touches only that handle.
+//
+// Every instrument also carries its origin, declared where it is
+// registered: deterministic (a pure function of spec and seed) unless
+// the producer says it measured the host (clock reads, hardware
+// counters). Writers filter on that flag, never on the name.
 #pragma once
 
 #include <algorithm>
@@ -43,32 +48,12 @@ namespace ns::obs {
 /// Whether the observability layer is compiled in (NS_OBS build option).
 constexpr bool compiled_in() { return NS_OBS_ENABLED != 0; }
 
-/// Shared timing-field predicate: the ONE place that decides whether a
-/// metric/scalar name denotes host- or simulated-time data that must be
-/// excluded from determinism comparisons (netscatter_sim
-/// --strip-wallclock, the CI 1-vs-8-thread gates). Any field whose name
-/// ends in a seconds-style unit suffix or mentions wall clock is
-/// timing; new timers automatically satisfy it, so adding one can never
-/// regress a determinism diff.
-inline bool is_timing_name(std::string_view name) {
-    const auto ends_with = [&](std::string_view suffix) {
-        return name.size() >= suffix.size() &&
-               name.substr(name.size() - suffix.size()) == suffix;
-    };
-    return ends_with("_s") || ends_with("_ms") || ends_with("_us") ||
-           ends_with("_ns") || ends_with("_seconds") ||
-           name.find("wall") != std::string_view::npos;
-}
-
-/// Broader host-execution predicate: timing names plus hardware
-/// perf-counter metrics ("perf.*"), whose values depend on the host CPU
-/// and scheduler rather than on (spec, seed). Scenario JSON reports
-/// exclude these names unconditionally — that is what keeps
-/// `netscatter_sim --json` bit-identical with and without --perf — and
-/// --strip-wallclock strips them from --metrics output too.
-inline bool is_host_metric_name(std::string_view name) {
-    return is_timing_name(name) || name.substr(0, 5) == "perf.";
-}
+/// Where an instrument's values come from. `deterministic` values are
+/// pure functions of (spec, seed) and must match at any thread count;
+/// `host` values are measured on the machine (wall-clock timers,
+/// hardware counters) and are left out of scenario reports and of
+/// --strip-wallclock output.
+enum class origin : std::uint8_t { deterministic, host };
 
 /// Monotonic clock in nanoseconds (steady_clock). Implemented out of
 /// line so this header stays <chrono>-free for hot-path includers.
@@ -225,17 +210,20 @@ private:
 
 struct counter_sample {
     std::string name;
+    obs::origin origin = obs::origin::deterministic;
     std::uint64_t value = 0;
 };
 
 struct gauge_sample {
     std::string name;
+    obs::origin origin = obs::origin::deterministic;
     double last = 0.0;
     double max = 0.0;
 };
 
 struct histogram_sample {
     std::string name;
+    obs::origin origin = obs::origin::deterministic;
     std::uint64_t count = 0;
     double sum = 0.0;
     double min = 0.0;
@@ -254,7 +242,9 @@ struct histogram_sample {
 
 /// Mergeable plain-data view of a registry. merge() is deterministic:
 /// name-wise union with integer/bucket sums, performed in caller order
-/// (the Monte-Carlo runner merges replica snapshots in task order).
+/// (the Monte-Carlo runner merges replica snapshots in task order). A
+/// name present on both sides must have one origin; merge throws
+/// ns::util::invalid_argument otherwise.
 struct metrics_snapshot {
     std::vector<counter_sample> counters;      ///< sorted by name
     std::vector<gauge_sample> gauges;          ///< sorted by name
@@ -281,7 +271,8 @@ struct metrics_snapshot {
     /// Records one observation into the named histogram (creating it if
     /// needed) — for call sites that only have a snapshot, e.g. the
     /// scenario runner stamping replica.wall_s after the replica ran.
-    void record_value(std::string_view name, double value);
+    void record_value(std::string_view name, double value,
+                      origin o = origin::deterministic);
 
     bool empty() const {
         return counters.empty() && gauges.empty() && histograms.empty();
@@ -304,11 +295,14 @@ public:
     metrics_registry(metrics_registry&&) = default;
     metrics_registry& operator=(metrics_registry&&) = default;
 
-    /// Finds or creates the named instrument. Under NS_OBS=OFF these
+    /// Finds or creates the named instrument; `o` is recorded on
+    /// creation and must match on every later lookup of the same name
+    /// (ns::util::invalid_argument otherwise). Under NS_OBS=OFF these
     /// return a shared no-op dummy and store nothing.
-    counter* get_counter(std::string_view name);
-    gauge* get_gauge(std::string_view name);
-    histogram* get_histogram(std::string_view name);
+    counter* get_counter(std::string_view name, origin o = origin::deterministic);
+    gauge* get_gauge(std::string_view name, origin o = origin::deterministic);
+    histogram* get_histogram(std::string_view name,
+                             origin o = origin::deterministic);
 
     /// Plain-data copy, entries sorted by name. Empty under NS_OBS=OFF.
     metrics_snapshot snapshot() const;
@@ -318,39 +312,12 @@ private:
     template <typename T>
     struct named {
         std::string name;
+        obs::origin origin;
         std::unique_ptr<T> value;
     };
     std::vector<named<counter>> counters_;
     std::vector<named<gauge>> gauges_;
     std::vector<named<histogram>> histograms_;
-#endif
-};
-
-/// RAII wall-clock probe: records the scope's duration into a histogram
-/// on destruction. Null histogram (or NS_OBS=OFF) makes it a no-op that
-/// never reads the clock.
-class scoped_timer {
-public:
-    explicit scoped_timer(histogram* hist) {
-#if NS_OBS_ENABLED
-        hist_ = hist;
-        if (hist_ != nullptr) start_ns_ = now_ns();
-#else
-        (void)hist;
-#endif
-    }
-    ~scoped_timer() {
-#if NS_OBS_ENABLED
-        if (hist_ != nullptr) hist_->record_ns(now_ns() - start_ns_);
-#endif
-    }
-    scoped_timer(const scoped_timer&) = delete;
-    scoped_timer& operator=(const scoped_timer&) = delete;
-
-private:
-#if NS_OBS_ENABLED
-    histogram* hist_ = nullptr;
-    std::uint64_t start_ns_ = 0;
 #endif
 };
 

@@ -193,11 +193,12 @@ perf_phase_counters perf_phase_counters::from_registry(
     metrics_registry& registry, std::string_view phase) {
     const std::string prefix = "perf." + std::string(phase);
     perf_phase_counters out;
-    out.cycles = registry.get_counter(prefix + ".cycles");
-    out.instructions = registry.get_counter(prefix + ".instructions");
-    out.llc_loads = registry.get_counter(prefix + ".llc_loads");
-    out.llc_misses = registry.get_counter(prefix + ".llc_misses");
-    out.branch_misses = registry.get_counter(prefix + ".branch_misses");
+    constexpr origin host = origin::host;
+    out.cycles = registry.get_counter(prefix + ".cycles", host);
+    out.instructions = registry.get_counter(prefix + ".instructions", host);
+    out.llc_loads = registry.get_counter(prefix + ".llc_loads", host);
+    out.llc_misses = registry.get_counter(prefix + ".llc_misses", host);
+    out.branch_misses = registry.get_counter(prefix + ".branch_misses", host);
     return out;
 }
 

@@ -9,10 +9,10 @@
 // Design constraints, in the same order as metrics.hpp:
 //   1. Determinism. Counter values are host facts, never simulation
 //      inputs: nothing in the simulator reads them back, and every
-//      perf-derived metric name starts with "perf." so the shared
-//      ns::obs::is_host_metric_name predicate keeps them out of
-//      scenario reports and determinism diffs. Groups are confined to
-//      one thread (the replica's), like the registry they feed.
+//      perf-derived counter is registered with origin::host, which
+//      keeps it out of scenario reports and determinism diffs. Groups
+//      are confined to one thread (the replica's), like the registry
+//      they feed.
 //   2. Graceful degradation. perf_event_open is frequently unavailable
 //      (CI containers, seccomp filters, kernel.perf_event_paranoid,
 //      non-Linux hosts). open() then returns false, available() stays
@@ -117,7 +117,8 @@ struct perf_phase_counters {
     counter* llc_misses = nullptr;
     counter* branch_misses = nullptr;
 
-    /// Handles named "perf.<phase>.cycles" etc. Null (inert) under
+    /// Handles named "perf.<phase>.cycles" etc., registered as
+    /// origin::host. Null (inert) under
     /// NS_OBS=OFF so disabled builds neither allocate nor store names.
 #if NS_OBS_ENABLED
     static perf_phase_counters from_registry(metrics_registry& registry,

@@ -18,8 +18,8 @@
 //
 // Determinism: the model itself (elems, bytes, flops, intensity) is a
 // pure function of the workload and is safe to emit anywhere; only the
-// time-derived rates (GB/s, GFLOP/s) are host facts and stay behind
-// the is_host_metric_name/strip-wallclock fences.
+// time-derived rates (GB/s, GFLOP/s) are host facts: the metrics
+// writer adds them only to unstripped output.
 #pragma once
 
 #include <cstdint>

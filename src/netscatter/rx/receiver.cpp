@@ -58,14 +58,6 @@ double receiver::expected_noise_bin_power() const {
     return static_cast<double>(params_.phy.samples_per_symbol()) * params_.noise_power;
 }
 
-double receiver::median_power(std::vector<double> spectrum) {
-    ns::util::require(!spectrum.empty(), "median_power: empty spectrum");
-    const std::size_t mid = spectrum.size() / 2;
-    std::nth_element(spectrum.begin(), spectrum.begin() + static_cast<std::ptrdiff_t>(mid),
-                     spectrum.end());
-    return spectrum[mid];
-}
-
 double receiver::upchirp_metric(const cvec& window) const {
     // Unpadded FFT is enough for the coarse timing metric.
     const cvec dechirped = ns::phy::dechirp(params_.phy, window);

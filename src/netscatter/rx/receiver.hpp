@@ -174,9 +174,6 @@ private:
     double upchirp_metric(const cvec& window) const;
     /// Same for a downchirp window (dechirped with the conjugate).
     double downchirp_metric(const cvec& window) const;
-    /// Median bin power of a spectrum (diagnostic; not used as the noise
-    /// estimate because concurrent signal occupies most bins at high N).
-    static double median_power(std::vector<double> spectrum);
     /// Expected dechirped noise-bin power from the calibrated floor.
     double expected_noise_bin_power() const;
     /// Padded-bin search radius covering the SKIP guard region.

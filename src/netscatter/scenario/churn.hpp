@@ -7,8 +7,7 @@
 //     association slots per round (and never past capacity), so joiners
 //     queue FIFO;
 //   * slotted_aloha — joiners contend on their SNR region's reserved
-//     association shift through the shared Aloha pool (mac/aloha, the
-//     same machinery the standalone association-phase simulator runs):
+//     association shift through the Aloha pool (mac/aloha):
 //     simultaneous requests collide and back off, and at most
 //     `association_grants_per_round` responses ride each query, so
 //     collisions and backoff shape the latency distribution.

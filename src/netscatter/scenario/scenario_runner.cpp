@@ -52,12 +52,13 @@ replica_result run_scenario_replica(const scenario_spec& spec, std::size_t r) {
     const std::uint64_t replica_start_ns = ns::obs::now_ns();
     replica_result out{sim.run(), driver.stats()};
     if (config.obs.metrics) {
-        // Per-replica wall clock as a histogram observation: the merged
-        // snapshot then reports replica-wall min/max/mean across the
-        // whole run (timing-named -> determinism-exempt).
+        // Per-replica wall clock as a host histogram observation: the
+        // merged snapshot then reports replica-wall min/max/mean across
+        // the whole run.
         out.sim.metrics.record_value(
             "replica.wall_s",
-            static_cast<double>(ns::obs::now_ns() - replica_start_ns) * 1e-9);
+            static_cast<double>(ns::obs::now_ns() - replica_start_ns) * 1e-9,
+            ns::obs::origin::host);
     }
     return out;
 }

@@ -102,12 +102,6 @@ double sim_result::mean_delivered_per_round() const {
     return stats.mean();
 }
 
-double sim_result::variance_delivered_per_round() const {
-    ns::util::running_stats stats;
-    for (const auto& r : rounds) stats.add(static_cast<double>(r.delivered));
-    return stats.variance();
-}
-
 double sim_result::skip_rate() const {
     if (total_active_rounds == 0) return 0.0;
     return static_cast<double>(total_skipped) / static_cast<double>(total_active_rounds);
@@ -263,10 +257,12 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
     // runtime metrics off they stay null, which also keeps every probe
     // from reading the clock.
     if (config_.obs.metrics && ns::obs::compiled_in()) {
-        probes_.round_total = metrics_.get_histogram("round.total_s");
+        // Phase timers read the host clock: registered as host data.
+        constexpr ns::obs::origin host = ns::obs::origin::host;
+        probes_.round_total = metrics_.get_histogram("round.total_s", host);
         for (std::size_t p = 0; p < phase_names.size(); ++p) {
             probes_.phases[p].hist = metrics_.get_histogram(
-                std::string("round.") + phase_names[p] + "_s");
+                std::string("round.") + phase_names[p] + "_s", host);
         }
         probes_.round_allocs = metrics_.get_histogram("round.allocs");
         probes_.rounds = metrics_.get_counter("sim.rounds");
@@ -301,12 +297,11 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
             // Hardware counters for phase attribution. Opened here, on
             // the replica's thread (the Monte-Carlo runner constructs
             // each simulator inside its task). The availability gauge is
-            // a perf.* name — a host fact, excluded from scenario JSON
-            // and determinism diffs like every other perf metric — so a
-            // denied perf_event_open shows up as available=0 instead of
-            // silently-zero counters.
+            // a host fact, like every perf metric, so scenario JSON and
+            // determinism diffs leave it out; a denied perf_event_open
+            // shows up as available=0 instead of silently-zero counters.
             const bool opened = perf_group_.open();
-            metrics_.get_gauge("perf.available")->set(opened ? 1.0 : 0.0);
+            metrics_.get_gauge("perf.available", host)->set(opened ? 1.0 : 0.0);
             if (opened) {
                 for (std::size_t p = 0; p < phase_names.size(); ++p) {
                     probes_.phases[p].perf =

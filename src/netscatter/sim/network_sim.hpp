@@ -148,8 +148,8 @@ struct sim_config {
     std::size_t intra_round_threads = 1;
 
     /// Observability (metrics registry + trace ring). Metrics are on by
-    /// default and deterministic apart from the *_s timing histograms,
-    /// which the shared ns::obs::is_timing_name predicate excludes from
+    /// default and deterministic apart from the phase-timer histograms,
+    /// which are registered as ns::obs::origin::host and so stay out of
     /// determinism comparisons; tracing is opt-in (--trace).
     ns::obs::options obs{};
 
@@ -317,8 +317,6 @@ struct sim_result {
     double ber() const;
     /// Mean devices delivered per round.
     double mean_delivered_per_round() const;
-    /// Sample variance of delivered-per-round.
-    double variance_delivered_per_round() const;
     /// Fraction of active device-rounds spent in a power-adaptation skip.
     double skip_rate() const;
     /// Fraction of active device-rounds with no data to send.

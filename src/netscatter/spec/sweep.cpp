@@ -175,8 +175,8 @@ std::vector<scenario::scenario_result> run_sweep(
         auto result =
             scenario::merge_scenario_replicas(cell.spec, std::move(slice), 0.0);
         // Per-cell elapsed time is meaningless on a shared pool; report
-        // the cell's summed replica wall time instead (timing-named, so
-        // determinism comparisons already exclude it).
+        // the cell's summed replica wall time instead (host data: the
+        // writers leave it out under --strip-wallclock).
         result.wall_clock_s = result.sim.metrics.histogram_sum("replica.wall_s");
         results.push_back(std::move(result));
     }

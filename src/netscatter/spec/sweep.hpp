@@ -55,7 +55,7 @@ std::vector<sweep_cell> expand_sweep(const scenario::scenario_spec& base,
 /// run_indexed pool; returns results position-aligned with `cells`.
 /// Any cell list works — one expand_sweep product, a filtered one or a
 /// concatenation of several; a cell's `index` is never consulted.
-/// Apart from timing fields, each result equals run_scenario(cell.spec)
+/// Apart from host-measured values, each result equals run_scenario(cell.spec)
 /// bit for bit, for any execution policy. Each result's wall_clock_s is the summed replica
 /// wall time of that cell (the pool interleaves cells, so per-cell
 /// elapsed time is not meaningful).

@@ -24,13 +24,6 @@ public:
     explicit invalid_argument(const std::string& what) : error(what) {}
 };
 
-/// Thrown when an object is used in a state that does not permit the
-/// requested operation (e.g. demodulating before association).
-class invalid_state : public error {
-public:
-    explicit invalid_state(const std::string& what) : error(what) {}
-};
-
 /// Throws ns::util::invalid_argument with `message` when `condition` is false.
 inline void require(bool condition, const std::string& message) {
     if (!condition) throw invalid_argument(message);

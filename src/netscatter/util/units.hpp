@@ -28,11 +28,6 @@ inline double db_to_amplitude(double db) {
     return std::pow(10.0, db / 20.0);
 }
 
-/// Converts a linear amplitude ratio to dB.
-inline double amplitude_to_db(double amplitude) {
-    return 20.0 * std::log10(amplitude);
-}
-
 /// Converts power in dBm to watts.
 inline double dbm_to_watt(double dbm) {
     return std::pow(10.0, (dbm - 30.0) / 10.0);

@@ -1,6 +1,6 @@
 // Tests for the extension modules: streaming receiver, group scheduler,
-// grouped network simulation (§3.3.3 scheduled groups), association-phase
-// (Aloha) simulation, and the IC power/energy model.
+// grouped network simulation (§3.3.3 scheduled groups) and the IC
+// power/energy model.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +13,6 @@
 #include "netscatter/mac/scheduler.hpp"
 #include "netscatter/phy/modulator.hpp"
 #include "netscatter/rx/stream_receiver.hpp"
-#include "netscatter/sim/association_sim.hpp"
 #include "netscatter/sim/network_sim.hpp"
 #include "netscatter/sim/timeline.hpp"
 #include "netscatter/util/error.hpp"
@@ -269,56 +268,6 @@ TEST(grouped_sim, single_group_matches_plain_simulation_structure) {
         EXPECT_EQ(round.scheduled, 24u);
     }
     EXPECT_GT(result.delivery_rate(), 0.9);
-}
-
-// -------------------------------------------------- association phase --
-
-TEST(association_sim, all_devices_eventually_join) {
-    const ns::sim::deployment dep(ns::sim::deployment_params{}, 40, 33);
-    ns::sim::association_sim_params params;
-    params.seed = 5;
-    const auto result = ns::sim::simulate_association(dep, params);
-    EXPECT_TRUE(result.all_joined);
-    EXPECT_EQ(result.shifts.size(), 40u);
-    // With one grant per query, joining 40 devices needs >= 40 rounds.
-    EXPECT_GE(result.rounds_used, 40u);
-    EXPECT_LT(result.rounds_used, params.max_rounds);
-}
-
-TEST(association_sim, assigned_shifts_are_distinct) {
-    const ns::sim::deployment dep(ns::sim::deployment_params{}, 30, 34);
-    ns::sim::association_sim_params params;
-    params.seed = 6;
-    const auto result = ns::sim::simulate_association(dep, params);
-    ASSERT_TRUE(result.all_joined);
-    std::set<std::uint32_t> shifts;
-    for (const auto& [id, shift] : result.shifts) shifts.insert(shift);
-    EXPECT_EQ(shifts.size(), 30u);
-}
-
-TEST(association_sim, contention_produces_collisions_then_resolves) {
-    // Many simultaneous joiners on two association shifts: collisions
-    // are expected, and backoff must still converge.
-    const ns::sim::deployment dep(ns::sim::deployment_params{}, 64, 35);
-    ns::sim::association_sim_params params;
-    params.seed = 7;
-    params.aloha_initial_window = 2;  // aggressive -> lots of collisions
-    const auto result = ns::sim::simulate_association(dep, params);
-    EXPECT_TRUE(result.all_joined);
-    EXPECT_GT(result.collisions, 0u);
-    EXPECT_GT(result.requests_sent, 64u);  // retries happened
-}
-
-TEST(association_sim, join_rounds_recorded_monotonically_valid) {
-    const ns::sim::deployment dep(ns::sim::deployment_params{}, 16, 36);
-    ns::sim::association_sim_params params;
-    params.seed = 8;
-    const auto result = ns::sim::simulate_association(dep, params);
-    ASSERT_TRUE(result.all_joined);
-    for (std::size_t r : result.join_round) {
-        EXPECT_GE(r, 1u);
-        EXPECT_LE(r, result.rounds_used);
-    }
 }
 
 // ------------------------------------------------------ power budget --

@@ -18,6 +18,7 @@
 #include "netscatter/obs/metrics.hpp"
 #include "netscatter/obs/perf_counters.hpp"
 #include "netscatter/obs/trace.hpp"
+#include "netscatter/util/error.hpp"
 
 namespace {
 
@@ -25,24 +26,42 @@ using ns::obs::compiled_in;
 using ns::obs::histogram;
 using ns::obs::metrics_registry;
 using ns::obs::metrics_snapshot;
+using ns::obs::origin;
 
-// -------------------------------------------------- timing predicate --
+// ------------------------------------------------- instrument origin --
 
-TEST(timing_name, classifies_units_and_wallclock) {
-    EXPECT_TRUE(ns::obs::is_timing_name("round.synth_s"));
-    EXPECT_TRUE(ns::obs::is_timing_name("decode_ms"));
-    EXPECT_TRUE(ns::obs::is_timing_name("latency_us"));
-    EXPECT_TRUE(ns::obs::is_timing_name("jitter_ns"));
-    EXPECT_TRUE(ns::obs::is_timing_name("total_seconds"));
-    EXPECT_TRUE(ns::obs::is_timing_name("wall_clock_s"));
-    EXPECT_TRUE(ns::obs::is_timing_name("replica.wall_s"));
+TEST(metrics_origin, samples_carry_origin_and_merge_keeps_it) {
+    metrics_registry reg;
+    reg.get_counter("sim.rounds")->add(1);
+    reg.get_gauge("perf.available", origin::host)->set(1.0);
+    reg.get_histogram("round.total_s", origin::host)->record(1e-3);
+    // The origin is declared, not read off the name: a seconds-suffixed
+    // simulated quantity stays deterministic.
+    reg.get_histogram("airtime_s")->record(0.25);
+    metrics_snapshot snap = reg.snapshot();
+    if (!compiled_in()) {
+        EXPECT_TRUE(snap.empty());
+        return;
+    }
+    EXPECT_EQ(snap.find_counter("sim.rounds")->origin, origin::deterministic);
+    EXPECT_EQ(snap.find_gauge("perf.available")->origin, origin::host);
+    EXPECT_EQ(snap.find_histogram("round.total_s")->origin, origin::host);
+    EXPECT_EQ(snap.find_histogram("airtime_s")->origin, origin::deterministic);
+    // A later lookup must agree with the registration.
+    EXPECT_THROW(reg.get_histogram("round.total_s"), ns::util::invalid_argument);
 
-    EXPECT_FALSE(ns::obs::is_timing_name("sim.rounds"));
-    EXPECT_FALSE(ns::obs::is_timing_name("fast_path_rounds"));
-    EXPECT_FALSE(ns::obs::is_timing_name("alloc.steady_count"));
-    EXPECT_FALSE(ns::obs::is_timing_name("round.allocs"));
-    // "_s" must be a suffix, not a substring.
-    EXPECT_FALSE(ns::obs::is_timing_name("phy.kernels_summed"));
+    snap.merge(reg.snapshot());
+    snap.record_value("replica.wall_s", 0.5, origin::host);
+    EXPECT_EQ(snap.counter_value("sim.rounds"), 2u);
+    EXPECT_EQ(snap.find_histogram("round.total_s")->count, 2u);
+    EXPECT_EQ(snap.find_histogram("round.total_s")->origin, origin::host);
+    EXPECT_EQ(snap.find_gauge("perf.available")->origin, origin::host);
+    EXPECT_EQ(snap.find_histogram("replica.wall_s")->origin, origin::host);
+
+    // One name, two origins: the merge refuses instead of mixing them.
+    metrics_snapshot clash;
+    clash.record_value("round.total_s", 1e-3);
+    EXPECT_THROW(snap.merge(clash), ns::util::invalid_argument);
 }
 
 // ---------------------------------------------------- histogram math --
@@ -331,25 +350,16 @@ TEST(obs_disabled, instruments_are_inert_when_compiled_out) {
         EXPECT_TRUE(reg.snapshot().empty());
         EXPECT_EQ(after.count, before.count);
         EXPECT_EQ(after.bytes, before.bytes);
-        // Timers and spans never read the clock when disabled; they must
+        // Histograms and spans store nothing when disabled; they must
         // still be constructible so instrumented code compiles verbatim.
         histogram h;
-        ns::obs::scoped_timer timer(&h);
+        h.record(1e-3);
         ns::obs::trace_span span("x", nullptr);
         EXPECT_EQ(h.count(), 0u);
     }
 }
 
 // ------------------------------------------- perf counter fallback --
-
-TEST(perf_counters, host_metric_predicate_covers_timing_and_perf) {
-    EXPECT_TRUE(ns::obs::is_host_metric_name("perf.plan.cycles"));
-    EXPECT_TRUE(ns::obs::is_host_metric_name("perf.available"));
-    EXPECT_TRUE(ns::obs::is_host_metric_name("round.synth_s"));  // timing
-    EXPECT_FALSE(ns::obs::is_host_metric_name("phy.kernels_summed"));
-    EXPECT_FALSE(ns::obs::is_host_metric_name("phy.kernel_window_elems"));
-    EXPECT_FALSE(ns::obs::is_host_metric_name("perfx"));  // prefix, not "perf."
-}
 
 TEST(perf_counters, derived_ratios_guard_division_by_zero) {
     EXPECT_DOUBLE_EQ(ns::obs::perf_ipc(100, 0), 0.0);
@@ -433,10 +443,14 @@ TEST(perf_counters, scope_is_inert_without_group_or_destination) {
     }
     const metrics_snapshot snap = reg.snapshot();
     if (compiled_in()) {
-        // from_registry pre-creates the counters; they must all read 0.
+        // from_registry pre-creates the counters as host data; they must
+        // all read 0.
         EXPECT_TRUE(dest.wired());
         EXPECT_EQ(snap.counter_value("perf.test_phase.cycles"), 0u);
         EXPECT_EQ(snap.counter_value("perf.test_phase.instructions"), 0u);
+        for (const auto& counter : snap.counters) {
+            EXPECT_EQ(counter.origin, origin::host) << counter.name;
+        }
     } else {
         // NS_OBS=OFF: from_registry is an empty inline — nothing named,
         // nothing stored.

@@ -7,10 +7,19 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
+#include <regex>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "apps/scenario_report.hpp"
+#include "netscatter/engine/mc_runner.hpp"
+#include "netscatter/obs/metrics.hpp"
 #include "netscatter/scenario/churn.hpp"
 #include "netscatter/scenario/interference.hpp"
 #include "netscatter/scenario/mobility.hpp"
@@ -20,6 +29,7 @@
 #include "netscatter/scenario/traffic.hpp"
 #include "netscatter/sim/deployment.hpp"
 #include "netscatter/sim/network_sim.hpp"
+#include "netscatter/spec/spec_codec.hpp"
 #include "tests/outcome_digest.hpp"
 
 namespace {
@@ -319,6 +329,48 @@ TEST(scenario_runner, aloha_latency_tail_exceeds_queue_under_same_load) {
               queue_result.stats.mean_join_latency_rounds());
 }
 
+TEST(scenario_runner, aloha_cold_start_admits_every_device_on_distinct_shifts) {
+    // The association phase of §3.3.2 (Fig. 10): every device starts
+    // unassociated and contends through slotted Aloha for the two
+    // reserved shifts, one grant per query.
+    scenario_spec spec = *find_scenario("office-256");
+    const std::pair<const char*, const char*> overrides[] = {
+        {"geometry.num_devices", "64"},
+        {"churn.initial_active", "0"},
+        {"churn.join_rate_per_round", "100"},
+        {"churn.association", "slotted_aloha"},
+        {"sim.rounds", "300"},
+        {"replicas", "1"},
+    };
+    for (const auto& [key, value] : overrides) {
+        ns::spec::apply_spec_override(spec, key, value, "cold start");
+    }
+
+    // Replica 0 by hand, as run_scenario_replica builds it, so the
+    // simulator's final membership stays inspectable.
+    const ns::sim::deployment dep(resolve_geometry(spec.geometry),
+                                  spec.geometry.num_devices, spec.sim.seed);
+    scenario_driver driver(spec, dep,
+                           ns::engine::split_seed(spec.sim.seed, 0xd21f, 0));
+    ns::sim::sim_config config = spec.sim;
+    config.seed = ns::engine::split_seed(spec.sim.seed, 0x51a1, 0);
+    ns::sim::network_simulator sim(dep, config, &driver);
+    const ns::sim::sim_result result = sim.run();
+
+    EXPECT_EQ(sim.active_count(), 64u);
+    const std::vector<std::uint32_t> shifts = sim.active_shifts();
+    EXPECT_EQ(std::set<std::uint32_t>(shifts.begin(), shifts.end()).size(),
+              shifts.size());
+    const driver_stats& stats = driver.stats();
+    EXPECT_GT(stats.association_collisions, 0u);
+    EXPECT_GT(stats.association_tx, 64u);  // collided requests were retried
+    for (const auto& round : result.rounds) EXPECT_LE(round.joins, 1u);
+    for (const double wait : stats.join_waits) {
+        EXPECT_GE(wait, 1.0);
+        EXPECT_LE(wait, 300.0);
+    }
+}
+
 TEST(scenario_runner, oversubscribed_universe_respects_capacity) {
     auto spec = *find_scenario("warehouse-1k");
     spec.sim.rounds = 3;
@@ -330,6 +382,71 @@ TEST(scenario_runner, oversubscribed_universe_respects_capacity) {
         EXPECT_LE(round.active, capacity);
     }
     EXPECT_GT(result.sim.total_joins, 0u);
+}
+
+// ------------------------------------------------------ report origin --
+
+/// Every JSON key of a report file, in document order.
+std::vector<std::string> json_keys(const std::string& path) {
+    std::ifstream in(path);
+    const std::string text{std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>()};
+    const std::regex key("\"([^\"]+)\": ");
+    std::vector<std::string> keys;
+    for (auto it = std::sregex_iterator(text.begin(), text.end(), key);
+         it != std::sregex_iterator(); ++it) {
+        keys.push_back((*it)[1]);
+    }
+    return keys;
+}
+
+/// Four rounds of warehouse-1k-grouped (no --perf).
+scenario_result grouped_four_rounds() {
+    scenario_spec spec = *find_scenario("warehouse-1k-grouped");
+    spec.sim.rounds = 4;
+    return run_scenario(spec);
+}
+
+TEST(report_origin, only_host_timers_are_host_instruments) {
+    const scenario_result result = grouped_four_rounds();
+    std::set<std::string> host;
+    const ns::obs::metrics_snapshot& metrics = result.sim.metrics;
+    const auto collect = [&](const auto& samples) {
+        for (const auto& sample : samples) {
+            if (sample.origin == ns::obs::origin::host) host.insert(sample.name);
+        }
+    };
+    collect(metrics.counters);
+    collect(metrics.gauges);
+    collect(metrics.histograms);
+    const std::set<std::string> expected =
+        ns::obs::compiled_in()
+            ? std::set<std::string>{"round.total_s",     "round.plan_s",
+                                    "round.grouping_s",  "round.synth_s",
+                                    "round.superpose_s", "round.decode_s",
+                                    "phy.kernel_plan_s", "phy.kernel_sum_s",
+                                    "phy.noise_s",       "replica.wall_s"}
+            : std::set<std::string>{};
+    EXPECT_EQ(host, expected);
+}
+
+TEST(report_origin, strip_drops_exactly_the_wall_clock_scalars) {
+    const scenario_result result = grouped_four_rounds();
+    const std::filesystem::path dir = std::filesystem::temp_directory_path();
+    const std::string full = (dir / "ns_report_origin_full.json").string();
+    const std::string stripped = (dir / "ns_report_origin_strip.json").string();
+    ns::apps::write_scenario_json(result, full, false);
+    ns::apps::write_scenario_json(result, stripped, true);
+
+    std::vector<std::string> expected = json_keys(full);
+    std::erase_if(expected, [](const std::string& key) {
+        return key == "wall_clock_s" || key == "synth_wall_s" ||
+               key == "decode_wall_s";
+    });
+    ASSERT_EQ(json_keys(full).size(), expected.size() + 3);
+    EXPECT_EQ(json_keys(stripped), expected);
+    std::filesystem::remove(full);
+    std::filesystem::remove(stripped);
 }
 
 // ------------------------------------------------------------- traffic --
