@@ -1,5 +1,6 @@
 #include "netscatter/channel/superposition.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <span>
@@ -8,72 +9,140 @@
 #include "netscatter/dsp/vector_ops.hpp"
 #include "netscatter/engine/block_runner.hpp"
 #include "netscatter/phy/chirp.hpp"
+#include "netscatter/phy/modulator.hpp"
 #include "netscatter/util/error.hpp"
 #include "netscatter/util/units.hpp"
 
 namespace ns::channel {
 
-const cvec& combine(std::span<const tx_contribution> contributions, std::size_t length,
+namespace {
+
+/// `row` as a keyed waveform over the workspace's per-shift chirp tables
+/// (built on first use): distributed_modulator's packet — the preamble's
+/// upchirps and downchirps at the row's shift, then the upchirp for each
+/// '1' bit and silence for each '0' — without rendering it.
+ns::dsp::keyed_waveform keyed_row(const packet_contribution& row,
+                                  const ns::phy::css_params& params,
+                                  channel_workspace& workspace) {
+    using modulator = ns::phy::distributed_modulator;
+    const std::size_t bins = params.num_bins();
+    ns::util::require(row.cyclic_shift < bins, "combine: cyclic shift out of range");
+    if (workspace.shift_chirps.size() != 2 * bins) {
+        workspace.shift_chirps.assign(2 * bins, {});
+    }
+    cvec& up = workspace.shift_chirps[2 * row.cyclic_shift];
+    cvec& down = workspace.shift_chirps[2 * row.cyclic_shift + 1];
+    if (up.empty()) {
+        up = ns::phy::make_upchirp(params, static_cast<double>(row.cyclic_shift));
+        down = ns::phy::make_downchirp(params, static_cast<double>(row.cyclic_shift));
+    }
+    std::vector<const cplx*>& symbols = workspace.row_symbols;
+    symbols.resize(modulator::preamble_symbols + row.frame_bits.size());
+    std::fill_n(symbols.begin(), modulator::preamble_upchirps, up.data());
+    std::fill_n(symbols.begin() + modulator::preamble_upchirps,
+                modulator::preamble_downchirps, down.data());
+    for (std::size_t i = 0; i < row.frame_bits.size(); ++i) {
+        symbols[modulator::preamble_symbols + i] =
+            row.frame_bits[i] != 0 ? up.data() : nullptr;
+    }
+    return {.symbols = symbols, .symbol_len = params.samples_per_symbol()};
+}
+
+/// Adds one contribution into workspace.received: `wave` scaled to the
+/// contribution's SNR, rotated by its carrier phase, tone-shifted by its
+/// residual timing/frequency offset and, when taps apply, filtered. The
+/// draws happen in a fixed order per contribution: random taps, then the
+/// phase. Only the filtered branch renders `wave` (into
+/// workspace.rendered, unless it is already one dense run).
+template <class Contribution>
+void add_contribution(const Contribution& tx, const ns::dsp::keyed_waveform& wave,
+                      std::size_t sample_delay, const ns::phy::css_params& params,
+                      const channel_config& config, ns::util::rng& rng,
+                      channel_workspace& workspace) {
+    // Amplitude from SNR relative to the configured noise power.
+    const double power = config.noise_power * ns::util::db_to_linear(tx.snr_db);
+    const double amplitude = std::sqrt(power);
+
+    // Residual sub-sample timing offset and CFO act as a common tone
+    // shift after dechirping; apply it to the time-domain waveform.
+    const double tone_hz =
+        equivalent_tone_shift_hz(params, tx.timing_offset_s, tx.frequency_offset_hz);
+
+    const bool filtered = config.enable_multipath || !tx.taps.empty();
+    if (filtered) {
+        std::span<const cplx> source;
+        if (wave.symbols.size() == 1) {
+            source = {wave.symbols[0], wave.symbol_len};
+        } else {
+            ns::dsp::render_keyed(wave, workspace.rendered);
+            source = workspace.rendered;
+        }
+        if (tone_hz != 0.0) {
+            ns::dsp::frequency_shift_into(source, tone_hz, params.bandwidth_hz,
+                                          workspace.staged);
+            source = workspace.staged;
+        }
+        if (!tx.taps.empty()) {
+            // Explicit per-device taps (e.g. a tap_delay_line whose
+            // state persists across rounds).
+            apply_multipath_into(source, tx.taps, workspace.filtered);
+        } else {
+            const cvec taps = config.multipath.sample_taps(params.bandwidth_hz, rng);
+            apply_multipath_into(source, taps, workspace.filtered);
+        }
+    }
+
+    cplx gain{amplitude, 0.0};
+    if (tx.random_phase) {
+        gain = std::polar(amplitude, rng.uniform(0.0, 2.0 * std::numbers::pi));
+    }
+
+    if (filtered) {
+        ns::dsp::accumulate_scaled(workspace.received, workspace.filtered, gain,
+                                   sample_delay);
+    } else {
+        // Fused shift + scale + accumulate straight from the symbols.
+        ns::dsp::accumulate_keyed(workspace.received, wave, gain, tone_hz,
+                                  params.bandwidth_hz, sample_delay);
+    }
+}
+
+}  // namespace
+
+const cvec& combine(std::span<const packet_contribution> rows,
+                    std::span<const tx_contribution> interferers, std::size_t length,
                     const ns::phy::css_params& params, const channel_config& config,
                     ns::util::rng& rng, channel_workspace& workspace) {
+    const bool timed = workspace.obs.metrics != nullptr;
+    const std::uint64_t t0 = timed ? ns::obs::now_ns() : 0;
     cvec& received = workspace.received;
     received.assign(length, cplx{0.0, 0.0});
 
-    for (const auto& tx : contributions) {
-        // Amplitude from SNR relative to the configured noise power.
-        const double power = config.noise_power * ns::util::db_to_linear(tx.snr_db);
-        const double amplitude = std::sqrt(power);
-
-        // View the contribution's samples; stage a modified copy only
-        // when a transform actually rewrites them. The common case (no
-        // shift, no multipath) used to deep-copy the full packet per
-        // device — the dominant allocation of a high-concurrency round.
-        std::span<const cplx> source = tx.waveform;
-
-        // Residual sub-sample timing offset and CFO act as a common tone
-        // shift after dechirping; apply it to the time-domain waveform.
-        const double tone_hz =
-            equivalent_tone_shift_hz(params, tx.timing_offset_s, tx.frequency_offset_hz);
-
-        const bool filtered = config.enable_multipath || !tx.taps.empty();
-        if (filtered) {
-            if (tone_hz != 0.0) {
-                ns::dsp::frequency_shift_into(source, tone_hz, params.bandwidth_hz,
-                                              workspace.staged);
-                source = workspace.staged;
-            }
-            if (!tx.taps.empty()) {
-                // Explicit per-device taps (e.g. a tap_delay_line whose
-                // state persists across rounds).
-                apply_multipath_into(source, tx.taps, workspace.filtered);
-            } else {
-                const cvec taps = config.multipath.sample_taps(params.bandwidth_hz, rng);
-                apply_multipath_into(source, taps, workspace.filtered);
-            }
-            source = workspace.filtered;
-        }
-
-        cplx gain{amplitude, 0.0};
-        if (tx.random_phase) {
-            gain = std::polar(amplitude, rng.uniform(0.0, 2.0 * std::numbers::pi));
-        }
-
-        if (!filtered && tone_hz != 0.0) {
-            // Fused shift + scale + accumulate: bit-identical to the
-            // staged sequence, without the intermediate buffer.
-            ns::dsp::accumulate_scaled_shifted(received, source, gain, tone_hz,
-                                               params.bandwidth_hz, tx.sample_delay);
-        } else {
-            ns::dsp::accumulate_scaled(received, source, gain, tx.sample_delay);
-        }
+    for (const auto& row : rows) {
+        add_contribution(row, keyed_row(row, params, workspace), 0, params, config, rng,
+                         workspace);
+    }
+    for (const auto& tx : interferers) {
+        const std::span<const cplx> samples = tx.waveform;
+        const cplx* const dense = samples.data();
+        add_contribution(tx, {.symbols = {&dense, 1}, .symbol_len = samples.size()},
+                         tx.sample_delay, params, config, rng, workspace);
     }
 
     add_noise(received, config.noise_power, rng);
-    if (workspace.obs.metrics != nullptr) {
-        workspace.obs.metrics->get_counter("phy.sample_waveforms")
-            ->add(contributions.size());
+    if (timed) {
+        ns::obs::metrics_registry& metrics = *workspace.obs.metrics;
+        metrics.get_counter("phy.sample_waveforms")->add(rows.size() + interferers.size());
+        metrics.get_histogram("phy.sample_combine_s", ns::obs::origin::host)
+            ->record_ns(ns::obs::now_ns() - t0);
     }
     return received;
+}
+
+const cvec& combine(std::span<const tx_contribution> contributions, std::size_t length,
+                    const ns::phy::css_params& params, const channel_config& config,
+                    ns::util::rng& rng, channel_workspace& workspace) {
+    return combine({}, contributions, length, params, config, rng, workspace);
 }
 
 namespace {

@@ -12,7 +12,10 @@
 // Two synthesis domains are provided:
 //  * combine() — sample domain: sums time-domain waveforms into the AP's
 //    received baseband. Fully general (multipath, foreign interferers,
-//    arbitrary sample delays), cost O(devices x samples).
+//    arbitrary sample delays). Standard packets arrive as keyed rows and
+//    accumulate straight from per-shift chirp tables, never rendered, so
+//    the cost is O(devices x sounding samples) plus the interferers'
+//    samples, with no per-device buffer.
 //  * combine_symbol_domain() — the §3.2 dechirp-to-tone identity run in
 //    reverse: a standard packet's post-dechirp spectrum is a Dirichlet
 //    kernel at bin shift + fractional offset(CFO, STO, Doppler), so each
@@ -29,7 +32,6 @@
 #include "netscatter/channel/impairments.hpp"
 #include "netscatter/channel/kernel_batch.hpp"
 #include "netscatter/dsp/fft.hpp"
-#include "netscatter/dsp/vector_ops.hpp"
 #include "netscatter/obs/sink.hpp"
 #include "netscatter/phy/css_params.hpp"
 #include "netscatter/util/rng.hpp"
@@ -64,8 +66,8 @@ private:
 /// One device's contribution to a concurrent transmission round.
 ///
 /// `waveform` is a non-owning view: the caller keeps the sample storage
-/// alive until combine() returns (simulators stage packets in a
-/// channel_workspace pool; tests typically view locally-owned cvecs).
+/// alive until combine() returns (an interference source owns its
+/// waveforms per round; tests typically view locally-owned cvecs).
 struct tx_contribution {
     waveform_view waveform;         ///< unit-amplitude baseband samples
     double snr_db = 0.0;            ///< received SNR (per-sample, pre-despreading)
@@ -81,9 +83,9 @@ struct tx_contribution {
 };
 
 /// Symbolic description of one standard NetScatter packet (preamble at
-/// the assigned shift + ON-OFF keyed payload) for the symbol-domain fast
-/// path: everything needed to synthesize the post-dechirp spectrum
-/// without ever materializing time-domain samples.
+/// the assigned shift + ON-OFF keyed payload), the row both synthesis
+/// paths consume: the fast path sums its post-dechirp kernels, the
+/// sample path its shift's chirps — neither materializes the packet.
 struct packet_contribution {
     std::uint32_t cyclic_shift = 0;
     /// Payload+CRC bits (one ON-OFF symbol per bit), non-owning. 0/1.
@@ -135,8 +137,14 @@ struct symbol_domain_params {
 /// once the buffers are warm.
 struct channel_workspace {
     cvec received;                  ///< combine() output buffer
+    cvec rendered;                  ///< a keyed row's samples (multipath path)
     cvec staged;                    ///< frequency-shift staging (multipath path)
     cvec filtered;                  ///< multipath staging
+    /// combine()'s keyed rows read these: the upchirp ([2s]) and downchirp
+    /// ([2s+1]) of every shift s a row used, built on first use (about
+    /// 2·2^SF·16 B per shift; reset when the spreading factor changes).
+    std::vector<cvec> shift_chirps;
+    std::vector<const cplx*> row_symbols;  ///< the current row's symbol table
     std::vector<cvec> symbol_spectra;  ///< per-symbol accumulators (fast path):
                                        ///< preamble upchirps then payload symbols
     cvec kernel;                    ///< per-device Dirichlet window
@@ -155,13 +163,11 @@ struct channel_workspace {
         std::uint64_t noise_ns = 0;
     };
     std::vector<block_time> block_times;
-    /// Sample-path per-device packet buffers (span-stable handout; see
-    /// cvec_pool). Release at the start of each round.
-    ns::dsp::cvec_pool packet_pool;
     /// Observability handles (non-owning; see obs_sink). When
     /// obs.metrics is set, the combiners count phy.kernels_summed /
     /// phy.fast_packets / phy.noise_symbols (fast path) and
-    /// phy.sample_waveforms (sample path); a wired obs.perf_kernel_sum
+    /// phy.sample_waveforms (sample path) and time phy.sample_combine_s
+    /// (one sample-path combine, noise included); a wired obs.perf_kernel_sum
     /// attributes the device-kernel batch (perf.kernel_sum.*) — the
     /// denominator of the roofline model. Same thread-confinement rule
     /// as the workspace itself.
@@ -175,11 +181,28 @@ struct channel_workspace {
     ns::engine::block_runner* block_pool = nullptr;
 };
 
-/// Combines all contributions into the AP's received baseband of length
-/// `length` samples and adds noise. Sub-sample timing offsets and CFO are
-/// applied via the equivalent tone shift; integer `sample_delay` shifts
-/// the waveform within the capture window. Returns a reference to
-/// `workspace.received` (valid until the next combine on the workspace).
+/// Combines the round's packet rows, then the interferers, into the AP's
+/// received baseband of length `length` samples and adds noise. Each row
+/// is distributed_modulator's packet at its shift (6 upchirps, 2
+/// downchirps, then one ON-OFF symbol per frame bit) starting at sample
+/// 0, and accumulates straight from workspace.shift_chirps: OFF symbols
+/// cost nothing but the phasor steps a later ON symbol of the same
+/// re-anchor block needs. A row with taps (or under
+/// config.enable_multipath) is rendered into workspace.rendered first,
+/// because the tap line convolves the full waveform. Sub-sample timing
+/// offsets and CFO are applied via the equivalent tone shift; an
+/// interferer's integer `sample_delay` shifts it within the capture
+/// window. The random draws run in contribution order (per contribution:
+/// random taps, then the carrier phase), then the noise. Returns a
+/// reference to `workspace.received` (valid until the next combine on
+/// the workspace); bit-identical to the dense overload below over the
+/// same rows rendered with modulate_packet_into.
+const cvec& combine(std::span<const packet_contribution> rows,
+                    std::span<const tx_contribution> interferers, std::size_t length,
+                    const ns::phy::css_params& params, const channel_config& config,
+                    ns::util::rng& rng, channel_workspace& workspace);
+
+/// combine() over dense waveforms only (no keyed rows).
 const cvec& combine(std::span<const tx_contribution> contributions, std::size_t length,
                     const ns::phy::css_params& params, const channel_config& config,
                     ns::util::rng& rng, channel_workspace& workspace);

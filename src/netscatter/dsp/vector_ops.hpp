@@ -11,27 +11,6 @@
 
 namespace ns::dsp {
 
-/// Pool of reusable complex-sample buffers with span-stable handout.
-/// The outer vector may grow when a new buffer is acquired, but inner
-/// heap storage never moves (vector move steals the pointer), so spans
-/// into acquired buffers stay valid until the pool is released. Holders
-/// of this invariant: the superposition channel's per-round packet
-/// staging and the interference source's waveform storage.
-class cvec_pool {
-public:
-    /// Hands out the next reusable buffer (contents unspecified).
-    cvec& acquire() {
-        if (used_ == buffers_.size()) buffers_.emplace_back();
-        return buffers_[used_++];
-    }
-    /// Marks every buffer free; previously handed-out spans die here.
-    void release_all() { used_ = 0; }
-
-private:
-    std::vector<cvec> buffers_;
-    std::size_t used_ = 0;
-};
-
 /// Element-wise product a[i] * b[i]. Requires equal lengths.
 cvec multiply(std::span<const cplx> a, std::span<const cplx> b);
 
@@ -57,12 +36,40 @@ void accumulate_scaled(cvec& a, std::span<const cplx> b, cplx gain, std::size_t 
 
 /// Fused frequency shift + scale + accumulate:
 /// a[offset+i] += (b[i] * e^{j 2π f i / fs}) * gain, using the exact
-/// phasor recurrence of frequency_shift() (same re-anchoring cadence), so
-/// the result is bit-identical to frequency_shift() + scale() +
-/// accumulate_at() while touching one buffer instead of three.
+/// phasor recurrence of frequency_shift() (one shared definition: every
+/// 1024-sample block re-anchors from std::polar, then multiplies by the
+/// per-sample rotation), so the result is bit-identical to
+/// frequency_shift() + scale() + accumulate_at() while touching one
+/// buffer instead of three.
 void accumulate_scaled_shifted(cvec& a, std::span<const cplx> b, cplx gain,
                                double frequency_hz, double sample_rate_hz,
                                std::size_t offset);
+
+/// An ON-OFF keyed waveform described by its symbols, not its samples:
+/// symbol k covers samples [k·symbol_len, (k+1)·symbol_len) and reads
+/// symbols[k][0 .. symbol_len), or is silent when symbols[k] is null.
+/// A NetScatter packet is one (§3.1): its shift's preamble chirps, then
+/// the upchirp for each '1' bit and silence for each '0'. A dense
+/// waveform is the one-symbol case.
+struct keyed_waveform {
+    std::span<const cplx* const> symbols;
+    std::size_t symbol_len = 0;
+
+    std::size_t size() const { return symbols.size() * symbol_len; }
+};
+
+/// Writes the samples of `b` into `out` (resized; capacity reuse).
+void render_keyed(const keyed_waveform& b, cvec& out);
+
+/// Keyed accumulate without rendering: bit-identical to render_keyed()
+/// followed by accumulate_scaled() when frequency_hz == 0, else by
+/// accumulate_scaled_shifted(). Silent symbols are skipped (the dense
+/// loops add ±0 there, which changes no sample of a buffer that holds no
+/// -0; a sum that starts at +0 never becomes -0), while the phasor runs
+/// across them exactly as the dense loop's does. Overhang past the end
+/// of a is dropped.
+void accumulate_keyed(cvec& a, const keyed_waveform& b, cplx gain, double frequency_hz,
+                      double sample_rate_hz, std::size_t offset);
 
 /// Scales every element by `factor`.
 void scale(cvec& a, double factor);

@@ -17,14 +17,15 @@ namespace {
 //
 // Phase is the exact discrete integral of the instantaneous frequency:
 //   phi[n] = 2*pi * ( (f0/fs) * n + slope * (n^2/(2N) - n/2) ).
-cvec make_chirp(const css_params& params, double cyclic_shift, double slope) {
+void make_chirp_into(const css_params& params, double cyclic_shift, double slope,
+                     std::span<cplx> chirp) {
     const auto n_samples = params.samples_per_symbol();
     const double n_bins = static_cast<double>(params.num_bins());
     ns::util::require(std::abs(cyclic_shift) < n_bins + 1.0,
                       "make_chirp: cyclic shift out of range");
+    ns::util::require(chirp.size() == n_samples, "make_chirp: output is not one symbol");
     const double f0_norm = cyclic_shift / n_bins;  // f0 / fs
 
-    cvec chirp(n_samples);
     for (std::size_t i = 0; i < n_samples; ++i) {
         const double n = static_cast<double>(i);
         const double phase =
@@ -32,6 +33,11 @@ cvec make_chirp(const css_params& params, double cyclic_shift, double slope) {
             (f0_norm * n + slope * (n * n / (2.0 * n_bins) - n / 2.0));
         chirp[i] = std::polar(1.0, phase);
     }
+}
+
+cvec make_chirp(const css_params& params, double cyclic_shift, double slope) {
+    cvec chirp(params.samples_per_symbol());
+    make_chirp_into(params, cyclic_shift, slope, chirp);
     return chirp;
 }
 
@@ -39,6 +45,10 @@ cvec make_chirp(const css_params& params, double cyclic_shift, double slope) {
 
 cvec make_upchirp(const css_params& params, double cyclic_shift) {
     return make_chirp(params, cyclic_shift, +1.0);
+}
+
+void make_upchirp_into(const css_params& params, double cyclic_shift, std::span<cplx> out) {
+    make_chirp_into(params, cyclic_shift, +1.0, out);
 }
 
 cvec make_downchirp(const css_params& params, double cyclic_shift) {

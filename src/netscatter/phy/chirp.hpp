@@ -27,6 +27,10 @@ using ns::dsp::cvec;
 /// |shift| < 2^SF+1 for sanity), unit amplitude and zero initial phase.
 cvec make_upchirp(const css_params& params, double cyclic_shift = 0.0);
 
+/// make_upchirp into a caller-provided span of exactly
+/// `params.samples_per_symbol()` samples: the same values, no allocation.
+void make_upchirp_into(const css_params& params, double cyclic_shift, std::span<cplx> out);
+
 /// Generates one downchirp symbol (conjugate slope). `cyclic_shift` has
 /// the same meaning as for upchirps; NetScatter preambles transmit the
 /// device's assigned shift on downchirps too (§3.3.1).

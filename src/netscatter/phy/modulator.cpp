@@ -15,12 +15,19 @@ cvec lora_modulator::modulate_symbol(std::uint32_t value) const {
 
 cvec lora_modulator::modulate(const std::vector<std::uint32_t>& symbols) const {
     cvec out;
-    out.reserve(symbols.size() * params_.samples_per_symbol());
-    for (std::uint32_t value : symbols) {
-        const cvec symbol = modulate_symbol(value);
-        out.insert(out.end(), symbol.begin(), symbol.end());
-    }
+    modulate_into(symbols, out);
     return out;
+}
+
+void lora_modulator::modulate_into(std::span<const std::uint32_t> symbols, cvec& out) const {
+    const std::size_t sps = params_.samples_per_symbol();
+    out.resize(symbols.size() * sps);
+    for (std::size_t k = 0; k < symbols.size(); ++k) {
+        ns::util::require(symbols[k] < params_.num_bins(),
+                          "lora_modulator: symbol out of range");
+        make_upchirp_into(params_, static_cast<double>(symbols[k]),
+                          std::span<cplx>(out).subspan(k * sps, sps));
+    }
 }
 
 std::vector<std::uint32_t> lora_modulator::bits_to_symbols(const std::vector<bool>& bits) const {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "netscatter/phy/chirp.hpp"
@@ -28,6 +29,10 @@ public:
 
     /// Modulates a symbol sequence (concatenated symbols).
     cvec modulate(const std::vector<std::uint32_t>& symbols) const;
+
+    /// modulate into a caller-provided buffer (resized; capacity reuse
+    /// makes repeated calls allocation-free).
+    void modulate_into(std::span<const std::uint32_t> symbols, cvec& out) const;
 
     /// Packs a bit sequence into SF-bit symbol values (MSB-first; the
     /// final symbol is zero-padded) and modulates it.
@@ -72,9 +77,7 @@ public:
     cvec modulate_packet(const std::vector<bool>& payload_bits) const;
 
     /// modulate_packet into a caller-provided buffer (resized; capacity
-    /// reuse makes repeated calls allocation-free — the simulator stages
-    /// each round's packets in a reusable pool instead of allocating one
-    /// buffer per device per round).
+    /// reuse makes repeated calls allocation-free).
     void modulate_packet_into(const std::vector<bool>& payload_bits, cvec& out) const;
 
     std::uint32_t cyclic_shift() const { return cyclic_shift_; }

@@ -22,14 +22,13 @@ interference_source::interference_source(interference_spec spec,
 }
 
 ns::channel::tx_contribution interference_source::make_tone(double tone_hz) {
-    ns::dsp::cvec& waveform = waveform_pool_.acquire();
-    waveform.resize(packet_samples_);
+    waveform_.resize(packet_samples_);
     const double step = 2.0 * std::numbers::pi * tone_hz / phy_.bandwidth_hz;
     for (std::size_t n = 0; n < packet_samples_; ++n) {
-        waveform[n] = std::polar(1.0, step * static_cast<double>(n));
+        waveform_[n] = std::polar(1.0, step * static_cast<double>(n));
     }
     ns::channel::tx_contribution tx;
-    tx.waveform = std::span<const ns::dsp::cplx>(waveform);
+    tx.waveform = std::span<const ns::dsp::cplx>(waveform_);
     tx.snr_db = spec_.snr_db;
     tx.random_phase = true;
     return tx;
@@ -39,18 +38,15 @@ ns::channel::tx_contribution interference_source::make_lora_frame() {
     // A foreign classic-CSS frame: same (BW, SF) chirps carrying random
     // symbol values, misaligned by a random integer + fractional sample
     // offset, so its dechirped peaks are neither slot- nor bin-aligned.
-    const ns::phy::lora_modulator modulator(phy_);
     const std::size_t sps = phy_.samples_per_symbol();
-    const std::size_t symbols = packet_samples_ / sps + 1;
-    std::vector<std::uint32_t> values(symbols);
-    for (auto& value : values) {
+    symbol_values_.resize(packet_samples_ / sps + 1);
+    for (auto& value : symbol_values_) {
         value = static_cast<std::uint32_t>(
             rng_.uniform_int(0, static_cast<std::int64_t>(phy_.num_bins()) - 1));
     }
-    ns::dsp::cvec& waveform = waveform_pool_.acquire();
-    waveform = modulator.modulate(values);
+    ns::phy::lora_modulator(phy_).modulate_into(symbol_values_, waveform_);
     ns::channel::tx_contribution tx;
-    tx.waveform = std::span<const ns::dsp::cplx>(waveform);
+    tx.waveform = std::span<const ns::dsp::cplx>(waveform_);
     tx.snr_db = spec_.snr_db;
     tx.timing_offset_s = rng_.uniform(0.0, phy_.symbol_duration_s());
     tx.sample_delay = static_cast<std::size_t>(
@@ -59,31 +55,30 @@ ns::channel::tx_contribution interference_source::make_lora_frame() {
     return tx;
 }
 
-std::vector<ns::channel::tx_contribution> interference_source::step(std::size_t round) {
-    waveform_pool_.release_all();  // previous round's spans are dead
-    std::vector<ns::channel::tx_contribution> contributions;
+std::span<const ns::channel::tx_contribution> interference_source::step(std::size_t round) {
+    contributions_.clear();
     switch (spec_.kind) {
         case interference_kind::none:
             break;
         case interference_kind::periodic_tone:
             if (round % spec_.period_rounds == 0) {
-                contributions.push_back(make_tone(spec_.tone_hz));
+                contributions_.push_back(make_tone(spec_.tone_hz));
             }
             break;
         case interference_kind::bursty_tone:
             if (rng_.bernoulli(spec_.burst_probability)) {
-                contributions.push_back(make_tone(
+                contributions_.push_back(make_tone(
                     rng_.uniform(-phy_.bandwidth_hz / 2.0, phy_.bandwidth_hz / 2.0)));
             }
             break;
         case interference_kind::lora_frame:
             if (rng_.bernoulli(spec_.burst_probability)) {
-                contributions.push_back(make_lora_frame());
+                contributions_.push_back(make_lora_frame());
             }
             break;
     }
-    total_events_ += contributions.size();
-    return contributions;
+    total_events_ += contributions_.size();
+    return contributions_;
 }
 
 cochannel_source::cochannel_source(cochannel_spec spec, ns::phy::css_params phy,

@@ -33,9 +33,10 @@ public:
                         std::size_t packet_samples, std::uint64_t seed);
 
     /// Contributions to sum into `round`'s channel (possibly empty).
-    /// Waveform spans view storage owned by this source; they stay valid
-    /// until the next step() call.
-    std::vector<ns::channel::tx_contribution> step(std::size_t round);
+    /// The span and the waveforms it views are owned by this source; they
+    /// stay valid until the next step() call, which refills them without
+    /// allocating once warm.
+    std::span<const ns::channel::tx_contribution> step(std::size_t round);
 
     std::size_t total_events() const { return total_events_; }
 
@@ -48,9 +49,12 @@ private:
     std::size_t packet_samples_;
     ns::util::rng rng_;
     std::size_t total_events_ = 0;
-    /// Waveform storage behind the returned spans (span-stable handout;
-    /// see ns::dsp::cvec_pool). Released at each step().
-    ns::dsp::cvec_pool waveform_pool_;
+    /// Storage behind step()'s span, reused at each step(): the
+    /// contributions, the one waveform they view (a step raises at most
+    /// one event) and a LoRa frame's symbol values.
+    std::vector<ns::channel::tx_contribution> contributions_;
+    ns::dsp::cvec waveform_;
+    std::vector<std::uint32_t> symbol_values_;
 };
 
 /// A second NetScatter network sharing the band (cochannel_spec): the

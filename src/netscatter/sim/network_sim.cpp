@@ -1146,35 +1146,15 @@ void network_simulator::superpose_phase(round_state& state) {
         return;
     }
 
-    // Sample path: render every row. A packet is its shift's upchirp
-    // ON-OFF keyed by its frame bits (§3.1), so one modulator per shift
-    // serves every row on it, a desynced device's stale shift included.
-    if (modulators_.empty()) modulators_.resize(config_.phy.num_bins());
-    chan_ws_.packet_pool.release_all();
-    contributions_.clear();
-    for (const ns::channel::packet_contribution& row : packet_contribs_) {
-        std::optional<ns::phy::distributed_modulator>& modulator =
-            modulators_[row.cyclic_shift];
-        if (!modulator) modulator.emplace(config_.phy, row.cyclic_shift);
-        frame_scratch_.assign(row.frame_bits.begin(), row.frame_bits.end());
-        ns::dsp::cvec& packet_buffer = chan_ws_.packet_pool.acquire();
-        modulator->modulate_packet_into(frame_scratch_, packet_buffer);
-        contributions_.push_back({.waveform = std::span<const ns::dsp::cplx>(packet_buffer),
-                                  .snr_db = row.snr_db,
-                                  .timing_offset_s = row.timing_offset_s,
-                                  .frequency_offset_hz = row.frequency_offset_hz,
-                                  .random_phase = row.random_phase,
-                                  .taps = row.taps});
-    }
-    // In-band interferers (scenario-injected) share the channel.
-    for (const auto& interferer : plan.interference) {
-        contributions_.push_back(interferer);
-    }
+    // Sample path: a packet is its shift's upchirp ON-OFF keyed by its
+    // frame bits (§3.1), so the rows accumulate straight from the
+    // channel's per-shift chirp tables, a desynced device's stale shift
+    // included; the in-band interferers (scenario-injected) follow.
     const std::size_t packet_samples =
         (config_.frame.preamble_symbols + frame_bits) *
         config_.phy.samples_per_symbol();
-    ns::channel::combine(std::span<const ns::channel::tx_contribution>(contributions_),
-                         packet_samples, config_.phy, chan, rng_, chan_ws_);
+    ns::channel::combine(packet_contribs_, plan.interference, packet_samples, config_.phy,
+                         chan, rng_, chan_ws_);
 }
 
 void network_simulator::decode_phase(round_state& state) {

@@ -5,8 +5,8 @@
 // superposition channel (with per-packet hardware delay jitter, CFO,
 // power adaptation and fading), and the NetScatter receiver decodes all
 // devices with one FFT per symbol. Rounds synthesize post-dechirp spectra
-// directly by default (phy_fidelity, §3.2); the sample path renders
-// time-domain waveforms. Decode success feeds the analytic timeline
+// directly by default (phy_fidelity, §3.2); the sample path synthesizes
+// the time-domain baseband. Decode success feeds the analytic timeline
 // models (timeline.hpp) to produce the Figs. 17-19 series.
 #pragma once
 
@@ -752,10 +752,6 @@ private:
     /// This round's packets on the air, on both paths: our transmitters
     /// in transmit order, then the co-channel network's packets.
     std::vector<ns::channel::packet_contribution> packet_contribs_;
-    /// Sample path: the rendered rows plus the interferers, and one
-    /// modulator per cyclic shift (indexed by shift, built on first use).
-    std::vector<ns::channel::tx_contribution> contributions_;
-    std::vector<std::optional<ns::phy::distributed_modulator>> modulators_;
     std::vector<bool> payload_scratch_;
     std::vector<bool> frame_scratch_;
     /// Flat 0/1 bytes of every transmitter's frame bits this round, one

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "netscatter/channel/superposition.hpp"
@@ -43,8 +44,10 @@ struct round_plan {
     /// Extra in-band transmissions (tones, foreign CSS frames) summed
     /// into the superposition channel before the receiver runs. These
     /// are arbitrary sample-level waveforms, so a round carrying them
-    /// cannot take the symbol-domain fast path.
-    std::vector<ns::channel::tx_contribution> interference;
+    /// cannot take the symbol-domain fast path. Non-owning: the
+    /// contributions and their waveforms must stay valid until the round
+    /// completes (the producing source owns them per round).
+    std::span<const ns::channel::tx_contribution> interference;
     /// Co-channel NetScatter packets: a second AP's network (distinct
     /// network_id) sharing the band. Being standard packets they are
     /// described symbolically and superposed on EITHER synthesis path —

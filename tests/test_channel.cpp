@@ -4,6 +4,8 @@
 
 #include <array>
 #include <cmath>
+#include <cstring>
+#include <numbers>
 #include <span>
 
 #include "netscatter/channel/awgn.hpp"
@@ -13,6 +15,7 @@
 #include "netscatter/channel/superposition.hpp"
 #include "netscatter/dsp/peak.hpp"
 #include "netscatter/dsp/vector_ops.hpp"
+#include "netscatter/obs/metrics.hpp"
 #include "netscatter/phy/chirp.hpp"
 #include "netscatter/phy/demodulator.hpp"
 #include "netscatter/phy/modulator.hpp"
@@ -553,6 +556,188 @@ TEST(superposition, fused_accumulate_matches_staged_sequence) {
     ns::dsp::accumulate_scaled_shifted(fused, source, gain, tone_hz, fs, 17);
     for (std::size_t i = 0; i < expected.size(); ++i) {
         ASSERT_EQ(expected[i], fused[i]) << "sample " << i;
+    }
+}
+
+namespace {
+
+/// The historic one-chain shifted accumulate, written out sample by
+/// sample: the reference the interleaved re-anchor blocks must equal.
+void one_chain_shifted_accumulate(cvec& a, std::span<const cplx> b, cplx gain,
+                                  double tone_hz, double fs, std::size_t offset) {
+    if (offset >= a.size()) return;
+    const std::size_t count = std::min(b.size(), a.size() - offset);
+    const double step = 2.0 * std::numbers::pi * tone_hz / fs;
+    const cplx rotation = std::polar(1.0, step);
+    cplx phasor{1.0, 0.0};
+    for (std::size_t i = 0; i < count; ++i) {
+        if (i % 1024 == 0) phasor = std::polar(1.0, step * static_cast<double>(i));
+        a[offset + i] += (b[i] * phasor) * gain;
+        phasor *= rotation;
+    }
+}
+
+bool same_bits(const cvec& x, const cvec& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(cplx)) == 0;
+}
+
+}  // namespace
+
+TEST(superposition, keyed_accumulate_matches_dense_bit_for_bit) {
+    // A keyed packet (distributed_modulator's layout: 6 upchirps, 2
+    // downchirps, one ON-OFF symbol per bit) accumulated straight from
+    // its chirps must equal the rendered packet through the dense loops,
+    // for symbols shorter and longer than the 1024-sample re-anchor
+    // block and captures that cut the packet off mid-block.
+    using modulator = ns::phy::distributed_modulator;
+    ns::util::rng gen(41);
+    const cplx gain{0.8, -0.3};
+    for (int sf = 7; sf <= 12; ++sf) {
+        const ns::phy::css_params p{.bandwidth_hz = 500e3, .spreading_factor = sf};
+        const std::size_t n = p.samples_per_symbol();
+        const std::uint32_t shift = 3 * static_cast<std::uint32_t>(sf);
+        const modulator mod(p, shift);
+        const cvec up = ns::phy::make_upchirp(p, shift);
+        const cvec down = ns::phy::make_downchirp(p, shift);
+        const std::size_t bits_count = sf <= 9 ? 21 : 5;
+        std::vector<bool> random_bits(bits_count);
+        for (std::size_t i = 0; i < bits_count; ++i) random_bits[i] = gen.bernoulli(0.5);
+        for (const std::vector<bool>& bits :
+             {std::vector<bool>(bits_count, true), std::vector<bool>(bits_count, false),
+              random_bits}) {
+            std::vector<const cplx*> symbols(modulator::preamble_upchirps, up.data());
+            symbols.insert(symbols.end(), modulator::preamble_downchirps, down.data());
+            for (const bool bit : bits) symbols.push_back(bit ? up.data() : nullptr);
+            const ns::dsp::keyed_waveform keyed{.symbols = symbols, .symbol_len = n};
+
+            cvec rendered;
+            ns::dsp::render_keyed(keyed, rendered);
+            ASSERT_TRUE(same_bits(rendered, mod.modulate_packet(bits))) << "SF" << sf;
+
+            const std::size_t packet = keyed.size();
+            // Longer than the packet, one symbol plus 37 samples short of
+            // it, and a cut inside the preamble; none a multiple of 1024.
+            for (const std::size_t capture : {packet + 45, packet - n - 37, 5 * n / 2 + 3}) {
+                for (const double tone_hz : {0.0, 173.0, -2210.5}) {
+                    cvec base(capture);
+                    for (auto& v : base) v = cplx{gen.gaussian(), gen.gaussian()};
+                    const std::size_t offset = 11;
+                    cvec dense = base;
+                    cvec reference = base;
+                    cvec keyed_sum = base;
+                    if (tone_hz == 0.0) {
+                        ns::dsp::accumulate_scaled(dense, rendered, gain, offset);
+                        ns::dsp::accumulate_scaled(reference, rendered, gain, offset);
+                    } else {
+                        ns::dsp::accumulate_scaled_shifted(dense, rendered, gain, tone_hz,
+                                                           p.bandwidth_hz, offset);
+                        one_chain_shifted_accumulate(reference, rendered, gain, tone_hz,
+                                                     p.bandwidth_hz, offset);
+                    }
+                    ns::dsp::accumulate_keyed(keyed_sum, keyed, gain, tone_hz,
+                                              p.bandwidth_hz, offset);
+                    EXPECT_TRUE(same_bits(dense, reference))
+                        << "SF" << sf << " capture " << capture << " tone " << tone_hz;
+                    EXPECT_TRUE(same_bits(keyed_sum, dense))
+                        << "SF" << sf << " capture " << capture << " tone " << tone_hz;
+                }
+            }
+        }
+    }
+}
+
+TEST(superposition, frequency_shift_matches_one_chain_recurrence) {
+    // frequency_shift shares the interleaved re-anchor blocks; it must
+    // equal the historic one-chain loop (a tail block of 904 samples).
+    ns::util::rng gen(43);
+    cvec source(5000);
+    for (auto& v : source) v = cplx{gen.gaussian(), gen.gaussian()};
+    const double step = 2.0 * std::numbers::pi * 917.0 / 500e3;
+    const cplx rotation = std::polar(1.0, step);
+    cvec reference(source.size());
+    cplx phasor{1.0, 0.0};
+    for (std::size_t i = 0; i < source.size(); ++i) {
+        if (i % 1024 == 0) phasor = std::polar(1.0, step * static_cast<double>(i));
+        reference[i] = source[i] * phasor;
+        phasor *= rotation;
+    }
+    EXPECT_TRUE(same_bits(ns::dsp::frequency_shift(source, 917.0, 500e3), reference));
+}
+
+TEST(superposition, keyed_row_combine_matches_rendered_rows) {
+    // combine() over packet rows must equal combine() over the same rows
+    // rendered with modulate_packet_into, draw for draw: the received
+    // samples and the generator state afterwards, with a tapped row, a
+    // zero-tone row, a fixed-phase row and a dense interferer in the mix.
+    const ns::phy::css_params p{.bandwidth_hz = 500e3, .spreading_factor = 9};
+    const std::size_t bits_count = 24;
+    ns::util::rng gen(47);
+    std::vector<std::uint8_t> store(4 * bits_count);
+    for (auto& bit : store) bit = gen.bernoulli(0.5) ? 1 : 0;
+    const cvec taps = {cplx{0.9, 0.1}, cplx{0.2, -0.3}, cplx{-0.05, 0.1}};
+    std::vector<packet_contribution> rows(4);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        rows[r].cyclic_shift = static_cast<std::uint32_t>(40 * r + 2);
+        rows[r].frame_bits =
+            std::span<const std::uint8_t>(store.data() + r * bits_count, bits_count);
+        rows[r].snr_db = 3.0 * static_cast<double>(r);
+        rows[r].timing_offset_s = 0.4e-6 * static_cast<double>(r);
+        rows[r].frequency_offset_hz = 35.0 * static_cast<double>(r);
+    }
+    rows[0].random_phase = false;  // row 0 also has zero tone
+    rows[2].taps = taps;
+
+    const cvec tone = ns::phy::make_upchirp(p, 77.0);
+    cvec interferer_wave;
+    for (int k = 0; k < 40; ++k) {
+        interferer_wave.insert(interferer_wave.end(), tone.begin(), tone.end());
+    }
+    tx_contribution interferer;
+    interferer.waveform = std::span<const cplx>(interferer_wave);
+    interferer.snr_db = 5.0;
+    interferer.timing_offset_s = 1.3e-6;
+    interferer.sample_delay = 300;
+
+    std::vector<cvec> packets(rows.size());
+    std::vector<tx_contribution> dense;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        const std::vector<bool> bits(rows[r].frame_bits.begin(), rows[r].frame_bits.end());
+        ns::phy::distributed_modulator(p, rows[r].cyclic_shift)
+            .modulate_packet_into(bits, packets[r]);
+        dense.push_back({.waveform = std::span<const cplx>(packets[r]),
+                         .snr_db = rows[r].snr_db,
+                         .timing_offset_s = rows[r].timing_offset_s,
+                         .frequency_offset_hz = rows[r].frequency_offset_hz,
+                         .random_phase = rows[r].random_phase,
+                         .taps = rows[r].taps});
+    }
+    dense.push_back(interferer);
+
+    const std::size_t packet = packets[0].size();
+    for (const bool multipath : {false, true}) {
+        for (const std::size_t length : {packet, packet - 700}) {
+            channel_config config;
+            config.enable_multipath = multipath;
+            ns::util::rng keyed_rng(53);
+            ns::util::rng dense_rng(53);
+            channel_workspace keyed_ws;
+            channel_workspace dense_ws;
+            ns::obs::metrics_registry metrics;
+            keyed_ws.obs.metrics = &metrics;
+            const cvec& keyed = combine(rows, std::span<const tx_contribution>(&interferer, 1),
+                                        length, p, config, keyed_rng, keyed_ws);
+            const cvec& rendered = combine(std::span<const tx_contribution>(dense), length,
+                                           p, config, dense_rng, dense_ws);
+            EXPECT_TRUE(same_bits(keyed, rendered))
+                << "multipath " << multipath << " length " << length;
+            EXPECT_EQ(keyed_rng(), dense_rng());
+            EXPECT_EQ(metrics.get_counter("phy.sample_waveforms")->value(),
+                      ns::obs::compiled_in() ? dense.size() : 0u);
+            EXPECT_EQ(metrics.get_histogram("phy.sample_combine_s", ns::obs::origin::host)
+                          ->count(),
+                      ns::obs::compiled_in() ? 1u : 0u);
+        }
     }
 }
 
