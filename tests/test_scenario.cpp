@@ -823,6 +823,36 @@ TEST(sample_path, rounds_mixed_with_the_fast_path_are_pinned) {
     EXPECT_EQ(outcome_hash(sim), 0x1c2fb3dc8b84cd7aULL);
 }
 
+// Golden digests of grouped runs (§3.3.3), so any change to how the
+// simulator stores its devices or walks a group's members must keep
+// every outcome. Each also checks the counts that show the run really
+// exercises group membership changes.
+
+TEST(grouped_schedule, churn_mobility_and_regroups_are_pinned) {
+    const auto sim = pinned_run("warehouse-1k-grouped", 16, std::nullopt);
+    EXPECT_GE(sim.total_regroups, 1u);
+    EXPECT_GT(sim.total_joins, 0u);
+    EXPECT_GT(sim.total_leaves, 0u);
+    EXPECT_EQ(outcome_hash(sim), 0x13dac9b637d09148ULL);
+}
+
+TEST(grouped_schedule, round_robin_over_forty_groups_is_pinned) {
+    const auto sim = pinned_run("field-10k", 6, std::nullopt);
+    EXPECT_GT(sim.num_groups, 1u);
+    EXPECT_EQ(sim.num_groups, 40u);
+    EXPECT_EQ(outcome_hash(sim), 0x127ca0c346b834b2ULL);
+}
+
+TEST(grouped_schedule, lease_evictions_and_desyncs_are_pinned) {
+    const auto sim = pinned_run("lossy-control-1k", 20, std::nullopt);
+    EXPECT_EQ(sim.total_lease_evictions, 101u);
+    EXPECT_EQ(sim.total_desyncs, 108u);
+    EXPECT_GT(sim.total_reboots, 0u);
+    EXPECT_GT(sim.total_ack_losses, 0u);
+    EXPECT_GT(sim.total_regroups, 0u);
+    EXPECT_EQ(outcome_hash(sim), 0x44d0f4a64defcf56ULL);
+}
+
 // -------------------------------------------- hooks/simulator coupling --
 
 /// Minimal hooks: devices with odd ids never have data; device 0 leaves
