@@ -17,12 +17,13 @@ int main() {
     const int devices = 8;
     const int samples = 30 * 60;  // 30 minutes at 1 Hz
     ns::util::rng rng(9);
+    const ns::channel::fading_params one_way{.sigma_db = 1.5, .rho = 0.95};
 
     std::vector<std::vector<double>> traces(devices);
     for (int d = 0; d < devices; ++d) {
         // Uplink fading = 2x one-way fading (round trip), sigma ~1.5 dB
         // one-way -> ~3 dB uplink standard deviation.
-        ns::channel::gauss_markov_fading fading(1.5, 0.95, rng.fork());
+        ns::channel::gauss_markov_fading fading(one_way, rng.fork());
         for (int t = 0; t < samples; ++t) {
             traces[static_cast<std::size_t>(d)].push_back(2.0 * fading.next_db());
         }

@@ -6,26 +6,27 @@
 
 namespace ns::channel {
 
-gauss_markov_fading::gauss_markov_fading(double sigma_db, double correlation,
+gauss_markov_fading::gauss_markov_fading(const fading_params& params,
                                          ns::util::rng rng)
-    : sigma_db_(sigma_db), rho_(correlation), current_db_(0.0), rng_(rng) {
-    ns::util::require(sigma_db >= 0.0, "gauss_markov_fading: sigma must be >= 0");
-    ns::util::require(correlation >= 0.0 && correlation < 1.0,
+    : params_(&params), current_db_(0.0), rng_(rng) {
+    ns::util::require(params.sigma_db >= 0.0, "gauss_markov_fading: sigma must be >= 0");
+    ns::util::require(params.rho >= 0.0 && params.rho < 1.0,
                       "gauss_markov_fading: correlation must be in [0,1)");
     // Start from the stationary distribution.
-    current_db_ = rng_.gaussian(0.0, sigma_db_);
+    current_db_ = rng_.gaussian(0.0, params.sigma_db);
 }
 
 double gauss_markov_fading::next_db() {
-    const double innovation = std::sqrt(1.0 - rho_ * rho_) * sigma_db_;
-    current_db_ = rho_ * current_db_ + rng_.gaussian(0.0, innovation);
+    const double rho = params_->rho;
+    const double innovation = std::sqrt(1.0 - rho * rho) * params_->sigma_db;
+    current_db_ = rho * current_db_ + rng_.gaussian(0.0, innovation);
     return current_db_;
 }
 
 void gauss_markov_fading::skip(std::uint64_t steps) {
     if (steps == 0) return;
-    const double decay = std::pow(rho_, static_cast<double>(steps));
-    const double innovation = std::sqrt(1.0 - decay * decay) * sigma_db_;
+    const double decay = std::pow(params_->rho, static_cast<double>(steps));
+    const double innovation = std::sqrt(1.0 - decay * decay) * params_->sigma_db;
     current_db_ = decay * current_db_ + rng_.gaussian(0.0, innovation);
 }
 

@@ -15,13 +15,23 @@
 
 namespace ns::channel {
 
+/// Statistics of an AR(1) fading process, shared by every process of a
+/// fleet: `sigma_db` is the stationary standard deviation of the gain
+/// (dB), `rho` the one-step correlation coefficient in [0, 1).
+struct fading_params {
+    double sigma_db = 0.0;
+    double rho = 0.0;
+};
+
 /// AR(1) fading process: g[k+1] = rho * g[k] + sqrt(1-rho^2) * w,
 /// w ~ N(0, sigma^2), so the process is stationary with std dev sigma dB.
+/// It holds only its state and reads `params` without owning them, so the
+/// params must outlive the process.
 class gauss_markov_fading {
 public:
-    /// `sigma_db` is the stationary standard deviation of the gain (dB);
-    /// `correlation` is the one-step correlation coefficient rho in [0,1).
-    gauss_markov_fading(double sigma_db, double correlation, ns::util::rng rng);
+    gauss_markov_fading(const fading_params& params, ns::util::rng rng);
+    /// A temporary would dangle: keep the params alive elsewhere.
+    gauss_markov_fading(fading_params&& params, ns::util::rng rng) = delete;
 
     /// Advances one step and returns the current gain deviation in dB
     /// (zero-mean; add to the static received power).
@@ -38,8 +48,7 @@ public:
     double current_db() const { return current_db_; }
 
 private:
-    double sigma_db_;
-    double rho_;
+    const fading_params* params_;
     double current_db_;
     ns::util::rng rng_;
 };

@@ -6,23 +6,23 @@
 
 namespace ns::device {
 
-backscatter_device::backscatter_device(device_params params, std::uint64_t seed)
-    : params_(params),
+backscatter_device::backscatter_device(const device_params& params, std::uint64_t seed)
+    : params_(&params),
       rng_(seed),
       detector_(params.detector, rng_.fork()) {
-    static_cfo_hz_ = params_.crystal.sample_static_offset_hz(rng_);
+    static_cfo_hz_ = params_->crystal.sample_static_offset_hz(rng_);
 }
 
 void backscatter_device::force_associate(std::uint32_t shift,
                                          double baseline_query_rssi_dbm,
                                          std::size_t gain_level) {
-    ns::util::require(shift < params_.phy.num_bins(),
+    ns::util::require(shift < params_->phy.num_bins(),
                       "force_associate: shift out of range");
     ns::util::require(gain_level < hardware_switch_network().num_levels(),
                       "force_associate: gain level out of range");
     state_ = device_state::associated;
     assigned_shift_ = shift;
-    gain_level_ = gain_level;
+    gain_level_ = static_cast<std::uint8_t>(gain_level);
     baseline_rssi_dbm_ = baseline_query_rssi_dbm;
     baseline_gain_db_ = current_gain_db();
     consecutive_skips_ = 0;
@@ -39,8 +39,8 @@ transmit_intent backscatter_device::handle_query(
 
     // Per-packet impairments are sampled for every actual transmission.
     const auto stamp_impairments = [&](transmit_intent& out) {
-        out.hardware_delay_s = params_.delay_model.sample_s(rng_);
-        out.frequency_offset_hz = static_cfo_hz_ + params_.crystal.sample_drift_hz(rng_);
+        out.hardware_delay_s = params_->delay_model.sample_s(rng_);
+        out.frequency_offset_hz = static_cfo_hz_ + params_->crystal.sample_drift_hz(rng_);
     };
 
     switch (state_) {
@@ -50,8 +50,8 @@ transmit_intent backscatter_device::handle_query(
             // low-SNR device: max gain, low-SNR region. A strong query
             // implies a near device: middle gain (leaving headroom both
             // ways), high-SNR region.
-            const bool weak = measured_rssi < params_.low_rssi_threshold_dbm;
-            gain_level_ = association_gain_level(measured_rssi);
+            const bool weak = measured_rssi < params_->low_rssi_threshold_dbm;
+            gain_level_ = static_cast<std::uint8_t>(association_gain_level(measured_rssi));
             pending_region_ = weak ? snr_region::low : snr_region::high;
             baseline_rssi_dbm_ = measured_rssi;
             baseline_gain_db_ = current_gain_db();
@@ -108,15 +108,15 @@ transmit_intent backscatter_device::respond_associated(double measured_rssi_dbm)
     // after the best available compensation.
     const double residual_db = (achieved_gain_db + 2.0 * downlink_delta_db) - baseline_gain_db_;
 
-    if (std::abs(residual_db) > params_.snr_tolerance_db) {
+    if (std::abs(residual_db) > params_->snr_tolerance_db) {
         ++consecutive_skips_;
-        if (consecutive_skips_ >= params_.max_skips) {
+        if (consecutive_skips_ >= params_->max_skips) {
             // Re-initiate association so the AP reassigns the shift for the
             // new, significantly different power value (§3.2.3).
             state_ = device_state::unassociated;
             consecutive_skips_ = 0;
-            const bool weak = measured_rssi_dbm < params_.low_rssi_threshold_dbm;
-            gain_level_ = association_gain_level(measured_rssi_dbm);
+            const bool weak = measured_rssi_dbm < params_->low_rssi_threshold_dbm;
+            gain_level_ = static_cast<std::uint8_t>(association_gain_level(measured_rssi_dbm));
             pending_region_ = weak ? snr_region::low : snr_region::high;
             baseline_rssi_dbm_ = measured_rssi_dbm;
             baseline_gain_db_ = current_gain_db();
@@ -131,7 +131,7 @@ transmit_intent backscatter_device::respond_associated(double measured_rssi_dbm)
     }
 
     consecutive_skips_ = 0;
-    gain_level_ = level;
+    gain_level_ = static_cast<std::uint8_t>(level);
     intent.action = device_action::transmit_data;
     intent.cyclic_shift = assigned_shift_;
     intent.gain_db = achieved_gain_db;

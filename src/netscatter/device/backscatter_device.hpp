@@ -44,7 +44,7 @@ enum class device_action {
 
 /// Association-region choice for an incoming device (§3.3.2): the device
 /// picks the high- or low-SNR association shift from the query RSSI.
-enum class snr_region { high, low };
+enum class snr_region : std::uint8_t { high, low };
 
 /// A cyclic-shift assignment delivered in the AP query (Fig. 11).
 struct shift_assignment {
@@ -87,15 +87,21 @@ struct device_params {
 };
 
 /// Association lifecycle state.
-enum class device_state { unassociated, awaiting_ack, associated };
+enum class device_state : std::uint8_t { unassociated, awaiting_ack, associated };
 
 /// One backscatter device.
+///
+/// A device holds only its own state; it reads its static configuration
+/// from a `device_params` it does not own, so a fleet of devices shares
+/// one copy. The params must outlive the device.
 class backscatter_device {
 public:
     /// `seed` makes the device's stochastic behaviour (delays, CFO, RSSI
     /// noise) reproducible. The caller identifies the device by where it
     /// keeps it (the simulator: its slot index).
-    backscatter_device(device_params params, std::uint64_t seed);
+    backscatter_device(const device_params& params, std::uint64_t seed);
+    /// A temporary would dangle: keep the params alive elsewhere.
+    backscatter_device(device_params&& params, std::uint64_t seed) = delete;
 
     /// Processes one AP query. `query_rx_power_dbm` is the true received
     /// downlink power at the device (the detector adds measurement noise);
@@ -117,14 +123,14 @@ public:
     /// (§3.2.3): max when the query is weak, middle otherwise.
     std::size_t association_gain_level(double query_rssi_dbm) const {
         const switch_network& network = hardware_switch_network();
-        return query_rssi_dbm < params_.low_rssi_threshold_dbm ? network.max_level()
-                                                               : network.middle_level();
+        return query_rssi_dbm < params_->low_rssi_threshold_dbm ? network.max_level()
+                                                                : network.middle_level();
     }
 
     /// Static crystal frequency offset of this device, Hz.
     double static_frequency_offset_hz() const { return static_cfo_hz_; }
 
-    const device_params& params() const { return params_; }
+    const device_params& params() const { return *params_; }
 
     /// Forces the associated state with the given shift — used by tests
     /// and by experiments that bypass the association handshake (the
@@ -135,17 +141,17 @@ public:
 private:
     transmit_intent respond_associated(double measured_rssi_dbm);
 
-    device_params params_;
+    const device_params* params_;
     ns::util::rng rng_;
     envelope_detector detector_;
 
-    device_state state_ = device_state::unassociated;
-    std::uint32_t assigned_shift_ = 0;
-    std::size_t gain_level_ = 0;
     double baseline_rssi_dbm_ = 0.0;  ///< query RSSI at association
     double baseline_gain_db_ = 0.0;   ///< gain selected at association
-    int consecutive_skips_ = 0;
     double static_cfo_hz_ = 0.0;
+    std::uint32_t assigned_shift_ = 0;
+    std::int32_t consecutive_skips_ = 0;
+    std::uint8_t gain_level_ = 0;  ///< index into the switch network's levels
+    device_state state_ = device_state::unassociated;
     snr_region pending_region_ = snr_region::high;
 };
 

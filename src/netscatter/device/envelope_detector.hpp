@@ -22,10 +22,14 @@ struct envelope_detector_params {
 };
 
 /// Behavioural envelope detector: decides whether a query is heard and
-/// produces a noisy, quantized RSSI estimate.
+/// produces a noisy, quantized RSSI estimate. It reads `params` without
+/// owning them (every device of a fleet shares one copy), so the params
+/// must outlive the detector.
 class envelope_detector {
 public:
-    envelope_detector(envelope_detector_params params, ns::util::rng rng);
+    envelope_detector(const envelope_detector_params& params, ns::util::rng rng);
+    /// A temporary would dangle: keep the params alive elsewhere.
+    envelope_detector(envelope_detector_params&& params, ns::util::rng rng) = delete;
 
     /// True when a query at `rx_power_dbm` is strong enough to decode.
     bool can_decode(double rx_power_dbm) const;
@@ -33,10 +37,10 @@ public:
     /// Noisy, quantized RSSI estimate of a query at `rx_power_dbm`.
     double measure_rssi_dbm(double rx_power_dbm);
 
-    const envelope_detector_params& params() const { return params_; }
+    const envelope_detector_params& params() const { return *params_; }
 
 private:
-    envelope_detector_params params_;
+    const envelope_detector_params* params_;
     ns::util::rng rng_;
 };
 

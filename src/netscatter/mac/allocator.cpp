@@ -66,20 +66,22 @@ std::uint32_t shift_allocator::circular_distance(std::uint32_t a, std::uint32_t 
     return std::min(diff, num_bins - diff);
 }
 
-std::vector<std::uint32_t> shift_allocator::allocate(
-    const std::vector<device_power>& devices) const {
+void shift_allocator::allocate(std::span<const device_power> devices,
+                               std::vector<std::uint32_t>& shifts,
+                               allocation_workspace& ws) const {
     ns::util::require(devices.size() <= data_slot_shifts_.size(),
                       "shift_allocator: more devices than data slots");
     // Strongest devices closest to bin 0 (spectrum edges), weakest at
     // mid-band; ties broken by device id for determinism.
-    std::vector<std::size_t> rank(devices.size());
-    std::iota(rank.begin(), rank.end(), std::size_t{0});
-    std::sort(rank.begin(), rank.end(), [&](std::size_t a, std::size_t b) {
-        if (devices[a].rx_power_dbm != devices[b].rx_power_dbm) {
-            return devices[a].rx_power_dbm > devices[b].rx_power_dbm;
-        }
-        return devices[a].device_id < devices[b].device_id;
-    });
+    std::vector<std::uint32_t>& rank = ws.rank;
+    rank.resize(devices.size());
+    std::iota(rank.begin(), rank.end(), std::uint32_t{0});
+    // A partition hands each group over already in this order.
+    if (!std::is_sorted(devices.begin(), devices.end(), stronger_first)) {
+        std::sort(rank.begin(), rank.end(), [&](std::uint32_t a, std::uint32_t b) {
+            return stronger_first(devices[a], devices[b]);
+        });
+    }
     // When the population is below capacity, select an evenly-strided
     // subset of the slot circle so devices spread out — the effective
     // inter-device spacing grows (the paper observes that below 128
@@ -91,17 +93,37 @@ std::vector<std::uint32_t> shift_allocator::allocate(
     const std::size_t stride =
         devices.empty() ? 1 : std::max<std::size_t>(1, num_slots / devices.size());
 
-    std::vector<std::uint32_t> selected(devices.size());
-    for (std::size_t i = 0; i < selected.size(); ++i) selected[i] = sorted_shifts_[i * stride];
-    std::sort(selected.begin(), selected.end(), [&](std::uint32_t a, std::uint32_t b) {
-        const std::uint32_t da = circular_distance(a, 0);
-        const std::uint32_t db = circular_distance(b, 0);
-        if (da != db) return da < db;
-        return a < b;
-    });
+    //
+    // The strided slots ascend, so their distance from bin 0 rises from
+    // the front up to mid-band and from the back down to mid-band:
+    // merging the two ends orders them by distance, ties to the lower
+    // shift (always the front one).
+    const std::uint32_t num_bins = static_cast<std::uint32_t>(params_.phy.num_bins());
+    std::vector<std::uint32_t>& selected = ws.selected;
+    selected.resize(devices.size());
+    std::size_t front = 0;
+    std::size_t back = devices.size();
+    for (std::uint32_t& slot : selected) {
+        const std::uint32_t low = sorted_shifts_[front * stride];
+        const std::uint32_t high = sorted_shifts_[(back - 1) * stride];
+        if (front + 1 == back || low <= num_bins - high) {
+            slot = low;
+            ++front;
+        } else {
+            slot = high;
+            --back;
+        }
+    }
 
-    std::vector<std::uint32_t> shifts(devices.size());
+    shifts.resize(devices.size());
     for (std::size_t i = 0; i < rank.size(); ++i) shifts[rank[i]] = selected[i];
+}
+
+std::vector<std::uint32_t> shift_allocator::allocate(
+    const std::vector<device_power>& devices) const {
+    std::vector<std::uint32_t> shifts;
+    allocation_workspace ws;
+    allocate(devices, shifts, ws);
     return shifts;
 }
 

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "netscatter/device/backscatter_device.hpp"
@@ -38,6 +39,21 @@ struct device_power {
     double rx_power_dbm = 0.0;  ///< backscatter signal strength at the AP
 };
 
+/// The allocation and grouping order: descending power, ties broken by
+/// ascending device id so the order is deterministic.
+inline bool stronger_first(const device_power& a, const device_power& b) {
+    if (a.rx_power_dbm != b.rx_power_dbm) return a.rx_power_dbm > b.rx_power_dbm;
+    return a.device_id < b.device_id;
+}
+
+/// Scratch of shift_allocator::allocate, kept by the caller and reused so
+/// that allocating a population no larger than an earlier one costs no
+/// heap allocation.
+struct allocation_workspace {
+    std::vector<std::uint32_t> rank;      ///< input indices, strongest first
+    std::vector<std::uint32_t> selected;  ///< the slots handed out, in order
+};
+
 /// Power-aware cyclic-shift allocator.
 class shift_allocator {
 public:
@@ -55,8 +71,12 @@ public:
     const std::vector<std::uint32_t>& placement_order() const { return data_slot_shifts_; }
 
     /// Batch (re)allocation: ranks by descending power (ties by id) and
-    /// assigns slots in placement order. Returns each device's cyclic
-    /// shift in input order; throws when devices outnumber slots.
+    /// assigns slots in placement order. Writes each device's cyclic
+    /// shift to `shifts` (resized to match) in input order, with `ws` as
+    /// scratch; throws when devices outnumber slots.
+    void allocate(std::span<const device_power> devices, std::vector<std::uint32_t>& shifts,
+                  allocation_workspace& ws) const;
+    /// The same, returning the shifts in a fresh vector.
     std::vector<std::uint32_t> allocate(const std::vector<device_power>& devices) const;
 
     /// Incremental assignment for one joining device given the powers of

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "netscatter/mac/allocator.hpp"
@@ -53,6 +54,15 @@ public:
     /// device would stretch the group's dynamic range past the limit.
     /// Produces the minimum number of groups for this greedy order.
     std::vector<device_group> partition(std::vector<device_power> devices) const;
+
+    /// The same partition without building member lists: sorts `devices`
+    /// in place (strongest first, ties by id), so that group g is the run
+    /// of spans[g].members devices following groups 0..g-1, and writes one
+    /// span per group to `spans`. `scratch` is sort space; reusing it and
+    /// `spans` allocates nothing once they are large enough.
+    void partition_in_place(std::span<device_power> devices,
+                            std::vector<group_span>& spans,
+                            std::vector<device_power>& scratch) const;
 
     /// Round-robin schedule over `num_groups` groups starting from group
     /// 0: the group transmitting in round `round_index`.

@@ -119,6 +119,10 @@ public:
     /// (capacity reuse), for callers that refresh the set every round.
     void set_registered_shifts(std::span<const std::uint32_t> shifts);
 
+    /// Makes room for `count` registered shifts, so the overload above
+    /// never allocates for a set of at most that many.
+    void reserve_registered_shifts(std::size_t count) { shifts_.reserve(count); }
+
     /// Locates the packet start in `stream` by the up/down-boundary
     /// method. `coarse_step` controls the initial grid (samples); the
     /// result is refined to within +-coarse_step/2 samples by a local

@@ -17,26 +17,26 @@ deployment::deployment(deployment_params params, std::size_t num_devices,
 
     const double ax = ap_x_m();
     const double ay = ap_y_m();
+    const double noise_floor = noise_floor_dbm(500e3);
 
     for (std::size_t i = 0; i < num_devices; ++i) {
         placed_device device;
         device.id = static_cast<std::uint32_t>(i);
         // Rejection-sample a position at least min_distance from the AP.
+        double distance = 0.0;
         for (int attempt = 0; attempt < 1000; ++attempt) {
             device.x_m = rng.uniform(0.0, params_.floor_width_m);
             device.y_m = rng.uniform(0.0, params_.floor_depth_m);
-            const double dx = device.x_m - ax;
-            const double dy = device.y_m - ay;
-            if (std::hypot(dx, dy) >= params_.min_distance_m) break;
+            distance = std::hypot(device.x_m - ax, device.y_m - ay);
+            if (distance >= params_.min_distance_m) break;
         }
-        const double distance = std::hypot(device.x_m - ax, device.y_m - ay);
         device.walls = walls_between(device.x_m, device.y_m);
         device.oneway_loss_db =
             ns::channel::oneway_loss_db(params_.pathloss, distance, device.walls, rng);
         device.query_rssi_dbm = params_.ap_tx_dbm - device.oneway_loss_db;
         device.uplink_rx_dbm = params_.ap_tx_dbm -
                                (2.0 * device.oneway_loss_db + params_.conversion_loss_db);
-        device.uplink_snr_db = device.uplink_rx_dbm - noise_floor_dbm(500e3);
+        device.uplink_snr_db = device.uplink_rx_dbm - noise_floor;
         devices_.push_back(device);
     }
 }

@@ -151,6 +151,8 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
       config_(config),
       hooks_(hooks),
       rng_(config.seed),
+      device_params_(make_device_params(config)),
+      fading_params_{.sigma_db = config.fading_sigma_db, .rho = config.fading_rho},
       allocator_(ns::mac::allocation_params{
           .phy = config.phy, .skip = config.skip, .num_association_slots = 0}),
       receiver_(ns::rx::receiver_params{.phy = config.phy,
@@ -167,7 +169,6 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
                                 ns::engine::split_seed(config_.seed, 0xfa17, 0));
     }
     const auto& placed = dep.devices();
-    const ns::device::device_params dev_params = make_device_params(config_);
     const double noise_floor = dep.noise_floor_dbm(config_.phy.bandwidth_hz);
 
     // Which devices start associated: the hooks' initial set (a scenario
@@ -184,56 +185,71 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
     }
 
     // --- Instantiate devices -------------------------------------------
-    // Slots are built before the shift allocation so partition_into_groups
-    // can cache each device's group index directly on its slot.
-    slots_.reserve(placed.size());
+    // One pass builds each slot and, from it, the device's association-
+    // time uplink power: the gain follows the same rule the device
+    // applies (§3.3.2). Per device the draws are rng_() for the device,
+    // then a fork for its fading, then a fork for its taps.
+    const ns::device::switch_network& network = ns::device::hardware_switch_network();
     const double ap_x = dep.ap_x_m();
     const double ap_y = dep.ap_y_m();
-    for (std::size_t i = 0; i < placed.size(); ++i) {
-        const bool active = initially_active[i];
-        device_slot slot{
-            .placement = placed[i],
-            .device = ns::device::backscatter_device(dev_params, rng_()),
-            .fading = ns::channel::gauss_markov_fading(config_.fading_sigma_db,
-                                                       config_.fading_rho, rng_.fork()),
-            .tof_s = std::hypot(placed[i].x_m - ap_x, placed[i].y_m - ap_y) /
-                     ns::util::speed_of_light_mps,
-            .active = active,
-        };
-        if (config_.model_multipath) {
-            slot.taps.emplace(config_.multipath, config_.phy.bandwidth_hz,
-                              config_.multipath_rho, rng_.fork());
-        }
-        slots_.push_back(std::move(slot));
-    }
+    slots_.reserve(placed.size());
+    if (config_.model_multipath) taps_.reserve(placed.size());
     // Reserved to the universe size so churn never reallocates the list
     // inside a steady-state round.
-    active_slots_.reserve(slots_.size());
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        if (slots_[i].active) active_slots_.push_back(i);
+    active_slots_.reserve(placed.size());
+    association_snr_db_.reserve(placed.size());
+    std::vector<ns::mac::device_power> powers;  // the initially-active devices
+    powers.reserve(placed.size());
+    for (std::size_t i = 0; i < placed.size(); ++i) {
+        const placed_device& where = placed[i];
+        const bool active = initially_active[i];
+        slots_.push_back(device_slot{
+            .query_rssi_dbm = where.query_rssi_dbm,
+            .uplink_rx_dbm = where.uplink_rx_dbm,
+            .tof_s = std::hypot(where.x_m - ap_x, where.y_m - ap_y) /
+                     ns::util::speed_of_light_mps,
+            .device = ns::device::backscatter_device(device_params_, rng_()),
+            .fading = ns::channel::gauss_markov_fading(fading_params_, rng_.fork()),
+            .active = active,
+        });
+        if (config_.model_multipath) {
+            taps_.emplace_back(config_.multipath, config_.phy.bandwidth_hz,
+                               config_.multipath_rho, rng_.fork());
+        }
+        const double uplink_dbm =
+            where.uplink_rx_dbm +
+            network.gain_db(slots_.back().device.association_gain_level(where.query_rssi_dbm));
+        association_snr_db_.push_back(uplink_dbm - noise_floor);
+        if (active) {
+            active_slots_.push_back(static_cast<std::uint32_t>(i));
+            powers.push_back({static_cast<std::uint32_t>(i), uplink_dbm});
+        }
     }
+
+    // No registered set, occupied set or batch allocation ever exceeds
+    // the data slots: an ungrouped network turns joins away at that size
+    // and a group never outgrows them. Reserved once, the control plane's
+    // workspaces never allocate in a round (a regroup grows power_ws_ and
+    // sort_ws_ to the active population once).
+    const std::size_t data_slots = allocator_.num_data_slots();
+    shift_scratch_.reserve(data_slots);
+    receiver_.reserve_registered_shifts(data_slots);
+    power_ws_.reserve(data_slots + 1);
+    occupied_ws_.reserve(data_slots);
+    alloc_shifts_ws_.reserve(data_slots);
+    alloc_ws_.rank.reserve(data_slots);
+    alloc_ws_.selected.reserve(data_slots);
 
     // --- Association phase (devices join one at a time, §3.3.2) ---------
-    // Determine each device's association-time gain by the same rule the
-    // device applies, then run the power-aware batch allocation the AP
-    // would have converged to over the initially-active population.
-    const ns::device::switch_network& network = ns::device::hardware_switch_network();
-    std::vector<ns::mac::device_power> powers;
-    powers.reserve(active_slots_.size());
-    association_snr_db_.reserve(slots_.size());
-    for (const device_slot& slot : slots_) {
-        const double uplink_dbm =
-            slot.placement.uplink_rx_dbm +
-            network.gain_db(slot.device.association_gain_level(slot.placement.query_rssi_dbm));
-        if (slot.active) powers.push_back({slot.placement.id, uplink_dbm});
-        association_snr_db_.push_back(uplink_dbm - noise_floor);
-    }
-
+    // Run the power-aware batch allocation the AP would have converged to
+    // over the initially-active population.
     new_shift_.resize(slots_.size());
     if (grouped()) {
         // §3.3.3: partition the initially-active population into
         // signal-strength groups with per-group shift allocations.
-        partition_into_groups(powers);
+        slot_group_.assign(slots_.size(), no_group);
+        std::vector<ns::mac::device_power> sort_space;
+        partition_into_groups(powers, sort_space);
     } else {
         if (!config_.power_aware_allocation) {
             // Ablation: power-agnostic assignment — same spreading stride,
@@ -241,16 +257,17 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
             // weak devices land next to each other.
             for (auto& p : powers) p.rx_power_dbm = 0.0;  // identical keys: id order
         }
-        const std::vector<std::uint32_t> shifts = allocator_.allocate(powers);
+        allocator_.allocate(powers, alloc_shifts_ws_, alloc_ws_);
         for (std::size_t k = 0; k < powers.size(); ++k) {
-            new_shift_[powers[k].device_id] = shifts[k];
+            new_shift_[powers[k].device_id] = alloc_shifts_ws_[k];
         }
     }
 
-    for (const std::size_t i : active_slots_) {
-        associate_slot(i, new_shift_[i], placed[i].query_rssi_dbm);
+    for (const std::uint32_t i : active_slots_) {
+        associate_slot(i, new_shift_[i], slots_[i].query_rssi_dbm);
     }
-    register_active_shifts();
+    // A grouped round registers its scheduled group's shifts itself.
+    if (!grouped()) register_active_shifts();
 
     // --- Observability --------------------------------------------------
     // Handles fetched once; the round loop only dereferences them. With
@@ -321,43 +338,60 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
     }
 }
 
+std::span<const std::uint32_t> network_simulator::member_slots(
+    std::optional<std::size_t> group) const {
+    if (group) return group_members_[*group];
+    return active_slots_;
+}
+
 void network_simulator::register_active_shifts(std::optional<std::size_t> group) {
     shift_scratch_.clear();
-    shift_scratch_.reserve(active_slots_.size());
-    for (const std::size_t i : active_slots_) {
-        const device_slot& slot = slots_[i];
-        if (group && slot.group != *group) continue;
-        shift_scratch_.push_back(slot.device.cyclic_shift());
+    for (const std::uint32_t i : member_slots(group)) {
+        shift_scratch_.push_back(slots_[i].device.cyclic_shift());
     }
     receiver_.set_registered_shifts(std::span<const std::uint32_t>(shift_scratch_));
     membership_dirty_ = false;
 }
 
 void network_simulator::mark_active(std::size_t slot_index) {
-    const auto it =
-        std::lower_bound(active_slots_.begin(), active_slots_.end(), slot_index);
-    active_slots_.insert(it, slot_index);
+    const auto index = static_cast<std::uint32_t>(slot_index);
+    active_slots_.insert(
+        std::lower_bound(active_slots_.begin(), active_slots_.end(), index), index);
 }
 
 void network_simulator::mark_inactive(std::size_t slot_index) {
-    const auto it =
-        std::lower_bound(active_slots_.begin(), active_slots_.end(), slot_index);
+    const auto it = std::lower_bound(active_slots_.begin(), active_slots_.end(),
+                                     static_cast<std::uint32_t>(slot_index));
     if (it != active_slots_.end() && *it == slot_index) active_slots_.erase(it);
+}
+
+void network_simulator::join_group(std::size_t slot_index, std::size_t group) {
+    const auto index = static_cast<std::uint32_t>(slot_index);
+    std::vector<std::uint32_t>& members = group_members_[group];
+    members.insert(std::lower_bound(members.begin(), members.end(), index), index);
+    slot_group_[slot_index] = static_cast<std::uint32_t>(group);
+}
+
+void network_simulator::leave_group(std::size_t slot_index) {
+    std::vector<std::uint32_t>& members = group_members_[slot_group_[slot_index]];
+    members.erase(std::lower_bound(members.begin(), members.end(),
+                                   static_cast<std::uint32_t>(slot_index)));
+    slot_group_[slot_index] = no_group;
 }
 
 std::vector<std::uint32_t> network_simulator::active_shifts() const {
     std::vector<std::uint32_t> shifts;
     shifts.reserve(active_slots_.size());
-    for (const std::size_t i : active_slots_) {
+    for (const std::uint32_t i : active_slots_) {
         shifts.push_back(slots_[i].device.cyclic_shift());
     }
     return shifts;
 }
 
 std::optional<std::size_t> network_simulator::group_of(std::uint32_t device_id) const {
-    if (device_id >= slots_.size()) return std::nullopt;
-    const std::size_t g = slots_[device_id].group;
-    if (g == device_slot::no_group) return std::nullopt;
+    if (device_id >= slot_group_.size()) return std::nullopt;
+    const std::uint32_t g = slot_group_[device_id];
+    if (g == no_group) return std::nullopt;
     return g;
 }
 
@@ -368,53 +402,63 @@ ns::mac::group_scheduler network_simulator::make_scheduler() const {
         .max_dynamic_range_db = config_.grouping.max_dynamic_range_db});
 }
 
-void network_simulator::partition_into_groups(
-    const std::vector<ns::mac::device_power>& powers) {
-    const std::vector<ns::mac::device_group> partition =
-        make_scheduler().partition(powers);
-    ns::util::require(partition.size() <= max_groups,
+void network_simulator::partition_into_groups(std::span<ns::mac::device_power> powers,
+                                              std::vector<ns::mac::device_power>& sort_space) {
+    make_scheduler().partition_in_place(powers, group_spans_, sort_space);
+    ns::util::require(group_spans_.size() <= max_groups,
                       "grouping: population needs more groups than the 8-bit "
                       "group-id field can address; raise group_capacity or "
                       "max_dynamic_range_db");
 
-    for (auto& slot : slots_) slot.group = device_slot::no_group;
-    group_spans_.clear();
-    group_spans_.reserve(partition.size());
-    for (std::size_t g = 0; g < partition.size(); ++g) {
-        const ns::mac::device_group& group = partition[g];
-        group_spans_.push_back({.members = group.size(),
-                                .min_power_dbm = group.min_power_dbm,
-                                .max_power_dbm = group.max_power_dbm});
+    // `powers` holds every active device, so each stale slot_group_ entry
+    // is overwritten below; inactive slots already hold no_group.
+    std::size_t first = 0;
+    for (std::size_t g = 0; g < group_spans_.size(); ++g) {
+        // `powers` is in partition order: group g is one contiguous run.
+        const std::span<const ns::mac::device_power> group(
+            powers.data() + first, group_spans_[g].members);
+        first += group.size();
         // Shifts are allocated per group: one group transmits per query,
         // so devices of different groups may share a shift.
-        const std::vector<std::uint32_t> shifts = allocator_.allocate(group.members);
+        allocator_.allocate(group, alloc_shifts_ws_, alloc_ws_);
         for (std::size_t k = 0; k < group.size(); ++k) {
-            const std::uint32_t id = group.members[k].device_id;
-            slots_[id].group = g;
-            new_shift_[id] = shifts[k];
+            const std::uint32_t id = group[k].device_id;
+            slot_group_[id] = static_cast<std::uint32_t>(g);
+            new_shift_[id] = alloc_shifts_ws_[k];
         }
     }
+    // The member index, in ascending slot order by construction; lists
+    // past the new group count are retired by a shrinking partition.
+    grow_member_index();
+    for (std::vector<std::uint32_t>& members : group_members_) members.clear();
+    for (const std::uint32_t i : active_slots_) group_members_[slot_group_[i]].push_back(i);
     if (group_acc_.size() < group_spans_.size()) group_acc_.resize(group_spans_.size());
 }
 
+void network_simulator::grow_member_index() {
+    const std::size_t capacity = make_scheduler().params().group_capacity;
+    while (group_members_.size() < group_spans_.size()) {
+        group_members_.emplace_back().reserve(capacity);
+    }
+}
+
 void network_simulator::regroup(round_outcome& outcome, std::size_t round) {
-    const std::vector<ns::mac::device_power> powers = active_powers();
-    partition_into_groups(powers);
+    const std::size_t regrouped = active_powers().size();
+    partition_into_groups(power_ws_, sort_ws_);
     // Every active device takes its freshly-allocated shift — if it hears
     // the ordering query. A device that misses it keeps transmitting on
     // the shift it last learned (§3.3.3 stale-schedule desync) until the
     // next regroup broadcast it hears resynchronizes it, or the lease
     // evicts it as silent. The stateless query-loss hash guarantees the
     // device loop sees the same heard/missed answer this round.
-    for (const std::size_t i : active_slots_) {
+    for (const std::uint32_t i : active_slots_) {
         device_slot& slot = slots_[i];
         const std::uint32_t old_shift =
             slot.desynced ? slot.stale_shift : slot.device.cyclic_shift();
         const std::uint32_t new_shift = new_shift_[i];
-        associate_slot(i, new_shift, slot.placement.query_rssi_dbm);
+        associate_slot(i, new_shift, slot.query_rssi_dbm);
         if (!fault_injector_ || slot.down) continue;
-        const bool heard = !fault_injector_->query_lost(
-            slot.placement.id, slot.placement.query_rssi_dbm);
+        const bool heard = !fault_injector_->query_lost(i, slot.query_rssi_dbm);
         if (heard) {
             if (slot.desynced) resync(slot, round, outcome);
         } else if (!slot.desynced && new_shift != old_shift) {
@@ -425,36 +469,33 @@ void network_simulator::regroup(round_outcome& outcome, std::size_t round) {
         }
     }
     misfits_since_regroup_ = 0;
-    outcome.realloc_events += powers.size();
+    outcome.realloc_events += regrouped;
     ++outcome.regroups;
     membership_dirty_ = true;
 }
 
-std::vector<ns::mac::device_power> network_simulator::active_powers(
-    std::optional<std::size_t> group) const {
-    std::vector<ns::mac::device_power> powers;
-    powers.reserve(active_slots_.size() + 1);  // room for a joiner
-    for (const std::size_t i : active_slots_) {
+const std::vector<ns::mac::device_power>& network_simulator::active_powers(
+    std::optional<std::size_t> group) {
+    const std::span<const std::uint32_t> members = member_slots(group);
+    power_ws_.clear();
+    power_ws_.reserve(members.size() + 1);  // room for a joiner
+    for (const std::uint32_t i : members) {
         const device_slot& slot = slots_[i];
-        if (group && slot.group != *group) continue;
-        powers.push_back({slot.placement.id,
-                          slot.placement.uplink_rx_dbm + slot.device.current_gain_db()});
+        power_ws_.push_back({i, slot.uplink_rx_dbm + slot.device.current_gain_db()});
     }
-    return powers;
+    return power_ws_;
 }
 
-std::vector<std::pair<std::uint32_t, double>> network_simulator::occupied_powers(
-    std::optional<std::uint32_t> excluded_id, std::optional<std::size_t> group) const {
-    std::vector<std::pair<std::uint32_t, double>> occupied;
-    occupied.reserve(active_slots_.size());
-    for (const std::size_t i : active_slots_) {
+const std::vector<std::pair<std::uint32_t, double>>& network_simulator::occupied_powers(
+    std::optional<std::uint32_t> excluded_id, std::optional<std::size_t> group) {
+    occupied_ws_.clear();
+    for (const std::uint32_t i : member_slots(group)) {
+        if (excluded_id && i == *excluded_id) continue;
         const device_slot& slot = slots_[i];
-        if (excluded_id && slot.placement.id == *excluded_id) continue;
-        if (group && slot.group != *group) continue;
-        occupied.emplace_back(slot.device.cyclic_shift(),
-                              slot.placement.uplink_rx_dbm + slot.device.current_gain_db());
+        occupied_ws_.emplace_back(slot.device.cyclic_shift(),
+                                  slot.uplink_rx_dbm + slot.device.current_gain_db());
     }
-    return occupied;
+    return occupied_ws_;
 }
 
 void network_simulator::associate_slot(std::size_t slot_index, std::uint32_t shift,
@@ -470,26 +511,25 @@ void network_simulator::place_joiner(std::size_t slot_index, double join_power,
     const auto incremental =
         allocator_.assign_incremental(join_power, occupied_powers(std::nullopt, group));
     if (incremental) {
-        associate_slot(slot_index, *incremental, slots_[slot_index].placement.query_rssi_dbm);
+        associate_slot(slot_index, *incremental, slots_[slot_index].query_rssi_dbm);
         ++outcome.realloc_events;
         return;
     }
     // The incremental allocator cannot fit the newcomer next to
     // power-compatible neighbours: full reassignment (§3.3.3).
-    std::vector<ns::mac::device_power> powers = active_powers(group);
-    powers.push_back({slots_[slot_index].placement.id, join_power});
-    const std::vector<std::uint32_t> shifts = allocator_.allocate(powers);
-    for (std::size_t k = 0; k < powers.size(); ++k) {
-        const std::uint32_t id = powers[k].device_id;
-        associate_slot(id, shifts[k], slots_[id].placement.query_rssi_dbm);
+    active_powers(group);
+    power_ws_.push_back({static_cast<std::uint32_t>(slot_index), join_power});
+    allocator_.allocate(power_ws_, alloc_shifts_ws_, alloc_ws_);
+    for (std::size_t k = 0; k < power_ws_.size(); ++k) {
+        const std::uint32_t id = power_ws_[k].device_id;
+        associate_slot(id, alloc_shifts_ws_[k], slots_[id].query_rssi_dbm);
     }
-    outcome.realloc_events += powers.size();
+    outcome.realloc_events += power_ws_.size();
     ++outcome.full_reassignments;
 }
 
 bool network_simulator::admit_grouped(std::size_t slot_index, double join_power,
                                       round_outcome& outcome) {
-    device_slot& slot = slots_[slot_index];
     const ns::mac::group_scheduler scheduler = make_scheduler();
     const auto best = scheduler.admit(group_spans_, join_power);
     std::size_t target;
@@ -511,6 +551,7 @@ bool network_simulator::admit_grouped(std::size_t slot_index, double join_power,
         if (group_acc_.size() < group_spans_.size()) {
             group_acc_.resize(group_spans_.size());
         }
+        grow_member_index();
         ++misfits_since_regroup_;
     }
 
@@ -524,19 +565,18 @@ bool network_simulator::admit_grouped(std::size_t slot_index, double join_power,
     span.max_power_dbm =
         span.members > 0 ? std::max(span.max_power_dbm, join_power) : join_power;
     ++span.members;
-    slot.group = target;
+    join_group(slot_index, target);
     return true;
 }
 
 void network_simulator::deactivate_slot(std::size_t slot_index) {
-    device_slot& slot = slots_[slot_index];
-    slot.active = false;
+    slots_[slot_index].active = false;
     mark_inactive(slot_index);
-    if (slot.group != device_slot::no_group) {
+    if (grouped() && slot_group_[slot_index] != no_group) {
         // The span stays stretched until the next regroup re-tightens
         // it — the AP only learns the true spread when it repartitions.
-        --group_spans_[slot.group].members;
-        slot.group = device_slot::no_group;
+        --group_spans_[slot_group_[slot_index]].members;
+        leave_group(slot_index);
     }
     membership_dirty_ = true;
 }
@@ -550,7 +590,9 @@ void network_simulator::go_down(std::size_t slot_index, std::size_t round,
     slot.desynced = false;
     slot.missed_queries = 0;
     ++outcome.down_events;
-    if (hooks_) hooks_->on_member_lost(round, slot.placement.id, reason);
+    if (hooks_) {
+        hooks_->on_member_lost(round, static_cast<std::uint32_t>(slot_index), reason);
+    }
 }
 
 void network_simulator::resync(device_slot& slot, std::size_t round,
@@ -576,8 +618,8 @@ bool network_simulator::hears_query(round_state& state, std::size_t slot_index) 
     if (!state.blackout) {
         // The stateless per-(round, device) draw — keyed on the unfaded
         // downlink RSSI so regroup() saw the same answer.
-        if (!fault_injector_->query_lost(slot.placement.id,
-                                         slot.placement.query_rssi_dbm)) {
+        if (!fault_injector_->query_lost(static_cast<std::uint32_t>(slot_index),
+                                         slot.query_rssi_dbm)) {
             slot.missed_queries = 0;
             // Provisional: the AP hears nothing unless the device
             // responds on its assigned shift (a desynced device's
@@ -642,16 +684,14 @@ void network_simulator::apply_ack_faults(std::vector<std::uint32_t>& joins,
 void network_simulator::apply_lease(std::optional<std::size_t> scheduled_group,
                                     std::size_t round, round_outcome& outcome) {
     if (config_.faults.lease_rounds == 0) return;
-    // Collect first: deactivate_slot mutates active_slots_ mid-walk.
+    // Collect first: deactivate_slot mutates the member lists mid-walk.
     fault_scratch_.clear();
-    for (const std::size_t i : active_slots_) {
-        const device_slot& slot = slots_[i];
-        if (scheduled_group && slot.group != *scheduled_group) continue;
-        if (slot.silent_rounds >= config_.faults.lease_rounds) {
+    for (const std::uint32_t i : member_slots(scheduled_group)) {
+        if (slots_[i].silent_rounds >= config_.faults.lease_rounds) {
             fault_scratch_.push_back(i);
         }
     }
-    for (const std::size_t i : fault_scratch_) {
+    for (const std::uint32_t i : fault_scratch_) {
         deactivate_slot(i);
         slots_[i].silent_rounds = 0;
         ++outcome.lease_evictions;
@@ -669,8 +709,8 @@ void network_simulator::apply_round_plan(const round_plan& plan, round_outcome& 
     for (const link_update& update : plan.link_updates) {
         if (update.device_id >= slots_.size()) continue;
         device_slot& slot = slots_[update.device_id];
-        slot.placement.query_rssi_dbm = update.query_rssi_dbm;
-        slot.placement.uplink_rx_dbm = update.uplink_rx_dbm;
+        slot.query_rssi_dbm = update.query_rssi_dbm;
+        slot.uplink_rx_dbm = update.uplink_rx_dbm;
         slot.tof_s = update.tof_s;
         slot.doppler_hz = update.doppler_hz;
     }
@@ -719,9 +759,8 @@ void network_simulator::apply_round_plan(const round_plan& plan, round_outcome& 
             continue;
         }
         const double join_power =
-            slot.placement.uplink_rx_dbm +
-            ns::device::hardware_switch_network().gain_db(
-                slot.device.association_gain_level(slot.placement.query_rssi_dbm));
+            slot.uplink_rx_dbm + ns::device::hardware_switch_network().gain_db(
+                                     slot.device.association_gain_level(slot.query_rssi_dbm));
 
         if (grouped()) {
             // §3.3.3: best-fit group admission with per-group allocation.
@@ -838,13 +877,13 @@ void network_simulator::plan_phase(round_state& state) {
         std::size_t reboots = fault_injector_->reboots();
         if (reboots > 0) {
             fault_scratch_.clear();
-            for (const std::size_t i : active_slots_) {
+            for (const std::uint32_t i : active_slots_) {
                 if (!slots_[i].down) fault_scratch_.push_back(i);
             }
             for (; reboots > 0 && !fault_scratch_.empty(); --reboots) {
                 const std::size_t pick =
                     fault_injector_->pick(fault_scratch_.size());
-                const std::size_t victim = fault_scratch_[pick];
+                const std::uint32_t victim = fault_scratch_[pick];
                 fault_scratch_[pick] = fault_scratch_.back();
                 fault_scratch_.pop_back();
                 go_down(victim, round, member_loss_reason::reboot, outcome);
@@ -933,10 +972,9 @@ void network_simulator::synth_phase(round_state& state) {
     for (std::uint32_t shift : tx_row_shift_) sent_row_of_shift_[shift] = -1;
     tx_row_shift_.clear();
 
-    for (const std::size_t slot_idx : active_slots_) {
+    // Only the scheduled group hears this round's query.
+    for (const std::uint32_t slot_idx : member_slots(scheduled)) {
         device_slot& slot = slots_[slot_idx];
-        // Only the scheduled group hears this round's query.
-        if (grouped() && slot.group != scheduled) continue;
         // Fading (and multipath) advance lazily: an unobserved
         // device (inactive, or outside the scheduled group) is not
         // touched at all; when it reaches this point again it
@@ -947,19 +985,21 @@ void network_simulator::synth_phase(round_state& state) {
         // path, while the observed time series stays distributed
         // exactly as the step-by-step process.
         const std::uint64_t clock = static_cast<std::uint64_t>(round);
+        ns::channel::tap_delay_line* const taps =
+            taps_.empty() ? nullptr : &taps_[slot_idx];
         if (clock > slot.fading_rounds) {
             slot.fading.skip(clock - slot.fading_rounds);
-            if (slot.taps) slot.taps->skip(clock - slot.fading_rounds);
+            if (taps) taps->skip(clock - slot.fading_rounds);
         }
         const double fade_db = slot.fading.next_db();
-        if (slot.taps) slot.taps->next();
+        if (taps) taps->next();
         slot.fading_rounds = clock + 1;
         if (grouped()) ++outcome.scheduled;
-        const double query_rssi = slot.placement.query_rssi_dbm + fade_db;
+        const double query_rssi = slot.query_rssi_dbm + fade_db;
 
         if (fault_injector_ && !hears_query(state, slot_idx)) continue;
 
-        if (hooks_ && !hooks_->offers_traffic(round, slot.placement.id)) {
+        if (hooks_ && !hooks_->offers_traffic(round, slot_idx)) {
             ++outcome.idle;
             continue;
         }
@@ -980,8 +1020,8 @@ void network_simulator::synth_phase(round_state& state) {
                     // Under grouping the device stays in its group:
                     // only that group's slots are its neighbourhood.
                     moved = allocator_.assign_incremental(
-                        slot.placement.uplink_rx_dbm + slot.device.current_gain_db(),
-                        occupied_powers(slot.placement.id, scheduled));
+                        slot.uplink_rx_dbm + slot.device.current_gain_db(),
+                        occupied_powers(slot_idx, scheduled));
                 }
                 const std::uint32_t shift =
                     moved ? *moved : slot.device.cyclic_shift();
@@ -1040,8 +1080,7 @@ void network_simulator::synth_phase(round_state& state) {
             frame_bits_store_.push_back(bit ? 1 : 0);
         }
 
-        const double uplink_dbm =
-            slot.placement.uplink_rx_dbm + intent.gain_db + 2.0 * fade_db;
+        const double uplink_dbm = slot.uplink_rx_dbm + intent.gain_db + 2.0 * fade_db;
         // The AP's preamble synchronization absorbs the fleet-common
         // latency; only the deviation from the mean hardware delay
         // (plus this device's round-trip flight time) is residual
@@ -1059,7 +1098,7 @@ void network_simulator::synth_phase(round_state& state) {
              .snr_db = uplink_dbm - noise_floor,
              .timing_offset_s = timing_offset_s,
              .frequency_offset_hz = frequency_offset_hz,
-             .taps = slot.taps ? slot.taps->current() : std::span<const ns::dsp::cplx>()});
+             .taps = taps ? taps->current() : std::span<const ns::dsp::cplx>()});
         ++outcome.transmitting;
         if (fault_injector_ && !slot.desynced) {
             // The AP decoded activity on this device's assigned

@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "netscatter/channel/fading.hpp"
@@ -469,6 +470,10 @@ public:
     /// simulator.
     network_simulator(const deployment& dep, sim_config config,
                       round_hooks* hooks = nullptr);
+    /// The device slots point into the simulator's shared parameters, so
+    /// a simulator stays where it was built.
+    network_simulator(const network_simulator&) = delete;
+    network_simulator& operator=(const network_simulator&) = delete;
 
     /// Runs the configured number of rounds.
     sim_result run();
@@ -540,47 +545,48 @@ private:
                        const ns::obs::alloc_counters& allocs_before,
                        sim_result& result);
 
+    /// Per-device state, holding only what differs between devices. The
+    /// static device configuration is device_params_, the fading
+    /// statistics fading_params_ (one copy each, shared by every slot);
+    /// the fixed placement (id = slot index, position, path loss) stays in
+    /// the deployment; tap lines live in taps_ and group membership in
+    /// slot_group_ and group_members_.
     struct device_slot {
-        placed_device placement;
+        // --- Link budget: a round plan's link_updates rewrite these ------
+        double query_rssi_dbm = 0.0;  ///< downlink power at the device
+        double uplink_rx_dbm = 0.0;   ///< backscatter power at the AP, 0 dB gain
+        double tof_s = 0.0;           ///< propagation time of flight
+        double doppler_hz = 0.0;      ///< mobility-induced Doppler this round
         ns::device::backscatter_device device;
         ns::channel::gauss_markov_fading fading;
-        /// Per-device multipath state (model_multipath only); advanced
-        /// every round like fading so a device's channel time series is
-        /// independent of its membership history.
-        std::optional<ns::channel::tap_delay_line> taps = std::nullopt;
-        double tof_s = 0.0;       ///< propagation time of flight
-        double doppler_hz = 0.0;  ///< mobility-induced Doppler this round
-        bool active = false;      ///< currently associated
         /// AR steps the fading (and multipath) processes have taken so
         /// far. Unobserved devices are not touched at all per round;
         /// when next scheduled they catch up to the simulation clock
         /// through the exact k-step AR(1) transition.
         std::uint64_t fading_rounds = 0;
-        /// Index into group_spans_, cached on the slot so the per-round
-        /// device loop tests membership without a hash lookup; no_group
-        /// when ungrouped or inactive. Maintained at every membership
-        /// change (partition, grouped admit, leave).
-        static constexpr std::size_t no_group = static_cast<std::size_t>(-1);
-        std::size_t group = no_group;
 
         // --- Fault/recovery state (inert with faults off) --------------
+        /// Round the current down episode began (recovery latency base).
+        std::size_t down_round = 0;
+        std::size_t desync_round = 0;  ///< round the desync began
+        std::uint32_t stale_shift = 0; ///< shift a desynced device still uses
+        /// Consecutive queries the device failed to hear (device side).
+        std::uint32_t missed_queries = 0;
+        /// Consecutive scheduled rounds the AP heard nothing (lease).
+        std::uint32_t silent_rounds = 0;
+        bool active = false;  ///< currently associated
         /// Device lost its association (reboot, missed-query trip or
         /// lease eviction) and is rejoining through the Aloha path. While
         /// the AP's table entry lingers (`active` still true) the device
         /// is a zombie: scheduled but silent.
         bool down = false;
-        /// Round the current down episode began (recovery latency base).
-        std::size_t down_round = 0;
         /// Device missed a regroup query: it keeps transmitting on
         /// `stale_shift` while the AP's schedule moved on (§3.3.3 desync).
         bool desynced = false;
-        std::uint32_t stale_shift = 0;
-        std::size_t desync_round = 0;
-        /// Consecutive queries the device failed to hear (device side).
-        std::uint32_t missed_queries = 0;
-        /// Consecutive scheduled rounds the AP heard nothing (lease).
-        std::uint32_t silent_rounds = 0;
     };
+
+    /// slot_group_ value of a slot in no group (ungrouped or inactive).
+    static constexpr std::uint32_t no_group = static_cast<std::uint32_t>(-1);
 
     /// Applies a scenario's round plan: link updates, leaves, then joins
     /// (incremental allocation with full-reassignment fallback). `round`
@@ -609,23 +615,32 @@ private:
     /// device's fresh downlink baseline.
     void associate_slot(std::size_t slot_index, std::uint32_t shift,
                         double baseline_rssi_dbm);
-    /// Current uplink power of each active device (of `group` when set),
-    /// in slot order.
-    std::vector<ns::mac::device_power> active_powers(
-        std::optional<std::size_t> group = std::nullopt) const;
-    /// Occupied (shift, power) pairs of active devices, excluding
-    /// `excluded_id` and, when `group` is set, devices outside that
-    /// group; deterministic slot order.
-    std::vector<std::pair<std::uint32_t, double>> occupied_powers(
+    /// The active slots of `group` when set (its member index), else
+    /// every active slot; ascending slot order either way. Under grouping
+    /// no slot is active while there is no group.
+    std::span<const std::uint32_t> member_slots(std::optional<std::size_t> group) const;
+    /// Current uplink power of each device of member_slots(group), in
+    /// slot order, written to power_ws_ (valid until the next call).
+    const std::vector<ns::mac::device_power>& active_powers(
+        std::optional<std::size_t> group = std::nullopt);
+    /// Occupied (shift, power) pairs of member_slots(group), excluding
+    /// `excluded_id`, in slot order, written to occupied_ws_ (valid until
+    /// the next call).
+    const std::vector<std::pair<std::uint32_t, double>>& occupied_powers(
         std::optional<std::uint32_t> excluded_id = std::nullopt,
-        std::optional<std::size_t> group = std::nullopt) const;
-    /// Refreshes the receiver's registered shifts from the active set
-    /// (restricted to `group` when set — the scheduled group's round).
+        std::optional<std::size_t> group = std::nullopt);
+    /// Refreshes the receiver's registered shifts from member_slots(group)
+    /// (the scheduled group's members when set).
     void register_active_shifts(std::optional<std::size_t> group = std::nullopt);
-    /// Partitions `powers` into signal-strength groups and fills the
-    /// slots' cached group indices, group_spans_ and, per member,
-    /// new_shift_ with its group's allocation.
-    void partition_into_groups(const std::vector<ns::mac::device_power>& powers);
+    /// Partitions `powers` (every active device; sorted in place, with
+    /// `sort_space` as scratch) into signal-strength groups: fills
+    /// group_spans_, each member's slot_group_ entry, the member index
+    /// and, per member, new_shift_ with its group's allocation.
+    void partition_into_groups(std::span<ns::mac::device_power> powers,
+                               std::vector<ns::mac::device_power>& sort_space);
+    /// Sizes group_members_ to group_spans_, giving each new list room for
+    /// a full group so admissions never reallocate it.
+    void grow_member_index();
     /// Scheduler configured from config_.grouping (capacity clamped to
     /// the allocator's slot count).
     ns::mac::group_scheduler make_scheduler() const;
@@ -633,6 +648,10 @@ private:
     /// Inserts/removes `slot_index` into the sorted active-slot list.
     void mark_active(std::size_t slot_index);
     void mark_inactive(std::size_t slot_index);
+    /// Inserts/removes `slot_index` into group `group`'s sorted member
+    /// index and keeps slot_group_ in step.
+    void join_group(std::size_t slot_index, std::size_t group);
+    void leave_group(std::size_t slot_index);
 
     // --- Fault injection / protocol recovery (faults/) -----------------
     /// Drops `slot_index` from the AP's tables: deactivates the slot,
@@ -662,13 +681,21 @@ private:
     sim_config config_;
     round_hooks* hooks_ = nullptr;
     ns::util::rng rng_;
+    /// The one device_params and fading statistics every slot reads.
+    const ns::device::device_params device_params_;
+    const ns::channel::fading_params fading_params_;
     /// One slot per placed device, indexed by device id (ids are dense).
     std::vector<device_slot> slots_;
-    /// Sorted indices of the active slots — every per-round walk runs
-    /// over this list instead of the full universe, so a 100k-device
-    /// deployment with a few hundred associated devices never streams
-    /// 100k slot structs through the cache each round.
-    std::vector<std::size_t> active_slots_;
+    /// Per-slot multipath state, allocated only under model_multipath
+    /// (empty otherwise); advanced like fading, so a device's channel
+    /// time series is independent of its membership history.
+    std::vector<ns::channel::tap_delay_line> taps_;
+    /// Sorted indices of the active slots. Ungrouped rounds and the
+    /// membership-wide walks (regroup, reboot victims) run over it; a
+    /// grouped round walks only its scheduled group's member index, so a
+    /// 100k-device deployment, all of it active, streams one group's
+    /// slots per round, not 100k.
+    std::vector<std::uint32_t> active_slots_;
     /// Id-indexed column of freshly allocated shifts, written by a batch
     /// allocation or partition and read back as the devices associate.
     std::vector<std::uint32_t> new_shift_;
@@ -688,9 +715,16 @@ private:
     /// defers / times out handshakes (plan itself is const).
     std::vector<std::uint32_t> join_scratch_;
     /// Slot-index staging of the lease sweep and reboot victim draws.
-    std::vector<std::size_t> fault_scratch_;
+    std::vector<std::uint32_t> fault_scratch_;
     // --- §3.3.3 group scheduling state (empty when grouping is off) ---
     std::vector<ns::mac::group_span> group_spans_;
+    /// Slot-indexed group (index into group_spans_), no_group when
+    /// ungrouped or inactive. Maintained at every membership change
+    /// (partition, grouped admit, deactivation).
+    std::vector<std::uint32_t> slot_group_;
+    /// Per group, its member slots in ascending order: the slots a
+    /// grouped round visits, in the order the round draws for them.
+    std::vector<std::vector<std::uint32_t>> group_members_;
     std::vector<group_metrics> group_acc_;  ///< per-group accumulators
     std::size_t misfits_since_regroup_ = 0;
     ns::rx::receiver receiver_;
@@ -760,6 +794,13 @@ private:
     std::vector<std::uint32_t> tx_row_shift_;    ///< row -> cyclic shift
     std::vector<std::int32_t> sent_row_of_shift_;  ///< shift -> row or -1
     std::vector<std::uint32_t> shift_scratch_;   ///< registered-shift staging
+    // Allocation workspaces of the control plane (partition, batch and
+    // incremental allocation), reused so churn allocates nothing.
+    std::vector<ns::mac::device_power> power_ws_;
+    std::vector<ns::mac::device_power> sort_ws_;  ///< regroup sort space
+    std::vector<std::pair<std::uint32_t, double>> occupied_ws_;
+    std::vector<std::uint32_t> alloc_shifts_ws_;
+    ns::mac::allocation_workspace alloc_ws_;
     /// Cross-network collision marks, one per transmitter row this round
     /// (empty when the round had no co-channel packets).
     std::vector<std::uint8_t> row_collided_;

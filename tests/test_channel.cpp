@@ -292,7 +292,8 @@ TEST(superposition, explicit_unit_tap_matches_flat_channel) {
 // ------------------------------------------------------------- fading --
 
 TEST(fading, stationary_standard_deviation) {
-    gauss_markov_fading fading(2.0, 0.9, ns::util::rng(11));
+    const fading_params params{.sigma_db = 2.0, .rho = 0.9};
+    gauss_markov_fading fading(params, ns::util::rng(11));
     ns::util::running_stats stats;
     for (int i = 0; i < 200000; ++i) stats.add(fading.next_db());
     EXPECT_NEAR(stats.stddev(), 2.0, 0.15);
@@ -300,8 +301,10 @@ TEST(fading, stationary_standard_deviation) {
 }
 
 TEST(fading, high_rho_is_smooth) {
-    gauss_markov_fading smooth(2.0, 0.99, ns::util::rng(12));
-    gauss_markov_fading rough(2.0, 0.0, ns::util::rng(12));
+    const fading_params smooth_params{.sigma_db = 2.0, .rho = 0.99};
+    const fading_params rough_params{.sigma_db = 2.0, .rho = 0.0};
+    gauss_markov_fading smooth(smooth_params, ns::util::rng(12));
+    gauss_markov_fading rough(rough_params, ns::util::rng(12));
     ns::util::running_stats smooth_steps, rough_steps;
     double prev_smooth = smooth.current_db();
     double prev_rough = rough.current_db();
@@ -317,9 +320,11 @@ TEST(fading, high_rho_is_smooth) {
 }
 
 TEST(fading, validates_parameters) {
-    EXPECT_THROW(gauss_markov_fading(-1.0, 0.5, ns::util::rng(1)),
+    const fading_params negative_sigma{.sigma_db = -1.0, .rho = 0.5};
+    const fading_params unit_rho{.sigma_db = 1.0, .rho = 1.0};
+    EXPECT_THROW(gauss_markov_fading(negative_sigma, ns::util::rng(1)),
                  ns::util::invalid_argument);
-    EXPECT_THROW(gauss_markov_fading(1.0, 1.0, ns::util::rng(1)),
+    EXPECT_THROW(gauss_markov_fading(unit_rho, ns::util::rng(1)),
                  ns::util::invalid_argument);
 }
 
@@ -327,8 +332,9 @@ TEST(fading, skip_one_matches_step_exactly) {
     // skip(1) is the k=1 special case of the exact transition and draws
     // the same innovation as next_db, so from identical state the two
     // must agree bit for bit. skip(0) must not touch the rng.
-    gauss_markov_fading stepped(2.0, 0.9, ns::util::rng(21));
-    gauss_markov_fading skipped(2.0, 0.9, ns::util::rng(21));
+    const fading_params params{.sigma_db = 2.0, .rho = 0.9};
+    gauss_markov_fading stepped(params, ns::util::rng(21));
+    gauss_markov_fading skipped(params, ns::util::rng(21));
     for (int i = 0; i < 10; ++i) {
         const double via_step = stepped.next_db();
         skipped.skip(0);
@@ -348,8 +354,9 @@ TEST(fading, skip_matches_stepped_distribution) {
     ns::util::running_stats stepped_stats, skipped_stats;
     double stepped_corr = 0.0, skipped_corr = 0.0;
     const int trials = 50000;
-    gauss_markov_fading stepped(sigma, rho, ns::util::rng(22));
-    gauss_markov_fading skipped(sigma, rho, ns::util::rng(23));
+    const fading_params params{.sigma_db = sigma, .rho = rho};
+    gauss_markov_fading stepped(params, ns::util::rng(22));
+    gauss_markov_fading skipped(params, ns::util::rng(23));
     for (int i = 0; i < trials; ++i) {
         const double s0 = stepped.current_db();
         for (std::uint64_t j = 0; j < k; ++j) stepped.next_db();

@@ -101,25 +101,26 @@ TEST(switch_network, rejects_empty) {
 // --------------------------------------------------- envelope detector --
 
 TEST(envelope_detector, sensitivity_threshold) {
-    envelope_detector detector({.sensitivity_dbm = -49.0}, ns::util::rng(1));
+    const envelope_detector_params params{.sensitivity_dbm = -49.0};
+    envelope_detector detector(params, ns::util::rng(1));
     EXPECT_TRUE(detector.can_decode(-48.0));
     EXPECT_TRUE(detector.can_decode(-49.0));
     EXPECT_FALSE(detector.can_decode(-50.0));
 }
 
 TEST(envelope_detector, rssi_quantized) {
-    envelope_detector detector(
-        {.sensitivity_dbm = -49.0, .rssi_noise_sigma_db = 0.0, .rssi_step_db = 2.0},
-        ns::util::rng(2));
+    const envelope_detector_params params{
+        .sensitivity_dbm = -49.0, .rssi_noise_sigma_db = 0.0, .rssi_step_db = 2.0};
+    envelope_detector detector(params, ns::util::rng(2));
     const double rssi = detector.measure_rssi_dbm(-33.3);
     EXPECT_DOUBLE_EQ(std::fmod(rssi, 2.0), 0.0);
     EXPECT_NEAR(rssi, -33.3, 1.0);
 }
 
 TEST(envelope_detector, rssi_noise_spread) {
-    envelope_detector detector(
-        {.sensitivity_dbm = -49.0, .rssi_noise_sigma_db = 1.0, .rssi_step_db = 0.0},
-        ns::util::rng(3));
+    const envelope_detector_params params{
+        .sensitivity_dbm = -49.0, .rssi_noise_sigma_db = 1.0, .rssi_step_db = 0.0};
+    envelope_detector detector(params, ns::util::rng(3));
     double min = 0.0, max = -100.0;
     for (int i = 0; i < 1000; ++i) {
         const double r = detector.measure_rssi_dbm(-30.0);
@@ -132,12 +133,17 @@ TEST(envelope_detector, rssi_noise_spread) {
 
 // --------------------------------------------------- backscatter device --
 
-device_params quiet_params() {
-    device_params params;
-    params.detector.rssi_noise_sigma_db = 0.0;
-    params.detector.rssi_step_db = 0.0;
-    params.crystal.tolerance_ppm = 0.0;
-    params.crystal.drift_sigma_hz = 0.0;
+/// Noise-free configuration shared by the devices below (a device reads
+/// its params without owning them).
+const device_params& quiet_params() {
+    static const device_params params = [] {
+        device_params p;
+        p.detector.rssi_noise_sigma_db = 0.0;
+        p.detector.rssi_step_db = 0.0;
+        p.crystal.tolerance_ppm = 0.0;
+        p.crystal.drift_sigma_hz = 0.0;
+        return p;
+    }();
     return params;
 }
 

@@ -184,6 +184,48 @@ TEST(allocator, all_assigned_shifts_distinct) {
     EXPECT_TRUE(std::equal(shifts.begin(), shifts.end(), reversed.rbegin()));
 }
 
+TEST(allocator, matches_rank_and_distance_sort_at_every_population) {
+    // The allocation spelled out with two comparison sorts: rank the
+    // devices strongest first, order the strided slots by distance from
+    // bin 0 (ties to the lower shift), hand them out in that order. The
+    // workspace form must agree at every population size, on ranked and
+    // unranked input, and reuse its workspace across calls.
+    const shift_allocator alloc(default_alloc(2, 2));
+    const std::vector<std::uint32_t>& order = alloc.placement_order();
+    std::vector<std::uint32_t> ascending(order.begin(), order.end());
+    std::sort(ascending.begin(), ascending.end());
+    const std::uint32_t bins = 512;
+    ns::util::rng gen(3);
+    allocation_workspace ws;
+    std::vector<std::uint32_t> shifts;
+    for (std::size_t n = 0; n <= alloc.num_data_slots(); n += (n < 8 ? 1 : 37)) {
+        std::vector<device_power> devices;
+        for (std::uint32_t i = 0; i < n; ++i) {
+            devices.push_back({i, std::round(gen.uniform(-120.0, -80.0))});
+        }
+        if (n % 2 == 0) std::sort(devices.begin(), devices.end(), stronger_first);
+        std::vector<std::size_t> rank(n);
+        for (std::size_t i = 0; i < n; ++i) rank[i] = i;
+        std::sort(rank.begin(), rank.end(), [&](std::size_t a, std::size_t b) {
+            return stronger_first(devices[a], devices[b]);
+        });
+        const std::size_t stride = n == 0 ? 1 : std::max<std::size_t>(1, ascending.size() / n);
+        std::vector<std::uint32_t> selected(n);
+        for (std::size_t i = 0; i < n; ++i) selected[i] = ascending[i * stride];
+        std::sort(selected.begin(), selected.end(), [&](std::uint32_t a, std::uint32_t b) {
+            const std::uint32_t da = std::min(a, bins - a);
+            const std::uint32_t db = std::min(b, bins - b);
+            return da != db ? da < db : a < b;
+        });
+        std::vector<std::uint32_t> expected(n);
+        for (std::size_t i = 0; i < n; ++i) expected[rank[i]] = selected[i];
+
+        alloc.allocate(devices, shifts, ws);
+        EXPECT_EQ(shifts, expected) << n << " devices";
+        EXPECT_EQ(alloc.allocate(devices), expected) << n << " devices";
+    }
+}
+
 TEST(allocator, sparse_population_spreads_out) {
     // §4.4: below 128 devices the effective spacing exceeds 2 cyclic
     // shifts, so devices do not interfere.

@@ -473,6 +473,36 @@ TEST(fast_path_allocations, metrics_report_zero_steady_state_allocations) {
         << result.metrics.counter_value("alloc.steady_bytes") << " bytes";
 }
 
+/// Heap bytes a grouped simulator allocates while it is constructed over
+/// `devices` placed devices, all initially associated.
+std::uint64_t construction_bytes(std::size_t devices) {
+    const ns::sim::deployment dep(ns::sim::deployment_params{}, devices, 5);
+    ns::sim::sim_config config;
+    config.fidelity = ns::sim::phy_fidelity::symbol;
+    config.grouping.enabled = true;
+    config.obs.metrics = false;
+    const std::uint64_t before = ns::obs::thread_allocations().bytes;
+    { const ns::sim::network_simulator sim(dep, config); }
+    return ns::obs::thread_allocations().bytes - before;
+}
+
+TEST(construction_memory, bytes_per_device_stay_at_half_the_fat_slot_layout) {
+    // Per-device construction memory is a slope: fixed costs (receiver,
+    // allocator tables) cancel between the two populations. When every
+    // slot carried its own device_params copy, the whole placement and an
+    // inline optional tap line, this slope was 654 bytes per device,
+    // counting every transient partition and allocation vector. The
+    // simulator must stay at half of that or less.
+    const std::uint64_t small = construction_bytes(4096);
+    const std::uint64_t large = construction_bytes(16384);
+    ASSERT_GT(large, small);
+    const double per_device =
+        static_cast<double>(large - small) / static_cast<double>(16384 - 4096);
+    std::cout << "construction: " << per_device << " bytes per device\n";
+    constexpr double fat_slot_bytes_per_device = 654.0;
+    EXPECT_LE(per_device, fat_slot_bytes_per_device / 2.0);
+}
+
 TEST(fast_path_allocations, first_demodulated_spectrum_allocates_nothing) {
     // The demodulator fetches its padded FFT plan when constructed, so
     // the first symbol it transforms (inside a receiver's round 0) never
