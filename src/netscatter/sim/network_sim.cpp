@@ -143,6 +143,14 @@ ns::device::device_params make_device_params(const sim_config& config) {
     return params;
 }
 
+/// Uplink power at the AP of `device` at the gain an association at
+/// `query_rssi_dbm` starts from (§3.3.2).
+double association_power_dbm(const ns::device::backscatter_device& device,
+                             double uplink_rx_dbm, double query_rssi_dbm) {
+    return uplink_rx_dbm + ns::device::hardware_switch_network().gain_db(
+                               device.association_gain_level(query_rssi_dbm));
+}
+
 }  // namespace
 
 network_simulator::network_simulator(const deployment& dep, sim_config config,
@@ -169,7 +177,6 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
                                 ns::engine::split_seed(config_.seed, 0xfa17, 0));
     }
     const auto& placed = dep.devices();
-    const double noise_floor = dep.noise_floor_dbm(config_.phy.bandwidth_hz);
 
     // Which devices start associated: the hooks' initial set (a scenario
     // may deploy a larger universe than fits one concurrency group and
@@ -185,11 +192,9 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
     }
 
     // --- Instantiate devices -------------------------------------------
-    // One pass builds each slot and, from it, the device's association-
-    // time uplink power: the gain follows the same rule the device
-    // applies (§3.3.2). Per device the draws are rng_() for the device,
-    // then a fork for its fading, then a fork for its taps.
-    const ns::device::switch_network& network = ns::device::hardware_switch_network();
+    // One pass builds each slot and, from it, an active device's
+    // association-time uplink power. Per device the draws are rng_() for
+    // the device, then a fork for its fading, then a fork for its taps.
     const double ap_x = dep.ap_x_m();
     const double ap_y = dep.ap_y_m();
     slots_.reserve(placed.size());
@@ -197,7 +202,6 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
     // Reserved to the universe size so churn never reallocates the list
     // inside a steady-state round.
     active_slots_.reserve(placed.size());
-    association_snr_db_.reserve(placed.size());
     std::vector<ns::mac::device_power> powers;  // the initially-active devices
     powers.reserve(placed.size());
     for (std::size_t i = 0; i < placed.size(); ++i) {
@@ -216,13 +220,11 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
             taps_.emplace_back(config_.multipath, config_.phy.bandwidth_hz,
                                config_.multipath_rho, rng_.fork());
         }
-        const double uplink_dbm =
-            where.uplink_rx_dbm +
-            network.gain_db(slots_.back().device.association_gain_level(where.query_rssi_dbm));
-        association_snr_db_.push_back(uplink_dbm - noise_floor);
         if (active) {
             active_slots_.push_back(static_cast<std::uint32_t>(i));
-            powers.push_back({static_cast<std::uint32_t>(i), uplink_dbm});
+            powers.push_back({static_cast<std::uint32_t>(i),
+                              association_power_dbm(slots_.back().device, where.uplink_rx_dbm,
+                                                    where.query_rssi_dbm)});
         }
     }
 
@@ -377,6 +379,19 @@ void network_simulator::leave_group(std::size_t slot_index) {
     members.erase(std::lower_bound(members.begin(), members.end(),
                                    static_cast<std::uint32_t>(slot_index)));
     slot_group_[slot_index] = no_group;
+}
+
+std::vector<double> network_simulator::association_snrs_db() const {
+    const double noise_floor = deployment_->noise_floor_dbm(config_.phy.bandwidth_hz);
+    std::vector<double> snrs;
+    snrs.reserve(slots_.size());
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        const placed_device& where = deployment_->devices()[i];
+        snrs.push_back(association_power_dbm(slots_[i].device, where.uplink_rx_dbm,
+                                             where.query_rssi_dbm) -
+                       noise_floor);
+    }
+    return snrs;
 }
 
 std::vector<std::uint32_t> network_simulator::active_shifts() const {
@@ -759,8 +774,7 @@ void network_simulator::apply_round_plan(const round_plan& plan, round_outcome& 
             continue;
         }
         const double join_power =
-            slot.uplink_rx_dbm + ns::device::hardware_switch_network().gain_db(
-                                     slot.device.association_gain_level(slot.query_rssi_dbm));
+            association_power_dbm(slot.device, slot.uplink_rx_dbm, slot.query_rssi_dbm);
 
         if (grouped()) {
             // §3.3.3: best-fit group admission with per-group allocation.

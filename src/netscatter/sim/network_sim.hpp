@@ -481,8 +481,9 @@ public:
     /// Cyclic shift of each currently-associated device, in id order.
     std::vector<std::uint32_t> active_shifts() const;
 
-    /// The uplink SNR (dB, at the association-time gain) per device.
-    const std::vector<double>& association_snrs_db() const { return association_snr_db_; }
+    /// The uplink SNR (dB, at the association-time gain) per device, from
+    /// its deployed link budget.
+    std::vector<double> association_snrs_db() const;
 
     /// Devices currently associated.
     std::size_t active_count() const { return active_slots_.size(); }
@@ -699,7 +700,6 @@ private:
     /// Id-indexed column of freshly allocated shifts, written by a batch
     /// allocation or partition and read back as the devices associate.
     std::vector<std::uint32_t> new_shift_;
-    std::vector<double> association_snr_db_;
     ns::mac::shift_allocator allocator_;
     bool membership_dirty_ = false;
     /// Fault schedule generator (config.faults.enabled() only; nullopt
@@ -794,8 +794,8 @@ private:
     std::vector<std::uint32_t> tx_row_shift_;    ///< row -> cyclic shift
     std::vector<std::int32_t> sent_row_of_shift_;  ///< shift -> row or -1
     std::vector<std::uint32_t> shift_scratch_;   ///< registered-shift staging
-    // Allocation workspaces of the control plane (partition, batch and
-    // incremental allocation), reused so churn allocates nothing.
+    // Control-plane workspaces (partition, batch and incremental
+    // allocation), reserved at construction and reused across rounds.
     std::vector<ns::mac::device_power> power_ws_;
     std::vector<ns::mac::device_power> sort_ws_;  ///< regroup sort space
     std::vector<std::pair<std::uint32_t, double>> occupied_ws_;

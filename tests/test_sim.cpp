@@ -200,7 +200,7 @@ TEST(network_sim, association_snrs_reflect_gain_choice) {
     network_simulator sim(dep, fast_sim());
     // Association SNR = uplink SNR + chosen gain; gains are <= 0 dB, so
     // every association SNR is bounded by the raw uplink SNR.
-    const auto& snrs = sim.association_snrs_db();
+    const std::vector<double> snrs = sim.association_snrs_db();
     ASSERT_EQ(snrs.size(), 16u);
     for (std::size_t i = 0; i < snrs.size(); ++i) {
         EXPECT_LE(snrs[i], dep.devices()[i].uplink_snr_db + 1e-9);
