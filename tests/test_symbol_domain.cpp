@@ -493,6 +493,7 @@ TEST(construction_memory, bytes_per_device_stay_at_half_the_fat_slot_layout) {
     // inline optional tap line, this slope was 654 bytes per device,
     // counting every transient partition and allocation vector. The
     // simulator must stay at half of that or less.
+    if (!ns::obs::compiled_in()) GTEST_SKIP() << "built with NS_OBS=OFF";
     const std::uint64_t small = construction_bytes(4096);
     const std::uint64_t large = construction_bytes(16384);
     ASSERT_GT(large, small);
