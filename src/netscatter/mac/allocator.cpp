@@ -93,7 +93,6 @@ void shift_allocator::allocate(std::span<const device_power> devices,
     const std::size_t stride =
         devices.empty() ? 1 : std::max<std::size_t>(1, num_slots / devices.size());
 
-    //
     // The strided slots ascend, so their distance from bin 0 rises from
     // the front up to mid-band and from the back down to mid-band:
     // merging the two ends orders them by distance, ties to the lower

@@ -1,68 +1,10 @@
 #include "netscatter/mac/scheduler.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
-#include <utility>
 
 #include "netscatter/util/error.hpp"
 
 namespace ns::mac {
-
-namespace {
-
-/// Unsigned key whose ascending order is descending power (-0 and +0,
-/// which compare equal, share a key): the bits of a negative double are
-/// flipped, a positive one gains its sign bit, then the whole is inverted.
-std::uint64_t strongest_first_key(double power_dbm) {
-    const auto bits = std::bit_cast<std::uint64_t>(power_dbm == 0.0 ? 0.0 : power_dbm);
-    return (bits >> 63) != 0 ? bits : ~(bits | (std::uint64_t{1} << 63));
-}
-
-/// Stable counting-sort passes over the `Bytes` bytes of `digit(device)`,
-/// least significant first, ping-ponging between `from` and `to` (on
-/// return `from` holds the result). A byte every device shares is skipped.
-template <std::size_t Bytes, typename Digit>
-void radix_passes(std::span<device_power>& from, std::span<device_power>& to, Digit digit) {
-    std::array<std::array<std::uint32_t, 256>, Bytes> counts{};
-    for (const device_power& d : from) {
-        const auto value = digit(d);
-        for (std::size_t b = 0; b < Bytes; ++b) ++counts[b][(value >> (8 * b)) & 0xff];
-    }
-    for (std::size_t b = 0; b < Bytes; ++b) {
-        std::array<std::uint32_t, 256>& count = counts[b];
-        if (count[(digit(from[0]) >> (8 * b)) & 0xff] == from.size()) continue;
-        std::uint32_t offset = 0;
-        for (std::uint32_t& c : count) offset += std::exchange(c, offset);
-        for (const device_power& d : from) to[count[(digit(d) >> (8 * b)) & 0xff]++] = d;
-        std::swap(from, to);
-    }
-}
-
-/// Sorts `devices` into stronger_first order by least-significant-digit
-/// radix passes: over the ids (unless they already ascend), then over the
-/// power key. stronger_first is a total order, so the result is the one
-/// std::sort gives, at O(n) per pass.
-void sort_stronger_first(std::span<device_power> devices,
-                         std::vector<device_power>& scratch) {
-    if (devices.empty()) return;
-    scratch.resize(devices.size());
-    std::span<device_power> from = devices;
-    std::span<device_power> to = scratch;
-    const auto by_id = [](const device_power& a, const device_power& b) {
-        return a.device_id < b.device_id;
-    };
-    if (!std::is_sorted(devices.begin(), devices.end(), by_id)) {
-        radix_passes<sizeof(std::uint32_t)>(
-            from, to, [](const device_power& d) { return d.device_id; });
-    }
-    radix_passes<sizeof(std::uint64_t)>(from, to, [](const device_power& d) {
-        return strongest_first_key(d.rx_power_dbm);
-    });
-    if (from.data() != devices.data()) std::copy(from.begin(), from.end(), devices.begin());
-}
-
-}  // namespace
 
 group_scheduler::group_scheduler(scheduler_params params) : params_(params) {
     ns::util::require(params_.group_capacity >= 1, "group_scheduler: capacity >= 1");
@@ -73,8 +15,7 @@ group_scheduler::group_scheduler(scheduler_params params) : params_(params) {
 std::vector<device_group> group_scheduler::partition(
     std::vector<device_power> devices) const {
     std::vector<group_span> spans;
-    std::vector<device_power> scratch;
-    partition_in_place(devices, spans, scratch);
+    partition_in_place(devices, spans);
     std::vector<device_group> groups;
     groups.reserve(spans.size());
     auto next = devices.begin();
@@ -89,9 +30,8 @@ std::vector<device_group> group_scheduler::partition(
 }
 
 void group_scheduler::partition_in_place(std::span<device_power> devices,
-                                         std::vector<group_span>& spans,
-                                         std::vector<device_power>& scratch) const {
-    sort_stronger_first(devices, scratch);
+                                         std::vector<group_span>& spans) const {
+    std::sort(devices.begin(), devices.end(), stronger_first);
     spans.clear();
     for (const device_power& device : devices) {
         const bool need_new_group =

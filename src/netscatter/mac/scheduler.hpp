@@ -58,11 +58,10 @@ public:
     /// The same partition without building member lists: sorts `devices`
     /// in place (strongest first, ties by id), so that group g is the run
     /// of spans[g].members devices following groups 0..g-1, and writes one
-    /// span per group to `spans`. `scratch` is sort space; reusing it and
-    /// `spans` allocates nothing once they are large enough.
+    /// span per group to `spans`; reusing `spans` allocates nothing once it
+    /// is large enough.
     void partition_in_place(std::span<device_power> devices,
-                            std::vector<group_span>& spans,
-                            std::vector<device_power>& scratch) const;
+                            std::vector<group_span>& spans) const;
 
     /// Round-robin schedule over `num_groups` groups starting from group
     /// 0: the group transmitting in round `round_index`.

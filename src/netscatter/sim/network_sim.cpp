@@ -231,8 +231,8 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
     // No registered set, occupied set or batch allocation ever exceeds
     // the data slots: an ungrouped network turns joins away at that size
     // and a group never outgrows them. Reserved once, the control plane's
-    // workspaces never allocate in a round (a regroup grows power_ws_ and
-    // sort_ws_ to the active population once).
+    // workspaces never allocate in a round (a regroup grows power_ws_ to
+    // the active population once).
     const std::size_t data_slots = allocator_.num_data_slots();
     shift_scratch_.reserve(data_slots);
     receiver_.reserve_registered_shifts(data_slots);
@@ -250,8 +250,7 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
         // §3.3.3: partition the initially-active population into
         // signal-strength groups with per-group shift allocations.
         slot_group_.assign(slots_.size(), no_group);
-        std::vector<ns::mac::device_power> sort_space;
-        partition_into_groups(powers, sort_space);
+        partition_into_groups(powers);
     } else {
         if (!config_.power_aware_allocation) {
             // Ablation: power-agnostic assignment — same spreading stride,
@@ -417,9 +416,8 @@ ns::mac::group_scheduler network_simulator::make_scheduler() const {
         .max_dynamic_range_db = config_.grouping.max_dynamic_range_db});
 }
 
-void network_simulator::partition_into_groups(std::span<ns::mac::device_power> powers,
-                                              std::vector<ns::mac::device_power>& sort_space) {
-    make_scheduler().partition_in_place(powers, group_spans_, sort_space);
+void network_simulator::partition_into_groups(std::span<ns::mac::device_power> powers) {
+    make_scheduler().partition_in_place(powers, group_spans_);
     ns::util::require(group_spans_.size() <= max_groups,
                       "grouping: population needs more groups than the 8-bit "
                       "group-id field can address; raise group_capacity or "
@@ -459,7 +457,7 @@ void network_simulator::grow_member_index() {
 
 void network_simulator::regroup(round_outcome& outcome, std::size_t round) {
     const std::size_t regrouped = active_powers().size();
-    partition_into_groups(power_ws_, sort_ws_);
+    partition_into_groups(power_ws_);
     // Every active device takes its freshly-allocated shift — if it hears
     // the ordering query. A device that misses it keeps transmitting on
     // the shift it last learned (§3.3.3 stale-schedule desync) until the

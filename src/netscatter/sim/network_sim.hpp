@@ -633,12 +633,11 @@ private:
     /// Refreshes the receiver's registered shifts from member_slots(group)
     /// (the scheduled group's members when set).
     void register_active_shifts(std::optional<std::size_t> group = std::nullopt);
-    /// Partitions `powers` (every active device; sorted in place, with
-    /// `sort_space` as scratch) into signal-strength groups: fills
-    /// group_spans_, each member's slot_group_ entry, the member index
-    /// and, per member, new_shift_ with its group's allocation.
-    void partition_into_groups(std::span<ns::mac::device_power> powers,
-                               std::vector<ns::mac::device_power>& sort_space);
+    /// Partitions `powers` (every active device; sorted in place) into
+    /// signal-strength groups: fills group_spans_, each member's
+    /// slot_group_ entry, the member index and, per member, new_shift_
+    /// with its group's allocation.
+    void partition_into_groups(std::span<ns::mac::device_power> powers);
     /// Sizes group_members_ to group_spans_, giving each new list room for
     /// a full group so admissions never reallocate it.
     void grow_member_index();
@@ -797,7 +796,6 @@ private:
     // Control-plane workspaces (partition, batch and incremental
     // allocation), reserved at construction and reused across rounds.
     std::vector<ns::mac::device_power> power_ws_;
-    std::vector<ns::mac::device_power> sort_ws_;  ///< regroup sort space
     std::vector<std::pair<std::uint32_t, double>> occupied_ws_;
     std::vector<std::uint32_t> alloc_shifts_ws_;
     ns::mac::allocation_workspace alloc_ws_;

@@ -3,7 +3,6 @@
 // power/energy model.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <set>
 #include <span>
@@ -190,45 +189,6 @@ TEST(group_scheduler, groups_partition_population_exactly) {
     }
     EXPECT_EQ(total, 333u);
     EXPECT_EQ(seen.size(), 333u);
-}
-
-TEST(group_scheduler, in_place_partition_orders_like_a_comparison_sort) {
-    // partition_in_place sorts by radix passes; its order must be exactly
-    // std::sort's under stronger_first, whatever order the ids arrive in,
-    // with tied powers (broken by id), both zeros and positive powers.
-    ns::mac::group_scheduler scheduler({.group_capacity = 40, .max_dynamic_range_db = 12});
-    ns::util::rng gen(9);
-    std::vector<ns::mac::device_power> devices;
-    for (std::uint32_t i = 0; i < 700; ++i) {
-        const double power = i % 7 == 0   ? -90.0
-                             : i % 11 == 0 ? (i % 2 == 0 ? 0.0 : -0.0)
-                                           : gen.uniform(-140.0, 20.0);
-        devices.push_back({static_cast<std::uint32_t>(gen() % 100000), power});
-    }
-    for (const bool ids_ascend : {false, true}) {
-        if (ids_ascend) {
-            for (std::uint32_t i = 0; i < devices.size(); ++i) devices[i].device_id = i;
-        }
-        std::vector<ns::mac::device_power> expected = devices;
-        std::sort(expected.begin(), expected.end(), ns::mac::stronger_first);
-        std::vector<ns::mac::device_power> sorted = devices;
-        std::vector<ns::mac::group_span> spans;
-        std::vector<ns::mac::device_power> scratch;
-        scheduler.partition_in_place(sorted, spans, scratch);
-        ASSERT_EQ(sorted.size(), expected.size());
-        for (std::size_t k = 0; k < sorted.size(); ++k) {
-            EXPECT_EQ(sorted[k].device_id, expected[k].device_id) << k;
-            EXPECT_EQ(sorted[k].rx_power_dbm, expected[k].rx_power_dbm) << k;
-        }
-        // The spans describe the same groups partition() builds.
-        const auto groups = scheduler.partition(devices);
-        ASSERT_EQ(spans.size(), groups.size());
-        for (std::size_t g = 0; g < groups.size(); ++g) {
-            EXPECT_EQ(spans[g].members, groups[g].size());
-            EXPECT_EQ(spans[g].min_power_dbm, groups[g].min_power_dbm);
-            EXPECT_EQ(spans[g].max_power_dbm, groups[g].max_power_dbm);
-        }
-    }
 }
 
 TEST(group_scheduler, round_robin) {
