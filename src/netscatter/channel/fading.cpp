@@ -30,27 +30,32 @@ void gauss_markov_fading::skip(std::uint64_t steps) {
     current_db_ = decay * current_db_ + rng_.gaussian(0.0, innovation);
 }
 
-tap_delay_line::tap_delay_line(const multipath_model& model, double sample_rate_hz,
-                               double correlation, ns::util::rng rng)
-    : rho_(correlation), powers_(model.tap_powers(sample_rate_hz)), rng_(rng) {
+tap_profile::tap_profile(const multipath_model& model, double sample_rate_hz,
+                         double correlation)
+    : powers(model.tap_powers(sample_rate_hz)), rho(correlation) {
     ns::util::require(correlation >= 0.0 && correlation < 1.0,
                       "tap_delay_line: correlation must be in [0,1)");
+}
+
+tap_delay_line::tap_delay_line(const tap_profile& profile, ns::util::rng rng)
+    : profile_(&profile), taps_(profile.powers.size()), rng_(rng) {
     // Start from the stationary distribution (the same draw sequence as
     // multipath_model::sample_taps).
-    taps_.resize(powers_.size());
-    taps_[0] = std::polar(std::sqrt(powers_[0]),
+    const std::vector<double>& powers = profile.powers;
+    taps_[0] = std::polar(std::sqrt(powers[0]),
                           rng_.uniform(0.0, 2.0 * 3.141592653589793));
-    for (std::size_t i = 1; i < powers_.size(); ++i) {
-        const double sigma = std::sqrt(powers_[i] / 2.0);
+    for (std::size_t i = 1; i < powers.size(); ++i) {
+        const double sigma = std::sqrt(powers[i] / 2.0);
         taps_[i] = cplx{rng_.gaussian(0.0, sigma), rng_.gaussian(0.0, sigma)};
     }
 }
 
 std::span<const cplx> tap_delay_line::next() {
-    const double innovation_scale = std::sqrt(1.0 - rho_ * rho_);
+    const double rho = profile_->rho;
+    const double innovation_scale = std::sqrt(1.0 - rho * rho);
     for (std::size_t i = 1; i < taps_.size(); ++i) {
-        const double sigma = innovation_scale * std::sqrt(powers_[i] / 2.0);
-        taps_[i] = rho_ * taps_[i] +
+        const double sigma = innovation_scale * std::sqrt(profile_->powers[i] / 2.0);
+        taps_[i] = rho * taps_[i] +
                    cplx{rng_.gaussian(0.0, sigma), rng_.gaussian(0.0, sigma)};
     }
     return taps_;
@@ -58,10 +63,10 @@ std::span<const cplx> tap_delay_line::next() {
 
 void tap_delay_line::skip(std::uint64_t rounds) {
     if (rounds == 0) return;
-    const double decay = std::pow(rho_, static_cast<double>(rounds));
+    const double decay = std::pow(profile_->rho, static_cast<double>(rounds));
     const double innovation_scale = std::sqrt(1.0 - decay * decay);
     for (std::size_t i = 1; i < taps_.size(); ++i) {
-        const double sigma = innovation_scale * std::sqrt(powers_[i] / 2.0);
+        const double sigma = innovation_scale * std::sqrt(profile_->powers[i] / 2.0);
         taps_[i] = decay * taps_[i] +
                    cplx{rng_.gaussian(0.0, sigma), rng_.gaussian(0.0, sigma)};
     }

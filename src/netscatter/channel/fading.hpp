@@ -53,20 +53,31 @@ private:
     ns::util::rng rng_;
 };
 
+/// Power-delay profile shared by every tap line of a fleet: the
+/// model's stationary per-tap powers at one sample rate and the
+/// round-to-round correlation coefficient rho in [0, 1) of each
+/// scattered tap.
+struct tap_profile {
+    tap_profile(const multipath_model& model, double sample_rate_hz, double correlation);
+
+    std::vector<double> powers;  ///< stationary per-tap power (0 = LoS)
+    double rho = 0.0;
+};
+
 /// Per-device frequency-selective multipath state: a tapped delay line
 /// (tap `i` delayed i samples) whose scattered taps evolve round to
 /// round as independent complex AR(1) (Gauss-Markov) processes around
-/// the model's power-delay profile, while the LoS tap stays fixed — the
+/// the profile's power-delay profile, while the LoS tap stays fixed — the
 /// Rician picture of a constant specular path plus Rayleigh scatter
 /// that decorrelates as people move through the clutter. The process is
 /// stationary: each scattered tap is CN(0, p_i) at every round, so the
-/// line keeps unit mean total power.
+/// line keeps unit mean total power. Like gauss_markov_fading it reads
+/// `profile` without owning it, so the profile must outlive the line.
 class tap_delay_line {
 public:
-    /// `correlation` is the round-to-round correlation coefficient rho
-    /// in [0, 1) of each scattered tap.
-    tap_delay_line(const multipath_model& model, double sample_rate_hz,
-                   double correlation, ns::util::rng rng);
+    tap_delay_line(const tap_profile& profile, ns::util::rng rng);
+    /// A temporary would dangle: keep the profile alive elsewhere.
+    tap_delay_line(tap_profile&& profile, ns::util::rng rng) = delete;
 
     /// Advances one round and returns the current taps. The span views
     /// internal storage and stays valid until the line is destroyed
@@ -82,8 +93,7 @@ public:
     std::span<const cplx> current() const { return taps_; }
 
 private:
-    double rho_;
-    std::vector<double> powers_;  ///< stationary per-tap power (0 = LoS)
+    const tap_profile* profile_;
     cvec taps_;
     ns::util::rng rng_;
 };

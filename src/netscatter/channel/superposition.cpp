@@ -1,6 +1,7 @@
 #include "netscatter/channel/superposition.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
 #include <span>
@@ -285,7 +286,8 @@ void combine_symbol_domain(std::span<const packet_contribution> packets,
     // CN(0, N·noise_power) (the unnormalized DFT of white noise) and the
     // off-grid padded bins are their Dirichlet interpolation, either
     // exact (one FFT per symbol) or banded to ±R chip bins.
-    if (banded) {
+    const std::array<std::size_t, 3> noise_geometry{n, pad, interp_radius};
+    if (banded && workspace.noise_geometry != noise_geometry) {
         // C[(r-1)·(2R+1) + t] interpolates offset r in (0, pad) from the
         // on-grid neighbour t - R chip bins away: the device kernel
         // evaluated at x = (t - R)·pad - r padded bins, scaled by 1/N
@@ -307,6 +309,10 @@ void combine_symbol_domain(std::span<const packet_contribution> packets,
                     std::numbers::pi * (static_cast<double>(n) - 1.0) * theta);
             }
         }
+        workspace.noise_geometry = noise_geometry;
+    }
+    if (!workspace.kernel_table.matches(n, pad, sd.kernel_radius_bins)) {
+        workspace.kernel_table = ns::phy::tone_kernel_table(n, pad, sd.kernel_radius_bins);
     }
 
     // One raw draw seeds every symbol's noise generator; consuming it
@@ -343,39 +349,46 @@ void combine_symbol_domain(std::span<const packet_contribution> packets,
         std::size_t first;
         const cvec* window;
         if (packet.taps.empty()) {
-            first = ns::phy::make_dechirped_tone_kernel(
-                workspace.kernel, position_bins, n, sd.zero_padding,
-                sd.kernel_radius_bins);
+            first = ns::phy::make_dechirped_tone_kernel(workspace.kernel, position_bins,
+                                                        workspace.kernel_table);
             window = &workspace.kernel;
         } else {
             first = ns::phy::make_multipath_tone_kernel(
-                workspace.envelope, packet.taps, packet.cyclic_shift, tone_bins, n,
-                sd.zero_padding, sd.kernel_radius_bins, workspace.kernel);
+                workspace.envelope, packet.taps, packet.cyclic_shift, tone_bins,
+                workspace.kernel_table, workspace.kernel);
             window = &workspace.envelope;
         }
         const std::uint32_t window_id = batch.add_window(*window);
-        const double symbol_phase_step =
-            2.0 * std::numbers::pi * tone_hz * static_cast<double>(n) /
-            params.bandwidth_hz;
-        const auto symbol_scalar = [&](std::size_t global_symbol) {
-            return std::polar(amplitude,
-                              phase0 + symbol_phase_step *
-                                           static_cast<double>(global_symbol));
+        // The scalar of global symbol g is A·e^{j(φ0 + g·step)}: one
+        // phasor stepped once per symbol, downchirps and OFF bits
+        // included, instead of a sincos per placement.
+        const cplx step = std::polar(
+            1.0, 2.0 * std::numbers::pi * tone_hz * static_cast<double>(n) /
+                     params.bandwidth_hz);
+        cplx scalar = std::polar(amplitude, phase0);
+        const auto advance = [&] {
+            scalar = cplx{scalar.real() * step.real() - scalar.imag() * step.imag(),
+                          scalar.real() * step.imag() + scalar.imag() * step.real()};
         };
 
         std::uint64_t packet_kernels = sd.preamble_upchirps;
         for (std::size_t k = 0; k < sd.preamble_upchirps; ++k) {
             batch.place(static_cast<std::uint32_t>(k), window_id,
-                        static_cast<std::uint32_t>(first), symbol_scalar(k));
+                        static_cast<std::uint32_t>(first), scalar);
+            advance();
+        }
+        for (std::size_t k = sd.preamble_upchirps; k < sd.preamble_symbols; ++k) {
+            advance();
         }
         const std::size_t on_bits =
             std::min(packet.frame_bits.size(), sd.payload_symbols);
         for (std::size_t i = 0; i < on_bits; ++i) {
-            if (packet.frame_bits[i] == 0) continue;
-            batch.place(static_cast<std::uint32_t>(sd.preamble_upchirps + i),
-                        window_id, static_cast<std::uint32_t>(first),
-                        symbol_scalar(sd.preamble_symbols + i));
-            ++packet_kernels;
+            if (packet.frame_bits[i] != 0) {
+                batch.place(static_cast<std::uint32_t>(sd.preamble_upchirps + i),
+                            window_id, static_cast<std::uint32_t>(first), scalar);
+                ++packet_kernels;
+            }
+            advance();
         }
         kernels_summed += packet_kernels;
         // Accumulated window elements — the deterministic input of the

@@ -25,6 +25,7 @@
 //    kernel window), independent of the symbol length.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -33,6 +34,7 @@
 #include "netscatter/channel/kernel_batch.hpp"
 #include "netscatter/dsp/fft.hpp"
 #include "netscatter/obs/sink.hpp"
+#include "netscatter/phy/chirp.hpp"
 #include "netscatter/phy/css_params.hpp"
 #include "netscatter/util/rng.hpp"
 
@@ -149,7 +151,14 @@ struct channel_workspace {
                                        ///< preamble upchirps then payload symbols
     cvec kernel;                    ///< per-device Dirichlet window
     cvec envelope;                  ///< multipath-enveloped kernel window
-    cvec noise_taps;                ///< banded interpolation coefficients
+    /// Tables that depend only on the round's geometry, built by the
+    /// first fast-path round and rebuilt only when the geometry changes:
+    /// the Dirichlet window's per-offset phasors for (N, padding, kernel
+    /// radius), and the banded noise interpolation coefficients for
+    /// (N, padding, noise radius), the geometry kept in noise_geometry.
+    ns::phy::tone_kernel_table kernel_table;
+    cvec noise_taps;
+    std::array<std::size_t, 3> noise_geometry{};
     /// SoA kernel placements: planned serially, swept per symbol.
     kernel_batch batch;
     /// Per-block on-grid noise draws + wrap margins (one grid per

@@ -1,5 +1,7 @@
 #include "netscatter/obs/roofline.hpp"
 
+#include "netscatter/phy/chirp.hpp"
+
 namespace ns::obs {
 
 kernel_loop_model kernel_loop_model_from(const metrics_snapshot& snapshot) {
@@ -10,14 +12,7 @@ kernel_loop_model kernel_loop_model_from(const metrics_snapshot& snapshot) {
 
 std::uint64_t kernel_window_size(std::size_t num_bins, std::size_t padding,
                                  std::size_t radius_bins) {
-    const std::uint64_t m_total =
-        static_cast<std::uint64_t>(num_bins) * padding;
-    std::uint64_t half = static_cast<std::uint64_t>(radius_bins) * padding;
-    if (half > m_total / 2) {
-        half = m_total / 2;
-    }
-    const std::uint64_t window = 2 * half + 1;
-    return window < m_total ? window : m_total;
+    return ns::phy::tone_kernel_window_size(num_bins, padding, radius_bins);
 }
 
 }  // namespace ns::obs

@@ -70,11 +70,8 @@ struct kernel_loop_model {
 /// sample-fidelity runs or NS_OBS=OFF).
 kernel_loop_model kernel_loop_model_from(const metrics_snapshot& snapshot);
 
-/// Expected window size of one truncated Dirichlet kernel — mirrors
-/// the sizing in make_dechirped_tone_kernel (chirp.cpp) so tests can
-/// hand-compute phy.kernel_window_elems:
-///     half   = min(radius_bins * padding, num_bins * padding / 2)
-///     window = min(2 * half + 1, num_bins * padding)
+/// Window size of one truncated Dirichlet kernel, as the kernel builds
+/// it: phy::tone_kernel_window_size under the name ns_bench reads.
 std::uint64_t kernel_window_size(std::size_t num_bins, std::size_t padding,
                                  std::size_t radius_bins);
 

@@ -1,5 +1,6 @@
 #include "netscatter/phy/chirp.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -41,6 +42,21 @@ cvec make_chirp(const css_params& params, double cyclic_shift, double slope) {
     return chirp;
 }
 
+/// Padded bins on each side of a window's peak.
+std::size_t kernel_half(std::size_t num_bins, std::size_t padding, std::size_t radius_bins) {
+    return std::min(radius_bins * padding, num_bins * padding / 2);
+}
+
+/// e^{−jπk/period} with k reduced modulo 2·period first, so the angle
+/// passed to libm stays within ±π however far k reaches.
+cplx half_turns(std::int64_t k, std::int64_t period) {
+    std::int64_t r = k % (2 * period);
+    if (r >= period) r -= 2 * period;
+    if (r < -period) r += 2 * period;
+    return std::polar(1.0, -std::numbers::pi * static_cast<double>(r) /
+                               static_cast<double>(period));
+}
+
 }  // namespace
 
 cvec make_upchirp(const css_params& params, double cyclic_shift) {
@@ -69,66 +85,106 @@ cvec make_upchirp_time_rotated(const css_params& params, std::size_t shift) {
     return rotated;
 }
 
-std::size_t make_dechirped_tone_kernel(cvec& kernel, double position_bins,
-                                       std::size_t num_bins, std::size_t padding,
-                                       std::size_t radius_bins) {
+std::size_t tone_kernel_window_size(std::size_t num_bins, std::size_t padding,
+                                    std::size_t radius_bins) {
+    return std::min(2 * kernel_half(num_bins, padding, radius_bins) + 1, num_bins * padding);
+}
+
+tone_kernel_table::tone_kernel_table(std::size_t num_bins, std::size_t padding,
+                                     std::size_t radius_bins)
+    : num_bins_(num_bins),
+      padding_(padding),
+      radius_bins_(radius_bins),
+      half_(kernel_half(num_bins, padding, radius_bins)) {
     ns::util::require(num_bins >= 2 && padding >= 1,
                       "tone_kernel: need at least two bins and padding >= 1");
-    const std::size_t m_total = num_bins * padding;
-    const double n = static_cast<double>(num_bins);
+    const auto m_total = static_cast<std::int64_t>(num_bins * padding);
+    const auto pad = static_cast<std::int64_t>(padding);
+    const auto n_minus_1 = static_cast<std::int64_t>(num_bins) - 1;
+    const std::size_t entries = 2 * half_ + 1;
+    phasors_.resize(3 * entries);
+    for (std::size_t i = 0; i < entries; ++i) {
+        const std::int64_t j = static_cast<std::int64_t>(i) - static_cast<std::int64_t>(half_);
+        phasors_[3 * i] = half_turns(j, m_total);
+        phasors_[3 * i + 1] = half_turns(j, pad);
+        phasors_[3 * i + 2] = half_turns(n_minus_1 * j, m_total);
+    }
+}
+
+std::size_t tone_kernel_table::build(cvec& kernel, double position_bins,
+                                     std::size_t radius_bins) const {
+    ns::util::require(num_bins_ >= 2 && radius_bins <= radius_bins_,
+                      "tone_kernel: window wider than its table");
+    const std::size_t m_total = num_bins_ * padding_;
+    const double n = static_cast<double>(num_bins_);
     const double m_real = static_cast<double>(m_total);
 
     // Wrap the peak position into [0, M) padded bins. The kernel is
     // 1-periodic in θ for even N (both sin terms and the phase factor
     // flip sign together), so evaluating with the unwrapped offset x is
     // exact for every cyclic bin index.
-    double p = position_bins * static_cast<double>(padding);
+    double p = position_bins * static_cast<double>(padding_);
     p -= std::floor(p / m_real) * m_real;
 
-    const std::size_t half =
-        std::min(radius_bins * padding, m_total / 2);
-    const std::size_t window = std::min(2 * half + 1, m_total);
+    const std::size_t half = kernel_half(num_bins_, padding_, radius_bins);
+    const std::size_t window = tone_kernel_window_size(num_bins_, padding_, radius_bins);
     kernel.resize(window);
 
     const auto centre = static_cast<std::ptrdiff_t>(std::llround(p));
     const std::ptrdiff_t first_signed = centre - static_cast<std::ptrdiff_t>(half);
+    // Element w sits at x = d − j, j = w − half: the window's three
+    // phasors of d times the table's phasors of j (see the class note).
+    const double d = p - static_cast<double>(centre);
+    const cplx den_d = std::polar(1.0, std::numbers::pi * d / m_real);
+    const cplx num_d = std::polar(1.0, std::numbers::pi * d / static_cast<double>(padding_));
+    const cplx phase_d = std::polar(1.0, std::numbers::pi * (n - 1.0) * d / m_real);
+    const cplx* j_phasors = phasors_.data() + 3 * (half_ - half);
     for (std::size_t w = 0; w < window; ++w) {
-        const double x =
-            p - static_cast<double>(first_signed + static_cast<std::ptrdiff_t>(w));
-        const double theta = x / m_real;
-        const double denominator = std::sin(std::numbers::pi * theta);
+        const cplx den_j = j_phasors[3 * w];
+        const cplx num_j = j_phasors[3 * w + 1];
+        const cplx phase_j = j_phasors[3 * w + 2];
+        // Products written out: std::complex's operator* adds a NaN
+        // recovery branch the finite table never needs.
+        const double denominator = den_d.imag() * den_j.real() + den_d.real() * den_j.imag();
         double magnitude;
         if (std::abs(denominator) < 1e-12) {
             magnitude = n;  // θ -> 0 limit (the on-peak bin)
         } else {
             magnitude =
-                std::sin(std::numbers::pi * x / static_cast<double>(padding)) /
-                denominator;
+                (num_d.imag() * num_j.real() + num_d.real() * num_j.imag()) / denominator;
         }
-        kernel[w] = signed_polar(magnitude, std::numbers::pi * (n - 1.0) * theta);
+        const double re = phase_d.real() * phase_j.real() - phase_d.imag() * phase_j.imag();
+        const double im = phase_d.real() * phase_j.imag() + phase_d.imag() * phase_j.real();
+        kernel[w] = cplx{magnitude * re, magnitude * im};
     }
 
     const std::ptrdiff_t m_signed = static_cast<std::ptrdiff_t>(m_total);
     return static_cast<std::size_t>(((first_signed % m_signed) + m_signed) % m_signed);
 }
 
+std::size_t make_dechirped_tone_kernel(cvec& kernel, double position_bins,
+                                       const tone_kernel_table& table) {
+    return table.build(kernel, position_bins, table.radius_bins());
+}
+
 std::size_t make_multipath_tone_kernel(cvec& envelope, std::span<const cplx> taps,
                                        std::uint32_t cyclic_shift, double tone_bins,
-                                       std::size_t num_bins, std::size_t padding,
-                                       std::size_t radius_bins, cvec& kernel_scratch) {
+                                       const tone_kernel_table& table,
+                                       cvec& kernel_scratch) {
     ns::util::require(!taps.empty(), "multipath_tone_kernel: need at least one tap");
+    const std::size_t num_bins = table.num_bins();
+    const std::size_t padding = table.padding();
     const std::size_t m_total = num_bins * padding;
     const std::size_t spread = (taps.size() - 1) * padding;
     ns::util::require(spread < m_total,
                       "multipath_tone_kernel: more taps than the spectrum has bins");
     // Clamp the per-tap window so window + tap spread fits the spectrum —
-    // the same silent clamping make_dechirped_tone_kernel applies at
-    // radius >= num_bins/2, extended by the spread the taps add.
+    // the same silent clamping the bare kernel applies at radius >=
+    // num_bins/2, extended by the spread the taps add.
     const std::size_t max_radius = ((m_total - spread - 1) / 2) / padding;
     const double position = static_cast<double>(cyclic_shift) + tone_bins;
-    const std::size_t first_p = make_dechirped_tone_kernel(
-        kernel_scratch, position, num_bins, padding,
-        std::min(radius_bins, max_radius));
+    const std::size_t first_p =
+        table.build(kernel_scratch, position, std::min(table.radius_bins(), max_radius));
 
     const std::size_t window = kernel_scratch.size();
     envelope.assign(window + spread, cplx{0.0, 0.0});

@@ -198,7 +198,11 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
     const double ap_x = dep.ap_x_m();
     const double ap_y = dep.ap_y_m();
     slots_.reserve(placed.size());
-    if (config_.model_multipath) taps_.reserve(placed.size());
+    if (config_.model_multipath) {
+        tap_profile_.emplace(config_.multipath, config_.phy.bandwidth_hz,
+                             config_.multipath_rho);
+        taps_.reserve(placed.size());
+    }
     // Reserved to the universe size so churn never reallocates the list
     // inside a steady-state round.
     active_slots_.reserve(placed.size());
@@ -217,8 +221,7 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
             .active = active,
         });
         if (config_.model_multipath) {
-            taps_.emplace_back(config_.multipath, config_.phy.bandwidth_hz,
-                               config_.multipath_rho, rng_.fork());
+            taps_.emplace_back(*tap_profile_, rng_.fork());
         }
         if (active) {
             active_slots_.push_back(static_cast<std::uint32_t>(i));
@@ -286,7 +289,9 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
         probes_.rounds = metrics_.get_counter("sim.rounds");
         probes_.fast_rounds = metrics_.get_counter("sim.fast_path_rounds");
         probes_.sample_rounds = metrics_.get_counter("sim.sample_path_rounds");
-        probes_.alloc_warmup_count = metrics_.get_counter("alloc.warmup_count");
+        // Warm-up rounds grow the fan-out scratch to the round-thread
+        // count, so the warm-up allocation count is host data too.
+        probes_.alloc_warmup_count = metrics_.get_counter("alloc.warmup_count", host);
         probes_.alloc_steady_count = metrics_.get_counter("alloc.steady_count");
         probes_.alloc_steady_bytes = metrics_.get_counter("alloc.steady_bytes");
         probes_.alloc_steady_rounds = metrics_.get_counter("alloc.steady_rounds");

@@ -548,7 +548,8 @@ private:
 
     /// Per-device state, holding only what differs between devices. The
     /// static device configuration is device_params_, the fading
-    /// statistics fading_params_ (one copy each, shared by every slot);
+    /// statistics fading_params_ and the multipath profile tap_profile_
+    /// (one copy each, shared by every slot);
     /// the fixed placement (id = slot index, position, path loss) stays in
     /// the deployment; tap lines live in taps_ and group membership in
     /// slot_group_ and group_members_.
@@ -686,6 +687,9 @@ private:
     const ns::channel::fading_params fading_params_;
     /// One slot per placed device, indexed by device id (ids are dense).
     std::vector<device_slot> slots_;
+    /// The one power-delay profile every tap line reads (set only under
+    /// model_multipath).
+    std::optional<ns::channel::tap_profile> tap_profile_;
     /// Per-slot multipath state, allocated only under model_multipath
     /// (empty otherwise); advanced like fading, so a device's channel
     /// time series is independent of its membership history.

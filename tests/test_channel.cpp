@@ -225,7 +225,8 @@ TEST(tap_delay_line, stationary_unit_power_and_fixed_los) {
     const multipath_model model{};
     ns::util::rng gen(11);
     ns::util::running_stats energy;
-    tap_delay_line line(model, 500e3, 0.9, gen.fork());
+    const tap_profile profile(model, 500e3, 0.9);
+    tap_delay_line line(profile, gen.fork());
     const cplx los = line.current()[0];
     for (int round = 0; round < 4000; ++round) {
         const auto taps = line.next();
@@ -240,11 +241,12 @@ TEST(tap_delay_line, scattered_taps_decorrelate_at_rho) {
     // configured rho (real parts; the AR(1) acts per component).
     const multipath_model model{};
     const double rho = 0.7;
+    const tap_profile profile(model, 500e3, rho);
     ns::util::rng gen(12);
     double num = 0.0;
     double den = 0.0;
     for (int device = 0; device < 4000; ++device) {
-        tap_delay_line line(model, 500e3, rho, gen.fork());
+        tap_delay_line line(profile, gen.fork());
         const double before = line.current()[1].real();
         const double after = line.next()[1].real();
         num += before * after;
@@ -384,7 +386,8 @@ TEST(fading, tap_line_skip_matches_stepped_distribution) {
     const double rho = 0.8;
     const std::uint64_t k = 5;
     const double rho_k = std::pow(rho, static_cast<double>(k));
-    tap_delay_line line(model, 500e3, rho, ns::util::rng(24));
+    const tap_profile profile(model, 500e3, rho);
+    tap_delay_line line(profile, ns::util::rng(24));
     const std::size_t num_taps = line.current().size();
     ASSERT_GT(num_taps, 1u);
     const cplx los = line.current()[0];

@@ -1,18 +1,20 @@
 // Roofline attribution model (src/netscatter/obs/roofline.hpp): the
 // analytic bytes/FLOPs model of the Dirichlet-kernel accumulation must
-// match hand-computed values, the window-size formula must mirror
-// make_dechirped_tone_kernel, the phy.kernel_window_elems counter must
+// match hand-computed values, the window-size formula must be the size
+// make_dechirped_tone_kernel builds, the phy.kernel_window_elems counter must
 // equal packets x kernels x window for a hand-built population, and the
 // model inputs must be bit-identical across thread counts (they are
 // deterministic workload facts, not host measurements).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "netscatter/channel/superposition.hpp"
 #include "netscatter/obs/metrics.hpp"
 #include "netscatter/obs/roofline.hpp"
+#include "netscatter/phy/chirp.hpp"
 #include "netscatter/phy/css_params.hpp"
 #include "netscatter/scenario/scenario_registry.hpp"
 #include "netscatter/scenario/scenario_runner.hpp"
@@ -22,7 +24,7 @@ namespace {
 
 using ns::obs::compiled_in;
 using ns::obs::kernel_loop_model;
-using ns::obs::kernel_window_size;
+using ns::phy::tone_kernel_window_size;
 
 // ------------------------------------------------------- model math --
 
@@ -47,15 +49,24 @@ TEST(roofline_model, bytes_flops_and_rates_match_hand_computation) {
     EXPECT_DOUBLE_EQ(model.fraction_of_peak(1e-3, 0.0), 0.0);
 }
 
-TEST(roofline_model, window_size_mirrors_kernel_construction) {
+TEST(roofline_model, window_size_is_the_built_kernel_size) {
     // half = min(radius*padding, bins*padding/2); window = 2*half + 1,
     // clamped to the padded spectrum length.
-    EXPECT_EQ(kernel_window_size(512, 8, 16), 257u);  // 2*128 + 1
-    EXPECT_EQ(kernel_window_size(512, 2, 4), 17u);    // 2*8 + 1
-    EXPECT_EQ(kernel_window_size(8, 2, 1), 5u);       // 2*2 + 1
+    EXPECT_EQ(tone_kernel_window_size(512, 8, 16), 257u);  // 2*128 + 1
+    EXPECT_EQ(tone_kernel_window_size(512, 2, 4), 17u);    // 2*8 + 1
+    EXPECT_EQ(tone_kernel_window_size(8, 2, 1), 5u);       // 2*2 + 1
     // Oversized radius clamps to the padded length, not beyond.
-    EXPECT_EQ(kernel_window_size(512, 1, 400), 512u);
-    EXPECT_EQ(kernel_window_size(4, 1, 100), 4u);
+    EXPECT_EQ(tone_kernel_window_size(512, 1, 400), 512u);
+    EXPECT_EQ(tone_kernel_window_size(4, 1, 100), 4u);
+    // The kernel builds exactly this many elements.
+    const std::array<std::array<std::size_t, 3>, 4> geometries{
+        {{512, 8, 16}, {512, 1, 400}, {8, 2, 1}, {4, 1, 100}}};
+    for (const auto& [bins, padding, radius] : geometries) {
+        const ns::phy::tone_kernel_table table(bins, padding, radius);
+        ns::dsp::cvec kernel;
+        ns::phy::make_dechirped_tone_kernel(kernel, 1.3, table);
+        EXPECT_EQ(kernel.size(), tone_kernel_window_size(bins, padding, radius));
+    }
 }
 
 TEST(roofline_model, from_snapshot_reads_the_counter_or_zero) {
@@ -105,8 +116,8 @@ TEST(roofline_model, kernel_window_elems_counts_packets_kernels_window) {
     ns::channel::combine_symbol_domain(packets, phy, chan, sd, gen, workspace);
 
     const std::uint64_t window =
-        kernel_window_size(phy.num_bins(), sd.zero_padding,
-                           sd.kernel_radius_bins);
+        tone_kernel_window_size(phy.num_bins(), sd.zero_padding,
+                                sd.kernel_radius_bins);
     EXPECT_EQ(window, 17u);
     const std::uint64_t kernels = 3 * (sd.preamble_upchirps + 5);
     const ns::obs::metrics_snapshot snap = registry.snapshot();

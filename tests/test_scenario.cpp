@@ -425,7 +425,9 @@ TEST(report_origin, only_host_timers_are_host_instruments) {
                                     "round.grouping_s",  "round.synth_s",
                                     "round.superpose_s", "round.decode_s",
                                     "phy.kernel_plan_s", "phy.kernel_sum_s",
-                                    "phy.noise_s",       "replica.wall_s"}
+                                    "phy.noise_s",       "replica.wall_s",
+                                    // Warm-up growth follows the round-thread count.
+                                    "alloc.warmup_count"}
             : std::set<std::string>{};
     EXPECT_EQ(host, expected);
 }
@@ -851,6 +853,18 @@ TEST(grouped_schedule, lease_evictions_and_desyncs_are_pinned) {
     EXPECT_GT(sim.total_ack_losses, 0u);
     EXPECT_GT(sim.total_regroups, 0u);
     EXPECT_EQ(outcome_hash(sim), 0x44d0f4a64defcf56ULL);
+}
+
+// Golden digest of a multipath run: every device carries a tap delay
+// line whose taps envelope its fast-path window, so any change to how
+// tap lines hold their power-delay profile or how windows are built
+// must keep every outcome.
+
+TEST(multipath, tap_lines_on_the_fast_path_are_pinned) {
+    const auto sim = pinned_run("warehouse-1k-multipath", 16, std::nullopt);
+    EXPECT_EQ(sim.fast_path_rounds, 16u);
+    EXPECT_GE(sim.total_regroups, 1u);
+    EXPECT_EQ(outcome_hash(sim), 0xf2a2b14edbf14c45ULL);
 }
 
 // -------------------------------------------- hooks/simulator coupling --

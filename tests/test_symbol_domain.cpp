@@ -6,13 +6,17 @@
 // loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <new>
+#include <numbers>
 #include <string>
+#include <vector>
 
+#include "netscatter/channel/fading.hpp"
 #include "netscatter/channel/impairments.hpp"
 #include "netscatter/channel/kernel_batch.hpp"
 #include "netscatter/channel/superposition.hpp"
@@ -81,6 +85,7 @@ TEST(tone_kernel, untruncated_kernel_matches_sample_pipeline) {
     const std::size_t n = phy.num_bins();
     const std::size_t padding = 8;
     const ns::phy::demodulator demod(phy, padding);
+    const ns::phy::tone_kernel_table full_width(n, padding, /*radius_bins=*/n / 2);
 
     for (const double shift : {0.0, 17.0, 100.0}) {
         for (const double tone_hz : {0.0, 137.5, -260.0}) {
@@ -92,8 +97,7 @@ TEST(tone_kernel, untruncated_kernel_matches_sample_pipeline) {
 
             cvec kernel;
             const std::size_t first = ns::phy::make_dechirped_tone_kernel(
-                kernel, shift + tone_hz / phy.bin_spacing_hz(), n, padding,
-                /*radius_bins=*/n / 2);
+                kernel, shift + tone_hz / phy.bin_spacing_hz(), full_width);
             ASSERT_EQ(kernel.size(), n * padding);
 
             double max_error = 0.0;
@@ -114,11 +118,10 @@ TEST(tone_kernel, truncated_kernel_is_exact_inside_window) {
     const std::size_t padding = 4;
     cvec full;
     cvec truncated;
-    ns::phy::make_dechirped_tone_kernel(full, 42.3, n, padding, n / 2);
-    const std::size_t first =
-        ns::phy::make_dechirped_tone_kernel(truncated, 42.3, n, padding, 8);
+    const std::size_t first = ns::phy::make_dechirped_tone_kernel(
+        truncated, 42.3, ns::phy::tone_kernel_table(n, padding, 8));
     const std::size_t first_full = ns::phy::make_dechirped_tone_kernel(
-        full, 42.3, n, padding, n / 2);
+        full, 42.3, ns::phy::tone_kernel_table(n, padding, n / 2));
     // Align: both windows are centred on the same peak.
     const std::size_t m_total = n * padding;
     for (std::size_t w = 0; w < truncated.size(); ++w) {
@@ -127,6 +130,83 @@ TEST(tone_kernel, truncated_kernel_is_exact_inside_window) {
         ASSERT_LT(w_full, full.size());
         EXPECT_NEAR(std::abs(truncated[w] - full[w_full]), 0.0, 1e-9);
     }
+}
+
+/// The kernel's defining formula evaluated with libm per element:
+///   X = e^{jπ(N-1)θ} · sin(πx/padding)/sin(πθ),  θ = x/M,
+/// x the element's distance from the peak in padded bins. The reference
+/// the table-built kernel is held to.
+std::size_t direct_tone_kernel(cvec& kernel, double position_bins, std::size_t num_bins,
+                               std::size_t padding, std::size_t radius_bins) {
+    const std::size_t m_total = num_bins * padding;
+    const double n = static_cast<double>(num_bins);
+    const double m_real = static_cast<double>(m_total);
+    double p = position_bins * static_cast<double>(padding);
+    p -= std::floor(p / m_real) * m_real;
+    const std::size_t half = std::min(radius_bins * padding, m_total / 2);
+    kernel.resize(std::min(2 * half + 1, m_total));
+    const auto first = static_cast<std::ptrdiff_t>(std::llround(p)) -
+                       static_cast<std::ptrdiff_t>(half);
+    for (std::size_t w = 0; w < kernel.size(); ++w) {
+        const double x = p - static_cast<double>(first + static_cast<std::ptrdiff_t>(w));
+        const double theta = x / m_real;
+        const double denominator = std::sin(std::numbers::pi * theta);
+        const double magnitude =
+            std::abs(denominator) < 1e-12
+                ? n
+                : std::sin(std::numbers::pi * x / static_cast<double>(padding)) / denominator;
+        kernel[w] = magnitude * std::exp(cplx{0.0, std::numbers::pi * (n - 1.0) * theta});
+    }
+    const auto m_signed = static_cast<std::ptrdiff_t>(m_total);
+    return static_cast<std::size_t>(((first % m_signed) + m_signed) % m_signed);
+}
+
+TEST(tone_kernel, table_kernel_matches_direct_formula) {
+    // Angle addition reorders the libm work but not the function: every
+    // element stays within 1e-13·N of the direct evaluation, over
+    // SF7–SF12, padding 1–16 and radius 1 to full width. The positions
+    // cover the on-peak branch (integers), llround's half-bin ties,
+    // negative positions and positions past N (both wrap).
+    double worst = 0.0;
+    for (std::size_t sf = 7; sf <= 12; ++sf) {
+        const std::size_t n = std::size_t{1} << sf;
+        const double nd = static_cast<double>(n);
+        for (const std::size_t padding : {1, 2, 4, 8, 16}) {
+            const double half_bin = 0.5 / static_cast<double>(padding);
+            const std::vector<double> positions{
+                // on-peak integers, then fractional ones
+                0.0, 17.0, nd - 1.0, 42.3,
+                // negative and past N: wrapped
+                -3.3, -nd - 0.71, nd + 5.7, 3.0 * nd + 0.125, nd - 1e-13,
+                // exactly half a padded bin off-grid: llround ties
+                10.0 + half_bin, 10.0 - half_bin, -7.0 - half_bin, nd + half_bin};
+            for (const std::size_t radius : {std::size_t{1}, std::size_t{4},
+                                             std::size_t{16}, n / 2}) {
+                const ns::phy::tone_kernel_table table(n, padding, radius);
+                cvec kernel;
+                cvec expected;
+                for (const double position : positions) {
+                    const std::size_t first =
+                        ns::phy::make_dechirped_tone_kernel(kernel, position, table);
+                    const std::size_t expected_first =
+                        direct_tone_kernel(expected, position, n, padding, radius);
+                    ASSERT_EQ(first, expected_first) << "position " << position;
+                    ASSERT_EQ(kernel.size(), expected.size());
+                    // Counted, not only maxed, so a NaN element fails too.
+                    std::size_t outside = 0;
+                    for (std::size_t w = 0; w < kernel.size(); ++w) {
+                        const double error = std::abs(kernel[w] - expected[w]);
+                        if (!(error <= 1e-13 * nd)) ++outside;
+                        worst = std::max(worst, error / nd);
+                    }
+                    EXPECT_EQ(outside, 0u)
+                        << "SF" << sf << " padding " << padding << " radius " << radius
+                        << " position " << position;
+                }
+            }
+        }
+    }
+    std::cout << "table kernel vs direct formula: max |error| = " << worst << " x N\n";
 }
 
 TEST(tone_kernel, multipath_envelope_matches_sample_pipeline) {
@@ -169,7 +249,8 @@ TEST(tone_kernel, multipath_envelope_matches_sample_pipeline) {
             // within the padded spectrum, so back off a few bins — every
             // covered bin is exact, truncation only drops far sidelobes.
             const std::size_t first = ns::phy::make_multipath_tone_kernel(
-                envelope, taps, shift, tone_bins, n, padding, n / 2 - 4, scratch);
+                envelope, taps, shift, tone_bins,
+                ns::phy::tone_kernel_table(n, padding, n / 2 - 4), scratch);
             // The stream's residual tone advanced by ω·N samples at the
             // second symbol.
             const cplx rotation = std::polar(
@@ -201,8 +282,9 @@ TEST(tone_kernel, oversized_radius_clamps_instead_of_aborting) {
     const cvec taps{cplx{0.8, 0.0}, cplx{0.3, 0.0}, cplx{0.2, 0.0}};
     cvec envelope;
     cvec scratch;
-    ns::phy::make_multipath_tone_kernel(envelope, taps, 10, 0.25, n, 8,
-                                        /*radius_bins=*/n, scratch);
+    ns::phy::make_multipath_tone_kernel(
+        envelope, taps, 10, 0.25, ns::phy::tone_kernel_table(n, 8, /*radius_bins=*/n),
+        scratch);
     EXPECT_LE(envelope.size(), n * 8);
     EXPECT_GT(envelope.size(), 0u);
 }
@@ -211,13 +293,14 @@ TEST(tone_kernel, single_unit_tap_envelope_reduces_to_bare_kernel) {
     const ns::phy::css_params phy = ns::phy::deployed_params();
     const std::size_t n = phy.num_bins();
     const cvec taps{cplx{1.0, 0.0}};
+    const ns::phy::tone_kernel_table table(n, 8, 16);
     cvec envelope;
     cvec scratch;
-    const std::size_t first_env = ns::phy::make_multipath_tone_kernel(
-        envelope, taps, 42, 0.37, n, 8, 16, scratch);
+    const std::size_t first_env =
+        ns::phy::make_multipath_tone_kernel(envelope, taps, 42, 0.37, table, scratch);
     cvec kernel;
-    const std::size_t first_kernel = ns::phy::make_dechirped_tone_kernel(
-        kernel, 42.37, n, 8, 16);
+    const std::size_t first_kernel =
+        ns::phy::make_dechirped_tone_kernel(kernel, 42.37, table);
     ASSERT_EQ(first_env, first_kernel);
     ASSERT_EQ(envelope.size(), kernel.size());
     for (std::size_t w = 0; w < kernel.size(); ++w) {
@@ -475,11 +558,12 @@ TEST(fast_path_allocations, metrics_report_zero_steady_state_allocations) {
 
 /// Heap bytes a grouped simulator allocates while it is constructed over
 /// `devices` placed devices, all initially associated.
-std::uint64_t construction_bytes(std::size_t devices) {
+std::uint64_t construction_bytes(std::size_t devices, bool multipath = false) {
     const ns::sim::deployment dep(ns::sim::deployment_params{}, devices, 5);
     ns::sim::sim_config config;
     config.fidelity = ns::sim::phy_fidelity::symbol;
     config.grouping.enabled = true;
+    config.model_multipath = multipath;
     config.obs.metrics = false;
     const std::uint64_t before = ns::obs::thread_allocations().bytes;
     { const ns::sim::network_simulator sim(dep, config); }
@@ -502,6 +586,26 @@ TEST(construction_memory, bytes_per_device_stay_at_half_the_fat_slot_layout) {
     std::cout << "construction: " << per_device << " bytes per device\n";
     constexpr double fat_slot_bytes_per_device = 654.0;
     EXPECT_LE(per_device, fat_slot_bytes_per_device / 2.0);
+}
+
+TEST(construction_memory, multipath_adds_only_each_devices_taps) {
+    // Under model_multipath every device adds a tap line: the line and
+    // its own taps, nothing else. The power-delay profile is one copy
+    // shared by every line; a copy per line would add its vector too.
+    if (!ns::obs::compiled_in()) GTEST_SKIP() << "built with NS_OBS=OFF";
+    const std::size_t devices = 16384;
+    const std::uint64_t flat = construction_bytes(devices, false);
+    const std::uint64_t multipath = construction_bytes(devices, true);
+    ASSERT_GT(multipath, flat);
+    const double per_device =
+        static_cast<double>(multipath - flat) / static_cast<double>(devices);
+    const ns::sim::sim_config config;
+    const double line_bytes =
+        static_cast<double>(sizeof(ns::channel::tap_delay_line) +
+                            static_cast<std::size_t>(config.multipath.num_taps + 1) *
+                                sizeof(cplx));
+    std::cout << "construction: multipath adds " << per_device << " bytes per device\n";
+    EXPECT_LE(per_device, line_bytes + 1.0);
 }
 
 TEST(fast_path_allocations, first_demodulated_spectrum_allocates_nothing) {
