@@ -818,6 +818,22 @@ TEST(sample_path, stale_shift_transmitters_are_pinned) {
     EXPECT_EQ(outcome_hash(sim), 0x3af4f05166d4162fULL);
 }
 
+// The oracle runs of the two interferer kinds: every round is rendered,
+// a LoRa frame or a tone included, so any change to how an interferer is
+// described or rendered must keep every outcome of these runs.
+
+TEST(sample_path, lora_frame_interferers_are_pinned) {
+    const auto sim = pinned_run("interference-lora", 20, ns::sim::phy_fidelity::sample);
+    EXPECT_EQ(sim.fast_path_rounds, 0u);
+    EXPECT_EQ(outcome_hash(sim), 0xcc781ce8397cc93aULL);
+}
+
+TEST(sample_path, tone_interferers_are_pinned) {
+    const auto sim = pinned_run("interference-tone", 20, ns::sim::phy_fidelity::sample);
+    EXPECT_EQ(sim.fast_path_rounds, 0u);
+    EXPECT_EQ(outcome_hash(sim), 0x31ac9b4685ea01ceULL);
+}
+
 TEST(sample_path, rounds_mixed_with_the_fast_path_are_pinned) {
     const auto sim = pinned_run("interference-lora", 20, std::nullopt);
     EXPECT_GT(sim.fast_path_rounds, 0u);
