@@ -36,8 +36,6 @@ inline bool parse_fidelity(const std::string& text,
         out = ns::sim::phy_fidelity::sample;
     } else if (text == "symbol") {
         out = ns::sim::phy_fidelity::symbol;
-    } else if (text == "auto") {
-        out = ns::sim::phy_fidelity::automatic;
     } else {
         return false;
     }
@@ -182,7 +180,7 @@ struct common_options {
                               return true;
                           });
         parser.add_option("--fidelity", "F",
-                          "PHY channel fidelity: sample | symbol | auto",
+                          "PHY channel fidelity: symbol | sample (the oracle)",
                           [this](const std::string& v) {
                               ns::sim::phy_fidelity f{};
                               if (!parse_fidelity(v, f)) return false;

@@ -29,9 +29,8 @@ inline const char* fidelity_name(ns::sim::phy_fidelity fidelity) {
     switch (fidelity) {
         case ns::sim::phy_fidelity::sample: return "sample";
         case ns::sim::phy_fidelity::symbol: return "symbol";
-        case ns::sim::phy_fidelity::automatic: return "auto";
     }
-    return "auto";
+    return "symbol";
 }
 
 /// Adds the scalars of the outcome counters in `block`, in table order

@@ -35,9 +35,9 @@ using ns::dsp::cvec;
 /// channel_workspace; all buffers reach a steady-state capacity after
 /// the first few rounds and are reused allocation-free thereafter.
 struct kernel_batch {
-    // -- window table: each packet contributes one window of complex
-    //    values (bare Dirichlet kernel or multipath envelope), stored
-    //    back to back and referenced by id from the placements.
+    // -- window table: one window of complex values per packet (bare
+    //    Dirichlet kernel or multipath envelope) or interferer segment,
+    //    stored back to back and referenced by id from the placements.
     cvec window_values;
     std::vector<std::uint32_t> window_offset;
     std::vector<std::uint32_t> window_length;

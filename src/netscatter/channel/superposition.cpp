@@ -108,12 +108,36 @@ void add_contribution(const Contribution& tx, const ns::dsp::keyed_waveform& wav
     }
 }
 
-}  // namespace
+/// `interferer` as a dense contribution, its samples rendered into `wave`.
+tx_contribution render_interferer(const interferer_contribution& interferer,
+                                  std::size_t length, const ns::phy::css_params& params,
+                                  cvec& wave) {
+    tx_contribution tx;
+    tx.snr_db = interferer.snr_db;
+    tx.random_phase = interferer.random_phase;
+    if (interferer.type == interferer_contribution::kind::tone) {
+        wave.resize(length);
+        const double step = 2.0 * std::numbers::pi * interferer.tone_hz / params.bandwidth_hz;
+        for (std::size_t n = 0; n < length; ++n) {
+            wave[n] = std::polar(1.0, step * static_cast<double>(n));
+        }
+    } else {
+        ns::phy::lora_modulator(params).modulate_into(interferer.symbols, wave);
+        tx.timing_offset_s = interferer.timing_offset_s;
+        tx.sample_delay = interferer.sample_delay;
+    }
+    tx.waveform = std::span<const cplx>(wave);
+    return tx;
+}
 
-const cvec& combine(std::span<const packet_contribution> rows,
-                    std::span<const tx_contribution> interferers, std::size_t length,
-                    const ns::phy::css_params& params, const channel_config& config,
-                    ns::util::rng& rng, channel_workspace& workspace) {
+/// Both combine() overloads: keyed rows, dense contributions, then
+/// interferers, then the noise.
+const cvec& combine_samples(std::span<const packet_contribution> rows,
+                            std::span<const tx_contribution> dense,
+                            std::span<const interferer_contribution> interferers,
+                            std::size_t length, const ns::phy::css_params& params,
+                            const channel_config& config, ns::util::rng& rng,
+                            channel_workspace& workspace) {
     const bool timed = workspace.obs.metrics != nullptr;
     const std::uint64_t t0 = timed ? ns::obs::now_ns() : 0;
     cvec& received = workspace.received;
@@ -123,27 +147,42 @@ const cvec& combine(std::span<const packet_contribution> rows,
         add_contribution(row, keyed_row(row, params, workspace), 0, params, config, rng,
                          workspace);
     }
-    for (const auto& tx : interferers) {
+    const auto add_dense = [&](const tx_contribution& tx) {
         const std::span<const cplx> samples = tx.waveform;
-        const cplx* const dense = samples.data();
-        add_contribution(tx, {.symbols = {&dense, 1}, .symbol_len = samples.size()},
+        const cplx* const first = samples.data();
+        add_contribution(tx, {.symbols = {&first, 1}, .symbol_len = samples.size()},
                          tx.sample_delay, params, config, rng, workspace);
+    };
+    for (const auto& tx : dense) add_dense(tx);
+    for (const auto& interferer : interferers) {
+        add_dense(render_interferer(interferer, length, params, workspace.rendered));
     }
 
     add_noise(received, config.noise_power, rng);
     if (timed) {
         ns::obs::metrics_registry& metrics = *workspace.obs.metrics;
-        metrics.get_counter("phy.sample_waveforms")->add(rows.size() + interferers.size());
+        metrics.get_counter("phy.sample_waveforms")
+            ->add(rows.size() + dense.size() + interferers.size());
         metrics.get_histogram("phy.sample_combine_s", ns::obs::origin::host)
             ->record_ns(ns::obs::now_ns() - t0);
     }
     return received;
 }
 
+}  // namespace
+
+const cvec& combine(std::span<const packet_contribution> rows,
+                    std::span<const interferer_contribution> interferers,
+                    std::size_t length, const ns::phy::css_params& params,
+                    const channel_config& config, ns::util::rng& rng,
+                    channel_workspace& workspace) {
+    return combine_samples(rows, {}, interferers, length, params, config, rng, workspace);
+}
+
 const cvec& combine(std::span<const tx_contribution> contributions, std::size_t length,
                     const ns::phy::css_params& params, const channel_config& config,
                     ns::util::rng& rng, channel_workspace& workspace) {
-    return combine({}, contributions, length, params, config, rng, workspace);
+    return combine_samples({}, contributions, {}, length, params, config, rng, workspace);
 }
 
 namespace {
@@ -241,13 +280,84 @@ void sweep_block(void* context, std::size_t block) {
     c.ws->block_times[block] = {sweep_ns, noise_ns};
 }
 
+/// Plans one interferer's full-width windows into workspace.batch at
+/// carrier gain `gain` (see combine_symbol_domain); returns the number of
+/// placements.
+std::uint64_t plan_interferer(const interferer_contribution& interferer, cplx gain,
+                              const ns::phy::css_params& params,
+                              const symbol_domain_params& sd, std::size_t total_spectra,
+                              channel_workspace& workspace) {
+    kernel_batch& batch = workspace.batch;
+    const std::size_t n = params.samples_per_symbol();
+    const std::size_t pad = sd.zero_padding;
+    const bool tone = interferer.type == interferer_contribution::kind::tone;
+    const double tone_hz = tone ? interferer.tone_hz
+                                : equivalent_tone_shift_hz(params, interferer.timing_offset_s, 0.0);
+    const double omega = 2.0 * std::numbers::pi * tone_hz / params.bandwidth_hz;
+    const std::size_t delay = tone ? 0 : interferer.sample_delay;
+    ns::util::require(delay < n, "combine_symbol_domain: frame delay beyond one symbol");
+
+    // A tone's dechirped symbol, or a frame's segments [d, N) (symbol g)
+    // and [0, d) (symbol g − 1; none when d = 0).
+    std::array<std::uint32_t, 2> windows{};
+    std::size_t num_windows = 0;
+    if (tone) {
+        const std::array<double, 3> key{tone_hz, static_cast<double>(n),
+                                        static_cast<double>(pad)};
+        if (workspace.tone_window_key != key) {
+            // Tone × dechirp = a downchirp shifted by the (aliased) tone.
+            const double bins = tone_hz / params.bin_spacing_hz();
+            workspace.tone_window = ns::phy::make_downchirp(
+                params, bins - static_cast<double>(n) * std::round(bins / static_cast<double>(n)));
+            workspace.tone_window.resize(n * pad);
+            ns::dsp::fft_inplace(workspace.tone_window);
+            workspace.tone_window_key = key;
+        }
+        windows[num_windows++] = batch.add_window(workspace.tone_window);
+    } else {
+        const double position = tone_hz / params.bin_spacing_hz() - static_cast<double>(delay);
+        for (const auto& [start, length] :
+             {std::pair{delay, n - delay}, std::pair{std::size_t{0}, delay}}) {
+            if (length == 0) continue;
+            ns::phy::make_dechirped_tone_kernel(workspace.kernel, position, n, pad, start,
+                                                length);
+            windows[num_windows++] = batch.add_window(workspace.kernel);
+        }
+    }
+
+    std::uint64_t placements = 0;
+    const std::uint64_t two_n = 2 * n;
+    for (std::size_t k = 0; k < total_spectra; ++k) {
+        const std::size_t g =
+            k < sd.preamble_upchirps ? k : sd.preamble_symbols + (k - sd.preamble_upchirps);
+        const cplx base = gain * std::polar(1.0, omega * (static_cast<double>(g * n) -
+                                                          static_cast<double>(delay)));
+        for (std::size_t lag = 0; lag < num_windows; ++lag) {
+            if (!tone && (g < lag || g - lag >= interferer.symbols.size())) continue;
+            const std::uint64_t v = tone ? 0 : interferer.symbols[g - lag];
+            ns::util::require(v < n, "combine_symbol_domain: frame symbol out of range");
+            // Value v rotates the window by v·padding bins and its phase
+            // by 2π(−v·d/N + d²/2N + d/2) = πr/N, r reduced modulo 2N.
+            const std::uint64_t r =
+                (delay * (delay + n) % two_n + two_n - 2 * v * delay % two_n) % two_n;
+            batch.place(static_cast<std::uint32_t>(k), windows[lag],
+                        static_cast<std::uint32_t>(v * pad),
+                        base * std::polar(1.0, std::numbers::pi * static_cast<double>(r) /
+                                                   static_cast<double>(n)));
+            ++placements;
+        }
+    }
+    return placements;
+}
+
 }  // namespace
 
 void combine_symbol_domain(std::span<const packet_contribution> packets,
                            const ns::phy::css_params& params,
                            const channel_config& config,
                            const symbol_domain_params& sd, ns::util::rng& rng,
-                           channel_workspace& workspace) {
+                           channel_workspace& workspace,
+                           std::span<const interferer_contribution> interferers) {
     ns::util::require(!config.enable_multipath,
                       "combine_symbol_domain: config-level random multipath is "
                       "sample-only; pass deterministic per-device taps via "
@@ -397,6 +507,16 @@ void combine_symbol_domain(std::span<const packet_contribution> packets,
         // envelopes (wider than the bare Dirichlet window) are charged
         // at their real cost.
         window_elems += packet_kernels * window->size();
+    }
+    for (const auto& interferer : interferers) {
+        const double amplitude =
+            std::sqrt(config.noise_power * ns::util::db_to_linear(interferer.snr_db));
+        const double phase0 =
+            interferer.random_phase ? rng.uniform(0.0, 2.0 * std::numbers::pi) : 0.0;
+        const std::uint64_t placements = plan_interferer(
+            interferer, std::polar(amplitude, phase0), params, sd, total_spectra, workspace);
+        kernels_summed += placements;
+        window_elems += placements * padded;
     }
     batch.seal();
     if (timed) {

@@ -9,20 +9,20 @@
 // floor (i.e. per-device SNR in dB), which keeps the simulation unitless
 // and matches how the paper reports Fig. 12.
 //
-// Two synthesis domains are provided:
-//  * combine() — sample domain: sums time-domain waveforms into the AP's
-//    received baseband. Fully general (multipath, foreign interferers,
-//    arbitrary sample delays). Standard packets arrive as keyed rows and
-//    accumulate straight from per-shift chirp tables, never rendered, so
-//    the cost is O(devices x sounding samples) plus the interferers'
-//    samples, with no per-device buffer.
+// Two synthesis domains consume the same packet and interferer rows:
+//  * combine() — sample domain, the oracle: sums time-domain waveforms
+//    into the AP's received baseband. Fully general (random multipath,
+//    arbitrary dense waveforms). Packets accumulate straight from
+//    per-shift chirp tables, never rendered, so the cost is
+//    O(devices x sounding samples) plus the interferers' samples.
 //  * combine_symbol_domain() — the §3.2 dechirp-to-tone identity run in
 //    reverse: a standard packet's post-dechirp spectrum is a Dirichlet
 //    kernel at bin shift + fractional offset(CFO, STO, Doppler), so each
 //    device is summed directly into the receiver's per-symbol FFT
-//    accumulator. Skips time-domain synthesis, the per-device forward
-//    FFT and every intermediate buffer; cost O(devices x ON-symbols x
-//    kernel window), independent of the symbol length.
+//    accumulator; an interferer adds full-width windows. Skips
+//    time-domain synthesis, the per-device forward FFT and every
+//    intermediate buffer; cost O(devices x ON-symbols x kernel window),
+//    independent of the symbol length.
 #pragma once
 
 #include <array>
@@ -68,8 +68,8 @@ private:
 /// One device's contribution to a concurrent transmission round.
 ///
 /// `waveform` is a non-owning view: the caller keeps the sample storage
-/// alive until combine() returns (an interference source owns its
-/// waveforms per round; tests typically view locally-owned cvecs).
+/// alive until combine() returns (tests and examples typically view
+/// locally-owned cvecs).
 struct tx_contribution {
     waveform_view waveform;         ///< unit-amplitude baseband samples
     double snr_db = 0.0;            ///< received SNR (per-sample, pre-despreading)
@@ -101,6 +101,22 @@ struct packet_contribution {
     /// window (phy::make_multipath_tone_kernel), so multipath rounds stay
     /// symbol-domain.
     std::span<const cplx> taps;
+};
+
+/// Symbolic description of one in-band interferer: a tone at tone_hz
+/// over the capture window, or a classic-CSS (LoRa) frame, one upchirp
+/// per symbol value from sample `sample_delay` on, tone-shifted by
+/// `timing_offset_s`. combine() renders it; combine_symbol_domain() sums
+/// its post-dechirp spectrum.
+struct interferer_contribution {
+    enum class kind : std::uint8_t { tone, lora_frame };
+    kind type = kind::tone;
+    double snr_db = 0.0;
+    bool random_phase = true;
+    double tone_hz = 0.0;                    ///< tone only
+    std::span<const std::uint32_t> symbols;  ///< lora_frame only (non-owning)
+    std::size_t sample_delay = 0;            ///< lora_frame only, < one symbol
+    double timing_offset_s = 0.0;            ///< lora_frame only
 };
 
 /// Superposition channel configuration.
@@ -139,7 +155,7 @@ struct symbol_domain_params {
 /// once the buffers are warm.
 struct channel_workspace {
     cvec received;                  ///< combine() output buffer
-    cvec rendered;                  ///< a keyed row's samples (multipath path)
+    cvec rendered;                  ///< a tapped keyed row's or an interferer's samples
     cvec staged;                    ///< frequency-shift staging (multipath path)
     cvec filtered;                  ///< multipath staging
     /// combine()'s keyed rows read these: the upchirp ([2s]) and downchirp
@@ -159,6 +175,9 @@ struct channel_workspace {
     ns::phy::tone_kernel_table kernel_table;
     cvec noise_taps;
     std::array<std::size_t, 3> noise_geometry{};
+    /// The last tone interferer's window, keyed by (tone_hz, N, padding).
+    cvec tone_window;
+    std::array<double, 3> tone_window_key{};
     /// SoA kernel placements: planned serially, swept per symbol.
     kernel_batch batch;
     /// Per-block on-grid noise draws + wrap margins (one grid per
@@ -198,20 +217,22 @@ struct channel_workspace {
 /// cost nothing but the phasor steps a later ON symbol of the same
 /// re-anchor block needs. A row with taps (or under
 /// config.enable_multipath) is rendered into workspace.rendered first,
-/// because the tap line convolves the full waveform. Sub-sample timing
-/// offsets and CFO are applied via the equivalent tone shift; an
-/// interferer's integer `sample_delay` shifts it within the capture
-/// window. The random draws run in contribution order (per contribution:
-/// random taps, then the carrier phase), then the noise. Returns a
-/// reference to `workspace.received` (valid until the next combine on
-/// the workspace); bit-identical to the dense overload below over the
-/// same rows rendered with modulate_packet_into.
+/// because the tap line convolves the full waveform; so is each
+/// interferer (a LoRa frame with lora_modulator, shifted by its
+/// `sample_delay`). Sub-sample timing
+/// offsets and CFO are applied via the equivalent tone shift. The random
+/// draws run in contribution order (per contribution: random taps, then
+/// the carrier phase), then the noise. Returns a reference to
+/// `workspace.received` (valid until the next combine on the workspace);
+/// bit-identical to the dense overload below over the same rows and
+/// interferers rendered.
 const cvec& combine(std::span<const packet_contribution> rows,
-                    std::span<const tx_contribution> interferers, std::size_t length,
-                    const ns::phy::css_params& params, const channel_config& config,
-                    ns::util::rng& rng, channel_workspace& workspace);
+                    std::span<const interferer_contribution> interferers,
+                    std::size_t length, const ns::phy::css_params& params,
+                    const channel_config& config, ns::util::rng& rng,
+                    channel_workspace& workspace);
 
-/// combine() over dense waveforms only (no keyed rows).
+/// combine() over dense waveforms only, each shifted by its sample_delay.
 const cvec& combine(std::span<const tx_contribution> contributions, std::size_t length,
                     const ns::phy::css_params& params, const channel_config& config,
                     ns::util::rng& rng, channel_workspace& workspace);
@@ -241,10 +262,21 @@ const cvec& combine(std::span<const tx_contribution> contributions, std::size_t 
 /// vectorized loop. Because every symbol is self-contained, the sweep
 /// fans out across workspace.block_pool when set — with spectra
 /// bit-identical at any thread count, including fully serial.
+///
+/// `interferers` follow the packets in the plan (one phase draw each)
+/// with full-width windows. A tone times the dechirp is a
+/// frequency-shifted downchirp: one padded FFT per tone frequency
+/// (workspace.tone_window) times e^{jωNg} in global symbol g. A LoRa
+/// frame delayed d samples leaves value v_g over samples [d, N) and
+/// v_{g−1} over [0, d) of window g: partial-window kernels at bin
+/// v − d + τ (τ the timing offset in bins) with phase
+/// 2π(−v·d/N + d²/2N + d/2) + ω(gN − d), two windows per frame rotated
+/// by v·padding bins.
 void combine_symbol_domain(std::span<const packet_contribution> packets,
                            const ns::phy::css_params& params,
                            const channel_config& config,
                            const symbol_domain_params& sd, ns::util::rng& rng,
-                           channel_workspace& workspace);
+                           channel_workspace& workspace,
+                           std::span<const interferer_contribution> interferers = {});
 
 }  // namespace ns::channel

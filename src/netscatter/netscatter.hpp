@@ -55,7 +55,6 @@
 #include "netscatter/mac/scheduler.hpp"
 
 #include "netscatter/rx/receiver.hpp"
-#include "netscatter/rx/stream_receiver.hpp"
 
 #include "netscatter/baseline/choir.hpp"
 #include "netscatter/baseline/lora_link.hpp"

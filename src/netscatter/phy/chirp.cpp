@@ -167,6 +167,29 @@ std::size_t make_dechirped_tone_kernel(cvec& kernel, double position_bins,
     return table.build(kernel, position_bins, table.radius_bins());
 }
 
+void make_dechirped_tone_kernel(cvec& kernel, double position_bins, std::size_t num_bins,
+                                std::size_t padding, std::size_t window_start,
+                                std::size_t window_length) {
+    ns::util::require(window_length >= 1 && window_start + window_length <= num_bins,
+                      "tone_kernel: partial window outside the symbol");
+    const double m_real = static_cast<double>(num_bins * padding);
+    double p = position_bins * static_cast<double>(padding);
+    p -= std::floor(p / m_real) * m_real;
+    // θ stays in (−1, 1): the kernel is 1-periodic in θ for integer L.
+    const double length = static_cast<double>(window_length);
+    const double phase =
+        std::numbers::pi * (2.0 * static_cast<double>(window_start) + length - 1.0);
+    kernel.resize(num_bins * padding);
+    for (std::size_t m = 0; m < kernel.size(); ++m) {
+        const double theta = (p - static_cast<double>(m)) / m_real;
+        const double den = std::sin(std::numbers::pi * theta);
+        const double magnitude = std::abs(den) < 1e-12
+                                     ? length  // θ -> 0 limit (the on-peak bin)
+                                     : std::sin(std::numbers::pi * length * theta) / den;
+        kernel[m] = signed_polar(magnitude, phase * theta);
+    }
+}
+
 std::size_t make_multipath_tone_kernel(cvec& envelope, std::span<const cplx> taps,
                                        std::uint32_t cyclic_shift, double tone_bins,
                                        const tone_kernel_table& table,

@@ -131,6 +131,16 @@ private:
 std::size_t make_dechirped_tone_kernel(cvec& kernel, double position_bins,
                                        const tone_kernel_table& table);
 
+/// The kernel of a tone that sounds only over samples [a, a + L) of the
+/// symbol (one segment of a misaligned frame), a = window_start and
+/// L = window_length ≥ 1, a + L ≤ N:
+///   X[m] = e^{jπ(2a+L−1)θ} · sin(πLθ)/sin(πθ),  θ = (position·padding − m)/M.
+/// Short segments have main lobes about 2N/L chip bins wide, so `kernel`
+/// holds all M bins, kernel[m] at padded bin m, evaluated with libm.
+void make_dechirped_tone_kernel(cvec& kernel, double position_bins, std::size_t num_bins,
+                                std::size_t padding, std::size_t window_start,
+                                std::size_t window_length);
+
 /// Frequency-selective multipath on the fast path. A tap delaying the
 /// chirp by t samples is — at the critical sampling rate — exactly a
 /// -t-bin cyclic shift with a constant, shift-dependent phase:

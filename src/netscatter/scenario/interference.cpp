@@ -1,12 +1,9 @@
 #include "netscatter/scenario/interference.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <numbers>
 
 #include "netscatter/mac/allocator.hpp"
 #include "netscatter/mac/scheduler.hpp"
-#include "netscatter/phy/modulator.hpp"
 #include "netscatter/util/error.hpp"
 
 namespace ns::scenario {
@@ -21,20 +18,14 @@ interference_source::interference_source(interference_spec spec,
                       "interference: period_rounds must be >= 1");
 }
 
-ns::channel::tx_contribution interference_source::make_tone(double tone_hz) {
-    waveform_.resize(packet_samples_);
-    const double step = 2.0 * std::numbers::pi * tone_hz / phy_.bandwidth_hz;
-    for (std::size_t n = 0; n < packet_samples_; ++n) {
-        waveform_[n] = std::polar(1.0, step * static_cast<double>(n));
-    }
-    ns::channel::tx_contribution tx;
-    tx.waveform = std::span<const ns::dsp::cplx>(waveform_);
-    tx.snr_db = spec_.snr_db;
-    tx.random_phase = true;
-    return tx;
+ns::channel::interferer_contribution interference_source::make_tone(double tone_hz) const {
+    ns::channel::interferer_contribution tone;
+    tone.snr_db = spec_.snr_db;
+    tone.tone_hz = tone_hz;
+    return tone;
 }
 
-ns::channel::tx_contribution interference_source::make_lora_frame() {
+ns::channel::interferer_contribution interference_source::make_lora_frame() {
     // A foreign classic-CSS frame: same (BW, SF) chirps carrying random
     // symbol values, misaligned by a random integer + fractional sample
     // offset, so its dechirped peaks are neither slot- nor bin-aligned.
@@ -44,18 +35,17 @@ ns::channel::tx_contribution interference_source::make_lora_frame() {
         value = static_cast<std::uint32_t>(
             rng_.uniform_int(0, static_cast<std::int64_t>(phy_.num_bins()) - 1));
     }
-    ns::phy::lora_modulator(phy_).modulate_into(symbol_values_, waveform_);
-    ns::channel::tx_contribution tx;
-    tx.waveform = std::span<const ns::dsp::cplx>(waveform_);
-    tx.snr_db = spec_.snr_db;
-    tx.timing_offset_s = rng_.uniform(0.0, phy_.symbol_duration_s());
-    tx.sample_delay = static_cast<std::size_t>(
+    ns::channel::interferer_contribution frame;
+    frame.type = ns::channel::interferer_contribution::kind::lora_frame;
+    frame.snr_db = spec_.snr_db;
+    frame.symbols = symbol_values_;
+    frame.timing_offset_s = rng_.uniform(0.0, phy_.symbol_duration_s());
+    frame.sample_delay = static_cast<std::size_t>(
         rng_.uniform_int(0, static_cast<std::int64_t>(sps) - 1));
-    tx.random_phase = true;
-    return tx;
+    return frame;
 }
 
-std::span<const ns::channel::tx_contribution> interference_source::step(std::size_t round) {
+std::span<const ns::channel::interferer_contribution> interference_source::step(std::size_t round) {
     contributions_.clear();
     switch (spec_.kind) {
         case interference_kind::none:

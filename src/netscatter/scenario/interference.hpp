@@ -1,9 +1,10 @@
 // In-band interference injection.
 //
 // The paper deploys in the 900 MHz ISM band, which NetScatter shares
-// with everything else that lives there. This injector synthesizes the
-// two interferer families that matter for a CSS receiver and hands them
-// to the superposition channel as extra contributions:
+// with everything else that lives there. This injector draws the two
+// interferer families that matter for a CSS receiver and hands them to
+// the superposition channel as symbolic descriptions
+// (channel::interferer_contribution) that both synthesis paths consume:
 //  * narrowband tones (periodic or bursty) — a tone lands in a handful
 //    of dechirped FFT bins and raids whoever is parked nearby;
 //  * classic-CSS (LoRa) frames — same chirp slope as NetScatter, so a
@@ -27,22 +28,22 @@ namespace ns::scenario {
 /// Deterministic per-round interference source.
 class interference_source {
 public:
-    /// `packet_samples` is the AP capture-window length the contribution
-    /// must fill (the simulator's per-round window).
+    /// `packet_samples` is the AP capture-window length a LoRa frame
+    /// must cover (the simulator's per-round window).
     interference_source(interference_spec spec, ns::phy::css_params phy,
                         std::size_t packet_samples, std::uint64_t seed);
 
-    /// Contributions to sum into `round`'s channel (possibly empty).
-    /// The span and the waveforms it views are owned by this source; they
+    /// Interferers to sum into `round`'s channel (possibly empty). The
+    /// span and the symbol values it views are owned by this source; they
     /// stay valid until the next step() call, which refills them without
     /// allocating once warm.
-    std::span<const ns::channel::tx_contribution> step(std::size_t round);
+    std::span<const ns::channel::interferer_contribution> step(std::size_t round);
 
     std::size_t total_events() const { return total_events_; }
 
 private:
-    ns::channel::tx_contribution make_tone(double tone_hz);
-    ns::channel::tx_contribution make_lora_frame();
+    ns::channel::interferer_contribution make_tone(double tone_hz) const;
+    ns::channel::interferer_contribution make_lora_frame();
 
     interference_spec spec_;
     ns::phy::css_params phy_;
@@ -50,10 +51,9 @@ private:
     ns::util::rng rng_;
     std::size_t total_events_ = 0;
     /// Storage behind step()'s span, reused at each step(): the
-    /// contributions, the one waveform they view (a step raises at most
-    /// one event) and a LoRa frame's symbol values.
-    std::vector<ns::channel::tx_contribution> contributions_;
-    ns::dsp::cvec waveform_;
+    /// interferers and a LoRa frame's symbol values (a step raises at
+    /// most one event).
+    std::vector<ns::channel::interferer_contribution> contributions_;
     std::vector<std::uint32_t> symbol_values_;
 };
 

@@ -288,7 +288,6 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
         probes_.round_allocs = metrics_.get_histogram("round.allocs");
         probes_.rounds = metrics_.get_counter("sim.rounds");
         probes_.fast_rounds = metrics_.get_counter("sim.fast_path_rounds");
-        probes_.sample_rounds = metrics_.get_counter("sim.sample_path_rounds");
         // Warm-up rounds grow the fan-out scratch to the round-thread
         // count, so the warm-up allocation count is host data too.
         probes_.alloc_warmup_count = metrics_.get_counter("alloc.warmup_count", host);
@@ -908,27 +907,6 @@ void network_simulator::plan_phase(round_state& state) {
             }
         }
     }
-
-    // Pick this round's synthesis domain (§3.2 fast path). Multipath
-    // rides the fast path as a spectral envelope on the kernel and
-    // co-channel packets are symbol-domain representable by
-    // construction, so the only sample-level effect that disqualifies
-    // a round is injected interference (foreign non-CSS waveforms,
-    // arbitrary sample delays).
-    switch (config_.fidelity) {
-        case phy_fidelity::sample:
-            break;
-        case phy_fidelity::symbol:
-            ns::util::require(state.plan.interference.empty(),
-                              "phy_fidelity::symbol cannot represent "
-                              "sample-level interference; use automatic or "
-                              "sample fidelity");
-            state.fast_path = true;
-            break;
-        case phy_fidelity::automatic:
-            state.fast_path = state.plan.interference.empty();
-            break;
-    }
 }
 
 void network_simulator::grouping_phase(round_state& state) {
@@ -1178,8 +1156,8 @@ void network_simulator::superpose_phase(round_state& state) {
     }
 
     // One row per packet on the air, on both paths: our rows in transmit
-    // order, then the co-channel rows (then interferers on the sample
-    // path). The order fixes the phase and noise draws.
+    // order, then the co-channel rows, then the injected interferers.
+    // The order fixes the phase and noise draws.
     for (std::size_t row = 0; row < tx_row_shift_.size(); ++row) {
         packet_contribs_[row].frame_bits = std::span<const std::uint8_t>(
             frame_bits_store_.data() + row * frame_bits, frame_bits);
@@ -1190,22 +1168,20 @@ void network_simulator::superpose_phase(round_state& state) {
 
     ns::channel::channel_config chan;
     chan.noise_power = 1.0;
-    if (state.fast_path) {
+    if (symbol_domain()) {
         ns::channel::symbol_domain_params sd;
         sd.zero_padding = config_.zero_padding;
         sd.preamble_upchirps = ns::phy::distributed_modulator::preamble_upchirps;
         sd.preamble_symbols = config_.frame.preamble_symbols;
         sd.payload_symbols = frame_bits;
         sd.kernel_radius_bins = config_.symbol_kernel_radius_bins;
-        ns::channel::combine_symbol_domain(packet_contribs_, config_.phy, chan,
-                                           sd, rng_, chan_ws_);
+        ns::channel::combine_symbol_domain(packet_contribs_, config_.phy, chan, sd, rng_,
+                                           chan_ws_, plan.interference);
         return;
     }
 
-    // Sample path: a packet is its shift's upchirp ON-OFF keyed by its
-    // frame bits (§3.1), so the rows accumulate straight from the
-    // channel's per-shift chirp tables, a desynced device's stale shift
-    // included; the in-band interferers (scenario-injected) follow.
+    // Sample path (the oracle): rows accumulate straight from the
+    // channel's per-shift chirp tables (§3.1), a stale shift included.
     const std::size_t packet_samples =
         (config_.frame.preamble_symbols + frame_bits) *
         config_.phy.samples_per_symbol();
@@ -1217,7 +1193,7 @@ void network_simulator::decode_phase(round_state& state) {
     const phase_scope scope(*this, round_phase::decode, state.round);
     round_outcome& outcome = state.outcome;
     const std::size_t frame_bits = config_.frame.payload_plus_crc_bits();
-    if (state.fast_path) {
+    if (symbol_domain()) {
         receiver_.decode_spectra_into(chan_ws_.symbol_spectra, decoded_, decode_ws_);
     } else {
         receiver_.decode_into(chan_ws_.received, 0, decoded_, decode_ws_);
@@ -1281,11 +1257,11 @@ void network_simulator::account_round(const round_state& state,
     for (const outcome_counter& counter : outcome_counters) {
         result.*counter.total += outcome.*counter.round;
     }
-    if (state.fast_path) ++result.fast_path_rounds;
+    if (symbol_domain()) ++result.fast_path_rounds;
 
     if (probes_.rounds == nullptr) return;
     probes_.rounds->add(1);
-    (state.fast_path ? probes_.fast_rounds : probes_.sample_rounds)->add(1);
+    if (symbol_domain()) probes_.fast_rounds->add(1);
     for (std::size_t i = 0; i < outcome_counters.size(); ++i) {
         if (probes_.outcomes[i] != nullptr) {
             probes_.outcomes[i]->add(outcome.*outcome_counters[i].round);
@@ -1296,14 +1272,14 @@ void network_simulator::account_round(const round_state& state,
     // Per-round allocation delta (thread-local, so the numbers
     // are this replica's own regardless of pool concurrency).
     // Rounds inside the warmup window grow workspace capacity by
-    // design; the steady-state counters start after it and are
-    // what the zero-alloc test and the CI metrics gate assert on.
+    // design (by how much follows the round-thread count); the
+    // steady-state counters and round.allocs start after it.
     const ns::obs::alloc_counters allocs_now = ns::obs::thread_allocations();
     const std::uint64_t alloc_delta = allocs_now.count - allocs_before.count;
-    probes_.round_allocs->record(static_cast<double>(alloc_delta));
     if (state.round < config_.obs.alloc_warmup_rounds) {
         probes_.alloc_warmup_count->add(alloc_delta);
     } else {
+        probes_.round_allocs->record(static_cast<double>(alloc_delta));
         probes_.alloc_steady_count->add(alloc_delta);
         probes_.alloc_steady_bytes->add(allocs_now.bytes - allocs_before.bytes);
         probes_.alloc_steady_rounds->add(1);

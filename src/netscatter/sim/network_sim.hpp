@@ -38,23 +38,19 @@
 
 namespace ns::sim {
 
-/// PHY synthesis fidelity of the simulator's channel (§3.2 fast path).
+/// PHY synthesis fidelity of the simulator's channel (§3.2 fast path),
+/// chosen once per run.
 ///
-/// The dechirp-to-tone identity makes a standard packet's post-dechirp
-/// spectrum analytic (a Dirichlet kernel at bin shift + fractional
-/// offset), so rounds without sample-level effects can skip time-domain
-/// synthesis, the per-device forward FFTs and every intermediate buffer.
+/// The dechirp-to-tone identity makes every row of a round analytic in
+/// the receiver's post-dechirp spectrum (packets, multipath, interferers),
+/// so the symbol path skips time-domain synthesis, the per-device
+/// forward FFTs and every intermediate buffer.
 enum class phy_fidelity {
-    /// Always synthesize time-domain waveforms and decode from samples.
-    /// Bit-identical to the historic simulator.
+    /// Synthesize time-domain waveforms and decode from samples: the
+    /// oracle. Bit-identical to the historic simulator.
     sample,
-    /// Always use the symbol-domain fast path. Throws if a round injects
-    /// sample-level interference (not representable as a post-dechirp
-    /// tone) — use `automatic` when scenarios mix in interferers.
+    /// Synthesize the receiver's per-symbol spectra directly (default).
     symbol,
-    /// Fast path whenever it is exact-to-tolerance for the round (no
-    /// in-band interference contribution), sample path otherwise.
-    automatic,
 };
 
 /// Mid-scenario adaptive control of the group partition (§3.3.3).
@@ -100,10 +96,10 @@ struct sim_config {
     bool model_cfo = true;               ///< crystal offsets (§3.2.2)
 
     /// Channel synthesis fidelity (see phy_fidelity). `sample` keeps
-    /// historic bit-identical results; the default lets eligible rounds
-    /// take the symbol-domain fast path (statistically equivalent —
-    /// enforced by tests — and order-of-magnitude cheaper per device).
-    phy_fidelity fidelity = phy_fidelity::automatic;
+    /// historic bit-identical results; the default symbol-domain fast
+    /// path is statistically equivalent (enforced by tests) and an order
+    /// of magnitude cheaper per device.
+    phy_fidelity fidelity = phy_fidelity::symbol;
     /// Dirichlet kernel truncation radius of the fast path, in chip bins.
     std::size_t symbol_kernel_radius_bins = 16;
 
@@ -516,7 +512,6 @@ private:
         round_outcome outcome;
         round_plan plan;
         bool blackout = false;   ///< the AP is dark this round (faults)
-        bool fast_path = false;  ///< symbol-domain synthesis (§3.2)
         /// Group this round's query addresses (grouped runs with at least
         /// one group; unset otherwise).
         std::optional<std::size_t> scheduled;
@@ -529,8 +524,7 @@ private:
 
     /// Starts a round: advances the fault schedule.
     round_state begin_round(std::size_t round);
-    /// Hooks' round plan, membership changes, injected reboots and the
-    /// round's synthesis domain.
+    /// Hooks' round plan, membership changes and injected reboots.
     void plan_phase(round_state& state);
     /// Adaptive regroup and the scheduled group's registered shifts.
     void grouping_phase(round_state& state);
@@ -539,6 +533,8 @@ private:
     void synth_phase(round_state& state);
     /// Cross-network collision marks and channel superposition.
     void superpose_phase(round_state& state);
+    /// Whether rounds synthesize spectra directly (phy_fidelity::symbol).
+    bool symbol_domain() const { return config_.fidelity == phy_fidelity::symbol; }
     /// Receiver decode and scoring of every report against the sent bits.
     void decode_phase(round_state& state);
     /// Per-group and run totals, registry publish and allocation deltas.
@@ -754,7 +750,6 @@ private:
         std::array<ns::obs::counter*, outcome_counters.size()> outcomes{};
         ns::obs::counter* rounds = nullptr;
         ns::obs::counter* fast_rounds = nullptr;
-        ns::obs::counter* sample_rounds = nullptr;
         ns::obs::counter* alloc_warmup_count = nullptr;
         ns::obs::counter* alloc_steady_count = nullptr;
         ns::obs::counter* alloc_steady_bytes = nullptr;

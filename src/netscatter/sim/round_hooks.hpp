@@ -42,17 +42,16 @@ struct round_plan {
     /// Per-device link-budget updates (mobility).
     std::vector<link_update> link_updates;
     /// Extra in-band transmissions (tones, foreign CSS frames) summed
-    /// into the superposition channel before the receiver runs. These
-    /// are arbitrary sample-level waveforms, so a round carrying them
-    /// cannot take the symbol-domain fast path. Non-owning: the
-    /// contributions and their waveforms must stay valid until the round
-    /// completes (the producing source owns them per round).
-    std::span<const ns::channel::tx_contribution> interference;
+    /// into the superposition channel before the receiver runs.
+    /// Non-owning: the descriptions and the symbol values they view must
+    /// stay valid until the round completes (the producing source owns
+    /// them per round).
+    std::span<const ns::channel::interferer_contribution> interference;
     /// Co-channel NetScatter packets: a second AP's network (distinct
     /// network_id) sharing the band. Being standard packets they are
-    /// described symbolically and superposed on EITHER synthesis path —
+    /// described symbolically and superposed on either synthesis path:
     /// the sample path modulates them, the fast path sums their
-    /// Dirichlet kernels — so co-channel rounds stay fast-path eligible.
+    /// Dirichlet kernels.
     /// frame_bits/taps spans must stay valid until the round completes
     /// (the producing source typically owns the storage per round).
     std::vector<ns::channel::packet_contribution> cochannel;

@@ -465,7 +465,7 @@ std::vector<field> build_fields() {
     t.push_back(f64_field("mobility.carrier_hz", NS_ACCESS(mobility.carrier_hz),
                           more_than(0.0)));
 
-    // Waveform interference injectors.
+    // In-band interference injectors.
     t.push_back(enum_field(
         "interference.kind", NS_ACCESS(interference.kind),
         std::vector<std::pair<std::string, interference_kind>>{
@@ -556,7 +556,7 @@ std::vector<field> build_fields() {
         std::vector<std::pair<std::string, phy_fidelity>>{
             {"sample", phy_fidelity::sample},
             {"symbol", phy_fidelity::symbol},
-            {"auto", phy_fidelity::automatic}}));
+            {"auto", phy_fidelity::symbol}}));  // the older spelling
     t.push_back(int_field("sim.symbol_kernel_radius_bins",
                           NS_ACCESS(sim.symbol_kernel_radius_bins), 1));
 

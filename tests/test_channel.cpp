@@ -679,7 +679,8 @@ TEST(superposition, keyed_row_combine_matches_rendered_rows) {
     // combine() over packet rows must equal combine() over the same rows
     // rendered with modulate_packet_into, draw for draw: the received
     // samples and the generator state afterwards, with a tapped row, a
-    // zero-tone row, a fixed-phase row and a dense interferer in the mix.
+    // zero-tone row, a fixed-phase row and a LoRa frame interferer
+    // (rendered densely on the other side) in the mix.
     const ns::phy::css_params p{.bandwidth_hz = 500e3, .spreading_factor = 9};
     const std::size_t bits_count = 24;
     ns::util::rng gen(47);
@@ -698,16 +699,23 @@ TEST(superposition, keyed_row_combine_matches_rendered_rows) {
     rows[0].random_phase = false;  // row 0 also has zero tone
     rows[2].taps = taps;
 
-    const cvec tone = ns::phy::make_upchirp(p, 77.0);
+    const std::vector<std::uint32_t> frame_symbols(40, 77);
+    interferer_contribution frame;
+    frame.type = interferer_contribution::kind::lora_frame;
+    frame.symbols = frame_symbols;
+    frame.snr_db = 5.0;
+    frame.timing_offset_s = 1.3e-6;
+    frame.sample_delay = 300;
+    const cvec chirp = ns::phy::make_upchirp(p, 77.0);
     cvec interferer_wave;
     for (int k = 0; k < 40; ++k) {
-        interferer_wave.insert(interferer_wave.end(), tone.begin(), tone.end());
+        interferer_wave.insert(interferer_wave.end(), chirp.begin(), chirp.end());
     }
     tx_contribution interferer;
     interferer.waveform = std::span<const cplx>(interferer_wave);
-    interferer.snr_db = 5.0;
-    interferer.timing_offset_s = 1.3e-6;
-    interferer.sample_delay = 300;
+    interferer.snr_db = frame.snr_db;
+    interferer.timing_offset_s = frame.timing_offset_s;
+    interferer.sample_delay = frame.sample_delay;
 
     std::vector<cvec> packets(rows.size());
     std::vector<tx_contribution> dense;
@@ -735,7 +743,7 @@ TEST(superposition, keyed_row_combine_matches_rendered_rows) {
             channel_workspace dense_ws;
             ns::obs::metrics_registry metrics;
             keyed_ws.obs.metrics = &metrics;
-            const cvec& keyed = combine(rows, std::span<const tx_contribution>(&interferer, 1),
+            const cvec& keyed = combine(rows, std::span<const interferer_contribution>(&frame, 1),
                                         length, p, config, keyed_rng, keyed_ws);
             const cvec& rendered = combine(std::span<const tx_contribution>(dense), length,
                                            p, config, dense_rng, dense_ws);

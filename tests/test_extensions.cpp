@@ -1,139 +1,19 @@
-// Tests for the extension modules: streaming receiver, group scheduler,
+// Tests for the extension modules: group scheduler,
 // grouped network simulation (§3.3.3 scheduled groups) and the IC
 // power/energy model.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
-#include <span>
 
-#include "netscatter/channel/awgn.hpp"
-#include "netscatter/channel/superposition.hpp"
 #include "netscatter/device/power_budget.hpp"
 #include "netscatter/mac/scheduler.hpp"
-#include "netscatter/phy/modulator.hpp"
-#include "netscatter/rx/stream_receiver.hpp"
 #include "netscatter/sim/network_sim.hpp"
 #include "netscatter/sim/timeline.hpp"
 #include "netscatter/util/error.hpp"
 #include "netscatter/util/rng.hpp"
 
 namespace {
-
-using ns::dsp::cplx;
-using ns::dsp::cvec;
-
-// ---------------------------------------------------- stream receiver --
-
-struct stream_fixture {
-    ns::rx::stream_receiver_params params;
-    std::vector<std::pair<std::size_t, ns::rx::decode_result>> packets;
-    ns::rx::stream_receiver rx;
-
-    stream_fixture()
-        : params{.rx = {.phy = ns::phy::deployed_params(),
-                        .frame = ns::phy::linklayer_format()}},
-          rx(params, [this](std::size_t offset, const ns::rx::decode_result& result) {
-              packets.emplace_back(offset, result);
-          }) {}
-};
-
-cvec make_round(const ns::rx::receiver_params& rxp,
-                const std::vector<std::uint32_t>& shifts,
-                std::vector<std::vector<bool>>& sent, ns::util::rng& gen) {
-    std::vector<ns::channel::tx_contribution> txs;
-    std::vector<cvec> waveforms;
-    for (std::uint32_t shift : shifts) {
-        const auto bits =
-            ns::phy::build_frame_bits(rxp.frame, gen.bits(rxp.frame.payload_bits));
-        sent.push_back(bits);
-        ns::phy::distributed_modulator mod(rxp.phy, shift);
-        ns::channel::tx_contribution tx;
-        waveforms.push_back(mod.modulate_packet(bits));
-        tx.waveform = std::span<const ns::dsp::cplx>(waveforms.back());
-        tx.snr_db = 6.0;
-        txs.push_back(std::move(tx));
-    }
-    const std::size_t samples =
-        (rxp.frame.preamble_symbols + rxp.frame.payload_plus_crc_bits()) *
-        rxp.phy.samples_per_symbol();
-    ns::channel::channel_config config;
-    ns::channel::channel_workspace chan_ws;
-    return ns::channel::combine(
-        std::span<const ns::channel::tx_contribution>(txs), samples, rxp.phy,
-        config, gen, chan_ws);
-}
-
-TEST(stream_receiver, decodes_two_rounds_with_idle_gaps) {
-    stream_fixture fx;
-    fx.rx.set_registered_shifts({50, 300});
-    ns::util::rng gen(1);
-
-    std::vector<std::vector<bool>> sent;
-    const cvec round1 = make_round(fx.params.rx, {50, 300}, sent, gen);
-    const cvec round2 = make_round(fx.params.rx, {50, 300}, sent, gen);
-    const cvec gap = ns::channel::make_noise(3000, 1.0, gen);
-
-    fx.rx.push_samples(gap);
-    fx.rx.push_samples(round1);
-    fx.rx.push_samples(gap);
-    fx.rx.push_samples(round2);
-    fx.rx.push_samples(gap);  // flush the tail
-
-    ASSERT_EQ(fx.rx.packets_decoded(), 2u);
-    ASSERT_EQ(fx.packets.size(), 2u);
-    // Round 1: both devices decode with the payloads sent first.
-    EXPECT_TRUE(fx.packets[0].second.reports[0].crc_ok);
-    EXPECT_EQ(fx.packets[0].second.reports[0].bits, sent[0]);
-    EXPECT_EQ(fx.packets[0].second.reports[1].bits, sent[1]);
-    // Round 2 payloads are the second pair.
-    EXPECT_EQ(fx.packets[1].second.reports[0].bits, sent[2]);
-    EXPECT_EQ(fx.packets[1].second.reports[1].bits, sent[3]);
-    // Offsets are in stream coordinates (first packet after the 3000-gap).
-    EXPECT_NEAR(static_cast<double>(fx.packets[0].first), 3000.0, 4.0);
-}
-
-TEST(stream_receiver, packet_straddling_chunks_survives) {
-    stream_fixture fx;
-    fx.rx.set_registered_shifts({128});
-    ns::util::rng gen(2);
-    std::vector<std::vector<bool>> sent;
-    const cvec round = make_round(fx.params.rx, {128}, sent, gen);
-
-    // Feed in awkward chunk sizes crossing every boundary.
-    std::size_t pos = 0;
-    for (std::size_t chunk : {100ul, 5000ul, 12345ul, 1ul, 100000ul}) {
-        const std::size_t n = std::min(chunk, round.size() - pos);
-        fx.rx.push_samples(std::span(round).subspan(pos, n));
-        pos += n;
-        if (pos >= round.size()) break;
-    }
-    fx.rx.push_samples(ns::channel::make_noise(2000, 1.0, gen));
-    EXPECT_EQ(fx.rx.packets_decoded(), 1u);
-    ASSERT_EQ(fx.packets.size(), 1u);
-    EXPECT_EQ(fx.packets[0].second.reports[0].bits, sent[0]);
-}
-
-TEST(stream_receiver, pure_noise_produces_no_packets) {
-    stream_fixture fx;
-    fx.rx.set_registered_shifts({128});
-    ns::util::rng gen(3);
-    for (int i = 0; i < 5; ++i) {
-        fx.rx.push_samples(ns::channel::make_noise(30000, 1.0, gen));
-    }
-    EXPECT_EQ(fx.rx.packets_decoded(), 0u);
-    EXPECT_EQ(fx.rx.samples_consumed(), 150000u);
-}
-
-TEST(stream_receiver, rejects_null_callback_and_tiny_buffer) {
-    ns::rx::stream_receiver_params params;
-    params.rx.phy = ns::phy::deployed_params();
-    EXPECT_THROW(ns::rx::stream_receiver(params, nullptr), ns::util::invalid_argument);
-    params.max_buffer_samples = 10;
-    EXPECT_THROW(ns::rx::stream_receiver(params, [](std::size_t,
-                                                    const ns::rx::decode_result&) {}),
-                 ns::util::invalid_argument);
-}
 
 // ----------------------------------------------------- group scheduler --
 
@@ -339,22 +219,6 @@ TEST(power_budget, battery_life_sane) {
 
 
 // --------------------------------------------- additional coverage --
-
-TEST(stream_receiver, back_to_back_packets_no_gap) {
-    stream_fixture fx;
-    fx.rx.set_registered_shifts({200});
-    ns::util::rng gen(41);
-    std::vector<std::vector<bool>> sent;
-    cvec both = make_round(fx.params.rx, {200}, sent, gen);
-    const cvec second = make_round(fx.params.rx, {200}, sent, gen);
-    both.insert(both.end(), second.begin(), second.end());
-    fx.rx.push_samples(both);
-    fx.rx.push_samples(ns::channel::make_noise(2000, 1.0, gen));
-    EXPECT_EQ(fx.rx.packets_decoded(), 2u);
-    ASSERT_EQ(fx.packets.size(), 2u);
-    EXPECT_EQ(fx.packets[0].second.reports[0].bits, sent[0]);
-    EXPECT_EQ(fx.packets[1].second.reports[0].bits, sent[1]);
-}
 
 TEST(grouped_sim, per_group_metrics_decompose_schedule) {
     // Two capacity-split groups served round-robin: the per-group

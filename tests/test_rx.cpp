@@ -12,7 +12,6 @@
 #include "netscatter/phy/frame.hpp"
 #include "netscatter/phy/modulator.hpp"
 #include "netscatter/rx/receiver.hpp"
-#include "netscatter/rx/stream_receiver.hpp"
 #include "netscatter/util/error.hpp"
 #include "netscatter/util/rng.hpp"
 
@@ -268,107 +267,6 @@ TEST(receiver, timing_jitter_within_skip_tolerated) {
     EXPECT_TRUE(result.reports[1].crc_ok);
     EXPECT_EQ(result.reports[0].bits, bits_a);
     EXPECT_EQ(result.reports[1].bits, bits_b);
-}
-
-// ------------------------------------------------------ stream_receiver --
-
-std::size_t packet_samples_of(const receiver_params& rxp) {
-    return (rxp.frame.preamble_symbols + rxp.frame.payload_plus_crc_bits()) *
-           rxp.phy.samples_per_symbol();
-}
-
-TEST(stream_receiver, packet_straddling_chunk_boundary_decodes_once) {
-    // The packet begins in the first chunk but its tail arrives in the
-    // second: the receiver must hold the partial packet and emit exactly
-    // one callback, at the correct absolute offset.
-    const receiver_params rxp = default_rx();
-    const std::size_t packet_len = packet_samples_of(rxp);
-
-    std::vector<std::size_t> offsets;
-    std::size_t crc_ok_count = 0;
-    stream_receiver_params params;
-    params.rx = rxp;
-    stream_receiver stream_rx(params, [&](std::size_t offset, const decode_result& r) {
-        offsets.push_back(offset);
-        if (!r.reports.empty() && r.reports[0].crc_ok) ++crc_ok_count;
-    });
-    stream_rx.set_registered_shifts({100});
-
-    ns::util::rng gen(31);
-    const std::size_t lead_in = 2000;
-    const auto setup = make_concurrent(rxp, {100}, {10.0}, gen, lead_in);
-    ASSERT_GT(setup.stream.size(), lead_in + packet_len);
-
-    // First chunk ends mid-packet (but already holds > one packet length,
-    // so the detector runs and must wait for the tail).
-    const std::size_t cut = lead_in + packet_len - 1500;
-    ASSERT_GT(cut, packet_len);
-    stream_rx.push_samples(
-        std::span<const cplx>(setup.stream.data(), cut));
-    EXPECT_EQ(stream_rx.packets_decoded(), 0u);
-
-    stream_rx.push_samples(std::span<const cplx>(setup.stream.data() + cut,
-                                                 setup.stream.size() - cut));
-    EXPECT_EQ(stream_rx.packets_decoded(), 1u);
-    ASSERT_EQ(offsets.size(), 1u);
-    EXPECT_NEAR(static_cast<double>(offsets[0]), static_cast<double>(lead_in), 2.0);
-    EXPECT_EQ(crc_ok_count, 1u);
-    EXPECT_EQ(stream_rx.samples_consumed(), setup.stream.size());
-
-    // More noise afterwards must not re-decode the same packet.
-    const cvec noise = ns::channel::make_noise(4096, 1.0, gen);
-    stream_rx.push_samples(noise);
-    EXPECT_EQ(stream_rx.packets_decoded(), 1u);
-}
-
-TEST(stream_receiver, eviction_keeps_stream_offset_accounting) {
-    // A long noisy run forces the buffer cap to evict old samples while a
-    // packet is partially buffered; the reported absolute offset must
-    // stay correct across the eviction.
-    const receiver_params rxp = default_rx();
-    const std::size_t packet_len = packet_samples_of(rxp);
-
-    std::vector<std::size_t> offsets;
-    std::size_t crc_ok_count = 0;
-    stream_receiver_params params;
-    params.rx = rxp;
-    params.max_buffer_samples = 2 * packet_len;  // the minimum allowed cap
-    stream_receiver stream_rx(params, [&](std::size_t offset, const decode_result& r) {
-        offsets.push_back(offset);
-        if (!r.reports.empty() && r.reports[0].crc_ok) ++crc_ok_count;
-    });
-    stream_rx.set_registered_shifts({100});
-
-    ns::util::rng gen(32);
-    // Packet begins deep into a noise run, far beyond the buffer cap.
-    const std::size_t lead_in = 110000;
-    const auto setup = make_concurrent(rxp, {100}, {10.0}, gen, lead_in);
-
-    // One oversized chunk: noise + the packet head (tail still missing).
-    // The detector finds the start, leaves the buffer over the cap, and
-    // push_samples must evict the oldest samples without losing the
-    // partial packet or corrupting the offset bookkeeping.
-    const std::size_t cut = lead_in + packet_len / 2;
-    ASSERT_GT(cut, params.max_buffer_samples);
-    stream_rx.push_samples(std::span<const cplx>(setup.stream.data(), cut));
-    EXPECT_EQ(stream_rx.packets_decoded(), 0u);
-
-    stream_rx.push_samples(std::span<const cplx>(setup.stream.data() + cut,
-                                                 setup.stream.size() - cut));
-    EXPECT_EQ(stream_rx.packets_decoded(), 1u);
-    ASSERT_EQ(offsets.size(), 1u);
-    EXPECT_NEAR(static_cast<double>(offsets[0]), static_cast<double>(lead_in), 2.0);
-    EXPECT_EQ(crc_ok_count, 1u);
-    EXPECT_EQ(stream_rx.samples_consumed(), setup.stream.size());
-}
-
-TEST(stream_receiver, rejects_buffer_smaller_than_two_packets) {
-    const receiver_params rxp = default_rx();
-    stream_receiver_params params;
-    params.rx = rxp;
-    params.max_buffer_samples = packet_samples_of(rxp);  // too small
-    EXPECT_THROW(stream_receiver(params, [](std::size_t, const decode_result&) {}),
-                 ns::util::invalid_argument);
 }
 
 }  // namespace

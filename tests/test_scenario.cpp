@@ -649,7 +649,8 @@ TEST(interference, periodic_tone_cadence_and_shape) {
         const auto contributions = source.step(round);
         if (round % 3 == 0) {
             ASSERT_EQ(contributions.size(), 1u);
-            EXPECT_EQ(contributions[0].waveform.size(), 4096u);
+            EXPECT_EQ(contributions[0].type, ns::channel::interferer_contribution::kind::tone);
+            EXPECT_DOUBLE_EQ(contributions[0].tone_hz, spec.tone_hz);
             EXPECT_DOUBLE_EQ(contributions[0].snr_db, 17.0);
             ++events;
         } else {
@@ -666,7 +667,9 @@ TEST(interference, lora_frame_covers_window_and_misaligns) {
     interference_source source(spec, ns::phy::deployed_params(), 10000, 2);
     const auto contributions = source.step(0);
     ASSERT_EQ(contributions.size(), 1u);
-    EXPECT_GE(contributions[0].waveform.size(), 10000u);
+    const ns::phy::css_params phy = ns::phy::deployed_params();
+    EXPECT_GE(contributions[0].symbols.size() * phy.samples_per_symbol(), 10000u);
+    EXPECT_LT(contributions[0].sample_delay, phy.samples_per_symbol());
     EXPECT_GT(contributions[0].timing_offset_s, 0.0);
 }
 
@@ -834,11 +837,53 @@ TEST(sample_path, tone_interferers_are_pinned) {
     EXPECT_EQ(outcome_hash(sim), 0x31ac9b4685ea01ceULL);
 }
 
-TEST(sample_path, rounds_mixed_with_the_fast_path_are_pinned) {
+// The same runs at the spec's own fidelity: every round, interfered or
+// not, synthesizes spectra, so any change to how an interferer's windows
+// are built or placed must keep every outcome of these runs.
+
+TEST(symbol_path, lora_frame_interferers_are_pinned) {
     const auto sim = pinned_run("interference-lora", 20, std::nullopt);
-    EXPECT_GT(sim.fast_path_rounds, 0u);
-    EXPECT_LT(sim.fast_path_rounds, sim.rounds.size());
-    EXPECT_EQ(outcome_hash(sim), 0x1c2fb3dc8b84cd7aULL);
+    EXPECT_EQ(sim.fast_path_rounds, sim.rounds.size());
+    EXPECT_EQ(outcome_hash(sim), 0x822d32162837384ULL);
+}
+
+TEST(symbol_path, tone_interferers_are_pinned) {
+    const auto sim = pinned_run("interference-tone", 20, std::nullopt);
+    EXPECT_EQ(sim.fast_path_rounds, sim.rounds.size());
+    EXPECT_EQ(outcome_hash(sim), 0x6d13b3760a1c3973ULL);
+}
+
+// ------------------------------------------ interference vs the oracle --
+
+TEST(interference_sweep, fast_path_tracks_the_sample_path_over_interferer_power) {
+    // Delivery and BER against the interferer's power, the symbol path
+    // against the sample path, for both interferer kinds: every round
+    // carries an interferer, swept from below the noise floor to 30 dB
+    // above it. The paths are different noise realizations of the same
+    // physics, so they must agree within the fidelity_equivalence
+    // tolerances at every point, and the interferer must bite.
+    for (const char* name : {"interference-lora", "interference-tone"}) {
+        double weakest_delivery = 0.0;
+        double strongest_delivery = 0.0;
+        for (const double snr_db : {0.0, 10.0, 20.0, 30.0}) {
+            scenario_spec spec = *find_scenario(name);
+            spec.sim.rounds = 6;
+            spec.interference.snr_db = snr_db;
+            spec.interference.period_rounds = 1;
+            spec.interference.burst_probability = 1.0;
+            spec.sim.fidelity = ns::sim::phy_fidelity::sample;
+            const ns::sim::sim_result sample = run_scenario_replica(spec, 0).sim;
+            spec.sim.fidelity = ns::sim::phy_fidelity::symbol;
+            const ns::sim::sim_result symbol = run_scenario_replica(spec, 0).sim;
+            ASSERT_EQ(symbol.fast_path_rounds, symbol.rounds.size());
+            EXPECT_NEAR(symbol.delivery_rate(), sample.delivery_rate(), 0.08)
+                << name << " at " << snr_db << " dB";
+            EXPECT_NEAR(symbol.ber(), sample.ber(), 0.02) << name << " at " << snr_db << " dB";
+            if (snr_db == 0.0) weakest_delivery = symbol.delivery_rate();
+            strongest_delivery = symbol.delivery_rate();
+        }
+        EXPECT_LT(strongest_delivery, weakest_delivery - 0.05) << name;
+    }
 }
 
 // Golden digests of grouped runs (§3.3.3), so any change to how the

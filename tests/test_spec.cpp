@@ -192,7 +192,10 @@ TEST(spec_override, applies_valid_assignments_and_rejects_bad_ones) {
     scenario_spec spec;
     apply_spec_override(spec, "geometry.num_devices", "512", "--vary");
     EXPECT_EQ(spec.geometry.num_devices, 512u);
-    apply_spec_override(spec, "sim.fidelity", "symbol", "--vary");
+    apply_spec_override(spec, "sim.fidelity", "sample", "--vary");
+    EXPECT_EQ(spec.sim.fidelity, ns::sim::phy_fidelity::sample);
+    // "auto", the older spelling, reads as the symbol path.
+    apply_spec_override(spec, "sim.fidelity", "auto", "--vary");
     EXPECT_EQ(spec.sim.fidelity, ns::sim::phy_fidelity::symbol);
     apply_spec_override(spec, "churn.initial_active", "all", "--vary");
     EXPECT_EQ(spec.churn.initial_active, static_cast<std::size_t>(-1));

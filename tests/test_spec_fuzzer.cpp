@@ -214,8 +214,7 @@ scenario_spec random_full_spec(std::uint64_t seed) {
     spec.sim.model_timing_jitter = rng.bernoulli(0.5);
     spec.sim.model_cfo = rng.bernoulli(0.5);
     spec.sim.fidelity =
-        pick(rng, {ns::sim::phy_fidelity::sample, ns::sim::phy_fidelity::symbol,
-                   ns::sim::phy_fidelity::automatic});
+        pick(rng, {ns::sim::phy_fidelity::sample, ns::sim::phy_fidelity::symbol});
     spec.sim.symbol_kernel_radius_bins =
         static_cast<std::size_t>(rng.uniform_int(1, 6));
     spec.sim.model_multipath = rng.bernoulli(0.5);

@@ -308,6 +308,159 @@ TEST(tone_kernel, single_unit_tap_envelope_reduces_to_bare_kernel) {
     }
 }
 
+TEST(tone_kernel, partial_window_matches_padded_fft) {
+    // A tone sounding over samples [a, a + L) of the symbol has the
+    // padded spectrum of that segment alone: the kernel must match the
+    // zero-padded FFT of the segment bin for bin, for the two segments a
+    // frame delayed d samples leaves ([d, N) and [0, d)), at SF7–SF12,
+    // for peaks inside the spectrum, next to its top bin and below bin 0
+    // (so the main lobe wraps).
+    for (int sf = 7; sf <= 12; ++sf) {
+        const std::size_t n = std::size_t{1} << sf;
+        const std::size_t padding = sf >= 11 ? 2 : 4;
+        const std::size_t m_total = n * padding;
+        for (const std::size_t d : {std::size_t{0}, std::size_t{1}, n / 2, n - 1}) {
+            for (const double position : {17.3, static_cast<double>(n) - 0.4, -3.71}) {
+                for (const auto& [start, length] :
+                     {std::pair{d, n - d}, std::pair{std::size_t{0}, d}}) {
+                    if (length == 0) continue;
+                    cvec segment(n, cplx{0.0, 0.0});
+                    for (std::size_t t = start; t < start + length; ++t) {
+                        segment[t] = std::polar(1.0, 2.0 * std::numbers::pi * position *
+                                                         static_cast<double>(t) /
+                                                         static_cast<double>(n));
+                    }
+                    const cvec expected = ns::dsp::fft_zero_padded(segment, m_total);
+                    cvec kernel;
+                    ns::phy::make_dechirped_tone_kernel(kernel, position, n, padding, start,
+                                                        length);
+                    ASSERT_EQ(kernel.size(), m_total);
+                    double max_error = 0.0;
+                    for (std::size_t m = 0; m < m_total; ++m) {
+                        max_error = std::max(max_error, std::abs(kernel[m] - expected[m]));
+                    }
+                    EXPECT_LT(max_error, 1e-9 * static_cast<double>(n))
+                        << "SF" << sf << " d " << d << " position " << position
+                        << " window [" << start << ", " << start + length << ")";
+                }
+            }
+        }
+    }
+}
+
+TEST(tone_kernel, whole_symbol_window_is_the_full_width_kernel) {
+    const std::size_t n = 512;
+    const std::size_t padding = 4;
+    const ns::phy::tone_kernel_table table(n, padding, n / 2);
+    for (const double position : {0.0, 42.37, 511.5, -0.25}) {
+        cvec full;
+        cvec partial;
+        const std::size_t first = ns::phy::make_dechirped_tone_kernel(full, position, table);
+        ns::phy::make_dechirped_tone_kernel(partial, position, n, padding, 0, n);
+        ASSERT_EQ(partial.size(), full.size());
+        for (std::size_t w = 0; w < full.size(); ++w) {
+            EXPECT_LT(std::abs(partial[(first + w) % full.size()] - full[w]),
+                      1e-12 * static_cast<double>(n));
+        }
+    }
+}
+
+// -------------------------------------------- interferer spectra ------
+
+/// Fast-path spectra of one interferer against dechirp + padded FFT of
+/// the sample path's capture, window for window, with epsilon noise on
+/// both sides. The geometry is small (4 spectra) so SF12 stays cheap:
+/// two preamble upchirps, one downchirp, two payload symbols.
+void expect_interferer_spectra_match(const ns::phy::css_params& phy, std::size_t padding,
+                                     const ns::channel::interferer_contribution& interferer,
+                                     const std::string& label) {
+    ns::channel::symbol_domain_params sd;
+    sd.zero_padding = padding;
+    sd.preamble_upchirps = 2;
+    sd.preamble_symbols = 3;
+    sd.payload_symbols = 2;
+    ns::channel::channel_config config;
+    config.noise_power = 1e-18;
+    const double amplitude = 10.0;  // 200 dB above the epsilon noise
+    const std::size_t n = phy.samples_per_symbol();
+    const std::size_t length = (sd.preamble_symbols + sd.payload_symbols) * n;
+
+    ns::util::rng fast_rng(5);
+    ns::channel::channel_workspace fast_ws;
+    const std::span<const ns::channel::interferer_contribution> one(&interferer, 1);
+    ns::channel::combine_symbol_domain({}, phy, config, sd, fast_rng, fast_ws, one);
+    ns::util::rng sample_rng(6);
+    ns::channel::channel_workspace sample_ws;
+    const cvec& received =
+        ns::channel::combine({}, one, length, phy, config, sample_rng, sample_ws);
+
+    const ns::phy::demodulator demod(phy, padding);
+    ASSERT_EQ(fast_ws.symbol_spectra.size(), 4u);
+    for (std::size_t k = 0; k < 4; ++k) {
+        const std::size_t g = k < 2 ? k : k + 1;
+        cvec expected;
+        demod.symbol_spectrum_into(
+            std::span<const cplx>(received).subspan(g * n, n), expected);
+        const cvec& produced = fast_ws.symbol_spectra[k];
+        ASSERT_EQ(produced.size(), expected.size());
+        double max_error = 0.0;
+        for (std::size_t m = 0; m < expected.size(); ++m) {
+            max_error = std::max(max_error, std::abs(produced[m] - expected[m]));
+        }
+        EXPECT_LT(max_error, 1e-6 * amplitude * static_cast<double>(n))
+            << label << " spectrum " << k;
+    }
+}
+
+TEST(interferer_spectra, lora_frame_matches_sample_path) {
+    // A frame delayed d samples leaves two partial-window tones in each
+    // symbol window; both, with their phases, must land where dechirp +
+    // FFT of the rendered frame puts them: SF7–SF12, d at both edges and
+    // mid-symbol, whole- and fractional-bin timing offsets (one past
+    // half a symbol, so the tone wraps), and symbol values at both ends
+    // of the range (windows rotated across the top bin).
+    for (int sf = 7; sf <= 12; ++sf) {
+        const ns::phy::css_params phy{.bandwidth_hz = 500e3, .spreading_factor = sf};
+        const std::size_t n = phy.num_bins();
+        const std::vector<std::uint32_t> symbols = {
+            static_cast<std::uint32_t>(n - 1), 0, 3, static_cast<std::uint32_t>(n / 3),
+            static_cast<std::uint32_t>(n - 2), 1};
+        for (const std::size_t d : {std::size_t{0}, std::size_t{1}, n / 2, n - 1}) {
+            for (const double offset_bins : {0.0, 0.37, 0.61 * static_cast<double>(n)}) {
+                ns::channel::interferer_contribution frame;
+                frame.type = ns::channel::interferer_contribution::kind::lora_frame;
+                frame.snr_db = 200.0;
+                frame.random_phase = false;
+                frame.symbols = symbols;
+                frame.sample_delay = d;
+                frame.timing_offset_s = offset_bins / phy.bandwidth_hz;
+                expect_interferer_spectra_match(
+                    phy, sf >= 11 ? 2 : 4, frame,
+                    "SF" + std::to_string(sf) + " d " + std::to_string(d) + " offset " +
+                        std::to_string(offset_bins));
+            }
+        }
+    }
+}
+
+TEST(interferer_spectra, tone_matches_sample_path) {
+    // A tone times the dechirp is a frequency-shifted downchirp: one
+    // full-width window, rotated per symbol by the tone's phase advance,
+    // for a tone outside the band too (it aliases).
+    for (int sf = 7; sf <= 12; ++sf) {
+        const ns::phy::css_params phy{.bandwidth_hz = 500e3, .spreading_factor = sf};
+        for (const double tone_hz : {80e3, -12345.6, 0.0, 1.31e6}) {
+            ns::channel::interferer_contribution tone;
+            tone.snr_db = 200.0;
+            tone.random_phase = false;
+            tone.tone_hz = tone_hz;
+            expect_interferer_spectra_match(
+                phy, sf >= 11 ? 2 : 4, tone,
+                "SF" + std::to_string(sf) + " tone " + std::to_string(tone_hz));
+        }
+    }
+}
+
 // ----------------------------------- dechirp-to-tone fractional bins --
 
 TEST(dechirp_identity, offsets_land_on_predicted_fractional_bin) {
@@ -416,23 +569,21 @@ TEST(fidelity_equivalence, multipath_costs_delivery_but_keeps_fast_path) {
     // leakage into neighbouring slots) without knocking rounds off the
     // symbol-domain path.
     const fidelity_outcome flat =
-        run_sim(160, 13, ns::sim::phy_fidelity::automatic, 6, false);
+        run_sim(160, 13, ns::sim::phy_fidelity::symbol, 6, false);
     const fidelity_outcome faded =
-        run_sim(160, 13, ns::sim::phy_fidelity::automatic, 6, true);
+        run_sim(160, 13, ns::sim::phy_fidelity::symbol, 6, true);
     EXPECT_EQ(faded.fast_rounds, faded.rounds);
     EXPECT_LT(faded.delivery, flat.delivery);
     EXPECT_GT(faded.delivery, 0.4);  // Rician K=9 dB: degraded, not dead
 }
 
-TEST(fidelity_equivalence, automatic_takes_fast_path_without_interference) {
-    const fidelity_outcome automatic =
-        run_sim(32, 7, ns::sim::phy_fidelity::automatic, 4);
-    EXPECT_EQ(automatic.fast_rounds, automatic.rounds);
-    // And matches the forced-symbol run exactly (same RNG stream).
+TEST(fidelity_equivalence, default_fidelity_is_the_fast_path) {
+    // Fidelity is a run-level choice, and the default synthesizes
+    // spectra in every round.
+    EXPECT_EQ(ns::sim::sim_config{}.fidelity, ns::sim::phy_fidelity::symbol);
     const fidelity_outcome symbol =
         run_sim(32, 7, ns::sim::phy_fidelity::symbol, 4);
-    EXPECT_DOUBLE_EQ(automatic.delivery, symbol.delivery);
-    EXPECT_DOUBLE_EQ(automatic.ber, symbol.ber);
+    EXPECT_EQ(symbol.fast_rounds, symbol.rounds);
 }
 
 TEST(fidelity_equivalence, banded_noise_matches_exact_noise_statistics) {
