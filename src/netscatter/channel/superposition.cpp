@@ -172,10 +172,9 @@ const cvec& combine_samples(std::span<const packet_contribution> rows,
 }  // namespace
 
 const cvec& combine(std::span<const packet_contribution> rows,
-                    std::span<const interferer_contribution> interferers,
-                    std::size_t length, const ns::phy::css_params& params,
-                    const channel_config& config, ns::util::rng& rng,
-                    channel_workspace& workspace) {
+                    std::span<const interferer_contribution> interferers, std::size_t length,
+                    const ns::phy::css_params& params, const channel_config& config,
+                    ns::util::rng& rng, channel_workspace& workspace) {
     return combine_samples(rows, {}, interferers, length, params, config, rng, workspace);
 }
 
@@ -305,12 +304,16 @@ std::uint64_t plan_interferer(const interferer_contribution& interferer, cplx ga
         const std::array<double, 3> key{tone_hz, static_cast<double>(n),
                                         static_cast<double>(pad)};
         if (workspace.tone_window_key != key) {
-            // Tone × dechirp = a downchirp shifted by the (aliased) tone.
+            // Tone × dechirp = the downchirp shifted by the (aliased) tone,
+            // written in place as conj(upchirp at −bins).
             const double bins = tone_hz / params.bin_spacing_hz();
-            workspace.tone_window = ns::phy::make_downchirp(
-                params, bins - static_cast<double>(n) * std::round(bins / static_cast<double>(n)));
-            workspace.tone_window.resize(n * pad);
-            ns::dsp::fft_inplace(workspace.tone_window);
+            cvec& window = workspace.tone_window;
+            window.assign(n * pad, cplx{0.0, 0.0});
+            ns::phy::make_upchirp_into(
+                params, static_cast<double>(n) * std::round(bins / static_cast<double>(n)) - bins,
+                std::span<cplx>(window).first(n));
+            for (std::size_t t = 0; t < n; ++t) window[t] = std::conj(window[t]);
+            ns::dsp::fft_inplace(window);
             workspace.tone_window_key = key;
         }
         windows[num_windows++] = batch.add_window(workspace.tone_window);

@@ -219,18 +219,16 @@ struct channel_workspace {
 /// config.enable_multipath) is rendered into workspace.rendered first,
 /// because the tap line convolves the full waveform; so is each
 /// interferer (a LoRa frame with lora_modulator, shifted by its
-/// `sample_delay`). Sub-sample timing
-/// offsets and CFO are applied via the equivalent tone shift. The random
-/// draws run in contribution order (per contribution: random taps, then
-/// the carrier phase), then the noise. Returns a reference to
-/// `workspace.received` (valid until the next combine on the workspace);
-/// bit-identical to the dense overload below over the same rows and
-/// interferers rendered.
+/// `sample_delay`). Sub-sample timing offsets and CFO are applied via the
+/// equivalent tone shift. The random draws run in contribution order (per
+/// contribution: random taps, then the carrier phase), then the noise.
+/// Returns a reference to `workspace.received` (valid until the next
+/// combine on the workspace); bit-identical to the dense overload below
+/// over the same rows and interferers rendered.
 const cvec& combine(std::span<const packet_contribution> rows,
-                    std::span<const interferer_contribution> interferers,
-                    std::size_t length, const ns::phy::css_params& params,
-                    const channel_config& config, ns::util::rng& rng,
-                    channel_workspace& workspace);
+                    std::span<const interferer_contribution> interferers, std::size_t length,
+                    const ns::phy::css_params& params, const channel_config& config,
+                    ns::util::rng& rng, channel_workspace& workspace);
 
 /// combine() over dense waveforms only, each shifted by its sample_delay.
 const cvec& combine(std::span<const tx_contribution> contributions, std::size_t length,

@@ -3,8 +3,7 @@
 // The paper deploys in the 900 MHz ISM band, which NetScatter shares
 // with everything else that lives there. This injector draws the two
 // interferer families that matter for a CSS receiver and hands them to
-// the superposition channel as symbolic descriptions
-// (channel::interferer_contribution) that both synthesis paths consume:
+// the superposition channel as channel::interferer_contribution rows:
 //  * narrowband tones (periodic or bursty) — a tone lands in a handful
 //    of dechirped FFT bins and raids whoever is parked nearby;
 //  * classic-CSS (LoRa) frames — same chirp slope as NetScatter, so a
@@ -63,9 +62,8 @@ private:
 /// the victim AP uses, shifts are allocated power-aware per group, and
 /// one group is addressed per round (round-robin on the foreign AP's own
 /// phase). The scheduled members' packets are produced as symbolic
-/// packet_contributions (round_plan::cochannel), so the victim simulator
-/// superposes them on either synthesis path and co-channel rounds stay
-/// fast-path eligible.
+/// packet_contributions (round_plan::cochannel), which the victim
+/// simulator superposes on either synthesis path.
 class cochannel_source {
 public:
     /// `skip`/`frame`/`crystal`/`delay` mirror the victim sim's

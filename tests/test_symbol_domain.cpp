@@ -348,23 +348,6 @@ TEST(tone_kernel, partial_window_matches_padded_fft) {
     }
 }
 
-TEST(tone_kernel, whole_symbol_window_is_the_full_width_kernel) {
-    const std::size_t n = 512;
-    const std::size_t padding = 4;
-    const ns::phy::tone_kernel_table table(n, padding, n / 2);
-    for (const double position : {0.0, 42.37, 511.5, -0.25}) {
-        cvec full;
-        cvec partial;
-        const std::size_t first = ns::phy::make_dechirped_tone_kernel(full, position, table);
-        ns::phy::make_dechirped_tone_kernel(partial, position, n, padding, 0, n);
-        ASSERT_EQ(partial.size(), full.size());
-        for (std::size_t w = 0; w < full.size(); ++w) {
-            EXPECT_LT(std::abs(partial[(first + w) % full.size()] - full[w]),
-                      1e-12 * static_cast<double>(n));
-        }
-    }
-}
-
 // -------------------------------------------- interferer spectra ------
 
 /// Fast-path spectra of one interferer against dechirp + padded FFT of
