@@ -1,11 +1,12 @@
-// Binary-local allocation hook for the CLI tools.
+// Binary-local allocation hook for the CLI tools and benches.
 //
 // Every operator new in the including binary is tallied into the
 // thread-local obs counters, which is what gives --metrics its alloc.*
 // values. Replacement stays binary-local by design — the library never
 // forces the hook on other consumers — so this header must be included
-// by exactly one translation unit per executable (each app is a single
-// .cpp, so including it at the top of main's TU is the whole story).
+// by exactly one translation unit per executable (each app and bench is
+// a single .cpp, so including it at the top of main's TU is the whole
+// story).
 //
 // GCC cannot prove that the replaced malloc-backed operator new pairs
 // with the free() in the replaced delete when only one side of the pair

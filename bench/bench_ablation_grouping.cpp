@@ -36,10 +36,11 @@ int main() {
     {
         const ns::sim::deployment dep(ns::scenario::resolve_geometry(base.geometry),
                                       base.geometry.num_devices, base.sim.seed);
+        const double floor_dbm = dep.noise_floor_dbm(500e3);
         double min_snr = 1e9, max_snr = -1e9;
         for (const auto& device : dep.devices()) {
-            min_snr = std::min(min_snr, device.uplink_snr_db);
-            max_snr = std::max(max_snr, device.uplink_snr_db);
+            min_snr = std::min(min_snr, device.uplink_rx_dbm - floor_dbm);
+            max_snr = std::max(max_snr, device.uplink_rx_dbm - floor_dbm);
         }
         std::cout << "stretched deployment: " << base.geometry.num_devices
                   << " devices, uplink SNR " << ns::util::format_double(min_snr, 1)

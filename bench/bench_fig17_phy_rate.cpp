@@ -1,8 +1,8 @@
 // Fig. 17 — network PHY bit-rate vs number of concurrent backscatter
 // devices, for four schemes: LoRa backscatter without and with (ideal)
 // rate adaptation, NetScatter (ideal), and NetScatter as measured by the
-// round simulator on the office-256 scenario (under `auto` fidelity
-// these rounds take the symbol-domain fast path).
+// round simulator on the office-256 scenario (its rounds take the
+// symbol-domain fast path).
 //
 // Paper shape: NetScatter scales linearly to ~250 kbps at 256 devices
 // (976 bps per device); LoRa backscatter stays flat (~8.7 kbps without

@@ -1,58 +1,21 @@
 // Scenario matrix bench: every registered scenario at a reduced round
 // count, one JSON point per scenario — the coarse "is every workload
-// still healthy, and what does it cost" trajectory tracked across PRs
-// (full per-round series come from the netscatter_sim CLI).
-//
-// On top of the per-scenario sweep, the matrix runs a fidelity A/B on
-// the grouped 1k-device workload: the same spec under
-// phy_fidelity::sample and ::symbol at equal thread count, recording
-// both round throughputs and their ratio — the measured (not asserted)
-// speedup of the symbol-domain fast path.
+// still healthy" check CI gates against bench/baseline_scenario_matrix.json
+// (full per-round series come from the netscatter_sim CLI; round-loop
+// timing comes from benchmark/ns_bench).
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <new>
 #include <optional>
 
+#include "apps/alloc_hook.hpp"
 #include "bench_report.hpp"
-#include "netscatter/obs/metrics.hpp"
 #include "netscatter/scenario/scenario_registry.hpp"
 #include "netscatter/scenario/scenario_runner.hpp"
 #include "netscatter/util/table.hpp"
 
-// Allocation hook feeding the thread-local obs counters, so the matrix
-// can report steady-state allocations per round for every workload.
-// -Wmismatched-new-delete false-positives when GCC inlines only one side
-// of the replaced malloc/free pair (see apps/netscatter_sim.cpp).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void* operator new(std::size_t size) {
-    ns::obs::record_allocation(size);
-    if (void* ptr = std::malloc(size == 0 ? 1 : size)) return ptr;
-    throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 namespace {
-
-/// Rounds decoded per second of round-loop host time (synthesis +
-/// decode, association and deployment construction excluded).
-double rounds_per_second(const ns::scenario::scenario_result& result) {
-    const ns::sim::round_wall_split wall = ns::sim::wall_split(result.sim.metrics);
-    const double loop_s = wall.synth_s + wall.decode_s;
-    if (loop_s <= 0.0) return 0.0;
-    return static_cast<double>(result.sim.rounds.size()) / loop_s;
-}
 
 /// Mean heap allocations per post-warmup round (alloc.* counters of the
 /// merged metrics snapshot; 0 when no steady rounds ran).
@@ -93,24 +56,17 @@ int main() {
 
     ns::util::text_table table(
         "Scenario matrix (" + std::to_string(rounds) + " rounds/replica)",
-        {"scenario", "devices", "groups", "delivery", "skip", "idle", "joins",
-         "synth [ms/rd]", "decode [ms/rd]", "wall [s]"});
+        {"scenario", "devices", "groups", "delivery", "skip", "idle", "joins"});
 
     for (auto spec : ns::scenario::registry()) {
         spec.sim.rounds = rounds;
         const auto result = ns::scenario::run_scenario(spec);
-        const double n_rounds =
-            std::max<double>(1.0, static_cast<double>(result.sim.rounds.size()));
-        const ns::sim::round_wall_split wall = ns::sim::wall_split(result.sim.metrics);
         table.add_row({spec.name, std::to_string(spec.geometry.num_devices),
                        result.num_groups == 0 ? "-" : std::to_string(result.num_groups),
                        ns::util::format_double(100.0 * result.sim.delivery_rate(), 1) + " %",
                        ns::util::format_double(100.0 * result.sim.skip_rate(), 1) + " %",
                        ns::util::format_double(100.0 * result.sim.idle_rate(), 1) + " %",
-                       std::to_string(result.sim.total_joins),
-                       ns::util::format_double(wall.synth_s * 1e3 / n_rounds, 2),
-                       ns::util::format_double(wall.decode_s * 1e3 / n_rounds, 2),
-                       ns::util::format_double(result.wall_clock_s, 2)});
+                       std::to_string(result.sim.total_joins)});
         report.add_point(
             {{"scenario", spec.name},
              {"num_devices", static_cast<double>(spec.geometry.num_devices)},
@@ -131,45 +87,16 @@ int main() {
              {"cross_collisions",
               static_cast<double>(result.sim.total_cross_collisions)},
              {"fast_path_rounds", static_cast<double>(result.sim.fast_path_rounds)},
-             {"steady_allocs_per_round", steady_allocs_per_round(result)},
-             {"synth_ms_per_round", wall.synth_s * 1e3 / n_rounds},
-             {"decode_ms_per_round", wall.decode_s * 1e3 / n_rounds},
-             {"wall_clock_s", result.wall_clock_s}});
+             {"steady_allocs_per_round", steady_allocs_per_round(result)}});
     }
 
     table.print(std::cout);
 
-    // --- Fidelity A/B: warehouse-1k-grouped, sample vs symbol ----------
-    // Equal thread count (the scenario runner's default policy for both
-    // runs); round throughput counts only the round loop, so the shared
-    // association/deployment setup does not dilute the comparison.
-    {
-        auto spec = *ns::scenario::find_scenario("warehouse-1k-grouped");
-        spec.sim.rounds = std::max<std::size_t>(rounds, 12);
-        spec.sim.fidelity = ns::sim::phy_fidelity::sample;
-        const auto sample = ns::scenario::run_scenario(spec);
-        spec.sim.fidelity = ns::sim::phy_fidelity::symbol;
-        const auto symbol = ns::scenario::run_scenario(spec);
-        const double sample_rps = rounds_per_second(sample);
-        const double symbol_rps = rounds_per_second(symbol);
-        const double speedup = sample_rps > 0.0 ? symbol_rps / sample_rps : 0.0;
-        std::cout << "\nwarehouse-1k-grouped round throughput: sample "
-                  << ns::util::format_double(sample_rps, 1) << " rounds/s, symbol "
-                  << ns::util::format_double(symbol_rps, 1) << " rounds/s ("
-                  << ns::util::format_double(speedup, 1) << "x)\n";
-        report.set_scalar("warehouse_1k_sample_rounds_per_s", sample_rps);
-        report.set_scalar("warehouse_1k_symbol_rounds_per_s", symbol_rps);
-        report.set_scalar("warehouse_1k_fast_path_speedup", speedup);
-        report.set_scalar("warehouse_1k_sample_delivery", sample.sim.delivery_rate());
-        report.set_scalar("warehouse_1k_symbol_delivery", symbol.sim.delivery_rate());
-    }
-
     // --- field-100k: full single replica, intra-round fan-out ----------
     // The flagship scale point at its real spec (not the reduced matrix
     // round count): one replica of 100k devices at SF12, symbol blocks
-    // fanned across 8 intra-round threads. replica_wall_s is the
-    // CI-gated wall-clock budget of ROADMAP item 1 ("a full field-100k
-    // replica well under 100 ms").
+    // fanned across 8 intra-round threads. CI gates replica_wall_s
+    // against a 100 ms budget (bench/baseline_field100k_wall.json).
     {
         auto spec = *ns::scenario::find_scenario("field-100k");
         spec.sim.intra_round_threads = 8;

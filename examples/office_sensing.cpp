@@ -35,10 +35,11 @@ int main(int argc, char** argv) {
     // will simulate — both are pure functions of the spec).
     const ns::sim::deployment dep(ns::scenario::resolve_geometry(spec.geometry),
                                   num_devices, seed);
+    const double floor_dbm = dep.noise_floor_dbm(500e3);
     double min_snr = 1e9, max_snr = -1e9;
     for (const auto& device : dep.devices()) {
-        min_snr = std::min(min_snr, device.uplink_snr_db);
-        max_snr = std::max(max_snr, device.uplink_snr_db);
+        min_snr = std::min(min_snr, device.uplink_rx_dbm - floor_dbm);
+        max_snr = std::max(max_snr, device.uplink_rx_dbm - floor_dbm);
     }
     std::cout << "uplink SNR across the floor: " << ns::util::format_double(min_snr, 1)
               << " .. " << ns::util::format_double(max_snr, 1)

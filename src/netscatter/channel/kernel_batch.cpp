@@ -83,15 +83,6 @@ void kernel_batch::seal() {
     }
 }
 
-std::uint64_t kernel_batch::symbol_window_elems(std::size_t symbol) const {
-    std::uint64_t elems = 0;
-    for (std::uint32_t p = symbol_begin[symbol]; p < symbol_begin[symbol + 1];
-         ++p) {
-        elems += window_length[window_id[p]];
-    }
-    return elems;
-}
-
 void accumulate_run_scalar(cplx* dst, const cplx* window, std::size_t count,
                            cplx scale) {
     const double sr = scale.real();

@@ -68,10 +68,6 @@ struct kernel_batch {
 
     std::size_t num_symbols() const { return symbol_begin.empty() ? 0 : symbol_begin.size() - 1; }
 
-    /// Window elements that accumulate_symbol will touch for symbol k —
-    /// the deterministic input of the roofline traffic model.
-    std::uint64_t symbol_window_elems(std::size_t symbol) const;
-
 private:
     // staging (packet order) + counting-sort scratch
     std::vector<std::uint32_t> stage_symbol;

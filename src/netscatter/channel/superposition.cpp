@@ -51,10 +51,9 @@ ns::dsp::keyed_waveform keyed_row(const packet_contribution& row,
 
 /// Adds one contribution into workspace.received: `wave` scaled to the
 /// contribution's SNR, rotated by its carrier phase, tone-shifted by its
-/// residual timing/frequency offset and, when taps apply, filtered. The
-/// draws happen in a fixed order per contribution: random taps, then the
-/// phase. Only the filtered branch renders `wave` (into
-/// workspace.rendered, unless it is already one dense run).
+/// residual timing/frequency offset and, when it carries taps, filtered.
+/// Its one draw is the carrier phase. Only the filtered branch renders
+/// `wave` (into workspace.rendered, unless it is already one dense run).
 template <class Contribution>
 void add_contribution(const Contribution& tx, const ns::dsp::keyed_waveform& wave,
                       std::size_t sample_delay, const ns::phy::css_params& params,
@@ -69,7 +68,7 @@ void add_contribution(const Contribution& tx, const ns::dsp::keyed_waveform& wav
     const double tone_hz =
         equivalent_tone_shift_hz(params, tx.timing_offset_s, tx.frequency_offset_hz);
 
-    const bool filtered = config.enable_multipath || !tx.taps.empty();
+    const bool filtered = !tx.taps.empty();
     if (filtered) {
         std::span<const cplx> source;
         if (wave.symbols.size() == 1) {
@@ -83,14 +82,7 @@ void add_contribution(const Contribution& tx, const ns::dsp::keyed_waveform& wav
                                           workspace.staged);
             source = workspace.staged;
         }
-        if (!tx.taps.empty()) {
-            // Explicit per-device taps (e.g. a tap_delay_line whose
-            // state persists across rounds).
-            apply_multipath_into(source, tx.taps, workspace.filtered);
-        } else {
-            const cvec taps = config.multipath.sample_taps(params.bandwidth_hz, rng);
-            apply_multipath_into(source, taps, workspace.filtered);
-        }
+        apply_multipath_into(source, tx.taps, workspace.filtered);
     }
 
     cplx gain{amplitude, 0.0};
@@ -361,10 +353,6 @@ void combine_symbol_domain(std::span<const packet_contribution> packets,
                            const symbol_domain_params& sd, ns::util::rng& rng,
                            channel_workspace& workspace,
                            std::span<const interferer_contribution> interferers) {
-    ns::util::require(!config.enable_multipath,
-                      "combine_symbol_domain: config-level random multipath is "
-                      "sample-only; pass deterministic per-device taps via "
-                      "packet_contribution::taps instead");
     ns::util::require(sd.zero_padding >= 1 &&
                           ns::dsp::is_power_of_two(sd.zero_padding),
                       "combine_symbol_domain: zero_padding must be a power of two");

@@ -11,10 +11,10 @@
 //
 // Two synthesis domains consume the same packet and interferer rows:
 //  * combine() — sample domain, the oracle: sums time-domain waveforms
-//    into the AP's received baseband. Fully general (random multipath,
-//    arbitrary dense waveforms). Packets accumulate straight from
-//    per-shift chirp tables, never rendered, so the cost is
-//    O(devices x sounding samples) plus the interferers' samples.
+//    into the AP's received baseband. Fully general (arbitrary dense
+//    waveforms). Packets accumulate straight from per-shift chirp
+//    tables, never rendered, so the cost is O(devices x sounding
+//    samples) plus the interferers' samples.
 //  * combine_symbol_domain() — the §3.2 dechirp-to-tone identity run in
 //    reverse: a standard packet's post-dechirp spectrum is a Dirichlet
 //    kernel at bin shift + fractional offset(CFO, STO, Doppler), so each
@@ -79,8 +79,7 @@ struct tx_contribution {
     std::size_t sample_delay = 0;   ///< integer-sample misalignment (coarse)
     /// Explicit per-device multipath taps (tap i delayed i samples;
     /// non-owning — e.g. a tap_delay_line's span). When non-empty they
-    /// are convolved onto the waveform and take precedence over
-    /// channel_config::enable_multipath's per-round random draw.
+    /// are convolved onto the waveform.
     std::span<const cplx> taps;
 };
 
@@ -121,9 +120,7 @@ struct interferer_contribution {
 
 /// Superposition channel configuration.
 struct channel_config {
-    double noise_power = 1.0;       ///< AP thermal noise power (linear)
-    bool enable_multipath = false;  ///< draw a tap line per device
-    multipath_model multipath;      ///< used when enable_multipath
+    double noise_power = 1.0;  ///< AP thermal noise power (linear)
 };
 
 /// Symbol-domain synthesis parameters. The spectra produced match what
@@ -215,13 +212,12 @@ struct channel_workspace {
 /// downchirps, then one ON-OFF symbol per frame bit) starting at sample
 /// 0, and accumulates straight from workspace.shift_chirps: OFF symbols
 /// cost nothing but the phasor steps a later ON symbol of the same
-/// re-anchor block needs. A row with taps (or under
-/// config.enable_multipath) is rendered into workspace.rendered first,
-/// because the tap line convolves the full waveform; so is each
-/// interferer (a LoRa frame with lora_modulator, shifted by its
-/// `sample_delay`). Sub-sample timing offsets and CFO are applied via the
-/// equivalent tone shift. The random draws run in contribution order (per
-/// contribution: random taps, then the carrier phase), then the noise.
+/// re-anchor block needs. A row with taps is rendered into
+/// workspace.rendered first, because the tap line convolves the full
+/// waveform; so is each interferer (a LoRa frame with lora_modulator,
+/// shifted by its `sample_delay`). Sub-sample timing offsets and CFO are
+/// applied via the equivalent tone shift. The random draws run in
+/// contribution order (one carrier phase each), then the noise.
 /// Returns a reference to `workspace.received` (valid until the next
 /// combine on the workspace); bit-identical to the dense overload below
 /// over the same rows and interferers rendered.
@@ -245,11 +241,7 @@ const cvec& combine(std::span<const tx_contribution> contributions, std::size_t 
 /// one truncated Dirichlet kernel per ON symbol per device — or, for
 /// packets carrying explicit multipath taps, one enveloped kernel (the
 /// tap-weighted sum of the window at integer-bin offsets, see
-/// phy::make_multipath_tone_kernel). Requires config.enable_multipath ==
-/// false: the config-level switch draws RANDOM taps per device per round
-/// in a sample-path-specific order and stays sample-only; deterministic
-/// per-device taps flow through packet_contribution::taps instead and
-/// keep the round on the fast path.
+/// phy::make_multipath_tone_kernel).
 ///
 /// Internally the round runs as a kernel_batch: a serial planning stage
 /// draws one round seed plus every per-packet phase from `rng`, builds

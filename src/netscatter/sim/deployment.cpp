@@ -17,7 +17,6 @@ deployment::deployment(deployment_params params, std::size_t num_devices,
 
     const double ax = ap_x_m();
     const double ay = ap_y_m();
-    const double noise_floor = noise_floor_dbm(500e3);
 
     for (std::size_t i = 0; i < num_devices; ++i) {
         placed_device device;
@@ -36,7 +35,6 @@ deployment::deployment(deployment_params params, std::size_t num_devices,
         device.query_rssi_dbm = params_.ap_tx_dbm - device.oneway_loss_db;
         device.uplink_rx_dbm = params_.ap_tx_dbm -
                                (2.0 * device.oneway_loss_db + params_.conversion_loss_db);
-        device.uplink_snr_db = device.uplink_rx_dbm - noise_floor;
         devices_.push_back(device);
     }
 }

@@ -53,7 +53,6 @@ struct placed_device {
     double oneway_loss_db = 0.0;   ///< AP -> device, shadowing included
     double query_rssi_dbm = 0.0;   ///< downlink power at the device
     double uplink_rx_dbm = 0.0;    ///< backscatter power at the AP, 0 dB gain
-    double uplink_snr_db = 0.0;    ///< uplink_rx - noise floor, 0 dB gain
 };
 
 /// A generated deployment.

@@ -518,11 +518,18 @@ TEST(superposition, workspace_reuse_is_bit_identical_to_fresh_workspace) {
     b.waveform = std::span<const ns::dsp::cplx>(wave_b);
     b.snr_db = 3.0;
     b.sample_delay = 11;
-    const std::vector<tx_contribution> txs = {a, b};
+    ns::util::rng tap_gen(5);
+    const multipath_model model;
+    const cvec taps_a = model.sample_taps(p.bandwidth_hz, tap_gen);
+    const cvec taps_b = model.sample_taps(p.bandwidth_hz, tap_gen);
 
     for (const bool multipath : {false, true}) {
-        channel_config config;
-        config.enable_multipath = multipath;
+        std::vector<tx_contribution> txs = {a, b};
+        if (multipath) {
+            txs[0].taps = taps_a;
+            txs[1].taps = taps_b;
+        }
+        const channel_config config;
         ns::util::rng gen_fresh(23);
         channel_workspace fresh_ws;
         const cvec fresh = combine(std::span<const tx_contribution>(txs),
@@ -732,11 +739,23 @@ TEST(superposition, keyed_row_combine_matches_rendered_rows) {
     }
     dense.push_back(interferer);
 
+    // The multipath pass gives every row drawn taps, so each takes the
+    // filtered branch.
+    ns::util::rng tap_gen(59);
+    std::vector<cvec> drawn_taps;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        drawn_taps.push_back(multipath_model{}.sample_taps(p.bandwidth_hz, tap_gen));
+    }
     const std::size_t packet = packets[0].size();
     for (const bool multipath : {false, true}) {
+        if (multipath) {
+            for (std::size_t r = 0; r < rows.size(); ++r) {
+                rows[r].taps = drawn_taps[r];
+                dense[r].taps = drawn_taps[r];
+            }
+        }
         for (const std::size_t length : {packet, packet - 700}) {
-            channel_config config;
-            config.enable_multipath = multipath;
+            const channel_config config;
             ns::util::rng keyed_rng(53);
             ns::util::rng dense_rng(53);
             channel_workspace keyed_ws;

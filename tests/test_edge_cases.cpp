@@ -85,11 +85,14 @@ TEST(failure_injection, decode_survives_indoor_multipath) {
     ns::rx::receiver rx(rxp);
     rx.set_registered_shifts({64, 192, 320, 448});
     ns::util::rng gen(21);
+    ns::channel::multipath_model multipath;
+    multipath.delay_spread_s = 300e-9;  // pessimistic end
 
     int delivered = 0, total = 0;
     for (int trial = 0; trial < 5; ++trial) {
         std::vector<ns::channel::tx_contribution> txs;
         std::vector<cvec> waveforms;
+        std::vector<cvec> taps;
         std::vector<std::vector<bool>> sent;
         for (std::uint32_t shift : {64u, 192u, 320u, 448u}) {
             const auto bits =
@@ -99,12 +102,12 @@ TEST(failure_injection, decode_survives_indoor_multipath) {
             ns::channel::tx_contribution tx;
             waveforms.push_back(mod.modulate_packet(bits));
             tx.waveform = std::span<const ns::dsp::cplx>(waveforms.back());
+            taps.push_back(multipath.sample_taps(rxp.phy.bandwidth_hz, gen));
+            tx.taps = taps.back();
             tx.snr_db = 5.0;
             txs.push_back(std::move(tx));
         }
-        ns::channel::channel_config config;
-        config.enable_multipath = true;
-        config.multipath.delay_spread_s = 300e-9;  // pessimistic end
+        const ns::channel::channel_config config;
         const std::size_t samples =
             (rxp.frame.preamble_symbols + rxp.frame.payload_plus_crc_bits()) *
             rxp.phy.samples_per_symbol();

@@ -68,16 +68,16 @@ TEST(deployment, link_budget_consistency) {
                     dep.params().ap_tx_dbm - 2.0 * device.oneway_loss_db -
                         dep.params().conversion_loss_db,
                     1e-9);
-        EXPECT_NEAR(device.uplink_snr_db, device.uplink_rx_dbm - floor_dbm, 1e-9);
     }
 }
 
 TEST(deployment, near_far_spread_is_tens_of_db) {
     const deployment dep(deployment_params{}, 256, 4);
+    const double floor_dbm = dep.noise_floor_dbm(500e3);
     double min_snr = 1e9, max_snr = -1e9;
     for (const auto& device : dep.devices()) {
-        min_snr = std::min(min_snr, device.uplink_snr_db);
-        max_snr = std::max(max_snr, device.uplink_snr_db);
+        min_snr = std::min(min_snr, device.uplink_rx_dbm - floor_dbm);
+        max_snr = std::max(max_snr, device.uplink_rx_dbm - floor_dbm);
     }
     const double spread = max_snr - min_snr;
     EXPECT_GT(spread, 20.0);
@@ -202,9 +202,11 @@ TEST(network_sim, association_snrs_reflect_gain_choice) {
     // every association SNR is bounded by the raw uplink SNR.
     const std::vector<double> snrs = sim.association_snrs_db();
     ASSERT_EQ(snrs.size(), 16u);
+    const double floor_dbm = dep.noise_floor_dbm(500e3);
     for (std::size_t i = 0; i < snrs.size(); ++i) {
-        EXPECT_LE(snrs[i], dep.devices()[i].uplink_snr_db + 1e-9);
-        EXPECT_GE(snrs[i], dep.devices()[i].uplink_snr_db - 10.0 - 1e-9);
+        const double uplink_snr_db = dep.devices()[i].uplink_rx_dbm - floor_dbm;
+        EXPECT_LE(snrs[i], uplink_snr_db + 1e-9);
+        EXPECT_GE(snrs[i], uplink_snr_db - 10.0 - 1e-9);
     }
 }
 
