@@ -241,7 +241,7 @@ inline void print_perf_table(const ns::scenario::scenario_result& result) {
         std::cout << "perf counters (" << result.spec.name
                   << "): available=false — perf_event_open denied "
                      "(kernel.perf_event_paranoid, seccomp, NS_PERF_DISABLE "
-                     "or NS_OBS=OFF); simulation results are unaffected\n";
+                     "or metrics off); simulation results are unaffected\n";
         return;
     }
     ns::util::text_table table(

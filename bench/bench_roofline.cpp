@@ -1,11 +1,13 @@
-// Roofline microbench (ROADMAP item 1 evidence).
+// Roofline microbench of the symbol-domain kernel-accumulation loop.
 //
 // Two measurements, written to BENCH_roofline.json:
 //  1. The machine's memory-bandwidth ceiling: a STREAM-style triad
 //     (a[i] = b[i] + s*c[i], 24 bytes/element) over arrays far larger
 //     than the last-level cache, best pass of several.
 //  2. The symbol-domain hot loop — combine_symbol_domain's Dirichlet
-//     kernel accumulation — at several device counts and kernel radii.
+//     kernel accumulation (accumulate_symbol in
+//     channel/kernel_batch.cpp) — at several device counts and kernel
+//     radii.
 //     Traffic and work come from the analytic model (obs/roofline.hpp:
 //     48 bytes and 8 flops per accumulated window element, counted
 //     deterministically by phy.kernel_window_elems); time comes from
@@ -162,11 +164,6 @@ int main() {
     bench::bench_report report("roofline");
     const bench::stopwatch clock;
 
-    if (!ns::obs::compiled_in()) {
-        std::cout << "NS_OBS=OFF: the kernel-loop probes are compiled out; "
-                     "only the triad ceiling is meaningful in this build\n";
-    }
-
     // --- 1. Memory-bandwidth ceiling (STREAM triad) ---------------------
     const std::size_t triad_elems = quick ? (1u << 20) : (1u << 22);
     const std::size_t triad_passes = quick ? 3 : 7;
@@ -211,9 +208,9 @@ int main() {
         for (const std::size_t radius : radius_sweep) {
             const kernel_point point =
                 run_kernel_point(devices, radius, min_seconds, &perf);
-            const double pct = triad_gbps > 0.0
-                                   ? 100.0 * point.gbps / triad_gbps
-                                   : 0.0;
+            const ns::obs::kernel_loop_model model{point.window_elems};
+            const double pct =
+                100.0 * model.fraction_of_peak(point.seconds, triad_gbps);
             table.add_row(
                 {std::to_string(devices), std::to_string(radius),
                  ns::util::format_double(point.gbps, 2),

@@ -73,12 +73,6 @@ void power_spectrum_into(const cvec& spectrum, std::vector<double>& power) {
     for (std::size_t i = 0; i < spectrum.size(); ++i) power[i] = std::norm(spectrum[i]);
 }
 
-std::vector<double> magnitude_spectrum(const cvec& spectrum) {
-    std::vector<double> magnitude(spectrum.size());
-    for (std::size_t i = 0; i < spectrum.size(); ++i) magnitude[i] = std::abs(spectrum[i]);
-    return magnitude;
-}
-
 cvec fftshift(cvec spectrum) {
     const std::size_t n = spectrum.size();
     cvec shifted(n);

@@ -50,9 +50,6 @@ std::vector<double> power_spectrum(const cvec& spectrum);
 /// makes repeated calls allocation-free).
 void power_spectrum_into(const cvec& spectrum, std::vector<double>& power);
 
-/// Magnitudes |X[k]| of a spectrum.
-std::vector<double> magnitude_spectrum(const cvec& spectrum);
-
 /// Rotates a spectrum so the zero-frequency bin sits at the centre
 /// (matplotlib-style fftshift); used when rendering spectrograms.
 cvec fftshift(cvec spectrum);

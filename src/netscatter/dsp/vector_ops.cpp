@@ -196,12 +196,6 @@ double energy(std::span<const cplx> a) {
     return total;
 }
 
-cvec delay_samples(std::span<const cplx> a, std::size_t delay) {
-    cvec out(a.size(), cplx{0.0, 0.0});
-    for (std::size_t i = delay; i < a.size(); ++i) out[i] = a[i - delay];
-    return out;
-}
-
 cvec frequency_shift(std::span<const cplx> a, double frequency_hz, double sample_rate_hz) {
     cvec out;
     frequency_shift_into(a, frequency_hz, sample_rate_hz, out);

@@ -83,11 +83,6 @@ double mean_power(std::span<const cplx> a);
 /// Total energy, sum of |x[i]|^2.
 double energy(std::span<const cplx> a);
 
-/// Returns a copy of `a` delayed by `delay` samples (prepends zeros and
-/// truncates to the original length), modelling integer-sample timing
-/// offset.
-cvec delay_samples(std::span<const cplx> a, std::size_t delay);
-
 /// Applies a frequency shift: a[i] * e^{j 2π f i / fs}.
 cvec frequency_shift(std::span<const cplx> a, double frequency_hz, double sample_rate_hz);
 

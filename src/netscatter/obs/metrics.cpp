@@ -119,7 +119,6 @@ const histogram_sample* metrics_snapshot::find_histogram(
 
 void metrics_snapshot::record_value(std::string_view name, double value,
                                     origin o) {
-    if (!compiled_in()) return;
     metrics_snapshot one;
     histogram_sample sample;
     sample.name = std::string(name);
@@ -132,8 +131,6 @@ void metrics_snapshot::record_value(std::string_view name, double value,
     one.histograms.push_back(std::move(sample));
     merge(one);
 }
-
-#if NS_OBS_ENABLED
 
 namespace {
 
@@ -195,25 +192,6 @@ metrics_snapshot metrics_registry::snapshot() const {
     return snap;
 }
 
-#else  // NS_OBS_ENABLED == 0: shared no-op dummies, nothing stored.
-
-namespace {
-counter g_dummy_counter;
-gauge g_dummy_gauge;
-histogram g_dummy_histogram;
-}  // namespace
-
-counter* metrics_registry::get_counter(std::string_view, origin) {
-    return &g_dummy_counter;
-}
-gauge* metrics_registry::get_gauge(std::string_view, origin) { return &g_dummy_gauge; }
-histogram* metrics_registry::get_histogram(std::string_view, origin) {
-    return &g_dummy_histogram;
-}
-metrics_snapshot metrics_registry::snapshot() const { return {}; }
-
-#endif  // NS_OBS_ENABLED
-
 namespace {
 // Zero-initialized PODs: safe to touch from operator new before any
 // dynamic TLS initialization has run.
@@ -222,12 +200,8 @@ thread_local std::uint64_t t_alloc_bytes = 0;
 }  // namespace
 
 void record_allocation(std::size_t bytes) noexcept {
-#if NS_OBS_ENABLED
     ++t_alloc_count;
     t_alloc_bytes += bytes;
-#else
-    (void)bytes;
-#endif
 }
 
 alloc_counters thread_allocations() noexcept {

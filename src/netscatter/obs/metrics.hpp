@@ -10,9 +10,10 @@
 //      in task order, never completion order. Merging sums counters and
 //      histogram buckets name-wise, so the merged snapshot of N replicas
 //      is a pure function of the N inputs, independent of thread count.
-//   2. Zero overhead when compiled out. Configuring with -DNS_OBS=OFF
-//      defines NS_OBS_ENABLED=0 and every record/add/timer collapses to
-//      an empty inline function — no clock reads, no stores, no storage.
+//   2. Zero overhead when off. With options::metrics false the
+//      simulator registers nothing and its instrument handles stay
+//      null, so every record/add/timer site is one skipped branch: no
+//      clock reads, no stores, no storage.
 //   3. Deterministic bucketing. Histogram buckets are powers of two of a
 //      nanosecond (bucket i spans [2^i, 2^(i+1)) ns), indexed through
 //      integer bit_width — no std::log2, so the same value lands in the
@@ -39,14 +40,7 @@
 #include <string_view>
 #include <vector>
 
-#ifndef NS_OBS_ENABLED
-#define NS_OBS_ENABLED 1
-#endif
-
 namespace ns::obs {
-
-/// Whether the observability layer is compiled in (NS_OBS build option).
-constexpr bool compiled_in() { return NS_OBS_ENABLED != 0; }
 
 /// Where an instrument's values come from. `deterministic` values are
 /// pure functions of (spec, seed) and must match at any thread count;
@@ -60,32 +54,18 @@ enum class origin : std::uint8_t { deterministic, host };
 std::uint64_t now_ns();
 
 // ---------------------------------------------------------------------
-// Instruments. All mutators compile to nothing under NS_OBS=OFF.
+// Instruments
 // ---------------------------------------------------------------------
 
 /// Monotonic event count.
 class counter {
 public:
-    void add(std::uint64_t delta = 1) {
-#if NS_OBS_ENABLED
-        value_ += delta;
-#else
-        (void)delta;
-#endif
-    }
+    void add(std::uint64_t delta = 1) { value_ += delta; }
 
-    std::uint64_t value() const {
-#if NS_OBS_ENABLED
-        return value_;
-#else
-        return 0;
-#endif
-    }
+    std::uint64_t value() const { return value_; }
 
 private:
-#if NS_OBS_ENABLED
     std::uint64_t value_ = 0;
-#endif
 };
 
 /// Last-written value plus the running maximum (queue depths, active
@@ -93,36 +73,18 @@ private:
 class gauge {
 public:
     void set(double value) {
-#if NS_OBS_ENABLED
         last_ = value;
         max_ = written_ ? std::max(max_, value) : value;
         written_ = true;
-#else
-        (void)value;
-#endif
     }
 
-    double last() const {
-#if NS_OBS_ENABLED
-        return last_;
-#else
-        return 0.0;
-#endif
-    }
-    double max() const {
-#if NS_OBS_ENABLED
-        return max_;
-#else
-        return 0.0;
-#endif
-    }
+    double last() const { return last_; }
+    double max() const { return max_; }
 
 private:
-#if NS_OBS_ENABLED
     double last_ = 0.0;
     double max_ = 0.0;
     bool written_ = false;
-#endif
 };
 
 /// Fixed-bucket log2 histogram. Bucket i counts values in
@@ -155,51 +117,27 @@ public:
     }
 
     void record(double value) {
-#if NS_OBS_ENABLED
         min_ = count_ == 0 ? value : std::min(min_, value);
         max_ = count_ == 0 ? value : std::max(max_, value);
         ++count_;
         sum_ += value;
         ++buckets_[bucket_index(value)];
-#else
-        (void)value;
-#endif
     }
 
     void record_ns(std::uint64_t ns) { record(static_cast<double>(ns) * 1e-9); }
 
-    std::uint64_t count() const {
-#if NS_OBS_ENABLED
-        return count_;
-#else
-        return 0;
-#endif
-    }
-    double sum() const {
-#if NS_OBS_ENABLED
-        return sum_;
-#else
-        return 0.0;
-#endif
-    }
-
-#if NS_OBS_ENABLED
+    std::uint64_t count() const { return count_; }
+    double sum() const { return sum_; }
     double min() const { return count_ == 0 ? 0.0 : min_; }
     double max() const { return count_ == 0 ? 0.0 : max_; }
     const std::array<std::uint64_t, num_buckets>& buckets() const { return buckets_; }
-#else
-    double min() const { return 0.0; }
-    double max() const { return 0.0; }
-#endif
 
 private:
-#if NS_OBS_ENABLED
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
     std::array<std::uint64_t, num_buckets> buckets_{};
-#endif
 };
 
 // ---------------------------------------------------------------------
@@ -297,18 +235,16 @@ public:
 
     /// Finds or creates the named instrument; `o` is recorded on
     /// creation and must match on every later lookup of the same name
-    /// (ns::util::invalid_argument otherwise). Under NS_OBS=OFF these
-    /// return a shared no-op dummy and store nothing.
+    /// (ns::util::invalid_argument otherwise).
     counter* get_counter(std::string_view name, origin o = origin::deterministic);
     gauge* get_gauge(std::string_view name, origin o = origin::deterministic);
     histogram* get_histogram(std::string_view name,
                              origin o = origin::deterministic);
 
-    /// Plain-data copy, entries sorted by name. Empty under NS_OBS=OFF.
+    /// Plain-data copy, entries sorted by name.
     metrics_snapshot snapshot() const;
 
 private:
-#if NS_OBS_ENABLED
     template <typename T>
     struct named {
         std::string name;
@@ -318,7 +254,6 @@ private:
     std::vector<named<counter>> counters_;
     std::vector<named<gauge>> gauges_;
     std::vector<named<histogram>> histograms_;
-#endif
 };
 
 // ---------------------------------------------------------------------

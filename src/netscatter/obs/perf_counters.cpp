@@ -16,8 +16,6 @@
 
 namespace ns::obs {
 
-#if NS_OBS_ENABLED
-
 namespace {
 
 #if NS_PERF_HAVE_LINUX
@@ -235,28 +233,5 @@ process_usage current_process_usage() {
 #endif
     return out;
 }
-
-#else  // NS_OBS_ENABLED == 0
-
-// Disabled builds still get the (host-only, never deterministic)
-// process snapshot for the --metrics process section; it reads nothing
-// from the obs machinery.
-process_usage current_process_usage() {
-    process_usage out;
-#if NS_PERF_HAVE_LINUX
-    rusage ru;
-    if (getrusage(RUSAGE_SELF, &ru) == 0) {
-        out.peak_rss_bytes = static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
-        out.minor_page_faults = static_cast<std::uint64_t>(ru.ru_minflt);
-        out.major_page_faults = static_cast<std::uint64_t>(ru.ru_majflt);
-        out.voluntary_ctx_switches = static_cast<std::uint64_t>(ru.ru_nvcsw);
-        out.involuntary_ctx_switches =
-            static_cast<std::uint64_t>(ru.ru_nivcsw);
-    }
-#endif
-    return out;
-}
-
-#endif  // NS_OBS_ENABLED
 
 }  // namespace ns::obs

@@ -21,8 +21,10 @@
 //      so the fallback is testable everywhere. Sibling events that
 //      fail individually (e.g. LLC events on a VM without an LLC PMU)
 //      simply read zero while the rest of the group keeps counting.
-//   3. Zero overhead when compiled out. Under -DNS_OBS=OFF every
-//      method is an empty inline: no syscalls, no fds, no storage.
+//   3. Zero overhead when off. A group that is never opened holds no
+//      fds, and a perf_scope over it or over unwired counters makes no
+//      syscall and no store; the simulator opens its group only when
+//      options::metrics and options::perf are both set.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +60,6 @@ inline double perf_miss_rate(std::uint64_t misses, std::uint64_t references) {
                                  static_cast<double>(references);
 }
 
-#if NS_OBS_ENABLED
-
 /// A per-thread hardware counter group. NOT thread-safe and pinned to
 /// the opening thread by construction (perf_event_open with pid=0):
 /// open() and every read() must happen on the same thread — the same
@@ -93,18 +93,6 @@ private:
     bool available_ = false;
 };
 
-#else  // NS_OBS_ENABLED == 0: empty inlines, no storage, no syscalls.
-
-class perf_counter_group {
-public:
-    bool open() { return false; }
-    void close() {}
-    bool available() const { return false; }
-    perf_readings read() const { return {}; }
-};
-
-#endif  // NS_OBS_ENABLED
-
 /// Registry counter handles of one attribution target (a round-loop
 /// phase, the kernel-sum batch). Fetch once at construction time —
 /// get_counter allocates on first use, and pre-fetching keeps the
@@ -118,17 +106,9 @@ struct perf_phase_counters {
     counter* branch_misses = nullptr;
 
     /// Handles named "perf.<phase>.cycles" etc., registered as
-    /// origin::host. Null (inert) under
-    /// NS_OBS=OFF so disabled builds neither allocate nor store names.
-#if NS_OBS_ENABLED
+    /// origin::host.
     static perf_phase_counters from_registry(metrics_registry& registry,
                                              std::string_view phase);
-#else
-    static perf_phase_counters from_registry(metrics_registry&,
-                                             std::string_view) {
-        return {};
-    }
-#endif
 
     bool wired() const { return cycles != nullptr; }
 };
@@ -139,32 +119,21 @@ struct perf_phase_counters {
 class perf_scope {
 public:
     perf_scope(perf_counter_group* group, const perf_phase_counters* dest) {
-#if NS_OBS_ENABLED
         if (group != nullptr && group->available() && dest != nullptr &&
             dest->wired()) {
             group_ = group;
             dest_ = dest;
             start_ = group->read();
         }
-#else
-        (void)group;
-        (void)dest;
-#endif
     }
-#if NS_OBS_ENABLED
     ~perf_scope();
-#else
-    ~perf_scope() = default;
-#endif
     perf_scope(const perf_scope&) = delete;
     perf_scope& operator=(const perf_scope&) = delete;
 
 private:
-#if NS_OBS_ENABLED
     perf_counter_group* group_ = nullptr;
     const perf_phase_counters* dest_ = nullptr;
     perf_readings start_{};
-#endif
 };
 
 /// Process-wide resource usage (getrusage). Zeros on hosts without it.

@@ -1,6 +1,7 @@
 // Analytic roofline model of the symbol-domain hot loop.
 //
-// The fast path's inner loop (`add_kernel_at` in superposition.cpp) is
+// The fast path's inner loop (`accumulate_symbol`, which runs the
+// `accumulate_run_*` legs in channel/kernel_batch.cpp) is
 //     spectrum[i] += kernel[w] * scalar;
 // over std::complex<double> — per window element it reads the kernel
 // tap (16 B) and the accumulator (16 B), writes the accumulator back
@@ -13,8 +14,7 @@
 // Dividing by a measured phase time (phy.kernel_sum_s) yields achieved
 // GB/s and GFLOP/s; dividing achieved GB/s by a measured STREAM-triad
 // ceiling (bench_roofline) yields % of peak. At 1/6 flop/byte the loop
-// sits far left on the roofline — memory-bound — which is exactly why
-// ROADMAP item 1 pairs SoA/SIMD restructuring with this model.
+// sits far left on the roofline: memory-bound.
 //
 // Determinism: the model itself (elems, bytes, flops, intensity) is a
 // pure function of the workload and is safe to emit anywhere; only the
@@ -67,7 +67,7 @@ struct kernel_loop_model {
 
 /// Builds the model from a merged metrics snapshot (reads
 /// phy.kernel_window_elems; zero when the counter is absent, e.g.
-/// sample-fidelity runs or NS_OBS=OFF).
+/// sample-fidelity runs or runs with metrics off).
 kernel_loop_model kernel_loop_model_from(const metrics_snapshot& snapshot);
 
 /// Window size of one truncated Dirichlet kernel, as the kernel builds

@@ -59,7 +59,7 @@ public:
 
     /// Enables recording with the given capacity and track id.
     void arm(std::size_t max_events, std::uint32_t track) {
-        armed_ = max_events > 0 && compiled_in();
+        armed_ = max_events > 0;
         max_events_ = max_events;
         track_ = track;
         events_.clear();
@@ -99,13 +99,12 @@ private:
 /// RAII span probe: one scope, one trace event (and optionally one
 /// histogram observation — the usual pairing for a simulator phase:
 /// the histogram aggregates, the trace shows the timeline). A null
-/// buffer/histogram (or NS_OBS=OFF) makes the probe free: it never
+/// histogram and a null or unarmed buffer make the probe free: it never
 /// reads the clock.
 class trace_span {
 public:
     trace_span(const char* name, trace_buffer* buffer, histogram* hist = nullptr,
                std::int64_t arg = -1) {
-#if NS_OBS_ENABLED
         const bool tracing = buffer != nullptr && buffer->armed();
         if (tracing || hist != nullptr) {
             name_ = name;
@@ -114,34 +113,24 @@ public:
             arg_ = arg;
             start_ns_ = trace_now_ns();
         }
-#else
-        (void)name;
-        (void)buffer;
-        (void)hist;
-        (void)arg;
-#endif
     }
 
     ~trace_span() {
-#if NS_OBS_ENABLED
         if (name_ == nullptr) return;
         const std::uint64_t dur = trace_now_ns() - start_ns_;
         if (hist_ != nullptr) hist_->record_ns(dur);
         if (buffer_ != nullptr) buffer_->append(name_, start_ns_, dur, arg_);
-#endif
     }
 
     trace_span(const trace_span&) = delete;
     trace_span& operator=(const trace_span&) = delete;
 
 private:
-#if NS_OBS_ENABLED
     const char* name_ = nullptr;
     trace_buffer* buffer_ = nullptr;
     histogram* hist_ = nullptr;
     std::int64_t arg_ = -1;
     std::uint64_t start_ns_ = 0;
-#endif
 };
 
 /// Writes events as Chrome trace-event JSON ("JSON Array Format" with a

@@ -277,7 +277,7 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
     // Handles fetched once; the round loop only dereferences them. With
     // runtime metrics off they stay null, which also keeps every probe
     // from reading the clock.
-    if (config_.obs.metrics && ns::obs::compiled_in()) {
+    if (config_.obs.metrics) {
         // Phase timers read the host clock: registered as host data.
         constexpr ns::obs::origin host = ns::obs::origin::host;
         probes_.round_total = metrics_.get_histogram("round.total_s", host);
@@ -337,7 +337,9 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
     if (config_.obs.trace) {
         trace_.arm(config_.obs.trace_max_events, config_.obs.trace_track);
     }
-    if (config_.intra_round_threads > 1) {
+    // Only the symbol-domain combine fans out; a sample-fidelity pool
+    // would park idle threads.
+    if (symbol_domain() && config_.intra_round_threads > 1) {
         round_pool_.emplace(config_.intra_round_threads);
         chan_ws_.block_pool = &*round_pool_;
     }

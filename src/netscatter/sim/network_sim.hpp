@@ -134,7 +134,7 @@ struct sim_config {
 
     /// Intra-round fan-out of the symbol-domain sweep: symbol blocks of
     /// one round run across this many threads (1 = fully serial; 0 is
-    /// invalid). Spectra are bit-identical at any value — noise is
+    /// invalid; sample fidelity runs serially at any value). Spectra are bit-identical at any value — noise is
     /// seeded per symbol, kernel order is fixed per symbol — so this is
     /// purely a latency knob for big rounds (e.g. field-100k's SF12
     /// spectra). The simulator owns a dedicated block_runner, distinct
@@ -770,7 +770,8 @@ private:
     /// registry-outward: nothing in the simulation reads them back.
     ns::obs::perf_counter_group perf_group_;
 
-    /// Intra-round symbol-block fan-out (config.intra_round_threads > 1).
+    /// Intra-round symbol-block fan-out (symbol fidelity with
+    /// config.intra_round_threads > 1).
     /// Owned by the simulator — NOT the Monte-Carlo pool the replica
     /// itself may be running on — so a replica task blocking in run()
     /// can never starve the workers it is waiting for.

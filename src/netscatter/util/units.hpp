@@ -22,12 +22,6 @@ inline double linear_to_db(double linear) {
     return 10.0 * std::log10(linear);
 }
 
-/// Converts an amplitude ratio in dB to a linear amplitude ratio
-/// (20 dB per decade).
-inline double db_to_amplitude(double db) {
-    return std::pow(10.0, db / 20.0);
-}
-
 /// Converts power in dBm to watts.
 inline double dbm_to_watt(double dbm) {
     return std::pow(10.0, (dbm - 30.0) / 10.0);

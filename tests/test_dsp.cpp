@@ -138,16 +138,6 @@ TEST(fft, fftshift_rotates_halves) {
     EXPECT_DOUBLE_EQ(shifted[3].real(), 1.0);
 }
 
-TEST(fft, magnitude_and_power_consistent) {
-    ns::util::rng gen(4);
-    const cvec spectrum = random_vector(64, gen);
-    const auto magnitude = magnitude_spectrum(spectrum);
-    const auto power = power_spectrum(spectrum);
-    for (std::size_t i = 0; i < 64; ++i) {
-        EXPECT_NEAR(magnitude[i] * magnitude[i], power[i], 1e-9);
-    }
-}
-
 // --------------------------------------------------------- vector ops --
 
 TEST(vector_ops, multiply_elementwise) {
@@ -209,14 +199,6 @@ TEST(vector_ops, mean_power_and_energy) {
     EXPECT_DOUBLE_EQ(energy(a), 25.0);
     EXPECT_DOUBLE_EQ(mean_power(a), 12.5);
     EXPECT_DOUBLE_EQ(mean_power(cvec{}), 0.0);
-}
-
-TEST(vector_ops, delay_prepends_zeros) {
-    const cvec a = {cplx{1, 0}, cplx{2, 0}, cplx{3, 0}};
-    const cvec delayed = delay_samples(a, 1);
-    EXPECT_DOUBLE_EQ(delayed[0].real(), 0.0);
-    EXPECT_DOUBLE_EQ(delayed[1].real(), 1.0);
-    EXPECT_DOUBLE_EQ(delayed[2].real(), 2.0);
 }
 
 TEST(vector_ops, frequency_shift_moves_tone_bin) {

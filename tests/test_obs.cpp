@@ -2,9 +2,8 @@
 // bucketing, name-wise snapshot merging that is bit-identical between
 // serial and parallel replica execution, well-formed span trees from
 // nested RAII probes, valid Chrome/Perfetto trace JSON, and the
-// NS_OBS=OFF no-op contract. The same binary exercises both sides of
-// the compile-time switch: the CI NS_OBS=OFF leg runs these tests with
-// every instrument compiled out.
+// run-time off contract: null handles, an unarmed trace ring and an
+// unopened perf group make every probe inert.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +21,6 @@
 
 namespace {
 
-using ns::obs::compiled_in;
 using ns::obs::histogram;
 using ns::obs::metrics_registry;
 using ns::obs::metrics_snapshot;
@@ -39,10 +37,6 @@ TEST(metrics_origin, samples_carry_origin_and_merge_keeps_it) {
     // simulated quantity stays deterministic.
     reg.get_histogram("airtime_s")->record(0.25);
     metrics_snapshot snap = reg.snapshot();
-    if (!compiled_in()) {
-        EXPECT_TRUE(snap.empty());
-        return;
-    }
     EXPECT_EQ(snap.find_counter("sim.rounds")->origin, origin::deterministic);
     EXPECT_EQ(snap.find_gauge("perf.available")->origin, origin::host);
     EXPECT_EQ(snap.find_histogram("round.total_s")->origin, origin::host);
@@ -92,20 +86,13 @@ TEST(histogram_buckets, record_tracks_count_sum_min_max) {
     h.record(3e-9);
     h.record(1e-9);
     h.record(8e-9);
-    if (compiled_in()) {
-        EXPECT_EQ(h.count(), 3u);
-        EXPECT_DOUBLE_EQ(h.sum(), 12e-9);
-        EXPECT_DOUBLE_EQ(h.min(), 1e-9);
-        EXPECT_DOUBLE_EQ(h.max(), 8e-9);
-    } else {
-        // NS_OBS=OFF: record() is a stateless no-op.
-        EXPECT_EQ(h.count(), 0u);
-        EXPECT_DOUBLE_EQ(h.sum(), 0.0);
-    }
+    EXPECT_EQ(h.count(), 3u);
+    EXPECT_DOUBLE_EQ(h.sum(), 12e-9);
+    EXPECT_DOUBLE_EQ(h.min(), 1e-9);
+    EXPECT_DOUBLE_EQ(h.max(), 8e-9);
 }
 
 TEST(histogram_buckets, percentiles_are_monotonic_and_clamped) {
-    if (!compiled_in()) GTEST_SKIP() << "built with NS_OBS=OFF";
     metrics_registry reg;
     histogram* h = reg.get_histogram("t_s");
     for (int i = 1; i <= 1000; ++i) h->record(static_cast<double>(i) * 1e-9);
@@ -138,7 +125,6 @@ metrics_snapshot make_snapshot(std::uint64_t base) {
 }
 
 TEST(snapshot_merge, name_wise_union_sums_counters_and_buckets) {
-    if (!compiled_in()) GTEST_SKIP() << "built with NS_OBS=OFF";
     metrics_snapshot a = make_snapshot(4);
     const metrics_snapshot b = make_snapshot(32);
     a.merge(b);
@@ -199,7 +185,6 @@ bool snapshots_identical(const metrics_snapshot& a, const metrics_snapshot& b) {
 }
 
 TEST(snapshot_merge, serial_and_parallel_replica_merges_are_bit_identical) {
-    if (!compiled_in()) GTEST_SKIP() << "built with NS_OBS=OFF";
     // The determinism contract end to end: N replica registries built as
     // pure functions of the replica index, executed through the
     // run_indexed serially and on 8 threads, merged in task order. The
@@ -236,7 +221,6 @@ TEST(snapshot_merge, serial_and_parallel_replica_merges_are_bit_identical) {
 // ---------------------------------------------------------- tracing --
 
 TEST(trace_spans, nested_probes_form_a_well_formed_span_tree) {
-    if (!compiled_in()) GTEST_SKIP() << "built with NS_OBS=OFF";
     ns::obs::trace_buffer buf;
     buf.arm(64, 3);
     {
@@ -274,19 +258,11 @@ TEST(trace_spans, ring_is_bounded_and_counts_drops) {
     ns::obs::trace_buffer buf;
     buf.arm(2, 0);
     for (int i = 0; i < 5; ++i) buf.append("e", 10 * i, 1);
-    if (compiled_in()) {
-        EXPECT_EQ(buf.events().size(), 2u);
-        EXPECT_EQ(buf.dropped(), 3u);
-    } else {
-        // arm() refuses when compiled out — append stores nothing.
-        EXPECT_FALSE(buf.armed());
-        EXPECT_EQ(buf.events().size(), 0u);
-        EXPECT_EQ(buf.dropped(), 0u);
-    }
+    EXPECT_EQ(buf.events().size(), 2u);
+    EXPECT_EQ(buf.dropped(), 3u);
 }
 
 TEST(trace_export, chrome_json_is_valid_and_timestamps_are_monotonic) {
-    if (!compiled_in()) GTEST_SKIP() << "built with NS_OBS=OFF";
     ns::obs::trace_buffer buf;
     buf.arm(16, 1);
     std::uint64_t prev_ts = 0;
@@ -323,11 +299,9 @@ TEST(trace_export, chrome_json_is_valid_and_timestamps_are_monotonic) {
     EXPECT_EQ(json.find(",}"), std::string::npos);
 }
 
-// ------------------------------------------------- NS_OBS=OFF no-ops --
+// ------------------------------------------------------- instruments --
 
-TEST(obs_disabled, instruments_are_inert_when_compiled_out) {
-    // Meaningful on the NS_OBS=OFF CI leg; on regular builds it checks
-    // the inverse (instruments actually store).
+TEST(obs_instruments, store_values_and_count_allocations) {
     ns::obs::counter c;
     c.add(5);
     ns::obs::gauge g;
@@ -338,25 +312,11 @@ TEST(obs_disabled, instruments_are_inert_when_compiled_out) {
     ns::obs::record_allocation(128);
     const ns::obs::alloc_counters after = ns::obs::thread_allocations();
 
-    if (compiled_in()) {
-        EXPECT_EQ(c.value(), 5u);
-        EXPECT_DOUBLE_EQ(g.last(), 2.0);
-        EXPECT_EQ(reg.snapshot().counter_value("x"), 3u);
-        EXPECT_EQ(after.count, before.count + 1);
-        EXPECT_EQ(after.bytes, before.bytes + 128);
-    } else {
-        EXPECT_EQ(c.value(), 0u);
-        EXPECT_DOUBLE_EQ(g.last(), 0.0);
-        EXPECT_TRUE(reg.snapshot().empty());
-        EXPECT_EQ(after.count, before.count);
-        EXPECT_EQ(after.bytes, before.bytes);
-        // Histograms and spans store nothing when disabled; they must
-        // still be constructible so instrumented code compiles verbatim.
-        histogram h;
-        h.record(1e-3);
-        ns::obs::trace_span span("x", nullptr);
-        EXPECT_EQ(h.count(), 0u);
-    }
+    EXPECT_EQ(c.value(), 5u);
+    EXPECT_DOUBLE_EQ(g.last(), 2.0);
+    EXPECT_EQ(reg.snapshot().counter_value("x"), 3u);
+    EXPECT_EQ(after.count, before.count + 1);
+    EXPECT_EQ(after.bytes, before.bytes + 128);
 }
 
 // ------------------------------------------- perf counter fallback --
@@ -404,9 +364,6 @@ TEST(perf_counters, open_contract_matches_availability) {
     ns::obs::perf_counter_group group;
     const bool opened = group.open();
     EXPECT_EQ(opened, group.available());
-    if (!compiled_in()) {
-        EXPECT_FALSE(opened);  // NS_OBS=OFF: empty inline, always false
-    }
     if (opened) {
         // Burn some user-space cycles; the leader must observe them.
         volatile double sink = 1.0;
@@ -442,27 +399,20 @@ TEST(perf_counters, scope_is_inert_without_group_or_destination) {
         ns::obs::perf_scope null_dest(nullptr, nullptr);
     }
     const metrics_snapshot snap = reg.snapshot();
-    if (compiled_in()) {
-        // from_registry pre-creates the counters as host data; they must
-        // all read 0.
-        EXPECT_TRUE(dest.wired());
-        EXPECT_EQ(snap.counter_value("perf.test_phase.cycles"), 0u);
-        EXPECT_EQ(snap.counter_value("perf.test_phase.instructions"), 0u);
-        for (const auto& counter : snap.counters) {
-            EXPECT_EQ(counter.origin, origin::host) << counter.name;
-        }
-    } else {
-        // NS_OBS=OFF: from_registry is an empty inline — nothing named,
-        // nothing stored.
-        EXPECT_FALSE(dest.wired());
-        EXPECT_TRUE(snap.empty());
+    // from_registry pre-creates the counters as host data; they must all
+    // read 0.
+    EXPECT_TRUE(dest.wired());
+    EXPECT_EQ(snap.counter_value("perf.test_phase.cycles"), 0u);
+    EXPECT_EQ(snap.counter_value("perf.test_phase.instructions"), 0u);
+    for (const auto& counter : snap.counters) {
+        EXPECT_EQ(counter.origin, origin::host) << counter.name;
     }
 }
 
-TEST(perf_counters, process_usage_reads_rusage_in_both_build_modes) {
-    // getrusage is host data, available even under NS_OBS=OFF (it feeds
-    // the --metrics process section only). On Linux a live process has
-    // a nonzero peak RSS; elsewhere the struct is all zeros.
+TEST(perf_counters, process_usage_reads_rusage) {
+    // getrusage is host data (it feeds the --metrics process section
+    // only). On Linux a live process has a nonzero peak RSS; elsewhere
+    // the struct is all zeros.
     const ns::obs::process_usage usage = ns::obs::current_process_usage();
 #if defined(__linux__)
     EXPECT_GT(usage.peak_rss_bytes, 0u);
@@ -472,18 +422,13 @@ TEST(perf_counters, process_usage_reads_rusage_in_both_build_modes) {
 #endif
 }
 
-TEST(obs_disabled, snapshot_record_value_roundtrips) {
+TEST(snapshot_record_value, stores_one_observation) {
     metrics_snapshot snap;
     snap.record_value("replica.wall_s", 0.25);
-    if (compiled_in()) {
-        const auto* h = snap.find_histogram("replica.wall_s");
-        ASSERT_NE(h, nullptr);
-        EXPECT_EQ(h->count, 1u);
-        EXPECT_DOUBLE_EQ(h->sum, 0.25);
-    }
-    // Under NS_OBS=OFF record_value may store or not — the only contract
-    // is that it is safe to call; merged results are never emitted
-    // because every producer is compiled out.
+    const auto* h = snap.find_histogram("replica.wall_s");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->count, 1u);
+    EXPECT_DOUBLE_EQ(h->sum, 0.25);
 }
 
 }  // namespace

@@ -22,7 +22,6 @@
 
 namespace {
 
-using ns::obs::compiled_in;
 using ns::obs::kernel_loop_model;
 using ns::phy::tone_kernel_window_size;
 
@@ -74,11 +73,7 @@ TEST(roofline_model, from_snapshot_reads_the_counter_or_zero) {
     reg.get_counter("phy.kernel_window_elems")->add(12345);
     const kernel_loop_model model =
         ns::obs::kernel_loop_model_from(reg.snapshot());
-    if (compiled_in()) {
-        EXPECT_EQ(model.window_elems, 12345u);
-    } else {
-        EXPECT_EQ(model.window_elems, 0u);  // counter compiled out
-    }
+    EXPECT_EQ(model.window_elems, 12345u);
     // Absent counter (e.g. a sample-fidelity run): zero, not a throw.
     ns::obs::metrics_registry empty;
     EXPECT_EQ(ns::obs::kernel_loop_model_from(empty.snapshot()).window_elems,
@@ -88,7 +83,6 @@ TEST(roofline_model, from_snapshot_reads_the_counter_or_zero) {
 // --------------------------------------- counter vs hand-built combine --
 
 TEST(roofline_model, kernel_window_elems_counts_packets_kernels_window) {
-    if (!compiled_in()) GTEST_SKIP() << "built with NS_OBS=OFF";
     // 3 packets, 8 payload symbols of which 5 are ON, 6 preamble
     // upchirps: 3 * (6 + 5) = 33 kernels. Radius 4 at padding 2 over
     // SF9's 512 bins: window = 2*4*2 + 1 = 17 elements per kernel.
@@ -135,7 +129,6 @@ TEST(roofline_model, kernel_window_elems_counts_packets_kernels_window) {
 // -------------------------------------------- thread-count invariance --
 
 TEST(roofline_model, model_inputs_are_identical_across_thread_counts) {
-    if (!compiled_in()) GTEST_SKIP() << "built with NS_OBS=OFF";
     // The roofline numerators (elems, bytes, flops, intensity) are
     // deterministic workload facts and must not depend on the thread
     // count; only the measured denominator (seconds) is a host fact.

@@ -419,17 +419,42 @@ TEST(report_origin, only_host_timers_are_host_instruments) {
     collect(metrics.counters);
     collect(metrics.gauges);
     collect(metrics.histograms);
-    const std::set<std::string> expected =
-        ns::obs::compiled_in()
-            ? std::set<std::string>{"round.total_s",     "round.plan_s",
-                                    "round.grouping_s",  "round.synth_s",
-                                    "round.superpose_s", "round.decode_s",
-                                    "phy.kernel_plan_s", "phy.kernel_sum_s",
-                                    "phy.noise_s",       "replica.wall_s",
-                                    // Warm-up growth follows the round-thread count.
-                                    "alloc.warmup_count"}
-            : std::set<std::string>{};
+    const std::set<std::string> expected = {
+        "round.total_s",     "round.plan_s",     "round.grouping_s",
+        "round.synth_s",     "round.superpose_s", "round.decode_s",
+        "phy.kernel_plan_s", "phy.kernel_sum_s", "phy.noise_s",
+        "replica.wall_s",
+        // Warm-up growth follows the round-thread count.
+        "alloc.warmup_count"};
     EXPECT_EQ(host, expected);
+}
+
+TEST(instrumentation, never_changes_outcomes) {
+    // Metrics and trace only observe: switching both off at run time
+    // must leave every outcome bit-identical at either fidelity, and the
+    // bare run must publish no metric at all.
+    for (const auto fidelity :
+         {ns::sim::phy_fidelity::symbol, ns::sim::phy_fidelity::sample}) {
+        scenario_spec spec = *find_scenario("warehouse-1k-grouped");
+        spec.sim.rounds = 4;
+        spec.sim.fidelity = fidelity;
+        spec.sim.obs.metrics = true;
+        spec.sim.obs.trace = true;
+        const scenario_result instrumented = run_scenario(spec);
+        spec.sim.obs.metrics = false;
+        spec.sim.obs.trace = false;
+        const scenario_result bare = run_scenario(spec);
+
+        EXPECT_FALSE(instrumented.sim.metrics.empty());
+        EXPECT_FALSE(instrumented.sim.trace.empty());
+        EXPECT_TRUE(bare.sim.metrics.empty());
+        EXPECT_TRUE(bare.sim.trace.empty());
+        std::ostringstream with_obs, without_obs;
+        ns::test::write_outcome_digest(with_obs, instrumented.sim);
+        ns::test::write_outcome_digest(without_obs, bare.sim);
+        EXPECT_EQ(with_obs.str(), without_obs.str())
+            << "fidelity " << static_cast<int>(fidelity);
+    }
 }
 
 TEST(report_origin, strip_drops_exactly_the_wall_clock_scalars) {

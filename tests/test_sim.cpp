@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 
 #include "netscatter/sim/deployment.hpp"
 #include "netscatter/sim/network_sim.hpp"
@@ -244,6 +245,38 @@ TEST(network_sim, result_accessors_consistent) {
     EXPECT_EQ(transmitting, result.total_transmitting);
     EXPECT_LE(result.total_delivered, result.total_detected);
     EXPECT_GE(result.mean_delivered_per_round(), 0.0);
+}
+
+/// Threads of this process, one /proc/self/task entry each (Linux).
+std::size_t process_threads() {
+    std::size_t threads = 0;
+    for ([[maybe_unused]] const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        ++threads;
+    }
+    return threads;
+}
+
+TEST(network_sim, round_threads_start_workers_only_at_symbol_fidelity) {
+#if !defined(__linux__)
+    GTEST_SKIP() << "counts threads through /proc/self/task";
+#endif
+    // Only the symbol-domain combine fans out across round threads; a
+    // sample-fidelity simulator must not park idle workers.
+    const deployment dep(deployment_params{}, 8, 11);
+    sim_config config = fast_sim();
+    config.intra_round_threads = 4;
+    const std::size_t before = process_threads();
+    config.fidelity = phy_fidelity::sample;
+    {
+        const network_simulator sim(dep, config);
+        EXPECT_EQ(process_threads(), before);
+    }
+    config.fidelity = phy_fidelity::symbol;
+    {
+        const network_simulator sim(dep, config);
+        EXPECT_EQ(process_threads(), before + 3);
+    }
 }
 
 TEST(network_sim, empty_result_rates_are_zero) {

@@ -673,7 +673,6 @@ TEST(fast_path_allocations, metrics_report_zero_steady_state_allocations) {
     // test-local diff: the simulator's own per-round allocation metering
     // (operator new above feeds ns::obs::record_allocation) must report
     // zero heap allocations for every round past the warm-up window.
-    if (!ns::obs::compiled_in()) GTEST_SKIP() << "built with NS_OBS=OFF";
     const ns::sim::deployment dep(ns::sim::deployment_params{}, 64, 9);
     ns::sim::sim_config config;
     config.rounds = 12;
@@ -711,7 +710,6 @@ TEST(construction_memory, bytes_per_device_stay_at_half_the_fat_slot_layout) {
     // inline optional tap line, this slope was 654 bytes per device,
     // counting every transient partition and allocation vector. The
     // simulator must stay at half of that or less.
-    if (!ns::obs::compiled_in()) GTEST_SKIP() << "built with NS_OBS=OFF";
     const std::uint64_t small = construction_bytes(4096);
     const std::uint64_t large = construction_bytes(16384);
     ASSERT_GT(large, small);
@@ -726,7 +724,6 @@ TEST(construction_memory, multipath_adds_only_each_devices_taps) {
     // Under model_multipath every device adds a tap line: the line and
     // its own taps, nothing else. The power-delay profile is one copy
     // shared by every line; a copy per line would add its vector too.
-    if (!ns::obs::compiled_in()) GTEST_SKIP() << "built with NS_OBS=OFF";
     const std::size_t devices = 16384;
     const std::uint64_t flat = construction_bytes(devices, false);
     const std::uint64_t multipath = construction_bytes(devices, true);
