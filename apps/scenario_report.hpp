@@ -233,6 +233,25 @@ inline bool perf_available(const ns::obs::metrics_snapshot& metrics) {
     return available != nullptr && available->max > 0.0;
 }
 
+/// Calls `visit(phase, readings)` for every phase in perf_phases, with
+/// its five perf.<phase>.* counters read from the merged snapshot.
+/// Phases that recorded neither cycles nor instructions are skipped.
+template <typename Visit>
+void for_each_perf_phase(const ns::obs::metrics_snapshot& metrics, Visit&& visit) {
+    for (const char* phase : perf_phases) {
+        const std::string prefix = std::string("perf.") + phase + ".";
+        const ns::obs::perf_readings readings{
+            .cycles = metrics.counter_value(prefix + "cycles"),
+            .instructions = metrics.counter_value(prefix + "instructions"),
+            .llc_loads = metrics.counter_value(prefix + "llc_loads"),
+            .llc_misses = metrics.counter_value(prefix + "llc_misses"),
+            .branch_misses = metrics.counter_value(prefix + "branch_misses"),
+        };
+        if (readings.cycles == 0 && readings.instructions == 0) continue;
+        visit(phase, readings);
+    }
+}
+
 /// Prints the per-phase hardware-counter table for --perf, or the clean
 /// degradation message when no replica could open perf events.
 inline void print_perf_table(const ns::scenario::scenario_result& result) {
@@ -247,32 +266,22 @@ inline void print_perf_table(const ns::scenario::scenario_result& result) {
     ns::util::text_table table(
         "hardware counters: " + result.spec.name,
         {"phase", "cycles [M]", "instr [M]", "IPC", "LLC miss", "br miss/kI"});
-    for (const char* phase : perf_phases) {
-        const std::string prefix = std::string("perf.") + phase;
-        const std::uint64_t cycles = metrics.counter_value(prefix + ".cycles");
-        const std::uint64_t instructions =
-            metrics.counter_value(prefix + ".instructions");
-        if (cycles == 0 && instructions == 0) continue;
-        const std::uint64_t llc_loads =
-            metrics.counter_value(prefix + ".llc_loads");
-        const std::uint64_t llc_misses =
-            metrics.counter_value(prefix + ".llc_misses");
-        const std::uint64_t branch_misses =
-            metrics.counter_value(prefix + ".branch_misses");
+    for_each_perf_phase(metrics, [&](const char* phase,
+                                     const ns::obs::perf_readings& r) {
         table.add_row(
-            {phase, ns::util::format_double(static_cast<double>(cycles) / 1e6, 1),
-             ns::util::format_double(static_cast<double>(instructions) / 1e6, 1),
-             ns::util::format_double(ns::obs::perf_ipc(instructions, cycles), 2),
+            {phase, ns::util::format_double(static_cast<double>(r.cycles) / 1e6, 1),
+             ns::util::format_double(static_cast<double>(r.instructions) / 1e6, 1),
+             ns::util::format_double(ns::obs::perf_ipc(r.instructions, r.cycles), 2),
              ns::util::format_double(
-                 100.0 * ns::obs::perf_miss_rate(llc_misses, llc_loads), 1) +
+                 100.0 * ns::obs::perf_miss_rate(r.llc_misses, r.llc_loads), 1) +
                  " %",
              ns::util::format_double(
-                 instructions == 0
+                 r.instructions == 0
                      ? 0.0
-                     : 1e3 * static_cast<double>(branch_misses) /
-                           static_cast<double>(instructions),
+                     : 1e3 * static_cast<double>(r.branch_misses) /
+                           static_cast<double>(r.instructions),
                  2)});
-    }
+    });
     table.print(std::cout);
 }
 
@@ -371,31 +380,19 @@ inline void write_metrics_json(const ns::scenario::scenario_result& result,
             report.set_scalar("perf_available",
                               perf_available(metrics) ? 1.0 : 0.0);
         }
-        for (const char* phase : perf_phases) {
-            const std::string prefix = std::string("perf.") + phase;
-            const std::uint64_t cycles =
-                metrics.counter_value(prefix + ".cycles");
-            const std::uint64_t instructions =
-                metrics.counter_value(prefix + ".instructions");
-            if (cycles == 0 && instructions == 0) continue;
-            const std::uint64_t llc_loads =
-                metrics.counter_value(prefix + ".llc_loads");
-            const std::uint64_t llc_misses =
-                metrics.counter_value(prefix + ".llc_misses");
+        for_each_perf_phase(metrics, [&](const char* phase,
+                                         const ns::obs::perf_readings& r) {
             report.add_section_point(
                 "perf",
                 {{"phase", phase},
-                 {"cycles", static_cast<double>(cycles)},
-                 {"instructions", static_cast<double>(instructions)},
-                 {"ipc", ns::obs::perf_ipc(instructions, cycles)},
-                 {"llc_loads", static_cast<double>(llc_loads)},
-                 {"llc_misses", static_cast<double>(llc_misses)},
-                 {"llc_miss_rate",
-                  ns::obs::perf_miss_rate(llc_misses, llc_loads)},
-                 {"branch_misses",
-                  static_cast<double>(
-                      metrics.counter_value(prefix + ".branch_misses"))}});
-        }
+                 {"cycles", static_cast<double>(r.cycles)},
+                 {"instructions", static_cast<double>(r.instructions)},
+                 {"ipc", ns::obs::perf_ipc(r.instructions, r.cycles)},
+                 {"llc_loads", static_cast<double>(r.llc_loads)},
+                 {"llc_misses", static_cast<double>(r.llc_misses)},
+                 {"llc_miss_rate", ns::obs::perf_miss_rate(r.llc_misses, r.llc_loads)},
+                 {"branch_misses", static_cast<double>(r.branch_misses)}});
+        });
         // Host process usage (getrusage; host-dependent by nature —
         // never part of determinism comparisons).
         const ns::obs::process_usage usage = ns::obs::current_process_usage();

@@ -6,33 +6,16 @@
 #include <span>
 
 #include "netscatter/dsp/fft.hpp"
-#include "netscatter/dsp/vector_ops.hpp"
-#include "netscatter/phy/chirp.hpp"
 #include "netscatter/util/crc.hpp"
 #include "netscatter/util/error.hpp"
 
 namespace ns::rx {
 
-namespace {
-
-cvec window_of(const cvec& stream, std::size_t start, std::size_t length) {
-    ns::util::require(start + length <= stream.size(), "receiver: window out of stream");
-    return cvec(stream.begin() + static_cast<std::ptrdiff_t>(start),
-                stream.begin() + static_cast<std::ptrdiff_t>(start + length));
-}
-
-}  // namespace
-
 receiver::receiver(receiver_params params)
-    : params_(params), demod_(params.phy, params.zero_padding_factor) {
-    upchirp_ref_ = ns::phy::make_upchirp(params_.phy, 0.0);
-}
+    : params_(params), demod_(params.phy, params.zero_padding_factor) {}
 
 void receiver::set_registered_shifts(std::vector<std::uint32_t> shifts) {
-    for (std::uint32_t s : shifts) {
-        ns::util::require(s < params_.phy.num_bins(), "receiver: shift out of range");
-    }
-    shifts_ = std::move(shifts);
+    set_registered_shifts(std::span<const std::uint32_t>(shifts));
 }
 
 void receiver::set_registered_shifts(std::span<const std::uint32_t> shifts) {
@@ -56,160 +39,6 @@ double receiver::expected_noise_bin_power() const {
     // After dechirp + FFT (any zero padding), a pure-noise bin has
     // expected power samples_per_symbol * noise_power.
     return static_cast<double>(params_.phy.samples_per_symbol()) * params_.noise_power;
-}
-
-double receiver::upchirp_metric(const cvec& window) const {
-    // Unpadded FFT is enough for the coarse timing metric.
-    const cvec dechirped = ns::phy::dechirp(params_.phy, window);
-    const std::vector<double> power = ns::dsp::power_spectrum(ns::dsp::fft(dechirped));
-    double total = 0.0;
-    if (shifts_.empty()) {
-        total = *std::max_element(power.begin(), power.end());
-    } else {
-        for (std::uint32_t s : shifts_) total += power[s];
-    }
-    return total;
-}
-
-double receiver::downchirp_metric(const cvec& window) const {
-    // A downchirp at shift s times the baseline upchirp is a tone at bin s.
-    const cvec dechirped = ns::dsp::multiply(window, upchirp_ref_);
-    const std::vector<double> power = ns::dsp::power_spectrum(ns::dsp::fft(dechirped));
-    double total = 0.0;
-    if (shifts_.empty()) {
-        total = *std::max_element(power.begin(), power.end());
-    } else {
-        for (std::uint32_t s : shifts_) total += power[s];
-    }
-    return total;
-}
-
-std::optional<std::size_t> receiver::detect_packet_start(const cvec& stream,
-                                                         std::size_t coarse_step) const {
-    // Two-stage synchronization. Key property: at fs == BW, a window that
-    // is misaligned by d samples inside a run of repeated upchirps is
-    // itself a perfect upchirp whose peak sits d bins above the device's
-    // bin. Stage 1 therefore scans on a symbol grid, estimates the common
-    // bin displacement d of the registered comb, and requires it to
-    // repeat across consecutive windows (the preamble's 6 identical
-    // upchirps). Stage 2 converts (grid position, d) into candidate
-    // starts, refines them at sample granularity with the up+down
-    // preamble metric (§3.3.1), and sanity-checks with the decode-grade
-    // detector.
-    const std::size_t sps = params_.phy.samples_per_symbol();
-    const std::size_t n_bins = params_.phy.num_bins();
-    const std::size_t preamble_samples = params_.frame.preamble_symbols * sps;
-    if (stream.size() < preamble_samples || shifts_.empty()) return std::nullopt;
-    const std::size_t fine_radius = coarse_step == 0 ? 4 : coarse_step;
-
-    // --- Stage 1: symbol-grid comb scan ---------------------------------
-    struct grid_info {
-        std::size_t displacement = 0;  // d in bins (== samples)
-        double comb_power = 0.0;
-        double noise = 0.0;
-    };
-    const std::size_t grid_count = stream.size() / sps;
-    std::vector<grid_info> grid(grid_count);
-    for (std::size_t g = 0; g < grid_count; ++g) {
-        const cvec dechirped =
-            ns::phy::dechirp(params_.phy, window_of(stream, g * sps, sps));
-        const std::vector<double> power = ns::dsp::power_spectrum(ns::dsp::fft(dechirped));
-        grid[g].noise = expected_noise_bin_power();
-        for (std::size_t d = 0; d < n_bins; ++d) {
-            double comb = 0.0;
-            for (std::uint32_t s : shifts_) comb += power[(s + d) % n_bins];
-            if (comb > grid[g].comb_power) {
-                grid[g].comb_power = comb;
-                grid[g].displacement = d;
-            }
-        }
-    }
-
-    // --- Stage 2: find runs of consistent displacement -------------------
-    const auto strong = [&](std::size_t g) {
-        return grid[g].comb_power >
-               params_.detection_factor * grid[g].noise * static_cast<double>(shifts_.size());
-    };
-    const auto same_d = [&](std::size_t a, std::size_t b) {
-        const std::size_t diff =
-            (grid[a].displacement + n_bins - grid[b].displacement) % n_bins;
-        return diff <= 1 || diff >= n_bins - 1;  // +-1 bin of jitter slack
-    };
-
-    std::vector<std::size_t> candidates;
-    const std::size_t last_start = stream.size() - preamble_samples;
-    const std::size_t min_run = ns::phy::distributed_modulator::preamble_upchirps - 2;
-    for (std::size_t g = 0; g + min_run <= grid_count; ++g) {
-        bool run = strong(g);
-        for (std::size_t k = 1; run && k < min_run; ++k) {
-            run = strong(g + k) && same_d(g, g + k);
-        }
-        if (!run) continue;
-        if (g > 0 && strong(g - 1) && same_d(g - 1, g)) continue;  // not the run head
-        // The run's first full window is displaced d samples past the
-        // packet start.
-        const std::size_t d = grid[g].displacement;
-        const std::size_t anchor = g * sps;
-        for (const std::ptrdiff_t shift_sym : {-1, 0, 1}) {
-            const std::ptrdiff_t p = static_cast<std::ptrdiff_t>(anchor) -
-                                     static_cast<std::ptrdiff_t>(d) +
-                                     shift_sym * static_cast<std::ptrdiff_t>(sps);
-            if (p >= 0 && p <= static_cast<std::ptrdiff_t>(last_start)) {
-                candidates.push_back(static_cast<std::size_t>(p));
-            }
-        }
-    }
-    if (candidates.empty()) return std::nullopt;
-
-    // --- Stage 3: fine refinement with the up+down preamble metric -------
-    const auto preamble_metric = [&](std::size_t t) {
-        double metric = 0.0;
-        for (std::size_t k = 0; k < ns::phy::distributed_modulator::preamble_upchirps; ++k) {
-            metric += upchirp_metric(window_of(stream, t + k * sps, sps));
-        }
-        for (std::size_t k = ns::phy::distributed_modulator::preamble_upchirps;
-             k < params_.frame.preamble_symbols; ++k) {
-            metric += downchirp_metric(window_of(stream, t + k * sps, sps));
-        }
-        return metric;
-    };
-
-    double best_metric = -1.0;
-    std::size_t best_t = 0;
-    for (std::size_t candidate : candidates) {
-        const std::size_t lo = candidate > fine_radius ? candidate - fine_radius : 0;
-        const std::size_t hi = std::min(candidate + fine_radius, last_start);
-        for (std::size_t t = lo; t <= hi; ++t) {
-            const double metric = preamble_metric(t);
-            if (metric > best_metric) {
-                best_metric = metric;
-                best_t = t;
-            }
-        }
-    }
-
-    // --- Stage 4: decode-grade sanity check ------------------------------
-    // At the chosen alignment, at least one registered device must be
-    // detected in EVERY preamble upchirp (the §3.3.1 criterion); plain
-    // noise does not survive this.
-    std::vector<std::size_t> detect_count(shifts_.size(), 0);
-    for (std::size_t k = 0; k < ns::phy::distributed_modulator::preamble_upchirps; ++k) {
-        const std::vector<double> power =
-            demod_.symbol_power_spectrum(window_of(stream, best_t + k * sps, sps));
-        const double noise = expected_noise_bin_power();
-        for (std::size_t i = 0; i < shifts_.size(); ++i) {
-            if (demod_.power_at_bin(power, shifts_[i], guard_search_radius()) > params_.detection_factor * noise) {
-                ++detect_count[i];
-            }
-        }
-    }
-    const bool confirmed = std::any_of(detect_count.begin(), detect_count.end(),
-                                       [&](std::size_t c) {
-                                           return c == ns::phy::distributed_modulator::
-                                                            preamble_upchirps;
-                                       });
-    if (!confirmed) return std::nullopt;
-    return best_t;
 }
 
 template <typename SpectrumAt>
@@ -357,7 +186,6 @@ void receiver::decode_into(const cvec& stream, std::size_t packet_start,
     const std::size_t total_symbols = params_.frame.preamble_symbols + payload_symbols;
     ns::util::require(packet_start + total_symbols * sps <= stream.size(),
                       "decode: stream too short for a full packet");
-    out.packet_start = packet_start;
 
     const std::size_t up_symbols = ns::phy::distributed_modulator::preamble_upchirps;
     const std::size_t payload_begin = packet_start + params_.frame.preamble_symbols * sps;
@@ -397,18 +225,7 @@ void receiver::decode_spectra_into(std::span<const cvec> spectra, decode_result&
     ns::util::require(spectra.size() == up_symbols + payload_symbols,
                       "decode_spectra: expected one spectrum per preamble upchirp "
                       "and payload symbol");
-    out.packet_start = 0;
     decode_core([&](std::size_t g) -> const cvec& { return spectra[g]; }, out, ws);
-}
-
-std::optional<decode_result> receiver::receive(const cvec& stream) const {
-    const std::optional<std::size_t> start = detect_packet_start(stream);
-    if (!start.has_value()) return std::nullopt;
-    const std::size_t sps = params_.phy.samples_per_symbol();
-    const std::size_t needed =
-        (params_.frame.preamble_symbols + params_.frame.payload_plus_crc_bits()) * sps;
-    if (*start + needed > stream.size()) return std::nullopt;
-    return decode(stream, *start);
 }
 
 }  // namespace ns::rx

@@ -2,12 +2,7 @@
 //
 // The AP receiver processes the superposed baseband of all concurrent
 // devices:
-//   1. Packet-start detection. All devices transmit their preambles
-//      concurrently (6 upchirps then 2 downchirps, each at the device's
-//      assigned shift). Up- and downchirps at the *same* shift are
-//      symmetric around the up/down boundary, so the boundary — and from
-//      it the packet start, six symbols earlier — can be located by
-//      finding where upchirp energy hands over to downchirp energy.
+//   1. Decoding starts at the AP-triggered packet start (§3.3).
 //   2. Active-device detection. A device is present when an FFT peak
 //      appears at its bin in *all* preamble upchirp symbols.
 //   3. Thresholding. The device's average preamble peak power becomes its
@@ -21,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -89,7 +83,6 @@ struct device_report {
 
 /// Result of one decode round.
 struct decode_result {
-    std::size_t packet_start = 0;          ///< sample index of the first preamble symbol
     std::vector<device_report> reports;    ///< one per registered shift
 };
 
@@ -123,14 +116,6 @@ public:
     /// never allocates for a set of at most that many.
     void reserve_registered_shifts(std::size_t count) { shifts_.reserve(count); }
 
-    /// Locates the packet start in `stream` by the up/down-boundary
-    /// method. `coarse_step` controls the initial grid (samples); the
-    /// result is refined to within +-coarse_step/2 samples by a local
-    /// fine search. Returns std::nullopt when no preamble-like structure
-    /// exceeds the detection threshold.
-    std::optional<std::size_t> detect_packet_start(const cvec& stream,
-                                                   std::size_t coarse_step = 0) const;
-
     /// Decodes one round from `stream` starting at `packet_start`
     /// (sample-aligned). The stream must contain the full packet
     /// (preamble + payload symbols) after that offset.
@@ -152,10 +137,6 @@ public:
     void decode_spectra_into(std::span<const cvec> spectra, decode_result& out,
                              decode_workspace& workspace) const;
 
-    /// Convenience: detect + decode. Returns std::nullopt when detection
-    /// fails.
-    std::optional<decode_result> receive(const cvec& stream) const;
-
     /// Attaches this receiver's decode counters (rx.decode_calls,
     /// rx.symbols_processed, rx.detected, rx.crc_ok) to `registry`
     /// (non-owning, must outlive the receiver; nullptr detaches). The
@@ -174,10 +155,6 @@ private:
     void decode_core(SpectrumAt&& spectrum_at, decode_result& out,
                      decode_workspace& workspace) const;
 
-    /// Sum of registered-bin peak powers for an upchirp-dechirped window.
-    double upchirp_metric(const cvec& window) const;
-    /// Same for a downchirp window (dechirped with the conjugate).
-    double downchirp_metric(const cvec& window) const;
     /// Expected dechirped noise-bin power from the calibrated floor.
     double expected_noise_bin_power() const;
     /// Padded-bin search radius covering the SKIP guard region.
@@ -185,7 +162,6 @@ private:
 
     receiver_params params_;
     ns::phy::demodulator demod_;
-    cvec upchirp_ref_;    // dechirp reference for downchirp symbols
     std::vector<std::uint32_t> shifts_;
     // Decode-path counters (null until set_metrics; the pointees live in
     // the attached registry, so incrementing through them from the const

@@ -1,5 +1,5 @@
-// Unit tests for ns::rx — the NetScatter receiver: packet-start
-// detection, concurrent decoding, thresholding, CRC.
+// Unit tests for ns::rx — the NetScatter receiver: concurrent decoding
+// at the AP-triggered packet start, thresholding, CRC.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -160,39 +160,20 @@ TEST(receiver, near_far_within_tolerance) {
     EXPECT_GE(weak_ok, 8);
 }
 
-TEST(receiver, detect_packet_start_finds_offset) {
-    const receiver_params rxp = default_rx();
-    receiver rx(rxp);
-    rx.set_registered_shifts({100});
-    ns::util::rng gen(7);
-    const std::size_t lead_in = 300;  // packet starts 300 samples in
-    const auto setup = make_concurrent(rxp, {100}, {10.0}, gen, lead_in);
-    const auto start = rx.detect_packet_start(setup.stream);
-    ASSERT_TRUE(start.has_value());
-    EXPECT_NEAR(static_cast<double>(*start), static_cast<double>(lead_in), 2.0);
-}
-
-TEST(receiver, receive_end_to_end_with_offset) {
+TEST(receiver, decode_at_known_lead_in) {
+    // The AP knows where its query triggered the round, so decoding at a
+    // non-zero start must recover a packet that begins 450 samples in.
     const receiver_params rxp = default_rx();
     receiver rx(rxp);
     rx.set_registered_shifts({64, 320});
     ns::util::rng gen(8);
     const auto setup = make_concurrent(rxp, {64, 320}, {8.0, 8.0}, gen, 450);
-    const auto result = rx.receive(setup.stream);
-    ASSERT_TRUE(result.has_value());
-    EXPECT_TRUE(result->reports[0].crc_ok);
-    EXPECT_TRUE(result->reports[1].crc_ok);
-    EXPECT_EQ(result->reports[0].bits, setup.frame_bits[0]);
-    EXPECT_EQ(result->reports[1].bits, setup.frame_bits[1]);
-}
-
-TEST(receiver, detect_returns_nullopt_on_noise) {
-    const receiver_params rxp = default_rx();
-    receiver rx(rxp);
-    rx.set_registered_shifts({100});
-    ns::util::rng gen(9);
-    const cvec noise = ns::channel::make_noise(40000, 1.0, gen);
-    EXPECT_FALSE(rx.detect_packet_start(noise).has_value());
+    const decode_result result = rx.decode(setup.stream, 450);
+    ASSERT_EQ(result.reports.size(), 2u);
+    for (std::size_t d = 0; d < 2; ++d) {
+        EXPECT_TRUE(result.reports[d].crc_ok) << d;
+        EXPECT_EQ(result.reports[d].bits, setup.frame_bits[d]) << d;
+    }
 }
 
 TEST(receiver, decode_requires_full_packet) {

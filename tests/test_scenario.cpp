@@ -476,6 +476,36 @@ TEST(report_origin, strip_drops_exactly_the_wall_clock_scalars) {
     std::filesystem::remove(stripped);
 }
 
+TEST(report_perf, phases_read_all_five_counters_and_skip_idle_ones) {
+    // Hosts that deny perf_event_open never fill perf.<phase>.*, so the
+    // reader behind the --perf table and the metrics "perf" section is
+    // pinned on a hand-built snapshot.
+    ns::obs::metrics_registry registry;
+    const auto put = [&](const std::string& phase, std::uint64_t base) {
+        for (const char* field : {"cycles", "instructions", "llc_loads",
+                                  "llc_misses", "branch_misses"}) {
+            registry.get_counter("perf." + phase + "." + field)->add(base++);
+        }
+    };
+    put("decode", 10);
+    put("plan", 20);
+    registry.get_counter("perf.synth.cycles")->add(0);
+    registry.get_counter("perf.synth.llc_loads")->add(5);  // idle: skipped
+    const ns::obs::metrics_snapshot snapshot = registry.snapshot();
+
+    std::vector<std::string> phases;
+    std::vector<std::uint64_t> values;
+    ns::apps::for_each_perf_phase(snapshot, [&](const char* phase,
+                                                const ns::obs::perf_readings& r) {
+        phases.emplace_back(phase);
+        values.insert(values.end(), {r.cycles, r.instructions, r.llc_loads,
+                                     r.llc_misses, r.branch_misses});
+    });
+    EXPECT_EQ(phases, (std::vector<std::string>{"plan", "decode"}));
+    EXPECT_EQ(values, (std::vector<std::uint64_t>{20, 21, 22, 23, 24,
+                                                  10, 11, 12, 13, 14}));
+}
+
 // ------------------------------------------------------------- traffic --
 
 TEST(traffic, saturated_always_offers) {
