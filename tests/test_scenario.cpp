@@ -876,6 +876,14 @@ TEST(sample_path, stale_shift_transmitters_are_pinned) {
     EXPECT_EQ(outcome_hash(sim), 0x3af4f05166d4162fULL);
 }
 
+// Every device carries a tap delay line, so each row takes the sample
+// path's filtered branch: shifted, then convolved with its taps.
+TEST(sample_path, multipath_rows_are_pinned) {
+    const auto sim = pinned_run("office-multipath", 8, ns::sim::phy_fidelity::sample);
+    EXPECT_EQ(sim.fast_path_rounds, 0u);
+    EXPECT_EQ(outcome_hash(sim), 0x40a7bc4f7c2fd424ULL);
+}
+
 // The oracle runs of the two interferer kinds: every round is rendered,
 // a LoRa frame or a tone included, so any change to how an interferer is
 // described or rendered must keep every outcome of these runs.
