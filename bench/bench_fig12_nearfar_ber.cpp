@@ -61,7 +61,8 @@ double measure_ber(double victim_snr_db, double interferer_offset_db,
         ns::channel::add_noise(rx, 1.0, rng);
 
         const auto power = demod.symbol_power_spectrum(rx);
-        const bool decided = demod.power_at_bin(power, victim_bin) > threshold;
+        const bool decided =
+            demod.power_at_offset(power, victim_bin, 0, demod.padding_factor() / 2) > threshold;
         if (decided != bit) ++errors;
     }
     return static_cast<double>(errors) / static_cast<double>(symbols);

@@ -44,8 +44,9 @@ double symbol_demod_us(std::size_t n_devices, std::size_t repeats) {
     for (std::size_t r = 0; r < repeats; ++r) {
         const auto power = demod.symbol_power_spectrum(symbol);
         for (std::size_t d = 0; d < n_devices; ++d) {
-            sink += demod.power_at_bin(
-                power, static_cast<std::uint32_t>(d * stride % phy.num_bins()));
+            sink += demod.power_at_offset(
+                power, static_cast<std::uint32_t>(d * stride % phy.num_bins()), 0,
+                demod.padding_factor() / 2);
         }
     }
     if (sink < 0.0) std::cout << sink;  // defeat dead-code elimination

@@ -18,45 +18,47 @@ namespace ns::channel {
 
 namespace {
 
-/// `row` as a keyed waveform over the workspace's per-shift chirp tables
-/// (built on first use): distributed_modulator's packet — the preamble's
-/// upchirps and downchirps at the row's shift, then the upchirp for each
-/// '1' bit and silence for each '0' — without rendering it.
-ns::dsp::keyed_waveform keyed_row(const packet_contribution& row,
-                                  const ns::phy::css_params& params,
-                                  channel_workspace& workspace) {
+/// `row` as a dense contribution, its samples rendered into `wave`:
+/// distributed_modulator's packet — the shift's upchirp ×6, its downchirp
+/// ×2, then the upchirp for each '1' bit and zeros for each '0'.
+tx_contribution render_row(const packet_contribution& row, const ns::phy::css_params& params,
+                           cvec& wave) {
     using modulator = ns::phy::distributed_modulator;
-    const std::size_t bins = params.num_bins();
-    ns::util::require(row.cyclic_shift < bins, "combine: cyclic shift out of range");
-    if (workspace.shift_chirps.size() != 2 * bins) {
-        workspace.shift_chirps.assign(2 * bins, {});
+    ns::util::require(row.cyclic_shift < params.num_bins(),
+                      "combine: cyclic shift out of range");
+    const std::size_t n = params.samples_per_symbol();
+    wave.resize((modulator::preamble_symbols + row.frame_bits.size()) * n);
+    const double shift = static_cast<double>(row.cyclic_shift);
+    const std::span<cplx> up = std::span<cplx>(wave).first(n);
+    const std::span<cplx> down =
+        std::span<cplx>(wave).subspan(modulator::preamble_upchirps * n, n);
+    ns::phy::make_upchirp_into(params, shift, up);
+    ns::phy::make_downchirp_into(params, shift, down);
+    auto cursor = up.end();
+    for (std::size_t k = 1; k < modulator::preamble_upchirps; ++k) {
+        cursor = std::copy(up.begin(), up.end(), cursor);
     }
-    cvec& up = workspace.shift_chirps[2 * row.cyclic_shift];
-    cvec& down = workspace.shift_chirps[2 * row.cyclic_shift + 1];
-    if (up.empty()) {
-        up = ns::phy::make_upchirp(params, static_cast<double>(row.cyclic_shift));
-        down = ns::phy::make_downchirp(params, static_cast<double>(row.cyclic_shift));
+    cursor = down.end();
+    for (std::size_t k = 1; k < modulator::preamble_downchirps; ++k) {
+        cursor = std::copy(down.begin(), down.end(), cursor);
     }
-    std::vector<const cplx*>& symbols = workspace.row_symbols;
-    symbols.resize(modulator::preamble_symbols + row.frame_bits.size());
-    std::fill_n(symbols.begin(), modulator::preamble_upchirps, up.data());
-    std::fill_n(symbols.begin() + modulator::preamble_upchirps,
-                modulator::preamble_downchirps, down.data());
-    for (std::size_t i = 0; i < row.frame_bits.size(); ++i) {
-        symbols[modulator::preamble_symbols + i] =
-            row.frame_bits[i] != 0 ? up.data() : nullptr;
+    for (const std::uint8_t bit : row.frame_bits) {
+        cursor = bit != 0 ? std::copy(up.begin(), up.end(), cursor)
+                          : std::fill_n(cursor, n, cplx{0.0, 0.0});
     }
-    return {.symbols = symbols, .symbol_len = params.samples_per_symbol()};
+    return {.waveform = std::span<const cplx>(wave),
+            .snr_db = row.snr_db,
+            .timing_offset_s = row.timing_offset_s,
+            .frequency_offset_hz = row.frequency_offset_hz,
+            .random_phase = row.random_phase,
+            .taps = row.taps};
 }
 
-/// Adds one contribution into workspace.received: `wave` scaled to the
-/// contribution's SNR, rotated by its carrier phase, tone-shifted by its
-/// residual timing/frequency offset and, when it carries taps, filtered.
-/// Its one draw is the carrier phase. Only the filtered branch renders
-/// `wave` (into workspace.rendered, unless it is already one dense run).
-template <class Contribution>
-void add_contribution(const Contribution& tx, const ns::dsp::keyed_waveform& wave,
-                      std::size_t sample_delay, const ns::phy::css_params& params,
+/// Adds one contribution into workspace.received: its waveform scaled to
+/// its SNR, rotated by its carrier phase, tone-shifted by its residual
+/// timing/frequency offset and, when it carries taps, filtered, from
+/// sample `tx.sample_delay` on. Its one draw is the carrier phase.
+void add_contribution(const tx_contribution& tx, const ns::phy::css_params& params,
                       const channel_config& config, ns::util::rng& rng,
                       channel_workspace& workspace) {
     // Amplitude from SNR relative to the configured noise power.
@@ -68,35 +70,26 @@ void add_contribution(const Contribution& tx, const ns::dsp::keyed_waveform& wav
     const double tone_hz =
         equivalent_tone_shift_hz(params, tx.timing_offset_s, tx.frequency_offset_hz);
 
-    const bool filtered = !tx.taps.empty();
-    if (filtered) {
-        std::span<const cplx> source;
-        if (wave.symbols.size() == 1) {
-            source = {wave.symbols[0], wave.symbol_len};
-        } else {
-            ns::dsp::render_keyed(wave, workspace.rendered);
-            source = workspace.rendered;
-        }
-        if (tone_hz != 0.0) {
-            ns::dsp::frequency_shift_into(source, tone_hz, params.bandwidth_hz,
-                                          workspace.staged);
-            source = workspace.staged;
-        }
-        apply_multipath_into(source, tx.taps, workspace.filtered);
-    }
-
     cplx gain{amplitude, 0.0};
     if (tx.random_phase) {
         gain = std::polar(amplitude, rng.uniform(0.0, 2.0 * std::numbers::pi));
     }
 
-    if (filtered) {
+    std::span<const cplx> wave = tx.waveform;
+    if (!tx.taps.empty()) {
+        if (tone_hz != 0.0) {
+            ns::dsp::frequency_shift_into(wave, tone_hz, params.bandwidth_hz,
+                                          workspace.staged);
+            wave = workspace.staged;
+        }
+        apply_multipath_into(wave, tx.taps, workspace.filtered);
         ns::dsp::accumulate_scaled(workspace.received, workspace.filtered, gain,
-                                   sample_delay);
+                                   tx.sample_delay);
+    } else if (tone_hz != 0.0) {
+        ns::dsp::accumulate_scaled_shifted(workspace.received, wave, gain, tone_hz,
+                                           params.bandwidth_hz, tx.sample_delay);
     } else {
-        // Fused shift + scale + accumulate straight from the symbols.
-        ns::dsp::accumulate_keyed(workspace.received, wave, gain, tone_hz,
-                                  params.bandwidth_hz, sample_delay);
+        ns::dsp::accumulate_scaled(workspace.received, wave, gain, tx.sample_delay);
     }
 }
 
@@ -122,7 +115,7 @@ tx_contribution render_interferer(const interferer_contribution& interferer,
     return tx;
 }
 
-/// Both combine() overloads: keyed rows, dense contributions, then
+/// Both combine() overloads: packet rows, dense contributions, then
 /// interferers, then the noise.
 const cvec& combine_samples(std::span<const packet_contribution> rows,
                             std::span<const tx_contribution> dense,
@@ -136,18 +129,13 @@ const cvec& combine_samples(std::span<const packet_contribution> rows,
     received.assign(length, cplx{0.0, 0.0});
 
     for (const auto& row : rows) {
-        add_contribution(row, keyed_row(row, params, workspace), 0, params, config, rng,
+        add_contribution(render_row(row, params, workspace.rendered), params, config, rng,
                          workspace);
     }
-    const auto add_dense = [&](const tx_contribution& tx) {
-        const std::span<const cplx> samples = tx.waveform;
-        const cplx* const first = samples.data();
-        add_contribution(tx, {.symbols = {&first, 1}, .symbol_len = samples.size()},
-                         tx.sample_delay, params, config, rng, workspace);
-    };
-    for (const auto& tx : dense) add_dense(tx);
+    for (const auto& tx : dense) add_contribution(tx, params, config, rng, workspace);
     for (const auto& interferer : interferers) {
-        add_dense(render_interferer(interferer, length, params, workspace.rendered));
+        add_contribution(render_interferer(interferer, length, params, workspace.rendered),
+                         params, config, rng, workspace);
     }
 
     add_noise(received, config.noise_power, rng);

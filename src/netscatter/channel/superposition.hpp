@@ -12,9 +12,9 @@
 // Two synthesis domains consume the same packet and interferer rows:
 //  * combine() — sample domain, the oracle: sums time-domain waveforms
 //    into the AP's received baseband. Fully general (arbitrary dense
-//    waveforms). Packets accumulate straight from per-shift chirp
-//    tables, never rendered, so the cost is O(devices x sounding
-//    samples) plus the interferers' samples.
+//    waveforms). Each packet row and interferer is rendered into one
+//    reused buffer and added like any dense waveform, so the cost is
+//    O(contributions x samples).
 //  * combine_symbol_domain() — the §3.2 dechirp-to-tone identity run in
 //    reverse: a standard packet's post-dechirp spectrum is a Dirichlet
 //    kernel at bin shift + fractional offset(CFO, STO, Doppler), so each
@@ -86,7 +86,7 @@ struct tx_contribution {
 /// Symbolic description of one standard NetScatter packet (preamble at
 /// the assigned shift + ON-OFF keyed payload), the row both synthesis
 /// paths consume: the fast path sums its post-dechirp kernels, the
-/// sample path its shift's chirps — neither materializes the packet.
+/// sample path renders the packet's samples.
 struct packet_contribution {
     std::uint32_t cyclic_shift = 0;
     /// Payload+CRC bits (one ON-OFF symbol per bit), non-owning. 0/1.
@@ -152,14 +152,9 @@ struct symbol_domain_params {
 /// once the buffers are warm.
 struct channel_workspace {
     cvec received;                  ///< combine() output buffer
-    cvec rendered;                  ///< a tapped keyed row's or an interferer's samples
+    cvec rendered;                  ///< a packet row's or an interferer's samples
     cvec staged;                    ///< frequency-shift staging (multipath path)
     cvec filtered;                  ///< multipath staging
-    /// combine()'s keyed rows read these: the upchirp ([2s]) and downchirp
-    /// ([2s+1]) of every shift s a row used, built on first use (about
-    /// 2·2^SF·16 B per shift; reset when the spreading factor changes).
-    std::vector<cvec> shift_chirps;
-    std::vector<const cplx*> row_symbols;  ///< the current row's symbol table
     std::vector<cvec> symbol_spectra;  ///< per-symbol accumulators (fast path):
                                        ///< preamble upchirps then payload symbols
     cvec kernel;                    ///< per-device Dirichlet window
@@ -208,13 +203,10 @@ struct channel_workspace {
 
 /// Combines the round's packet rows, then the interferers, into the AP's
 /// received baseband of length `length` samples and adds noise. Each row
-/// is distributed_modulator's packet at its shift (6 upchirps, 2
-/// downchirps, then one ON-OFF symbol per frame bit) starting at sample
-/// 0, and accumulates straight from workspace.shift_chirps: OFF symbols
-/// cost nothing but the phasor steps a later ON symbol of the same
-/// re-anchor block needs. A row with taps is rendered into
-/// workspace.rendered first, because the tap line convolves the full
-/// waveform; so is each interferer (a LoRa frame with lora_modulator,
+/// is rendered into workspace.rendered as distributed_modulator's packet
+/// at its shift (6 upchirps, 2 downchirps, then one ON-OFF symbol per
+/// frame bit) starting at sample 0, then added as a dense contribution;
+/// so is each interferer (a tone, or a LoRa frame from lora_modulator
 /// shifted by its `sample_delay`). Sub-sample timing offsets and CFO are
 /// applied via the equivalent tone shift. The random draws run in
 /// contribution order (one carrier phase each), then the noise.

@@ -14,11 +14,6 @@ namespace ns::dsp {
 /// Element-wise product a[i] * b[i]. Requires equal lengths.
 cvec multiply(std::span<const cplx> a, std::span<const cplx> b);
 
-/// Element-wise product with the conjugate of b: a[i] * conj(b[i]).
-/// Requires equal lengths. (Dechirping multiplies by a downchirp, which is
-/// the conjugate of the baseline upchirp.)
-cvec multiply_conj(std::span<const cplx> a, std::span<const cplx> b);
-
 /// Adds b into a in place: a[i] += b[i]. Requires b no longer than a.
 void accumulate(cvec& a, std::span<const cplx> b);
 
@@ -44,32 +39,6 @@ void accumulate_scaled(cvec& a, std::span<const cplx> b, cplx gain, std::size_t 
 void accumulate_scaled_shifted(cvec& a, std::span<const cplx> b, cplx gain,
                                double frequency_hz, double sample_rate_hz,
                                std::size_t offset);
-
-/// An ON-OFF keyed waveform described by its symbols, not its samples:
-/// symbol k covers samples [k·symbol_len, (k+1)·symbol_len) and reads
-/// symbols[k][0 .. symbol_len), or is silent when symbols[k] is null.
-/// A NetScatter packet is one (§3.1): its shift's preamble chirps, then
-/// the upchirp for each '1' bit and silence for each '0'. A dense
-/// waveform is the one-symbol case.
-struct keyed_waveform {
-    std::span<const cplx* const> symbols;
-    std::size_t symbol_len = 0;
-
-    std::size_t size() const { return symbols.size() * symbol_len; }
-};
-
-/// Writes the samples of `b` into `out` (resized; capacity reuse).
-void render_keyed(const keyed_waveform& b, cvec& out);
-
-/// Keyed accumulate without rendering: bit-identical to render_keyed()
-/// followed by accumulate_scaled() when frequency_hz == 0, else by
-/// accumulate_scaled_shifted(). Silent symbols are skipped (the dense
-/// loops add ±0 there, which changes no sample of a buffer that holds no
-/// -0; a sum that starts at +0 never becomes -0), while the phasor runs
-/// across them exactly as the dense loop's does. Overhang past the end
-/// of a is dropped.
-void accumulate_keyed(cvec& a, const keyed_waveform& b, cplx gain, double frequency_hz,
-                      double sample_rate_hz, std::size_t offset);
 
 /// Scales every element by `factor`.
 void scale(cvec& a, double factor);

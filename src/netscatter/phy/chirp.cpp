@@ -71,6 +71,11 @@ cvec make_downchirp(const css_params& params, double cyclic_shift) {
     return make_chirp(params, cyclic_shift, -1.0);
 }
 
+void make_downchirp_into(const css_params& params, double cyclic_shift,
+                         std::span<cplx> out) {
+    make_chirp_into(params, cyclic_shift, -1.0, out);
+}
+
 cvec dechirp_reference(const css_params& params) {
     return make_downchirp(params, 0.0);
 }

@@ -36,6 +36,11 @@ void make_upchirp_into(const css_params& params, double cyclic_shift, std::span<
 /// device's assigned shift on downchirps too (§3.3.1).
 cvec make_downchirp(const css_params& params, double cyclic_shift = 0.0);
 
+/// make_downchirp into a caller-provided span of exactly
+/// `params.samples_per_symbol()` samples: the same values, no allocation.
+void make_downchirp_into(const css_params& params, double cyclic_shift,
+                         std::span<cplx> out);
+
 /// Baseline downchirp used by the receiver for dechirping, i.e.
 /// make_downchirp(params, 0). Cache this: it is multiplied against every
 /// received symbol.

@@ -111,25 +111,4 @@ double demodulator::power_at_offset(const std::vector<double>& padded_spectrum,
     return best;
 }
 
-double demodulator::power_at_bin(const std::vector<double>& padded_spectrum,
-                                 std::uint32_t bin,
-                                 std::size_t search_radius_padded) const {
-    ns::util::require(padded_spectrum.size() == padded_size(),
-                      "power_at_bin: spectrum size mismatch");
-    ns::util::require(bin < params_.num_bins(), "power_at_bin: bin out of range");
-    // Search the padded bins within the radius of the nominal location,
-    // circularly, and report the maximum. This credits a device whose
-    // residual time/frequency offset moved its peak off-centre.
-    const std::size_t n = padded_spectrum.size();
-    const std::size_t centre = static_cast<std::size_t>(bin) * padding_;
-    const std::size_t half =
-        search_radius_padded == 0 ? padding_ / 2 : search_radius_padded;
-    double best = 0.0;
-    for (std::size_t k = 0; k <= 2 * half; ++k) {
-        const std::size_t idx = (centre + n - half + k) % n;
-        best = std::max(best, padded_spectrum[idx]);
-    }
-    return best;
-}
-
 }  // namespace ns::phy

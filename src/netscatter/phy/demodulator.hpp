@@ -57,17 +57,6 @@ public:
     /// and the offset-measurement experiments.
     ns::dsp::peak find_symbol_peak(const cvec& symbol) const;
 
-    /// Power observed at the padded bin corresponding to chip bin `bin`:
-    /// the maximum over the padded bins within +-`search_radius_padded`
-    /// padded bins of the nominal location, so a device displaced by
-    /// residual timing/frequency offset still credits its own bin. The
-    /// default radius of half a chip bin suits isolated devices; the
-    /// NetScatter receiver widens it to the SKIP guard region (Table 1
-    /// tolerates a full +-1-bin displacement at SKIP = 2). Pass 0 to use
-    /// the default.
-    double power_at_bin(const std::vector<double>& padded_spectrum, std::uint32_t bin,
-                        std::size_t search_radius_padded = 0) const;
-
     /// Location and power of the strongest padded bin within
     /// +-`search_radius_padded` of chip bin `bin`. The offset is in padded
     /// bins relative to the nominal location. Receivers lock a device's

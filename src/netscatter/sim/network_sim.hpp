@@ -459,7 +459,10 @@ round_wall_split wall_split(const ns::obs::metrics_snapshot& metrics);
 /// transmits every round. With hooks (see round_hooks.hpp) the active
 /// set, per-round traffic, link budgets and in-band interference are all
 /// injectable, and membership changes flow through the AP's incremental
-/// allocator with a full reassignment fallback (§3.3.3).
+/// allocator with a full reassignment fallback (§3.3.3). That includes a
+/// device that power adaptation sends back to association: with hooks the
+/// allocator re-places it, without hooks it keeps its slot, so even
+/// default-constructed hooks change outcomes once such a device exists.
 class network_simulator {
 public:
     /// `hooks` (optional, non-owning, may be nullptr) must outlive the

@@ -50,8 +50,8 @@ struct round_plan {
     /// Co-channel NetScatter packets: a second AP's network (distinct
     /// network_id) sharing the band. Being standard packets they are
     /// described symbolically and superposed on either synthesis path:
-    /// the sample path modulates them, the fast path sums their
-    /// Dirichlet kernels.
+    /// the sample path renders each one's samples like an own row, the
+    /// fast path sums their Dirichlet kernels.
     /// frame_bits/taps spans must stay valid until the round completes
     /// (the producing source typically owns the storage per round).
     std::vector<ns::channel::packet_contribution> cochannel;
@@ -67,8 +67,14 @@ enum class member_loss_reason {
 
 /// Hook interface the simulator consults every round. All methods have
 /// neutral defaults, so a default-constructed hooks object reproduces
-/// the static, saturated simulator exactly. Ids outside the deployment
-/// are ignored.
+/// the static, saturated simulator, with one difference: when power
+/// adaptation sends a device back to association, a hooked simulator
+/// re-places it with the incremental allocator (possibly on another
+/// shift), while the hook-less one keeps its slot. Outcomes are equal
+/// until the first such re-association; fading well above the default
+/// 1.5 dB makes them diverge (12 devices placed with seed 13, 40 rounds,
+/// fading_sigma_db = 4, seed 1: 416 packets delivered without hooks, 411
+/// with). Ids outside the deployment are ignored.
 class round_hooks {
 public:
     virtual ~round_hooks() = default;

@@ -72,7 +72,7 @@ const std::vector<field_info>& spec_schema();
 
 /// Directory the registry loads committed specs from: $NS_SPEC_DIR if
 /// set, else the build-time default (the repo's specs/ directory). May
-/// not exist — the registry then falls back to the builtin C++ table.
+/// not exist — the registry then throws a spec_error naming it.
 std::string spec_dir();
 
 }  // namespace ns::spec

@@ -579,7 +579,7 @@ TEST(superposition, fused_accumulate_matches_staged_sequence) {
 namespace {
 
 /// The historic one-chain shifted accumulate, written out sample by
-/// sample: the reference the interleaved re-anchor blocks must equal.
+/// sample: the reference accumulate_scaled_shifted must equal.
 void one_chain_shifted_accumulate(cvec& a, std::span<const cplx> b, cplx gain,
                                   double tone_hz, double fs, std::size_t offset) {
     if (offset >= a.size()) return;
@@ -601,38 +601,27 @@ bool same_bits(const cvec& x, const cvec& y) {
 
 }  // namespace
 
-TEST(superposition, keyed_accumulate_matches_dense_bit_for_bit) {
-    // A keyed packet (distributed_modulator's layout: 6 upchirps, 2
-    // downchirps, one ON-OFF symbol per bit) accumulated straight from
-    // its chirps must equal the rendered packet through the dense loops,
-    // for symbols shorter and longer than the 1024-sample re-anchor
-    // block and captures that cut the packet off mid-block.
+TEST(superposition, shifted_accumulate_matches_one_chain_bit_for_bit) {
+    // A packet (distributed_modulator's layout: 6 upchirps, 2 downchirps,
+    // one ON-OFF symbol per bit) through the dense loops must equal the
+    // historic one-chain loop, for symbols shorter and longer than the
+    // 1024-sample re-anchor block and captures that cut the packet off
+    // mid-block.
     using modulator = ns::phy::distributed_modulator;
     ns::util::rng gen(41);
     const cplx gain{0.8, -0.3};
     for (int sf = 7; sf <= 12; ++sf) {
         const ns::phy::css_params p{.bandwidth_hz = 500e3, .spreading_factor = sf};
         const std::size_t n = p.samples_per_symbol();
-        const std::uint32_t shift = 3 * static_cast<std::uint32_t>(sf);
-        const modulator mod(p, shift);
-        const cvec up = ns::phy::make_upchirp(p, shift);
-        const cvec down = ns::phy::make_downchirp(p, shift);
+        const modulator mod(p, 3 * static_cast<std::uint32_t>(sf));
         const std::size_t bits_count = sf <= 9 ? 21 : 5;
         std::vector<bool> random_bits(bits_count);
         for (std::size_t i = 0; i < bits_count; ++i) random_bits[i] = gen.bernoulli(0.5);
         for (const std::vector<bool>& bits :
              {std::vector<bool>(bits_count, true), std::vector<bool>(bits_count, false),
               random_bits}) {
-            std::vector<const cplx*> symbols(modulator::preamble_upchirps, up.data());
-            symbols.insert(symbols.end(), modulator::preamble_downchirps, down.data());
-            for (const bool bit : bits) symbols.push_back(bit ? up.data() : nullptr);
-            const ns::dsp::keyed_waveform keyed{.symbols = symbols, .symbol_len = n};
-
-            cvec rendered;
-            ns::dsp::render_keyed(keyed, rendered);
-            ASSERT_TRUE(same_bits(rendered, mod.modulate_packet(bits))) << "SF" << sf;
-
-            const std::size_t packet = keyed.size();
+            const cvec rendered = mod.modulate_packet(bits);
+            const std::size_t packet = rendered.size();
             // Longer than the packet, one symbol plus 37 samples short of
             // it, and a cut inside the preamble; none a multiple of 1024.
             for (const std::size_t capture : {packet + 45, packet - n - 37, 5 * n / 2 + 3}) {
@@ -642,7 +631,6 @@ TEST(superposition, keyed_accumulate_matches_dense_bit_for_bit) {
                     const std::size_t offset = 11;
                     cvec dense = base;
                     cvec reference = base;
-                    cvec keyed_sum = base;
                     if (tone_hz == 0.0) {
                         ns::dsp::accumulate_scaled(dense, rendered, gain, offset);
                         ns::dsp::accumulate_scaled(reference, rendered, gain, offset);
@@ -652,11 +640,7 @@ TEST(superposition, keyed_accumulate_matches_dense_bit_for_bit) {
                         one_chain_shifted_accumulate(reference, rendered, gain, tone_hz,
                                                      p.bandwidth_hz, offset);
                     }
-                    ns::dsp::accumulate_keyed(keyed_sum, keyed, gain, tone_hz,
-                                              p.bandwidth_hz, offset);
                     EXPECT_TRUE(same_bits(dense, reference))
-                        << "SF" << sf << " capture " << capture << " tone " << tone_hz;
-                    EXPECT_TRUE(same_bits(keyed_sum, dense))
                         << "SF" << sf << " capture " << capture << " tone " << tone_hz;
                 }
             }
@@ -665,7 +649,7 @@ TEST(superposition, keyed_accumulate_matches_dense_bit_for_bit) {
 }
 
 TEST(superposition, frequency_shift_matches_one_chain_recurrence) {
-    // frequency_shift shares the interleaved re-anchor blocks; it must
+    // frequency_shift shares the re-anchored phasor recurrence; it must
     // equal the historic one-chain loop (a tail block of 904 samples).
     ns::util::rng gen(43);
     cvec source(5000);
@@ -682,7 +666,7 @@ TEST(superposition, frequency_shift_matches_one_chain_recurrence) {
     EXPECT_TRUE(same_bits(ns::dsp::frequency_shift(source, 917.0, 500e3), reference));
 }
 
-TEST(superposition, keyed_row_combine_matches_rendered_rows) {
+TEST(superposition, row_combine_matches_rendered_rows) {
     // combine() over packet rows must equal combine() over the same rows
     // rendered with modulate_packet_into, draw for draw: the received
     // samples and the generator state afterwards, with a tapped row, a
@@ -756,19 +740,20 @@ TEST(superposition, keyed_row_combine_matches_rendered_rows) {
         }
         for (const std::size_t length : {packet, packet - 700}) {
             const channel_config config;
-            ns::util::rng keyed_rng(53);
+            ns::util::rng row_rng(53);
             ns::util::rng dense_rng(53);
-            channel_workspace keyed_ws;
+            channel_workspace row_ws;
             channel_workspace dense_ws;
             ns::obs::metrics_registry metrics;
-            keyed_ws.obs.metrics = &metrics;
-            const cvec& keyed = combine(rows, std::span<const interferer_contribution>(&frame, 1),
-                                        length, p, config, keyed_rng, keyed_ws);
+            row_ws.obs.metrics = &metrics;
+            const cvec& from_rows =
+                combine(rows, std::span<const interferer_contribution>(&frame, 1), length, p,
+                        config, row_rng, row_ws);
             const cvec& rendered = combine(std::span<const tx_contribution>(dense), length,
                                            p, config, dense_rng, dense_ws);
-            EXPECT_TRUE(same_bits(keyed, rendered))
+            EXPECT_TRUE(same_bits(from_rows, rendered))
                 << "multipath " << multipath << " length " << length;
-            EXPECT_EQ(keyed_rng(), dense_rng());
+            EXPECT_EQ(row_rng(), dense_rng());
             EXPECT_EQ(metrics.get_counter("phy.sample_waveforms")->value(),
                       dense.size());
             EXPECT_EQ(metrics.get_histogram("phy.sample_combine_s", ns::obs::origin::host)

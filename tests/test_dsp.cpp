@@ -148,17 +148,6 @@ TEST(vector_ops, multiply_elementwise) {
     EXPECT_NEAR(std::abs(product[1] - cplx{-1, 0}), 0.0, 1e-12);
 }
 
-TEST(vector_ops, multiply_conj_gives_unit_for_same_signal) {
-    ns::util::rng gen(5);
-    cvec a(32);
-    for (auto& x : a) x = std::polar(1.0, gen.uniform(0.0, 6.28));
-    const cvec product = multiply_conj(a, a);
-    for (const auto& x : product) {
-        EXPECT_NEAR(x.real(), 1.0, 1e-12);
-        EXPECT_NEAR(x.imag(), 0.0, 1e-12);
-    }
-}
-
 TEST(vector_ops, multiply_length_mismatch_throws) {
     EXPECT_THROW(multiply(cvec(3), cvec(4)), ns::util::invalid_argument);
 }

@@ -296,14 +296,15 @@ TEST(demodulator, padding_must_be_power_of_two) {
     EXPECT_THROW(demodulator(deployed_params(), 3), ns::util::invalid_argument);
 }
 
-TEST(demodulator, power_at_bin_tracks_fractional_drift) {
-    // A device drifted by 0.3 bins must still credit its own bin.
+TEST(demodulator, power_at_offset_tracks_fractional_drift) {
+    // A device drifted by 0.3 bins must still credit its own bin within
+    // half a bin of the nominal location.
     const css_params p = deployed_params();
     const demodulator demod(p, 8);
     const cvec symbol = make_upchirp(p, 100.3);
     const auto power = demod.symbol_power_spectrum(symbol);
-    const double at_own = demod.power_at_bin(power, 100);
-    const double at_other = demod.power_at_bin(power, 200);
+    const double at_own = demod.power_at_offset(power, 100, 0, 4);
+    const double at_other = demod.power_at_offset(power, 200, 0, 4);
     EXPECT_GT(at_own, 100.0 * at_other);
 }
 

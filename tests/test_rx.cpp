@@ -215,8 +215,9 @@ TEST(receiver, payload_zero_and_one_runs) {
 
 TEST(receiver, timing_jitter_within_skip_tolerated) {
     // A residual offset of 0.8 bins stays within the SKIP = 2 guard and
-    // must not break decoding (power_at_bin searches +-half a bin, and
-    // the neighbouring slot is empty).
+    // must not break decoding (the preamble search, peak_in_window, spans
+    // guard_search_radius() padded bins each side, short of the slot
+    // midpoint, and the neighbouring slot is empty).
     const receiver_params rxp = default_rx();
     receiver rx(rxp);
     rx.set_registered_shifts({100, 102});
