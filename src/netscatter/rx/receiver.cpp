@@ -47,6 +47,16 @@ void receiver::decode_core(SpectrumAt&& spectrum_at, decode_result& out,
     const std::size_t payload_symbols = params_.frame.payload_plus_crc_bits();
     const std::size_t up_symbols = ns::phy::distributed_modulator::preamble_upchirps;
     const std::size_t n_shifts = shifts_.size();
+    // Sub-timers (host origin; off unless set_metrics attached a
+    // registry): each lap records the time since the previous one.
+    const bool timed = hist_preamble_ != nullptr;
+    std::uint64_t lap_start = timed ? ns::obs::now_ns() : 0;
+    const auto lap = [&](ns::obs::histogram* hist) {
+        if (!timed) return;
+        const std::uint64_t now = ns::obs::now_ns();
+        hist->record_ns(now - lap_start);
+        lap_start = now;
+    };
 
     // --- Preamble: detect devices, estimate power, lock peak location --
     // The residual timing/frequency displacement is constant over a
@@ -118,14 +128,19 @@ void receiver::decode_core(SpectrumAt&& spectrum_at, decode_result& out,
             phase_step / (2.0 * std::numbers::pi * params_.phy.symbol_duration_s());
     }
 
+    lap(hist_preamble_);
+
     // --- Payload: ON-OFF slicing against half the preamble average -----
     const std::size_t slice_radius =
         std::max<std::size_t>(1, demod_.padding_factor() / 4);
+    std::uint64_t power_ns = 0;
     for (std::size_t i = 0; i < payload_symbols; ++i) {
+        const std::uint64_t power_start = timed ? ns::obs::now_ns() : 0;
         const cvec& spectrum = spectrum_at(up_symbols + i);
         ns::util::require(spectrum.size() == demod_.padded_size(),
                           "decode: spectrum size mismatch");
         ns::dsp::power_spectrum_into(spectrum, ws.power);
+        if (timed) power_ns += ns::obs::now_ns() - power_start;
         for (std::size_t d = 0; d < n_shifts; ++d) {
             if (!out.reports[d].detected) continue;
             const double p = demod_.power_at_offset(ws.power, shifts_[d],
@@ -133,6 +148,14 @@ void receiver::decode_core(SpectrumAt&& spectrum_at, decode_result& out,
             out.reports[d].bits.push_back(
                 p > out.reports[d].preamble_power * params_.slicing_threshold);
         }
+    }
+
+    if (timed) {
+        // Payload power and slicing interleave per symbol: the slicing
+        // lap is what the payload loop spent beyond the power.
+        hist_payload_->record_ns(power_ns);
+        lap_start += power_ns;
+        lap(hist_slice_);
     }
 
     // --- CRC (allocation-free: prefix CRC compared against the trailing
@@ -156,6 +179,8 @@ void receiver::decode_core(SpectrumAt&& spectrum_at, decode_result& out,
         }
     }
 
+    lap(hist_crc_);
+
     if (ctr_decode_calls_ != nullptr) {
         ctr_decode_calls_->add(1);
         ctr_symbols_->add(up_symbols + payload_symbols);
@@ -177,6 +202,13 @@ void receiver::set_metrics(ns::obs::metrics_registry* registry) {
         registry ? registry->get_counter("rx.symbols_processed") : nullptr;
     ctr_detected_ = registry ? registry->get_counter("rx.detected") : nullptr;
     ctr_crc_ok_ = registry ? registry->get_counter("rx.crc_ok") : nullptr;
+    const auto timer = [&](const char* name) {
+        return registry ? registry->get_histogram(name, ns::obs::origin::host) : nullptr;
+    };
+    hist_preamble_ = timer("rx.preamble_s");
+    hist_payload_ = timer("rx.payload_power_s");
+    hist_slice_ = timer("rx.slice_s");
+    hist_crc_ = timer("rx.crc_s");
 }
 
 void receiver::decode_into(const cvec& stream, std::size_t packet_start,

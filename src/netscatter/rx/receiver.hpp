@@ -138,7 +138,9 @@ public:
                              decode_workspace& workspace) const;
 
     /// Attaches this receiver's decode counters (rx.decode_calls,
-    /// rx.symbols_processed, rx.detected, rx.crc_ok) to `registry`
+    /// rx.symbols_processed, rx.detected, rx.crc_ok) and its host-origin
+    /// decode sub-timers (rx.preamble_s: preamble power and peak search;
+    /// rx.payload_power_s; rx.slice_s; rx.crc_s) to `registry`
     /// (non-owning, must outlive the receiver; nullptr detaches). The
     /// registry is thread-confined, so attach the owning replica's.
     void set_metrics(ns::obs::metrics_registry* registry);
@@ -170,6 +172,10 @@ private:
     ns::obs::counter* ctr_symbols_ = nullptr;
     ns::obs::counter* ctr_detected_ = nullptr;
     ns::obs::counter* ctr_crc_ok_ = nullptr;
+    ns::obs::histogram* hist_preamble_ = nullptr;
+    ns::obs::histogram* hist_payload_ = nullptr;
+    ns::obs::histogram* hist_slice_ = nullptr;
+    ns::obs::histogram* hist_crc_ = nullptr;
 };
 
 }  // namespace ns::rx

@@ -423,7 +423,8 @@ TEST(report_origin, only_host_timers_are_host_instruments) {
         "round.total_s",     "round.plan_s",     "round.grouping_s",
         "round.synth_s",     "round.superpose_s", "round.decode_s",
         "phy.kernel_plan_s", "phy.kernel_sum_s", "phy.noise_s",
-        "replica.wall_s",
+        "rx.preamble_s",     "rx.payload_power_s", "rx.slice_s",
+        "rx.crc_s",          "replica.wall_s",
         // Warm-up growth follows the round-thread count.
         "alloc.warmup_count"};
     EXPECT_EQ(host, expected);
