@@ -32,6 +32,7 @@ void kernel_batch::begin(std::size_t num_symbols) {
     window_values.clear();
     window_offset.clear();
     window_length.clear();
+    cut = false;
     stage_symbol.clear();
     stage_first.clear();
     stage_window.clear();
@@ -247,6 +248,70 @@ __attribute__((target("avx512f"))) std::size_t interpolate_quads_avx512(
     return quads;
 }
 
+/// The quads' per-lane arithmetic over four scattered cells: lane j
+/// interpolates cell j, its grid window loaded on its own.
+template <std::size_t Residues>
+__attribute__((target("avx512f"))) std::size_t interpolate_cell_quads_avx512(
+    cplx* dst, const cplx* grid, std::size_t radius, const cplx* coeffs,
+    std::span<const grid_cell> cells) {
+    const std::size_t taps = 2 * radius + 1;
+    const __m512d negpos =
+        _mm512_set_pd(1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0);
+    const std::size_t quads = cells.size() & ~std::size_t{3};
+    for (std::size_t i = 0; i < quads; i += 4) {
+        const cplx* w0 = grid + cells[i].q;
+        const cplx* w1 = grid + cells[i + 1].q;
+        const cplx* w2 = grid + cells[i + 2].q;
+        const cplx* w3 = grid + cells[i + 3].q;
+        __m512d acc[Residues];
+        for (std::size_t r = 0; r < Residues; ++r) acc[r] = _mm512_setzero_pd();
+        for (std::size_t t = 0; t < taps; ++t) {
+            const auto load = [t](const cplx* w) {
+                return _mm_loadu_pd(reinterpret_cast<const double*>(w + t));
+            };
+            const __m512d wv = _mm512_maskz_insertf64x4(
+                0xFF, _mm512_castpd256_pd512(_mm256_set_m128d(load(w1), load(w0))),
+                _mm256_set_m128d(load(w3), load(w2)), 1);
+            const __m512d ws =
+                _mm512_mul_pd(_mm512_shuffle_pd(wv, wv, 0x55), negpos);
+            for (std::size_t r = 0; r < Residues; ++r) {
+                const cplx c = coeffs[r * taps + t];
+                const __m512d t1 = _mm512_mul_pd(wv, _mm512_set1_pd(c.real()));
+                const __m512d t2 = _mm512_mul_pd(ws, _mm512_set1_pd(c.imag()));
+                acc[r] = _mm512_add_pd(acc[r], _mm512_add_pd(t1, t2));
+            }
+        }
+        for (std::size_t j = 0; j < 4; ++j) {
+            dst[cells[i + j].at] = grid[radius + cells[i + j].q];
+        }
+        for (std::size_t r = 0; r < Residues; ++r) {
+            double lane[8];
+            _mm512_storeu_pd(lane, acc[r]);
+            for (std::size_t j = 0; j < 4; ++j) {
+                dst[cells[i + j].at + r + 1] = cplx{lane[2 * j], lane[2 * j + 1]};
+            }
+        }
+    }
+    return quads;
+}
+
+__attribute__((target("avx512f"))) std::size_t interpolate_cells_avx512(
+    cplx* dst, std::size_t pad, const cplx* grid, std::size_t radius,
+    const cplx* coeffs, std::span<const grid_cell> cells) {
+    switch (pad) {
+        case 2:
+            return interpolate_cell_quads_avx512<1>(dst, grid, radius, coeffs, cells);
+        case 4:
+            return interpolate_cell_quads_avx512<3>(dst, grid, radius, coeffs, cells);
+        case 8:
+            return interpolate_cell_quads_avx512<7>(dst, grid, radius, coeffs, cells);
+        case 16:
+            return interpolate_cell_quads_avx512<15>(dst, grid, radius, coeffs, cells);
+        default:
+            return 0;
+    }
+}
+
 __attribute__((target("avx512f"))) void interpolate_bands_avx512(
     cplx* dst, std::size_t pad, const cplx* grid, std::size_t radius,
     const cplx* coeffs, std::size_t count) {
@@ -392,6 +457,20 @@ void interpolate_bands(cplx* dst, std::size_t pad, const cplx* grid,
     interpolate_leg().run(dst, pad, grid, radius, coeffs, count);
 }
 
+void interpolate_cells(cplx* dst, std::size_t pad, const cplx* grid, std::size_t radius,
+                       const cplx* coeffs, std::span<const grid_cell> cells) {
+    std::size_t done = 0;
+#if defined(NS_SIMD_AVX2)
+    if (active_level() >= simd_level::avx512) {
+        done = interpolate_cells_avx512(dst, pad, grid, radius, coeffs, cells);
+    }
+#endif
+    const interpolate_fn one = interpolate_leg().run;
+    for (const grid_cell& cell : cells.subspan(done)) {
+        one(dst + cell.at, pad, grid + cell.q, radius, coeffs, 1);
+    }
+}
+
 simd_level host_simd_level() {
     static const simd_level host = detect_host_level();
     return host;
@@ -409,24 +488,83 @@ const char* interpolate_bands_backend() {
     return interpolate_leg().name;
 }
 
-void accumulate_symbol(const kernel_batch& batch, std::size_t symbol,
-                       cvec& spectrum) {
+std::uint64_t accumulate_symbol(const kernel_batch& batch, std::size_t symbol,
+                                std::size_t padded, const bin_runs& runs, cplx* values) {
     const accumulate_fn accumulate = accumulate_leg().run;
-    const std::size_t m_total = spectrum.size();
-    const cplx* values = batch.window_values.data();
+    const cplx* window_values = batch.window_values.data();
+    std::uint64_t elems = 0;
+    // Adds window[0 …] · amplitude over padded bins [begin, end), cut to
+    // the runs that bin range meets.
+    const auto add = [&](const cplx* window, std::size_t begin, std::size_t end,
+                         cplx amplitude) {
+        for (auto run = runs.runs.begin() + static_cast<std::ptrdiff_t>(runs.find(begin));
+             run != runs.runs.end() && run->begin < end; ++run) {
+            const std::size_t lo = std::max<std::size_t>(begin, run->begin);
+            const std::size_t hi = std::min<std::size_t>(end, run->end);
+            accumulate(values + run->at + (lo - run->begin), window + (lo - begin), hi - lo,
+                       amplitude);
+            elems += hi - lo;
+        }
+    };
     for (std::uint32_t p = batch.symbol_begin[symbol];
          p < batch.symbol_begin[symbol + 1]; ++p) {
         const std::uint32_t id = batch.window_id[p];
-        const cplx* window = values + batch.window_offset[id];
+        const cplx* window = window_values + batch.window_offset[id];
         const std::size_t length = batch.window_length[id];
         const std::size_t first = batch.first_bin[p];
         const cplx amplitude = batch.scale[p];
-        // spectrum[(first + w) mod M] += window[w] · amplitude, split
+        // bin (first + w) mod padded += window[w] · amplitude, split
         // into the two contiguous runs of the cyclic window.
-        const std::size_t run = std::min(length, m_total - first);
-        accumulate(spectrum.data() + first, window, run, amplitude);
-        accumulate(spectrum.data(), window + run, length - run, amplitude);
+        const std::size_t head = std::min(length, padded - first);
+        if (batch.cut && length < padded) {
+            // Packed: the window's run bins, in bin order, are the
+            // compact range between the compact indices of its ends.
+            const std::size_t lo = runs.compact_index(first);
+            const std::size_t mid = runs.compact_index(first + head);
+            const std::size_t tail = head < length ? runs.compact_index(length - head) : 0;
+            accumulate(values + lo, window, mid - lo, amplitude);
+            accumulate(values, window + (mid - lo), tail, amplitude);
+            elems += mid - lo + tail;
+            continue;
+        }
+        add(window, first, first + head, amplitude);
+        if (head < length) add(window + head, 0, length - head, amplitude);
     }
+    return elems;
+}
+
+void cut_windows(kernel_batch& batch, std::size_t symbol, std::size_t padded,
+                 const bin_runs& runs) {
+    ns::util::require(!batch.cut, "cut_windows: one cut per planned round");
+    batch.cut = true;
+    std::size_t short_windows = 0;
+    for (const std::uint32_t length : batch.window_length) short_windows += length < padded;
+    std::size_t packed = 0;
+    for (std::uint32_t p = batch.symbol_begin[symbol]; p < batch.symbol_begin[symbol + 1]; ++p) {
+        const std::uint32_t id = batch.window_id[p];
+        const std::size_t length = batch.window_length[id];
+        if (length >= padded) continue;
+        // Moves the window's elements on run bins to its front, in bin
+        // order (never past what is still to be read).
+        cplx* window = batch.window_values.data() + batch.window_offset[id];
+        cplx* out = window;
+        const std::size_t first = batch.first_bin[p];
+        const std::size_t head = std::min(length, padded - first);
+        const auto pack = [&](const cplx* from_window, std::size_t lo, std::size_t hi) {
+            for (std::size_t r = runs.find(lo); r < runs.runs.size() && runs.runs[r].begin < hi;
+                 ++r) {
+                const std::size_t from = std::max<std::size_t>(lo, runs.runs[r].begin);
+                const std::size_t to = std::min<std::size_t>(hi, runs.runs[r].end);
+                out = std::copy(from_window + (from - lo), from_window + (to - lo), out);
+            }
+        };
+        pack(window, first, first + head);
+        pack(window + head, 0, length - head);
+        ++packed;
+    }
+    ns::util::require(packed == short_windows,
+                      "cut_windows: a window shorter than the spectrum is not placed once "
+                      "in the cut symbol");
 }
 
 }  // namespace ns::channel

@@ -41,6 +41,10 @@ struct kernel_batch {
     cvec window_values;
     std::vector<std::uint32_t> window_offset;
     std::vector<std::uint32_t> window_length;
+    /// Set by cut_windows until the next begin(): every window shorter
+    /// than the spectrum holds only its elements that land in the runs
+    /// it was cut to.
+    bool cut = false;
 
     // -- placements sorted by symbol (stable within a symbol = packet
     //    order); symbol k's range is [symbol_begin[k], symbol_begin[k+1])
@@ -77,10 +81,63 @@ private:
     std::vector<std::uint32_t> counts;
 };
 
-/// Sweeps symbol `symbol`'s placements into `spectrum` (cyclic over
-/// spectrum.size() padded bins) using the dispatched inner loop.
-void accumulate_symbol(const kernel_batch& batch, std::size_t symbol,
-                       cvec& spectrum);
+/// A run of bins [begin, end) that a sweep makes of one symbol, stored
+/// in a compact buffer from index `at` on.
+struct bin_run {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+    std::uint32_t at = 0;
+};
+
+/// The padded bins a sweep makes of each symbol: `runs` (sorted,
+/// disjoint, inside the padded spectrum), and first[c] for every chip
+/// bin c up to and including the last: the first run that ends past
+/// padded bin c·pad — so a placement reaches its runs without a search.
+struct bin_runs {
+    std::span<const bin_run> runs;
+    std::span<const std::uint32_t> first;
+    std::size_t pad = 1;
+
+    /// Index of the first run that ends past padded bin `bin`
+    /// (runs.size() when none does).
+    std::size_t find(std::size_t bin) const {
+        std::size_t r = first[bin / pad];
+        while (r < runs.size() && runs[r].end <= bin) ++r;
+        return r;
+    }
+
+    /// Compact index of the first run bin at or past padded bin `bin`:
+    /// the number of run bins below it.
+    std::size_t compact_index(std::size_t bin) const {
+        const std::size_t r = find(bin);
+        if (r < runs.size()) return runs[r].at + (bin > runs[r].begin ? bin - runs[r].begin : 0);
+        return runs.empty() ? 0 : runs.back().at + runs.back().end - runs.back().begin;
+    }
+};
+
+/// Packs, in place, every window shorter than the `padded`-bin spectrum
+/// down to its elements that land in `runs`, at the bin where `symbol`
+/// places it; a short window must sit at that bin in every symbol (a
+/// packet's window does, and every packet is placed in each preamble
+/// symbol). The runs sit back to back in the compact buffer, so a packed
+/// window then adds as at most two contiguous ranges instead of one
+/// short loop per run it meets; full-width windows (interferers, a LoRa
+/// frame's windows move with its symbol values) stay whole and are cut
+/// run by run. The full windows are gone afterwards: once per planned
+/// round, after its last full sweep.
+void cut_windows(kernel_batch& batch, std::size_t symbol, std::size_t padded,
+                 const bin_runs& runs);
+
+/// Sweeps symbol `symbol`'s placements into the bins of `runs`, with the
+/// dispatched inner loop: each placement lands cyclically over `padded`
+/// bins, and bin b of run r is values[r.at + b − r.begin]. Each
+/// placement adds only where it meets the runs — as its packed window
+/// when cut_windows has cut the batch to these runs, else run by run —
+/// and per bin the placements add in bucket order, so a bin comes out
+/// bit-identical to the same bin of a sweep whose one run is the whole
+/// spectrum. Returns the window elements summed.
+std::uint64_t accumulate_symbol(const kernel_batch& batch, std::size_t symbol,
+                                std::size_t padded, const bin_runs& runs, cplx* values);
 
 /// dst[i] += window[i] * scale for i in [0, count) — the scalar
 /// reference the vector backends must match bit-for-bit.
@@ -98,6 +155,21 @@ void accumulate_run_scalar(cplx* dst, const cplx* window, std::size_t count,
 void interpolate_bands(cplx* dst, std::size_t pad, const cplx* grid,
                        std::size_t radius, const cplx* coeffs,
                        std::size_t count);
+
+/// One noise-grid cell interpolated on its own: cell q (the pad padded
+/// bins from pad·q on) written to dst[at …].
+struct grid_cell {
+    std::uint32_t q = 0;
+    std::uint32_t at = 0;
+};
+
+/// interpolate_bands for scattered cells: each cell's pad bins come out
+/// at dst[cell.at …] bit for bit as interpolate_bands writes them at
+/// dst[pad·cell.q …] (grid, radius and coeffs as there). The AVX-512 leg
+/// takes four cells per vector like the contiguous quads, loading each
+/// lane's grid window on its own.
+void interpolate_cells(cplx* dst, std::size_t pad, const cplx* grid, std::size_t radius,
+                       const cplx* coeffs, std::span<const grid_cell> cells);
 
 /// Scalar reference for interpolate_bands.
 void interpolate_bands_scalar(cplx* dst, std::size_t pad, const cplx* grid,

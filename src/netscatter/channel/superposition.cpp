@@ -179,84 +179,263 @@ std::uint64_t symbol_noise_seed(std::uint64_t round_seed, std::uint64_t symbol) 
     return ns::util::splitmix64_next(state);
 }
 
-/// Everything a symbol-block sweep needs, shared read-only across
-/// blocks (mutable state — spectra, grids, per-block timing slots — is
-/// indexed by symbol or block, never shared).
-struct sweep_context {
-    channel_workspace* ws = nullptr;
-    std::uint64_t round_seed = 0;
-    std::size_t n = 0;
-    std::size_t pad = 0;
-    std::size_t total_spectra = 0;
-    std::size_t num_blocks = 0;
-    std::size_t interp_radius = 0;
-    double sigma = 0.0;
-    double sigma_grid = 0.0;
-    bool banded = false;
-    bool time_sweep = false;
-};
-
-/// Fills `spectrum` with one symbol's thermal noise (overwrites every
-/// padded bin). Identical math to the pre-batch serial path; only the
-/// generator is per-symbol now.
-void synthesize_noise(const sweep_context& c, cvec& spectrum, cvec& grid,
-                      ns::util::rng& srng) {
-    const std::size_t n = c.n;
-    const std::size_t pad = c.pad;
-    if (!c.banded) {
-        // Exact path: zero-padded FFT of time-domain white noise.
-        for (std::size_t i = 0; i < n; ++i) {
-            spectrum[i] =
-                cplx{srng.gaussian(0.0, c.sigma), srng.gaussian(0.0, c.sigma)};
+/// Fills `plan` for a request of `windows` over the padded spectrum of
+/// planned round `g`: the whole noise-grid cells (pad padded bins each)
+/// the windows touch, merged where they overlap or touch. The exact (FFT)
+/// noise makes every bin at once, so without banding the one span is the
+/// whole spectrum.
+void plan_windows(const ns::phy::power_windows& windows,
+                  const channel_workspace::planned_round& g,
+                  channel_workspace::window_plan& plan) {
+    const std::size_t padded = g.n * g.pad;
+    ns::util::require(windows.width >= 1 && windows.width <= padded,
+                      "payload_power: window width outside [1, padded size]");
+    const auto pad = static_cast<std::uint32_t>(g.pad);
+    // Requested bins as linear extents (a window past the top bin splits
+    // in two), widened to whole grid cells and sorted.
+    auto& extents = plan.extents;
+    extents.clear();
+    const auto extent = [&](std::size_t begin, std::size_t end) {
+        extents.emplace_back(static_cast<std::uint32_t>(begin) / pad * pad,
+                             static_cast<std::uint32_t>((end + pad - 1) / pad * pad));
+    };
+    for (const std::uint32_t first : windows.first) {
+        ns::util::require(first < padded, "payload_power: window outside the spectrum");
+        const std::size_t end = first + windows.width;
+        extent(first, std::min(end, padded));
+        if (end > padded) extent(0, end - padded);
+    }
+    if (!g.banded) {
+        extents.assign(1, {0, static_cast<std::uint32_t>(padded)});
+    }
+    std::sort(extents.begin(), extents.end());
+    plan.spans.clear();
+    std::uint32_t at = 0;
+    for (const auto& [begin, end] : extents) {
+        if (!plan.spans.empty() && begin <= plan.spans.back().end) {
+            bin_run& last = plan.spans.back();
+            at += std::max(last.end, end) - last.end;
+            last.end = std::max(last.end, end);
+        } else {
+            plan.spans.push_back({begin, end, at});
+            at += end - begin;
         }
-        std::fill(spectrum.begin() + static_cast<std::ptrdiff_t>(n),
-                  spectrum.end(), cplx{0.0, 0.0});
-        ns::dsp::fft_inplace(spectrum);
+    }
+    plan.compact_size = at;
+    // Noise: each span's whole quads of cells interpolate in place as a
+    // band; the cells left over, from every span, are batched four at a
+    // time.
+    plan.bands.clear();
+    plan.cells.clear();
+    for (const bin_run& span : plan.spans) {
+        const std::uint32_t cells = (span.end - span.begin) / pad;
+        const std::uint32_t banded = cells / 4 * 4;
+        if (banded > 0) plan.bands.push_back({span.begin, span.begin + banded * pad, span.at});
+        for (std::uint32_t c = banded; c < cells; ++c) {
+            plan.cells.push_back({span.begin / pad + c, span.at + c * pad});
+        }
+    }
+    plan.first_span.resize(g.n + 1);
+    std::uint32_t next = 0;
+    for (std::size_t c = 0; c <= g.n; ++c) {
+        while (next < plan.spans.size() && plan.spans[next].end <= c * pad) ++next;
+        plan.first_span[c] = next;
+    }
+}
+
+/// `plan`'s spans as accumulate_symbol reads them.
+bin_runs spans_of(const channel_workspace::window_plan& plan, std::size_t pad) {
+    return {.runs = plan.spans, .first = plan.first_span, .pad = pad};
+}
+
+/// Fills plan.gather: each requested bin's index in the compact buffer,
+/// window by window (a window past the top bin continues at bin 0).
+void plan_gather(const ns::phy::power_windows& windows,
+                 const channel_workspace::planned_round& g,
+                 channel_workspace::window_plan& plan) {
+    const std::size_t padded = g.n * g.pad;
+    const bin_runs spans = spans_of(plan, g.pad);
+    plan.gather.clear();
+    for (const std::uint32_t first : windows.first) {
+        std::size_t bin = first;
+        for (std::size_t j = 0; j < windows.width; ++j, ++bin) {
+            if (bin == padded) bin = 0;
+            plan.gather.push_back(static_cast<std::uint32_t>(spans.compact_index(bin)));
+        }
+    }
+}
+
+/// Fills the spans of `values` (the compact layout of `plan`) with one
+/// symbol's thermal noise. Every draw of the symbol is made whatever the
+/// spans; identical math to the full spectrum's, bin for bin.
+void synthesize_noise(const channel_workspace& ws, const channel_workspace::window_plan& plan,
+                      cvec& values, cvec& grid, ns::util::rng& srng) {
+    const channel_workspace::planned_round& g = ws.planned;
+    const std::size_t n = g.n;
+    if (!g.banded) {
+        // Exact path: zero-padded FFT of time-domain white noise (the one
+        // span is the whole spectrum).
+        for (std::size_t i = 0; i < n; ++i) {
+            values[i] = cplx{srng.gaussian(0.0, g.sigma), srng.gaussian(0.0, g.sigma)};
+        }
+        std::fill(values.begin() + static_cast<std::ptrdiff_t>(n), values.end(),
+                  cplx{0.0, 0.0});
+        ns::dsp::fft_inplace(values);
         return;
     }
     // On-grid draws with ±R wrap margins so the banded interpolation
     // never takes a modulo in its inner loop.
-    const std::size_t interp_radius = c.interp_radius;
+    const std::size_t radius = g.interp_radius;
     for (std::size_t q = 0; q < n; ++q) {
-        grid[interp_radius + q] = cplx{srng.gaussian(0.0, c.sigma_grid),
-                                       srng.gaussian(0.0, c.sigma_grid)};
+        grid[radius + q] =
+            cplx{srng.gaussian(0.0, g.sigma_grid), srng.gaussian(0.0, g.sigma_grid)};
     }
-    for (std::size_t t = 0; t < interp_radius; ++t) {
-        grid[t] = grid[n + t];                                  // wrap low side
-        grid[n + interp_radius + t] = grid[interp_radius + t];  // wrap high side
+    for (std::size_t t = 0; t < radius; ++t) {
+        grid[t] = grid[n + t];                           // wrap low side
+        grid[n + radius + t] = grid[radius + t];         // wrap high side
     }
-    // One fused pass over the padded spectrum: the on-grid scatter plus
-    // every fractional-offset residue's FIR over the wrapped grid,
-    // swept by the dispatched vector backend (bit-identical to the
-    // scalar loop) — each grid element is loaded once and the spectrum
-    // is written front to back.
-    interpolate_bands(spectrum.data(), pad, grid.data(), interp_radius,
-                      c.ws->noise_taps.data(), n);
+    // One fused pass per band: the on-grid scatter plus every
+    // fractional-offset residue's FIR over the wrapped grid, swept by the
+    // dispatched vector backend (bit-identical to the scalar loop) —
+    // each grid element is loaded once and the band is written front to
+    // back. Then the short spans' cells, batched.
+    for (const bin_run& band : plan.bands) {
+        interpolate_bands(values.data() + band.at, g.pad, grid.data() + band.begin / g.pad,
+                          radius, ws.noise_taps.data(), (band.end - band.begin) / g.pad);
+    }
+    interpolate_cells(values.data(), g.pad, grid.data(), radius, ws.noise_taps.data(),
+                      plan.cells);
 }
 
-/// One block of the accumulation stage: noise + kernel sweep for a
-/// contiguous symbol range. Runs on block_runner workers or inline;
-/// per-symbol seeding makes the result independent of the partition.
+/// One sweep: symbols [first, first + count) over `plan`. Without
+/// `power` each symbol's bins go to workspace.symbol_spectra[k] (the
+/// whole-spectrum plan); with it, to a per-block compact buffer whose
+/// requested bins are squared into `power` in payload_power's layout
+/// (windows of `width` bins).
+struct sweep_job {
+    channel_workspace* ws = nullptr;
+    const channel_workspace::window_plan* plan = nullptr;
+    std::size_t first = 0;
+    std::size_t count = 0;
+    std::size_t num_blocks = 1;
+    double* power = nullptr;
+    std::size_t width = 0;
+    bool timed = false;
+};
+
+/// One block of a sweep: noise + kernel sum for a contiguous symbol
+/// range. Runs on block_runner workers or inline; per-symbol seeding
+/// makes the result independent of the partition.
 void sweep_block(void* context, std::size_t block) {
-    const auto& c = *static_cast<const sweep_context*>(context);
-    const std::size_t begin = block * c.total_spectra / c.num_blocks;
-    const std::size_t end = (block + 1) * c.total_spectra / c.num_blocks;
-    cvec& grid = c.ws->noise_grids[block];
-    std::uint64_t noise_ns = 0;
-    std::uint64_t sweep_ns = 0;
+    const auto& job = *static_cast<const sweep_job*>(context);
+    channel_workspace& ws = *job.ws;
+    const channel_workspace::window_plan& plan = *job.plan;
+    const std::size_t padded = ws.planned.n * ws.planned.pad;
+    const std::size_t begin = job.first + block * job.count / job.num_blocks;
+    const std::size_t end = job.first + (block + 1) * job.count / job.num_blocks;
+    channel_workspace::block_time& time = ws.block_times[block];
     for (std::size_t k = begin; k < end; ++k) {
-        cvec& spectrum = c.ws->symbol_spectra[k];
-        const std::uint64_t t0 = c.time_sweep ? ns::obs::now_ns() : 0;
-        ns::util::rng srng(symbol_noise_seed(c.round_seed, k));
-        synthesize_noise(c, spectrum, grid, srng);
-        const std::uint64_t t1 = c.time_sweep ? ns::obs::now_ns() : 0;
-        accumulate_symbol(c.ws->batch, k, spectrum);
-        if (c.time_sweep) {
-            noise_ns += t1 - t0;
-            sweep_ns += ns::obs::now_ns() - t1;
+        cvec& values = job.power == nullptr ? ws.symbol_spectra[k] : ws.compact[block];
+        const std::uint64_t t0 = job.timed ? ns::obs::now_ns() : 0;
+        ns::util::rng srng(symbol_noise_seed(ws.planned.seed, k));
+        synthesize_noise(ws, plan, values, ws.noise_grids[block], srng);
+        const std::uint64_t t1 = job.timed ? ns::obs::now_ns() : 0;
+        time.elems +=
+            accumulate_symbol(ws.batch, k, padded, spans_of(plan, ws.planned.pad), values.data());
+        if (job.timed) {
+            time.noise_ns += t1 - t0;
+            time.kernel_ns += ns::obs::now_ns() - t1;
+        }
+        if (job.power != nullptr) {
+            // Window by window: window w's powers of symbol k sit at
+            // ((w·count) + k − first)·width.
+            double* out = job.power + (k - job.first) * job.width;
+            for (std::size_t e = 0; e < plan.gather.size(); e += job.width) {
+                for (std::size_t j = 0; j < job.width; ++j) {
+                    out[j] = std::norm(values[plan.gather[e + j]]);
+                }
+                out += job.count * job.width;
+            }
         }
     }
-    c.ws->block_times[block] = {sweep_ns, noise_ns};
+}
+
+/// Runs a sweep on the caller's thread, or across workspace.block_pool,
+/// and records its timings and summed elements. Grows every buffer the
+/// blocks touch first, so worker threads never allocate.
+void sweep(channel_workspace& ws, const channel_workspace::window_plan& plan,
+           std::size_t first, std::size_t count, double* power = nullptr,
+           std::size_t width = 0) {
+    ns::engine::block_runner* pool = ws.block_pool;
+    const std::size_t pool_threads = pool != nullptr ? pool->size() : 1;
+    std::size_t num_blocks = 1;
+    if (pool_threads > 1 && count > 1) {
+        // More blocks than threads smooths the load (payload symbols
+        // carry different kernel counts); the partition never changes
+        // results, only scheduling.
+        num_blocks = std::min(count, pool_threads * 2);
+    }
+    // Per-block scratch only ever grows: the preamble and payload sweeps
+    // of one round run different block counts.
+    const channel_workspace::planned_round& g = ws.planned;
+    if (ws.noise_grids.size() < num_blocks) ws.noise_grids.resize(num_blocks);
+    if (g.banded) {
+        for (auto& grid : ws.noise_grids) grid.resize(g.n + 2 * g.interp_radius);
+    }
+    if (power != nullptr) {
+        if (ws.compact.size() < num_blocks) ws.compact.resize(num_blocks);
+        for (auto& values : ws.compact) {
+            values.reserve(g.n * g.pad);  // a request never outgrows the spectrum
+            values.resize(plan.compact_size);
+        }
+    }
+    ws.block_times.assign(num_blocks, {});
+
+    sweep_job job;
+    job.ws = &ws;
+    job.plan = &plan;
+    job.first = first;
+    job.count = count;
+    job.num_blocks = num_blocks;
+    job.power = power;
+    job.width = width;
+    job.timed = ws.obs.metrics != nullptr;
+    {
+        // The hardware-counter probe wraps the whole sweep from the
+        // calling thread (perf counters are thread-pinned, so with a
+        // pool attached it attributes the caller's share of the sweep);
+        // the wall-clock probes below sum each block's sweep and noise
+        // times instead, so phy.kernel_sum_s stays the roofline
+        // denominator — busy time of the accumulation loops, noise
+        // excluded — and phy.noise_s the busy time of the noise, at any
+        // thread count.
+        ns::obs::perf_scope batch_perf(ws.obs.perf, &ws.obs.perf_kernel_sum);
+        if (pool != nullptr && num_blocks > 1) {
+            pool->run(num_blocks, &sweep_block, &job);
+        } else {
+            for (std::size_t block = 0; block < num_blocks; ++block) sweep_block(&job, block);
+        }
+    }
+
+    if (ws.obs.metrics != nullptr) {
+        ns::obs::metrics_registry& metrics = *ws.obs.metrics;
+        ns::obs::histogram* sweep_hist =
+            metrics.get_histogram("phy.kernel_sum_s", ns::obs::origin::host);
+        ns::obs::histogram* noise_hist =
+            metrics.get_histogram("phy.noise_s", ns::obs::origin::host);
+        // Per-block times and element counts merge deterministically:
+        // recorded by the calling thread, in block order, after the join.
+        std::uint64_t elems = 0;
+        for (const channel_workspace::block_time& time : ws.block_times) {
+            sweep_hist->record_ns(time.kernel_ns);
+            noise_hist->record_ns(time.noise_ns);
+            elems += time.elems;
+        }
+        // Window elements actually summed — the deterministic input of
+        // the roofline traffic model (48 B and 8 flops per element, see
+        // obs/roofline.hpp).
+        metrics.get_counter("phy.kernel_window_elems")->add(elems);
+    }
 }
 
 /// Plans one interferer's full-width windows into workspace.batch at
@@ -333,14 +512,16 @@ std::uint64_t plan_interferer(const interferer_contribution& interferer, cplx ga
     return placements;
 }
 
-}  // namespace
-
-void combine_symbol_domain(std::span<const packet_contribution> packets,
-                           const ns::phy::css_params& params,
-                           const channel_config& config,
-                           const symbol_domain_params& sd, ns::util::rng& rng,
-                           channel_workspace& workspace,
-                           std::span<const interferer_contribution> interferers) {
+/// The serial planning stage shared by every fast-path entry point:
+/// validates the geometry, rebuilds the geometry tables when it changed,
+/// draws the round seed and every phase from `rng`, fills
+/// workspace.planned and flattens all kernel placements into the SoA
+/// batch.
+void plan_round(std::span<const packet_contribution> packets,
+                const ns::phy::css_params& params, const channel_config& config,
+                const symbol_domain_params& sd, ns::util::rng& rng,
+                channel_workspace& workspace,
+                std::span<const interferer_contribution> interferers) {
     ns::util::require(sd.zero_padding >= 1 &&
                           ns::dsp::is_power_of_two(sd.zero_padding),
                       "combine_symbol_domain: zero_padding must be a power of two");
@@ -350,18 +531,6 @@ void combine_symbol_domain(std::span<const packet_contribution> packets,
     const std::size_t n = params.samples_per_symbol();
     const std::size_t padded = n * sd.zero_padding;
     const std::size_t total_spectra = sd.preamble_upchirps + sd.payload_symbols;
-
-    // =====================================================================
-    // Planning stage — serial, on the caller's thread. Grows every buffer
-    // the sweep will touch (so worker threads never allocate and the
-    // alloc.* counters are identical at any thread count), derives the
-    // round's noise seed, and flattens all kernel placements into the SoA
-    // batch.
-    // =====================================================================
-    workspace.symbol_spectra.resize(total_spectra);
-    for (auto& spectrum : workspace.symbol_spectra) {
-        spectrum.resize(padded);
-    }
     const double sigma = std::sqrt(config.noise_power / 2.0);
     const std::size_t pad = sd.zero_padding;
     const std::size_t interp_radius = sd.noise_interp_radius_bins;
@@ -407,7 +576,20 @@ void combine_symbol_domain(std::span<const packet_contribution> packets,
     // One raw draw seeds every symbol's noise generator; consuming it
     // before the per-packet phase draws keeps the caller's stream layout
     // fixed regardless of the packet count.
-    const std::uint64_t round_seed = rng();
+    channel_workspace::planned_round& planned = workspace.planned;
+    planned.seed = rng();
+    planned.n = n;
+    planned.pad = pad;
+    planned.interp_radius = interp_radius;
+    planned.upchirps = sd.preamble_upchirps;
+    planned.payload_symbols = sd.payload_symbols;
+    planned.sigma = sigma;
+    planned.sigma_grid = std::sqrt(static_cast<double>(n)) * sigma;
+    planned.banded = banded;
+    // The whole-spectrum plan: the one window of every full sweep.
+    const std::uint32_t whole = 0;
+    plan_windows({.first = std::span<const std::uint32_t>(&whole, 1), .width = padded},
+                 planned, workspace.full_plan);
 
     // --- Plan the device kernels into the SoA batch ---------------------
     // One window per packet (its complex values are identical for every
@@ -420,7 +602,6 @@ void combine_symbol_domain(std::span<const packet_contribution> packets,
     kernel_batch& batch = workspace.batch;
     batch.begin(total_spectra);
     std::uint64_t kernels_summed = 0;
-    std::uint64_t window_elems = 0;
     const bool timed = workspace.obs.metrics != nullptr;
     const std::uint64_t plan_t0 = timed ? ns::obs::now_ns() : 0;
     for (const auto& packet : packets) {
@@ -480,104 +661,80 @@ void combine_symbol_domain(std::span<const packet_contribution> packets,
             advance();
         }
         kernels_summed += packet_kernels;
-        // Accumulated window elements — the deterministic input of the
-        // roofline traffic model (48 B and 8 flops per element, see
-        // obs/roofline.hpp). Counts the actual window size so multipath
-        // envelopes (wider than the bare Dirichlet window) are charged
-        // at their real cost.
-        window_elems += packet_kernels * window->size();
     }
     for (const auto& interferer : interferers) {
         const double amplitude =
             std::sqrt(config.noise_power * ns::util::db_to_linear(interferer.snr_db));
         const double phase0 =
             interferer.random_phase ? rng.uniform(0.0, 2.0 * std::numbers::pi) : 0.0;
-        const std::uint64_t placements = plan_interferer(
-            interferer, std::polar(amplitude, phase0), params, sd, total_spectra, workspace);
-        kernels_summed += placements;
-        window_elems += placements * padded;
+        kernels_summed += plan_interferer(interferer, std::polar(amplitude, phase0), params,
+                                          sd, total_spectra, workspace);
     }
     batch.seal();
     if (timed) {
-        workspace.obs.metrics
-            ->get_histogram("phy.kernel_plan_s", ns::obs::origin::host)
-            ->record_ns(ns::obs::now_ns() - plan_t0);
-    }
-
-    // =====================================================================
-    // Accumulation stage — symbols are self-contained (own noise
-    // generator, own placement bucket, own spectrum), so contiguous
-    // symbol blocks fan out across the workspace's block_runner when one
-    // is attached. Any thread count — including the inline serial sweep —
-    // produces bit-identical spectra.
-    // =====================================================================
-    ns::engine::block_runner* pool = workspace.block_pool;
-    const std::size_t pool_threads = pool != nullptr ? pool->size() : 1;
-    std::size_t num_blocks = 1;
-    if (pool_threads > 1 && total_spectra > 1) {
-        // More blocks than threads smooths the load (payload symbols
-        // carry different kernel counts); the partition never changes
-        // results, only scheduling.
-        num_blocks = std::min(total_spectra, pool_threads * 2);
-    }
-    workspace.noise_grids.resize(num_blocks);
-    if (banded) {
-        for (auto& grid : workspace.noise_grids) {
-            grid.resize(n + 2 * interp_radius);
-        }
-    }
-    workspace.block_times.assign(num_blocks, {});
-
-    sweep_context ctx;
-    ctx.ws = &workspace;
-    ctx.round_seed = round_seed;
-    ctx.n = n;
-    ctx.pad = pad;
-    ctx.total_spectra = total_spectra;
-    ctx.num_blocks = num_blocks;
-    ctx.interp_radius = interp_radius;
-    ctx.sigma = sigma;
-    ctx.sigma_grid = std::sqrt(static_cast<double>(n)) * sigma;
-    ctx.banded = banded;
-    ctx.time_sweep = workspace.obs.metrics != nullptr;
-
-    {
-        // The hardware-counter probe wraps the whole stage from the
-        // calling thread (perf counters are thread-pinned, so with a
-        // pool attached it attributes the caller's share of the sweep);
-        // the wall-clock probes below sum each block's sweep and noise
-        // times instead, so phy.kernel_sum_s stays the roofline
-        // denominator — busy time of the accumulation loops, noise
-        // excluded — and phy.noise_s the busy time of the noise, at any
-        // thread count.
-        ns::obs::perf_scope batch_perf(workspace.obs.perf,
-                                       &workspace.obs.perf_kernel_sum);
-        if (pool != nullptr && num_blocks > 1) {
-            pool->run(num_blocks, &sweep_block, &ctx);
-        } else {
-            for (std::size_t block = 0; block < num_blocks; ++block) {
-                sweep_block(&ctx, block);
-            }
-        }
-    }
-
-    if (workspace.obs.metrics != nullptr) {
         ns::obs::metrics_registry& metrics = *workspace.obs.metrics;
-        ns::obs::histogram* sweep_hist =
-            metrics.get_histogram("phy.kernel_sum_s", ns::obs::origin::host);
-        ns::obs::histogram* noise_hist =
-            metrics.get_histogram("phy.noise_s", ns::obs::origin::host);
-        // Per-block sweep and noise times merge deterministically:
-        // recorded by the calling thread, in block order, after the join.
-        for (std::size_t block = 0; block < num_blocks; ++block) {
-            sweep_hist->record_ns(workspace.block_times[block].kernel_ns);
-            noise_hist->record_ns(workspace.block_times[block].noise_ns);
-        }
+        metrics.get_histogram("phy.kernel_plan_s", ns::obs::origin::host)
+            ->record_ns(ns::obs::now_ns() - plan_t0);
         metrics.get_counter("phy.fast_packets")->add(packets.size());
         metrics.get_counter("phy.kernels_summed")->add(kernels_summed);
         metrics.get_counter("phy.noise_symbols")->add(total_spectra);
-        metrics.get_counter("phy.kernel_window_elems")->add(window_elems);
     }
+}
+
+}  // namespace
+
+void superpose_symbol_domain(std::span<const packet_contribution> packets,
+                             const ns::phy::css_params& params,
+                             const channel_config& config, const symbol_domain_params& sd,
+                             ns::util::rng& rng, channel_workspace& workspace,
+                             std::span<const interferer_contribution> interferers) {
+    plan_round(packets, params, config, sd, rng, workspace, interferers);
+    const std::size_t padded = workspace.planned.n * workspace.planned.pad;
+    workspace.symbol_spectra.resize(sd.preamble_upchirps);
+    for (auto& spectrum : workspace.symbol_spectra) spectrum.resize(padded);
+    sweep(workspace, workspace.full_plan, 0, sd.preamble_upchirps);
+}
+
+void combine_symbol_domain(std::span<const packet_contribution> packets,
+                           const ns::phy::css_params& params,
+                           const channel_config& config,
+                           const symbol_domain_params& sd, ns::util::rng& rng,
+                           channel_workspace& workspace,
+                           std::span<const interferer_contribution> interferers) {
+    plan_round(packets, params, config, sd, rng, workspace, interferers);
+    const std::size_t padded = workspace.planned.n * workspace.planned.pad;
+    const std::size_t total_spectra = sd.preamble_upchirps + sd.payload_symbols;
+    workspace.symbol_spectra.resize(total_spectra);
+    for (auto& spectrum : workspace.symbol_spectra) spectrum.resize(padded);
+    sweep(workspace, workspace.full_plan, 0, total_spectra);
+}
+
+std::span<const cvec> symbol_round::preamble_spectra() {
+    return std::span<const cvec>(ws_->symbol_spectra).first(ws_->planned.upchirps);
+}
+
+void symbol_round::payload_power(const ns::phy::power_windows& windows,
+                                 std::span<double> out) {
+    channel_workspace& ws = *ws_;
+    const channel_workspace::planned_round& g = ws.planned;
+    ns::util::require(g.n > 0, "payload_power: no superposed round");
+    ns::util::require(out.size() == g.payload_symbols * windows.bins(),
+                      "payload_power: answer size mismatch");
+    if (windows.first.empty()) return;
+    channel_workspace::window_plan& plan = ws.request_plan;
+    // A request has at most two extents per window and one window per
+    // chip bin's shift, so the plan never outgrows these after its first
+    // use.
+    plan.extents.reserve(2 * g.n);
+    plan.spans.reserve(2 * g.n);
+    plan.bands.reserve(2 * g.n);
+    plan.cells.reserve(g.n);
+    plan.gather.reserve(g.n * windows.width);
+    plan_windows(windows, g, plan);
+    plan_gather(windows, g, plan);
+    // Every packet's window is placed in the first preamble symbol.
+    if (g.upchirps > 0) cut_windows(ws.batch, 0, g.n * g.pad, spans_of(plan, g.pad));
+    sweep(ws, plan, g.upchirps, g.payload_symbols, out.data(), windows.width);
 }
 
 }  // namespace ns::channel

@@ -15,14 +15,16 @@
 //    waveforms). Each packet row and interferer is rendered into one
 //    reused buffer and added like any dense waveform, so the cost is
 //    O(contributions x samples).
-//  * combine_symbol_domain() — the §3.2 dechirp-to-tone identity run in
-//    reverse: a standard packet's post-dechirp spectrum is a Dirichlet
-//    kernel at bin shift + fractional offset(CFO, STO, Doppler), so each
-//    device is summed directly into the receiver's per-symbol FFT
-//    accumulator; an interferer adds full-width windows. Skips
-//    time-domain synthesis, the per-device forward FFT and every
-//    intermediate buffer; cost O(devices x ON-symbols x kernel window),
-//    independent of the symbol length.
+//  * superpose_symbol_domain() / combine_symbol_domain() — the §3.2
+//    dechirp-to-tone identity run in reverse: a standard packet's
+//    post-dechirp spectrum is a Dirichlet kernel at bin shift +
+//    fractional offset(CFO, STO, Doppler), so each device is summed
+//    directly into the receiver's per-symbol FFT accumulator; an
+//    interferer adds full-width windows. Skips time-domain synthesis,
+//    the per-device forward FFT and every intermediate buffer. The round
+//    loop makes the preamble spectra in full and each payload symbol
+//    only in the windows the decoder asks for (symbol_round), so a
+//    payload symbol costs O(ON kernels x the requested bins they meet).
 #pragma once
 
 #include <array>
@@ -36,6 +38,7 @@
 #include "netscatter/obs/sink.hpp"
 #include "netscatter/phy/chirp.hpp"
 #include "netscatter/phy/css_params.hpp"
+#include "netscatter/phy/dechirped_round.hpp"
 #include "netscatter/util/rng.hpp"
 
 namespace ns::engine {
@@ -155,8 +158,10 @@ struct channel_workspace {
     cvec rendered;                  ///< a packet row's or an interferer's samples
     cvec staged;                    ///< frequency-shift staging (multipath path)
     cvec filtered;                  ///< multipath staging
-    std::vector<cvec> symbol_spectra;  ///< per-symbol accumulators (fast path):
-                                       ///< preamble upchirps then payload symbols
+    /// Full per-symbol spectra (fast path): the preamble upchirps after
+    /// superpose_symbol_domain; every symbol, preamble upchirps then
+    /// payload, after combine_symbol_domain.
+    std::vector<cvec> symbol_spectra;
     cvec kernel;                    ///< per-device Dirichlet window
     cvec envelope;                  ///< multipath-enveloped kernel window
     /// Tables that depend only on the round's geometry, built by the
@@ -172,32 +177,72 @@ struct channel_workspace {
     std::array<double, 3> tone_window_key{};
     /// SoA kernel placements: planned serially, swept per symbol.
     kernel_batch batch;
+    /// What the last fast-path plan fixed for its sweeps.
+    struct planned_round {
+        std::uint64_t seed = 0;          ///< the round's noise seed
+        std::size_t n = 0;               ///< chip bins (samples per symbol)
+        std::size_t pad = 0;             ///< zero-padding factor
+        std::size_t interp_radius = 0;   ///< banded noise radius, chip bins
+        std::size_t upchirps = 0;        ///< preamble spectra
+        std::size_t payload_symbols = 0;
+        double sigma = 0.0;              ///< per-sample noise std (exact noise)
+        double sigma_grid = 0.0;         ///< per-grid-bin noise std (banded)
+        bool banded = false;
+    } planned;
+    /// The bins a sweep makes of each symbol and where it keeps them:
+    /// `spans` of padded bins, whole noise-grid cells (pad bins each)
+    /// around the requested windows, merged where they overlap or touch
+    /// — so a dense request becomes a few long spans and the banded
+    /// interpolation and the kernel loop run long. Noise and kernels fill
+    /// the spans into a compact buffer of compact_size bins: the noise as
+    /// `bands` (each span's whole quads of cells) and `cells` (the cells
+    /// left over, from every span). `gather` holds each requested bin's
+    /// index in it, window by window.
+    struct window_plan {
+        std::vector<bin_run> spans;
+        std::vector<bin_run> bands;
+        std::vector<grid_cell> cells;
+        std::vector<std::uint32_t> first_span;  ///< bin_runs::first of `spans`
+        std::vector<std::uint32_t> gather;
+        std::size_t compact_size = 0;
+        std::vector<std::pair<std::uint32_t, std::uint32_t>> extents;  ///< scratch
+    };
+    window_plan full_plan;     ///< one window: the whole spectrum
+    window_plan request_plan;  ///< the last payload request
+    /// Per-block requested bins of the symbol being swept.
+    std::vector<cvec> compact;
     /// Per-block on-grid noise draws + wrap margins (one grid per
     /// symbol block so blocks never share mutable scratch).
     std::vector<cvec> noise_grids;
-    /// Per-block accumulation-sweep and noise-synthesis nanoseconds,
-    /// recorded into phy.kernel_sum_s and phy.noise_s in block order
-    /// after the join.
+    /// Per-block accumulation-sweep and noise-synthesis nanoseconds and
+    /// summed window elements, recorded into phy.kernel_sum_s,
+    /// phy.noise_s and phy.kernel_window_elems in block order after the
+    /// join.
     struct block_time {
         std::uint64_t kernel_ns = 0;
         std::uint64_t noise_ns = 0;
+        std::uint64_t elems = 0;
     };
     std::vector<block_time> block_times;
     /// Observability handles (non-owning; see obs_sink). When
     /// obs.metrics is set, the combiners count phy.kernels_summed /
-    /// phy.fast_packets / phy.noise_symbols (fast path) and
-    /// phy.sample_waveforms (sample path) and time phy.sample_combine_s
+    /// phy.fast_packets / phy.noise_symbols (fast path, per planned
+    /// round), phy.kernel_window_elems (per sweep: the window elements
+    /// actually summed) and phy.sample_waveforms (sample path), time
+    /// phy.kernel_plan_s, phy.kernel_sum_s and phy.noise_s (fast path,
+    /// every sweep) and phy.sample_combine_s
     /// (one sample-path combine, noise included); a wired obs.perf_kernel_sum
     /// attributes the device-kernel batch (perf.kernel_sum.*) — the
     /// denominator of the roofline model. Same thread-confinement rule
     /// as the workspace itself.
     ns::obs::obs_sink obs;
-    /// Optional intra-round fan-out (non-owning). When set,
-    /// combine_symbol_domain sweeps symbol blocks across the runner's
-    /// threads; spectra are bit-identical at any thread count (noise is
-    /// seeded per symbol, kernel order is fixed per symbol). Null =
-    /// fully serial. The runner must be distinct from any pool the
-    /// caller itself runs on (the simulator owns a dedicated one).
+    /// Optional intra-round fan-out (non-owning). When set, every
+    /// fast-path sweep (the preamble, a payload request, a full combine)
+    /// runs symbol blocks across the runner's threads; every bin made is
+    /// bit-identical at any thread count (noise is seeded per symbol,
+    /// kernel order is fixed per symbol). Null = fully serial. The runner
+    /// must be distinct from any pool the caller itself runs on (the
+    /// simulator owns a dedicated one).
     ns::engine::block_runner* block_pool = nullptr;
 };
 
@@ -223,27 +268,29 @@ const cvec& combine(std::span<const tx_contribution> contributions, std::size_t 
                     const ns::phy::css_params& params, const channel_config& config,
                     ns::util::rng& rng, channel_workspace& workspace);
 
-/// Symbol-domain fast path: fills `workspace.symbol_spectra` with the
-/// post-dechirp zero-padded spectra of every decode-relevant symbol
-/// (preamble_upchirps preamble spectra followed by payload_symbols
-/// payload spectra; the two preamble downchirps are skipped — the
-/// decoder never inspects them at a known packet start). Each spectrum
-/// holds thermal noise (drawn in the frequency domain via one FFT per
-/// symbol — distribution-identical to dechirped time-domain noise) plus
-/// one truncated Dirichlet kernel per ON symbol per device — or, for
-/// packets carrying explicit multipath taps, one enveloped kernel (the
-/// tap-weighted sum of the window at integer-bin offsets, see
-/// phy::make_multipath_tone_kernel).
+/// Symbol-domain fast path, staged as the round loop reads it: plans the
+/// round and makes the preamble upchirps' full spectra into
+/// `workspace.symbol_spectra`; a symbol_round on the same workspace then
+/// makes payload power where the decoder asks for it. The preamble
+/// downchirps are skipped — the decoder never inspects them at a known
+/// packet start. Each spectrum holds thermal noise (drawn in the
+/// frequency domain — distribution-identical to dechirped time-domain
+/// noise) plus one truncated Dirichlet kernel per ON symbol per device —
+/// or, for packets carrying explicit multipath taps, one enveloped
+/// kernel (the tap-weighted sum of the window at integer-bin offsets,
+/// see phy::make_multipath_tone_kernel).
 ///
-/// Internally the round runs as a kernel_batch: a serial planning stage
-/// draws one round seed plus every per-packet phase from `rng`, builds
-/// each packet's window once and flattens all placements into SoA
-/// arrays bucketed by symbol; the accumulation stage then synthesizes
-/// each symbol's noise from a generator derived from (round seed,
-/// symbol index) and sweeps its placements with the dispatched
-/// vectorized loop. Because every symbol is self-contained, the sweep
-/// fans out across workspace.block_pool when set — with spectra
-/// bit-identical at any thread count, including fully serial.
+/// The round runs as a kernel_batch: a serial planning stage draws one
+/// round seed plus every per-packet phase from `rng`, builds each
+/// packet's window once and flattens all placements into SoA arrays
+/// bucketed by symbol; each sweep then synthesizes a symbol's noise from
+/// a generator derived from (round seed, symbol index) — every draw,
+/// however few bins are requested — and adds its placements with the
+/// dispatched vectorized loop over the requested bins only, in the full
+/// sweep's per-bin order. Because every symbol is self-contained, a
+/// sweep fans out across workspace.block_pool when set, and every bin it
+/// makes is bit-identical to the full spectrum's at any thread count and
+/// any request.
 ///
 /// `interferers` follow the packets in the plan (one phase draw each)
 /// with full-width windows. A tone times the dechirp is a
@@ -254,11 +301,39 @@ const cvec& combine(std::span<const tx_contribution> contributions, std::size_t 
 /// v − d + τ (τ the timing offset in bins) with phase
 /// 2π(−v·d/N + d²/2N + d/2) + ω(gN − d), two windows per frame rotated
 /// by v·padding bins.
+void superpose_symbol_domain(std::span<const packet_contribution> packets,
+                             const ns::phy::css_params& params,
+                             const channel_config& config, const symbol_domain_params& sd,
+                             ns::util::rng& rng, channel_workspace& workspace,
+                             std::span<const interferer_contribution> interferers = {});
+
+/// superpose_symbol_domain, then every payload symbol in full: fills
+/// `workspace.symbol_spectra` with preamble_upchirps preamble spectra
+/// followed by payload_symbols payload spectra. It is the one-window
+/// request of the same sweep (the window is the whole spectrum), for
+/// callers that want whole spectra.
 void combine_symbol_domain(std::span<const packet_contribution> packets,
                            const ns::phy::css_params& params,
                            const channel_config& config,
                            const symbol_domain_params& sd, ns::util::rng& rng,
                            channel_workspace& workspace,
                            std::span<const interferer_contribution> interferers = {});
+
+/// The fast path's round as the decoder reads it: the preamble spectra
+/// the last superpose_symbol_domain (or combine_symbol_domain) on the
+/// workspace made, and payload power swept on request — the noise, the
+/// kernel sum and the squaring run only over the requested windows,
+/// fanned out across workspace.block_pool. Counts toward phy.noise_s,
+/// phy.kernel_sum_s and phy.kernel_window_elems like any sweep.
+class symbol_round final : public ns::phy::dechirped_round {
+public:
+    explicit symbol_round(channel_workspace& workspace) : ws_(&workspace) {}
+
+    std::span<const cvec> preamble_spectra() override;
+    void payload_power(const ns::phy::power_windows& windows, std::span<double> out) override;
+
+private:
+    channel_workspace* ws_;
+};
 
 }  // namespace ns::channel

@@ -7,8 +7,10 @@
 // tap (16 B) and the accumulator (16 B), writes the accumulator back
 // (16 B), and performs one complex multiply-by-scalar (6 flops) plus
 // one complex add (2 flops). The element count is observable and
-// deterministic: combine_symbol_domain counts every summed window
-// element into the `phy.kernel_window_elems` counter, so
+// deterministic: every fast-path sweep counts the window elements it
+// actually sums into the `phy.kernel_window_elems` counter — whole
+// windows for the preamble and for combine_symbol_domain, only the
+// elements that land in the requested bins for a payload request — so
 //     bytes  = 48 * elems,   flops = 8 * elems,
 //     arithmetic intensity = 8/48 = 1/6 flop/byte  (loop-invariant).
 // Dividing by a measured phase time (phy.kernel_sum_s) yields achieved
@@ -30,8 +32,9 @@ namespace ns::obs {
 
 /// Traffic/work model of the kernel-accumulation loop.
 struct kernel_loop_model {
-    /// Total accumulated window elements (Σ window size over every
-    /// kernel summed) — the phy.kernel_window_elems counter.
+    /// Total accumulated window elements (over every kernel summed, the
+    /// elements that landed in the bins its sweep made) — the
+    /// phy.kernel_window_elems counter.
     std::uint64_t window_elems = 0;
 
     /// Per-element traffic: kernel tap read + accumulator read +

@@ -41,12 +41,13 @@ double receiver::expected_noise_bin_power() const {
     return static_cast<double>(params_.phy.samples_per_symbol()) * params_.noise_power;
 }
 
-template <typename SpectrumAt>
-void receiver::decode_core(SpectrumAt&& spectrum_at, decode_result& out,
+void receiver::decode_into(ns::phy::dechirped_round& round, decode_result& out,
                            decode_workspace& ws) const {
     const std::size_t payload_symbols = params_.frame.payload_plus_crc_bits();
     const std::size_t up_symbols = ns::phy::distributed_modulator::preamble_upchirps;
     const std::size_t n_shifts = shifts_.size();
+    const std::size_t padding = demod_.padding_factor();
+    const std::size_t padded = demod_.padded_size();
     // Sub-timers (host origin; off unless set_metrics attached a
     // registry): each lap records the time since the previous one.
     const bool timed = hist_preamble_ != nullptr;
@@ -69,10 +70,11 @@ void receiver::decode_core(SpectrumAt&& spectrum_at, decode_result& out,
     ws.detect_count.assign(n_shifts, 0);
     ws.locked_offset.assign(n_shifts, 0);
 
-    for (std::size_t k = 0; k < up_symbols; ++k) {
-        const cvec& spectrum = spectrum_at(k);
-        ns::util::require(spectrum.size() == demod_.padded_size(),
-                          "decode: spectrum size mismatch");
+    const std::span<const cvec> preamble = round.preamble_spectra();
+    ns::util::require(preamble.size() == up_symbols,
+                      "decode: expected one spectrum per preamble upchirp");
+    for (const cvec& spectrum : preamble) {
+        ns::util::require(spectrum.size() == padded, "decode: spectrum size mismatch");
         ns::dsp::power_spectrum_into(spectrum, ws.power);
         const double noise = expected_noise_bin_power();
         for (std::size_t d = 0; d < n_shifts; ++d) {
@@ -84,6 +86,22 @@ void receiver::decode_core(SpectrumAt&& spectrum_at, decode_result& out,
         }
     }
 
+    // The payload request: the padded bins within slice_radius of each
+    // detected device's locked peak, one window per device in shift
+    // order.
+    const std::size_t slice_radius = std::max<std::size_t>(1, padding / 4);
+    const auto padded_signed = static_cast<std::ptrdiff_t>(padded);
+    const auto wrap = [&](std::ptrdiff_t bin) {
+        return static_cast<std::size_t>((bin % padded_signed + padded_signed) % padded_signed);
+    };
+    // A request has one window per registered shift at most, and the
+    // registered set stays within the reserved capacity, so neither
+    // request buffer grows in a steady-state round.
+    const std::size_t width = 2 * slice_radius + 1;
+    const std::size_t most_windows = std::max(n_shifts, shifts_.capacity());
+    ws.window_first.reserve(most_windows);
+    ws.payload_power.reserve(payload_symbols * most_windows * width);
+    ws.window_first.clear();
     out.reports.resize(n_shifts);
     const double n_samples = static_cast<double>(params_.phy.samples_per_symbol());
     const double noise_bin = expected_noise_bin_power();
@@ -110,53 +128,44 @@ void receiver::decode_core(SpectrumAt&& spectrum_at, decode_result& out,
 
         // Residual tone offset: mean phase step of the locked peak across
         // consecutive preamble symbols, divided by the symbol duration.
-        const std::size_t padded = demod_.padded_size();
-        const auto base =
-            static_cast<std::ptrdiff_t>(static_cast<std::size_t>(shifts_[d]) *
-                                        demod_.padding_factor()) +
+        const auto locked =
+            static_cast<std::ptrdiff_t>(static_cast<std::size_t>(shifts_[d]) * padding) +
             ws.locked_offset[d];
-        const std::size_t bin_idx = static_cast<std::size_t>(
-            ((base % static_cast<std::ptrdiff_t>(padded)) +
-             static_cast<std::ptrdiff_t>(padded)) %
-            static_cast<std::ptrdiff_t>(padded));
+        const std::size_t bin_idx = wrap(locked);
         ns::dsp::cplx accumulated{0.0, 0.0};
         for (std::size_t k = 0; k + 1 < up_symbols; ++k) {
-            accumulated += spectrum_at(k + 1)[bin_idx] * std::conj(spectrum_at(k)[bin_idx]);
+            accumulated += preamble[k + 1][bin_idx] * std::conj(preamble[k][bin_idx]);
         }
         const double phase_step = std::arg(accumulated);
         report.estimated_tone_offset_hz =
             phase_step / (2.0 * std::numbers::pi * params_.phy.symbol_duration_s());
-    }
 
+        ws.window_first.push_back(static_cast<std::uint32_t>(
+            wrap(locked - static_cast<std::ptrdiff_t>(slice_radius))));
+    }
     lap(hist_preamble_);
 
-    // --- Payload: ON-OFF slicing against half the preamble average -----
-    const std::size_t slice_radius =
-        std::max<std::size_t>(1, demod_.padding_factor() / 4);
-    std::uint64_t power_ns = 0;
-    for (std::size_t i = 0; i < payload_symbols; ++i) {
-        const std::uint64_t power_start = timed ? ns::obs::now_ns() : 0;
-        const cvec& spectrum = spectrum_at(up_symbols + i);
-        ns::util::require(spectrum.size() == demod_.padded_size(),
-                          "decode: spectrum size mismatch");
-        ns::dsp::power_spectrum_into(spectrum, ws.power);
-        if (timed) power_ns += ns::obs::now_ns() - power_start;
-        for (std::size_t d = 0; d < n_shifts; ++d) {
-            if (!out.reports[d].detected) continue;
-            const double p = demod_.power_at_offset(ws.power, shifts_[d],
-                                                    ws.locked_offset[d], slice_radius);
-            out.reports[d].bits.push_back(
-                p > out.reports[d].preamble_power * params_.slicing_threshold);
+    // --- Payload power, made only where the slicing reads it -----------
+    const ns::phy::power_windows windows{.first = ws.window_first, .width = width};
+    ws.payload_power.resize(payload_symbols * windows.bins());
+    if (windows.bins() > 0) round.payload_power(windows, ws.payload_power);
+    lap(hist_payload_);
+
+    // --- Payload: ON-OFF slicing against the preamble average ----------
+    // Device by device: each detected device's powers are one contiguous
+    // run of the answer, width per payload symbol, from one base index.
+    const double* power = ws.payload_power.data();
+    for (device_report& report : out.reports) {
+        if (!report.detected) continue;
+        const double threshold = report.preamble_power * params_.slicing_threshold;
+        report.bits.resize(payload_symbols);
+        for (std::size_t i = 0; i < payload_symbols; ++i, power += width) {
+            double best = 0.0;
+            for (std::size_t j = 0; j < width; ++j) best = std::max(best, power[j]);
+            report.bits[i] = best > threshold;
         }
     }
-
-    if (timed) {
-        // Payload power and slicing interleave per symbol: the slicing
-        // lap is what the payload loop spent beyond the power.
-        hist_payload_->record_ns(power_ns);
-        lap_start += power_ns;
-        lap(hist_slice_);
-    }
+    lap(hist_slice_);
 
     // --- CRC (allocation-free: prefix CRC compared against the trailing
     // bits, then the payload copied into the report's reused buffer) ----
@@ -213,34 +222,8 @@ void receiver::set_metrics(ns::obs::metrics_registry* registry) {
 
 void receiver::decode_into(const cvec& stream, std::size_t packet_start,
                            decode_result& out, decode_workspace& ws) const {
-    const std::size_t sps = params_.phy.samples_per_symbol();
-    const std::size_t payload_symbols = params_.frame.payload_plus_crc_bits();
-    const std::size_t total_symbols = params_.frame.preamble_symbols + payload_symbols;
-    ns::util::require(packet_start + total_symbols * sps <= stream.size(),
-                      "decode: stream too short for a full packet");
-
-    const std::size_t up_symbols = ns::phy::distributed_modulator::preamble_upchirps;
-    const std::size_t payload_begin = packet_start + params_.frame.preamble_symbols * sps;
-
-    // Complex spectra are kept for the whole preamble so per-device
-    // residual tone offsets can be estimated from phase progression;
-    // payload symbols stream through one reused buffer.
-    const std::span<const ns::dsp::cplx> samples(stream);
-    ws.preamble_spectra.resize(up_symbols);
-    for (std::size_t k = 0; k < up_symbols; ++k) {
-        demod_.symbol_spectrum_into(samples.subspan(packet_start + k * sps, sps),
-                                    ws.preamble_spectra[k]);
-    }
-
-    decode_core(
-        [&](std::size_t g) -> const cvec& {
-            if (g < up_symbols) return ws.preamble_spectra[g];
-            const std::size_t i = g - up_symbols;
-            demod_.symbol_spectrum_into(samples.subspan(payload_begin + i * sps, sps),
-                                        ws.payload_spectrum);
-            return ws.payload_spectrum;
-        },
-        out, ws);
+    ws.sampled.bind(demod_, stream, packet_start, params_.frame);
+    decode_into(ws.sampled, out, ws);
 }
 
 decode_result receiver::decode(const cvec& stream, std::size_t packet_start) const {
@@ -250,6 +233,50 @@ decode_result receiver::decode(const cvec& stream, std::size_t packet_start) con
     return result;
 }
 
+namespace {
+
+/// Payload symbol `symbol`'s share of a payload_power answer over
+/// `symbols` payload symbols, gathered from its full padded spectrum.
+void gather_power(const cvec& spectrum, std::size_t padded,
+                  const ns::phy::power_windows& windows, std::size_t symbol,
+                  std::size_t symbols, std::span<double> out) {
+    ns::util::require(spectrum.size() == padded, "decode: spectrum size mismatch");
+    double* dst = out.data() + symbol * windows.width;
+    for (const std::uint32_t first : windows.first) {
+        std::size_t bin = first;
+        for (std::size_t j = 0; j < windows.width; ++j, ++bin) {
+            if (bin == padded) bin = 0;
+            dst[j] = std::norm(spectrum[bin]);
+        }
+        dst += symbols * windows.width;
+    }
+}
+
+/// Precomputed spectra (preamble upchirps, then payload symbols) as a
+/// dechirped round.
+class spectra_round final : public ns::phy::dechirped_round {
+public:
+    spectra_round(std::span<const cvec> spectra, std::size_t upchirps, std::size_t padded)
+        : spectra_(spectra), upchirps_(upchirps), padded_(padded) {}
+
+    std::span<const cvec> preamble_spectra() override { return spectra_.first(upchirps_); }
+
+    void payload_power(const ns::phy::power_windows& windows,
+                       std::span<double> out) override {
+        const std::span<const cvec> payload = spectra_.subspan(upchirps_);
+        for (std::size_t i = 0; i < payload.size(); ++i) {
+            gather_power(payload[i], padded_, windows, i, payload.size(), out);
+        }
+    }
+
+private:
+    std::span<const cvec> spectra_;
+    std::size_t upchirps_;
+    std::size_t padded_;
+};
+
+}  // namespace
+
 void receiver::decode_spectra_into(std::span<const cvec> spectra, decode_result& out,
                                    decode_workspace& ws) const {
     const std::size_t up_symbols = ns::phy::distributed_modulator::preamble_upchirps;
@@ -257,7 +284,42 @@ void receiver::decode_spectra_into(std::span<const cvec> spectra, decode_result&
     ns::util::require(spectra.size() == up_symbols + payload_symbols,
                       "decode_spectra: expected one spectrum per preamble upchirp "
                       "and payload symbol");
-    decode_core([&](std::size_t g) -> const cvec& { return spectra[g]; }, out, ws);
+    spectra_round round(spectra, up_symbols, demod_.padded_size());
+    decode_into(round, out, ws);
+}
+
+void sampled_round::bind(const ns::phy::demodulator& demod,
+                         std::span<const ns::dsp::cplx> stream, std::size_t packet_start,
+                         const ns::phy::frame_format& frame) {
+    const std::size_t sps = demod.params().samples_per_symbol();
+    const std::size_t payload_symbols = frame.payload_plus_crc_bits();
+    ns::util::require(
+        packet_start + (frame.preamble_symbols + payload_symbols) * sps <= stream.size(),
+        "decode: stream too short for a full packet");
+    demod_ = &demod;
+    upchirps_ =
+        stream.subspan(packet_start, ns::phy::distributed_modulator::preamble_upchirps * sps);
+    payload_ = stream.subspan(packet_start + frame.preamble_symbols * sps,
+                              payload_symbols * sps);
+}
+
+std::span<const cvec> sampled_round::preamble_spectra() {
+    const std::size_t sps = demod_->params().samples_per_symbol();
+    spectra_.resize(upchirps_.size() / sps);
+    for (std::size_t k = 0; k < spectra_.size(); ++k) {
+        demod_->symbol_spectrum_into(upchirps_.subspan(k * sps, sps), spectra_[k]);
+    }
+    return spectra_;
+}
+
+void sampled_round::payload_power(const ns::phy::power_windows& windows,
+                                  std::span<double> out) {
+    const std::size_t sps = demod_->params().samples_per_symbol();
+    const std::size_t symbols = payload_.size() / sps;
+    for (std::size_t i = 0; i < symbols; ++i) {
+        demod_->symbol_spectrum_into(payload_.subspan(i * sps, sps), payload_spectrum_);
+        gather_power(payload_spectrum_, demod_->padded_size(), windows, i, symbols, out);
+    }
 }
 
 }  // namespace ns::rx

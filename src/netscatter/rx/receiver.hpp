@@ -10,9 +10,13 @@
 //      reads as '1', else '0'.
 //   4. CRC validation per device.
 //
-// The dechirp + single FFT per symbol serves every device at once, so
-// decode cost is (nearly) independent of the number of devices — the
-// property bench_micro_receiver measures.
+// A real AP's dechirp + single FFT per symbol serves every device at
+// once, so its decode cost is (nearly) independent of the number of
+// devices — the property bench_micro_receiver measures on the sample
+// path. The simulator's fast path instead makes only the payload bins the
+// decoder asks for (phy::dechirped_round), so there the payload cost
+// grows with the detected devices while the preamble stays one full
+// spectrum per upchirp.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +25,7 @@
 
 #include "netscatter/obs/metrics.hpp"
 #include "netscatter/phy/css_params.hpp"
+#include "netscatter/phy/dechirped_round.hpp"
 #include "netscatter/phy/demodulator.hpp"
 #include "netscatter/phy/frame.hpp"
 #include "netscatter/phy/modulator.hpp"
@@ -86,17 +91,43 @@ struct decode_result {
     std::vector<device_report> reports;    ///< one per registered shift
 };
 
+/// A captured baseband round as a phy::dechirped_round: the sample
+/// path's answer and the oracle. Each symbol the decoder reads is
+/// dechirped and FFT'd in full (demodulator::symbol_spectrum_into), and
+/// payload windows are gathered from the full spectrum.
+class sampled_round final : public ns::phy::dechirped_round {
+public:
+    /// Points the view at the packet that starts at sample `packet_start`
+    /// of `stream`: frame.preamble_symbols preamble symbols (the first
+    /// preamble_upchirps of them upchirps), then one symbol per payload
+    /// and CRC bit. The stream must hold the whole packet and outlive the
+    /// view's use; no spectrum is made until the decoder asks.
+    void bind(const ns::phy::demodulator& demod, std::span<const ns::dsp::cplx> stream,
+              std::size_t packet_start, const ns::phy::frame_format& frame);
+
+    std::span<const cvec> preamble_spectra() override;
+    void payload_power(const ns::phy::power_windows& windows, std::span<double> out) override;
+
+private:
+    const ns::phy::demodulator* demod_ = nullptr;
+    std::span<const ns::dsp::cplx> upchirps_;  ///< the preamble upchirps' samples
+    std::span<const ns::dsp::cplx> payload_;   ///< the payload symbols' samples
+    std::vector<cvec> spectra_;                ///< per-upchirp spectra
+    cvec payload_spectrum_;                    ///< one payload symbol
+};
+
 /// Reusable scratch of one decode round. One instance per decoding
 /// context (NOT thread-safe); with warm buffers and a stable registered
-/// set, decode_into / decode_spectra_into allocate nothing.
+/// set, every decode entry point allocates nothing.
 struct decode_workspace {
-    std::vector<cvec> preamble_spectra;  ///< sample path: per-upchirp spectra
-    cvec payload_spectrum;               ///< sample path: one payload symbol
-    std::vector<double> power;           ///< padded power scratch
+    sampled_round sampled;                    ///< decode_into(stream)'s view
+    std::vector<double> power;                ///< one preamble spectrum's power
     std::vector<double> preamble_power_sum;   ///< per registered shift
     std::vector<double> offset_sum;           ///< per registered shift
     std::vector<std::size_t> detect_count;    ///< per registered shift
     std::vector<std::ptrdiff_t> locked_offset;  ///< per registered shift
+    std::vector<std::uint32_t> window_first;  ///< payload request, one per detected device
+    std::vector<double> payload_power;        ///< its answer, symbol-major
 };
 
 /// The NetScatter receiver.
@@ -121,19 +152,25 @@ public:
     /// (preamble + payload symbols) after that offset.
     decode_result decode(const cvec& stream, std::size_t packet_start) const;
 
-    /// decode() into reusable result/workspace buffers: the form the
-    /// simulator's steady-state round loop uses (no allocation once the
-    /// buffers are warm and the registered set is stable).
+    /// Decodes one dechirped round: the preamble spectra detect each
+    /// registered device, estimate its power and tone offset and lock its
+    /// peak; then one payload_power request asks for the padded bins
+    /// within max(1, padding/4) of each detected device's locked peak,
+    /// and the ON-OFF slicing reads only those. The form the
+    /// simulator's round loop uses on both fidelities (no allocation once
+    /// the buffers are warm and the registered set is stable).
+    void decode_into(ns::phy::dechirped_round& round, decode_result& out,
+                     decode_workspace& workspace) const;
+
+    /// decode() into reusable result/workspace buffers, through
+    /// workspace.sampled.
     void decode_into(const cvec& stream, std::size_t packet_start, decode_result& out,
                      decode_workspace& workspace) const;
 
-    /// Decodes one round straight from precomputed per-symbol spectra —
-    /// the symbol-domain fast path (channel::combine_symbol_domain).
+    /// Decodes one round straight from precomputed per-symbol spectra.
     /// `spectra` holds the preamble upchirp spectra followed by the
     /// payload symbol spectra (preamble downchirps omitted), each of the
-    /// demodulator's padded size. Identical decision logic to decode():
-    /// the sample path merely computes the same spectra from the stream
-    /// first.
+    /// demodulator's padded size; payload windows are gathered from them.
     void decode_spectra_into(std::span<const cvec> spectra, decode_result& out,
                              decode_workspace& workspace) const;
 
@@ -149,14 +186,6 @@ public:
     const ns::phy::demodulator& demod() const { return demod_; }
 
 private:
-    /// Shared decode core: consumes one spectrum per decode-relevant
-    /// symbol via `spectrum_at(g)` (g < up_symbols: preamble upchirps —
-    /// these references must stay valid for the whole call; g >=
-    /// up_symbols: payload — may reuse one buffer).
-    template <typename SpectrumAt>
-    void decode_core(SpectrumAt&& spectrum_at, decode_result& out,
-                     decode_workspace& workspace) const;
-
     /// Expected dechirped noise-bin power from the calibrated floor.
     double expected_noise_bin_power() const;
     /// Padded-bin search radius covering the SKIP guard region.

@@ -1177,29 +1177,31 @@ void network_simulator::superpose_phase(round_state& state) {
         sd.preamble_symbols = config_.frame.preamble_symbols;
         sd.payload_symbols = frame_bits;
         sd.kernel_radius_bins = config_.symbol_kernel_radius_bins;
-        ns::channel::combine_symbol_domain(packet_contribs_, config_.phy, chan, sd, rng_,
-                                           chan_ws_, plan.interference);
+        // Preamble spectra now; payload bins when decode asks for them.
+        ns::channel::superpose_symbol_domain(packet_contribs_, config_.phy, chan, sd, rng_,
+                                             chan_ws_, plan.interference);
+        state.received = &symbol_round_;
         return;
     }
 
-    // Sample path (the oracle): rows accumulate straight from the
-    // channel's per-shift chirp tables (§3.1), a stale shift included.
+    // Sample path (the oracle): each row is rendered and added as a
+    // dense waveform (§3.1), a stale shift included; decode dechirps and
+    // FFTs the capture.
     const std::size_t packet_samples =
         (config_.frame.preamble_symbols + frame_bits) *
         config_.phy.samples_per_symbol();
-    ns::channel::combine(packet_contribs_, plan.interference, packet_samples, config_.phy,
-                         chan, rng_, chan_ws_);
+    const ns::dsp::cvec& received =
+        ns::channel::combine(packet_contribs_, plan.interference, packet_samples, config_.phy,
+                             chan, rng_, chan_ws_);
+    decode_ws_.sampled.bind(receiver_.demod(), received, 0, config_.frame);
+    state.received = &decode_ws_.sampled;
 }
 
 void network_simulator::decode_phase(round_state& state) {
     const phase_scope scope(*this, round_phase::decode, state.round);
     round_outcome& outcome = state.outcome;
     const std::size_t frame_bits = config_.frame.payload_plus_crc_bits();
-    if (symbol_domain()) {
-        receiver_.decode_spectra_into(chan_ws_.symbol_spectra, decoded_, decode_ws_);
-    } else {
-        receiver_.decode_into(chan_ws_.received, 0, decoded_, decode_ws_);
-    }
+    receiver_.decode_into(*state.received, decoded_, decode_ws_);
 
     row_scored_.assign(fault_injector_ ? tx_row_shift_.size() : 0, 0);
     for (const auto& report : decoded_.reports) {

@@ -518,6 +518,9 @@ private:
         /// Group this round's query addresses (grouped runs with at least
         /// one group; unset otherwise).
         std::optional<std::size_t> scheduled;
+        /// The superposed round as the decoder reads it, on either
+        /// fidelity (set by superpose_phase).
+        ns::phy::dechirped_round* received = nullptr;
     };
 
     /// RAII scope of one phase: opens its trace span (feeding the phase
@@ -534,7 +537,8 @@ private:
     /// Device MAC decisions and per-transmitter frame bits / packets,
     /// then the membership lease.
     void synth_phase(round_state& state);
-    /// Cross-network collision marks and channel superposition.
+    /// Cross-network collision marks and channel superposition; hands
+    /// decode the round's dechirped view (state.received).
     void superpose_phase(round_state& state);
     /// Whether rounds synthesize spectra directly (phy_fidelity::symbol).
     bool symbol_domain() const { return config_.fidelity == phy_fidelity::symbol; }
@@ -783,6 +787,7 @@ private:
     // --- Per-round workspaces (reused across rounds; the steady-state
     // loop allocates nothing per device once the buffers are warm) ------
     ns::channel::channel_workspace chan_ws_;
+    ns::channel::symbol_round symbol_round_{chan_ws_};  ///< chan_ws_'s fast-path round
     ns::rx::decode_workspace decode_ws_;
     ns::rx::decode_result decoded_;
     /// This round's packets on the air, on both paths: our transmitters

@@ -28,6 +28,7 @@
 #include "netscatter/phy/chirp.hpp"
 #include "netscatter/phy/demodulator.hpp"
 #include "netscatter/phy/modulator.hpp"
+#include "netscatter/rx/receiver.hpp"
 #include "netscatter/sim/deployment.hpp"
 #include "netscatter/sim/network_sim.hpp"
 #include "netscatter/util/rng.hpp"
@@ -973,6 +974,335 @@ TEST(kernel_batch, warm_planner_allocates_nothing) {
     const std::size_t pooled_after =
         g_allocations.load(std::memory_order_relaxed);
     EXPECT_EQ(pooled_after - pooled_before, 0u);
+}
+
+TEST(kernel_batch, cell_interpolation_matches_scalar_reference) {
+    // Scattered cells, in batches of four and a remainder, must come out
+    // as interpolate_bands_scalar writes the same cells of a contiguous
+    // band: each padding the fast path uses, at every level.
+    ns::util::rng rng(506);
+    for (const ns::channel::simd_level level : supported_simd_levels()) {
+        scoped_simd_cap cap(level);
+        for (const std::size_t pad : {2u, 4u, 8u, 16u}) {
+            const std::size_t radius = 4;
+            const std::size_t taps = 2 * radius + 1;
+            const std::size_t count = 64;
+            cvec coeffs((pad - 1) * taps);
+            for (auto& c : coeffs) c = cplx{rng.gaussian(), rng.gaussian()};
+            cvec grid(count + 2 * radius);
+            for (auto& g : grid) g = cplx{rng.gaussian(), rng.gaussian()};
+            cvec band(pad * count);
+            ns::channel::interpolate_bands_scalar(band.data(), pad, grid.data(), radius,
+                                                  coeffs.data(), count);
+            // Every third cell, then a run of neighbours, stored packed in
+            // reverse order: 23 cells, so the last batch is partial.
+            std::vector<ns::channel::grid_cell> cells;
+            for (std::uint32_t q = 0; q < 51; q += 3) cells.push_back({q, 0});
+            for (std::uint32_t q = 52; q < 58; ++q) cells.push_back({q, 0});
+            for (std::size_t i = 0; i < cells.size(); ++i) {
+                cells[i].at = static_cast<std::uint32_t>((cells.size() - 1 - i) * pad);
+            }
+            cvec packed(pad * cells.size());
+            ns::channel::interpolate_cells(packed.data(), pad, grid.data(), radius,
+                                           coeffs.data(), cells);
+            for (const auto& cell : cells) {
+                for (std::size_t r = 0; r < pad; ++r) {
+                    ASSERT_EQ(packed[cell.at + r], band[pad * cell.q + r])
+                        << ns::channel::interpolate_bands_backend() << ": pad " << pad
+                        << " cell " << cell.q << " residue " << r;
+                }
+            }
+        }
+    }
+}
+
+// -------------------------------------------- payload power requests --
+
+/// One fast-path round and the payload windows a decoder asks of it.
+struct request_round {
+    ns::phy::css_params phy = ns::phy::deployed_params();
+    ns::channel::symbol_domain_params sd;
+    std::vector<std::vector<std::uint8_t>> bits;
+    std::vector<cvec> taps;
+    std::vector<ns::channel::packet_contribution> packets;
+    std::vector<std::uint32_t> lora_symbols;
+    std::vector<ns::channel::interferer_contribution> interferers;
+    std::vector<std::uint32_t> first;
+    std::size_t width = 3;
+};
+
+/// `devices` packets SKIP bins apart from shift 0 at padding 4, with
+/// random bits, timing and CFO; no windows yet.
+request_round make_request_round(std::size_t devices, std::uint32_t skip,
+                                 std::uint64_t seed) {
+    request_round round;
+    round.sd.zero_padding = 4;
+    round.sd.payload_symbols = 12;
+    ns::util::rng rng(seed);
+    round.bits.resize(devices);
+    round.packets.resize(devices);
+    for (std::size_t d = 0; d < devices; ++d) {
+        round.bits[d].resize(round.sd.payload_symbols);
+        for (auto& bit : round.bits[d]) bit = static_cast<std::uint8_t>(rng() & 1);
+        auto& packet = round.packets[d];
+        packet.cyclic_shift =
+            static_cast<std::uint32_t>(d * skip % round.phy.num_bins());
+        packet.frame_bits = round.bits[d];
+        packet.snr_db = 6.0;
+        packet.timing_offset_s = rng.uniform(-1e-6, 1e-6);
+        packet.frequency_offset_hz = rng.uniform(-50.0, 50.0);
+    }
+    return round;
+}
+
+/// Adds a window of round.width padded bins centred `offset` padded bins
+/// from chip bin `shift`'s nominal location.
+void add_window(request_round& round, std::uint32_t shift, std::ptrdiff_t offset) {
+    const auto padded = static_cast<std::ptrdiff_t>(round.phy.num_bins() * round.sd.zero_padding);
+    const std::ptrdiff_t first = static_cast<std::ptrdiff_t>(shift) *
+                                     static_cast<std::ptrdiff_t>(round.sd.zero_padding) +
+                                 offset - static_cast<std::ptrdiff_t>(round.width / 2);
+    round.first.push_back(static_cast<std::uint32_t>((first % padded + padded) % padded));
+}
+
+/// The payload spectra of `round`: combine_symbol_domain, serial, at the
+/// scalar level — the reference every request answer must equal.
+std::vector<cvec> full_payload_spectra(const request_round& round) {
+    scoped_simd_cap cap(ns::channel::simd_level::scalar);
+    ns::channel::channel_workspace ws;
+    ns::util::rng rng(808);
+    ns::channel::combine_symbol_domain(round.packets, round.phy, ns::channel::channel_config{},
+                                       round.sd, rng, ws, round.interferers);
+    return ws.symbol_spectra;
+}
+
+/// Every requested window equals the same bins of the full spectra, bit
+/// for bit, at each dispatch level and at 1, 3 and 4 round threads; the
+/// preamble spectra equal the full ones.
+void expect_request_matches_full(const request_round& round, const std::string& label) {
+    const std::vector<cvec> full = full_payload_spectra(round);
+    const std::size_t upchirps = round.sd.preamble_upchirps;
+    const std::size_t symbols = round.sd.payload_symbols;
+    const std::size_t padded = round.phy.num_bins() * round.sd.zero_padding;
+    const ns::phy::power_windows windows{.first = round.first, .width = round.width};
+    for (const ns::channel::simd_level level : supported_simd_levels()) {
+        scoped_simd_cap cap(level);
+        for (const std::size_t threads : {1ul, 3ul, 4ul}) {
+            ns::engine::block_runner pool(threads);
+            ns::channel::channel_workspace ws;
+            if (threads > 1) ws.block_pool = &pool;
+            ns::util::rng rng(808);
+            ns::channel::superpose_symbol_domain(round.packets, round.phy,
+                                                 ns::channel::channel_config{}, round.sd, rng,
+                                                 ws, round.interferers);
+            ns::channel::symbol_round received(ws);
+            const std::string where = label + " at " +
+                                      ns::channel::interpolate_bands_backend() + ", " +
+                                      std::to_string(threads) + " round threads";
+            const std::span<const cvec> preamble = received.preamble_spectra();
+            ASSERT_EQ(preamble.size(), upchirps) << where;
+            for (std::size_t k = 0; k < upchirps; ++k) {
+                ASSERT_TRUE(preamble[k] == full[k]) << where << ": preamble " << k;
+            }
+            std::vector<double> power(symbols * windows.bins());
+            received.payload_power(windows, power);
+            for (std::size_t w = 0; w < round.first.size(); ++w) {
+                for (std::size_t i = 0; i < symbols; ++i) {
+                    for (std::size_t j = 0; j < round.width; ++j) {
+                        const std::size_t bin = (round.first[w] + j) % padded;
+                        ASSERT_EQ(power[(w * symbols + i) * round.width + j],
+                                  std::norm(full[upchirps + i][bin]))
+                            << where << ": window " << w << " symbol " << i << " bin " << bin;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(payload_request, windows_wrapping_both_spectrum_edges_match_full_spectra) {
+    // Shift 0 read below its nominal bin wraps past bin 0; the top shift
+    // read above it wraps past the last padded bin.
+    request_round round = make_request_round(64, 8, 41);
+    round.packets.front().cyclic_shift = 0;
+    round.packets.back().cyclic_shift = round.phy.num_bins() - 1;
+    add_window(round, 0, -2);
+    add_window(round, 0, 0);
+    add_window(round, round.phy.num_bins() - 1, 2);
+    add_window(round, round.phy.num_bins() - 1, 1);
+    add_window(round, 200, 0);
+    expect_request_matches_full(round, "edges");
+}
+
+TEST(payload_request, overlapping_skip2_windows_match_full_spectra) {
+    // SKIP-2 neighbours locked at +3 and −3 share a padded bin; a dense
+    // request (every slot, mixed offsets) merges into long spans.
+    request_round round = make_request_round(256, 2, 42);
+    ns::util::rng offsets(43);
+    for (std::uint32_t s = 0; s < 512; s += 2) {
+        const std::ptrdiff_t offset =
+            s == 100 ? 3 : (s == 102 ? -3 : static_cast<std::ptrdiff_t>(offsets() % 7) - 3);
+        add_window(round, s, offset);
+    }
+    expect_request_matches_full(round, "skip 2");
+}
+
+TEST(payload_request, interferers_match_full_spectra) {
+    // A tone and a LoRa frame whose windows straddle symbol boundaries:
+    // the frame's windows move with its symbol values, the tone's stay.
+    request_round round = make_request_round(48, 8, 44);
+    ns::channel::interferer_contribution tone;
+    tone.snr_db = 10.0;
+    tone.tone_hz = 80e3;
+    round.interferers.push_back(tone);
+    ns::util::rng rng(45);
+    round.lora_symbols.resize(40);
+    for (auto& v : round.lora_symbols) {
+        v = static_cast<std::uint32_t>(rng() % round.phy.num_bins());
+    }
+    ns::channel::interferer_contribution frame;
+    frame.type = ns::channel::interferer_contribution::kind::lora_frame;
+    frame.snr_db = 10.0;
+    frame.symbols = round.lora_symbols;
+    frame.sample_delay = 137;
+    frame.timing_offset_s = 0.37 / round.phy.bandwidth_hz;
+    round.interferers.push_back(frame);
+    for (std::uint32_t s = 0; s < round.phy.num_bins(); s += 8) {
+        add_window(round, s, static_cast<std::ptrdiff_t>(rng() % 5) - 2);
+    }
+    expect_request_matches_full(round, "interferers");
+}
+
+TEST(payload_request, multipath_and_cochannel_rows_match_full_spectra) {
+    // Enveloped windows (wider than the bare kernel), and foreign rows
+    // displaced off the slot grid by a round misalignment.
+    request_round round = make_request_round(40, 8, 46);
+    ns::util::rng rng(47);
+    round.taps.resize(20);
+    for (std::size_t d = 0; d < round.taps.size(); ++d) {
+        round.taps[d] = {cplx{0.9, 0.1}, cplx{rng.gaussian(0.0, 0.2), rng.gaussian(0.0, 0.2)},
+                         cplx{0.0, 0.15}};
+        round.packets[d].taps = round.taps[d];
+    }
+    for (std::size_t d = 30; d < round.packets.size(); ++d) {
+        round.packets[d].cyclic_shift += 3;
+        round.packets[d].timing_offset_s = rng.uniform(0.0, 40e-6);
+        round.packets[d].frequency_offset_hz = 120.0;
+    }
+    for (std::size_t d = 0; d < 30; ++d) {
+        add_window(round, round.packets[d].cyclic_shift,
+                   static_cast<std::ptrdiff_t>(rng() % 7) - 3);
+    }
+    expect_request_matches_full(round, "multipath + co-channel");
+}
+
+TEST(payload_request, sampled_round_gathers_from_its_full_fft) {
+    // The sample path answers the same request from dechirp + padded FFT
+    // of each whole symbol: every window equals those spectra's bins.
+    const ns::phy::css_params phy{.bandwidth_hz = 500e3, .spreading_factor = 8};
+    const ns::phy::frame_format frame{.payload_bits = 8, .crc_bits = 8};
+    const std::size_t symbols = frame.payload_plus_crc_bits();
+    ns::util::rng rng(48);
+    std::vector<std::vector<std::uint8_t>> bits(16, std::vector<std::uint8_t>(symbols));
+    std::vector<ns::channel::packet_contribution> rows(bits.size());
+    for (std::size_t d = 0; d < rows.size(); ++d) {
+        for (auto& bit : bits[d]) bit = static_cast<std::uint8_t>(rng() & 1);
+        rows[d].cyclic_shift = static_cast<std::uint32_t>(d * 16);
+        rows[d].frame_bits = bits[d];
+        rows[d].snr_db = 5.0;
+    }
+    const std::size_t n = phy.samples_per_symbol();
+    ns::channel::channel_workspace ws;
+    const cvec& capture =
+        ns::channel::combine(rows, {}, (frame.preamble_symbols + symbols) * n, phy,
+                             ns::channel::channel_config{}, rng, ws);
+    const ns::phy::demodulator demod(phy, 4);
+    ns::rx::sampled_round received;
+    received.bind(demod, capture, 0, frame);
+    const std::vector<std::uint32_t> first = {1022, 0, 61, 62, 509};
+    const ns::phy::power_windows windows{.first = first, .width = 3};
+    std::vector<double> power(symbols * windows.bins());
+    received.payload_power(windows, power);
+    const std::span<const cvec> preamble = received.preamble_spectra();
+    ASSERT_EQ(preamble.size(), ns::phy::distributed_modulator::preamble_upchirps);
+    for (std::size_t k = 0; k < preamble.size(); ++k) {
+        cvec expected;
+        demod.symbol_spectrum_into(std::span<const cplx>(capture).subspan(k * n, n), expected);
+        ASSERT_TRUE(preamble[k] == expected) << "preamble " << k;
+    }
+    for (std::size_t i = 0; i < symbols; ++i) {
+        cvec spectrum;
+        demod.symbol_spectrum_into(
+            std::span<const cplx>(capture).subspan((frame.preamble_symbols + i) * n, n),
+            spectrum);
+        for (std::size_t w = 0; w < first.size(); ++w) {
+            for (std::size_t j = 0; j < windows.width; ++j) {
+                ASSERT_EQ(power[(w * symbols + i) * windows.width + j],
+                          std::norm(spectrum[(first[w] + j) % spectrum.size()]))
+                    << "symbol " << i << " window " << w;
+            }
+        }
+    }
+}
+
+TEST(payload_request, one_request_per_superposed_round) {
+    // The request packs the round's windows down to the requested bins,
+    // so a second request of the same round is refused, not answered
+    // from the packed windows.
+    request_round round = make_request_round(8, 8, 49);
+    add_window(round, 0, 0);
+    ns::channel::channel_workspace ws;
+    ns::util::rng rng(1);
+    ns::channel::superpose_symbol_domain(round.packets, round.phy,
+                                         ns::channel::channel_config{}, round.sd, rng, ws);
+    ns::channel::symbol_round received(ws);
+    const ns::phy::power_windows windows{.first = round.first, .width = round.width};
+    std::vector<double> power(round.sd.payload_symbols * windows.bins());
+    received.payload_power(windows, power);
+    EXPECT_THROW(received.payload_power(windows, power), std::exception);
+}
+
+TEST(fast_path_allocations, warm_requests_allocate_nothing) {
+    // Superpose + request, three rounds on one workspace: the third
+    // allocates nothing, serial and at four round threads.
+    request_round round = make_request_round(96, 4, 50);
+    for (std::uint32_t s = 0; s < 384; s += 4) add_window(round, s, 1);
+    const ns::phy::power_windows windows{.first = round.first, .width = round.width};
+    std::vector<double> power(round.sd.payload_symbols * windows.bins());
+    for (const std::size_t threads : {1ul, 4ul}) {
+        ns::engine::block_runner pool(threads);
+        ns::channel::channel_workspace ws;
+        if (threads > 1) ws.block_pool = &pool;
+        ns::channel::symbol_round received(ws);
+        ns::util::rng rng(3);
+        std::size_t before = 0;
+        for (int r = 0; r < 3; ++r) {
+            before = g_allocations.load(std::memory_order_relaxed);
+            ns::channel::superpose_symbol_domain(round.packets, round.phy,
+                                                 ns::channel::channel_config{}, round.sd, rng,
+                                                 ws);
+            received.payload_power(windows, power);
+        }
+        EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u)
+            << threads << " round threads";
+    }
+}
+
+TEST(fast_path_allocations, pooled_rounds_report_zero_steady_state_allocations) {
+    // The simulator's own metering at four round threads: the payload
+    // requests fan out over the pool with buffers sized before the join.
+    const ns::sim::deployment dep(ns::sim::deployment_params{}, 64, 9);
+    ns::sim::sim_config config;
+    config.rounds = 12;
+    config.seed = 4;
+    config.zero_padding = 4;
+    config.intra_round_threads = 4;
+    config.fidelity = ns::sim::phy_fidelity::symbol;
+    ns::sim::network_simulator sim(dep, config);
+    const ns::sim::sim_result result = sim.run();
+    EXPECT_EQ(result.metrics.counter_value("alloc.steady_count"), 0u)
+        << "steady-state rounds allocated "
+        << result.metrics.counter_value("alloc.steady_bytes") << " bytes";
 }
 
 TEST(kernel_batch, simulator_thread_counts_agree_exactly) {
