@@ -169,6 +169,15 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
                                         .skip = config.skip,
                                         .frame = config.frame}) {
     config_.validate();
+    // Set-up sub-timers (host origin; the clock is read only with runtime
+    // metrics on): marks[k]..marks[k+1] is set-up step k, recorded below
+    // once the registry is wired.
+    const bool timed = config_.obs.metrics;
+    std::array<std::uint64_t, ctor_timer_names.size() + 1> marks{};
+    const auto mark = [&](std::size_t k) {
+        if (timed) marks[k] = ns::obs::now_ns();
+    };
+    mark(0);
     if (config_.faults.enabled()) {
         // Dedicated fault seed stream, split off the replica seed with
         // its own tag so enabling faults never perturbs the channel /
@@ -248,6 +257,7 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
     // --- Association phase (devices join one at a time, §3.3.2) ---------
     // Run the power-aware batch allocation the AP would have converged to
     // over the initially-active population.
+    mark(1);
     new_shift_.resize(slots_.size());
     if (grouped()) {
         // §3.3.3: partition the initially-active population into
@@ -267,11 +277,13 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
         }
     }
 
+    mark(2);
     for (const std::uint32_t i : active_slots_) {
         associate_slot(i, new_shift_[i], slots_[i].query_rssi_dbm);
     }
     // A grouped round registers its scheduled group's shifts itself.
     if (!grouped()) register_active_shifts();
+    mark(3);
 
     // --- Observability --------------------------------------------------
     // Handles fetched once; the round loop only dereferences them. With
@@ -280,6 +292,10 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
     if (config_.obs.metrics) {
         // Phase timers read the host clock: registered as host data.
         constexpr ns::obs::origin host = ns::obs::origin::host;
+        for (std::size_t k = 0; k < ctor_timer_names.size(); ++k) {
+            metrics_.get_histogram(ctor_timer_names[k], host)
+                ->record_ns(marks[k + 1] - marks[k]);
+        }
         probes_.round_total = metrics_.get_histogram("round.total_s", host);
         for (std::size_t p = 0; p < phase_names.size(); ++p) {
             probes_.phases[p].hist = metrics_.get_histogram(

@@ -508,6 +508,11 @@ private:
     enum class round_phase : std::uint8_t { plan, grouping, synth, superpose, decode };
     static constexpr std::array<const char*, 5> phase_names = {
         "plan", "grouping", "synth", "superpose", "decode"};
+    /// The constructor's set-up steps, in execution order, each timed
+    /// once per simulator: the slot pass, the partition and shift
+    /// allocation, and the association of every active device.
+    static constexpr std::array<const char*, 3> ctor_timer_names = {
+        "sim.ctor.slots_s", "sim.ctor.partition_s", "sim.ctor.associate_s"};
 
     /// State one round hands from phase to phase.
     struct round_state {

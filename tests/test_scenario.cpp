@@ -425,6 +425,7 @@ TEST(report_origin, only_host_timers_are_host_instruments) {
         "phy.kernel_plan_s", "phy.kernel_sum_s", "phy.noise_s",
         "rx.preamble_s",     "rx.payload_power_s", "rx.slice_s",
         "rx.crc_s",          "replica.wall_s",
+        "sim.ctor.slots_s",  "sim.ctor.partition_s", "sim.ctor.associate_s",
         // Warm-up growth follows the round-thread count.
         "alloc.warmup_count"};
     EXPECT_EQ(host, expected);
