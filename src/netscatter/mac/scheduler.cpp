@@ -1,6 +1,7 @@
 #include "netscatter/mac/scheduler.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "netscatter/util/error.hpp"
 
@@ -31,6 +32,11 @@ std::vector<device_group> group_scheduler::partition(
 
 void group_scheduler::partition_in_place(std::span<device_power> devices,
                                          std::vector<group_span>& spans) const {
+    ns::util::require(std::none_of(devices.begin(), devices.end(),
+                                   [](const device_power& d) {
+                                       return std::isnan(d.rx_power_dbm);
+                                   }),
+                      "group_scheduler::partition: a device's power is NaN");
     std::sort(devices.begin(), devices.end(), stronger_first);
     spans.clear();
     for (const device_power& device : devices) {

@@ -3,8 +3,13 @@
 // power/energy model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <set>
+#include <string>
 
 #include "netscatter/device/power_budget.hpp"
 #include "netscatter/mac/scheduler.hpp"
@@ -69,6 +74,130 @@ TEST(group_scheduler, groups_partition_population_exactly) {
     }
     EXPECT_EQ(total, 333u);
     EXPECT_EQ(seen.size(), 333u);
+}
+
+/// partition_in_place's reference: std::sort(stronger_first), then the
+/// greedy walk that opens a group when the current one is full or the
+/// next device would stretch it past the dynamic-range limit.
+std::vector<ns::mac::group_span> reference_partition(
+    std::vector<ns::mac::device_power>& devices, const ns::mac::scheduler_params& params) {
+    std::sort(devices.begin(), devices.end(), ns::mac::stronger_first);
+    std::vector<ns::mac::group_span> spans;
+    for (const ns::mac::device_power& device : devices) {
+        if (spans.empty() || spans.back().members >= params.group_capacity ||
+            spans.back().max_power_dbm - device.rx_power_dbm > params.max_dynamic_range_db) {
+            spans.push_back({.members = 0,
+                             .min_power_dbm = device.rx_power_dbm,
+                             .max_power_dbm = device.rx_power_dbm});
+        }
+        ++spans.back().members;
+        spans.back().min_power_dbm = device.rx_power_dbm;
+    }
+    return spans;
+}
+
+/// `devices` through partition_in_place equals the reference entry for
+/// entry (id and power bits) and span for span.
+void expect_reference_partition(std::vector<ns::mac::device_power> devices,
+                                const std::string& label) {
+    const ns::mac::scheduler_params params{.group_capacity = 64, .max_dynamic_range_db = 10};
+    std::vector<ns::mac::device_power> expected = devices;
+    const std::vector<ns::mac::group_span> expected_spans =
+        reference_partition(expected, params);
+    std::vector<ns::mac::group_span> spans;
+    ns::mac::group_scheduler(params).partition_in_place(devices, spans);
+    ASSERT_EQ(devices.size(), expected.size()) << label;
+    for (std::size_t i = 0; i < devices.size(); ++i) {
+        ASSERT_EQ(devices[i].device_id, expected[i].device_id) << label << " entry " << i;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(devices[i].rx_power_dbm),
+                  std::bit_cast<std::uint64_t>(expected[i].rx_power_dbm))
+            << label << " entry " << i;
+    }
+    ASSERT_EQ(spans.size(), expected_spans.size()) << label;
+    for (std::size_t g = 0; g < spans.size(); ++g) {
+        EXPECT_EQ(spans[g].members, expected_spans[g].members) << label << " span " << g;
+        EXPECT_EQ(spans[g].max_power_dbm, expected_spans[g].max_power_dbm)
+            << label << " span " << g;
+        EXPECT_EQ(spans[g].min_power_dbm, expected_spans[g].min_power_dbm)
+            << label << " span " << g;
+    }
+}
+
+/// `powers` with ids 0..n-1 in shuffled order.
+std::vector<ns::mac::device_power> with_shuffled_ids(const std::vector<double>& powers,
+                                                     ns::util::rng& gen) {
+    std::vector<std::uint32_t> ids(powers.size());
+    std::iota(ids.begin(), ids.end(), 0u);
+    std::shuffle(ids.begin(), ids.end(), gen);
+    std::vector<ns::mac::device_power> devices;
+    for (std::size_t i = 0; i < powers.size(); ++i) devices.push_back({ids[i], powers[i]});
+    return devices;
+}
+
+TEST(group_scheduler, partition_order_is_stronger_first) {
+    ns::util::rng gen(29);
+    for (const std::size_t n : {0u, 1u, 2u, 63u, 64u, 65u, 1000u, 100000u}) {
+        std::vector<double> powers;
+        for (std::size_t i = 0; i < n; ++i) powers.push_back(gen.uniform(-140.0, -40.0));
+        expect_reference_partition(with_shuffled_ids(powers, gen),
+                                   "uniform n=" + std::to_string(n));
+    }
+
+    expect_reference_partition(with_shuffled_ids(std::vector<double>(1000, -87.25), gen),
+                               "all equal");
+
+    const double specials[] = {0.0,
+                               -0.0,
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::denorm_min(),
+                               -std::numeric_limits<double>::denorm_min(),
+                               std::numeric_limits<double>::min() / 3.0,
+                               -std::numeric_limits<double>::min() / 7.0,
+                               std::numeric_limits<double>::max(),
+                               std::numeric_limits<double>::lowest(),
+                               -61.5};
+    std::vector<double> zeros;
+    for (std::size_t i = 0; i < 500; ++i) zeros.push_back(i % 3 == 0 ? -0.0 : 0.0);
+    for (std::size_t i = 0; i < 200; ++i) zeros.push_back(gen.uniform(-1e-3, 1e-3));
+    expect_reference_partition(with_shuffled_ids(zeros, gen), "mixed signed zeros");
+    std::vector<double> extremes;
+    for (std::size_t i = 0; i < 3000; ++i) {
+        extremes.push_back(specials[gen.uniform_int(0, std::size(specials) - 1)]);
+    }
+    expect_reference_partition(with_shuffled_ids(extremes, gen), "infinities and denormals");
+
+    // Few distinct powers, each shared by hundreds of devices.
+    std::vector<double> duplicates;
+    for (std::size_t i = 0; i < 5000; ++i) {
+        duplicates.push_back(-100.0 + 2.5 * static_cast<double>(gen.uniform_int(0, 6)));
+    }
+    expect_reference_partition(with_shuffled_ids(duplicates, gen), "duplicates");
+
+    // Already in partition order reversed, and shuffled by id.
+    std::vector<ns::mac::device_power> reversed;
+    for (std::uint32_t i = 0; i < 20000; ++i) {
+        reversed.push_back({i, -140.0 + 0.005 * static_cast<double>(i)});
+    }
+    std::vector<ns::mac::device_power> shuffled = reversed;
+    std::reverse(reversed.begin(), reversed.end());
+    expect_reference_partition(reversed, "reverse order");
+    std::shuffle(shuffled.begin(), shuffled.end(), gen);
+    expect_reference_partition(shuffled, "shuffled order");
+}
+
+TEST(group_scheduler, partition_rejects_a_nan_power) {
+    const ns::mac::group_scheduler scheduler({.group_capacity = 64, .max_dynamic_range_db = 10});
+    std::vector<ns::mac::device_power> devices = {
+        {0, -80.0}, {1, std::numeric_limits<double>::quiet_NaN()}, {2, -90.0}};
+    std::vector<ns::mac::group_span> spans;
+    try {
+        scheduler.partition_in_place(devices, spans);
+        FAIL() << "a NaN power was partitioned";
+    } catch (const ns::util::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("partition"), std::string::npos) << e.what();
+    }
+    EXPECT_THROW(scheduler.partition(devices), ns::util::invalid_argument);
 }
 
 TEST(group_scheduler, round_robin) {
