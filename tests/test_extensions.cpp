@@ -198,6 +198,12 @@ TEST(group_scheduler, partition_rejects_a_nan_power) {
         EXPECT_NE(std::string(e.what()).find("partition"), std::string::npos) << e.what();
     }
     EXPECT_THROW(scheduler.partition(devices), ns::util::invalid_argument);
+    // A negative NaN, alone among many finite powers.
+    ns::util::rng gen(3);
+    devices.clear();
+    for (std::uint32_t i = 0; i < 1000; ++i) devices.push_back({i, gen.uniform(-140.0, -40.0)});
+    devices[617].rx_power_dbm = -std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(scheduler.partition_in_place(devices, spans), ns::util::invalid_argument);
 }
 
 TEST(group_scheduler, round_robin) {
