@@ -1,7 +1,9 @@
 #include "netscatter/rx/receiver.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <span>
 
@@ -154,15 +156,22 @@ void receiver::decode_into(ns::phy::dechirped_round& round, decode_result& out,
     // --- Payload: ON-OFF slicing against the preamble average ----------
     // Device by device: each detected device's powers are one contiguous
     // run of the answer, width per payload symbol, from one base index.
+    // Decisions gather branch-free into 64-bit words; only the ON bits
+    // are then set in the freshly cleared report bits.
     const double* power = ws.payload_power.data();
     for (device_report& report : out.reports) {
         if (!report.detected) continue;
         const double threshold = report.preamble_power * params_.slicing_threshold;
-        report.bits.resize(payload_symbols);
-        for (std::size_t i = 0; i < payload_symbols; ++i, power += width) {
-            double best = 0.0;
-            for (std::size_t j = 0; j < width; ++j) best = std::max(best, power[j]);
-            report.bits[i] = best > threshold;
+        report.bits.assign(payload_symbols, false);
+        for (std::size_t first = 0; first < payload_symbols; first += 64) {
+            const std::size_t chunk = std::min<std::size_t>(64, payload_symbols - first);
+            std::uint64_t on = 0;
+            for (std::size_t i = 0; i < chunk; ++i, power += width) {
+                double best = 0.0;
+                for (std::size_t j = 0; j < width; ++j) best = std::max(best, power[j]);
+                on |= std::uint64_t{best > threshold} << i;
+            }
+            for (; on != 0; on &= on - 1) report.bits[first + std::countr_zero(on)] = true;
         }
     }
     lap(hist_slice_);

@@ -213,6 +213,26 @@ TEST(receiver, payload_zero_and_one_runs) {
     }
 }
 
+TEST(receiver, frames_across_64_symbol_words_decode_exactly) {
+    // Slicing gathers 64 decisions per word: frames one short of, at and
+    // past a word, and several words long, with random payloads.
+    for (const std::size_t symbols : {63u, 64u, 65u, 128u, 200u}) {
+        receiver_params rxp = default_rx();
+        rxp.frame.payload_bits = symbols - rxp.frame.crc_bits;
+        receiver rx(rxp);
+        const std::vector<std::uint32_t> shifts = {8, 200, 320};
+        rx.set_registered_shifts(shifts);
+        ns::util::rng gen(symbols);
+        const auto setup = make_concurrent(rxp, shifts, {8.0, 8.0, 8.0}, gen);
+        const decode_result result = rx.decode(setup.stream, 0);
+        for (std::size_t d = 0; d < shifts.size(); ++d) {
+            EXPECT_TRUE(result.reports[d].crc_ok) << symbols << " symbols, device " << d;
+            EXPECT_EQ(result.reports[d].bits, setup.frame_bits[d])
+                << symbols << " symbols, device " << d;
+        }
+    }
+}
+
 TEST(receiver, timing_jitter_within_skip_tolerated) {
     // A residual offset of 0.8 bins stays within the SKIP = 2 guard and
     // must not break decoding (the preamble search, peak_in_window, spans
