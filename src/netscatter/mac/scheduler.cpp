@@ -61,7 +61,7 @@ void sort_stronger_first(std::span<device_power> devices, key_range keys) {
     // Bucket b is [head[b], end[b]) once the counts are summed.
     std::array<std::size_t, radix> end{};
     for (const device_power& device : devices) ++end[digit(device)];
-    std::array<std::size_t, radix> head;
+    std::array<std::size_t, radix> head{};
     std::size_t first = 0;
     for (std::size_t b = 0; b < radix; ++b) {
         head[b] = first;
@@ -82,7 +82,11 @@ void sort_stronger_first(std::span<device_power> devices, key_range keys) {
     first = 0;
     for (std::size_t b = 0; b < radix; ++b) {
         const std::span<device_power> bucket = devices.subspan(first, end[b] - first);
-        if (bucket.size() > 1) sort_stronger_first(bucket, range_of(bucket));
+        if (bucket.size() > small_bucket) {
+            sort_stronger_first(bucket, range_of(bucket));
+        } else {
+            std::sort(bucket.begin(), bucket.end(), stronger_first);
+        }
         first = end[b];
     }
 }

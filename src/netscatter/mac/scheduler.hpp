@@ -56,10 +56,13 @@ public:
     std::vector<device_group> partition(std::vector<device_power> devices) const;
 
     /// The same partition without building member lists: sorts `devices`
-    /// in place (strongest first, ties by id), so that group g is the run
-    /// of spans[g].members devices following groups 0..g-1, and writes one
-    /// span per group to `spans`; reusing `spans` allocates nothing once it
-    /// is large enough.
+    /// in place into exactly the stronger_first order (power descending,
+    /// ties by ascending device id; -0.0 and +0.0 are one power), so that
+    /// group g is the run of spans[g].members devices following groups
+    /// 0..g-1, and writes one span per group to `spans`. The sort is an
+    /// in-place radix sort with its counts on the stack: the call
+    /// allocates nothing once `spans` is large enough. Throws
+    /// ns::util::invalid_argument when a power is NaN.
     void partition_in_place(std::span<device_power> devices,
                             std::vector<group_span>& spans) const;
 
