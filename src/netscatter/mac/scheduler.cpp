@@ -68,8 +68,17 @@ void sort_stronger_first(std::span<device_power> devices, key_range keys) {
         first += end[b];
         end[b] = first;
     }
-    // Each misplaced device is swapped into the next free place of its
-    // bucket until the one displaced belongs where the walk started.
+    // One sweep swaps each device it meets into the next free place of
+    // its bucket. Its swaps do not wait on each other, so the sweep
+    // places most devices fast; the devices it displaced into places it
+    // had passed are then walked home, each displaced one following in
+    // turn until one belongs where the walk started.
+    for (std::size_t b = 0; b < radix; ++b) {
+        const std::size_t stop = end[b];
+        for (std::size_t i = head[b]; i < stop; ++i) {
+            std::swap(devices[i], devices[head[digit(devices[i])]++]);
+        }
+    }
     for (std::size_t b = 0; b < radix; ++b) {
         while (head[b] < end[b]) {
             device_power moving = devices[head[b]];
