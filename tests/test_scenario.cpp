@@ -971,6 +971,20 @@ TEST(grouped_schedule, round_robin_over_forty_groups_is_pinned) {
     EXPECT_EQ(outcome_hash(sim), 0x127ca0c346b834b2ULL);
 }
 
+TEST(grouped_schedule, late_first_scheduling_over_forty_groups_is_pinned) {
+    // Long enough that the round robin addresses every group at least
+    // twice, so most devices are scheduled for the first time long after
+    // set-up and again after that.
+    const auto sim = pinned_run("field-10k", 90, std::nullopt);
+    ASSERT_EQ(sim.num_groups, 40u);
+    std::size_t least_scheduled = sim.rounds.size();
+    for (std::size_t g = 0; g < sim.num_groups; ++g) {
+        least_scheduled = std::min(least_scheduled, sim.groups[g].scheduled_rounds);
+    }
+    EXPECT_GE(least_scheduled, 2u);
+    EXPECT_EQ(outcome_hash(sim), 0xd6c241e261410971ULL);
+}
+
 TEST(grouped_schedule, lease_evictions_and_desyncs_are_pinned) {
     const auto sim = pinned_run("lossy-control-1k", 20, std::nullopt);
     EXPECT_EQ(sim.total_lease_evictions, 101u);
