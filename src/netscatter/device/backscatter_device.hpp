@@ -89,7 +89,67 @@ struct device_params {
 /// Association lifecycle state.
 enum class device_state : std::uint8_t { unassociated, awaiting_ack, associated };
 
-/// One backscatter device.
+/// Gain level an association at `query_rssi_dbm` starts from (§3.2.3):
+/// max when the query is weak, middle otherwise.
+std::size_t association_gain_level(const device_params& params, double query_rssi_dbm);
+
+/// The association half of a device: its lifecycle state, its assigned
+/// shift and the gain operating point its power adjustment holds. It
+/// draws nothing, so an AP's control plane can read and rewrite it for a
+/// device whose radio (device_radio) does not exist yet.
+struct device_association {
+    double baseline_rssi_dbm = 0.0;        ///< query RSSI at association
+    std::uint32_t assigned_shift = 0;      ///< only meaningful when associated
+    std::int32_t consecutive_skips = 0;
+    std::uint8_t gain_level = 0;           ///< index into the switch network's levels
+    std::uint8_t baseline_gain_level = 0;  ///< gain level selected at association
+    device_state state = device_state::unassociated;
+
+    /// Currently selected power gain in dB.
+    double current_gain_db() const { return hardware_switch_network().gain_db(gain_level); }
+
+    /// Forces the associated state with the given shift (see
+    /// backscatter_device::force_associate); `params` bound the shift and
+    /// the gain level.
+    void force(const device_params& params, std::uint32_t shift,
+               double baseline_query_rssi_dbm, std::size_t level);
+
+    /// Starts an association at the measured query RSSI (§3.3.2): selects
+    /// the association gain, takes the measurement as the new baseline and
+    /// returns the association region. The state is left to the caller.
+    snr_region begin(const device_params& params, double measured_rssi_dbm);
+};
+
+/// The draw-bearing half of a device: its generator, its envelope
+/// detector (with a generator forked from the first) and the static
+/// crystal offset drawn at construction. Every draw depends only on the
+/// seed and the queries answered so far, so a radio built late from a
+/// seed answers exactly as one built early from it that answered nothing
+/// in between. Like the device, it reads `params` without owning them.
+class device_radio {
+public:
+    device_radio(const device_params& params, std::uint64_t seed);
+    /// A temporary would dangle: keep the params alive elsewhere.
+    device_radio(device_params&& params, std::uint64_t seed) = delete;
+
+    /// Processes one AP query for the device whose association state is
+    /// `association` (see backscatter_device::handle_query).
+    transmit_intent handle_query(device_association& association, double query_rx_power_dbm,
+                                 const std::optional<shift_assignment>& assignment);
+
+    /// Static crystal frequency offset of this device, Hz.
+    double static_frequency_offset_hz() const { return static_cfo_hz_; }
+
+    const device_params& params() const { return *params_; }
+
+private:
+    const device_params* params_;
+    ns::util::rng rng_;
+    envelope_detector detector_;
+    double static_cfo_hz_ = 0.0;
+};
+
+/// One backscatter device: its radio and its association state.
 ///
 /// A device holds only its own state; it reads its static configuration
 /// from a `device_params` it does not own, so a fleet of devices shares
@@ -99,7 +159,8 @@ public:
     /// `seed` makes the device's stochastic behaviour (delays, CFO, RSSI
     /// noise) reproducible. The caller identifies the device by where it
     /// keeps it (the simulator: its slot index).
-    backscatter_device(const device_params& params, std::uint64_t seed);
+    backscatter_device(const device_params& params, std::uint64_t seed)
+        : radio_(params, seed) {}
     /// A temporary would dangle: keep the params alive elsewhere.
     backscatter_device(device_params&& params, std::uint64_t seed) = delete;
 
@@ -108,51 +169,41 @@ public:
     /// `assignment` carries this device's shift when the AP piggybacked
     /// one (Fig. 11 optional fields).
     transmit_intent handle_query(double query_rx_power_dbm,
-                                 const std::optional<shift_assignment>& assignment);
+                                 const std::optional<shift_assignment>& assignment) {
+        return radio_.handle_query(association_, query_rx_power_dbm, assignment);
+    }
 
     /// Current lifecycle state.
-    device_state state() const { return state_; }
+    device_state state() const { return association_.state; }
 
     /// Assigned cyclic shift; only meaningful when associated.
-    std::uint32_t cyclic_shift() const { return assigned_shift_; }
+    std::uint32_t cyclic_shift() const { return association_.assigned_shift; }
 
     /// Currently selected power gain in dB.
-    double current_gain_db() const { return hardware_switch_network().gain_db(gain_level_); }
+    double current_gain_db() const { return association_.current_gain_db(); }
 
     /// Gain level an association at `query_rssi_dbm` starts from
     /// (§3.2.3): max when the query is weak, middle otherwise.
     std::size_t association_gain_level(double query_rssi_dbm) const {
-        const switch_network& network = hardware_switch_network();
-        return query_rssi_dbm < params_->low_rssi_threshold_dbm ? network.max_level()
-                                                                : network.middle_level();
+        return ns::device::association_gain_level(params(), query_rssi_dbm);
     }
 
     /// Static crystal frequency offset of this device, Hz.
-    double static_frequency_offset_hz() const { return static_cfo_hz_; }
+    double static_frequency_offset_hz() const { return radio_.static_frequency_offset_hz(); }
 
-    const device_params& params() const { return *params_; }
+    const device_params& params() const { return radio_.params(); }
 
     /// Forces the associated state with the given shift — used by tests
     /// and by experiments that bypass the association handshake (the
     /// deployment in §3.3.2 associates devices one at a time up front).
     void force_associate(std::uint32_t shift, double baseline_query_rssi_dbm,
-                         std::size_t gain_level);
+                         std::size_t gain_level) {
+        association_.force(params(), shift, baseline_query_rssi_dbm, gain_level);
+    }
 
 private:
-    transmit_intent respond_associated(double measured_rssi_dbm);
-
-    const device_params* params_;
-    ns::util::rng rng_;
-    envelope_detector detector_;
-
-    double baseline_rssi_dbm_ = 0.0;  ///< query RSSI at association
-    double baseline_gain_db_ = 0.0;   ///< gain selected at association
-    double static_cfo_hz_ = 0.0;
-    std::uint32_t assigned_shift_ = 0;
-    std::int32_t consecutive_skips_ = 0;
-    std::uint8_t gain_level_ = 0;  ///< index into the switch network's levels
-    device_state state_ = device_state::unassociated;
-    snr_region pending_region_ = snr_region::high;
+    device_radio radio_;
+    device_association association_;
 };
 
 }  // namespace ns::device
