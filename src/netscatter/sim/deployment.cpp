@@ -22,16 +22,15 @@ deployment::deployment(deployment_params params, std::size_t num_devices,
         placed_device device;
         device.id = static_cast<std::uint32_t>(i);
         // Rejection-sample a position at least min_distance from the AP.
-        double distance = 0.0;
         for (int attempt = 0; attempt < 1000; ++attempt) {
             device.x_m = rng.uniform(0.0, params_.floor_width_m);
             device.y_m = rng.uniform(0.0, params_.floor_depth_m);
-            distance = std::hypot(device.x_m - ax, device.y_m - ay);
-            if (distance >= params_.min_distance_m) break;
+            device.distance_m = std::hypot(device.x_m - ax, device.y_m - ay);
+            if (device.distance_m >= params_.min_distance_m) break;
         }
         device.walls = walls_between(device.x_m, device.y_m);
-        device.oneway_loss_db =
-            ns::channel::oneway_loss_db(params_.pathloss, distance, device.walls, rng);
+        device.oneway_loss_db = ns::channel::oneway_loss_db(
+            params_.pathloss, device.distance_m, device.walls, rng);
         device.query_rssi_dbm = params_.ap_tx_dbm - device.oneway_loss_db;
         device.uplink_rx_dbm = params_.ap_tx_dbm -
                                (2.0 * device.oneway_loss_db + params_.conversion_loss_db);

@@ -47,9 +47,10 @@ struct placed_device {
     /// Dense: the i-th placed device has id i (0..n-1), so the simulator
     /// and the scenario layer index every per-device column by it.
     std::uint32_t id = 0;
+    int walls = 0;                 ///< walls between device and AP
     double x_m = 0.0;
     double y_m = 0.0;
-    int walls = 0;                 ///< walls between device and AP
+    double distance_m = 0.0;       ///< straight-line distance to the AP
     double oneway_loss_db = 0.0;   ///< AP -> device, shadowing included
     double query_rssi_dbm = 0.0;   ///< downlink power at the device
     double uplink_rx_dbm = 0.0;    ///< backscatter power at the AP, 0 dB gain

@@ -143,12 +143,12 @@ ns::device::device_params make_device_params(const sim_config& config) {
     return params;
 }
 
-/// Uplink power at the AP of `device` at the gain an association at
+/// Uplink power at the AP of a device at the gain an association at
 /// `query_rssi_dbm` starts from (§3.3.2).
-double association_power_dbm(const ns::device::backscatter_device& device,
+double association_power_dbm(const ns::device::device_params& params,
                              double uplink_rx_dbm, double query_rssi_dbm) {
     return uplink_rx_dbm + ns::device::hardware_switch_network().gain_db(
-                               device.association_gain_level(query_rssi_dbm));
+                               ns::device::association_gain_level(params, query_rssi_dbm));
 }
 
 }  // namespace
@@ -201,12 +201,14 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
     }
 
     // --- Instantiate devices -------------------------------------------
-    // One pass builds each slot and, from it, an active device's
-    // association-time uplink power. Per device the draws are rng_() for
-    // the device, then a fork for its fading, then a fork for its taps.
-    const double ap_x = dep.ap_x_m();
-    const double ap_y = dep.ap_y_m();
+    // One pass builds each slot and an active device's association-time
+    // uplink power. Per device the draws are rng_() for the device, then
+    // the word behind a fork for its fading, then a fork for its taps.
+    // The first two only seed generators, so they are stored and the
+    // radio is built from them when the device is first scheduled.
     slots_.reserve(placed.size());
+    radios_.reserve(placed.size());
+    if (fault_injector_) fault_slots_.resize(placed.size());
     if (config_.model_multipath) {
         tap_profile_.emplace(config_.multipath, config_.phy.bandwidth_hz,
                              config_.multipath_rho);
@@ -223,10 +225,10 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
         slots_.push_back(device_slot{
             .query_rssi_dbm = where.query_rssi_dbm,
             .uplink_rx_dbm = where.uplink_rx_dbm,
-            .tof_s = std::hypot(where.x_m - ap_x, where.y_m - ap_y) /
-                     ns::util::speed_of_light_mps,
-            .device = ns::device::backscatter_device(device_params_, rng_()),
-            .fading = ns::channel::gauss_markov_fading(fading_params_, rng_.fork()),
+            .tof_s = where.distance_m / ns::util::speed_of_light_mps,
+            .association = {},
+            .device_seed = rng_(),
+            .fading_seed = rng_(),
             .active = active,
         });
         if (config_.model_multipath) {
@@ -235,7 +237,7 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
         if (active) {
             active_slots_.push_back(static_cast<std::uint32_t>(i));
             powers.push_back({static_cast<std::uint32_t>(i),
-                              association_power_dbm(slots_.back().device, where.uplink_rx_dbm,
+                              association_power_dbm(device_params_, where.uplink_rx_dbm,
                                                     where.query_rssi_dbm)});
         }
     }
@@ -370,7 +372,7 @@ std::span<const std::uint32_t> network_simulator::member_slots(
 void network_simulator::register_active_shifts(std::optional<std::size_t> group) {
     shift_scratch_.clear();
     for (const std::uint32_t i : member_slots(group)) {
-        shift_scratch_.push_back(slots_[i].device.cyclic_shift());
+        shift_scratch_.push_back(slots_[i].association.assigned_shift);
     }
     receiver_.set_registered_shifts(std::span<const std::uint32_t>(shift_scratch_));
     membership_dirty_ = false;
@@ -408,7 +410,7 @@ std::vector<double> network_simulator::association_snrs_db() const {
     snrs.reserve(slots_.size());
     for (std::size_t i = 0; i < slots_.size(); ++i) {
         const placed_device& where = deployment_->devices()[i];
-        snrs.push_back(association_power_dbm(slots_[i].device, where.uplink_rx_dbm,
+        snrs.push_back(association_power_dbm(device_params_, where.uplink_rx_dbm,
                                              where.query_rssi_dbm) -
                        noise_floor);
     }
@@ -419,7 +421,7 @@ std::vector<std::uint32_t> network_simulator::active_shifts() const {
     std::vector<std::uint32_t> shifts;
     shifts.reserve(active_slots_.size());
     for (const std::uint32_t i : active_slots_) {
-        shifts.push_back(slots_[i].device.cyclic_shift());
+        shifts.push_back(slots_[i].association.assigned_shift);
     }
     return shifts;
 }
@@ -487,19 +489,21 @@ void network_simulator::regroup(round_outcome& outcome, std::size_t round) {
     // evicts it as silent. The stateless query-loss hash guarantees the
     // device loop sees the same heard/missed answer this round.
     for (const std::uint32_t i : active_slots_) {
-        device_slot& slot = slots_[i];
-        const std::uint32_t old_shift =
-            slot.desynced ? slot.stale_shift : slot.device.cyclic_shift();
+        const device_slot& slot = slots_[i];
+        fault_slot* const faults = fault_injector_ ? &fault_slots_[i] : nullptr;
+        const std::uint32_t old_shift = faults && faults->desynced
+                                            ? faults->stale_shift
+                                            : slot.association.assigned_shift;
         const std::uint32_t new_shift = new_shift_[i];
         associate_slot(i, new_shift, slot.query_rssi_dbm);
-        if (!fault_injector_ || slot.down) continue;
+        if (!faults || faults->down) continue;
         const bool heard = !fault_injector_->query_lost(i, slot.query_rssi_dbm);
         if (heard) {
-            if (slot.desynced) resync(slot, round, outcome);
-        } else if (!slot.desynced && new_shift != old_shift) {
-            slot.desynced = true;
-            slot.stale_shift = old_shift;
-            slot.desync_round = round;
+            if (faults->desynced) resync(*faults, round, outcome);
+        } else if (!faults->desynced && new_shift != old_shift) {
+            faults->desynced = true;
+            faults->stale_shift = old_shift;
+            faults->desync_round = round;
             ++outcome.desyncs;
         }
     }
@@ -516,7 +520,7 @@ const std::vector<ns::mac::device_power>& network_simulator::active_powers(
     power_ws_.reserve(members.size() + 1);  // room for a joiner
     for (const std::uint32_t i : members) {
         const device_slot& slot = slots_[i];
-        power_ws_.push_back({i, slot.uplink_rx_dbm + slot.device.current_gain_db()});
+        power_ws_.push_back({i, slot.uplink_rx_dbm + slot.association.current_gain_db()});
     }
     return power_ws_;
 }
@@ -527,17 +531,30 @@ const std::vector<std::pair<std::uint32_t, double>>& network_simulator::occupied
     for (const std::uint32_t i : member_slots(group)) {
         if (excluded_id && i == *excluded_id) continue;
         const device_slot& slot = slots_[i];
-        occupied_ws_.emplace_back(slot.device.cyclic_shift(),
-                                  slot.uplink_rx_dbm + slot.device.current_gain_db());
+        occupied_ws_.emplace_back(slot.association.assigned_shift,
+                                  slot.uplink_rx_dbm + slot.association.current_gain_db());
     }
     return occupied_ws_;
 }
 
 void network_simulator::associate_slot(std::size_t slot_index, std::uint32_t shift,
                                        double baseline_rssi_dbm) {
-    device_slot& slot = slots_[slot_index];
-    slot.device.force_associate(shift, baseline_rssi_dbm,
-                                slot.device.association_gain_level(baseline_rssi_dbm));
+    slots_[slot_index].association.force(
+        device_params_, shift, baseline_rssi_dbm,
+        ns::device::association_gain_level(device_params_, baseline_rssi_dbm));
+}
+
+void network_simulator::build_radios(std::optional<std::size_t> group) {
+    for (const std::uint32_t i : member_slots(group)) {
+        device_slot& slot = slots_[i];
+        if (slot.radio_index != no_radio) continue;
+        slot.radio_index = static_cast<std::uint32_t>(radios_.size());
+        radios_.push_back(slot_radio{
+            .device = ns::device::device_radio(device_params_, slot.device_seed),
+            .fading = ns::channel::gauss_markov_fading(fading_params_,
+                                                       ns::util::rng(slot.fading_seed)),
+        });
+    }
 }
 
 void network_simulator::place_joiner(std::size_t slot_index, double join_power,
@@ -618,59 +635,59 @@ void network_simulator::deactivate_slot(std::size_t slot_index) {
 
 void network_simulator::go_down(std::size_t slot_index, std::size_t round,
                                 member_loss_reason reason, round_outcome& outcome) {
-    device_slot& slot = slots_[slot_index];
-    if (slot.down) return;  // an episode is already in progress
-    slot.down = true;
-    slot.down_round = round;
-    slot.desynced = false;
-    slot.missed_queries = 0;
+    fault_slot& faults = fault_slots_[slot_index];
+    if (faults.down) return;  // an episode is already in progress
+    faults.down = true;
+    faults.down_round = round;
+    faults.desynced = false;
+    faults.missed_queries = 0;
     ++outcome.down_events;
     if (hooks_) {
         hooks_->on_member_lost(round, static_cast<std::uint32_t>(slot_index), reason);
     }
 }
 
-void network_simulator::resync(device_slot& slot, std::size_t round,
+void network_simulator::resync(fault_slot& faults, std::size_t round,
                                round_outcome& outcome) {
     ++outcome.resyncs;
     if (probes_.fault_resync_rounds != nullptr) {
         probes_.fault_resync_rounds->record(
-            static_cast<double>(round - slot.desync_round));
+            static_cast<double>(round - faults.desync_round));
     }
-    slot.desynced = false;
+    faults.desynced = false;
 }
 
 bool network_simulator::hears_query(round_state& state, std::size_t slot_index) {
-    device_slot& slot = slots_[slot_index];
-    if (slot.down) {
+    fault_slot& faults = fault_slots_[slot_index];
+    if (faults.down) {
         // Zombie: the AP still schedules this device but the
         // rebooted/evicted radio answers nothing. Its silence accrues
         // toward the lease (paused during a blackout, when the AP itself
         // transmitted no query).
-        if (!state.blackout) ++slot.silent_rounds;
+        if (!state.blackout) ++faults.silent_rounds;
         return false;
     }
     if (!state.blackout) {
         // The stateless per-(round, device) draw — keyed on the unfaded
         // downlink RSSI so regroup() saw the same answer.
         if (!fault_injector_->query_lost(static_cast<std::uint32_t>(slot_index),
-                                         slot.query_rssi_dbm)) {
-            slot.missed_queries = 0;
+                                         slots_[slot_index].query_rssi_dbm)) {
+            faults.missed_queries = 0;
             // Provisional: the AP hears nothing unless the device
             // responds on its assigned shift (a desynced device's
             // stale-shift response does not count).
-            ++slot.silent_rounds;
+            ++faults.silent_rounds;
             return true;
         }
         ++state.outcome.query_losses;
-        ++slot.silent_rounds;
+        ++faults.silent_rounds;
     }
     // A lost query, or none on the air during a blackout (the AP cannot
     // hold that silence against the device), counts toward the device's
     // own re-association trip.
-    ++slot.missed_queries;
+    ++faults.missed_queries;
     if (config_.faults.missed_query_limit > 0 &&
-        slot.missed_queries >= config_.faults.missed_query_limit) {
+        faults.missed_queries >= config_.faults.missed_query_limit) {
         go_down(slot_index, state.round, member_loss_reason::missed_queries,
                 state.outcome);
     }
@@ -722,13 +739,13 @@ void network_simulator::apply_lease(std::optional<std::size_t> scheduled_group,
     // Collect first: deactivate_slot mutates the member lists mid-walk.
     fault_scratch_.clear();
     for (const std::uint32_t i : member_slots(scheduled_group)) {
-        if (slots_[i].silent_rounds >= config_.faults.lease_rounds) {
+        if (fault_slots_[i].silent_rounds >= config_.faults.lease_rounds) {
             fault_scratch_.push_back(i);
         }
     }
     for (const std::uint32_t i : fault_scratch_) {
         deactivate_slot(i);
-        slots_[i].silent_rounds = 0;
+        fault_slots_[i].silent_rounds = 0;
         ++outcome.lease_evictions;
         // A live device evicted here is disassociated without knowing it
         // — from its side this starts a down episode it must rejoin from.
@@ -782,8 +799,9 @@ void network_simulator::apply_round_plan(const round_plan& plan, round_outcome& 
     for (std::uint32_t id : *joins) {
         if (id >= slots_.size()) continue;
         device_slot& slot = slots_[id];
+        fault_slot* const faults = fault_injector_ ? &fault_slots_[id] : nullptr;
         if (slot.active) {
-            if (!slot.down) continue;
+            if (!faults || !faults->down) continue;
             // §3.3.4 re-association of a device the AP still lists as a
             // member: drop the stale entry (reclaiming its old shift)
             // and re-admit it like any joiner.
@@ -794,7 +812,7 @@ void network_simulator::apply_round_plan(const round_plan& plan, round_outcome& 
             continue;
         }
         const double join_power =
-            association_power_dbm(slot.device, slot.uplink_rx_dbm, slot.query_rssi_dbm);
+            association_power_dbm(device_params_, slot.uplink_rx_dbm, slot.query_rssi_dbm);
 
         if (grouped()) {
             // §3.3.3: best-fit group admission with per-group allocation.
@@ -806,18 +824,18 @@ void network_simulator::apply_round_plan(const round_plan& plan, round_outcome& 
         mark_active(id);
         ++outcome.joins;
         membership_dirty_ = true;
-        if (slot.down) {
+        if (faults && faults->down) {
             // The re-association completed: the down episode ends and its
             // length (in rounds) is the protocol's recovery latency.
             ++outcome.recoveries;
             if (probes_.fault_recovery_rounds != nullptr) {
                 probes_.fault_recovery_rounds->record(
-                    static_cast<double>(round - slot.down_round));
+                    static_cast<double>(round - faults->down_round));
             }
-            slot.down = false;
-            slot.desynced = false;
-            slot.missed_queries = 0;
-            slot.silent_rounds = 0;
+            faults->down = false;
+            faults->desynced = false;
+            faults->missed_queries = 0;
+            faults->silent_rounds = 0;
         }
     }
 }
@@ -861,8 +879,8 @@ sim_result network_simulator::run() {
     if (fault_injector_) {
         // Down episodes still open when the run ended. Closes the books:
         // total_down_events == total_recoveries + devices_down_at_end.
-        for (const device_slot& slot : slots_) {
-            if (slot.down) ++result.devices_down_at_end;
+        for (const fault_slot& faults : fault_slots_) {
+            if (faults.down) ++result.devices_down_at_end;
         }
     }
 
@@ -912,7 +930,7 @@ void network_simulator::plan_phase(round_state& state) {
         if (reboots > 0) {
             fault_scratch_.clear();
             for (const std::uint32_t i : active_slots_) {
-                if (!slots_[i].down) fault_scratch_.push_back(i);
+                if (!fault_slots_[i].down) fault_scratch_.push_back(i);
             }
             for (; reboots > 0 && !fault_scratch_.empty(); --reboots) {
                 const std::size_t pick =
@@ -966,6 +984,8 @@ void network_simulator::grouping_phase(round_state& state) {
     } else if (membership_dirty_) {
         register_active_shifts();
     }
+    // A device's radio is built when it is first scheduled.
+    build_radios(state.scheduled);
     outcome.active = active_slots_.size();
 }
 
@@ -988,6 +1008,8 @@ void network_simulator::synth_phase(round_state& state) {
     // Only the scheduled group hears this round's query.
     for (const std::uint32_t slot_idx : member_slots(scheduled)) {
         device_slot& slot = slots_[slot_idx];
+        slot_radio& radio = radios_[slot.radio_index];
+        fault_slot* const faults = fault_injector_ ? &fault_slots_[slot_idx] : nullptr;
         // Fading (and multipath) advance lazily: an unobserved
         // device (inactive, or outside the scheduled group) is not
         // touched at all; when it reaches this point again it
@@ -1000,17 +1022,17 @@ void network_simulator::synth_phase(round_state& state) {
         const std::uint64_t clock = static_cast<std::uint64_t>(round);
         ns::channel::tap_delay_line* const taps =
             taps_.empty() ? nullptr : &taps_[slot_idx];
-        if (clock > slot.fading_rounds) {
-            slot.fading.skip(clock - slot.fading_rounds);
-            if (taps) taps->skip(clock - slot.fading_rounds);
+        if (clock > radio.fading_rounds) {
+            radio.fading.skip(clock - radio.fading_rounds);
+            if (taps) taps->skip(clock - radio.fading_rounds);
         }
-        const double fade_db = slot.fading.next_db();
+        const double fade_db = radio.fading.next_db();
         if (taps) taps->next();
-        slot.fading_rounds = clock + 1;
+        radio.fading_rounds = clock + 1;
         if (grouped()) ++outcome.scheduled;
         const double query_rssi = slot.query_rssi_dbm + fade_db;
 
-        if (fault_injector_ && !hears_query(state, slot_idx)) continue;
+        if (faults && !hears_query(state, slot_idx)) continue;
 
         if (hooks_ && !hooks_->offers_traffic(round, slot_idx)) {
             ++outcome.idle;
@@ -1019,7 +1041,7 @@ void network_simulator::synth_phase(round_state& state) {
 
         ns::device::transmit_intent intent;
         if (config_.power_adaptation) {
-            intent = slot.device.handle_query(query_rssi, std::nullopt);
+            intent = radio.device.handle_query(slot.association, query_rssi, std::nullopt);
             if (intent.action == ns::device::device_action::association_request) {
                 // The device fell persistently out of tolerance and
                 // re-initiated association (§3.2.3 / §3.3.4). Under a
@@ -1033,22 +1055,22 @@ void network_simulator::synth_phase(round_state& state) {
                     // Under grouping the device stays in its group:
                     // only that group's slots are its neighbourhood.
                     moved = allocator_.assign_incremental(
-                        slot.uplink_rx_dbm + slot.device.current_gain_db(),
+                        slot.uplink_rx_dbm + slot.association.current_gain_db(),
                         occupied_powers(slot_idx, scheduled));
                 }
                 const std::uint32_t shift =
-                    moved ? *moved : slot.device.cyclic_shift();
+                    moved ? *moved : slot.association.assigned_shift;
                 associate_slot(slot_idx, shift, query_rssi);
                 ++outcome.reassociations;
                 ++outcome.realloc_events;
                 membership_dirty_ = true;
                 ++outcome.skipped;
-                if (fault_injector_) {
+                if (faults) {
                     // The request reaches the AP in the reserved
                     // association slots: not silence. It also hands
                     // the device a fresh shift, ending any desync.
-                    slot.silent_rounds = 0;
-                    if (slot.desynced) resync(slot, round, outcome);
+                    faults->silent_rounds = 0;
+                    if (faults->desynced) resync(*faults, round, outcome);
                 }
                 continue;
             }
@@ -1060,20 +1082,19 @@ void network_simulator::synth_phase(round_state& state) {
         } else {
             // Ablation: always transmit at maximum gain.
             intent.action = ns::device::device_action::transmit_data;
-            intent.cyclic_shift = slot.device.cyclic_shift();
+            intent.cyclic_shift = slot.association.assigned_shift;
             intent.gain_db = 0.0;
             intent.hardware_delay_s = config_.model_timing_jitter
                                           ? config_.delay_model.sample_s(rng_)
                                           : 0.0;
             intent.frequency_offset_hz =
-                config_.model_cfo ? slot.device.static_frequency_offset_hz() : 0.0;
+                config_.model_cfo ? radio.device.static_frequency_offset_hz() : 0.0;
         }
 
         // A desynced device answers on the shift it last learned —
         // the schedule moved on without it (§3.3.3 desync).
         const std::uint32_t tx_shift =
-            (fault_injector_ && slot.desynced) ? slot.stale_shift
-                                               : intent.cyclic_shift;
+            (faults && faults->desynced) ? faults->stale_shift : intent.cyclic_shift;
 
         // Build this device's frame bits into the flat per-round
         // store (one fixed-width 0/1 row per transmitter).
@@ -1113,13 +1134,13 @@ void network_simulator::synth_phase(round_state& state) {
              .frequency_offset_hz = frequency_offset_hz,
              .taps = taps ? taps->current() : std::span<const ns::dsp::cplx>()});
         ++outcome.transmitting;
-        if (fault_injector_ && !slot.desynced) {
+        if (faults && !faults->desynced) {
             // The AP decoded activity on this device's assigned
             // shift: its lease is refreshed. A stale-shift response
             // does NOT refresh it — from the AP's view the assigned
             // slot stayed empty, which is exactly how a desynced
             // device eventually gets lease-evicted and recovered.
-            slot.silent_rounds = 0;
+            faults->silent_rounds = 0;
         }
     }
 

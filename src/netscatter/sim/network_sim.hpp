@@ -554,28 +554,53 @@ private:
                        const ns::obs::alloc_counters& allocs_before,
                        sim_result& result);
 
-    /// Per-device state, holding only what differs between devices. The
+    /// slot_group_ value of a slot in no group (ungrouped or inactive).
+    static constexpr std::uint32_t no_group = static_cast<std::uint32_t>(-1);
+    /// device_slot::radio_index of a device never scheduled yet.
+    static constexpr std::uint32_t no_radio = static_cast<std::uint32_t>(-1);
+
+    /// Per-device state the control plane reads for every device, built
+    /// at set-up and holding only what differs between devices. The
     /// static device configuration is device_params_, the fading
     /// statistics fading_params_ and the multipath profile tap_profile_
-    /// (one copy each, shared by every slot);
-    /// the fixed placement (id = slot index, position, path loss) stays in
-    /// the deployment; tap lines live in taps_ and group membership in
-    /// slot_group_ and group_members_.
+    /// (one copy each, shared by every slot); the fixed placement (id =
+    /// slot index, position, path loss) stays in the deployment; the
+    /// radio lives in radios_ once built, tap lines in taps_, fault state
+    /// in fault_slots_ and group membership in slot_group_ and
+    /// group_members_.
     struct device_slot {
         // --- Link budget: a round plan's link_updates rewrite these ------
         double query_rssi_dbm = 0.0;  ///< downlink power at the device
         double uplink_rx_dbm = 0.0;   ///< backscatter power at the AP, 0 dB gain
         double tof_s = 0.0;           ///< propagation time of flight
         double doppler_hz = 0.0;      ///< mobility-induced Doppler this round
-        ns::device::backscatter_device device;
+        ns::device::device_association association;
+        /// The set-up chain's words for this device, read once, when its
+        /// radio is built: its generator's seed and the raw word behind
+        /// the fork that seeds its fading.
+        std::uint64_t device_seed = 0;
+        std::uint64_t fading_seed = 0;
+        std::uint32_t radio_index = no_radio;  ///< into radios_
+        bool active = false;  ///< currently associated
+    };
+
+    /// The state only a scheduled device draws from or advances, built
+    /// the first time the device is scheduled (build_radios) from its
+    /// slot's chain words. Nothing draws from an unbuilt device's
+    /// streams, so a late build is bit-identical to one at set-up.
+    struct slot_radio {
+        ns::device::device_radio device;
         ns::channel::gauss_markov_fading fading;
         /// AR steps the fading (and multipath) processes have taken so
-        /// far. Unobserved devices are not touched at all per round;
-        /// when next scheduled they catch up to the simulation clock
-        /// through the exact k-step AR(1) transition.
+        /// far; 0 at build, as an unbuilt radio's processes never moved.
+        /// Unobserved devices are not touched at all per round; when
+        /// next scheduled they catch up to the simulation clock through
+        /// the exact k-step AR(1) transition.
         std::uint64_t fading_rounds = 0;
+    };
 
-        // --- Fault/recovery state (inert with faults off) --------------
+    /// Fault/recovery state of one device (faults on only).
+    struct fault_slot {
         /// Round the current down episode began (recovery latency base).
         std::size_t down_round = 0;
         std::size_t desync_round = 0;  ///< round the desync began
@@ -584,19 +609,15 @@ private:
         std::uint32_t missed_queries = 0;
         /// Consecutive scheduled rounds the AP heard nothing (lease).
         std::uint32_t silent_rounds = 0;
-        bool active = false;  ///< currently associated
         /// Device lost its association (reboot, missed-query trip or
         /// lease eviction) and is rejoining through the Aloha path. While
-        /// the AP's table entry lingers (`active` still true) the device
+        /// the AP's table entry lingers (the slot still active) the device
         /// is a zombie: scheduled but silent.
         bool down = false;
         /// Device missed a regroup query: it keeps transmitting on
         /// `stale_shift` while the AP's schedule moved on (§3.3.3 desync).
         bool desynced = false;
     };
-
-    /// slot_group_ value of a slot in no group (ungrouped or inactive).
-    static constexpr std::uint32_t no_group = static_cast<std::uint32_t>(-1);
 
     /// Applies a scenario's round plan: link updates, leaves, then joins
     /// (incremental allocation with full-reassignment fallback). `round`
@@ -654,6 +675,10 @@ private:
     /// the allocator's slot count).
     ns::mac::group_scheduler make_scheduler() const;
 
+    /// Builds the radio of every device of member_slots(group) that has
+    /// none yet, in member order, from its slot's chain words.
+    void build_radios(std::optional<std::size_t> group);
+
     /// Inserts/removes `slot_index` into the sorted active-slot list.
     void mark_active(std::size_t slot_index);
     void mark_inactive(std::size_t slot_index);
@@ -673,7 +698,7 @@ private:
     void go_down(std::size_t slot_index, std::size_t round,
                  member_loss_reason reason, round_outcome& outcome);
     /// Ends a desync episode: the stale device re-learned its shift.
-    void resync(device_slot& slot, std::size_t round, round_outcome& outcome);
+    void resync(fault_slot& faults, std::size_t round, round_outcome& outcome);
     /// Whether a scheduled device hears this round's query and may
     /// respond; otherwise it stays silent (down, AP blackout or lost
     /// query) and its missed-query and lease bookkeeping advance.
@@ -695,6 +720,13 @@ private:
     const ns::channel::fading_params fading_params_;
     /// One slot per placed device, indexed by device id (ids are dense).
     std::vector<device_slot> slots_;
+    /// The radios built so far, in build order. Reserved to the universe
+    /// size at set-up, so a build never reallocates; capacity no build
+    /// has reached is never touched, so it never becomes resident.
+    std::vector<slot_radio> radios_;
+    /// Per-slot fault state, allocated only with faults on (empty
+    /// otherwise).
+    std::vector<fault_slot> fault_slots_;
     /// The one power-delay profile every tap line reads (set only under
     /// model_multipath).
     std::optional<ns::channel::tap_profile> tap_profile_;
