@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <set>
 
 #include "netscatter/mac/allocator.hpp"
@@ -303,6 +305,131 @@ TEST(allocator, incremental_fails_when_infeasible) {
     const shift_allocator alloc(default_alloc(2, 0));
     const std::vector<std::pair<std::uint32_t, double>> occupied = {{0, -50.0}};
     EXPECT_FALSE(alloc.assign_incremental(-110.0, occupied).has_value());
+}
+
+using occupancy = std::vector<std::pair<std::uint32_t, double>>;
+
+/// The incremental rule spelled out pair by pair: every free data slot in
+/// placement order, its margin the minimum over every occupied device of
+/// the tolerable difference at their separation less their power gap,
+/// its neighbour gap that of the first-listed nearest occupied device;
+/// the feasible slot with the smallest neighbour gap wins, ties within
+/// 1e-12 to the larger margin.
+std::optional<std::uint32_t> pairwise_incremental(const shift_allocator& alloc, double power,
+                                                  const occupancy& occupied) {
+    double best_gap = std::numeric_limits<double>::infinity();
+    double best_margin = -std::numeric_limits<double>::infinity();
+    std::optional<std::uint32_t> best;
+    for (const std::uint32_t candidate : alloc.placement_order()) {
+        bool taken = false;
+        for (const auto& entry : occupied) taken = taken || entry.first == candidate;
+        if (taken) continue;
+        double margin = std::numeric_limits<double>::infinity();
+        std::uint32_t nearest = std::numeric_limits<std::uint32_t>::max();
+        double gap = 0.0;
+        for (const auto& [shift, other] : occupied) {
+            const std::uint32_t separation = alloc.circular_distance(candidate, shift);
+            const double difference = std::abs(power - other);
+            margin = std::min(
+                margin,
+                tolerable_power_difference_db(alloc.params().phy, separation) - difference);
+            if (separation < nearest) {
+                nearest = separation;
+                gap = difference;
+            }
+        }
+        if (margin < 0.0) continue;
+        if (gap < best_gap - 1e-12 ||
+            (std::abs(gap - best_gap) <= 1e-12 && margin > best_margin)) {
+            best_gap = gap;
+            best_margin = margin;
+            best = candidate;
+        }
+    }
+    return best;
+}
+
+TEST(allocator, incremental_matches_the_pairwise_reference) {
+    ns::util::rng gen(32);
+    // Powers on a 0.5 dB grid, so neighbour gaps and margins tie exactly.
+    const auto grid_power = [&] { return std::round(gen.uniform(-120.0, -80.0) * 2.0) / 2.0; };
+    const auto pick = [&](std::size_t n) {
+        return static_cast<std::size_t>(gen.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    };
+    std::size_t placed = 0;
+    std::size_t refused = 0;
+    for (int sf = 7; sf <= 12; ++sf) {
+        for (const std::uint32_t skip : {1u, 2u, 4u}) {
+            const shift_allocator alloc(
+                {.phy = {.bandwidth_hz = 500e3, .spreading_factor = sf}, .skip = skip});
+            const std::vector<std::uint32_t>& slots = alloc.placement_order();
+            const auto bins = static_cast<std::uint32_t>(alloc.params().phy.num_bins());
+            const auto check = [&](double power, const occupancy& occupied) {
+                const auto expected = pairwise_incremental(alloc, power, occupied);
+                EXPECT_EQ(alloc.assign_incremental(power, occupied), expected)
+                    << "SF" << sf << " SKIP " << skip << ", " << occupied.size()
+                    << " occupied, newcomer at " << power << " dBm";
+                (expected ? placed : refused) += 1;
+            };
+            // `count` distinct data slots, picked at random, at grid powers.
+            const auto occupy = [&](std::size_t count) {
+                std::vector<std::uint32_t> order(slots);
+                for (std::size_t i = order.size(); i > 1; --i) {
+                    std::swap(order[i - 1], order[pick(i)]);
+                }
+                occupancy occupied;
+                for (std::size_t i = 0; i < count; ++i) {
+                    occupied.emplace_back(order[i], grid_power());
+                }
+                return occupied;
+            };
+
+            check(grid_power(), {});
+            for (int trial = 0; trial < 4; ++trial) {
+                check(grid_power(), occupy(1));
+                // Sparse, with an off-grid shift now and then.
+                occupancy sparse = occupy(std::min<std::size_t>(2 + pick(38), slots.size()));
+                if (trial % 2 == 1) {
+                    sparse.emplace_back(static_cast<std::uint32_t>(pick(bins)),
+                                        grid_power());
+                }
+                check(grid_power(), sparse);
+                // Duplicates: some shifts listed twice, at other powers.
+                occupancy duplicated = sparse;
+                for (std::size_t i = 0; i < sparse.size(); i += 3) {
+                    duplicated.emplace_back(sparse[i].first, grid_power());
+                }
+                check(grid_power(), duplicated);
+                // One to three free slots left.
+                const occupancy dense = occupy(slots.size() - 1 - pick(3));
+                check(grid_power(), dense);
+                check(dense.front().second, dense);
+                occupancy dense_duplicated = dense;
+                dense_duplicated.push_back(dense.back());
+                check(grid_power(), dense_duplicated);
+            }
+            // A full network.
+            check(grid_power(), occupy(slots.size()));
+            // Two equidistant neighbours of different power, either one
+            // listed first: the first listed is the nearest.
+            const std::uint32_t centre = slots[slots.size() / 2];
+            for (const std::uint32_t d : {skip, 2 * skip, 5 * skip}) {
+                const std::uint32_t left = (centre + bins - d) % bins;
+                const std::uint32_t right = (centre + d) % bins;
+                check(-100.0, {{left, -98.0}, {right, -103.0}});
+                check(-100.0, {{right, -103.0}, {left, -98.0}});
+                check(-100.0, {{left, -97.5}, {right, -102.5}});
+            }
+            // An infeasible newcomer: 60 dB under a device the cap of
+            // 35 dB cannot shield it from anywhere.
+            occupancy loud = occupy(3);
+            loud[1].second = -50.0;
+            check(-110.0, loud);
+        }
+    }
+    // Both outcomes are exercised.
+    EXPECT_GT(placed, 300u);
+    EXPECT_GT(refused, 100u);
 }
 
 // ------------------------------------------------------------------ ap --

@@ -1007,6 +1007,19 @@ TEST(multipath, tap_lines_on_the_fast_path_are_pinned) {
     EXPECT_EQ(outcome_hash(sim), 0xf2a2b14edbf14c45ULL);
 }
 
+// Golden digest of the ungrouped churn run: every join is placed by the
+// incremental allocator or, when no free slot fits its power, by a full
+// reassignment, so any change to how a joiner is placed must keep every
+// outcome of this run.
+
+TEST(churn, warehouse_joins_and_full_reassignments_are_pinned) {
+    const auto sim = pinned_run("warehouse-1k", 15, std::nullopt);
+    EXPECT_EQ(sim.num_groups, 0u);
+    EXPECT_EQ(sim.total_joins, 52u);
+    EXPECT_EQ(sim.total_full_reassignments, 21u);
+    EXPECT_EQ(outcome_hash(sim), 0x141abb936b981d7cULL);
+}
+
 // -------------------------------------------- hooks/simulator coupling --
 
 /// Minimal hooks: devices with odd ids never have data; device 0 leaves
