@@ -49,6 +49,22 @@ shift_allocator::shift_allocator(allocation_params params) : params_(params) {
     }
     sorted_shifts_ = data_slot_shifts_;
     std::sort(sorted_shifts_.begin(), sorted_shifts_.end());
+
+    // The tolerance never falls as the separation widens to mid-band, the
+    // widest circular separation, and stops rising at the cap: tabulate
+    // it up to the first separation that reaches the mid-band value.
+    const double widest = tolerable_power_difference_db(params_.phy, num_bins / 2);
+    for (std::uint32_t separation = 0; tolerable_db_.empty() || tolerable_db_.back() < widest;
+         ++separation) {
+        tolerable_db_.push_back(tolerable_power_difference_db(params_.phy, separation));
+    }
+}
+
+void shift_allocator::reserve(allocation_workspace& ws) const {
+    ws.rank.reserve(data_slot_shifts_.size());
+    ws.selected.reserve(data_slot_shifts_.size());
+    const std::size_t num_bins = params_.phy.num_bins();
+    if (ws.taken.size() < num_bins) ws.taken.resize(num_bins);
 }
 
 std::uint32_t shift_allocator::association_shift(ns::device::snr_region region) const {
@@ -127,8 +143,16 @@ std::vector<std::uint32_t> shift_allocator::allocate(
 }
 
 std::optional<std::uint32_t> shift_allocator::assign_incremental(
-    double new_device_power_dbm,
-    const std::vector<std::pair<std::uint32_t, double>>& occupied_shift_powers) const {
+    double new_device_power_dbm, std::span<const shift_power> occupied,
+    allocation_workspace& ws) const {
+    const std::size_t num_bins = params_.phy.num_bins();
+    for (const auto& entry : occupied) {
+        ns::util::require(entry.first < num_bins,
+                          "assign_incremental: occupied shift out of range");
+    }
+    reserve(ws);
+    for (const auto& entry : occupied) ws.taken[entry.first] = 1;
+
     // Among feasible slots (the power difference to EVERY occupied shift
     // stays within the side-lobe tolerance of their separation), prefer
     // the slot whose circularly-nearest occupied neighbour is closest in
@@ -139,17 +163,16 @@ std::optional<std::uint32_t> shift_allocator::assign_incremental(
     std::optional<std::uint32_t> best_shift;
 
     for (std::uint32_t candidate : data_slot_shifts_) {
-        const bool taken = std::any_of(
-            occupied_shift_powers.begin(), occupied_shift_powers.end(),
-            [&](const auto& entry) { return entry.first == candidate; });
-        if (taken) continue;
+        if (ws.taken[candidate]) continue;
 
         double margin = std::numeric_limits<double>::infinity();
         std::uint32_t nearest_separation = std::numeric_limits<std::uint32_t>::max();
         double neighbour_gap = 0.0;
-        for (const auto& [shift, power] : occupied_shift_powers) {
+        for (const auto& [shift, power] : occupied) {
             const std::uint32_t separation = circular_distance(candidate, shift);
-            const double tolerable = tolerable_power_difference_db(params_.phy, separation);
+            const double tolerable = separation < tolerable_db_.size()
+                                         ? tolerable_db_[separation]
+                                         : tolerable_db_.back();
             const double difference = std::abs(new_device_power_dbm - power);
             margin = std::min(margin, tolerable - difference);
             if (separation < nearest_separation) {
@@ -167,7 +190,15 @@ std::optional<std::uint32_t> shift_allocator::assign_incremental(
             best_shift = candidate;
         }
     }
+
+    for (const auto& entry : occupied) ws.taken[entry.first] = 0;
     return best_shift;
+}
+
+std::optional<std::uint32_t> shift_allocator::assign_incremental(
+    double new_device_power_dbm, const std::vector<shift_power>& occupied) const {
+    allocation_workspace ws;
+    return assign_incremental(new_device_power_dbm, occupied, ws);
 }
 
 double tolerable_power_difference_db(const ns::phy::css_params& params,

@@ -46,12 +46,18 @@ inline bool stronger_first(const device_power& a, const device_power& b) {
     return a.device_id < b.device_id;
 }
 
-/// Scratch of shift_allocator::allocate, kept by the caller and reused so
-/// that allocating a population no larger than an earlier one costs no
-/// heap allocation.
+/// A placed device's cyclic shift and its received power (dBm).
+using shift_power = std::pair<std::uint32_t, double>;
+
+/// Scratch of shift_allocator::allocate and assign_incremental, kept by
+/// the caller and reused. Once shift_allocator::reserve has sized it, no
+/// call on that allocator allocates.
 struct allocation_workspace {
     std::vector<std::uint32_t> rank;      ///< input indices, strongest first
     std::vector<std::uint32_t> selected;  ///< the slots handed out, in order
+    /// One flag per bin, set for the occupied shifts during an
+    /// assign_incremental call and all clear between calls.
+    std::vector<std::uint8_t> taken;
 };
 
 /// Power-aware cyclic-shift allocator.
@@ -70,6 +76,10 @@ public:
     /// bin 0 (i.e. strongest-first placement order).
     const std::vector<std::uint32_t>& placement_order() const { return data_slot_shifts_; }
 
+    /// Sizes `ws` for any batch this allocator can place and for its
+    /// occupancy map, so later calls with it allocate nothing.
+    void reserve(allocation_workspace& ws) const;
+
     /// Batch (re)allocation: ranks by descending power (ties by id) and
     /// assigns slots in placement order. Writes each device's cyclic
     /// shift to `shifts` (resized to match) in input order, with `ws` as
@@ -79,15 +89,28 @@ public:
     /// The same, returning the shifts in a fresh vector.
     std::vector<std::uint32_t> allocate(const std::vector<device_power>& devices) const;
 
-    /// Incremental assignment for one joining device given the powers of
-    /// devices already placed: picks the free slot whose neighbours are
-    /// closest in power (minimizes the max |power difference| to the
-    /// devices already occupying adjacent slots). Returns std::nullopt
-    /// when the network is full — the AP then performs a full
-    /// reassignment (§3.3.3).
+    /// Incremental assignment for one joining device given the shifts and
+    /// powers of the devices already placed. A free data slot is feasible
+    /// when the newcomer's power difference to every occupied device stays
+    /// within the side-lobe tolerance of their separation; its margin is
+    /// the smallest slack over them. Of the feasible slots it picks the
+    /// one whose nearest occupied neighbour is closest in power; gaps
+    /// within 1e-12 dB go to the larger margin, and of two equidistant
+    /// neighbours the first one listed counts. Ties left after that go to
+    /// the slot earlier in placement order. Returns std::nullopt when no
+    /// free slot is feasible (a full network included) — the AP then
+    /// performs a full reassignment (§3.3.3). Throws invalid_argument
+    /// when an occupied shift is not below the bin count.
+    ///
+    /// Cost: O(occupied) to mark the occupancy map in `ws`, then a table
+    /// lookup and a few operations per (free slot, occupied device)
+    /// pair. Allocates nothing once reserve(ws) has run.
+    std::optional<std::uint32_t> assign_incremental(double new_device_power_dbm,
+                                                    std::span<const shift_power> occupied,
+                                                    allocation_workspace& ws) const;
+    /// The same with a fresh workspace.
     std::optional<std::uint32_t> assign_incremental(
-        double new_device_power_dbm,
-        const std::vector<std::pair<std::uint32_t, double>>& occupied_shift_powers) const;
+        double new_device_power_dbm, const std::vector<shift_power>& occupied) const;
 
     /// Circular distance between two shifts, in bins.
     std::uint32_t circular_distance(std::uint32_t a, std::uint32_t b) const;
@@ -98,6 +121,9 @@ private:
     allocation_params params_;
     std::vector<std::uint32_t> data_slot_shifts_;  // placement order
     std::vector<std::uint32_t> sorted_shifts_;     // the same, ascending
+    // tolerable_power_difference_db at each separation from 0 up to the
+    // first one whose value every wider separation shares (the cap).
+    std::vector<double> tolerable_db_;
     std::uint32_t assoc_shift_high_ = 0;
     std::uint32_t assoc_shift_low_ = 0;
 };

@@ -7,20 +7,21 @@
 namespace ns::mac {
 
 access_point::access_point(allocation_params params)
-    : params_(params), allocator_(params) {}
+    : params_(params), allocator_(params) {
+    allocator_.reserve(alloc_ws_);
+}
 
 association_response access_point::handle_association_request(
     const association_request& request) {
     // Collect the occupied shifts with their powers for the incremental
     // allocator.
-    std::vector<std::pair<std::uint32_t, double>> occupied;
-    occupied.reserve(table_.size());
+    occupied_ws_.clear();
     for (const auto& [id, record] : table_) {
-        occupied.emplace_back(record.cyclic_shift, record.rx_power_dbm);
+        occupied_ws_.emplace_back(record.cyclic_shift, record.rx_power_dbm);
     }
 
     const std::optional<std::uint32_t> shift =
-        allocator_.assign_incremental(request.rx_power_dbm, occupied);
+        allocator_.assign_incremental(request.rx_power_dbm, occupied_ws_, alloc_ws_);
 
     // A re-request replaces the device's record. Without a compatible
     // free slot the device is admitted on a placeholder shift and the

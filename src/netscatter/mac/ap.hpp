@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "netscatter/mac/allocator.hpp"
 #include "netscatter/mac/query_message.hpp"
@@ -93,6 +94,9 @@ private:
     allocation_params params_;
     shift_allocator allocator_;
     std::map<std::uint32_t, device_record> table_;
+    // Incremental placement's scratch, reused across requests.
+    std::vector<shift_power> occupied_ws_;
+    allocation_workspace alloc_ws_;
     std::optional<association_response> pending_response_;
     std::optional<std::uint32_t> pending_device_;
     bool reassignment_pending_ = false;

@@ -253,8 +253,7 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
     power_ws_.reserve(data_slots + 1);
     occupied_ws_.reserve(data_slots);
     alloc_shifts_ws_.reserve(data_slots);
-    alloc_ws_.rank.reserve(data_slots);
-    alloc_ws_.selected.reserve(data_slots);
+    allocator_.reserve(alloc_ws_);
 
     // --- Association phase (devices join one at a time, §3.3.2) ---------
     // Run the power-aware batch allocation the AP would have converged to
@@ -525,7 +524,7 @@ const std::vector<ns::mac::device_power>& network_simulator::active_powers(
     return power_ws_;
 }
 
-const std::vector<std::pair<std::uint32_t, double>>& network_simulator::occupied_powers(
+const std::vector<ns::mac::shift_power>& network_simulator::occupied_powers(
     std::optional<std::uint32_t> excluded_id, std::optional<std::size_t> group) {
     occupied_ws_.clear();
     for (const std::uint32_t i : member_slots(group)) {
@@ -560,8 +559,8 @@ void network_simulator::build_radios(std::optional<std::size_t> group) {
 void network_simulator::place_joiner(std::size_t slot_index, double join_power,
                                      std::optional<std::size_t> group,
                                      round_outcome& outcome) {
-    const auto incremental =
-        allocator_.assign_incremental(join_power, occupied_powers(std::nullopt, group));
+    const auto incremental = allocator_.assign_incremental(
+        join_power, occupied_powers(std::nullopt, group), alloc_ws_);
     if (incremental) {
         associate_slot(slot_index, *incremental, slots_[slot_index].query_rssi_dbm);
         ++outcome.realloc_events;
@@ -1056,7 +1055,7 @@ void network_simulator::synth_phase(round_state& state) {
                     // only that group's slots are its neighbourhood.
                     moved = allocator_.assign_incremental(
                         slot.uplink_rx_dbm + slot.association.current_gain_db(),
-                        occupied_powers(slot_idx, scheduled));
+                        occupied_powers(slot_idx, scheduled), alloc_ws_);
                 }
                 const std::uint32_t shift =
                     moved ? *moved : slot.association.assigned_shift;

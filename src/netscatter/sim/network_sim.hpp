@@ -657,7 +657,7 @@ private:
     /// Occupied (shift, power) pairs of member_slots(group), excluding
     /// `excluded_id`, in slot order, written to occupied_ws_ (valid until
     /// the next call).
-    const std::vector<std::pair<std::uint32_t, double>>& occupied_powers(
+    const std::vector<ns::mac::shift_power>& occupied_powers(
         std::optional<std::uint32_t> excluded_id = std::nullopt,
         std::optional<std::size_t> group = std::nullopt);
     /// Refreshes the receiver's registered shifts from member_slots(group)
@@ -841,7 +841,7 @@ private:
     // Control-plane workspaces (partition, batch and incremental
     // allocation), reserved at construction and reused across rounds.
     std::vector<ns::mac::device_power> power_ws_;
-    std::vector<std::pair<std::uint32_t, double>> occupied_ws_;
+    std::vector<ns::mac::shift_power> occupied_ws_;
     std::vector<std::uint32_t> alloc_shifts_ws_;
     ns::mac::allocation_workspace alloc_ws_;
     /// Cross-network collision marks, one per transmitter row this round

@@ -7,6 +7,7 @@
 #include <limits>
 #include <optional>
 #include <set>
+#include <string>
 
 #include "netscatter/mac/allocator.hpp"
 #include "netscatter/mac/aloha.hpp"
@@ -270,12 +271,27 @@ TEST(allocator, tolerable_power_difference_reference_points) {
 }
 
 TEST(allocator, tolerable_power_difference_monotone) {
-    const auto p = ns::phy::deployed_params();
-    double previous = 0.0;
-    for (std::uint32_t s = 1; s <= 256; s *= 2) {
-        const double tolerable = tolerable_power_difference_db(p, s);
-        EXPECT_GE(tolerable, previous) << "separation " << s;
-        previous = tolerable;
+    // The allocator tabulates the tolerance up to the first separation at
+    // the cap and reads the cap beyond it: that holds only if the
+    // tolerance never falls out to mid-band and stays at the cap once
+    // there.
+    for (int sf = 7; sf <= 12; ++sf) {
+        const ns::phy::css_params p{.bandwidth_hz = 500e3, .spreading_factor = sf};
+        const auto half = static_cast<std::uint32_t>(p.num_bins() / 2);
+        std::uint32_t first_capped = 0;
+        double previous = 0.0;
+        for (std::uint32_t s = 1; s <= half; ++s) {
+            const double tolerable = tolerable_power_difference_db(p, s);
+            EXPECT_GE(tolerable, previous) << "SF" << sf << ", separation " << s;
+            if (first_capped != 0) {
+                EXPECT_EQ(tolerable, 35.0) << "SF" << sf << ", separation " << s;
+            } else if (tolerable == 35.0) {
+                first_capped = s;
+            }
+            previous = tolerable;
+        }
+        // Narrow enough that the table is a handful of entries.
+        EXPECT_EQ(first_capped, sf == 7 ? 20u : 19u) << "SF" << sf;
     }
 }
 
@@ -305,6 +321,25 @@ TEST(allocator, incremental_fails_when_infeasible) {
     const shift_allocator alloc(default_alloc(2, 0));
     const std::vector<std::pair<std::uint32_t, double>> occupied = {{0, -50.0}};
     EXPECT_FALSE(alloc.assign_incremental(-110.0, occupied).has_value());
+}
+
+TEST(allocator, incremental_rejects_out_of_range_shifts) {
+    const shift_allocator alloc(default_alloc());
+    allocation_workspace ws;
+    const std::vector<shift_power> last_bin = {{511, -100.0}};
+    EXPECT_TRUE(alloc.assign_incremental(-100.0, last_bin, ws).has_value());
+    for (const std::uint32_t shift : {512u, 4096u, 0xffffffffu}) {
+        const std::vector<shift_power> occupied = {{0, -100.0}, {shift, -100.0}};
+        try {
+            (void)alloc.assign_incremental(-100.0, occupied, ws);
+            ADD_FAILURE() << "shift " << shift << " accepted";
+        } catch (const ns::util::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("assign_incremental"), std::string::npos);
+        }
+    }
+    // A rejected call leaves the workspace's occupancy map clear.
+    EXPECT_TRUE(std::all_of(ws.taken.begin(), ws.taken.end(),
+                            [](std::uint8_t flag) { return flag == 0; }));
 }
 
 using occupancy = std::vector<std::pair<std::uint32_t, double>>;
@@ -430,6 +465,32 @@ TEST(allocator, incremental_matches_the_pairwise_reference) {
     // Both outcomes are exercised.
     EXPECT_GT(placed, 300u);
     EXPECT_GT(refused, 100u);
+}
+
+TEST(allocator, incremental_reuses_its_workspace) {
+    // The simulator and the AP keep one workspace for every join: reused
+    // across occupancies of any size, it gives the reference's answers,
+    // never reallocates its map and leaves it clear after each call.
+    const shift_allocator alloc(default_alloc());
+    allocation_workspace ws;
+    alloc.reserve(ws);
+    const std::uint8_t* const map = ws.taken.data();
+    ns::util::rng gen(7);
+    for (int trial = 0; trial < 60; ++trial) {
+        const auto count = static_cast<std::size_t>(gen.uniform_int(0, 254));
+        occupancy occupied;
+        for (std::size_t i = 0; i < count; ++i) {
+            const auto slot = static_cast<std::size_t>(gen.uniform_int(0, 253));
+            occupied.emplace_back(alloc.placement_order()[slot],
+                                  std::round(gen.uniform(-120.0, -80.0)));
+        }
+        const double power = std::round(gen.uniform(-120.0, -80.0));
+        EXPECT_EQ(alloc.assign_incremental(power, occupied, ws),
+                  pairwise_incremental(alloc, power, occupied))
+            << "trial " << trial;
+        EXPECT_EQ(ws.taken.data(), map);
+        EXPECT_EQ(std::count(ws.taken.begin(), ws.taken.end(), 0), 512);
+    }
 }
 
 // ------------------------------------------------------------------ ap --
