@@ -54,10 +54,10 @@ shift_allocator::shift_allocator(allocation_params params) : params_(params) {
     // widest circular separation, and stops rising at the cap: tabulate
     // it up to the first separation that reaches the mid-band value.
     const double widest = tolerable_power_difference_db(params_.phy, num_bins / 2);
-    for (std::uint32_t separation = 0; tolerable_db_.empty() || tolerable_db_.back() < widest;
-         ++separation) {
+    do {
+        const auto separation = static_cast<std::uint32_t>(tolerable_db_.size());
         tolerable_db_.push_back(tolerable_power_difference_db(params_.phy, separation));
-    }
+    } while (tolerable_db_.back() < widest);
 }
 
 void shift_allocator::reserve(allocation_workspace& ws) const {
