@@ -492,6 +492,7 @@ std::uint64_t accumulate_symbol(const kernel_batch& batch, std::size_t symbol,
                                 std::size_t padded, const bin_runs& runs, cplx* values) {
     const accumulate_fn accumulate = accumulate_leg().run;
     const cplx* window_values = batch.window_values.data();
+    const std::size_t compact_size = runs.compact_size();
     std::uint64_t elems = 0;
     // Adds window[0 …] · amplitude over padded bins [begin, end), cut to
     // the runs that bin range meets.
@@ -513,20 +514,18 @@ std::uint64_t accumulate_symbol(const kernel_batch& batch, std::size_t symbol,
         const std::size_t length = batch.window_length[id];
         const std::size_t first = batch.first_bin[p];
         const cplx amplitude = batch.scale[p];
+        if (batch.cut && length < padded) {
+            // Packed: values[(first + w) mod compact_size] += window[w] ·
+            // amplitude, the window's run bins in bin order.
+            const std::size_t head = std::min(length, compact_size - first);
+            accumulate(values + first, window, head, amplitude);
+            accumulate(values, window + head, length - head, amplitude);
+            elems += length;
+            continue;
+        }
         // bin (first + w) mod padded += window[w] · amplitude, split
         // into the two contiguous runs of the cyclic window.
         const std::size_t head = std::min(length, padded - first);
-        if (batch.cut && length < padded) {
-            // Packed: the window's run bins, in bin order, are the
-            // compact range between the compact indices of its ends.
-            const std::size_t lo = runs.compact_index(first);
-            const std::size_t mid = runs.compact_index(first + head);
-            const std::size_t tail = head < length ? runs.compact_index(length - head) : 0;
-            accumulate(values + lo, window, mid - lo, amplitude);
-            accumulate(values, window + (mid - lo), tail, amplitude);
-            elems += mid - lo + tail;
-            continue;
-        }
         add(window, first, first + head, amplitude);
         if (head < length) add(window + head, 0, length - head, amplitude);
     }
@@ -560,11 +559,19 @@ void cut_windows(kernel_batch& batch, std::size_t symbol, std::size_t padded,
         };
         pack(window, first, first + head);
         pack(window + head, 0, length - head);
+        batch.window_length[id] = static_cast<std::uint32_t>(out - window);
         ++packed;
     }
     ns::util::require(packed == short_windows,
                       "cut_windows: a window shorter than the spectrum is not placed once "
                       "in the cut symbol");
+    // The run bins below a placement's first bin are where its packed
+    // window starts in the compact buffer.
+    for (std::size_t p = 0; p < batch.first_bin.size(); ++p) {
+        if (batch.window_length[batch.window_id[p]] < padded) {
+            batch.first_bin[p] = static_cast<std::uint32_t>(runs.compact_index(batch.first_bin[p]));
+        }
+    }
 }
 
 }  // namespace ns::channel

@@ -43,7 +43,8 @@ struct kernel_batch {
     std::vector<std::uint32_t> window_length;
     /// Set by cut_windows until the next begin(): every window shorter
     /// than the spectrum holds only its elements that land in the runs
-    /// it was cut to.
+    /// it was cut to, window_length counts those, and each placement of
+    /// such a window holds its compact index in first_bin.
     bool cut = false;
 
     // -- placements sorted by symbol (stable within a symbol = packet
@@ -111,6 +112,11 @@ struct bin_runs {
     std::size_t compact_index(std::size_t bin) const {
         const std::size_t r = find(bin);
         if (r < runs.size()) return runs[r].at + (bin > runs[r].begin ? bin - runs[r].begin : 0);
+        return compact_size();
+    }
+
+    /// Run bins in all: the compact buffer's length.
+    std::size_t compact_size() const {
         return runs.empty() ? 0 : runs.back().at + runs.back().end - runs.back().begin;
     }
 };
@@ -120,11 +126,13 @@ struct bin_runs {
 /// places it; a short window must sit at that bin in every symbol (a
 /// packet's window does, and every packet is placed in each preamble
 /// symbol). The runs sit back to back in the compact buffer, so a packed
-/// window then adds as at most two contiguous ranges instead of one
-/// short loop per run it meets; full-width windows (interferers, a LoRa
-/// frame's windows move with its symbol values) stay whole and are cut
-/// run by run. The full windows are gone afterwards: once per planned
-/// round, after its last full sweep.
+/// window is a cyclic range of it: each of its placements is rewritten
+/// to start at the compact index of its first bin, and it then adds as
+/// at most two contiguous ranges instead of one short loop per run it
+/// meets. Full-width windows (interferers, a LoRa frame's windows move
+/// with its symbol values) stay whole and are cut run by run. The full
+/// windows are gone afterwards: once per planned round, after its last
+/// full sweep. Allocates nothing.
 void cut_windows(kernel_batch& batch, std::size_t symbol, std::size_t padded,
                  const bin_runs& runs);
 

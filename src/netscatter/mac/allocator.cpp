@@ -10,11 +10,16 @@
 
 namespace ns::mac {
 
+std::uint32_t shift_allocator::slot_count(const ns::phy::css_params& phy, std::uint32_t skip) {
+    ns::util::require(skip >= 1, "shift_allocator::slot_count: SKIP must be >= 1");
+    const auto num_bins = static_cast<std::uint32_t>(phy.num_bins());
+    ns::util::require(skip < num_bins, "shift_allocator::slot_count: SKIP too large");
+    return num_bins / skip;
+}
+
 shift_allocator::shift_allocator(allocation_params params) : params_(params) {
-    ns::util::require(params_.skip >= 1, "shift_allocator: SKIP must be >= 1");
+    const std::uint32_t num_slots = slot_count(params_.phy, params_.skip);
     const auto num_bins = static_cast<std::uint32_t>(params_.phy.num_bins());
-    ns::util::require(params_.skip < num_bins, "shift_allocator: SKIP too large");
-    const std::uint32_t num_slots = num_bins / params_.skip;
     ns::util::require(params_.num_association_slots <= num_slots,
                       "shift_allocator: more association slots than slots");
 

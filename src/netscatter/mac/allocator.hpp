@@ -68,6 +68,11 @@ public:
     /// Total data slots available (capacity for concurrent devices).
     std::size_t num_data_slots() const { return data_slot_shifts_.size(); }
 
+    /// Slots of SKIP bins each, association slots included: num_bins /
+    /// skip, the num_data_slots() of an allocator with no association
+    /// slots. Throws invalid_argument unless 1 <= skip < num_bins.
+    static std::uint32_t slot_count(const ns::phy::css_params& phy, std::uint32_t skip);
+
     /// Cyclic shift reserved for association requests from the given
     /// region.
     std::uint32_t association_shift(ns::device::snr_region region) const;

@@ -17,7 +17,7 @@ churn_process::churn_process(churn_spec spec, std::size_t universe,
       pending_(universe, false),
       low_region_(std::move(low_region)),
       contention_(spec.aloha_initial_window, spec.aloha_max_window),
-      request_round_(universe, 0) {
+      request_round_(spec.association == association_mode::slotted_aloha ? universe : 0) {
     ns::util::require(universe > 0, "churn: universe must be non-empty");
     ns::util::require(spec_.join_rate_per_round >= 0.0 &&
                           spec_.leave_rate_per_round >= 0.0,

@@ -91,7 +91,9 @@ private:
     std::vector<bool> low_region_;
     std::deque<std::pair<std::uint32_t, std::size_t>> queue_;  ///< (id, request round)
     ns::mac::aloha_contention contention_;
-    std::vector<std::size_t> request_round_;  ///< per id: round of its Aloha request
+    /// Per id: round of its Aloha request (slotted_aloha only; empty
+    /// otherwise, where the FIFO queue carries the round).
+    std::vector<std::size_t> request_round_;
     std::vector<std::uint32_t> initial_active_;
     std::vector<double> join_waits_;
     std::size_t active_count_ = 0;

@@ -63,9 +63,8 @@ double driver_stats::offered_load() const {
 }
 
 std::size_t concurrency_capacity(const scenario_spec& spec) {
-    const ns::mac::shift_allocator allocator(ns::mac::allocation_params{
-        .phy = spec.sim.phy, .skip = spec.sim.skip, .num_association_slots = 0});
-    return allocator.num_data_slots();
+    // The simulator's allocator reserves no association slots.
+    return ns::mac::shift_allocator::slot_count(spec.sim.phy, spec.sim.skip);
 }
 
 std::size_t admission_capacity(const scenario_spec& spec, std::size_t universe) {

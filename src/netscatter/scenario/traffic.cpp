@@ -9,7 +9,12 @@ namespace ns::scenario {
 
 traffic_model::traffic_model(traffic_spec spec, std::size_t num_devices,
                              std::uint64_t seed)
-    : spec_(spec), rng_(seed), phase_(num_devices, 0), backlog_(num_devices, 0) {
+    : spec_(spec),
+      rng_(seed),
+      phase_(num_devices, 0),
+      backlog_(spec.kind == traffic_kind::poisson || spec.kind == traffic_kind::bursty
+                   ? num_devices
+                   : 0) {
     ns::util::require(spec_.period_rounds >= 1,
                       "traffic: period_rounds must be >= 1");
     ns::util::require(spec_.duty_cycle >= 0.0 && spec_.duty_cycle <= 1.0,

@@ -36,8 +36,10 @@ public:
 private:
     traffic_spec spec_;
     ns::util::rng rng_;
-    std::vector<std::size_t> phase_;       ///< periodic: per-device offset
-    std::vector<std::uint64_t> backlog_;   ///< poisson/bursty: queued packets
+    /// Per-device offset, read by periodic traffic; drawn for every kind
+    /// so each kind leaves rng_ in the same state.
+    std::vector<std::size_t> phase_;
+    std::vector<std::uint64_t> backlog_;   ///< poisson/bursty only: queued packets
 };
 
 }  // namespace ns::scenario

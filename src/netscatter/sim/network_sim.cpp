@@ -207,7 +207,12 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
     // The first two only seed generators, so they are stored and the
     // radio is built from them when the device is first scheduled.
     slots_.reserve(placed.size());
-    radios_.reserve(placed.size());
+    // A grouped round builds at most one group's radios, and a group
+    // never holds more than the scheduler's capacity (see radios_).
+    radios_.reserve(grouped() ? std::min(placed.size(),
+                                         config_.rounds *
+                                             make_scheduler().params().group_capacity)
+                              : placed.size());
     if (fault_injector_) fault_slots_.resize(placed.size());
     if (config_.model_multipath) {
         tap_profile_.emplace(config_.multipath, config_.phy.bandwidth_hz,

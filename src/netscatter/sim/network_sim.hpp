@@ -720,9 +720,17 @@ private:
     const ns::channel::fading_params fading_params_;
     /// One slot per placed device, indexed by device id (ids are dense).
     std::vector<device_slot> slots_;
-    /// The radios built so far, in build order. Reserved to the universe
-    /// size at set-up, so a build never reallocates; capacity no build
-    /// has reached is never touched, so it never becomes resident.
+    /// The radios built so far, in build order. Reserved at set-up to
+    /// what run() can build, so a build never reallocates: the universe
+    /// in an ungrouped run, else min(universe, rounds × group capacity).
+    /// That bound holds because each grouped round builds radios only for
+    /// its one scheduled group's members, and a group never holds more
+    /// than the scheduler's capacity: the partition cuts at it,
+    /// group_scheduler::admit picks only groups with room, and a new
+    /// group starts empty. Capacity no build reaches is never written,
+    /// but it can still be resident: in a process that runs many
+    /// replicas, the reservation may land on heap pages an earlier
+    /// replica touched and the heap kept.
     std::vector<slot_radio> radios_;
     /// Per-slot fault state, allocated only with faults on (empty
     /// otherwise).

@@ -206,6 +206,52 @@ TEST(group_scheduler, partition_rejects_a_nan_power) {
     EXPECT_THROW(scheduler.partition_in_place(devices, spans), ns::util::invalid_argument);
 }
 
+TEST(group_scheduler, admit_never_fills_a_group_past_capacity) {
+    // The simulator reserves its radio pool for rounds × capacity radios,
+    // which holds only while no group outgrows the capacity. A full
+    // group that needs no stretch at all is still passed over.
+    const ns::mac::group_scheduler scheduler({.group_capacity = 8, .max_dynamic_range_db = 20});
+    const std::vector<ns::mac::group_span> full_and_open = {
+        {.members = 8, .min_power_dbm = -100.0, .max_power_dbm = -90.0},
+        {.members = 3, .min_power_dbm = -110.0, .max_power_dbm = -105.0}};
+    EXPECT_EQ(scheduler.admit(full_and_open, -95.0), std::optional<std::size_t>{1});
+    EXPECT_EQ(scheduler.admit({full_and_open[0]}, -95.0), std::nullopt);
+
+    // Joins and leaves at random, each join placed the way the simulator
+    // places it: the admitted group, else a fresh empty one.
+    ns::util::rng gen(12);
+    std::vector<ns::mac::group_span> groups;
+    std::size_t admitted = 0;
+    for (int step = 0; step < 4000; ++step) {
+        if (!groups.empty() && gen.bernoulli(0.4)) {
+            ns::mac::group_span& left = groups[static_cast<std::size_t>(gen.uniform_int(
+                0, static_cast<std::int64_t>(groups.size()) - 1))];
+            if (left.members > 0) --left.members;
+            continue;
+        }
+        const double power = gen.uniform(-130.0, -70.0);
+        const std::optional<std::size_t> best = scheduler.admit(groups, power);
+        if (best) {
+            ASSERT_LT(groups[*best].members, scheduler.params().group_capacity)
+                << "step " << step;
+            ++admitted;
+        } else {
+            groups.push_back({.members = 0, .min_power_dbm = power, .max_power_dbm = power});
+        }
+        ns::mac::group_span& span = groups[best.value_or(groups.size() - 1)];
+        span.min_power_dbm = span.members > 0 ? std::min(span.min_power_dbm, power) : power;
+        span.max_power_dbm = span.members > 0 ? std::max(span.max_power_dbm, power) : power;
+        ++span.members;
+    }
+    EXPECT_GT(admitted, 1000u);
+    std::size_t full = 0;
+    for (const ns::mac::group_span& span : groups) {
+        EXPECT_LE(span.members, scheduler.params().group_capacity);
+        full += span.members == scheduler.params().group_capacity;
+    }
+    EXPECT_GT(full, 0u);  // the walk did reach capacity
+}
+
 TEST(group_scheduler, round_robin) {
     EXPECT_EQ(ns::mac::group_scheduler::group_for_round(0, 3), 0);
     EXPECT_EQ(ns::mac::group_scheduler::group_for_round(4, 3), 1);

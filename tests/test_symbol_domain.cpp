@@ -694,7 +694,9 @@ TEST(fast_path_allocations, radios_built_in_steady_rounds_allocate_nothing) {
     // A device's radio is built the first time its group is scheduled.
     // With at least as many groups as rounds, every round past the
     // warm-up window schedules a group for the first time and builds its
-    // members' radios, which must not allocate either.
+    // members' radios, which must not allocate either. The 12 rounds of
+    // 16 fill the radio pool's reserve of rounds × group capacity
+    // exactly: 192 radios of the 256 devices.
     const ns::sim::deployment dep(ns::sim::deployment_params{}, 256, 9);
     ns::sim::sim_config config;
     config.rounds = 12;
@@ -735,16 +737,17 @@ TEST(construction_memory, bytes_per_device_stay_at_half_the_fat_slot_layout) {
     // slot carried its own device_params copy, the whole placement and an
     // inline optional tap line, this slope was 654 bytes per device,
     // counting every transient partition and allocation vector. Now it
-    // is 250: an 80-byte slot, the radio pool's 144 bytes of reserved
-    // (not yet resident) capacity, and 26 bytes of id-indexed columns
-    // and the transient partition input. The bound allows 10 bytes more.
+    // is 106: an 80-byte slot and 26 bytes of id-indexed columns and the
+    // transient partition input. The radio pool is a constant here: a
+    // grouped run reserves rounds × group capacity radios (10 × 256),
+    // fewer than either population. The bound allows 10 bytes more.
     const std::uint64_t small = construction_bytes(4096);
     const std::uint64_t large = construction_bytes(16384);
     ASSERT_GT(large, small);
     const double per_device =
         static_cast<double>(large - small) / static_cast<double>(16384 - 4096);
     std::cout << "construction: " << per_device << " bytes per device\n";
-    constexpr double measured_bytes_per_device = 250.0;
+    constexpr double measured_bytes_per_device = 106.0;
     EXPECT_LE(per_device, measured_bytes_per_device + 10.0);
 }
 
