@@ -1062,6 +1062,45 @@ TEST(round_hooks, gating_churn_and_counters_flow_through_simulator) {
     EXPECT_EQ(sim.active_shifts().size(), 8u);
 }
 
+/// Starts the first 30 devices and asks every other one to join in each
+/// round.
+class crowding_hooks final : public ns::sim::round_hooks {
+public:
+    std::optional<std::vector<std::uint32_t>> initial_active() override {
+        std::vector<std::uint32_t> ids(30);
+        for (std::uint32_t id = 0; id < ids.size(); ++id) ids[id] = id;
+        return ids;
+    }
+    ns::sim::round_plan plan_round(std::size_t) override {
+        ns::sim::round_plan plan;
+        for (std::uint32_t id = 30; id < 40; ++id) plan.joins.push_back(id);
+        return plan;
+    }
+};
+
+TEST(round_hooks, ungrouped_joins_past_the_data_slots_are_refused) {
+    // SKIP 16 leaves 512 / 16 = 32 data slots: two of the ten joiners
+    // fit, the other eight are refused and counted, and the membership
+    // never grows past the slots.
+    const ns::sim::deployment dep(ns::sim::deployment_params{}, 40, 14);
+    ns::sim::sim_config config;
+    config.rounds = 2;
+    config.skip = 16;
+    config.zero_padding = 4;
+    crowding_hooks hooks;
+    ns::sim::network_simulator sim(dep, config, &hooks);
+    const auto result = sim.run();
+
+    ASSERT_EQ(result.rounds.size(), 2u);
+    EXPECT_EQ(result.rounds[0].joins, 2u);
+    EXPECT_EQ(result.rounds[0].rejected_joins, 8u);
+    EXPECT_EQ(result.rounds[0].active, 32u);
+    EXPECT_EQ(result.rounds[1].joins, 0u);
+    EXPECT_EQ(result.rounds[1].rejected_joins, 8u);
+    EXPECT_EQ(result.rounds[1].active, 32u);
+    EXPECT_EQ(result.total_rejected_joins, 16u);
+}
+
 TEST(round_hooks, default_hooks_match_hookless_simulator) {
     const ns::sim::deployment dep(ns::sim::deployment_params{}, 12, 13);
     ns::sim::sim_config config;
