@@ -27,7 +27,10 @@ int main() {
     const ns::mac::allocation_params alloc{.phy = ns::phy::deployed_params(),
                                            .skip = 2,
                                            .num_association_slots = 2};
-    ns::mac::access_point ap(alloc);
+    // Each device's request strength at the AP, and the shift it gets.
+    ns::mac::vector_device_table table(3);
+    table.powers = {0.0, -90.0, -108.0};
+    ns::mac::access_point ap(alloc, std::nullopt, table, 3);
 
     ns::device::device_params dev_params;
     dev_params.detector.rssi_noise_sigma_db = 0.0;
@@ -70,8 +73,7 @@ int main() {
 
     // The AP admits device 1 first (deployment turns devices on one at a
     // time, §3.3.2), then device 2.
-    const auto response1 = ap.handle_association_request(
-        {.device_id = 1, .region = intent1.association_region, .rx_power_dbm = -90.0});
+    const auto response1 = ap.handle_association_request({1, intent1.association_region}).value();
     std::cout << "AP assigns device 1 -> slot " << int{response1.shift_slot}
               << " (shift " << response1.shift_slot * alloc.skip << ")\n";
 
@@ -83,8 +85,7 @@ int main() {
     narrate(2, "device 1 (near)", intent1);
     ap.handle_association_ack(1);
 
-    const auto response2 = ap.handle_association_request(
-        {.device_id = 2, .region = intent2.association_region, .rx_power_dbm = -108.0});
+    const auto response2 = ap.handle_association_request({2, intent2.association_region}).value();
     std::cout << "AP assigns device 2 -> slot " << int{response2.shift_slot}
               << " (shift " << response2.shift_slot * alloc.skip << ")\n";
     intent2 = device2.handle_query(

@@ -108,23 +108,6 @@ group_scheduler::group_scheduler(scheduler_params params) : params_(params) {
                       "group_scheduler: dynamic range must be positive");
 }
 
-std::vector<device_group> group_scheduler::partition(
-    std::vector<device_power> devices) const {
-    std::vector<group_span> spans;
-    partition_in_place(devices, spans);
-    std::vector<device_group> groups;
-    groups.reserve(spans.size());
-    auto next = devices.begin();
-    for (const group_span& span : spans) {
-        const auto end = next + static_cast<std::ptrdiff_t>(span.members);
-        groups.push_back({.members = {next, end},
-                          .max_power_dbm = span.max_power_dbm,
-                          .min_power_dbm = span.min_power_dbm});
-        next = end;
-    }
-    return groups;
-}
-
 void group_scheduler::partition_in_place(std::span<device_power> devices,
                                          std::vector<group_span>& spans) const {
     // A NaN's key lies outside the infinities'.
@@ -132,7 +115,7 @@ void group_scheduler::partition_in_place(std::span<device_power> devices,
     ns::util::require(
         keys.lo >= weaker_key(std::numeric_limits<double>::infinity()) &&
             keys.hi <= weaker_key(-std::numeric_limits<double>::infinity()),
-        "group_scheduler::partition: a device's power is NaN");
+        "group_scheduler::partition_in_place: a device's power is NaN");
     sort_stronger_first(devices, keys);
     spans.clear();
     for (const device_power& device : devices) {
@@ -149,12 +132,6 @@ void group_scheduler::partition_in_place(std::span<device_power> devices,
         ++span.members;
         span.min_power_dbm = device.rx_power_dbm;  // sorted descending
     }
-}
-
-std::uint8_t group_scheduler::group_for_round(std::size_t round_index,
-                                              std::size_t num_groups) {
-    ns::util::require(num_groups >= 1, "group_for_round: need >= 1 group");
-    return static_cast<std::uint8_t>(round_index % num_groups);
 }
 
 std::optional<std::size_t> group_scheduler::admit(

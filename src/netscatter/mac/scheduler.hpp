@@ -18,16 +18,6 @@
 
 namespace ns::mac {
 
-/// One scheduled group; its id is its index in the partition.
-struct device_group {
-    std::vector<device_power> members;  ///< strongest first
-    double max_power_dbm = 0.0;         ///< strongest member
-    double min_power_dbm = 0.0;         ///< weakest member
-
-    double dynamic_range_db() const { return max_power_dbm - min_power_dbm; }
-    std::size_t size() const { return members.size(); }
-};
-
 /// Partitioning policy.
 struct scheduler_params {
     std::size_t group_capacity = 256;     ///< slots per concurrent round
@@ -49,26 +39,19 @@ class group_scheduler {
 public:
     explicit group_scheduler(scheduler_params params);
 
-    /// Partitions the population: sorts by descending power and opens a
-    /// new group whenever the current one is full or admitting the next
-    /// device would stretch the group's dynamic range past the limit.
-    /// Produces the minimum number of groups for this greedy order.
-    std::vector<device_group> partition(std::vector<device_power> devices) const;
-
-    /// The same partition without building member lists: sorts `devices`
-    /// in place into exactly the stronger_first order (power descending,
-    /// ties by ascending device id; -0.0 and +0.0 are one power), so that
-    /// group g is the run of spans[g].members devices following groups
-    /// 0..g-1, and writes one span per group to `spans`. The sort is an
+    /// Partitions the population: sorts `devices` in place into exactly
+    /// the stronger_first order (power descending, ties by ascending
+    /// device id; -0.0 and +0.0 are one power) and opens a new group
+    /// whenever the current one is full or admitting the next device
+    /// would stretch the group's dynamic range past the limit, which
+    /// gives the minimum number of groups for this greedy order. Group g
+    /// is the run of spans[g].members devices following groups 0..g-1;
+    /// one span per group goes to `spans`. The sort is an
     /// in-place radix sort with its counts on the stack: the call
     /// allocates nothing once `spans` is large enough. Throws
     /// ns::util::invalid_argument when a power is NaN.
     void partition_in_place(std::span<device_power> devices,
                             std::vector<group_span>& spans) const;
-
-    /// Round-robin schedule over `num_groups` groups starting from group
-    /// 0: the group transmitting in round `round_index`.
-    static std::uint8_t group_for_round(std::size_t round_index, std::size_t num_groups);
 
     /// Incremental admission for one joining device: among the groups
     /// with free capacity whose power span, stretched to cover

@@ -1,6 +1,7 @@
 #include "netscatter/scenario/interference.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "netscatter/mac/allocator.hpp"
 #include "netscatter/mac/scheduler.hpp"
@@ -111,16 +112,22 @@ cochannel_source::cochannel_source(cochannel_spec spec, ns::phy::css_params phy,
     const ns::mac::group_scheduler scheduler(ns::mac::scheduler_params{
         .group_capacity =
             std::min(spec_.group_capacity, allocator.num_data_slots())});
-    const std::vector<ns::mac::device_group> partition =
-        scheduler.partition(powers);
-    num_groups_ = std::max<std::size_t>(1, partition.size());
+    std::vector<ns::mac::group_span> spans;
+    scheduler.partition_in_place(powers, spans);
+    num_groups_ = std::max<std::size_t>(1, spans.size());
     schedule_phase_ = static_cast<std::size_t>(rng_.uniform_int(
         0, static_cast<std::int64_t>(num_groups_) - 1));
 
     devices_.reserve(spec_.num_devices);
-    for (std::size_t g = 0; g < partition.size(); ++g) {
-        const std::vector<ns::mac::device_power>& members = partition[g].members;
-        const std::vector<std::uint32_t> shifts = allocator.allocate(members);
+    std::vector<std::uint32_t> shifts;
+    ns::mac::allocation_workspace ws;
+    std::size_t first = 0;
+    for (std::size_t g = 0; g < spans.size(); ++g) {
+        // `powers` is in partition order: group g is one contiguous run.
+        const std::span<const ns::mac::device_power> members(powers.data() + first,
+                                                             spans[g].members);
+        first += members.size();
+        allocator.allocate(members, shifts, ws);
         for (std::size_t k = 0; k < members.size(); ++k) {
             devices_.push_back({.shift = shifts[k],
                                 .group = g,

@@ -11,7 +11,8 @@ traffic_model::traffic_model(traffic_spec spec, std::size_t num_devices,
                              std::uint64_t seed)
     : spec_(spec),
       rng_(seed),
-      phase_(num_devices, 0),
+      num_devices_(num_devices),
+      phase_(spec.kind == traffic_kind::periodic ? num_devices : 0),
       backlog_(spec.kind == traffic_kind::poisson || spec.kind == traffic_kind::bursty
                    ? num_devices
                    : 0) {
@@ -24,15 +25,17 @@ traffic_model::traffic_model(traffic_spec spec, std::size_t num_devices,
     ns::util::require(spec_.burst_probability >= 0.0 && spec_.burst_probability <= 1.0,
                       "traffic: burst_probability must be in [0, 1]");
     // Random per-device phases desynchronize periodic reporters the way
-    // independently power-cycled sensors are.
-    for (auto& phase : phase_) {
-        phase = static_cast<std::size_t>(
+    // independently power-cycled sensors are. Every kind draws them, so
+    // each leaves rng_ in the same state; only periodic traffic keeps them.
+    for (std::size_t i = 0; i < num_devices; ++i) {
+        const auto phase = static_cast<std::size_t>(
             rng_.uniform_int(0, static_cast<std::int64_t>(spec_.period_rounds) - 1));
+        if (!phase_.empty()) phase_[i] = phase;
     }
 }
 
 bool traffic_model::offers(std::size_t round, std::uint32_t device_id) {
-    const std::size_t i = device_id % phase_.size();
+    const std::size_t i = device_id % num_devices_;
     switch (spec_.kind) {
         case traffic_kind::saturated:
             return true;

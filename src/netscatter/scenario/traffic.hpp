@@ -36,9 +36,8 @@ public:
 private:
     traffic_spec spec_;
     ns::util::rng rng_;
-    /// Per-device offset, read by periodic traffic; drawn for every kind
-    /// so each kind leaves rng_ in the same state.
-    std::vector<std::size_t> phase_;
+    std::size_t num_devices_;  ///< device ids wrap modulo this
+    std::vector<std::size_t> phase_;  ///< periodic only: per-device offset
     std::vector<std::uint64_t> backlog_;   ///< poisson/bursty only: queued packets
 };
 

@@ -143,6 +143,13 @@ ns::device::device_params make_device_params(const sim_config& config) {
     return params;
 }
 
+/// `config` once validated, so that no member is built from an invalid
+/// configuration.
+sim_config validated(sim_config config) {
+    config.validate();
+    return config;
+}
+
 /// Uplink power at the AP of a device at the gain an association at
 /// `query_rssi_dbm` starts from (§3.3.2).
 double association_power_dbm(const ns::device::device_params& params,
@@ -156,19 +163,24 @@ double association_power_dbm(const ns::device::device_params& params,
 network_simulator::network_simulator(const deployment& dep, sim_config config,
                                      round_hooks* hooks)
     : deployment_(&dep),
-      config_(config),
+      config_(validated(config)),
       hooks_(hooks),
       rng_(config.seed),
       device_params_(make_device_params(config)),
       fading_params_{.sigma_db = config.fading_sigma_db, .rho = config.fading_rho},
-      allocator_(ns::mac::allocation_params{
-          .phy = config.phy, .skip = config.skip, .num_association_slots = 0}),
+      ap_(ns::mac::allocation_params{
+              .phy = config.phy, .skip = config.skip, .num_association_slots = 0},
+          config.grouping.enabled
+              ? std::optional(ns::mac::scheduler_params{
+                    .group_capacity = config.grouping.group_capacity,
+                    .max_dynamic_range_db = config.grouping.max_dynamic_range_db})
+              : std::nullopt,
+          *this, dep.devices().size()),
       receiver_(ns::rx::receiver_params{.phy = config.phy,
                                         .zero_padding_factor = config.zero_padding,
                                         .detection_factor = config.detection_factor,
                                         .skip = config.skip,
                                         .frame = config.frame}) {
-    config_.validate();
     // Set-up sub-timers (host origin; the clock is read only with runtime
     // metrics on): marks[k]..marks[k+1] is set-up step k, recorded below
     // once the registry is wired.
@@ -209,24 +221,19 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
     slots_.reserve(placed.size());
     // A grouped round builds at most one group's radios, and a group
     // never holds more than the scheduler's capacity (see radios_).
-    radios_.reserve(grouped() ? std::min(placed.size(),
-                                         config_.rounds *
-                                             make_scheduler().params().group_capacity)
-                              : placed.size());
+    radios_.reserve(ap_.grouped()
+                        ? std::min(placed.size(), config_.rounds * ap_.group_capacity())
+                        : placed.size());
     if (fault_injector_) fault_slots_.resize(placed.size());
     if (config_.model_multipath) {
         tap_profile_.emplace(config_.multipath, config_.phy.bandwidth_hz,
                              config_.multipath_rho);
         taps_.reserve(placed.size());
     }
-    // Reserved to the universe size so churn never reallocates the list
-    // inside a steady-state round.
-    active_slots_.reserve(placed.size());
     std::vector<ns::mac::device_power> powers;  // the initially-active devices
     powers.reserve(placed.size());
     for (std::size_t i = 0; i < placed.size(); ++i) {
         const placed_device& where = placed[i];
-        const bool active = initially_active[i];
         slots_.push_back(device_slot{
             .query_rssi_dbm = where.query_rssi_dbm,
             .uplink_rx_dbm = where.uplink_rx_dbm,
@@ -234,61 +241,34 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
             .association = {},
             .device_seed = rng_(),
             .fading_seed = rng_(),
-            .active = active,
         });
         if (config_.model_multipath) {
             taps_.emplace_back(*tap_profile_, rng_.fork());
         }
-        if (active) {
-            active_slots_.push_back(static_cast<std::uint32_t>(i));
+        if (initially_active[i]) {
             powers.push_back({static_cast<std::uint32_t>(i),
                               association_power_dbm(device_params_, where.uplink_rx_dbm,
                                                     where.query_rssi_dbm)});
         }
     }
 
-    // No registered set, occupied set or batch allocation ever exceeds
-    // the data slots: an ungrouped network turns joins away at that size
-    // and a group never outgrows them. Reserved once, the control plane's
-    // workspaces never allocate in a round (a regroup grows power_ws_ to
-    // the active population once).
-    const std::size_t data_slots = allocator_.num_data_slots();
+    // No registered set ever exceeds the data slots: an ungrouped
+    // network turns joins away at that size and a group never outgrows
+    // them.
+    const std::size_t data_slots = ap_.allocator().num_data_slots();
     shift_scratch_.reserve(data_slots);
     receiver_.reserve_registered_shifts(data_slots);
-    power_ws_.reserve(data_slots + 1);
-    occupied_ws_.reserve(data_slots);
-    alloc_shifts_ws_.reserve(data_slots);
-    allocator_.reserve(alloc_ws_);
 
     // --- Association phase (devices join one at a time, §3.3.2) ---------
-    // Run the power-aware batch allocation the AP would have converged to
-    // over the initially-active population.
+    // The AP assigns the shifts it would have converged to over the
+    // initially-active population (§3.3.3: per group when grouped).
     mark(1);
-    new_shift_.resize(slots_.size());
-    if (grouped()) {
-        // §3.3.3: partition the initially-active population into
-        // signal-strength groups with per-group shift allocations.
-        slot_group_.assign(slots_.size(), no_group);
-        partition_into_groups(powers);
-    } else {
-        if (!config_.power_aware_allocation) {
-            // Ablation: power-agnostic assignment — same spreading stride,
-            // but slots are handed out in device-id order, so strong and
-            // weak devices land next to each other.
-            for (auto& p : powers) p.rx_power_dbm = 0.0;  // identical keys: id order
-        }
-        allocator_.allocate(powers, alloc_shifts_ws_, alloc_ws_);
-        for (std::size_t k = 0; k < powers.size(); ++k) {
-            new_shift_[powers[k].device_id] = alloc_shifts_ws_[k];
-        }
-    }
-
+    ap_.assign(powers, config_.power_aware_allocation);
+    track_groups();
     mark(2);
-    for (const std::uint32_t i : active_slots_) {
-        associate_slot(i, new_shift_[i], slots_[i].query_rssi_dbm);
-    }
+    ap_.associate_members();
     // A grouped round registers its scheduled group's shifts itself.
-    if (!grouped()) register_active_shifts();
+    if (!ap_.grouped()) register_active_shifts();
     mark(3);
 
     // --- Observability --------------------------------------------------
@@ -367,45 +347,11 @@ network_simulator::network_simulator(const deployment& dep, sim_config config,
     }
 }
 
-std::span<const std::uint32_t> network_simulator::member_slots(
-    std::optional<std::size_t> group) const {
-    if (group) return group_members_[*group];
-    return active_slots_;
-}
-
 void network_simulator::register_active_shifts(std::optional<std::size_t> group) {
     shift_scratch_.clear();
-    for (const std::uint32_t i : member_slots(group)) {
-        shift_scratch_.push_back(slots_[i].association.assigned_shift);
-    }
+    for (const std::uint32_t i : ap_.members(group)) shift_scratch_.push_back(shift(i));
     receiver_.set_registered_shifts(std::span<const std::uint32_t>(shift_scratch_));
     membership_dirty_ = false;
-}
-
-void network_simulator::mark_active(std::size_t slot_index) {
-    const auto index = static_cast<std::uint32_t>(slot_index);
-    active_slots_.insert(
-        std::lower_bound(active_slots_.begin(), active_slots_.end(), index), index);
-}
-
-void network_simulator::mark_inactive(std::size_t slot_index) {
-    const auto it = std::lower_bound(active_slots_.begin(), active_slots_.end(),
-                                     static_cast<std::uint32_t>(slot_index));
-    if (it != active_slots_.end() && *it == slot_index) active_slots_.erase(it);
-}
-
-void network_simulator::join_group(std::size_t slot_index, std::size_t group) {
-    const auto index = static_cast<std::uint32_t>(slot_index);
-    std::vector<std::uint32_t>& members = group_members_[group];
-    members.insert(std::lower_bound(members.begin(), members.end(), index), index);
-    slot_group_[slot_index] = static_cast<std::uint32_t>(group);
-}
-
-void network_simulator::leave_group(std::size_t slot_index) {
-    std::vector<std::uint32_t>& members = group_members_[slot_group_[slot_index]];
-    members.erase(std::lower_bound(members.begin(), members.end(),
-                                   static_cast<std::uint32_t>(slot_index)));
-    slot_group_[slot_index] = no_group;
 }
 
 std::vector<double> network_simulator::association_snrs_db() const {
@@ -421,124 +367,54 @@ std::vector<double> network_simulator::association_snrs_db() const {
     return snrs;
 }
 
-std::vector<std::uint32_t> network_simulator::active_shifts() const {
-    std::vector<std::uint32_t> shifts;
-    shifts.reserve(active_slots_.size());
-    for (const std::uint32_t i : active_slots_) {
-        shifts.push_back(slots_[i].association.assigned_shift);
-    }
-    return shifts;
-}
-
-std::optional<std::size_t> network_simulator::group_of(std::uint32_t device_id) const {
-    if (device_id >= slot_group_.size()) return std::nullopt;
-    const std::uint32_t g = slot_group_[device_id];
-    if (g == no_group) return std::nullopt;
-    return g;
-}
-
-ns::mac::group_scheduler network_simulator::make_scheduler() const {
-    return ns::mac::group_scheduler(ns::mac::scheduler_params{
-        .group_capacity =
-            std::min(config_.grouping.group_capacity, allocator_.num_data_slots()),
-        .max_dynamic_range_db = config_.grouping.max_dynamic_range_db});
-}
-
-void network_simulator::partition_into_groups(std::span<ns::mac::device_power> powers) {
-    make_scheduler().partition_in_place(powers, group_spans_);
-    ns::util::require(group_spans_.size() <= max_groups,
-                      "grouping: population needs more groups than the 8-bit "
-                      "group-id field can address; raise group_capacity or "
-                      "max_dynamic_range_db");
-
-    // `powers` holds every active device, so each stale slot_group_ entry
-    // is overwritten below; inactive slots already hold no_group.
-    std::size_t first = 0;
-    for (std::size_t g = 0; g < group_spans_.size(); ++g) {
-        // `powers` is in partition order: group g is one contiguous run.
-        const std::span<const ns::mac::device_power> group(
-            powers.data() + first, group_spans_[g].members);
-        first += group.size();
-        // Shifts are allocated per group: one group transmits per query,
-        // so devices of different groups may share a shift.
-        allocator_.allocate(group, alloc_shifts_ws_, alloc_ws_);
-        for (std::size_t k = 0; k < group.size(); ++k) {
-            const std::uint32_t id = group[k].device_id;
-            slot_group_[id] = static_cast<std::uint32_t>(g);
-            new_shift_[id] = alloc_shifts_ws_[k];
-        }
-    }
-    // The member index, in ascending slot order by construction; lists
-    // past the new group count are retired by a shrinking partition.
-    grow_member_index();
-    for (std::vector<std::uint32_t>& members : group_members_) members.clear();
-    for (const std::uint32_t i : active_slots_) group_members_[slot_group_[i]].push_back(i);
-    if (group_acc_.size() < group_spans_.size()) group_acc_.resize(group_spans_.size());
-}
-
-void network_simulator::grow_member_index() {
-    const std::size_t capacity = make_scheduler().params().group_capacity;
-    while (group_members_.size() < group_spans_.size()) {
-        group_members_.emplace_back().reserve(capacity);
-    }
+void network_simulator::track_groups() {
+    if (group_acc_.size() < ap_.num_groups()) group_acc_.resize(ap_.num_groups());
 }
 
 void network_simulator::regroup(round_outcome& outcome, std::size_t round) {
-    const std::size_t regrouped = active_powers().size();
-    partition_into_groups(power_ws_);
-    // Every active device takes its freshly-allocated shift — if it hears
-    // the ordering query. A device that misses it keeps transmitting on
-    // the shift it last learned (§3.3.3 stale-schedule desync) until the
-    // next regroup broadcast it hears resynchronizes it, or the lease
-    // evicts it as silent. The stateless query-loss hash guarantees the
-    // device loop sees the same heard/missed answer this round.
-    for (const std::uint32_t i : active_slots_) {
-        const device_slot& slot = slots_[i];
-        fault_slot* const faults = fault_injector_ ? &fault_slots_[i] : nullptr;
-        const std::uint32_t old_shift = faults && faults->desynced
-                                            ? faults->stale_shift
-                                            : slot.association.assigned_shift;
-        const std::uint32_t new_shift = new_shift_[i];
-        associate_slot(i, new_shift, slot.query_rssi_dbm);
-        if (!faults || faults->down) continue;
-        const bool heard = !fault_injector_->query_lost(i, slot.query_rssi_dbm);
-        if (heard) {
-            if (faults->desynced) resync(*faults, round, outcome);
-        } else if (!faults->desynced && new_shift != old_shift) {
-            faults->desynced = true;
-            faults->stale_shift = old_shift;
-            faults->desync_round = round;
+    if (fault_injector_) {
+        // The shift each member last learned, kept by a member that
+        // misses this round's ordering query.
+        for (const std::uint32_t i : ap_.members()) {
+            fault_slot& faults = fault_slots_[i];
+            if (!faults.desynced) faults.stale_shift = shift(i);
+        }
+    }
+    outcome.realloc_events += ap_.regroup();
+    ++outcome.regroups;
+    membership_dirty_ = true;
+    track_groups();
+    if (!fault_injector_) return;
+    // Every member took its freshly-allocated shift, but one that misses
+    // the ordering query keeps transmitting on the shift it last learned
+    // (§3.3.3 stale-schedule desync) until the next regroup broadcast it
+    // hears resynchronizes it, or the lease evicts it as silent. The
+    // stateless query-loss hash guarantees the device loop sees the same
+    // heard/missed answer this round.
+    for (const std::uint32_t i : ap_.members()) {
+        fault_slot& faults = fault_slots_[i];
+        if (faults.down) continue;
+        if (!fault_injector_->query_lost(i, slots_[i].query_rssi_dbm)) {
+            if (faults.desynced) resync(faults, round, outcome);
+        } else if (!faults.desynced && shift(i) != faults.stale_shift) {
+            faults.desynced = true;
+            faults.desync_round = round;
             ++outcome.desyncs;
         }
     }
-    misfits_since_regroup_ = 0;
-    outcome.realloc_events += regrouped;
-    ++outcome.regroups;
-    membership_dirty_ = true;
 }
 
-const std::vector<ns::mac::device_power>& network_simulator::active_powers(
-    std::optional<std::size_t> group) {
-    const std::span<const std::uint32_t> members = member_slots(group);
-    power_ws_.clear();
-    power_ws_.reserve(members.size() + 1);  // room for a joiner
-    for (const std::uint32_t i : members) {
-        const device_slot& slot = slots_[i];
-        power_ws_.push_back({i, slot.uplink_rx_dbm + slot.association.current_gain_db()});
-    }
-    return power_ws_;
+double network_simulator::power_dbm(std::uint32_t id) const {
+    const device_slot& slot = slots_[id];
+    return slot.uplink_rx_dbm + slot.association.current_gain_db();
 }
 
-const std::vector<ns::mac::shift_power>& network_simulator::occupied_powers(
-    std::optional<std::uint32_t> excluded_id, std::optional<std::size_t> group) {
-    occupied_ws_.clear();
-    for (const std::uint32_t i : member_slots(group)) {
-        if (excluded_id && i == *excluded_id) continue;
-        const device_slot& slot = slots_[i];
-        occupied_ws_.emplace_back(slot.association.assigned_shift,
-                                  slot.uplink_rx_dbm + slot.association.current_gain_db());
-    }
-    return occupied_ws_;
+std::uint32_t network_simulator::shift(std::uint32_t id) const {
+    return slots_[id].association.assigned_shift;
+}
+
+void network_simulator::associate(std::uint32_t id, std::uint32_t shift) {
+    associate_slot(id, shift, slots_[id].query_rssi_dbm);
 }
 
 void network_simulator::associate_slot(std::size_t slot_index, std::uint32_t shift,
@@ -549,7 +425,7 @@ void network_simulator::associate_slot(std::size_t slot_index, std::uint32_t shi
 }
 
 void network_simulator::build_radios(std::optional<std::size_t> group) {
-    for (const std::uint32_t i : member_slots(group)) {
+    for (const std::uint32_t i : ap_.members(group)) {
         device_slot& slot = slots_[i];
         if (slot.radio_index != no_radio) continue;
         slot.radio_index = static_cast<std::uint32_t>(radios_.size());
@@ -561,79 +437,8 @@ void network_simulator::build_radios(std::optional<std::size_t> group) {
     }
 }
 
-void network_simulator::place_joiner(std::size_t slot_index, double join_power,
-                                     std::optional<std::size_t> group,
-                                     round_outcome& outcome) {
-    const auto incremental = allocator_.assign_incremental(
-        join_power, occupied_powers(std::nullopt, group), alloc_ws_);
-    if (incremental) {
-        associate_slot(slot_index, *incremental, slots_[slot_index].query_rssi_dbm);
-        ++outcome.realloc_events;
-        return;
-    }
-    // The incremental allocator cannot fit the newcomer next to
-    // power-compatible neighbours: full reassignment (§3.3.3).
-    active_powers(group);
-    power_ws_.push_back({static_cast<std::uint32_t>(slot_index), join_power});
-    allocator_.allocate(power_ws_, alloc_shifts_ws_, alloc_ws_);
-    for (std::size_t k = 0; k < power_ws_.size(); ++k) {
-        const std::uint32_t id = power_ws_[k].device_id;
-        associate_slot(id, alloc_shifts_ws_[k], slots_[id].query_rssi_dbm);
-    }
-    outcome.realloc_events += power_ws_.size();
-    ++outcome.full_reassignments;
-}
-
-bool network_simulator::admit_grouped(std::size_t slot_index, double join_power,
-                                      round_outcome& outcome) {
-    const ns::mac::group_scheduler scheduler = make_scheduler();
-    const auto best = scheduler.admit(group_spans_, join_power);
-    std::size_t target;
-    if (best) {
-        target = *best;
-    } else {
-        // No existing group fits this power within the dynamic-range
-        // limit (or all groups are full): open a fresh group. Repeated
-        // misfits are the signal the load_triggered policy regroups on.
-        // The query's group-id field is 8 bits (Fig. 11), so the AP can
-        // address at most 256 groups — past that the join is refused.
-        if (group_spans_.size() >= max_groups) {
-            ++outcome.rejected_joins;
-            return false;
-        }
-        target = group_spans_.size();
-        group_spans_.push_back(
-            {.members = 0, .min_power_dbm = join_power, .max_power_dbm = join_power});
-        if (group_acc_.size() < group_spans_.size()) {
-            group_acc_.resize(group_spans_.size());
-        }
-        grow_member_index();
-        ++misfits_since_regroup_;
-    }
-
-    // Group-local allocation: a full reassignment reallocates only the
-    // target group's shifts around the newcomer.
-    place_joiner(slot_index, join_power, target, outcome);
-
-    ns::mac::group_span& span = group_spans_[target];
-    span.min_power_dbm =
-        span.members > 0 ? std::min(span.min_power_dbm, join_power) : join_power;
-    span.max_power_dbm =
-        span.members > 0 ? std::max(span.max_power_dbm, join_power) : join_power;
-    ++span.members;
-    join_group(slot_index, target);
-    return true;
-}
-
 void network_simulator::deactivate_slot(std::size_t slot_index) {
-    slots_[slot_index].active = false;
-    mark_inactive(slot_index);
-    if (grouped() && slot_group_[slot_index] != no_group) {
-        // The span stays stretched until the next regroup re-tightens
-        // it — the AP only learns the true spread when it repartitions.
-        --group_spans_[slot_group_[slot_index]].members;
-        leave_group(slot_index);
-    }
+    ap_.leave(static_cast<std::uint32_t>(slot_index));
     membership_dirty_ = true;
 }
 
@@ -742,7 +547,7 @@ void network_simulator::apply_lease(std::optional<std::size_t> scheduled_group,
     if (config_.faults.lease_rounds == 0) return;
     // Collect first: deactivate_slot mutates the member lists mid-walk.
     fault_scratch_.clear();
-    for (const std::uint32_t i : member_slots(scheduled_group)) {
+    for (const std::uint32_t i : ap_.members(scheduled_group)) {
         if (fault_slots_[i].silent_rounds >= config_.faults.lease_rounds) {
             fault_scratch_.push_back(i);
         }
@@ -772,7 +577,7 @@ void network_simulator::apply_round_plan(const round_plan& plan, round_outcome& 
     }
 
     for (std::uint32_t id : plan.leaves) {
-        if (id >= slots_.size() || !slots_[id].active) continue;
+        if (id >= slots_.size() || !ap_.is_member(id)) continue;
         deactivate_slot(id);
         ++outcome.leaves;
     }
@@ -802,30 +607,25 @@ void network_simulator::apply_round_plan(const round_plan& plan, round_outcome& 
 
     for (std::uint32_t id : *joins) {
         if (id >= slots_.size()) continue;
-        device_slot& slot = slots_[id];
+        const device_slot& slot = slots_[id];
         fault_slot* const faults = fault_injector_ ? &fault_slots_[id] : nullptr;
-        if (slot.active) {
+        if (ap_.is_member(id)) {
             if (!faults || !faults->down) continue;
             // §3.3.4 re-association of a device the AP still lists as a
             // member: drop the stale entry (reclaiming its old shift)
             // and re-admit it like any joiner.
             deactivate_slot(id);
         }
-        if (!grouped() && active_slots_.size() >= allocator_.num_data_slots()) {
+        const ns::mac::admission admitted = ap_.admit(
+            id, association_power_dbm(device_params_, slot.uplink_rx_dbm,
+                                      slot.query_rssi_dbm));
+        track_groups();
+        if (!admitted.admitted) {
             ++outcome.rejected_joins;
             continue;
         }
-        const double join_power =
-            association_power_dbm(device_params_, slot.uplink_rx_dbm, slot.query_rssi_dbm);
-
-        if (grouped()) {
-            // §3.3.3: best-fit group admission with per-group allocation.
-            if (!admit_grouped(id, join_power, outcome)) continue;
-        } else {
-            place_joiner(id, join_power, std::nullopt, outcome);
-        }
-        slot.active = true;
-        mark_active(id);
+        outcome.realloc_events += admitted.placed;
+        if (admitted.full_reassignment) ++outcome.full_reassignments;
         ++outcome.joins;
         membership_dirty_ = true;
         if (faults && faults->down) {
@@ -888,14 +688,15 @@ sim_result network_simulator::run() {
         }
     }
 
-    if (grouped()) {
-        for (std::size_t g = 0; g < group_spans_.size() && g < group_acc_.size(); ++g) {
-            group_acc_[g].members = group_spans_[g].members;
-            group_acc_[g].min_power_dbm = group_spans_[g].min_power_dbm;
-            group_acc_[g].max_power_dbm = group_spans_[g].max_power_dbm;
+    if (ap_.grouped()) {
+        const std::span<const ns::mac::group_span> spans = ap_.groups();
+        for (std::size_t g = 0; g < spans.size() && g < group_acc_.size(); ++g) {
+            group_acc_[g].members = spans[g].members;
+            group_acc_[g].min_power_dbm = spans[g].min_power_dbm;
+            group_acc_[g].max_power_dbm = spans[g].max_power_dbm;
         }
         result.groups = group_acc_;
-        result.num_groups = group_spans_.size();
+        result.num_groups = spans.size();
     }
 
     if (config_.obs.metrics) result.metrics = metrics_.snapshot();
@@ -933,7 +734,7 @@ void network_simulator::plan_phase(round_state& state) {
         std::size_t reboots = fault_injector_->reboots();
         if (reboots > 0) {
             fault_scratch_.clear();
-            for (const std::uint32_t i : active_slots_) {
+            for (const std::uint32_t i : ap_.members()) {
                 if (!fault_slots_[i].down) fault_scratch_.push_back(i);
             }
             for (; reboots > 0 && !fault_scratch_.empty(); --reboots) {
@@ -956,14 +757,14 @@ void network_simulator::grouping_phase(round_state& state) {
     const bool round_blackout = state.blackout;
     // §3.3.3 adaptive control: recompute the partition when the
     // policy says the current one has drifted from the population.
-    if (grouped()) {
+    if (ap_.grouped()) {
         const auto& grouping = config_.grouping;
         const bool periodic_due =
             grouping.policy == regroup_policy::periodic && round > 0 &&
             round % grouping.regroup_period_rounds == 0;
         const bool load_due =
             grouping.policy == regroup_policy::load_triggered &&
-            misfits_since_regroup_ >= grouping.load_trigger_misfits;
+            ap_.misfits_since_regroup() >= grouping.load_trigger_misfits;
         // A blacked-out AP broadcasts no ordering query: a due
         // regroup waits for the next round it is back on the air
         // (load_triggered re-fires on the persisted misfit count;
@@ -974,12 +775,10 @@ void network_simulator::grouping_phase(round_state& state) {
     }
 
     // One group transmits per query, round-robin (§3.3.3); the
-    // receiver only watches the scheduled group's shifts. (Full-width
-    // modulo — the 8-bit group_for_round is safe only because group
-    // creation is capped at max_groups, but don't rely on it here.)
-    if (grouped() && !group_spans_.empty()) {
-        const std::size_t scheduled_group = round % group_spans_.size();
-        state.scheduled = scheduled_group;
+    // receiver only watches the scheduled group's shifts.
+    state.scheduled = ap_.scheduled_group(round);
+    if (state.scheduled) {
+        const std::size_t scheduled_group = *state.scheduled;
         outcome.scheduled_group = static_cast<int>(scheduled_group);
         register_active_shifts(scheduled_group);
         if (scheduled_group < group_acc_.size()) {
@@ -990,7 +789,7 @@ void network_simulator::grouping_phase(round_state& state) {
     }
     // A device's radio is built when it is first scheduled.
     build_radios(state.scheduled);
-    outcome.active = active_slots_.size();
+    outcome.active = ap_.active_count();
 }
 
 void network_simulator::synth_phase(round_state& state) {
@@ -1010,7 +809,7 @@ void network_simulator::synth_phase(round_state& state) {
     tx_row_shift_.clear();
 
     // Only the scheduled group hears this round's query.
-    for (const std::uint32_t slot_idx : member_slots(scheduled)) {
+    for (const std::uint32_t slot_idx : ap_.members(scheduled)) {
         device_slot& slot = slots_[slot_idx];
         slot_radio& radio = radios_[slot.radio_index];
         fault_slot* const faults = fault_injector_ ? &fault_slots_[slot_idx] : nullptr;
@@ -1033,7 +832,7 @@ void network_simulator::synth_phase(round_state& state) {
         const double fade_db = radio.fading.next_db();
         if (taps) taps->next();
         radio.fading_rounds = clock + 1;
-        if (grouped()) ++outcome.scheduled;
+        if (ap_.grouped()) ++outcome.scheduled;
         const double query_rssi = slot.query_rssi_dbm + fade_db;
 
         if (faults && !hears_query(state, slot_idx)) continue;
@@ -1049,19 +848,13 @@ void network_simulator::synth_phase(round_state& state) {
             if (intent.action == ns::device::device_action::association_request) {
                 // The device fell persistently out of tolerance and
                 // re-initiated association (§3.2.3 / §3.3.4). Under a
-                // scenario the AP re-places it with the incremental
-                // allocator — the same slot when its neighbourhood is
-                // still the best fit, a different one when the network
-                // drifted; the static simulator keeps the historic
-                // same-slot reassignment so seed results are stable.
+                // scenario the AP re-places it within its group — the
+                // same slot when its neighbourhood is still the best
+                // fit, a different one when the network drifted; the
+                // static simulator keeps the historic same-slot
+                // reassignment so seed results are stable.
                 std::optional<std::uint32_t> moved;
-                if (hooks_) {
-                    // Under grouping the device stays in its group:
-                    // only that group's slots are its neighbourhood.
-                    moved = allocator_.assign_incremental(
-                        slot.uplink_rx_dbm + slot.association.current_gain_db(),
-                        occupied_powers(slot_idx, scheduled), alloc_ws_);
-                }
+                if (hooks_) moved = ap_.reposition(slot_idx, power_dbm(slot_idx));
                 const std::uint32_t shift =
                     moved ? *moved : slot.association.assigned_shift;
                 associate_slot(slot_idx, shift, query_rssi);
@@ -1312,8 +1105,8 @@ void network_simulator::account_round(const round_state& state,
             probes_.outcomes[i]->add(outcome.*outcome_counters[i].round);
         }
     }
-    probes_.active_devices->set(static_cast<double>(active_slots_.size()));
-    probes_.num_groups->set(static_cast<double>(group_spans_.size()));
+    probes_.active_devices->set(static_cast<double>(ap_.active_count()));
+    probes_.num_groups->set(static_cast<double>(ap_.num_groups()));
     // Per-round allocation delta (thread-local, so the numbers
     // are this replica's own regardless of pool concurrency).
     // Rounds inside the warmup window grow workspace capacity by

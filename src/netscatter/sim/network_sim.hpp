@@ -23,8 +23,7 @@
 #include "netscatter/engine/block_runner.hpp"
 #include "netscatter/faults/fault_injector.hpp"
 #include "netscatter/faults/fault_spec.hpp"
-#include "netscatter/mac/allocator.hpp"
-#include "netscatter/mac/scheduler.hpp"
+#include "netscatter/mac/ap.hpp"
 #include "netscatter/obs/metrics.hpp"
 #include "netscatter/obs/perf_counters.hpp"
 #include "netscatter/obs/trace.hpp"
@@ -458,12 +457,13 @@ round_wall_split wall_split(const ns::obs::metrics_snapshot& metrics);
 /// device is associated up front (batch power-aware allocation) and
 /// transmits every round. With hooks (see round_hooks.hpp) the active
 /// set, per-round traffic, link budgets and in-band interference are all
-/// injectable, and membership changes flow through the AP's incremental
-/// allocator with a full reassignment fallback (§3.3.3). That includes a
-/// device that power adaptation sends back to association: with hooks the
-/// allocator re-places it, without hooks it keeps its slot, so even
-/// default-constructed hooks change outcomes once such a device exists.
-class network_simulator {
+/// injectable, and the AP (ns::mac::access_point, whose device table
+/// the simulator is) makes every membership and allocation decision.
+/// That includes a device that power adaptation sends back to
+/// association: with hooks the AP re-places it, without hooks it keeps
+/// its slot, so even default-constructed hooks change outcomes once such
+/// a device exists.
+class network_simulator final : private ns::mac::device_table {
 public:
     /// `hooks` (optional, non-owning, may be nullptr) must outlive the
     /// simulator.
@@ -477,30 +477,12 @@ public:
     /// Runs the configured number of rounds.
     sim_result run();
 
-    /// Cyclic shift of each currently-associated device, in id order.
-    std::vector<std::uint32_t> active_shifts() const;
-
     /// The uplink SNR (dB, at the association-time gain) per device, from
     /// its deployed link budget.
     std::vector<double> association_snrs_db() const;
 
-    /// Devices currently associated.
-    std::size_t active_count() const { return active_slots_.size(); }
-
-    /// Whether §3.3.3 group scheduling is on.
-    bool grouped() const { return config_.grouping.enabled; }
-
-    /// The query's group-id field is 8 bits (Fig. 11): the AP can
-    /// address at most this many groups. A partition needing more throws
-    /// at construction/regroup; a join that would open group 257 is
-    /// rejected.
-    static constexpr std::size_t max_groups = 256;
-
-    /// Current group count (0 when grouping is off).
-    std::size_t num_groups() const { return group_spans_.size(); }
-
-    /// Group of a device, if associated under grouping.
-    std::optional<std::size_t> group_of(std::uint32_t device_id) const;
+    /// The AP: the current members, their groups and shifts.
+    const ns::mac::access_point& ap() const { return ap_; }
 
 private:
     /// The round loop's phases, in execution order; each owns a trace
@@ -554,8 +536,6 @@ private:
                        const ns::obs::alloc_counters& allocs_before,
                        sim_result& result);
 
-    /// slot_group_ value of a slot in no group (ungrouped or inactive).
-    static constexpr std::uint32_t no_group = static_cast<std::uint32_t>(-1);
     /// device_slot::radio_index of a device never scheduled yet.
     static constexpr std::uint32_t no_radio = static_cast<std::uint32_t>(-1);
 
@@ -566,8 +546,7 @@ private:
     /// (one copy each, shared by every slot); the fixed placement (id =
     /// slot index, position, path loss) stays in the deployment; the
     /// radio lives in radios_ once built, tap lines in taps_, fault state
-    /// in fault_slots_ and group membership in slot_group_ and
-    /// group_members_.
+    /// in fault_slots_ and membership in the AP.
     struct device_slot {
         // --- Link budget: a round plan's link_updates rewrite these ------
         double query_rssi_dbm = 0.0;  ///< downlink power at the device
@@ -581,7 +560,6 @@ private:
         std::uint64_t device_seed = 0;
         std::uint64_t fading_seed = 0;
         std::uint32_t radio_index = no_radio;  ///< into radios_
-        bool active = false;  ///< currently associated
     };
 
     /// The state only a scheduled device draws from or advances, built
@@ -611,8 +589,8 @@ private:
         std::uint32_t silent_rounds = 0;
         /// Device lost its association (reboot, missed-query trip or
         /// lease eviction) and is rejoining through the Aloha path. While
-        /// the AP's table entry lingers (the slot still active) the device
-        /// is a zombie: scheduled but silent.
+        /// the AP still lists it as a member the device is a zombie:
+        /// scheduled but silent.
         bool down = false;
         /// Device missed a regroup query: it keeps transmitting on
         /// `stale_shift` while the AP's schedule moved on (§3.3.3 desync).
@@ -620,77 +598,40 @@ private:
     };
 
     /// Applies a scenario's round plan: link updates, leaves, then joins
-    /// (incremental allocation with full-reassignment fallback). `round`
-    /// timestamps fault recovery events; `blackout` defers joins.
+    /// (the AP admits or refuses each). `round` timestamps fault recovery
+    /// events; `blackout` defers joins.
     void apply_round_plan(const round_plan& plan, round_outcome& outcome,
                           std::size_t round, bool blackout);
-    /// Admits one joining device (grouped path): best-fit group via
-    /// group_scheduler::admit, opening a fresh group on misfit, then
-    /// incremental shift allocation within the group with a group-local
-    /// full reassignment fallback. Returns false (join rejected) when a
-    /// misfit would exceed the max_groups addressing limit.
-    bool admit_grouped(std::size_t slot_index, double join_power,
-                       round_outcome& outcome);
-    /// Places the joiner in `slot_index` among the active devices (of
-    /// `group` when set): on the incremental allocator's best free slot,
-    /// else by a full reassignment of those devices around it (§3.3.3).
-    void place_joiner(std::size_t slot_index, double join_power,
-                      std::optional<std::size_t> group, round_outcome& outcome);
-    /// Recomputes the whole partition from the current active powers and
-    /// reallocates every group's shifts (§3.3.3 adaptive control). With
-    /// faults on, devices that miss `round`'s query keep their old shift
+    /// The AP's regroup (§3.3.3 adaptive control). With faults on,
+    /// devices that miss `round`'s query keep their old shift
     /// (stale-schedule desync).
     void regroup(round_outcome& outcome, std::size_t round);
+    /// Grows group_acc_ to the AP's group count.
+    void track_groups();
     /// Associates the device in `slot_index` on `shift` with the
     /// association-time gain rule, using `baseline_rssi_dbm` as the
     /// device's fresh downlink baseline.
     void associate_slot(std::size_t slot_index, std::uint32_t shift,
                         double baseline_rssi_dbm);
-    /// The active slots of `group` when set (its member index), else
-    /// every active slot; ascending slot order either way. Under grouping
-    /// no slot is active while there is no group.
-    std::span<const std::uint32_t> member_slots(std::optional<std::size_t> group) const;
-    /// Current uplink power of each device of member_slots(group), in
-    /// slot order, written to power_ws_ (valid until the next call).
-    const std::vector<ns::mac::device_power>& active_powers(
-        std::optional<std::size_t> group = std::nullopt);
-    /// Occupied (shift, power) pairs of member_slots(group), excluding
-    /// `excluded_id`, in slot order, written to occupied_ws_ (valid until
-    /// the next call).
-    const std::vector<ns::mac::shift_power>& occupied_powers(
-        std::optional<std::uint32_t> excluded_id = std::nullopt,
-        std::optional<std::size_t> group = std::nullopt);
-    /// Refreshes the receiver's registered shifts from member_slots(group)
-    /// (the scheduled group's members when set).
+    /// Refreshes the receiver's registered shifts from the AP's members
+    /// (of `group` when set).
     void register_active_shifts(std::optional<std::size_t> group = std::nullopt);
-    /// Partitions `powers` (every active device; sorted in place) into
-    /// signal-strength groups: fills group_spans_, each member's
-    /// slot_group_ entry, the member index and, per member, new_shift_
-    /// with its group's allocation.
-    void partition_into_groups(std::span<ns::mac::device_power> powers);
-    /// Sizes group_members_ to group_spans_, giving each new list room for
-    /// a full group so admissions never reallocate it.
-    void grow_member_index();
-    /// Scheduler configured from config_.grouping (capacity clamped to
-    /// the allocator's slot count).
-    ns::mac::group_scheduler make_scheduler() const;
 
-    /// Builds the radio of every device of member_slots(group) that has
-    /// none yet, in member order, from its slot's chain words.
+    // --- The AP's device table (ns::mac::device_table) ------------------
+    /// Uplink power at the AP at the device's current gain.
+    double power_dbm(std::uint32_t id) const override;
+    std::uint32_t shift(std::uint32_t id) const override;
+    /// associate_slot with the device's downlink power as its baseline.
+    void associate(std::uint32_t id, std::uint32_t shift) override;
+
+    /// Builds the radio of every member of `group` (every member when
+    /// unset) that has none yet, in member order, from its slot's chain
+    /// words.
     void build_radios(std::optional<std::size_t> group);
 
-    /// Inserts/removes `slot_index` into the sorted active-slot list.
-    void mark_active(std::size_t slot_index);
-    void mark_inactive(std::size_t slot_index);
-    /// Inserts/removes `slot_index` into group `group`'s sorted member
-    /// index and keeps slot_group_ in step.
-    void join_group(std::size_t slot_index, std::size_t group);
-    void leave_group(std::size_t slot_index);
-
     // --- Fault injection / protocol recovery (faults/) -----------------
-    /// Drops `slot_index` from the AP's tables: deactivates the slot,
-    /// reclaims its cyclic shift through the allocator and shrinks its
-    /// group. The shared leave/eviction path.
+    /// Drops `slot_index` from the AP's members. The shared leave /
+    /// eviction path.
     void deactivate_slot(std::size_t slot_index);
     /// Marks the device disassociated (reboot / missed-query trip /
     /// lease eviction): it falls silent and must rejoin via the Aloha
@@ -707,7 +648,7 @@ private:
     /// reinserts the ones whose handshake completes this round.
     void apply_ack_faults(std::vector<std::uint32_t>& joins,
                           std::size_t round, round_outcome& outcome);
-    /// Membership-lease sweep over this round's scheduled slots.
+    /// Membership-lease sweep over this round's scheduled members.
     void apply_lease(std::optional<std::size_t> scheduled_group,
                      std::size_t round, round_outcome& outcome);
 
@@ -742,16 +683,10 @@ private:
     /// (empty otherwise); advanced like fading, so a device's channel
     /// time series is independent of its membership history.
     std::vector<ns::channel::tap_delay_line> taps_;
-    /// Sorted indices of the active slots. Ungrouped rounds and the
-    /// membership-wide walks (regroup, reboot victims) run over it; a
-    /// grouped round walks only its scheduled group's member index, so a
-    /// 100k-device deployment, all of it active, streams one group's
-    /// slots per round, not 100k.
-    std::vector<std::uint32_t> active_slots_;
-    /// Id-indexed column of freshly allocated shifts, written by a batch
-    /// allocation or partition and read back as the devices associate.
-    std::vector<std::uint32_t> new_shift_;
-    ns::mac::shift_allocator allocator_;
+    /// Membership, groups and shifts. A grouped round walks only its
+    /// scheduled group's members, so a 100k-device deployment, all of it
+    /// active, streams one group's slots per round, not 100k.
+    ns::mac::access_point ap_;
     bool membership_dirty_ = false;
     /// Fault schedule generator (config.faults.enabled() only; nullopt
     /// keeps every fault path compiled out of the hot loop's behaviour).
@@ -767,17 +702,8 @@ private:
     std::vector<std::uint32_t> join_scratch_;
     /// Slot-index staging of the lease sweep and reboot victim draws.
     std::vector<std::uint32_t> fault_scratch_;
-    // --- §3.3.3 group scheduling state (empty when grouping is off) ---
-    std::vector<ns::mac::group_span> group_spans_;
-    /// Slot-indexed group (index into group_spans_), no_group when
-    /// ungrouped or inactive. Maintained at every membership change
-    /// (partition, grouped admit, deactivation).
-    std::vector<std::uint32_t> slot_group_;
-    /// Per group, its member slots in ascending order: the slots a
-    /// grouped round visits, in the order the round draws for them.
-    std::vector<std::vector<std::uint32_t>> group_members_;
-    std::vector<group_metrics> group_acc_;  ///< per-group accumulators
-    std::size_t misfits_since_regroup_ = 0;
+    /// Per-group accumulators (empty when grouping is off).
+    std::vector<group_metrics> group_acc_;
     ns::rx::receiver receiver_;
 
     // --- Observability (obs/) ------------------------------------------
@@ -846,12 +772,6 @@ private:
     std::vector<std::uint32_t> tx_row_shift_;    ///< row -> cyclic shift
     std::vector<std::int32_t> sent_row_of_shift_;  ///< shift -> row or -1
     std::vector<std::uint32_t> shift_scratch_;   ///< registered-shift staging
-    // Control-plane workspaces (partition, batch and incremental
-    // allocation), reserved at construction and reused across rounds.
-    std::vector<ns::mac::device_power> power_ws_;
-    std::vector<ns::mac::shift_power> occupied_ws_;
-    std::vector<std::uint32_t> alloc_shifts_ws_;
-    ns::mac::allocation_workspace alloc_ws_;
     /// Cross-network collision marks, one per transmitter row this round
     /// (empty when the round had no co-channel packets).
     std::vector<std::uint8_t> row_collided_;

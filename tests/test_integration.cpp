@@ -27,7 +27,8 @@ TEST(integration, association_handshake_end_to_end) {
     // Fig. 10: device 2 joins while device 1 keeps transmitting.
     ns::mac::allocation_params alloc{
         .phy = ns::phy::deployed_params(), .skip = 2, .num_association_slots = 2};
-    ns::mac::access_point ap(alloc);
+    ns::mac::vector_device_table table(3);
+    ns::mac::access_point ap(alloc, std::nullopt, table, table.powers.size());
 
     ns::device::device_params dev_params;
     dev_params.detector.rssi_noise_sigma_db = 0.0;
@@ -40,8 +41,10 @@ TEST(integration, association_handshake_end_to_end) {
     EXPECT_EQ(intent.association_region, ns::device::snr_region::high);
 
     // AP decodes the request (simulation carries the id) and assigns.
+    table.powers.at(2) = -95.0;
     const auto response = ap.handle_association_request(
-        {.device_id = 2, .region = intent.association_region, .rx_power_dbm = -95.0});
+        {.device_id = 2, .region = intent.association_region});
+    ASSERT_TRUE(response.has_value());
 
     // Round 2: the query carries the assignment; device 2 ACKs.
     const ns::mac::query_message query = ap.build_query();
@@ -57,8 +60,9 @@ TEST(integration, association_handshake_end_to_end) {
     // Round 3: device 2 now sends data on its assigned shift.
     intent = device2.handle_query(-30.0, std::nullopt);
     EXPECT_EQ(intent.action, ns::device::device_action::transmit_data);
-    EXPECT_EQ(intent.cyclic_shift, response.shift_slot * alloc.skip);
-    EXPECT_EQ(*ap.shift_of(2), intent.cyclic_shift);
+    EXPECT_EQ(intent.cyclic_shift, response->shift_slot * alloc.skip);
+    EXPECT_TRUE(ap.acked(2));
+    EXPECT_EQ(table.shift(2), intent.cyclic_shift);
 }
 
 TEST(integration, query_serialization_survives_channel_of_bits) {

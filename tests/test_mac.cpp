@@ -495,132 +495,181 @@ TEST(allocator, incremental_reuses_its_workspace) {
 
 // ------------------------------------------------------------------ ap --
 
-TEST(ap, association_flow_assigns_and_acks) {
-    access_point ap(default_alloc(2, 0));
-    association_request request{.device_id = 7, .region = snr_region::high,
-                                .rx_power_dbm = -100.0};
-    const association_response response = ap.handle_association_request(request);
-    EXPECT_TRUE(ap.pending_response().has_value());
-    EXPECT_TRUE(ap.shift_of(7).has_value());
-    EXPECT_EQ(*ap.shift_of(7), response.shift_slot * 2u);
+/// The AP over a PHY-less table of 300 devices.
+struct ap_fixture {
+    explicit ap_fixture(allocation_params alloc = default_alloc(2, 0),
+                        std::optional<scheduler_params> grouping = std::nullopt)
+        : table(300), ap(alloc, grouping, table, 300) {}
 
+    /// Device `id` asks to join at `power_dbm`.
+    std::optional<association_response> request(std::uint32_t id, double power_dbm) {
+        table.powers.at(id) = power_dbm;
+        return ap.handle_association_request({.device_id = id});
+    }
+    /// The same, then the device's ACK.
+    void join(std::uint32_t id, double power_dbm) {
+        ASSERT_TRUE(request(id, power_dbm).has_value()) << "device " << id;
+        ap.handle_association_ack(id);
+    }
+
+    vector_device_table table;
+    access_point ap;
+};
+
+/// Groups of at most `capacity` devices within 35 dB.
+std::optional<scheduler_params> grouping(std::size_t capacity) {
+    return scheduler_params{.group_capacity = capacity, .max_dynamic_range_db = 35.0};
+}
+
+TEST(ap, association_flow_assigns_and_acks) {
+    ap_fixture f;
+    const std::optional<association_response> response = f.request(7, -100.0);
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(f.table.shift(7), response->shift_slot * 2u);
     // The response rides on queries until the ACK arrives (§3.3.4).
-    EXPECT_TRUE(ap.build_query().response.has_value());
-    ap.handle_association_ack(7);
-    EXPECT_FALSE(ap.pending_response().has_value());
-    EXPECT_FALSE(ap.build_query().response.has_value());
-    EXPECT_TRUE(ap.devices().at(7).acked);
+    EXPECT_TRUE(f.ap.build_query().response.has_value());
+    EXPECT_FALSE(f.ap.acked(7));
+    f.ap.handle_association_ack(7);
+    EXPECT_FALSE(f.ap.build_query().response.has_value());
+    EXPECT_TRUE(f.ap.acked(7));
 }
 
 TEST(ap, ack_for_unknown_device_is_counted_noop) {
     // A lossy control channel can replay an ACK after the sender was
     // evicted, or corrupt the id field: the AP must absorb it, not abort.
-    access_point ap(default_alloc(2, 0));
-    ap.handle_association_ack(99);
-    EXPECT_EQ(ap.unknown_acks(), 1u);
-    EXPECT_EQ(ap.duplicate_acks(), 0u);
-    EXPECT_TRUE(ap.devices().empty());
-    // The table is untouched and the AP keeps functioning normally.
-    ap.handle_association_request(
-        {.device_id = 7, .region = snr_region::high, .rx_power_dbm = -100.0});
-    ap.handle_association_ack(7);
-    EXPECT_TRUE(ap.devices().at(7).acked);
-    EXPECT_EQ(ap.unknown_acks(), 1u);
+    ap_fixture f;
+    f.ap.handle_association_ack(99);
+    f.ap.handle_association_ack(100000);  // outside the universe
+    EXPECT_EQ(f.ap.active_count(), 0u);
+    f.join(7, -100.0);
+    EXPECT_TRUE(f.ap.acked(7));
+    EXPECT_EQ(f.ap.unknown_acks(), 2u);
+    EXPECT_EQ(f.ap.duplicate_acks(), 0u);
 }
 
 TEST(ap, duplicate_ack_is_counted_noop) {
-    access_point ap(default_alloc(2, 0));
-    ap.handle_association_request(
-        {.device_id = 7, .region = snr_region::high, .rx_power_dbm = -100.0});
-    ap.handle_association_ack(7);
-    EXPECT_TRUE(ap.devices().at(7).acked);
-    // The device retransmits the ACK (it may have missed the next query
-    // implying receipt): same final state, one counted duplicate.
-    ap.handle_association_ack(7);
-    ap.handle_association_ack(7);
-    EXPECT_TRUE(ap.devices().at(7).acked);
-    EXPECT_EQ(ap.duplicate_acks(), 2u);
-    EXPECT_EQ(ap.unknown_acks(), 0u);
+    ap_fixture f;
+    f.join(7, -100.0);
+    f.ap.handle_association_ack(7);
+    f.ap.handle_association_ack(7);
+    EXPECT_TRUE(f.ap.acked(7));
+    EXPECT_EQ(f.ap.duplicate_acks(), 2u);
+    EXPECT_EQ(f.ap.unknown_acks(), 0u);
 }
 
 TEST(ap, unknown_ack_matching_pending_replay_clears_it) {
-    // The joiner ACKed and was then dropped from the table before the
-    // ACK landed (e.g. an eviction raced the handshake): the replayed
-    // response must not ride every future query forever.
-    access_point ap(default_alloc(2, 0));
-    ap.handle_association_request(
-        {.device_id = 5, .region = snr_region::high, .rx_power_dbm = -100.0});
-    EXPECT_TRUE(ap.pending_response().has_value());
-    // Simulate the table losing the entry out-of-band is not possible
-    // through the public API, so exercise the unknown-id path directly:
-    // an unknown ACK that does NOT match the pending device leaves the
-    // replay in place...
-    ap.handle_association_ack(99);
-    EXPECT_TRUE(ap.pending_response().has_value());
-    EXPECT_EQ(ap.unknown_acks(), 1u);
-    // ...while the pending device's own ACK (known here) clears it.
-    ap.handle_association_ack(5);
-    EXPECT_FALSE(ap.pending_response().has_value());
+    // Another device's unknown ACK leaves the replay in place; the
+    // pending device's own ACK clears it.
+    ap_fixture f;
+    ASSERT_TRUE(f.request(5, -100.0).has_value());
+    f.ap.handle_association_ack(99);
+    EXPECT_TRUE(f.ap.pending_response().has_value());
+    f.ap.handle_association_ack(5);
+    EXPECT_FALSE(f.ap.pending_response().has_value());
 }
 
 TEST(ap, network_ids_unique) {
-    access_point ap(default_alloc(2, 0));
+    ap_fixture f;
     std::set<std::uint8_t> ids;
     for (std::uint32_t d = 0; d < 16; ++d) {
-        const auto response = ap.handle_association_request(
-            {.device_id = d, .region = snr_region::high, .rx_power_dbm = -100.0});
-        ids.insert(response.network_id);
-        ap.handle_association_ack(d);
+        ids.insert(f.request(d, -100.0).value().network_id);
+        f.ap.handle_association_ack(d);
     }
     EXPECT_EQ(ids.size(), 16u);
 }
 
+TEST(ap, join_past_the_data_slots_is_refused_and_counted) {
+    // SF9, SKIP 2 and two association slots leave 254 data slots: the
+    // 255th request is refused, nothing throws and the table is as it was.
+    ap_fixture f(default_alloc(2, 2));
+    for (std::uint32_t d = 0; d < 254; ++d) f.join(d, -100.0);
+    const std::vector<std::uint32_t> shifts = f.ap.active_shifts();
+    std::optional<association_response> refused;
+    EXPECT_NO_THROW(refused = f.request(254, -100.0));
+    EXPECT_FALSE(refused.has_value());
+    EXPECT_EQ(f.ap.rejected_requests(), 1u);
+    EXPECT_FALSE(f.ap.is_member(254));
+    EXPECT_EQ(f.ap.active_shifts(), shifts);
+    EXPECT_FALSE(f.ap.pending_response().has_value());
+}
+
+TEST(ap, member_rerequest_at_the_same_power_gets_its_own_shift_back) {
+    // The network-id case's input. A re-requesting member is dropped
+    // before it is placed, so its shift is free again.
+    ap_fixture f;
+    for (std::uint32_t d = 0; d < 16; ++d) f.join(d, -100.0);
+    const std::vector<std::uint32_t> shifts = f.ap.active_shifts();
+    for (const std::uint32_t d : {0u, 5u, 15u}) {
+        ASSERT_TRUE(f.request(d, -100.0).has_value());
+        EXPECT_EQ(f.ap.active_shifts(), shifts) << "device " << d;
+        EXPECT_FALSE(f.ap.acked(d));  // a fresh handshake
+    }
+    EXPECT_EQ(f.ap.full_reassignments(), 0u);
+}
+
 TEST(ap, infeasible_join_triggers_full_reassignment) {
-    access_point ap(default_alloc(2, 0));
-    ap.handle_association_request(
-        {.device_id = 0, .region = snr_region::high, .rx_power_dbm = -50.0});
-    ap.handle_association_ack(0);
-    EXPECT_EQ(ap.full_reassignments(), 0u);
+    ap_fixture f;
+    f.join(0, -50.0);
     // A newcomer 60 dB weaker cannot be placed incrementally.
-    ap.handle_association_request(
-        {.device_id = 1, .region = snr_region::low, .rx_power_dbm = -110.0});
-    EXPECT_EQ(ap.full_reassignments(), 1u);
-    const query_message query = ap.build_query();
+    ASSERT_TRUE(f.request(1, -110.0).has_value());
+    EXPECT_EQ(f.ap.full_reassignments(), 1u);
+    const query_message query = f.ap.build_query();
     EXPECT_TRUE(query.full_reassignment);
     EXPECT_EQ(query.length_bits(), 1760u + 16u);  // + piggybacked response
-    // The flag clears after one query.
-    EXPECT_FALSE(ap.build_query().full_reassignment);
+    // Exactly one query carries the field; an incremental join does not
+    // raise it again.
+    EXPECT_FALSE(f.ap.build_query().full_reassignment);
+    f.join(2, -80.0);
+    EXPECT_EQ(f.ap.full_reassignments(), 1u);
+    EXPECT_FALSE(f.ap.build_query().full_reassignment);
 }
 
 TEST(ap, regroup_by_signal_strength) {
-    access_point ap(default_alloc(2, 0));
-    for (std::uint32_t d = 0; d < 8; ++d) {
-        ap.handle_association_request({.device_id = d,
-                                       .region = snr_region::high,
-                                       .rx_power_dbm = -90.0 - 5.0 * d});
-        ap.handle_association_ack(d);
-    }
-    EXPECT_EQ(ap.regroup(4), 2u);
-    // The four strongest (smallest d) share group 0.
-    for (std::uint32_t d = 0; d < 4; ++d) EXPECT_EQ(ap.devices().at(d).group_id, 0);
-    for (std::uint32_t d = 4; d < 8; ++d) EXPECT_EQ(ap.devices().at(d).group_id, 1);
+    ap_fixture f(default_alloc(2, 0), grouping(4));
+    for (std::uint32_t d = 0; d < 8; ++d) f.join(d, -90.0 - 5.0 * d);
+    EXPECT_EQ(f.ap.regroup(), 8u);
+    // The four strongest share group 0; each group has its own shifts.
+    for (std::uint32_t d = 0; d < 8; ++d) EXPECT_EQ(f.ap.group_of(d), d / 4);
+    EXPECT_EQ(f.table.shift(0), f.table.shift(4));
+    // The 35 dB limit cuts where the capacity would not.
+    ap_fixture wide(default_alloc(2, 0), grouping(16));
+    for (std::uint32_t d = 0; d < 8; ++d) wide.join(d, -90.0 - 6.0 * d);
+    wide.ap.regroup();
+    EXPECT_EQ(wide.ap.num_groups(), 2u);
 }
 
 TEST(ap, regroup_breaks_power_ties_by_id) {
-    access_point ap(default_alloc(2, 0));
-    for (std::uint32_t d = 0; d < 4; ++d) {
-        ap.handle_association_request({.device_id = d,
-                                       .region = snr_region::high,
-                                       .rx_power_dbm = -90.0});
-        ap.handle_association_ack(d);
-    }
-    EXPECT_EQ(ap.regroup(2), 2u);
-    for (std::uint32_t d = 0; d < 4; ++d) EXPECT_EQ(ap.devices().at(d).group_id, d / 2);
+    // Joining in descending id order makes the groups {3, 2} and {1, 0}.
+    ap_fixture f(default_alloc(2, 0), grouping(2));
+    for (std::uint32_t d = 4; d-- > 0;) f.join(d, -90.0);
+    EXPECT_EQ(f.ap.group_of(3), 0u);
+    f.ap.regroup();
+    for (std::uint32_t d = 0; d < 4; ++d) EXPECT_EQ(f.ap.group_of(d), d / 2);
 }
 
 TEST(ap, regroup_validates_capacity) {
-    access_point ap(default_alloc(2, 0));
-    EXPECT_THROW(ap.regroup(0), ns::util::invalid_argument);
+    vector_device_table table(4);
+    EXPECT_THROW(access_point(default_alloc(2, 0), grouping(0), table, 4),
+                 ns::util::invalid_argument);
+    access_point ungrouped(default_alloc(2, 0), std::nullopt, table, 4);
+    EXPECT_THROW(ungrouped.regroup(), ns::util::invalid_argument);
+}
+
+TEST(ap, misfit_that_would_open_group_257_is_refused) {
+    ap_fixture f(default_alloc(2, 0), grouping(1));
+    for (std::uint32_t d = 0; d < access_point::max_groups; ++d) f.join(d, -100.0);
+    EXPECT_FALSE(f.request(256, -100.0).has_value());
+    EXPECT_EQ(f.ap.rejected_requests(), 1u);
+    EXPECT_EQ(f.ap.num_groups(), 256u);
+    EXPECT_FALSE(f.ap.is_member(256));
+}
+
+TEST(ap, scheduled_group_is_round_robin) {
+    ap_fixture f(default_alloc(2, 0), grouping(1));
+    EXPECT_FALSE(f.ap.scheduled_group(1).has_value());  // no group yet
+    for (std::uint32_t d = 0; d < 3; ++d) f.join(d, -100.0);
+    EXPECT_EQ(f.ap.scheduled_group(0), 0u);
+    EXPECT_EQ(f.ap.scheduled_group(4), 1u);
 }
 
 // --------------------------------------------------------------- aloha --

@@ -357,8 +357,8 @@ TEST(scenario_runner, aloha_cold_start_admits_every_device_on_distinct_shifts) {
     ns::sim::network_simulator sim(dep, config, &driver);
     const ns::sim::sim_result result = sim.run();
 
-    EXPECT_EQ(sim.active_count(), 64u);
-    const std::vector<std::uint32_t> shifts = sim.active_shifts();
+    EXPECT_EQ(sim.ap().active_count(), 64u);
+    const std::vector<std::uint32_t> shifts = sim.ap().active_shifts();
     EXPECT_EQ(std::set<std::uint32_t>(shifts.begin(), shifts.end()).size(),
               shifts.size());
     const driver_stats& stats = driver.stats();
@@ -1058,8 +1058,8 @@ TEST(round_hooks, gating_churn_and_counters_flow_through_simulator) {
     EXPECT_EQ(result.rounds[2].joins, 1u);
     EXPECT_EQ(result.rounds[2].active, 8u);
     EXPECT_GE(result.total_realloc_events, 1u);
-    EXPECT_EQ(sim.active_count(), 8u);
-    EXPECT_EQ(sim.active_shifts().size(), 8u);
+    EXPECT_EQ(sim.ap().active_count(), 8u);
+    EXPECT_EQ(sim.ap().active_shifts().size(), 8u);
 }
 
 /// Starts the first 30 devices and asks every other one to join in each
@@ -1142,7 +1142,7 @@ TEST(round_hooks, ids_outside_the_deployment_are_ignored) {
     ns::test::write_outcome_digest(expected, reference.run());
     ns::test::write_outcome_digest(actual, probed.run());
     EXPECT_EQ(actual.str(), expected.str());
-    EXPECT_FALSE(probed.group_of(4).has_value());
+    EXPECT_FALSE(probed.ap().group_of(4).has_value());
 }
 
 }  // namespace

@@ -190,7 +190,7 @@ TEST(network_sim, small_network_delivers_everything) {
 TEST(network_sim, allocation_covers_all_devices_distinctly) {
     const deployment dep(deployment_params{}, 32, 6);
     network_simulator sim(dep, fast_sim());
-    std::vector<std::uint32_t> shifts = sim.active_shifts();
+    std::vector<std::uint32_t> shifts = sim.ap().active_shifts();
     EXPECT_EQ(shifts.size(), 32u);
     std::sort(shifts.begin(), shifts.end());
     EXPECT_EQ(std::adjacent_find(shifts.begin(), shifts.end()), shifts.end());
