@@ -9,33 +9,24 @@ namespace ns::mac {
 access_point::access_point(allocation_params allocation,
                            std::optional<scheduler_params> grouping,
                            device_table& devices, std::size_t universe)
-    : devices_(&devices), allocator_(allocation), universe_(universe) {
+    : devices_(&devices), allocator_(allocation) {
     const std::size_t data_slots = allocator_.num_data_slots();
     if (grouping) {
         grouping->group_capacity = std::min(grouping->group_capacity, data_slots);
         scheduler_.emplace(*grouping);
+        group_.assign(universe, no_group);
     }
     // No occupied set or batch allocation exceeds the data slots, so no
     // round allocates (a regroup grows power_ws_ to the membership once).
+    active_.reserve(universe);
+    new_shift_.resize(universe);
     power_ws_.reserve(data_slots + 1);
     occupied_ws_.reserve(data_slots);
     shifts_ws_.reserve(data_slots);
     allocator_.reserve(alloc_ws_);
 }
 
-void access_point::size_columns() {
-    // Sized with the first members rather than at construction, so that a
-    // simulator allocates them after its device slots: allocated first,
-    // they shifted its heap enough to raise field-100k's peak RSS over a
-    // long run by about 2 % (4-core Xeon).
-    if (new_shift_.size() == universe_) return;
-    active_.reserve(universe_);
-    new_shift_.resize(universe_);
-    if (grouped()) group_.assign(universe_, no_group);
-}
-
 void access_point::assign(std::span<device_power> powers, bool power_aware) {
-    size_columns();
     active_.clear();
     for (const device_power& device : powers) active_.push_back(device.device_id);
     if (grouped()) {
@@ -98,7 +89,6 @@ void access_point::grow_member_index() {
 }
 
 admission access_point::admit(std::uint32_t id, double power_dbm) {
-    size_columns();
     std::optional<std::size_t> target;
     if (grouped()) {
         target = scheduler_->admit(spans_, power_dbm);
@@ -137,7 +127,7 @@ admission access_point::place_joiner(std::uint32_t id, double power_dbm,
     if (const auto shift = allocator_.assign_incremental(
             power_dbm, occupied(std::nullopt, group), alloc_ws_)) {
         devices_->associate(id, *shift);
-        return {.admitted = true, .placed = 1};
+        return {.placed = 1};
     }
     // No free shift fits the newcomer next to power-compatible
     // neighbours: full reassignment (§3.3.3).
@@ -146,7 +136,7 @@ admission access_point::place_joiner(std::uint32_t id, double power_dbm,
     for (std::size_t k = 0; k < power_ws_.size(); ++k) {
         devices_->associate(power_ws_[k].device_id, shifts_ws_[k]);
     }
-    return {.admitted = true, .placed = power_ws_.size(), .full_reassignment = true};
+    return {.placed = power_ws_.size(), .full_reassignment = true};
 }
 
 void access_point::leave(std::uint32_t id) {
@@ -191,12 +181,12 @@ const std::vector<shift_power>& access_point::occupied(std::optional<std::uint32
 std::optional<association_response> access_point::handle_association_request(
     const association_request& request) {
     const std::uint32_t id = request.device_id;
-    ns::util::require(id < universe_,
+    ns::util::require(id < new_shift_.size(),
                       "access_point: association request from outside the universe");
     std::erase(unacked_, id);
     leave(id);
     const admission result = admit(id, devices_->power_dbm(id));
-    if (!result.admitted) {
+    if (result.placed == 0) {
         ++rejected_requests_;
         return std::nullopt;
     }

@@ -72,9 +72,8 @@ struct association_request {
 
 /// What one admission did.
 struct admission {
-    bool admitted = false;  ///< false: refused
-    /// Devices given a shift: the joiner, or after a full reassignment
-    /// its whole group, the joiner included.
+    /// Devices given a shift: 0 when the join is refused, else the joiner
+    /// or, after a full reassignment, its whole group.
     std::size_t placed = 0;
     bool full_reassignment = false;
 };
@@ -175,8 +174,6 @@ public:
 private:
     static constexpr std::uint32_t no_group = static_cast<std::uint32_t>(-1);
 
-    /// Sizes the id-indexed columns for the universe, once.
-    void size_columns();
     void partition(std::span<device_power> powers);
     /// Places admitted `id` among members(group).
     admission place_joiner(std::uint32_t id, double power_dbm,
@@ -192,7 +189,6 @@ private:
     device_table* devices_;
     shift_allocator allocator_;
     std::optional<group_scheduler> scheduler_;
-    std::size_t universe_;
     std::vector<std::uint32_t> active_;  ///< member ids, ascending
     /// Id-indexed shifts from the last assign() or regroup().
     std::vector<std::uint32_t> new_shift_;

@@ -620,7 +620,7 @@ void network_simulator::apply_round_plan(const round_plan& plan, round_outcome& 
             id, association_power_dbm(device_params_, slot.uplink_rx_dbm,
                                       slot.query_rssi_dbm));
         track_groups();
-        if (!admitted.admitted) {
+        if (admitted.placed == 0) {
             ++outcome.rejected_joins;
             continue;
         }
